@@ -5,8 +5,9 @@ from .caccioppoli import (CConstants, EstimateReport, ExpVolumeBound, TestFuncti
                           c_constant, estimate_sides, estimate_sides_radial,
                           exp_volume_bound, h_value, holder_conjugate, kappa0,
                           phi_value, test_function_value)
-from .counterexamples import (BuiltCounterexample, DeltaBound, MarginReport,
+from .counterexamples import (BuiltCounterexample, Certificate, DeltaBound, MarginReport,
                               RegimeSpec, TailReport, VolumeBand, build, calibrate,
+                              certify, certify_spec,
                               delta0, interior_threshold, lambda_fn, lambda_limit,
                               layer_rows, margin_at, nonlinear_term, tail_check,
                               verify, verify_graph,

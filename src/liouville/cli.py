@@ -26,8 +26,8 @@ from . import descent as dsc
 from .caccioppoli import TestFunction, estimate_sides, estimate_sides_radial
 from .errors import CalibrationError, HypothesisNotMetError, InputError, LiouvilleError
 from .graphs import GraphFunction, WeightedGraph, nash_williams_partial, parse_graph_text
-from .numerics import default_precision_bits, mpf_str, precision
-from .radial import RadialFunction, RadialTree, TwoSidedRadialTree, parse_radial_text
+from .numerics import MIN_PRECISION_BITS, default_precision_bits, mpf_str, precision
+from .radial import RadialFunction, RadialTree, parse_radial_text
 from .regions import ON_LINE, choose_st, classify_g, classify_k, pq
 
 SCHEMA = 1
@@ -54,6 +54,16 @@ def _real(text: str) -> mp.mpf:
         return mp.mpf(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a real number: {text!r}")
+
+
+def _precision_bits(text: str) -> int:
+    try:
+        bits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if bits < MIN_PRECISION_BITS:
+        raise argparse.ArgumentTypeError(f"must be at least {MIN_PRECISION_BITS}, got {bits}")
+    return bits
 
 
 def _frac_str(x: Fraction) -> str:
@@ -95,7 +105,12 @@ def _load_values_csv(path: str) -> dict[int, mp.mpf]:
                 idx = int(row[0])
             except ValueError:
                 continue  # header
-            values[idx] = mp.mpf(row[1])
+            if len(row) < 2:
+                raise InputError(f"{path}: row {row!r} needs an index and a value")
+            try:
+                values[idx] = mp.mpf(row[1])
+            except ValueError:
+                raise InputError(f"{path}: bad value in row {row!r}")
     if not values:
         raise InputError(f"no values found in {path}")
     return values
@@ -163,10 +178,9 @@ def _spec_dict(spec: cx.RegimeSpec) -> dict:
     }
 
 
-def _resolve_spec(args) -> cx.RegimeSpec:
-    """Build directly when the regime's free parameters are pinned on the
-    command line (delta for I/III/IV, n0 for II, lam for V), otherwise run
-    the full calibration search."""
+def _certify(args) -> cx.Certificate:
+    """Certify the spec pinned on the command line (delta for I/III/IV, n0
+    for II, lam for V), or else the one the calibration search accepts."""
     point = pq(args.p, args.q)
     regime = args.regime
     if regime == "IV" and args.lam is None:
@@ -180,21 +194,19 @@ def _resolve_spec(args) -> cx.RegimeSpec:
         "V2": args.lam is not None,
     }[regime]
     if pinned:
-        return cx.RegimeSpec(
+        return cx.certify_spec(cx.RegimeSpec(
             regime=regime, p=point.p, q=point.q, N=args.N, horizon=args.horizon,
             eps=args.eps, lam=args.lam,
             n0=args.n0 if args.n0 is not None else 2,
             delta=args.delta,
-        )
-    return cx.calibrate(regime, point, N=args.N, horizon=args.horizon,
-                        eps=args.eps, lam=args.lam)
+        ))
+    return cx.certify(regime, point, N=args.N, horizon=args.horizon,
+                      eps=args.eps, lam=args.lam)
 
 
 def _cmd_construct(args) -> int:
-    spec = _resolve_spec(args)
-    built = cx.build(spec)
-    report = cx.verify(built)
-    tail = cx.tail_check(spec)
+    cert = _certify(args)
+    spec, built, report, tail = cert.spec, cert.built, cert.report, cert.tail
     band = None
     v_hi = min(args.volume_hi, spec.horizon)
     if v_hi >= args.volume_lo >= 2:
@@ -224,7 +236,7 @@ def _cmd_construct(args) -> int:
     if args.csv:
         _write_csv(args.csv, ["layer", "w", "u", "laplacian", "grad", "margin"],
                    cx.layer_rows(built))
-    return EXIT_OK if report.verified and tail.ok else EXIT_FAILED
+    return EXIT_OK if cert.ok else EXIT_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +282,11 @@ def _cmd_estimate(args) -> int:
         u = _graph_function(obj, values)
         omega = None
         if args.omega != "all":
-            omega = [int(tok) for tok in args.omega.split(",")]
+            try:
+                omega = [int(tok) for tok in args.omega.split(",")]
+            except ValueError:
+                raise InputError(f"--omega needs 'all' or comma-separated vertex ids, "
+                                 f"got {args.omega!r}")
         report = estimate_sides(obj, u, args.base, tf, args.s, args.t, point,
                                 args.p0, variant=args.variant, omega=omega)
     elif isinstance(obj, RadialTree):
@@ -342,28 +358,17 @@ def _cmd_volume(args) -> int:
         "ratio_max": mpf_str(band.ratio_max),
         "spread": mpf_str(band.spread),
     }
+    if args.nash_williams or args.csv:
+        vols = built.tree.ball_volumes(args.n_hi)
     if args.nash_williams:
-        tree = built.tree
-        if isinstance(tree, TwoSidedRadialTree):
-            vols = []
-            acc = mp.mpf(0)
-            for k in range(args.n_hi + 1):
-                acc += tree.layer_measure(k)
-                vols.append(acc)
-        else:
-            vols = tree.ball_volumes(args.n_hi)
         payload["nash_williams_partial"] = mpf_str(
             nash_williams_partial(lambda n: vols[n], args.n_hi))
     _emit(payload, args.json)
     if args.csv:
-        tree = built.tree
         rows = []
-        acc = mp.mpf(0)
-        for n in range(args.n_hi + 1):
-            acc += tree.layer_measure(n)
-            if n >= args.n_lo:
-                t = target(n)
-                rows.append((n, acc, t, acc / t))
+        for n in range(args.n_lo, args.n_hi + 1):
+            t = target(n)
+            rows.append((n, vols[n], t, vols[n] / t))
         _write_csv(args.csv, ["n", "volume", "target", "ratio"], rows)
     return EXIT_OK
 
@@ -422,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="liouville",
         description="Verification tools for Delta u + u^p |grad u|^q <= 0 on weighted graphs",
     )
-    parser.add_argument("--precision-bits", type=int, default=None,
+    parser.add_argument("--precision-bits", type=_precision_bits, default=None,
                         help="working significand size (default: env or 128)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -505,7 +510,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    bits = args.precision_bits if args.precision_bits else default_precision_bits()
+    try:
+        bits = args.precision_bits or default_precision_bits()
+    except ValueError as exc:            # a bad LIOUVILLE_PRECISION_BITS
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         with precision(bits):
             return args.fn(args)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 from typing import Callable
 
 import mpmath as mp
@@ -240,29 +241,58 @@ def _checked_layers(tree, horizon: int | None) -> range:
 
 
 def _verify_pass(tree, u, p, q, layers, bits, force) -> MarginReport | None:
+    """One pass over the checked layers; None on a borderline margin unless forced.
+
+    Each layer's inward and outward differences are formed once and feed
+    both lap and grad^2, by the operations of `laplacian_at` and
+    `gradient_sq_at`; the term and the verdict follow `nonlinear_term` and
+    `check_nonpositive`.  The report therefore equals that of a loop over
+    those reference functions, bit for bit.
+    """
+    tree.check_covers(u)
+    values, lo = u.values(), u.lo
+    one_sided = isinstance(tree, RadialTree)
+    p_exp, q = to_mpf(p), Fraction(q)
+    half_q = to_mpf(q) / 2
     tol = rel_tol()
+    ten_tol = 10 * tol
     max_margin = mp.mpf("-inf")
     worst = layers.start
     failures = []
     undefined = []
-    borderline = False
     for n in layers:
-        lap = tree.laplacian_at(u, n)
-        try:
-            term = nonlinear_term(u.value(n), tree.gradient_sq_at(u, n), p, q)
-        except InputError:
+        i = n - lo
+        un = values[i]
+        d_out = values[i + 1] - un
+        if n == 0 and one_sided:
+            lap = d_out
+            grad_sq = d_out ** 2 / 2
+        else:
+            a, b = tree.conductances(n)
+            d_in = values[i - 1] - un
+            lap = (a * d_out + b * d_in) / (a + b)
+            grad_sq = (a * d_out ** 2 + b * d_in ** 2) / (2 * (a + b))
+        if not un > 0:
             undefined.append(n)
             continue
-        check = check_nonpositive(lap + term, max(abs(lap), term), tol)
-        if check.borderline:
-            borderline = True
-        if check.margin > max_margin:
-            max_margin = check.margin
+        if q == 0:
+            term = mp.power(un, p_exp)
+        elif grad_sq == 0:
+            if q < 0:
+                undefined.append(n)
+                continue
+            term = mp.mpf(0)
+        else:
+            term = mp.power(un, p_exp) * mp.power(grad_sq, half_q)
+        margin = lap + term
+        scale = max(abs(lap), term)
+        if margin != 0 and abs(margin) <= ten_tol * scale and not force:
+            return None
+        if margin > max_margin:
+            max_margin = margin
             worst = n
-        if not check.holds and len(failures) < 20:
-            failures.append((n, check.margin))
-    if borderline and not force:
-        return None
+        if not margin <= tol * scale and len(failures) < 20:
+            failures.append((n, margin))
     return MarginReport(
         verified=not failures and not undefined,
         max_margin=max_margin,
@@ -344,54 +374,81 @@ def verify_graph(g: WeightedGraph, u: GraphFunction, p, q) -> MarginReport:
 # Calibration functions Lambda and their reported limits
 
 
-def _lambda_poly(point: PQPoint, eps, n, family: str) -> mp.mpf:
-    """Shared interior calibration function for the polynomial families."""
+def _lambda_kernel(regime: str, point: PQPoint, param):
+    """(profile, combine) for regimes I-IV, with every constant hoisted.
+
+    Lambda(m) = combine(profile(m-1), profile(m), profile(m+1)); a profile
+    is the pair (W, g) for I and III, (W, f) for II and (m, 1/m) for IV.
+    """
     p, q = to_mpf(point.p), to_mpf(point.q)
-    ex = exponents(point, family)
-    lam_w, beta, sigma = to_mpf(ex.lam), to_mpf(ex.beta), to_mpf(ex.sigma)
-    eps = to_mpf(eps)
-    n = mp.mpf(n)
+    neg_p, neg_half_q = -p, -q / 2
+    if regime in ("I", "III"):
+        ex = exponents(point, regime)
+        lam_w, beta, sigma = to_mpf(ex.lam), to_mpf(ex.beta), to_mpf(ex.sigma)
+        w_log = beta + to_mpf(param)
+        p_minus_1 = p - 1
 
-    def W(m):
-        return m ** lam_w * mp.ln(m) ** (beta + eps)
+        def profile(m):
+            m = mp.mpf(m)
+            ln_m = mp.ln(m)
+            return m ** lam_w * ln_m ** w_log, m ** sigma * ln_m ** beta
 
-    def g(m):
-        return m ** sigma * mp.ln(m) ** beta
+        def combine(prev, cur, nxt):
+            (Wm, g_dn), (Wn, gn), (_, g_up) = prev, cur, nxt
+            drift = 1 - gn * (Wn / g_up + Wm / g_dn) / (Wn + Wm)
+            quad = ((Wn * (1 / gn - 1 / g_up) ** 2 + Wm * (1 / g_dn - 1 / gn) ** 2)
+                    / (2 * (Wn + Wm)))
+            if regime == "I":
+                return gn ** p_minus_1 * drift * quad ** neg_half_q
+            return drift * (1 / gn + 1) ** neg_p / gn * quad ** neg_half_q
 
-    Wn, Wm = W(n), W(n - 1)
-    gn, g_up, g_dn = g(n), g(n + 1), g(n - 1)
-    drift = 1 - gn * (Wn / g_up + Wm / g_dn) / (Wn + Wm)
-    quad = (Wn * (1 / gn - 1 / g_up) ** 2 + Wm * (1 / g_dn - 1 / gn) ** 2) / (2 * (Wn + Wm))
-    if family == "I":
-        return gn ** (p - 1) * drift * quad ** (-q / 2)
-    return drift * (1 / gn + 1) ** (-p) / gn * quad ** (-q / 2)
+        return profile, combine
+    if regime == "II":
+        eps = to_mpf(param)
+        w_log, f_log = 1 + eps, -eps / 2
+
+        def profile(m):
+            m = mp.mpf(m)
+            ln_m = mp.ln(m)
+            return m * ln_m ** w_log, ln_m ** f_log
+
+        def combine(prev, cur, nxt):
+            (Wm, f_dn), (Wn, fn), (_, f_up) = prev, cur, nxt
+            neg_lap = fn - (Wn * f_up + Wm * f_dn) / (Wn + Wm)
+            quad = (Wn * (f_up - fn) ** 2 + Wm * (f_dn - fn) ** 2) / (2 * (Wn + Wm))
+            return neg_lap * (fn + 1) ** neg_p * quad ** neg_half_q
+
+        return profile, combine
+    if regime == "IV":
+        r = mp.e ** (-to_mpf(param))
+        one_r = 1 + r
+        two_one_r = 2 * one_r
+        neg_half = mp.mpf("-0.5")
+
+        def profile(m):
+            m = mp.mpf(m)
+            return m, 1 / m
+
+        def combine(prev, cur, nxt):
+            (m_dn, inv_dn), (_, inv_n), (_, inv_up) = prev, cur, nxt
+            drift = inv_n - (inv_up + r / m_dn) / one_r
+            quad = ((inv_up - inv_n) ** 2 + r * (inv_dn - inv_n) ** 2) / two_one_r
+            return drift * (inv_n + 1) ** neg_p * quad ** neg_half
+
+        return profile, combine
+    raise InputError(f"unknown regime {regime!r}")
 
 
-def _lambda_log(point: PQPoint, eps, n) -> mp.mpf:
-    p, q = to_mpf(point.p), to_mpf(point.q)
-    eps = to_mpf(eps)
-    n = mp.mpf(n)
+def _lambda_window(regime: str, point: PQPoint, param, lo: int, hi: int) -> list[mp.mpf]:
+    """Lambda(m) for m = lo..hi (regimes I-IV) from one table of profiles.
 
-    def W(m):
-        return m * mp.ln(m) ** (1 + eps)
-
-    def f(m):
-        return mp.ln(m) ** (-eps / 2)
-
-    Wn, Wm = W(n), W(n - 1)
-    neg_lap = f(n) - (Wn * f(n + 1) + Wm * f(n - 1)) / (Wn + Wm)
-    quad = (Wn * (f(n + 1) - f(n)) ** 2 + Wm * (f(n - 1) - f(n)) ** 2) / (2 * (Wn + Wm))
-    return neg_lap * (f(n) + 1) ** (-p) * quad ** (-q / 2)
-
-
-def _lambda_exp(point: PQPoint, lam, n) -> mp.mpf:
-    p = to_mpf(point.p)
-    lam = to_mpf(lam)
-    n = mp.mpf(n)
-    r = mp.e ** (-lam)
-    drift = 1 / n - (1 / (n + 1) + r / (n - 1)) / (1 + r)
-    quad = ((1 / (n + 1) - 1 / n) ** 2 + r * (1 / (n - 1) - 1 / n) ** 2) / (2 * (1 + r))
-    return drift * (1 / n + 1) ** (-p) * quad ** mp.mpf("-0.5")
+    Equal, value for value, to lambda_fn at each m: the same kernel runs on
+    the same profile values, each computed once instead of three times.
+    """
+    _check_lambda_index(regime, lo)
+    profile, combine = _lambda_kernel(regime, point, param)
+    table = [profile(m) for m in range(lo - 1, hi + 2)]
+    return [combine(*table[i - 1:i + 2]) for i in range(1, len(table) - 1)]
 
 
 def _v1_layer_rhs(point: PQPoint, lam, n: int) -> mp.mpf:
@@ -425,23 +482,20 @@ def lambda_fn(regime: str, point: PQPoint, param, n: int) -> mp.mpf:
     the (n-independent) interior one; for V2 the closed form does not
     depend on n at all.
     """
-    if regime in ("I", "II", "III") and n < 3:
-        raise InputError(f"regime {regime} calibration needs n >= 3, got {n}")
-    if regime == "IV" and n < 2:
-        raise InputError(f"regime IV calibration needs n >= 2, got {n}")
-    if regime == "I":
-        return _lambda_poly(point, param, n, "I")
-    if regime == "II":
-        return _lambda_log(point, param, n)
-    if regime == "III":
-        return _lambda_poly(point, param, n, "III")
-    if regime == "IV":
-        return _lambda_exp(point, param, n)
+    _check_lambda_index(regime, n)
     if regime == "V1":
         return _v1_layer_rhs(point, param, n)
     if regime == "V2":
         return _v2_layer_rhs(point, param)
-    raise InputError(f"unknown regime {regime!r}")
+    profile, combine = _lambda_kernel(regime, point, param)
+    return combine(profile(n - 1), profile(n), profile(n + 1))
+
+
+def _check_lambda_index(regime: str, n: int) -> None:
+    if regime in ("I", "II", "III") and n < 3:
+        raise InputError(f"regime {regime} calibration needs n >= 3, got {n}")
+    if regime == "IV" and n < 2:
+        raise InputError(f"regime IV calibration needs n >= 2, got {n}")
 
 
 def lambda_limit(regime: str, point: PQPoint, param) -> mp.mpf:
@@ -536,25 +590,59 @@ class TailReport:
 
 def tail_check(spec: RegimeSpec, horizon: int | None = None) -> TailReport:
     H = spec.horizon if horizon is None else horizon
-    lo = max(1, math.ceil(H / 2))
     if spec.regime in ("V1", "V2"):
         vals = [lambda_fn(spec.regime, spec.point, spec.lam, n) for n in (0, 1)]
         min_value = min(vals)
         required = to_mpf(V_COND_MARGIN)
-        return TailReport(ok=min_value >= required, window=(lo, H),
+        return TailReport(ok=min_value >= required, window=_tail_window(H),
                           min_value=min_value, threshold=mp.mpf(1), required=required)
     param = spec.eps if spec.regime in ("I", "II", "III") else spec.lam
-    min_value = min(
-        lambda_fn(spec.regime, spec.point, param, n + spec.n0) for n in range(lo, H + 1)
-    )
+    return _interior_tail(spec, H, _window_min(spec.regime, spec.point, param, spec.n0, H))
+
+
+def _tail_window(H: int) -> tuple[int, int]:
+    return max(1, math.ceil(H / 2)), H
+
+
+def _window_min(regime, point, param, n0, H) -> mp.mpf:
+    """min Lambda(n + n0) over the tail window of horizon H."""
+    lo, hi = _tail_window(H)
+    return min(_lambda_window(regime, point, param, lo + n0, hi + n0))
+
+
+def _interior_tail(spec: RegimeSpec, H: int, min_value) -> TailReport:
+    """The tail report of regimes I-IV, given the window minimum."""
     threshold = interior_threshold(spec)
     required = 2 * threshold
-    return TailReport(ok=min_value >= required, window=(lo, H),
+    return TailReport(ok=min_value >= required, window=_tail_window(H),
                       min_value=min_value, threshold=threshold, required=required)
 
 
 # ---------------------------------------------------------------------------
-# Calibration search
+# Certification: a pinned spec, or the calibration search
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """A construction with the margin report and tail that certify it."""
+
+    built: BuiltCounterexample
+    report: MarginReport
+    tail: TailReport
+
+    @property
+    def spec(self) -> RegimeSpec:
+        return self.built.spec
+
+    @property
+    def ok(self) -> bool:
+        return self.report.verified and self.tail.ok
+
+
+def certify_spec(spec: RegimeSpec) -> Certificate:
+    """Build, verify and tail a fully pinned spec, once each."""
+    built = build(spec)
+    return Certificate(built, verify(built), tail_check(spec))
 
 
 def _probe_offsets(H: int) -> list[int]:
@@ -566,18 +654,20 @@ def _probe_offsets(H: int) -> list[int]:
     return sorted(n for n in probes if n >= 1)
 
 
-def calibrate(regime: str, point: PQPoint, *, N: int, horizon: int,
-              eps=None, lam=None) -> RegimeSpec:
+def certify(regime: str, point: PQPoint, *, N: int, horizon: int,
+            eps=None, lam=None) -> Certificate:
     """Search the free parameters until build + verify + tail all pass.
 
-    Regimes I-IV walk n0 through powers of two; the shift n -> n + n0 is
-    what makes the calibration function positive and flat enough on the
-    horizon.  delta is fixed from the recipe bounds: the root bound
-    delta_0, the limit-based delta_1 = (limit/2)^(1/e), and a tail cap
-    (window-minimum/2)^(1/e) that keeps the factor-two tail clearance
-    reachable; with p < 0 (regime IV) the three combine through max
-    instead of min.  Regimes V double the rate lambda from 1 until the
-    closed-form layer conditions clear 1 with a five percent margin.
+    Returns the accepted candidate's build, margin report and tail, so a
+    caller never has to recompute them.  Regimes I-IV walk n0 through
+    powers of two; the shift n -> n + n0 is what makes the calibration
+    function positive and flat enough on the horizon.  delta is fixed from
+    the recipe bounds: the root bound delta_0, the limit-based
+    delta_1 = (limit/2)^(1/e), and a tail cap (window-minimum/2)^(1/e)
+    that keeps the factor-two tail clearance reachable; with p < 0 (regime
+    IV) the three combine through max instead of min.  Regimes V double
+    the rate lambda from 1 until the closed-form layer conditions clear 1
+    with a five percent margin.
     """
     if regime not in REGIMES:
         raise InputError(f"unknown regime {regime!r}")
@@ -594,18 +684,19 @@ def calibrate(regime: str, point: PQPoint, *, N: int, horizon: int,
     if regime == "IV" and lam is None:
         raise InputError("regime IV calibration needs lam")
     if regime in ("V1", "V2"):
-        return _calibrate_rate(regime, point, N=N, horizon=horizon)
+        return _certify_rate(regime, point, N=N, horizon=horizon)
     if regime == "II":
-        return _calibrate_log(point, eps, N=N, horizon=horizon)
-    return _calibrate_poly(regime, point, eps=eps, lam=lam, N=N, horizon=horizon)
+        return _certify_log(point, eps, N=N, horizon=horizon)
+    return _certify_poly(regime, point, eps=eps, lam=lam, N=N, horizon=horizon)
 
 
-def _window_min(regime, point, param, n0, H) -> mp.mpf:
-    lo = max(1, math.ceil(H / 2))
-    return min(lambda_fn(regime, point, param, n + n0) for n in range(lo, H + 1))
+def calibrate(regime: str, point: PQPoint, *, N: int, horizon: int,
+              eps=None, lam=None) -> RegimeSpec:
+    """The spec `certify` accepts: the calibrated free parameters."""
+    return certify(regime, point, N=N, horizon=horizon, eps=eps, lam=lam).spec
 
 
-def _calibrate_poly(regime, point, *, eps, lam, N, horizon) -> RegimeSpec:
+def _certify_poly(regime, point, *, eps, lam, N, horizon) -> Certificate:
     if regime == "I":
         e = to_mpf(point.p + point.q - 1)
         param = eps
@@ -620,8 +711,10 @@ def _calibrate_poly(regime, point, *, eps, lam, N, horizon) -> RegimeSpec:
     best_margin = None
     n0 = 2
     while n0 <= _N0_CAP:
-        probe_vals = [lambda_fn(regime, point, param, n + n0) for n in probes]
-        if all(v > 0 for v in probe_vals):
+        # the first non-positive probe rules the candidate out; skip the rest
+        probe_vals = list(takewhile(lambda v: v > 0, (
+            lambda_fn(regime, point, param, n + n0) for n in probes)))
+        if len(probe_vals) == len(probes):
             wmin = _window_min(regime, point, param, n0, horizon)
             d0 = _delta0_value(regime, point, n0)
             tail_cap = mp.power(wmin / 2, 1 / e)
@@ -632,26 +725,30 @@ def _calibrate_poly(regime, point, *, eps, lam, N, horizon) -> RegimeSpec:
                               lam=to_mpf(lam) if regime == "IV" else None,
                               n0=n0, delta=delta)
             if min(probe_vals) >= interior_threshold(spec):
-                report = verify(build(spec))
-                if report.verified and tail_check(spec).ok:
-                    return spec
-                if best_margin is None or report.max_margin < best_margin:
-                    best_margin = report.max_margin
+                built = build(spec)
+                cert = Certificate(built, verify(built), _interior_tail(spec, horizon, wmin))
+                if cert.ok:
+                    return cert
+                if best_margin is None or cert.report.max_margin < best_margin:
+                    best_margin = cert.report.max_margin
         n0 *= 2
     raise CalibrationError(
         f"regime {regime}: no passing n0 up to {_N0_CAP}", best_margin=best_margin
     )
 
 
-def _calibrate_log(point, eps, *, N, horizon) -> RegimeSpec:
+def _certify_log(point, eps, *, N, horizon) -> Certificate:
     best_margin = None
     n0 = 2
     while n0 <= _N0_CAP:
         spec = RegimeSpec(regime="II", p=point.p, q=point.q, N=N, horizon=horizon,
                           eps=eps, n0=n0)
-        report = verify(build(spec))
-        if report.verified and tail_check(spec).ok:
-            return spec
+        built = build(spec)
+        report = verify(built)
+        if report.verified:
+            tail = tail_check(spec)
+            if tail.ok:
+                return Certificate(built, report, tail)
         if best_margin is None or report.max_margin < best_margin:
             best_margin = report.max_margin
         n0 *= 2
@@ -659,7 +756,7 @@ def _calibrate_log(point, eps, *, N, horizon) -> RegimeSpec:
                            best_margin=best_margin)
 
 
-def _calibrate_rate(regime, point, *, N, horizon) -> RegimeSpec:
+def _certify_rate(regime, point, *, N, horizon) -> Certificate:
     required = to_mpf(V_COND_MARGIN)
     best_margin = None
     lam = mp.mpf(1)
@@ -668,9 +765,10 @@ def _calibrate_rate(regime, point, *, N, horizon) -> RegimeSpec:
         if min(conds) >= required:
             spec = RegimeSpec(regime=regime, p=point.p, q=point.q, N=N,
                               horizon=horizon, lam=lam)
-            report = verify(build(spec))
+            built = build(spec)
+            report = verify(built)
             if report.verified:
-                return spec
+                return Certificate(built, report, tail_check(spec))
             if best_margin is None or report.max_margin < best_margin:
                 best_margin = report.max_margin
         lam *= 2
@@ -722,19 +820,7 @@ def volume_band(built: BuiltCounterexample, target: Callable[[int], object],
         raise InputError("volume band needs n_lo >= 2 (targets may involve ln n)")
     if n_hi < n_lo:
         raise InputError("need n_hi >= n_lo")
-    tree = built.tree
-    if isinstance(tree, TwoSidedRadialTree):
-        if n_hi > tree.arm_horizon - 1:
-            raise InputError(f"n_hi {n_hi} exceeds the volume-computable horizon")
-        vols = []
-        acc = mp.mpf(0)
-        for k in range(n_hi + 1):
-            acc += tree.layer_measure(k)
-            vols.append(acc)
-    else:
-        if n_hi > tree.horizon:
-            raise InputError(f"n_hi {n_hi} exceeds stored horizon {tree.horizon}")
-        vols = tree.ball_volumes(n_hi)
+    vols = built.tree.ball_volumes(n_hi)
     ratio_min = ratio_max = None
     for n in range(n_lo, n_hi + 1):
         t = to_mpf(target(n))

@@ -25,8 +25,8 @@ class WeightedGraph:
     """Undirected graph with dense integer vertex ids and positive edge weights.
 
     Edges are canonicalized to (min, max) pairs, so symmetry of the weight
-    is structural.  Self-loops, repeated edges, nonpositive weights, and
-    isolated vertices are rejected at construction.
+    is structural.  Self-loops, repeated edges, weights that are not positive
+    and finite, and isolated vertices are rejected at construction.
     """
 
     __slots__ = ("_n", "_adj", "_edges", "_measures", "_dist_cache")
@@ -44,8 +44,8 @@ class WeightedGraph:
             if key in canonical:
                 raise InputError(f"duplicate edge {key}")
             weight = to_mpf(w)
-            if not weight > 0:
-                raise InputError(f"edge {key} has nonpositive weight {w}")
+            if not 0 < weight < mp.inf:
+                raise InputError(f"edge {key} has weight {w}; weights must be positive and finite")
             canonical[key] = weight
         adj: list[list[tuple[int, mp.mpf]]] = [[] for _ in range(n_vertices)]
         for (x, y), w in sorted(canonical.items()):
@@ -305,5 +305,8 @@ def parse_graph_text(text: str) -> WeightedGraph:
             x, y = int(parts[0]), int(parts[1])
         except ValueError:
             raise InputError(f"bad vertex id in line: {ln!r}")
-        edges.append((x, y, mp.mpf(parts[2])))
+        try:
+            edges.append((x, y, mp.mpf(parts[2])))
+        except ValueError:
+            raise InputError(f"bad edge weight in line: {ln!r}")
     return WeightedGraph(n, edges)

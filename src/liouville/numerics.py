@@ -17,6 +17,7 @@ from fractions import Fraction
 import mpmath as mp
 
 DEFAULT_PRECISION_BITS = 128
+MIN_PRECISION_BITS = 53         # a float64 significand
 PRECISION_ENV_VAR = "LIOUVILLE_PRECISION_BITS"
 
 # Relative tolerance for inequality certificates, as a fraction of the
@@ -33,8 +34,9 @@ def default_precision_bits() -> int:
         bits = int(raw)
     except ValueError:
         raise ValueError(f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}")
-    if bits < 53:
-        raise ValueError(f"{PRECISION_ENV_VAR} must be at least 53, got {bits}")
+    if bits < MIN_PRECISION_BITS:
+        raise ValueError(f"{PRECISION_ENV_VAR} must be at least {MIN_PRECISION_BITS}, "
+                         f"got {bits}")
     return bits
 
 

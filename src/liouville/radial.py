@@ -76,6 +76,16 @@ class RadialLayer:
     outward_weight: mp.mpf  # normalized shell weight
 
 
+def _running_volumes(tree, n_max: int) -> list[mp.mpf]:
+    """mu(B(o, n)) for n = 0..n_max, summed layer by layer in order."""
+    vols = []
+    acc = mp.mpf(0)
+    for k in range(n_max + 1):
+        acc += tree.layer_measure(k)
+        vols.append(acc)
+    return vols
+
+
 class RadialTree:
     """One-sided radial tree: root layer 0, horizon H, weights w_0..w_H."""
 
@@ -88,8 +98,8 @@ class RadialTree:
         self._w = tuple(to_mpf(w) for w in weights)
         if not self._w:
             raise InputError("radial tree needs at least one shell weight")
-        if any(not w > 0 for w in self._w):
-            raise InputError("shell weights must be positive")
+        if any(not 0 < w < mp.inf for w in self._w):
+            raise InputError("shell weights must be positive and finite")
 
     @property
     def N(self) -> int:
@@ -118,7 +128,7 @@ class RadialTree:
                            outward_degree=self._N if n == 0 else self._N - 1,
                            outward_weight=self.weight(n))
 
-    def _check_function(self, u: RadialFunction) -> None:
+    def check_covers(self, u: RadialFunction) -> None:
         if u.lo != 0 or u.hi < self.horizon:
             raise InputError("radial function does not cover the tree's layers")
 
@@ -126,26 +136,28 @@ class RadialTree:
         """Layers where both operators are defined (need u at n-1, n, n+1)."""
         return range(0, self.horizon)
 
+    def conductances(self, n: int) -> tuple[mp.mpf, mp.mpf]:
+        """(outward, inward) weights (w_n, w_{n-1}) at a layer 1 <= n <= H-1."""
+        if not (1 <= n <= self.horizon - 1):
+            raise InputError(f"layer {n} has no stored outward edge")
+        return self._w[n], self._w[n - 1]
+
     def laplacian_at(self, u: RadialFunction, n: int) -> mp.mpf:
-        self._check_function(u)
+        self.check_covers(u)
         if n == 0:
             if self.horizon < 1:
                 raise InputError("horizon too small for the root Laplacian")
             return u.value(1) - u.value(0)
-        if not (1 <= n <= self.horizon - 1):
-            raise InputError(f"layer {n} has no stored outward edge")
-        wn, wm = self._w[n], self._w[n - 1]
+        wn, wm = self.conductances(n)
         return (wn * (u.value(n + 1) - u.value(n)) + wm * (u.value(n - 1) - u.value(n))) / (wn + wm)
 
     def gradient_sq_at(self, u: RadialFunction, n: int) -> mp.mpf:
-        self._check_function(u)
+        self.check_covers(u)
         if n == 0:
             if self.horizon < 1:
                 raise InputError("horizon too small for the root gradient")
             return (u.value(1) - u.value(0)) ** 2 / 2
-        if not (1 <= n <= self.horizon - 1):
-            raise InputError(f"layer {n} has no stored outward edge")
-        wn, wm = self._w[n], self._w[n - 1]
+        wn, wm = self.conductances(n)
         return (
             wn * (u.value(n + 1) - u.value(n)) ** 2 + wm * (u.value(n - 1) - u.value(n)) ** 2
         ) / (2 * (wn + wm))
@@ -170,12 +182,7 @@ class RadialTree:
         """Running volumes mu(B(o, 0..n_max)) in one sweep."""
         if not (0 <= n_max <= self.horizon):
             raise InputError(f"radius {n_max} exceeds stored horizon {self.horizon}")
-        vols = []
-        acc = mp.mpf(0)
-        for k in range(n_max + 1):
-            acc += self.layer_measure(k)
-            vols.append(acc)
-        return vols
+        return _running_volumes(self, n_max)
 
     def p0(self) -> mp.mpf:
         """Smallest admissible p0 of the horizon-truncated tree (leaf layer has ratio 1)."""
@@ -191,7 +198,7 @@ class RadialTree:
 
     def harnack_check(self, u: RadialFunction, p0) -> HarnackReport:
         """Layerwise Harnack scan; every E_n edge realizes the ratio u_n : u_{n+1}."""
-        self._check_function(u)
+        self.check_covers(u)
         p0 = to_mpf(p0)
         worst_ratio = mp.mpf(1)
         worst_edge = None
@@ -256,8 +263,8 @@ class TwoSidedRadialTree:
             raise InputError("two-sided tree needs equally long arms")
         if not self._wpos:
             raise InputError("two-sided tree needs at least one shell per arm")
-        if any(not w > 0 for w in self._wpos + self._wneg):
-            raise InputError("shell weights must be positive")
+        if any(not 0 < w < mp.inf for w in self._wpos + self._wneg):
+            raise InputError("shell weights must be positive and finite")
 
     @property
     def N(self) -> int:
@@ -284,33 +291,30 @@ class TwoSidedRadialTree:
             return self._wneg[-n - 1]
         raise InputError(f"shell index {n} outside stored range [{-M}, {M - 1}]")
 
-    def _check_function(self, u: RadialFunction) -> None:
+    def check_covers(self, u: RadialFunction) -> None:
         if u.lo > self.layer_lo or u.hi < self.layer_hi:
             raise InputError("radial function does not cover the tree's layers")
 
     def interior_layers(self) -> range:
         return range(self.layer_lo + 1, self.layer_hi)
 
-    def laplacian_at(self, u: RadialFunction, n: int) -> mp.mpf:
-        self._check_function(u)
+    def conductances(self, n: int) -> tuple[mp.mpf, mp.mpf]:
+        """(outward, inward) weights at an interior layer; the root's outward
+        conductance is (N-1) w_0 and its inward one w_{-1}."""
         if n == 0:
-            a = (self._N - 1) * self.weight(0)
-            b = self.weight(-1)
-        elif self.layer_lo + 1 <= n <= self.layer_hi - 1:
-            a, b = self.weight(n), self.weight(n - 1)
-        else:
+            return (self._N - 1) * self.weight(0), self.weight(-1)
+        if not (self.layer_lo + 1 <= n <= self.layer_hi - 1):
             raise InputError(f"layer {n} is not interior to the stored range")
+        return self.weight(n), self.weight(n - 1)
+
+    def laplacian_at(self, u: RadialFunction, n: int) -> mp.mpf:
+        self.check_covers(u)
+        a, b = self.conductances(n)
         return (a * (u.value(n + 1) - u.value(n)) + b * (u.value(n - 1) - u.value(n))) / (a + b)
 
     def gradient_sq_at(self, u: RadialFunction, n: int) -> mp.mpf:
-        self._check_function(u)
-        if n == 0:
-            a = (self._N - 1) * self.weight(0)
-            b = self.weight(-1)
-        elif self.layer_lo + 1 <= n <= self.layer_hi - 1:
-            a, b = self.weight(n), self.weight(n - 1)
-        else:
-            raise InputError(f"layer {n} is not interior to the stored range")
+        self.check_covers(u)
+        a, b = self.conductances(n)
         return (
             a * (u.value(n + 1) - u.value(n)) ** 2 + b * (u.value(n - 1) - u.value(n)) ** 2
         ) / (2 * (a + b))
@@ -334,6 +338,12 @@ class TwoSidedRadialTree:
             raise InputError(f"radius {n} exceeds the volume-computable horizon")
         return mp.fsum(self.layer_measure(k) for k in range(n + 1))
 
+    def ball_volumes(self, n_max: int) -> list[mp.mpf]:
+        """Running volumes mu(B(o, 0..n_max)) over both arms in one sweep."""
+        if not (0 <= n_max <= self.arm_horizon - 1):
+            raise InputError(f"radius {n_max} exceeds the volume-computable horizon")
+        return _running_volumes(self, n_max)
+
     def p0(self) -> mp.mpf:
         root_measure = (self._N - 1) * self.weight(0) + self.weight(-1)
         worst = max(root_measure / self.weight(0), root_measure / self.weight(-1))
@@ -352,7 +362,7 @@ class TwoSidedRadialTree:
         return worst
 
     def harnack_check(self, u: RadialFunction, p0) -> HarnackReport:
-        self._check_function(u)
+        self.check_covers(u)
         p0 = to_mpf(p0)
         worst_ratio = mp.mpf(1)
         worst_edge = None
@@ -464,7 +474,10 @@ def parse_radial_text(text: str):
         parts = ln.split()
         if len(parts) != 2:
             raise InputError(f"bad shell line: {ln!r}")
-        entries[int(parts[0])] = mp.mpf(parts[1])
+        try:
+            entries[int(parts[0])] = mp.mpf(parts[1])
+        except ValueError:
+            raise InputError(f"bad shell line (needs an integer index and a number): {ln!r}")
     if two_sided:
         try:
             pos = [entries[n] for n in range(0, horizon)]

@@ -44,6 +44,8 @@ def test_isolated_vertex_rejected_at_construction():
     [(0, 0, 1)],                    # self loop
     [(0, 1, 1), (1, 0, 2)],         # duplicate under symmetry
     [(0, 1, 0)],                    # nonpositive weight
+    [(0, 1, mp.inf)],               # infinite weight
+    [(0, 1, mp.nan)],               # not a number
     [(0, 5, 1)],                    # unknown id
 ])
 def test_bad_edges_rejected(bad):

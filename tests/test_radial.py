@@ -147,3 +147,37 @@ def test_radial_parse_errors():
         lv.parse_radial_text("radial N=3\n0 1.0\n")
     with pytest.raises(InputError):
         lv.parse_radial_text("radial N=3 horizon=2\n0 1.0\n")  # missing layers
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "0", "-1"])
+def test_non_finite_or_nonpositive_weights_rejected(bad):
+    with pytest.raises(InputError):
+        lv.RadialTree(3, [1, mp.mpf(bad), 2])
+    with pytest.raises(InputError):
+        lv.TwoSidedRadialTree(3, [1, 2], [mp.mpf(bad), 2])
+    with pytest.raises(InputError):
+        lv.TwoSidedRadialTree(3, [1, mp.mpf(bad)], [1, 2])
+    with pytest.raises(InputError):
+        lv.parse_radial_text(f"radial N=3 horizon=1\n0 1\n1 {bad}\n")
+
+
+def test_radial_parse_non_numeric_entries():
+    for line in ("x 1.0", "0 abc", "1.5 2.0"):
+        with pytest.raises(InputError):
+            lv.parse_radial_text(f"radial N=3 horizon=1\n{line}\n1 2.0\n")
+
+
+def test_two_sided_ball_volumes_running_sum():
+    rng = random.Random(7)
+    tree = random_two_sided(rng, arm=6)
+    vols = tree.ball_volumes(5)
+    acc = mp.mpf(0)
+    for k in range(6):
+        acc += tree.layer_measure(k)
+        assert vols[k] == acc
+        assert rel_close(vols[k], tree.ball_volume(k))
+    g, layers = tree.materialize(5)
+    for k in range(5):
+        assert rel_close(vols[k], lv.ball_volume(g, 0, k))
+    with pytest.raises(InputError):
+        tree.ball_volumes(6)
