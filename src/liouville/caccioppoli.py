@@ -31,10 +31,10 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import HypothesisNotMetError, InputError
-from .graphs import (GraphFunction, WeightedGraph, gradient_norm, harnack_check,
-                     laplacian, vertex_measure)
+from .counterexamples import term_kernel
+from .graphs import GraphFunction, WeightedGraph, harnack_check, site_operators, vertex_measure
 from .numerics import check_le, check_nonpositive, rel_tol, to_mpf
-from .radial import RadialFunction, RadialTree
+from .radial import RadialFunction, RadialTree, layer_operators
 from .regions import PQPoint, st_condition
 
 
@@ -205,13 +205,29 @@ def _finish_report(variant, point, s, t, p0, omega_desc, lhs, middle, edge_sum,
     )
 
 
+def _memo(fn):
+    """fn, with each value kept for the rest of one call (no state across calls)."""
+    table = {}
+
+    def at(key):
+        try:
+            return table[key]
+        except KeyError:
+            value = table[key] = fn(key)
+            return value
+
+    return at
+
+
 def estimate_sides(g: WeightedGraph, u: GraphFunction, o: int, tf: TestFunction,
                    s, t, point: PQPoint, p0, variant: str = "est2",
                    omega=None) -> EstimateReport:
     """Evaluate one energy estimate on an explicit graph by direct summation.
 
     omega = None means the whole vertex set.  Sums over pairs are over
-    ordered pairs, so each edge contributes both directions.
+    ordered pairs, so each edge contributes both directions.  The cutoff,
+    phi^s, u^(p-t) and |grad u|^q are tabulated once per call and shared by
+    the left-hand side and the middle sum.
     """
     if variant not in ("est1", "est2"):
         raise InputError(f"unknown estimate variant {variant!r}")
@@ -230,28 +246,31 @@ def estimate_sides(g: WeightedGraph, u: GraphFunction, o: int, tf: TestFunction,
     # and on a finite graph compact support is automatic.
     dist = g.distances_from(o)
     tol = rel_tol()
-    p, q = to_mpf(point.p), to_mpf(point.q)
-    p_t = p - to_mpf(t)
+    ops = site_operators(g, u)
+    term_of = term_kernel(point.p, point.q)
+    p_t = term_of.p - to_mpf(t)
     s_m = to_mpf(s)
+    phi_of = _memo(tf.value)
+    phi_pow = _memo(lambda phi: to_mpf(phi) ** s_m)
     ineq_bad = 0
     lhs_terms = []
-    grads = {}
+    gq, u_pt = {}, {}
     domain = sorted(omega_set)  # fixed reduction order, bit-reproducible sums
     for x in domain:
-        phi_x = tf.value(dist[x])
-        grad = gradient_norm(g, u, x)
-        grads[x] = grad
-        lap = laplacian(g, u, x)
+        phi_x = phi_of(dist[x])
+        u_x, lap, grad_sq = ops(x)
+        grad = mp.sqrt(grad_sq)
         if grad == 0 and point.q < 0:
             failures.append(f"zero gradient with q < 0 at vertex {x}")
             continue
-        term = mp.power(u[x], p) * (mp.power(grad, q) if point.q != 0 else mp.mpf(1))
+        gq[x] = term_of.grad_power(grad)
+        term = mp.power(u_x, term_of.p) * gq[x]
         if not check_nonpositive(lap + term, max(abs(lap), term), tol).holds:
             ineq_bad += 1
         if phi_x == 0:
             continue
-        weight_term = mp.power(u[x], p_t) * (mp.power(grad, q) if point.q != 0 else mp.mpf(1))
-        lhs_terms.append(vertex_measure(g, x) * weight_term * to_mpf(phi_x) ** s_m)
+        u_pt[x] = mp.power(u_x, p_t)
+        lhs_terms.append(vertex_measure(g, x) * (u_pt[x] * gq[x]) * phi_pow(phi_x))
     if ineq_bad:
         failures.append(f"the inequality fails at {ineq_bad} domain vertices")
     if not full:
@@ -265,23 +284,21 @@ def estimate_sides(g: WeightedGraph, u: GraphFunction, o: int, tf: TestFunction,
             break
     lhs = mp.fsum(lhs_terms)
     a, rho, _ = _estimate_exponents(point, s, t)
+    a_rho = a * rho
+    edge_pow = _memo(lambda dphi: mp.power(abs(to_mpf(dphi)), a_rho))
     edge_terms = []
     middle_terms = []
     for x in domain:
-        phi_x = tf.value(dist[x])
+        phi_x = phi_of(dist[x])
         for y, w in g.neighbors(x):
             if y not in omega_set:
                 continue
-            dphi = abs(to_mpf(tf.value(dist[y]) - phi_x))
+            dphi = phi_of(dist[y]) - phi_x
             if dphi == 0:
                 continue
-            edge_terms.append(w * mp.power(dphi, a * rho))
-            if phi_x != 0:
-                grad = grads[x]
-                if grad == 0 and point.q < 0:
-                    continue
-                gq = mp.power(grad, q) if point.q != 0 else mp.mpf(1)
-                middle_terms.append(w * to_mpf(phi_x) ** s_m * mp.power(u[x], p_t) * gq)
+            edge_terms.append(w * edge_pow(dphi))
+            if phi_x != 0 and x in gq:
+                middle_terms.append(w * phi_pow(phi_x) * u_pt[x] * gq[x])
     edge_sum = mp.fsum(edge_terms)
     middle = mp.fsum(middle_terms)
     return _finish_report(variant, point, s, t, p0, omega_desc, lhs, middle,
@@ -317,52 +334,45 @@ def estimate_sides_radial(tree: RadialTree, u: RadialFunction, tf: TestFunction,
     if not tree.harnack_check(u, p0).holds:
         failures.append("adjacent-ratio bound fails for the given p0")
     tol = rel_tol()
-    p, q = to_mpf(point.p), to_mpf(point.q)
-    p_t = p - to_mpf(t)
+    term_of = term_kernel(point.p, point.q)
+    p_t = term_of.p - to_mpf(t)
+    phi = [tf.value(n) for n in range(R + 2)]       # phi vanishes at R + 1
     s_m = to_mpf(s)
-    grads = {}
+    phi_pow = _memo(lambda phi: to_mpf(phi) ** s_m)
     ineq_bad = 0
     lhs_terms = []
-    for n in range(0, R + 1):
-        grad = tree.gradient_at(u, n)
-        grads[n] = grad
+    gq, u_pt = {}, {}
+    layers = range(0, R + 1)
+    for n, (u_n, lap, grad_sq) in zip(layers, map(layer_operators(tree, u), layers)):
+        grad = mp.sqrt(grad_sq)
         if grad == 0 and point.q < 0:
             failures.append(f"zero gradient with q < 0 at layer {n}")
             continue
-        gq = mp.power(grad, q) if point.q != 0 else mp.mpf(1)
-        lap = tree.laplacian_at(u, n)
-        term = mp.power(u.value(n), p) * gq
+        gq[n] = term_of.grad_power(grad)
+        term = mp.power(u_n, term_of.p) * gq[n]
         if not check_nonpositive(lap + term, max(abs(lap), term), tol).holds:
             ineq_bad += 1
-        phi_n = tf.value(n)
-        if phi_n == 0:
+        if phi[n] == 0:
             continue
-        lhs_terms.append(tree.layer_measure(n) * mp.power(u.value(n), p_t) * gq
-                         * to_mpf(phi_n) ** s_m)
+        u_pt[n] = mp.power(u_n, p_t)
+        lhs_terms.append(tree.layer_measure(n) * u_pt[n] * gq[n] * phi_pow(phi[n]))
     if ineq_bad:
         failures.append(f"the inequality fails at {ineq_bad} layers inside the support")
     lhs = mp.fsum(lhs_terms)
     a, rho, _ = _estimate_exponents(point, s, t)
+    a_rho = a * rho
+    edge_pow = _memo(lambda dphi: mp.power(abs(to_mpf(dphi)), a_rho))
     edge_terms = []
     middle_terms = []
-    for n in range(0, R + 1):
-        dphi = abs(to_mpf(tf.value(n + 1) - tf.value(n)))
+    for n in layers:
+        dphi = phi[n + 1] - phi[n]
         if dphi == 0:
             continue
         shell = tree.N * tree.weight(n)
-        edge_terms.append(2 * shell * mp.power(dphi, a * rho))
+        edge_terms.append(2 * shell * edge_pow(dphi))
         for end in (n, n + 1):
-            phi_e = tf.value(end)
-            if phi_e == 0:
-                continue
-            grad = grads.get(end)
-            if grad is None:
-                grad = tree.gradient_at(u, end)
-            if grad == 0 and point.q < 0:
-                continue
-            gq = mp.power(grad, q) if point.q != 0 else mp.mpf(1)
-            middle_terms.append(shell * to_mpf(phi_e) ** s_m
-                                * mp.power(u.value(end), p_t) * gq)
+            if phi[end] != 0 and end in gq:
+                middle_terms.append(shell * phi_pow(phi[end]) * u_pt[end] * gq[end])
     edge_sum = mp.fsum(edge_terms)
     middle = mp.fsum(middle_terms)
     return _finish_report(variant, point, s, t, p0, "all", lhs, middle,

@@ -41,9 +41,9 @@ from typing import Callable
 import mpmath as mp
 
 from .errors import CalibrationError, InputError
-from .graphs import GraphFunction, WeightedGraph, gradient_norm, laplacian
+from .graphs import GraphFunction, WeightedGraph, site_operators
 from .numerics import check_nonpositive, precision, rel_tol, to_mpf
-from .radial import RadialFunction, RadialTree, TwoSidedRadialTree
+from .radial import RadialFunction, RadialTree, TwoSidedRadialTree, layer_operators
 from .regions import PQPoint, classify_g, exponents, pq
 
 REGIMES = ("I", "II", "III", "IV", "V1", "V2")
@@ -201,89 +201,88 @@ class MarginReport:
     label: str = "finite-horizon certificate"
 
 
+class _TermKernel:
+    """u^p |grad u|^q with p, q and q/2 converted once, at construction.
+
+    Calling it on (u, grad^2) gives the nonlinear term, with the q = 0
+    convention |grad u|^0 = 1; a value that is not positive, or a zero
+    gradient with q < 0, is undefined and raises.  `grad_power` is the
+    factor |grad u|^q from the gradient norm itself.
+    """
+
+    __slots__ = ("p", "q", "_q", "_half_q", "_sign")
+
+    def __init__(self, p, q):
+        self.q = Fraction(q)
+        self.p = to_mpf(p)
+        self._q = to_mpf(self.q)
+        self._half_q = self._q / 2
+        self._sign = (self.q > 0) - (self.q < 0)
+
+    def __call__(self, u_value: mp.mpf, grad_sq: mp.mpf) -> mp.mpf:
+        if not u_value > 0:
+            raise InputError("solution value must be positive")
+        if not self._sign:
+            return mp.power(u_value, self.p)
+        if grad_sq == 0:
+            if self._sign > 0:
+                return mp.mpf(0)
+            raise InputError("zero gradient with q < 0: u^p |grad u|^q undefined")
+        return mp.power(u_value, self.p) * mp.power(grad_sq, self._half_q)
+
+    def grad_power(self, grad: mp.mpf) -> mp.mpf:
+        """|grad u|^q from the gradient norm, 1 when q = 0."""
+        return mp.power(grad, self._q) if self._sign else mp.mpf(1)
+
+
+def term_kernel(p, q) -> _TermKernel:
+    """The nonlinear term's kernel for exponents (p, q), for per-site loops."""
+    return _TermKernel(p, q)
+
+
 def nonlinear_term(u_value, grad_sq, p, q) -> mp.mpf:
     """u^p |grad u|^q with the q = 0 convention |grad u|^0 = 1.
 
     A zero gradient with q < 0 is undefined and raises; it is never a pass.
     """
-    u_value = to_mpf(u_value)
-    if not u_value > 0:
-        raise InputError("solution value must be positive")
-    q = Fraction(q)
-    if q == 0:
-        return mp.power(u_value, to_mpf(p))
-    grad_sq = to_mpf(grad_sq)
-    if grad_sq == 0:
-        if q > 0:
-            return mp.mpf(0)
-        raise InputError("zero gradient with q < 0: u^p |grad u|^q undefined")
-    return mp.power(u_value, to_mpf(p)) * mp.power(grad_sq, to_mpf(q) / 2)
+    return term_kernel(p, q)(to_mpf(u_value), to_mpf(grad_sq))
 
 
 def margin_at(tree, u: RadialFunction, p, q, n: int) -> mp.mpf:
     """F(n) for one layer; raises on a zero gradient with q < 0."""
-    lap = tree.laplacian_at(u, n)
-    return lap + nonlinear_term(u.value(n), tree.gradient_sq_at(u, n), p, q)
+    un, lap, grad_sq = layer_operators(tree, u)(n)
+    return lap + term_kernel(p, q)(un, grad_sq)
 
 
 def _checked_layers(tree, horizon: int | None) -> range:
-    if isinstance(tree, TwoSidedRadialTree):
-        deepest = tree.arm_horizon - 1
-        h = deepest if horizon is None else horizon
-        if h > deepest:
-            raise InputError(f"horizon {h} exceeds checkable layers (needs u at {h + 1})")
-        return range(-h, h + 1)
-    deepest = tree.horizon - 1
+    deepest = tree.interior_layers().stop - 1
     h = deepest if horizon is None else horizon
     if h > deepest:
         raise InputError(f"horizon {h} exceeds checkable layers (needs u at {h + 1})")
-    return range(0, h + 1)
+    return range(0 if tree.one_sided else -h, h + 1)
 
 
 def _verify_pass(tree, u, p, q, layers, bits, force) -> MarginReport | None:
     """One pass over the checked layers; None on a borderline margin unless forced.
 
-    Each layer's inward and outward differences are formed once and feed
-    both lap and grad^2, by the operations of `laplacian_at` and
-    `gradient_sq_at`; the term and the verdict follow `nonlinear_term` and
-    `check_nonpositive`.  The report therefore equals that of a loop over
-    those reference functions, bit for bit.
+    lap and grad^2 come from the tree's operator stream and the term from
+    the term kernel, with the verdict of `check_nonpositive`, so the report
+    equals that of a loop over the reference functions bit for bit.
     """
-    tree.check_covers(u)
-    values, lo = u.values(), u.lo
-    one_sided = isinstance(tree, RadialTree)
-    p_exp, q = to_mpf(p), Fraction(q)
-    half_q = to_mpf(q) / 2
+    ops = layer_operators(tree, u)
+    term_of = term_kernel(p, q)
     tol = rel_tol()
     ten_tol = 10 * tol
     max_margin = mp.mpf("-inf")
     worst = layers.start
     failures = []
     undefined = []
-    for n in layers:
-        i = n - lo
-        un = values[i]
-        d_out = values[i + 1] - un
-        if n == 0 and one_sided:
-            lap = d_out
-            grad_sq = d_out ** 2 / 2
-        else:
-            a, b = tree.conductances(n)
-            d_in = values[i - 1] - un
-            lap = (a * d_out + b * d_in) / (a + b)
-            grad_sq = (a * d_out ** 2 + b * d_in ** 2) / (2 * (a + b))
-        if not un > 0:
+    for n, (un, lap, grad_sq) in zip(layers, map(ops, layers)):
+        try:
+            term = term_of(un, grad_sq)
+        except InputError:
             undefined.append(n)
             continue
-        if q == 0:
-            term = mp.power(un, p_exp)
-        elif grad_sq == 0:
-            if q < 0:
-                undefined.append(n)
-                continue
-            term = mp.mpf(0)
-        else:
-            term = mp.power(un, p_exp) * mp.power(grad_sq, half_q)
         margin = lap + term
         scale = max(abs(lap), term)
         if margin != 0 and abs(margin) <= ten_tol * scale and not force:
@@ -337,6 +336,8 @@ def verify(built: BuiltCounterexample, horizon: int | None = None) -> MarginRepo
 
 def verify_graph(g: WeightedGraph, u: GraphFunction, p, q) -> MarginReport:
     """Vertexwise margin check on an explicit finite graph."""
+    ops = site_operators(g, u)
+    term_of = term_kernel(p, q)
     tol = rel_tol()
     bits = mp.mp.prec
     max_margin = mp.mpf("-inf")
@@ -344,10 +345,10 @@ def verify_graph(g: WeightedGraph, u: GraphFunction, p, q) -> MarginReport:
     failures = []
     undefined = []
     for x in g.vertices():
-        lap = laplacian(g, u, x)
-        grad = gradient_norm(g, u, x)
+        ux, lap, grad_sq = ops(x)
+        grad = mp.sqrt(grad_sq)
         try:
-            term = nonlinear_term(u[x], grad * grad, p, q)
+            term = term_of(ux, grad * grad)
         except InputError:
             undefined.append(x)
             continue
@@ -836,16 +837,16 @@ def volume_band(built: BuiltCounterexample, target: Callable[[int], object],
 
 def layer_rows(built: BuiltCounterexample, horizon: int | None = None):
     """Yield (layer, w, u, lap, grad, margin) across the checked layers."""
-    for n in _checked_layers(built.tree, horizon):
-        lap = built.tree.laplacian_at(built.u, n)
-        grad = mp.sqrt(built.tree.gradient_sq_at(built.u, n))
+    layers = _checked_layers(built.tree, horizon)
+    term_of = term_kernel(built.spec.p, built.spec.q)
+    for n, (un, lap, grad_sq) in zip(layers, map(layer_operators(built.tree, built.u), layers)):
+        grad = mp.sqrt(grad_sq)
         try:
-            margin = lap + nonlinear_term(built.u.value(n), grad * grad,
-                                          built.spec.p, built.spec.q)
+            margin = lap + term_of(un, grad * grad)
         except InputError:
             margin = mp.nan
         try:
             w = built.tree.weight(n)
         except InputError:
             w = mp.nan
-        yield (n, w, built.u.value(n), lap, grad, margin)
+        yield (n, w, un, lap, grad, margin)

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .counterexamples import BuiltCounterexample, nonlinear_term
+from .counterexamples import BuiltCounterexample, term_kernel
 from .errors import InputError
-from .graphs import GraphFunction, WeightedGraph, gradient_norm, laplacian
+from .graphs import GraphFunction, WeightedGraph, site_operators
 from .numerics import check_nonpositive, rel_tol, to_mpf
-from .radial import RadialFunction, RadialTree, TwoSidedRadialTree
+from .radial import RadialFunction, RadialTree, TwoSidedRadialTree, layer_operators
 from .regions import PQPoint
 
 
@@ -64,7 +64,9 @@ def descent_walk(g: WeightedGraph, u: GraphFunction, x0: int,
         raise InputError("descent needs a positive function")
     if max_steps < 0:
         raise InputError("max_steps must be nonnegative")
-    if gradient_norm(g, u, x0) == 0:
+    ops = site_operators(g, u)
+    site = ops(x0)
+    if site[2] == 0:
         raise InputError("no descent possible: zero gradient at the start vertex")
     records = []
     visited = {x0}
@@ -72,9 +74,9 @@ def descent_walk(g: WeightedGraph, u: GraphFunction, x0: int,
     termination = "max-steps"
     revisit = False
     while True:
-        lap = laplacian(g, u, x)
-        grad = gradient_norm(g, u, x)
-        records.append([x, u[x], lap, grad, None])
+        ux, lap, grad_sq = site
+        grad = mp.sqrt(grad_sq)
+        records.append([x, ux, lap, grad, None])
         if grad == 0:
             termination = "zero-gradient"
             break
@@ -85,9 +87,10 @@ def descent_walk(g: WeightedGraph, u: GraphFunction, x0: int,
             termination = "revisit"
             revisit = True
             break
-        records[-1][4] = u[x] - u[nxt]
+        records[-1][4] = ux - u[nxt]
         visited.add(nxt)
         x = nxt
+        site = ops(x)
     steps = tuple(DescentStep(site=r[0], u=r[1], lap=r[2], grad=r[3], drop=r[4])
                   for r in records)
     return DescentWalk(steps=steps, termination=termination, revisit_flagged=revisit)
@@ -104,7 +107,7 @@ def radial_descent_walk(tree: RadialTree | TwoSidedRadialTree, u: RadialFunction
     a vertex revisit.  A move onto a layer whose operators would need data
     beyond the stored horizon stops the walk with termination "horizon".
     """
-    two_sided = isinstance(tree, TwoSidedRadialTree)
+    two_sided = not tree.one_sided
     lo, hi = tree.layer_lo, tree.layer_hi
 
     def interior(n):
@@ -114,7 +117,9 @@ def radial_descent_walk(tree: RadialTree | TwoSidedRadialTree, u: RadialFunction
         raise InputError("descent needs a positive function")
     if not interior(start_layer):
         raise InputError(f"start layer {start_layer} has no stored neighborhood")
-    if tree.gradient_at(u, start_layer) == 0:
+    ops = layer_operators(tree, u)
+    site = ops(start_layer)
+    if site[2] == 0:
         raise InputError("no descent possible: zero gradient at the start layer")
 
     def next_layer(n):
@@ -134,9 +139,9 @@ def radial_descent_walk(tree: RadialTree | TwoSidedRadialTree, u: RadialFunction
     termination = "max-steps"
     revisit = False
     while True:
-        lap = tree.laplacian_at(u, x)
-        grad = tree.gradient_at(u, x)
-        records.append([x, u.value(x), lap, grad, None])
+        ux, lap, grad_sq = site
+        grad = mp.sqrt(grad_sq)
+        records.append([x, ux, lap, grad, None])
         if grad == 0:
             termination = "zero-gradient"
             break
@@ -150,9 +155,10 @@ def radial_descent_walk(tree: RadialTree | TwoSidedRadialTree, u: RadialFunction
         if not interior(nxt):
             termination = "horizon"
             break
-        records[-1][4] = u.value(x) - u.value(nxt)
+        records[-1][4] = ux - u.value(nxt)
         prev = x
         x = nxt
+        site = ops(x)
     steps = tuple(DescentStep(site=r[0], u=r[1], lap=r[2], grad=r[3], drop=r[4])
                   for r in records)
     return DescentWalk(steps=steps, termination=termination, revisit_flagged=revisit)
@@ -201,6 +207,11 @@ def walk_diagnostics(walk: DescentWalk, p0=None,
     """
     tol = rel_tol()
     sqrt2 = mp.sqrt(2)
+    if p0 is not None:
+        ratio_factor = mp.sqrt((1 + to_mpf(p0) ** 2) / 2)
+    if point is not None:
+        term_of = term_kernel(point.p, point.q)
+        neg_p, one_minus_q = -to_mpf(point.p), 1 - to_mpf(point.q)
     dec, sand, avg, gratio, ppower = (_Family() for _ in range(5))
     solution_sites = 0
     for step in walk.steps:
@@ -211,9 +222,9 @@ def walk_diagnostics(walk: DescentWalk, p0=None,
         solves = False
         if point is not None:
             try:
-                term = nonlinear_term(step.u, step.grad ** 2, point.p, point.q)
+                term = term_of(step.u, step.grad ** 2)
                 solves = check_nonpositive(step.lap + term,
-                                           max(abs(step.lap), term)).holds
+                                           max(abs(step.lap), term), tol).holds
             except InputError:
                 solves = False
             if solves:
@@ -230,12 +241,11 @@ def walk_diagnostics(walk: DescentWalk, p0=None,
             # the gradient ratio bound only needs a nonpositive Laplacian and
             # a strict drop, not the full solution property
             if p0 is not None and step.drop > 0 and step.lap <= 0:
-                bound = mp.sqrt((1 + to_mpf(p0) ** 2) / 2) * step.drop
+                bound = ratio_factor * step.drop
                 m = (step.grad - bound) / max(step.grad, bound)
                 gratio.add(m, m <= tol)
         if point is not None and solves and step.grad > 0:
-            rhs = sqrt2 * mp.power(step.u, -to_mpf(point.p)) \
-                * mp.power(step.grad, 1 - to_mpf(point.q))
+            rhs = sqrt2 * mp.power(step.u, neg_p) * mp.power(step.grad, one_minus_q)
             m = (1 - rhs) / max(mp.mpf(1), rhs)
             ppower.add(m, m <= tol)
     return WalkDiagnostics(
@@ -258,24 +268,25 @@ class PointwiseBoundReport:
     hypothesis_failures: tuple[int, ...]
 
 
-def _pointwise_core(sites, point: PQPoint) -> PointwiseBoundReport:
+def _pointwise_core(sites, operators, point: PQPoint) -> PointwiseBoundReport:
     """Margin of u^(p-1) |grad u|^q - 1 at every site solving the inequality."""
     tol = rel_tol()
+    term_of = term_kernel(point.p, point.q)
     margins = []
     skipped = []
     failures = []
     p1 = to_mpf(point.p - 1)
-    for site, u_val, lap, grad in sites:
+    for site, (u_val, lap, grad_sq) in zip(sites, map(operators, sites)):
+        grad = mp.sqrt(grad_sq)
         try:
-            term = nonlinear_term(u_val, grad ** 2, point.p, point.q)
+            term = term_of(u_val, grad ** 2)
         except InputError:
             skipped.append(site)
             continue
-        if not check_nonpositive(lap + term, max(abs(lap), term)).holds:
+        if not check_nonpositive(lap + term, max(abs(lap), term), tol).holds:
             failures.append(site)
             continue
-        gq = mp.power(grad, to_mpf(point.q)) if point.q != 0 else mp.mpf(1)
-        margins.append(mp.power(u_val, p1) * gq - 1)
+        margins.append(mp.power(u_val, p1) * term_of.grad_power(grad) - 1)
     holds = all(m <= tol for m in margins)
     return PointwiseBoundReport(
         checked=len(margins), holds=holds,
@@ -289,22 +300,13 @@ def pointwise_bound_check(g: WeightedGraph, u: GraphFunction,
     """u^(p-1) |grad u|^q <= 1 at every vertex where u solves the inequality."""
     if not u.is_positive():
         raise InputError("pointwise bound needs a positive function")
-    sites = ((x, u[x], laplacian(g, u, x), gradient_norm(g, u, x))
-             for x in g.vertices())
-    return _pointwise_core(sites, point)
+    return _pointwise_core(g.vertices(), site_operators(g, u), point)
 
 
 def pointwise_bound_check_built(built: BuiltCounterexample,
                                 horizon: int | None = None) -> PointwiseBoundReport:
-    """Layerwise version for radial builds."""
-    tree, u = built.tree, built.u
-    if isinstance(tree, TwoSidedRadialTree):
-        deepest = tree.arm_horizon - 1
-        h = deepest if horizon is None else min(horizon, deepest)
-        layers = range(-h, h + 1)
-    else:
-        h = tree.horizon - 1 if horizon is None else min(horizon, tree.horizon - 1)
-        layers = range(0, h + 1)
-    sites = ((n, u.value(n), tree.laplacian_at(u, n), tree.gradient_at(u, n))
-             for n in layers)
-    return _pointwise_core(sites, built.spec.point)
+    """Layerwise version for radial builds: the interior layers within the horizon."""
+    inner = built.tree.interior_layers()
+    h = inner.stop - 1 if horizon is None else min(horizon, inner.stop - 1)
+    layers = range(max(inner.start, -h), h + 1)
+    return _pointwise_core(layers, layer_operators(built.tree, built.u), built.spec.point)

@@ -126,6 +126,8 @@ class GraphFunction:
 
     def __init__(self, values: Sequence):
         self._values = tuple(to_mpf(v) for v in values)
+        if not all(map(mp.isfinite, self._values)):
+            raise InputError("function values must be finite")
 
     @classmethod
     def constant(cls, g: WeightedGraph, value) -> "GraphFunction":
@@ -145,7 +147,7 @@ class GraphFunction:
         return self._values
 
     def is_positive(self) -> bool:
-        return all(v > 0 for v in self._values)
+        return not self._values or min(self._values) > 0    # values are finite
 
     def combine(self, a, other: "GraphFunction", b) -> "GraphFunction":
         """Pointwise a*self + b*other."""
@@ -180,6 +182,33 @@ def gradient_form(g: WeightedGraph, u: GraphFunction, v: GraphFunction, x: int) 
     _require_total(g, v)
     m = vertex_measure(g, x)
     return mp.fsum(w * (u[y] - u[x]) * (v[y] - v[x]) for y, w in g.neighbors(x)) / (2 * m)
+
+
+def site_operators(g: WeightedGraph, u: GraphFunction) -> Callable[[int], tuple]:
+    """The operator stream of u on g: x -> (u(x), lap, grad^2).
+
+    u is checked against the graph once, here.  Each neighbour difference
+    d = u(y) - u(x) is formed once; lap sums w d and grad^2 sums (w d) d, in
+    neighbour order, exactly as `laplacian` and `gradient_form(u, u)` do, so
+    the values are theirs bit for bit.
+    """
+    _require_total(g, u)
+    values, adj, measures = u.values(), g._adj, g._measures
+    check_vertex = g._check_vertex
+
+    def ops(x):
+        check_vertex(x)
+        ux = values[x]
+        lap_terms, grad_terms = [], []
+        for y, w in adj[x]:
+            d = values[y] - ux
+            wd = w * d
+            lap_terms.append(wd)
+            grad_terms.append(wd * d)
+        m = measures[x]
+        return ux, mp.fsum(lap_terms) / m, mp.fsum(grad_terms) / (2 * m)
+
+    return ops
 
 
 def gradient_norm(g: WeightedGraph, u: GraphFunction, x: int) -> mp.mpf:
@@ -264,9 +293,10 @@ def harnack_check(g: WeightedGraph, u: GraphFunction, p0) -> HarnackReport:
     worst_ratio = mp.mpf(1)
     worst_edge: tuple[int, int] | None = None
     for (x, y), _ in g.edges():
-        if not (u[x] > 0 and u[y] > 0):
+        a, b = u[x], u[y]
+        if not (a > 0 and b > 0):
             raise InputError(f"harnack_check needs positive values, edge ({x},{y})")
-        ratio = max(u[x] / u[y], u[y] / u[x])
+        ratio = a / b if a >= b else b / a
         if ratio > worst_ratio:
             worst_ratio = ratio
             worst_edge = (x, y)

@@ -28,7 +28,7 @@ import mpmath as mp
 
 from .errors import InputError
 from .graphs import GraphFunction, HarnackReport, WeightedGraph
-from .numerics import to_mpf
+from .numerics import check_le, to_mpf
 
 
 class RadialFunction:
@@ -40,6 +40,8 @@ class RadialFunction:
         self._values = tuple(to_mpf(v) for v in values)
         if not self._values:
             raise InputError("radial function needs at least one layer")
+        if not all(map(mp.isfinite, self._values)):
+            raise InputError("radial function values must be finite")
         self._lo = lo
 
     @classmethod
@@ -63,7 +65,7 @@ class RadialFunction:
         return self._values
 
     def is_positive(self) -> bool:
-        return all(v > 0 for v in self._values)
+        return min(self._values) > 0        # values are finite, and there is one at least
 
 
 @dataclass(frozen=True)
@@ -86,10 +88,96 @@ def _running_volumes(tree, n_max: int) -> list[mp.mpf]:
     return vols
 
 
+def _laplacian_at(tree, u: RadialFunction, n: int) -> mp.mpf:
+    """lap at layer n by the formulas of the module docstring (the reference)."""
+    tree.check_covers(u)
+    if n == 0 and tree.one_sided:
+        if tree.horizon < 1:
+            raise InputError("horizon too small for the root Laplacian")
+        return u.value(1) - u.value(0)
+    wn, wm = tree.conductances(n)
+    return (wn * (u.value(n + 1) - u.value(n)) + wm * (u.value(n - 1) - u.value(n))) / (wn + wm)
+
+
+def _gradient_sq_at(tree, u: RadialFunction, n: int) -> mp.mpf:
+    """grad^2 at layer n by the formulas of the module docstring (the reference)."""
+    tree.check_covers(u)
+    if n == 0 and tree.one_sided:
+        if tree.horizon < 1:
+            raise InputError("horizon too small for the root gradient")
+        return (u.value(1) - u.value(0)) ** 2 / 2
+    wn, wm = tree.conductances(n)
+    return (
+        wn * (u.value(n + 1) - u.value(n)) ** 2 + wm * (u.value(n - 1) - u.value(n)) ** 2
+    ) / (2 * (wn + wm))
+
+
+def _gradient_at(tree, u: RadialFunction, n: int) -> mp.mpf:
+    return mp.sqrt(tree.gradient_sq_at(u, n))
+
+
+def _harnack_check(tree, u: RadialFunction, p0) -> HarnackReport:
+    """Layerwise Harnack scan; every E_n edge realizes the ratio u_n : u_{n+1}.
+
+    Decided like `graphs.harnack_check` (tolerant `check_le`, p0 >= 1), so a
+    tree and its materialized ball agree on the verdict.
+    """
+    tree.check_covers(u)
+    p0 = to_mpf(p0)
+    if p0 < 1:
+        raise InputError("p0 must be at least 1")
+    worst_ratio = mp.mpf(1)
+    worst_edge = None
+    values = u.values()[tree.layer_lo - u.lo:]
+    for n, a, b in zip(range(tree.layer_lo, tree.layer_hi), values, values[1:]):
+        if not (a > 0 and b > 0):
+            raise InputError(f"harnack_check needs positive values, layers {n},{n + 1}")
+        ratio = a / b if a >= b else b / a
+        if ratio > worst_ratio:
+            worst_ratio = ratio
+            worst_edge = (n, n + 1)
+    return HarnackReport(holds=check_le(worst_ratio, p0).holds, worst_edge=worst_edge,
+                         worst_ratio=worst_ratio, p0=p0)
+
+
+def layer_operators(tree, u: RadialFunction) -> Callable[[int], tuple]:
+    """The operator stream of u on a radial tree: n -> (u_n, lap, grad^2).
+
+    The cover is checked once, here.  At each layer the outward and inward
+    differences are formed once and feed both lap and grad^2 by the
+    operations of `laplacian_at` and `gradient_sq_at`, so the values are
+    theirs bit for bit; layers without both neighbours raise as they do.
+    Per-layer loops read `map(ops, layers)`; a walk calls `ops(n)`.
+    """
+    tree.check_covers(u)
+    values, lo = u.values(), u.lo
+    conductances = tree.conductances
+    one_sided = tree.one_sided
+    root_ok = one_sided and tree.horizon >= 1
+
+    def ops(n):
+        if n == 0 and one_sided:
+            if not root_ok:
+                raise InputError("horizon too small for the root operators")
+            un = values[0]
+            d_out = values[1] - un
+            return un, d_out, d_out ** 2 / 2
+        a, b = conductances(n)
+        i = n - lo
+        un = values[i]
+        d_out = values[i + 1] - un
+        d_in = values[i - 1] - un
+        ab = a + b
+        return un, (a * d_out + b * d_in) / ab, (a * d_out ** 2 + b * d_in ** 2) / (2 * ab)
+
+    return ops
+
+
 class RadialTree:
     """One-sided radial tree: root layer 0, horizon H, weights w_0..w_H."""
 
     __slots__ = ("_N", "_w")
+    one_sided = True        # the root, layer 0, has no inward edge
 
     def __init__(self, N: int, weights: Sequence):
         if not (isinstance(N, int) and N >= 2):
@@ -142,28 +230,9 @@ class RadialTree:
             raise InputError(f"layer {n} has no stored outward edge")
         return self._w[n], self._w[n - 1]
 
-    def laplacian_at(self, u: RadialFunction, n: int) -> mp.mpf:
-        self.check_covers(u)
-        if n == 0:
-            if self.horizon < 1:
-                raise InputError("horizon too small for the root Laplacian")
-            return u.value(1) - u.value(0)
-        wn, wm = self.conductances(n)
-        return (wn * (u.value(n + 1) - u.value(n)) + wm * (u.value(n - 1) - u.value(n))) / (wn + wm)
-
-    def gradient_sq_at(self, u: RadialFunction, n: int) -> mp.mpf:
-        self.check_covers(u)
-        if n == 0:
-            if self.horizon < 1:
-                raise InputError("horizon too small for the root gradient")
-            return (u.value(1) - u.value(0)) ** 2 / 2
-        wn, wm = self.conductances(n)
-        return (
-            wn * (u.value(n + 1) - u.value(n)) ** 2 + wm * (u.value(n - 1) - u.value(n)) ** 2
-        ) / (2 * (wn + wm))
-
-    def gradient_at(self, u: RadialFunction, n: int) -> mp.mpf:
-        return mp.sqrt(self.gradient_sq_at(u, n))
+    laplacian_at = _laplacian_at
+    gradient_sq_at = _gradient_sq_at
+    gradient_at = _gradient_at
 
     def layer_measure(self, k: int) -> mp.mpf:
         """mu(D_k) of the infinite tree, in normalized form: N w_0, then N (w_{k-1} + w_k)."""
@@ -196,22 +265,7 @@ class RadialTree:
                 worst = max(worst, (self._w[n + 1] + wn) / wn)
         return worst
 
-    def harnack_check(self, u: RadialFunction, p0) -> HarnackReport:
-        """Layerwise Harnack scan; every E_n edge realizes the ratio u_n : u_{n+1}."""
-        self.check_covers(u)
-        p0 = to_mpf(p0)
-        worst_ratio = mp.mpf(1)
-        worst_edge = None
-        for n in range(0, self.horizon):
-            a, b = u.value(n), u.value(n + 1)
-            if not (a > 0 and b > 0):
-                raise InputError(f"harnack_check needs positive values, layers {n},{n + 1}")
-            ratio = max(a / b, b / a)
-            if ratio > worst_ratio:
-                worst_ratio = ratio
-                worst_edge = (n, n + 1)
-        return HarnackReport(holds=worst_ratio <= p0, worst_edge=worst_edge,
-                             worst_ratio=worst_ratio, p0=p0)
+    harnack_check = _harnack_check
 
     def materialize(self, radius: int) -> tuple[WeightedGraph, tuple[int, ...]]:
         """Explicit ball of the given radius, plus each vertex's layer.
@@ -252,6 +306,7 @@ class TwoSidedRadialTree:
     """
 
     __slots__ = ("_N", "_wpos", "_wneg")
+    one_sided = False
 
     def __init__(self, N: int, pos_weights: Sequence, neg_weights: Sequence):
         if not (isinstance(N, int) and N >= 2):
@@ -307,20 +362,9 @@ class TwoSidedRadialTree:
             raise InputError(f"layer {n} is not interior to the stored range")
         return self.weight(n), self.weight(n - 1)
 
-    def laplacian_at(self, u: RadialFunction, n: int) -> mp.mpf:
-        self.check_covers(u)
-        a, b = self.conductances(n)
-        return (a * (u.value(n + 1) - u.value(n)) + b * (u.value(n - 1) - u.value(n))) / (a + b)
-
-    def gradient_sq_at(self, u: RadialFunction, n: int) -> mp.mpf:
-        self.check_covers(u)
-        a, b = self.conductances(n)
-        return (
-            a * (u.value(n + 1) - u.value(n)) ** 2 + b * (u.value(n - 1) - u.value(n)) ** 2
-        ) / (2 * (a + b))
-
-    def gradient_at(self, u: RadialFunction, n: int) -> mp.mpf:
-        return mp.sqrt(self.gradient_sq_at(u, n))
+    laplacian_at = _laplacian_at
+    gradient_sq_at = _gradient_sq_at
+    gradient_at = _gradient_at
 
     def layer_measure(self, k: int) -> mp.mpf:
         """mu(D_k) summed over both arms of the infinite tree, normalized form."""
@@ -361,21 +405,7 @@ class TwoSidedRadialTree:
                 worst = max(worst, (self._N - 1) * (self.weight(n + 1) + wn) / wn)
         return worst
 
-    def harnack_check(self, u: RadialFunction, p0) -> HarnackReport:
-        self.check_covers(u)
-        p0 = to_mpf(p0)
-        worst_ratio = mp.mpf(1)
-        worst_edge = None
-        for n in range(self.layer_lo, self.layer_hi):
-            a, b = u.value(n), u.value(n + 1)
-            if not (a > 0 and b > 0):
-                raise InputError(f"harnack_check needs positive values, layers {n},{n + 1}")
-            ratio = max(a / b, b / a)
-            if ratio > worst_ratio:
-                worst_ratio = ratio
-                worst_edge = (n, n + 1)
-        return HarnackReport(holds=worst_ratio <= p0, worst_edge=worst_edge,
-                             worst_ratio=worst_ratio, p0=p0)
+    harnack_check = _harnack_check
 
     def materialize(self, radius: int) -> tuple[WeightedGraph, tuple[int, ...]]:
         """Explicit two-sided ball; layer entries are signed."""
@@ -467,6 +497,7 @@ def parse_radial_text(text: str):
         horizon = int(fields["horizon"])
     except (KeyError, ValueError):
         raise InputError(f"radial header needs integer N= and horizon=: {lines[0]!r}")
+    shells = range(-horizon, horizon) if two_sided else range(0, horizon + 1)
     entries: dict[int, mp.mpf] = {}
     for ln in lines[1:]:
         if ln.startswith("arm"):
@@ -475,9 +506,15 @@ def parse_radial_text(text: str):
         if len(parts) != 2:
             raise InputError(f"bad shell line: {ln!r}")
         try:
-            entries[int(parts[0])] = mp.mpf(parts[1])
+            n, w = int(parts[0]), mp.mpf(parts[1])
         except ValueError:
             raise InputError(f"bad shell line (needs an integer index and a number): {ln!r}")
+        if n not in shells:
+            raise InputError(f"shell index {n} outside the header's range "
+                             f"[{shells.start}, {shells.stop - 1}]: {ln!r}")
+        if n in entries:
+            raise InputError(f"duplicate shell index {n}: {ln!r}")
+        entries[n] = w
     if two_sided:
         try:
             pos = [entries[n] for n in range(0, horizon)]

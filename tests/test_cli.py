@@ -247,6 +247,39 @@ def test_graph_file_with_infinite_weight_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
+def test_graph_values_not_finite_is_usage_error(capsys, tmp_path, bad):
+    g = lv.WeightedGraph(3, [(0, 1, 1), (1, 2, 1)])
+    (tmp_path / "g.txt").write_text(lv.format_graph_text(g))
+    (tmp_path / "u.csv").write_text(f"0,3\n1,{bad}\n2,1\n")
+    code = main(_verify_args(tmp_path / "g.txt", tmp_path / "u.csv"))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_radial_values_not_finite_is_usage_error(capsys, tmp_path, bad):
+    (tmp_path / "tree.txt").write_text("radial N=3 horizon=2\n0 1\n1 2\n2 3\n")
+    (tmp_path / "u.csv").write_text(f"0,3\n1,{bad}\n2,1\n")
+    code = main(_verify_args(tmp_path / "tree.txt", tmp_path / "u.csv"))
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    "0 1\n1 2\n1 3\n2 4\n",               # duplicate shell 1
+    "0 1\n1 2\n2 3\n3 4\n",               # shell 3 past horizon 2
+    "-1 1\n0 1\n1 2\n2 3\n",              # a negative shell on a one-sided tree
+])
+def test_radial_file_bad_shell_index_is_usage_error(capsys, tmp_path, body):
+    (tmp_path / "tree.txt").write_text("radial N=3 horizon=2\n" + body)
+    (tmp_path / "u.csv").write_text("0,3\n1,2\n2,1\n")
+    code = main(_verify_args(tmp_path / "tree.txt", tmp_path / "u.csv"))
+    assert code == 2
+    assert "shell index" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bits", ["4", "52", "abc"])
 def test_precision_bits_below_float64_rejected(capsys, bits):
     with pytest.raises(SystemExit) as exc:

@@ -181,3 +181,72 @@ def test_two_sided_ball_volumes_running_sum():
         assert rel_close(vols[k], lv.ball_volume(g, 0, k))
     with pytest.raises(InputError):
         tree.ball_volumes(6)
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_non_finite_values_rejected(bad):
+    with pytest.raises(InputError, match="finite"):
+        lv.RadialFunction([1, mp.mpf(bad), 2])
+    with pytest.raises(InputError, match="finite"):
+        lv.RadialFunction.from_callable(-1, 1, lambda n: mp.mpf(bad) if n == 0 else 1)
+    with pytest.raises(InputError, match="finite"):
+        lv.GraphFunction([3, mp.mpf(bad), 1])
+
+
+@pytest.mark.parametrize("text", [
+    "radial N=3 horizon=2\n0 1\n1 2\n1 5\n2 3\n",              # duplicate shell 1
+    "radial N=3 horizon=2\n0 1\n1 2\n2 3\n3 4\n",              # past the horizon
+    "radial N=3 horizon=2\n-1 7\n0 1\n1 2\n2 3\n",             # negative, one-sided
+    "radial N=3 horizon=2 two-sided\narm +\n0 1\n1 2\narm -\n-1 3\n-2 4\n-1 5\n",
+    "radial N=3 horizon=2 two-sided\narm +\n0 1\n1 2\n2 9\narm -\n-1 3\n-2 4\n",
+    "radial N=3 horizon=2 two-sided\narm +\n0 1\n1 2\narm -\n-1 3\n-2 4\n-3 9\n",
+])
+def test_radial_parse_rejects_duplicate_and_out_of_range_shells(text):
+    with pytest.raises(InputError, match="shell index"):
+        lv.parse_radial_text(text)
+
+
+def test_radial_parse_accepts_each_shell_once():
+    one = lv.parse_radial_text("radial N=3 horizon=2\n2 3\n0 1\n1 2\n")
+    assert [one.weight(n) for n in range(3)] == [1, 2, 3]
+    two = lv.parse_radial_text(
+        "radial N=3 horizon=2 two-sided\narm +\n0 1\n1 2\narm -\n-1 3\n-2 4\n")
+    assert [two.weight(n) for n in range(-2, 2)] == [4, 3, 1, 2]
+
+
+def _harnack_verdicts(tree, u, ball, layers, p0):
+    radial = tree.harnack_check(u, p0)
+    graph = lv.harnack_check(ball, lv.induced_graph_function(u, layers), p0)
+    assert radial.worst_ratio == graph.worst_ratio
+    return radial.holds, graph.holds
+
+
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_harnack_radial_and_ball_agree_at_the_boundary(two_sided):
+    rng = random.Random(11)
+    if two_sided:
+        tree = random_two_sided(rng, arm=3)
+        u = random_radial_function(rng, -3, 3)
+        ball, layers = tree.materialize(3)
+    else:
+        tree = random_one_sided(rng, horizon=4)
+        u = random_radial_function(rng, 0, 4)
+        ball, layers = tree.materialize(4)
+    worst = tree.harnack_check(u, 1).worst_ratio
+    assert worst > 1
+    # at the worst ratio, just above it, just below it inside the 1e-30
+    # tolerance, and just below it outside the tolerance
+    cases = [(worst, True), (worst * (1 + mp.mpf("1e-20")), True),
+             (worst * (1 - mp.mpf("1e-32")), True), (worst * (1 - mp.mpf("1e-20")), False)]
+    for p0, expected in cases:
+        assert _harnack_verdicts(tree, u, ball, layers, p0) == (expected, expected)
+
+
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_harnack_radial_rejects_p0_below_one(two_sided):
+    rng = random.Random(12)
+    tree = random_two_sided(rng, arm=3) if two_sided else random_one_sided(rng, horizon=4)
+    u = random_radial_function(rng, tree.layer_lo, tree.layer_hi)
+    with pytest.raises(InputError, match="p0"):
+        tree.harnack_check(u, mp.mpf("0.999"))
+    assert tree.harnack_check(u, 1).p0 == 1

@@ -1,20 +1,25 @@
-"""The certificate hot path against its reference definitions, exactly.
+"""The fast paths against their reference definitions, exactly.
 
 The fused margin pass must report what a loop over the per-layer reference
 functions (`laplacian_at`, `gradient_sq_at`, `nonlinear_term`, `margin_at`,
 `check_nonpositive`) reports, and the tabulated Lambda window must equal
-`lambda_fn` point by point.  Every comparison is `==`: the fast paths
-perform the same floating-point operations in the same order, so any
-difference at all is a bug.
+`lambda_fn` point by point.  The nonexistence machinery, rewritten onto
+the operator streams and the term kernel, must report what its per-site
+loops did (kept verbatim in `before_streams.py`).  Every comparison is
+`==`: the fast paths perform the same floating-point operations in the
+same order, so any difference at all is a bug.
 """
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
 
+import before_streams as old
 import liouville as lv
+from liouville import caccioppoli
 from liouville import counterexamples as cx
 from liouville.errors import InputError
 
@@ -295,3 +300,212 @@ def test_certify_returns_what_a_recomputation_gives(regime):
     assert again.report == cert.report
     assert again.tail == cert.tail
     assert cert.ok
+
+
+# ---------------------------------------------------------------------------
+# the operator streams and the term kernel against the per-site loops they
+# replaced (tests/before_streams.py), exactly
+
+def exact(x):
+    """x with every mpf replaced by its exact (sign, mantissa, exponent, bits).
+
+    Comparing these with == is `==` on every mpf field, except that a nan
+    equals itself, so reports holding nan compare too.
+    """
+    if isinstance(x, (mp.mpf, mp.mpc)):
+        return type(x).__name__, x._mpf_ if isinstance(x, mp.mpf) else x._mpc_
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, tuple(exact(getattr(x, f.name))
+                                       for f in dataclasses.fields(x))
+    if isinstance(x, (tuple, list)):
+        return tuple(exact(v) for v in x)
+    return x
+
+
+def outcome(fn, *args, **kwargs):
+    """The exact result of a call, or the type and message of what it raised."""
+    try:
+        return "ok", exact(fn(*args, **kwargs))
+    except (InputError, ValueError, ZeroDivisionError) as exc:
+        return "raised", type(exc).__name__, str(exc)
+
+
+def same(new_fn, old_fn, *args, **kwargs):
+    got, want = outcome(new_fn, *args, **kwargs), outcome(old_fn, *args, **kwargs)
+    assert got == want
+    return want
+
+
+# Exponent pairs for the nonexistence machinery: p + q != 1 so that the
+# estimate constants exist, with q > 0, q = 0 and q < 0.
+POINTS = [lv.pq(2, 1), lv.pq(-1, F(3, 2)), lv.pq(3, 0), lv.pq(F(1, 2), 0),
+          lv.pq(2, F(-1, 2)), lv.pq(-2, 1)]
+CUTOFFS = ["h:1", "h:3", "phi:1", "phi:2"]
+ST = [(F(7), F(1, 3)), (F(5, 2), F(5, 4))]
+
+
+def flat_profile(rng, lo, hi, positive=True):
+    """Random values with one flat layer (zero gradient) and, unless
+    positive, sometimes a non-positive value."""
+    values = [mp.mpf(rng.uniform(0.1, 3.0)) for _ in range(lo, hi + 1)]
+    k = rng.randrange(1, len(values) - 1)
+    values[k - 1] = values[k + 1] = values[k]
+    if not positive and rng.random() < 0.5:
+        values[rng.randrange(len(values))] = -mp.mpf(rng.uniform(0.1, 1.0))
+    return lv.RadialFunction(values, lo=lo)
+
+
+def one_sided_case(rng, H):
+    tree = lv.RadialTree(rng.choice([2, 3]), [mp.mpf(rng.uniform(0.2, 5.0))
+                                              for _ in range(H + 1)])
+    return tree, flat_profile(rng, 0, H)
+
+
+def two_sided_case(rng, M):
+    tree = lv.TwoSidedRadialTree(rng.choice([2, 3]),
+                                 [mp.mpf(rng.uniform(0.2, 5.0)) for _ in range(M)],
+                                 [mp.mpf(rng.uniform(0.2, 5.0)) for _ in range(M)])
+    return tree, flat_profile(rng, -M, M)
+
+
+def conftest_builds(request):
+    return [request.getfixturevalue(name) for name in
+            ("regime1_small", "regime3_small", "regime4_walk", "regime5_walk")]
+
+
+def test_term_kernel_is_nonlinear_term():
+    values = [mp.mpf(3) / 7, mp.mpf(2), mp.mpf(0), -mp.mpf(1)]
+    for p, q in [(F(2), F(1)), (F(-1), F(3, 2)), (F(3), F(0)), (F(2), F(-1, 2)),
+                 (2, "1/3"), (mp.mpf("0.25"), F(-2))]:
+        kernel = cx.term_kernel(p, q)
+        for u_value in values:
+            for grad_sq in values[:3]:
+                want = outcome(old.nonlinear_term, u_value, grad_sq, p, q)
+                assert outcome(kernel, u_value, grad_sq) == want
+                assert outcome(lv.nonlinear_term, u_value, grad_sq, p, q) == want
+            grad = mp.sqrt(values[0])
+            idiom = mp.power(grad, lv.to_mpf(F(q))) if F(q) != 0 else mp.mpf(1)
+            assert exact(kernel.grad_power(grad)) == exact(idiom)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_estimate_sides_radial_matches_old(request, seed):
+    rng = random.Random(3000 + seed)
+    cases = [(b.tree, b.u) for b in conftest_builds(request)[:2]] if seed == 0 else []
+    cases += [one_sided_case(rng, rng.randrange(8, 14)) for _ in range(2)]
+    for tree, u in cases:
+        for tf_text in CUTOFFS:
+            tf = caccioppoli.TestFunction.parse(tf_text)
+            for point in POINTS:
+                for (s, t), variant in zip(ST, ("est1", "est2")):
+                    for p0 in (None, tree.p0() * 2):
+                        same(lv.estimate_sides_radial, old.estimate_sides_radial,
+                             tree, u, tf, s, t, point, p0=p0, variant=variant)
+    tree, _ = one_sided_case(rng, 8)         # a non-positive value raises in both
+    bad = lv.RadialFunction([1] * 4 + [-1] + [1] * 4)
+    want = same(lv.estimate_sides_radial, old.estimate_sides_radial,
+                tree, bad, caccioppoli.TestFunction.parse("h:2"), 7, F(1, 2), POINTS[0])
+    assert want[0] == "raised"
+
+
+def ball_case(rng, radius):
+    tree, u = one_sided_case(rng, radius + 2)
+    g, layers = tree.materialize(radius)
+    return g, lv.induced_graph_function(u, layers), layers, tree
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_estimate_sides_matches_old(request, seed):
+    rng = random.Random(4000 + seed)
+    g, gu, layers, tree = ball_case(rng, 4)
+    if seed == 0:
+        b = conftest_builds(request)[0]
+        g, layers = b.tree.materialize(4)
+        gu = lv.induced_graph_function(b.u, layers)
+    inner = [x for x, n in enumerate(layers) if n <= 2]
+    strict = sorted(set(inner) | set(rng.sample(range(g.n_vertices), 5)))
+    p0 = lv.p0_of(g)
+    for omega in (None, strict, inner):
+        for tf_text in CUTOFFS:
+            tf = caccioppoli.TestFunction.parse(tf_text)
+            for point in POINTS[::2] + POINTS[4:5]:
+                for (s, t), variant in zip(ST, ("est1", "est2")):
+                    same(lv.estimate_sides, old.estimate_sides, g, gu, 0, tf, s, t,
+                         point, p0, variant=variant, omega=omega)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_radial_walks_and_diagnostics_match_old(request, seed):
+    rng = random.Random(5000 + seed)
+    cases = []
+    if seed == 0:
+        cases += [(b.tree, b.u, b.spec.point) for b in conftest_builds(request)]
+    for _ in range(3):
+        tree, u = one_sided_case(rng, rng.randrange(4, 30))
+        cases.append((tree, u, rng.choice(POINTS)))
+        tree, u = two_sided_case(rng, rng.randrange(2, 15))
+        cases.append((tree, u, rng.choice(POINTS)))
+    for tree, u, point in cases:
+        starts = {tree.layer_lo, tree.layer_lo + 1, 0, tree.layer_hi - 1, tree.layer_hi,
+                  rng.randrange(tree.layer_lo, tree.layer_hi + 1)}
+        for start in sorted(starts):
+            for steps in (0, 3, 300):
+                want = same(lv.radial_descent_walk, old.radial_descent_walk,
+                            tree, u, start, steps)
+                if want[0] != "ok":
+                    continue
+                walk = lv.radial_descent_walk(tree, u, start, steps)
+                for p0 in (None, tree.p0()):
+                    for pt in (None, point, lv.pq(3, 0), lv.pq(2, F(-1, 2))):
+                        same(lv.walk_diagnostics, old.walk_diagnostics, walk, p0, pt)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_graph_walks_match_old(request, seed):
+    rng = random.Random(6000 + seed)
+    g, gu, layers, _ = ball_case(rng, 5)
+    if seed == 0:
+        b = conftest_builds(request)[0]
+        g, layers = b.tree.materialize(6)
+        gu = lv.induced_graph_function(b.u, layers)
+    for start in [0, 1, g.n_vertices - 1, -1, g.n_vertices] + rng.sample(range(g.n_vertices), 6):
+        for steps in (0, 2, 50):
+            want = same(lv.descent_walk, old.descent_walk, g, gu, start, steps)
+            if want[0] == "ok":
+                walk = lv.descent_walk(g, gu, start, steps)
+                same(lv.walk_diagnostics, old.walk_diagnostics, walk, lv.p0_of(g),
+                     rng.choice(POINTS))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pointwise_bounds_and_verify_graph_match_old(request, seed):
+    rng = random.Random(7000 + seed)
+    builds = conftest_builds(request) if seed == 0 else []
+    for _ in range(2):
+        for tree, u in (one_sided_case(rng, rng.randrange(3, 25)),
+                        two_sided_case(rng, rng.randrange(2, 12))):
+            if rng.random() < 0.5:
+                u = flat_profile(rng, u.lo, u.hi, positive=False)
+            for point in POINTS:
+                spec = lv.RegimeSpec(regime="I", p=point.p, q=point.q, N=tree.N, horizon=2)
+                builds.append(cx.BuiltCounterexample(tree, u, spec))
+    for built in builds:
+        for horizon in (None, 0, 3, 10 ** 6):
+            same(lv.pointwise_bound_check_built, old.pointwise_bound_check_built,
+                 built, horizon)
+        for horizon in (None, 2):
+            same(lambda *a: list(lv.layer_rows(*a)), lambda *a: list(old.layer_rows(*a)),
+                 built, horizon)
+        radius = min(3, built.tree.layer_hi - 1) if built.u.lo == 0 else 2
+        g, layers = built.tree.materialize(radius)
+        gu = lv.induced_graph_function(built.u, layers)
+        point = built.spec.point
+        same(lv.pointwise_bound_check, old.pointwise_bound_check, g, gu, point)
+        for p, q in ((point.p, point.q), (F(1), F(0)), (F(2), F(-1))):
+            same(lv.verify_graph, old.verify_graph, g, gu, p, q)
+        same(lv.harnack_check, old.harnack_check, g, gu, 2)
+        if built.u.is_positive():
+            new_h, old_h = (built.tree.harnack_check(built.u, 1),
+                            old.radial_harnack_check(built.tree, built.u, 1))
+            assert exact((new_h.worst_ratio, new_h.worst_edge)) == \
+                exact((old_h.worst_ratio, old_h.worst_edge))
