@@ -23,7 +23,7 @@ from .graphs import (GraphFunction, HarnackReport, WeightedGraph, ball_volume,
                      restricted_gradient_norm, site_operators, vertex_measure)
 from .numerics import (default_precision_bits, check_le, check_nonpositive,
                        mpf_str, precision, rel_tol, to_mpf)
-from .radial import (RadialFunction, RadialLayer, RadialTree, TwoSidedRadialTree,
+from .radial import (RadialFunction, RadialTree, TwoSidedRadialTree,
                      format_radial_text, induced_graph_function, layer_operators,
                      parse_radial_text)
 from .regions import (Exponents, PQPoint, RegionLabel, STSelection, choose_st,

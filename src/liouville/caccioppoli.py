@@ -234,6 +234,8 @@ def estimate_sides(g: WeightedGraph, u: GraphFunction, o: int, tf: TestFunction,
     s, t = Fraction(s), Fraction(t)
     failures = []
     omega_set = set(g.vertices()) if omega is None else set(omega)
+    if not omega_set.issubset(g.vertices()):
+        raise InputError(f"omega holds ids that are not vertices 0..{g.n_vertices - 1}")
     omega_desc = "all" if omega is None else f"{len(omega_set)} vertices"
     full = len(omega_set) == g.n_vertices
     if not u.is_positive():

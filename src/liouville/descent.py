@@ -51,6 +51,48 @@ class DescentWalk:
         return len(self.steps)
 
 
+def _walk(ops, value, x, next_site, max_steps: int, kind: str,
+          inside=lambda x: True) -> DescentWalk:
+    """The walk loop of both backends, from site x.
+
+    `ops(x)` is (u, lap, grad^2) at x, `value(x)` is u(x) and `next_site(x)`
+    the minimizing neighbour.  The walk records each site, stops at a zero
+    gradient, after max_steps moves, at a revisit (flagged) or at a move
+    onto a site outside `inside` (termination "horizon").
+    """
+    site = ops(x)
+    if site[2] == 0:
+        raise InputError(f"no descent possible: zero gradient at the start {kind}")
+    records = []
+    visited = {x}
+    termination = "max-steps"
+    revisit = False
+    while True:
+        ux, lap, grad_sq = site
+        grad = mp.sqrt(grad_sq)
+        records.append([x, ux, lap, grad, None])
+        if grad == 0:
+            termination = "zero-gradient"
+            break
+        if len(records) == max_steps + 1:
+            break
+        nxt = next_site(x)
+        if nxt in visited:
+            termination = "revisit"
+            revisit = True
+            break
+        if not inside(nxt):
+            termination = "horizon"
+            break
+        records[-1][4] = ux - value(nxt)
+        visited.add(nxt)
+        x = nxt
+        site = ops(x)
+    steps = tuple(DescentStep(site=r[0], u=r[1], lap=r[2], grad=r[3], drop=r[4])
+                  for r in records)
+    return DescentWalk(steps=steps, termination=termination, revisit_flagged=revisit)
+
+
 def descent_walk(g: WeightedGraph, u: GraphFunction, x0: int,
                  max_steps: int) -> DescentWalk:
     """Walk x_0, x_1, ... with u(x_{i+1}) = min over neighbors of x_i.
@@ -64,36 +106,11 @@ def descent_walk(g: WeightedGraph, u: GraphFunction, x0: int,
         raise InputError("descent needs a positive function")
     if max_steps < 0:
         raise InputError("max_steps must be nonnegative")
-    ops = site_operators(g, u)
-    site = ops(x0)
-    if site[2] == 0:
-        raise InputError("no descent possible: zero gradient at the start vertex")
-    records = []
-    visited = {x0}
-    x = x0
-    termination = "max-steps"
-    revisit = False
-    while True:
-        ux, lap, grad_sq = site
-        grad = mp.sqrt(grad_sq)
-        records.append([x, ux, lap, grad, None])
-        if grad == 0:
-            termination = "zero-gradient"
-            break
-        if len(records) == max_steps + 1:
-            break
-        nxt = min(g.neighbors(x), key=lambda yw: (u[yw[0]], yw[0]))[0]
-        if nxt in visited:
-            termination = "revisit"
-            revisit = True
-            break
-        records[-1][4] = ux - u[nxt]
-        visited.add(nxt)
-        x = nxt
-        site = ops(x)
-    steps = tuple(DescentStep(site=r[0], u=r[1], lap=r[2], grad=r[3], drop=r[4])
-                  for r in records)
-    return DescentWalk(steps=steps, termination=termination, revisit_flagged=revisit)
+
+    def next_vertex(x):
+        return min(g.neighbors(x), key=lambda yw: (u[yw[0]], yw[0]))[0]
+
+    return _walk(site_operators(g, u), u.__getitem__, x0, next_vertex, max_steps, "vertex")
 
 
 def radial_descent_walk(tree: RadialTree | TwoSidedRadialTree, u: RadialFunction,
@@ -104,7 +121,8 @@ def radial_descent_walk(tree: RadialTree | TwoSidedRadialTree, u: RadialFunction
     the walk reproduces the canonical materialized one exactly: the parent
     always has the smaller id (winning value ties; at the two-sided root
     the positive arm comes first), and an immediate direction reversal is
-    a vertex revisit.  A move onto a layer whose operators would need data
+    a vertex revisit.  Layers lie on a line, so that reversal is the walk's
+    first revisit.  A move onto a layer whose operators would need data
     beyond the stored horizon stops the walk with termination "horizon".
     """
     two_sided = not tree.one_sided
@@ -117,10 +135,6 @@ def radial_descent_walk(tree: RadialTree | TwoSidedRadialTree, u: RadialFunction
         raise InputError("descent needs a positive function")
     if not interior(start_layer):
         raise InputError(f"start layer {start_layer} has no stored neighborhood")
-    ops = layer_operators(tree, u)
-    site = ops(start_layer)
-    if site[2] == 0:
-        raise InputError("no descent possible: zero gradient at the start layer")
 
     def next_layer(n):
         if two_sided and n == 0:
@@ -133,35 +147,8 @@ def radial_descent_walk(tree: RadialTree | TwoSidedRadialTree, u: RadialFunction
             cands = [(u.value(parent), 0, parent), (u.value(child), 1, child)]
         return min(cands)[2]
 
-    records = []
-    x = start_layer
-    prev = None
-    termination = "max-steps"
-    revisit = False
-    while True:
-        ux, lap, grad_sq = site
-        grad = mp.sqrt(grad_sq)
-        records.append([x, ux, lap, grad, None])
-        if grad == 0:
-            termination = "zero-gradient"
-            break
-        if len(records) == max_steps + 1:
-            break
-        nxt = next_layer(x)
-        if prev is not None and nxt == prev:
-            termination = "revisit"
-            revisit = True
-            break
-        if not interior(nxt):
-            termination = "horizon"
-            break
-        records[-1][4] = ux - u.value(nxt)
-        prev = x
-        x = nxt
-        site = ops(x)
-    steps = tuple(DescentStep(site=r[0], u=r[1], lap=r[2], grad=r[3], drop=r[4])
-                  for r in records)
-    return DescentWalk(steps=steps, termination=termination, revisit_flagged=revisit)
+    return _walk(layer_operators(tree, u), u.value, start_layer, next_layer, max_steps,
+                 "layer", interior)
 
 
 @dataclass(frozen=True)

@@ -109,9 +109,6 @@ class WeightedGraph:
         self._dist_cache[o] = result
         return result
 
-    def is_connected(self) -> bool:
-        return all(d >= 0 for d in self.distances_from(0))
-
     def ball(self, o: int, radius: int) -> list[int]:
         if radius < 0:
             raise InputError("radius must be nonnegative")

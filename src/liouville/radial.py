@@ -21,7 +21,6 @@ balls is part of the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import mpmath as mp
@@ -68,78 +67,6 @@ class RadialFunction:
         return min(self._values) > 0        # values are finite, and there is one at least
 
 
-@dataclass(frozen=True)
-class RadialLayer:
-    """Structural view of one layer: counts are implied by the tree degree."""
-
-    index: int
-    vertex_count: int
-    outward_degree: int
-    outward_weight: mp.mpf  # normalized shell weight
-
-
-def _running_volumes(tree, n_max: int) -> list[mp.mpf]:
-    """mu(B(o, n)) for n = 0..n_max, summed layer by layer in order."""
-    vols = []
-    acc = mp.mpf(0)
-    for k in range(n_max + 1):
-        acc += tree.layer_measure(k)
-        vols.append(acc)
-    return vols
-
-
-def _laplacian_at(tree, u: RadialFunction, n: int) -> mp.mpf:
-    """lap at layer n by the formulas of the module docstring (the reference)."""
-    tree.check_covers(u)
-    if n == 0 and tree.one_sided:
-        if tree.horizon < 1:
-            raise InputError("horizon too small for the root Laplacian")
-        return u.value(1) - u.value(0)
-    wn, wm = tree.conductances(n)
-    return (wn * (u.value(n + 1) - u.value(n)) + wm * (u.value(n - 1) - u.value(n))) / (wn + wm)
-
-
-def _gradient_sq_at(tree, u: RadialFunction, n: int) -> mp.mpf:
-    """grad^2 at layer n by the formulas of the module docstring (the reference)."""
-    tree.check_covers(u)
-    if n == 0 and tree.one_sided:
-        if tree.horizon < 1:
-            raise InputError("horizon too small for the root gradient")
-        return (u.value(1) - u.value(0)) ** 2 / 2
-    wn, wm = tree.conductances(n)
-    return (
-        wn * (u.value(n + 1) - u.value(n)) ** 2 + wm * (u.value(n - 1) - u.value(n)) ** 2
-    ) / (2 * (wn + wm))
-
-
-def _gradient_at(tree, u: RadialFunction, n: int) -> mp.mpf:
-    return mp.sqrt(tree.gradient_sq_at(u, n))
-
-
-def _harnack_check(tree, u: RadialFunction, p0) -> HarnackReport:
-    """Layerwise Harnack scan; every E_n edge realizes the ratio u_n : u_{n+1}.
-
-    Decided like `graphs.harnack_check` (tolerant `check_le`, p0 >= 1), so a
-    tree and its materialized ball agree on the verdict.
-    """
-    tree.check_covers(u)
-    p0 = to_mpf(p0)
-    if p0 < 1:
-        raise InputError("p0 must be at least 1")
-    worst_ratio = mp.mpf(1)
-    worst_edge = None
-    values = u.values()[tree.layer_lo - u.lo:]
-    for n, a, b in zip(range(tree.layer_lo, tree.layer_hi), values, values[1:]):
-        if not (a > 0 and b > 0):
-            raise InputError(f"harnack_check needs positive values, layers {n},{n + 1}")
-        ratio = a / b if a >= b else b / a
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst_edge = (n, n + 1)
-    return HarnackReport(holds=check_le(worst_ratio, p0).holds, worst_edge=worst_edge,
-                         worst_ratio=worst_ratio, p0=p0)
-
-
 def layer_operators(tree, u: RadialFunction) -> Callable[[int], tuple]:
     """The operator stream of u on a radial tree: n -> (u_n, lap, grad^2).
 
@@ -173,130 +100,220 @@ def layer_operators(tree, u: RadialFunction) -> Callable[[int], tuple]:
     return ops
 
 
-class RadialTree:
-    """One-sided radial tree: root layer 0, horizon H, weights w_0..w_H."""
+class _LayerChain:
+    """A radial tree as its quotient: a chain of layers, one weight per shell.
 
-    __slots__ = ("_N", "_w")
-    one_sided = True        # the root, layer 0, has no inward edge
+    `_w` holds every normalized shell weight in one tuple, w_n at position
+    n - layer_lo.  Every method is written once for both trees; `one_sided`
+    is read only where the root differs: a one-sided root has N children
+    and no inward edge, a two-sided root N-1 children plus the arm edge
+    E_{-1}.
+    """
 
-    def __init__(self, N: int, weights: Sequence):
+    __slots__ = ("_N", "_w", "_lo", "_hi")
+    one_sided: bool
+
+    def __init__(self, N: int, weights: tuple, layer_lo: int, layer_hi: int):
         if not (isinstance(N, int) and N >= 2):
             raise InputError("tree degree N must be an integer >= 2")
-        self._N = N
-        self._w = tuple(to_mpf(w) for w in weights)
-        if not self._w:
-            raise InputError("radial tree needs at least one shell weight")
-        if any(not 0 < w < mp.inf for w in self._w):
+        if any(not 0 < w < mp.inf for w in weights):
             raise InputError("shell weights must be positive and finite")
+        self._N = N
+        self._w = weights
+        self._lo = layer_lo
+        self._hi = layer_hi
 
     @property
     def N(self) -> int:
         return self._N
 
     @property
-    def horizon(self) -> int:
-        return len(self._w) - 1
-
-    @property
     def layer_lo(self) -> int:
-        return 0
+        return self._lo
 
     @property
     def layer_hi(self) -> int:
-        return self.horizon
+        return self._hi
 
     def weight(self, n: int) -> mp.mpf:
-        if not (0 <= n <= self.horizon):
-            raise InputError(f"shell index {n} outside stored range [0, {self.horizon}]")
-        return self._w[n]
-
-    def layer(self, n: int) -> RadialLayer:
-        count = 1 if n == 0 else self._N * (self._N - 1) ** (n - 1)
-        return RadialLayer(index=n, vertex_count=count,
-                           outward_degree=self._N if n == 0 else self._N - 1,
-                           outward_weight=self.weight(n))
+        """w_n for the shell E_n joining layers n and n+1."""
+        if not 0 <= n - self._lo < len(self._w):
+            raise InputError(f"shell index {n} outside stored range "
+                             f"[{self._lo}, {self._lo + len(self._w) - 1}]")
+        return self._w[n - self._lo]
 
     def check_covers(self, u: RadialFunction) -> None:
-        if u.lo != 0 or u.hi < self.horizon:
+        # a one-sided root reads u_0 and u_1 by position, so u starts at 0
+        if u.lo > self._lo or u.hi < self._hi or (self.one_sided and u.lo != 0):
             raise InputError("radial function does not cover the tree's layers")
 
     def interior_layers(self) -> range:
-        """Layers where both operators are defined (need u at n-1, n, n+1)."""
-        return range(0, self.horizon)
+        """Layers where both operators are defined (need u at n-1, n, n+1);
+        a one-sided root needs only u_1."""
+        return range(self._lo if self.one_sided else self._lo + 1, self._hi)
 
     def conductances(self, n: int) -> tuple[mp.mpf, mp.mpf]:
-        """(outward, inward) weights (w_n, w_{n-1}) at a layer 1 <= n <= H-1."""
-        if not (1 <= n <= self.horizon - 1):
-            raise InputError(f"layer {n} has no stored outward edge")
-        return self._w[n], self._w[n - 1]
+        """(outward, inward) weights (w_n, w_{n-1}) at a layer with both edges;
+        at a two-sided root they are ((N-1) w_0, w_{-1})."""
+        i = n - self._lo
+        if not 0 < i < self._hi - self._lo:
+            raise InputError(f"layer {n} has no stored inward and outward edge")
+        if n == 0:
+            return (self._N - 1) * self._w[i], self._w[i - 1]
+        return self._w[i], self._w[i - 1]
 
-    laplacian_at = _laplacian_at
-    gradient_sq_at = _gradient_sq_at
-    gradient_at = _gradient_at
+    def laplacian_at(self, u: RadialFunction, n: int) -> mp.mpf:
+        """lap at layer n by the formulas of the module docstring (the reference)."""
+        self.check_covers(u)
+        if n == 0 and self.one_sided:
+            if self._hi < 1:
+                raise InputError("horizon too small for the root Laplacian")
+            return u.value(1) - u.value(0)
+        wn, wm = self.conductances(n)
+        return (wn * (u.value(n + 1) - u.value(n))
+                + wm * (u.value(n - 1) - u.value(n))) / (wn + wm)
+
+    def gradient_sq_at(self, u: RadialFunction, n: int) -> mp.mpf:
+        """grad^2 at layer n by the formulas of the module docstring (the reference)."""
+        self.check_covers(u)
+        if n == 0 and self.one_sided:
+            if self._hi < 1:
+                raise InputError("horizon too small for the root gradient")
+            return (u.value(1) - u.value(0)) ** 2 / 2
+        wn, wm = self.conductances(n)
+        return (
+            wn * (u.value(n + 1) - u.value(n)) ** 2 + wm * (u.value(n - 1) - u.value(n)) ** 2
+        ) / (2 * (wn + wm))
+
+    def gradient_at(self, u: RadialFunction, n: int) -> mp.mpf:
+        return mp.sqrt(self.gradient_sq_at(u, n))
+
+    def harnack_check(self, u: RadialFunction, p0) -> HarnackReport:
+        """Layerwise Harnack scan; every E_n edge realizes the ratio u_n : u_{n+1}.
+
+        Decided like `graphs.harnack_check` (tolerant `check_le`, p0 >= 1), so a
+        tree and its materialized ball agree on the verdict.
+        """
+        self.check_covers(u)
+        p0 = to_mpf(p0)
+        if p0 < 1:
+            raise InputError("p0 must be at least 1")
+        worst_ratio = mp.mpf(1)
+        worst_edge = None
+        values = u.values()[self.layer_lo - u.lo:]
+        for n, a, b in zip(range(self.layer_lo, self.layer_hi), values, values[1:]):
+            if not (a > 0 and b > 0):
+                raise InputError(f"harnack_check needs positive values, layers {n},{n + 1}")
+            ratio = a / b if a >= b else b / a
+            if ratio > worst_ratio:
+                worst_ratio = ratio
+                worst_edge = (n, n + 1)
+        return HarnackReport(holds=check_le(worst_ratio, p0).holds, worst_edge=worst_edge,
+                             worst_ratio=worst_ratio, p0=p0)
 
     def layer_measure(self, k: int) -> mp.mpf:
-        """mu(D_k) of the infinite tree, in normalized form: N w_0, then N (w_{k-1} + w_k)."""
-        if not (0 <= k <= self.horizon):
-            raise InputError(f"layer {k} outside stored range")
+        """mu(D_k) of the infinite tree in normalized form: N w_0, then
+        N (w_{k-1} + w_k) on a one-sided tree; (N-1) w_0 + w_{-1}, then
+        (N-1)(w_{k-1} + w_k) + (w_{-k} + w_{-k-1}) over both arms of a two-sided one."""
+        w, z = self._w, -self._lo
+        if not 0 <= k < len(w) - z:
+            raise InputError(f"layer {k} outside the volume-computable range")
+        if self.one_sided:
+            return self._N * (w[k - 1] + w[k]) if k else self._N * w[0]
+        fan = self._N - 1
         if k == 0:
-            return self._N * self._w[0]
-        return self._N * (self._w[k - 1] + self._w[k])
+            return fan * w[z] + w[z - 1]
+        return fan * (w[z + k - 1] + w[z + k]) + (w[z - k] + w[z - k - 1])
+
+    def _radii(self, n: int) -> range:
+        """0..n, if mu(B(o, n)) is computable from the stored shells."""
+        if not 0 <= n < len(self._w) + self._lo:
+            raise InputError(f"radius {n} exceeds the volume-computable horizon")
+        return range(n + 1)
 
     def ball_volume(self, n: int) -> mp.mpf:
-        if not (0 <= n <= self.horizon):
-            raise InputError(f"radius {n} exceeds stored horizon {self.horizon}")
-        return mp.fsum(self.layer_measure(k) for k in range(n + 1))
+        return mp.fsum(self.layer_measure(k) for k in self._radii(n))
 
     def ball_volumes(self, n_max: int) -> list[mp.mpf]:
-        """Running volumes mu(B(o, 0..n_max)) in one sweep."""
-        if not (0 <= n_max <= self.horizon):
-            raise InputError(f"radius {n_max} exceeds stored horizon {self.horizon}")
-        return _running_volumes(self, n_max)
+        """Running volumes mu(B(o, 0..n_max)), summed layer by layer in order."""
+        vols = []
+        acc = mp.mpf(0)
+        for k in self._radii(n_max):
+            acc += self.layer_measure(k)
+            vols.append(acc)
+        return vols
 
     def p0(self) -> mp.mpf:
-        """Smallest admissible p0 of the horizon-truncated tree (leaf layer has ratio 1)."""
-        worst = mp.mpf(self._N)
-        H = self.horizon
-        for n in range(0, H):
-            wn = self._w[n]
-            if n >= 1:
-                worst = max(worst, (self._N - 1) * (wn + self._w[n - 1]) / wn)
-            if n + 1 <= H - 1:
-                worst = max(worst, (self._w[n + 1] + wn) / wn)
-        return worst
+        """Smallest admissible p0 of the horizon-truncated tree: the largest
+        mu(x) / mu_xy over the directed edges of its ball (a leaf's is 1).
 
-    harnack_check = _harnack_check
+        Off the root, a vertex at layer n has mu(x) proportional to
+        w_n + w_{n-1}; its edge away from the root carries the ratio
+        (N-1)(w_n + w_{n-1}) / w_out and its edge toward it
+        (w_n + w_{n-1}) / w_in.
+        """
+        w, z, N = self._w, -self._lo, self._N
+        if self.one_sided:
+            ratios = [mp.mpf(N)]                # N equal edges at the root
+        else:
+            root = (N - 1) * w[z] + w[z - 1]
+            ratios = [root / w[z], root / w[z - 1]]
+        for n in range(self._lo + 1, self._hi):
+            if n == 0:
+                continue
+            wn, wm = w[z + n], w[z + n - 1]
+            w_out, w_in = (wn, wm) if n > 0 else (wm, wn)
+            ratios += [(wn + wm) / w_in, (N - 1) * (wn + wm) / w_out]
+        return max(ratios)
 
     def materialize(self, radius: int) -> tuple[WeightedGraph, tuple[int, ...]]:
-        """Explicit ball of the given radius, plus each vertex's layer.
+        """Explicit ball of the given radius, plus each vertex's signed layer.
 
-        Vertex ids are breadth-first: the root is 0, children are appended
-        shell by shell in parent order.  Edge weights are the raw
-        mu_n = w_n / (N-1)^n.
+        Vertex ids are breadth-first: the root is 0, and each shell's
+        children are appended in parent order, the positive arm's before the
+        negative arm's.  Edge weights are the raw mu_n = w_n / (N-1)^n on the
+        positive arm and w_n (N-1)^(n+1) on the negative arm.
         """
-        if not (0 <= radius <= self.horizon):
-            raise InputError(f"radius {radius} exceeds stored horizon {self.horizon}")
+        if not 1 <= radius <= self._hi:
+            raise InputError(f"radius {radius} outside the materializable range [1, {self._hi}]")
+        N = self._N
+        arms = [(1, N)] if self.one_sided else [(1, N - 1), (-1, 1)]
+        shells = {sign: [0] for sign, _ in arms}
         layers = [0]
         edges = []
-        prev_shell = [0]
-        next_id = 1
-        for n in range(radius):
-            mu_n = self._w[n] / mp.mpf(self._N - 1) ** n
-            shell = []
-            for parent in prev_shell:
-                n_children = self._N if n == 0 else self._N - 1
-                for _ in range(n_children):
-                    edges.append((parent, next_id, mu_n))
-                    layers.append(n + 1)
-                    shell.append(next_id)
-                    next_id += 1
-            prev_shell = shell
-        if next_id == 1:
-            raise InputError("cannot materialize a single isolated root")
-        return WeightedGraph(next_id, edges), tuple(layers)
+        for d in range(radius):
+            for sign, root_fan in arms:
+                n = d if sign > 0 else -d - 1
+                w = self.weight(n)
+                mu = w / mp.mpf(N - 1) ** n if sign > 0 else w * mp.mpf(N - 1) ** (n + 1)
+                shell = []
+                for parent in shells[sign]:
+                    for _ in range(root_fan if d == 0 else N - 1):
+                        edges.append((parent, len(layers), mu))
+                        shell.append(len(layers))
+                        layers.append(sign * (d + 1))
+                shells[sign] = shell
+        return WeightedGraph(len(layers), edges), tuple(layers)
 
 
-class TwoSidedRadialTree:
+class RadialTree(_LayerChain):
+    """One-sided radial tree: root layer 0, horizon H, weights w_0..w_H."""
+
+    __slots__ = ()
+    one_sided = True        # the root, layer 0, has no inward edge
+
+    def __init__(self, N: int, weights: Sequence):
+        w = tuple(to_mpf(w) for w in weights)
+        if not w:
+            raise InputError("radial tree needs at least one shell weight")
+        super().__init__(N, w, 0, len(w) - 1)
+
+    @property
+    def horizon(self) -> int:
+        return self._hi
+
+
+class TwoSidedRadialTree(_LayerChain):
     """Radial tree with a distinguished neighbor of the root growing its own arm.
 
     The root keeps N-1 outward edges (positive layers) and one edge to the
@@ -305,147 +322,21 @@ class TwoSidedRadialTree:
     n in [-M, M-1], where E_n joins layer n to layer n+1.
     """
 
-    __slots__ = ("_N", "_wpos", "_wneg")
+    __slots__ = ()
     one_sided = False
 
     def __init__(self, N: int, pos_weights: Sequence, neg_weights: Sequence):
-        if not (isinstance(N, int) and N >= 2):
-            raise InputError("tree degree N must be an integer >= 2")
-        self._N = N
-        self._wpos = tuple(to_mpf(w) for w in pos_weights)
-        self._wneg = tuple(to_mpf(w) for w in neg_weights)
-        if len(self._wpos) != len(self._wneg):
+        pos = tuple(to_mpf(w) for w in pos_weights)
+        neg = tuple(to_mpf(w) for w in neg_weights)      # w_{-1}, w_{-2}, ...
+        if len(pos) != len(neg):
             raise InputError("two-sided tree needs equally long arms")
-        if not self._wpos:
+        if not pos:
             raise InputError("two-sided tree needs at least one shell per arm")
-        if any(not 0 < w < mp.inf for w in self._wpos + self._wneg):
-            raise InputError("shell weights must be positive and finite")
-
-    @property
-    def N(self) -> int:
-        return self._N
+        super().__init__(N, neg[::-1] + pos, -len(pos), len(pos))
 
     @property
     def arm_horizon(self) -> int:
-        return len(self._wpos)
-
-    @property
-    def layer_lo(self) -> int:
-        return -self.arm_horizon
-
-    @property
-    def layer_hi(self) -> int:
-        return self.arm_horizon
-
-    def weight(self, n: int) -> mp.mpf:
-        """w_n for the shell E_n joining layers n and n+1; n in [-M, M-1]."""
-        M = self.arm_horizon
-        if 0 <= n <= M - 1:
-            return self._wpos[n]
-        if -M <= n <= -1:
-            return self._wneg[-n - 1]
-        raise InputError(f"shell index {n} outside stored range [{-M}, {M - 1}]")
-
-    def check_covers(self, u: RadialFunction) -> None:
-        if u.lo > self.layer_lo or u.hi < self.layer_hi:
-            raise InputError("radial function does not cover the tree's layers")
-
-    def interior_layers(self) -> range:
-        return range(self.layer_lo + 1, self.layer_hi)
-
-    def conductances(self, n: int) -> tuple[mp.mpf, mp.mpf]:
-        """(outward, inward) weights at an interior layer; the root's outward
-        conductance is (N-1) w_0 and its inward one w_{-1}."""
-        if n == 0:
-            return (self._N - 1) * self.weight(0), self.weight(-1)
-        if not (self.layer_lo + 1 <= n <= self.layer_hi - 1):
-            raise InputError(f"layer {n} is not interior to the stored range")
-        return self.weight(n), self.weight(n - 1)
-
-    laplacian_at = _laplacian_at
-    gradient_sq_at = _gradient_sq_at
-    gradient_at = _gradient_at
-
-    def layer_measure(self, k: int) -> mp.mpf:
-        """mu(D_k) summed over both arms of the infinite tree, normalized form."""
-        M = self.arm_horizon
-        if k == 0:
-            return (self._N - 1) * self.weight(0) + self.weight(-1)
-        if not (1 <= k <= M - 1):
-            raise InputError(f"layer {k} outside the volume-computable range")
-        pos = (self._N - 1) * (self.weight(k) + self.weight(k - 1))
-        neg = self.weight(-k) + self.weight(-k - 1)
-        return pos + neg
-
-    def ball_volume(self, n: int) -> mp.mpf:
-        if not (0 <= n <= self.arm_horizon - 1):
-            raise InputError(f"radius {n} exceeds the volume-computable horizon")
-        return mp.fsum(self.layer_measure(k) for k in range(n + 1))
-
-    def ball_volumes(self, n_max: int) -> list[mp.mpf]:
-        """Running volumes mu(B(o, 0..n_max)) over both arms in one sweep."""
-        if not (0 <= n_max <= self.arm_horizon - 1):
-            raise InputError(f"radius {n_max} exceeds the volume-computable horizon")
-        return _running_volumes(self, n_max)
-
-    def p0(self) -> mp.mpf:
-        root_measure = (self._N - 1) * self.weight(0) + self.weight(-1)
-        worst = max(root_measure / self.weight(0), root_measure / self.weight(-1))
-        M = self.arm_horizon
-        for n in range(1, M):
-            wn, wm = self.weight(n), self.weight(n - 1)
-            worst = max(worst, (self._N - 1) * (wn + wm) / wn)
-            if n <= M - 2:
-                worst = max(worst, (self.weight(n + 1) + wn) / wn)
-        for n in range(-M, 0):
-            wn = self.weight(n)
-            if n - 1 >= -M:
-                worst = max(worst, (wn + self.weight(n - 1)) / wn)
-            if n + 1 <= -1:
-                worst = max(worst, (self._N - 1) * (self.weight(n + 1) + wn) / wn)
-        return worst
-
-    harnack_check = _harnack_check
-
-    def materialize(self, radius: int) -> tuple[WeightedGraph, tuple[int, ...]]:
-        """Explicit two-sided ball; layer entries are signed."""
-        if not (1 <= radius <= self.arm_horizon):
-            raise InputError(f"radius {radius} exceeds stored arm horizon")
-        layers = [0]
-        edges = []
-        next_id = 1
-        pos_shell = []
-        mu0 = self.weight(0)
-        for _ in range(self._N - 1):
-            edges.append((0, next_id, mu0))
-            layers.append(1)
-            pos_shell.append(next_id)
-            next_id += 1
-        mu_m1 = self.weight(-1)
-        edges.append((0, next_id, mu_m1))
-        layers.append(-1)
-        neg_shell = [next_id]
-        next_id += 1
-        for d in range(1, radius):
-            mu_pos = self.weight(d) / mp.mpf(self._N - 1) ** d
-            new_pos = []
-            for parent in pos_shell:
-                for _ in range(self._N - 1):
-                    edges.append((parent, next_id, mu_pos))
-                    layers.append(d + 1)
-                    new_pos.append(next_id)
-                    next_id += 1
-            pos_shell = new_pos
-            mu_neg = self.weight(-d - 1) * mp.mpf(self._N - 1) ** (-d)
-            new_neg = []
-            for parent in neg_shell:
-                for _ in range(self._N - 1):
-                    edges.append((parent, next_id, mu_neg))
-                    layers.append(-d - 1)
-                    new_neg.append(next_id)
-                    next_id += 1
-            neg_shell = new_neg
-        return WeightedGraph(next_id, edges), tuple(layers)
+        return self._hi
 
 
 def induced_graph_function(u: RadialFunction, layers: Sequence[int]) -> GraphFunction:

@@ -233,11 +233,14 @@ def test_estimate_bad_omega_is_usage_error(capsys, tmp_path):
     g = lv.WeightedGraph(3, [(0, 1, 1), (1, 2, 1)])
     (tmp_path / "g.txt").write_text(lv.format_graph_text(g))
     (tmp_path / "u.csv").write_text("0,3\n1,2\n2,1\n")
-    code = main(["estimate", "--graph", str(tmp_path / "g.txt"),
-                 "--u", str(tmp_path / "u.csv"), "--phi", "h:1", "--s", "7",
-                 "--t", "1/2", "--p", "2", "--q", "1", "--p0", "2", "--omega", "0,a"])
-    assert code == 2
-    assert "--omega" in capsys.readouterr().err
+    # not an id, an id past the graph, and a negative id that indexing would wrap
+    for omega in ("0,a", "0,1,99", "0,1,-1"):
+        code = main(["estimate", "--graph", str(tmp_path / "g.txt"),
+                     "--u", str(tmp_path / "u.csv"), "--phi", "h:1", "--s", "7",
+                     "--t", "1/2", "--p", "2", "--q", "1", "--p0", "2", "--omega", omega])
+        err = capsys.readouterr().err
+        assert code == 2, omega
+        assert err.count("\n") == 1 and err.startswith("error:") and "omega" in err, err
 
 
 def test_graph_file_with_infinite_weight_is_usage_error(capsys, tmp_path):

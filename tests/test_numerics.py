@@ -57,14 +57,3 @@ def test_mpf_str_deterministic():
         b = mpf_str(mp.mpf(2) / 3)
     assert a == b
     assert mpf_str(mp.inf) == "inf"
-
-
-def test_radial_layer_view():
-    tree = lv.RadialTree(3, [1, 2, 3, 4])
-    root = tree.layer(0)
-    assert (root.vertex_count, root.outward_degree) == (1, 3)
-    for n in range(1, 3):
-        lay, prev = tree.layer(n), tree.layer(n - 1)
-        assert lay.vertex_count == prev.vertex_count * prev.outward_degree
-        assert lay.outward_degree == 2
-        assert lay.outward_weight == tree.weight(n)

@@ -5,7 +5,9 @@ functions (`laplacian_at`, `gradient_sq_at`, `nonlinear_term`, `margin_at`,
 `check_nonpositive`) reports, and the tabulated Lambda window must equal
 `lambda_fn` point by point.  The nonexistence machinery, rewritten onto
 the operator streams and the term kernel, must report what its per-site
-loops did (kept verbatim in `before_streams.py`).  Every comparison is
+loops did (kept verbatim in `before_streams.py`), and the tree classes,
+merged onto one layer chain, must give what their separate bodies gave
+(kept verbatim in `before_layer_chain.py`).  Every comparison is
 `==`: the fast paths perform the same floating-point operations in the
 same order, so any difference at all is a bug.
 """
@@ -17,6 +19,7 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
+import before_layer_chain as before
 import before_streams as old
 import liouville as lv
 from liouville import caccioppoli
@@ -509,3 +512,63 @@ def test_pointwise_bounds_and_verify_graph_match_old(request, seed):
                             old.radial_harnack_check(built.tree, built.u, 1))
             assert exact((new_h.worst_ratio, new_h.worst_edge)) == \
                 exact((old_h.worst_ratio, old_h.worst_edge))
+
+
+# ---------------------------------------------------------------------------
+# the layer-chain base under both tree classes against the two classes it
+# replaced (tests/before_layer_chain.py), exactly
+
+def kind(fn, *args):
+    """The exact result of a call, or the type of what it raised."""
+    try:
+        result = fn(*args)
+    except InputError as exc:
+        return "raised", type(exc).__name__
+    if isinstance(result, tuple) and isinstance(result[0], lv.WeightedGraph):
+        g, layers = result
+        return "ok", g.n_vertices, exact(g.edges()), layers
+    return "ok", exact(result)
+
+
+def shell_weights(rng, n, style):
+    if style == "flat":
+        return [mp.mpf(rng.choice([1, 3, "0.7"]))] * n
+    if style == "extreme":
+        return [mp.mpf(10) ** rng.randrange(-300, 301) * rng.uniform(0.5, 2) for _ in range(n)]
+    return [mp.mpf(rng.uniform(0.1, 10)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("style", ["random", "flat", "extreme"])
+@pytest.mark.parametrize("seed", range(4))
+def test_layer_chain_matches_the_two_classes(style, seed):
+    rng = random.Random(8000 + 10 * seed + len(style))
+    for _ in range(3):
+        N = rng.choice([2, 3, 4, 5])
+        H = rng.randrange(0, 6)
+        ws = shell_weights(rng, H + 1, style)
+        M = rng.randrange(1, 6)
+        pos, neg = shell_weights(rng, M, style), shell_weights(rng, M, style)
+        pairs = [(lv.RadialTree(N, ws), before.RadialTree(N, ws)),
+                 (lv.TwoSidedRadialTree(N, pos, neg), before.TwoSidedRadialTree(N, pos, neg))]
+        for new, old_tree in pairs:
+            lo, hi = old_tree.layer_lo, old_tree.layer_hi
+            assert (new.N, new.layer_lo, new.layer_hi) == (old_tree.N, lo, hi)
+            assert new.interior_layers() == old_tree.interior_layers()
+            for n in range(lo - 2, hi + 3):
+                for method in ("weight", "conductances", "layer_measure", "ball_volume",
+                               "ball_volumes", "materialize"):
+                    assert kind(getattr(new, method), n) == \
+                        kind(getattr(old_tree, method), n), (method, n)
+            for u_lo in (lo - 1, lo, lo + 1):
+                for u_hi in range(max(u_lo, hi - 1), hi + 2):
+                    u = lv.RadialFunction([1] * (u_hi - u_lo + 1), lo=u_lo)
+                    assert kind(new.check_covers, u) == kind(old_tree.check_covers, u)
+        (one, old_one), (two, old_two) = pairs
+        assert exact(one.p0()) == exact(old_one.p0())
+        assert one.horizon == old_one.horizon and two.arm_horizon == old_two.arm_horizon
+        # the two-sided p0 is the old one with the parent-edge ratio of
+        # positive layer 1 added (layer 1 is a leaf when M = 1)
+        want = old_two.p0()
+        if M >= 2:
+            want = max(want, (pos[1] + pos[0]) / pos[0])
+        assert exact(two.p0()) == exact(want)
