@@ -39,6 +39,7 @@ from itertools import takewhile
 from typing import Callable
 
 import mpmath as mp
+from mpmath.libmp import mpf_sub
 
 from .errors import CalibrationError, InputError
 from .graphs import GraphFunction, WeightedGraph, site_operators
@@ -117,36 +118,40 @@ def validate_spec(spec: RegimeSpec) -> None:
 
 
 def _poly_profiles(spec: RegimeSpec):
-    """(weight, u) closures in the absolute index m = n + n0, regimes I-IV."""
+    """m -> (w_m, u_m) in the absolute index m = n + n0, regimes I-IV.
+
+    mpf(m) and ln m are formed once per m and shared by w and u.
+    """
     point = spec.point
-    if spec.regime == "I":
-        ex = exponents(point, "I")
-        lam_w, beta, sigma = to_mpf(ex.lam), to_mpf(ex.beta), to_mpf(ex.sigma)
-        eps = to_mpf(spec.eps)
-        delta = to_mpf(spec.delta)
-        w = lambda m: mp.mpf(m) ** lam_w * mp.ln(m) ** (beta + eps)
-        u = lambda m: delta / (mp.mpf(m) ** sigma * mp.ln(m) ** beta)
-        return w, u
-    if spec.regime == "II":
-        eps = to_mpf(spec.eps)
-        w = lambda m: mp.mpf(m) * mp.ln(m) ** (1 + eps)
-        u = lambda m: mp.ln(m) ** (-eps / 2) + 1
-        return w, u
-    if spec.regime == "III":
-        ex = exponents(point, "III")
-        beta, sigma = to_mpf(ex.beta), to_mpf(ex.sigma)
-        eps = to_mpf(spec.eps)
-        delta = to_mpf(spec.delta)
-        w = lambda m: mp.mpf(m) ** beta * mp.ln(m) ** (beta + eps)
-        u = lambda m: delta / (mp.mpf(m) ** sigma * mp.ln(m) ** beta) + 1
-        return w, u
     if spec.regime == "IV":
         lam = to_mpf(spec.lam)
         delta = to_mpf(spec.delta)
-        w = lambda m: lam * mp.e ** (lam * m)
-        u = lambda m: delta / mp.mpf(m) + delta
-        return w, u
-    raise InputError(f"regime {spec.regime} has no polynomial profile")
+        return lambda m: (lam * mp.e ** (lam * m), delta / mp.mpf(m) + delta)
+    eps = to_mpf(spec.eps)
+    if spec.regime == "II":
+        w_log, u_log = 1 + eps, -eps / 2
+
+        def profile(m):
+            ln_m = mp.ln(m)
+            return mp.mpf(m) * ln_m ** w_log, ln_m ** u_log + 1
+
+        return profile
+    if spec.regime not in ("I", "III"):
+        raise InputError(f"regime {spec.regime} has no polynomial profile")
+    ex = exponents(point, spec.regime)
+    beta, sigma = to_mpf(ex.beta), to_mpf(ex.sigma)
+    # I weights m^lam (ln m)^(beta+eps), III weights m^beta (ln m)^(beta+eps)
+    w_pow = to_mpf(ex.lam) if spec.regime == "I" else beta
+    w_log = beta + eps
+    delta = to_mpf(spec.delta)
+    plus_one = spec.regime == "III"         # III's u tends to 1, I's to 0
+
+    def profile(m):
+        mf, ln_m = mp.mpf(m), mp.ln(m)
+        u = delta / (mf ** sigma * ln_m ** beta)
+        return mf ** w_pow * ln_m ** w_log, (u + 1 if plus_one else u)
+
+    return profile
 
 
 @dataclass(frozen=True)
@@ -161,9 +166,8 @@ def build(spec: RegimeSpec) -> BuiltCounterexample:
     validate_spec(spec)
     stored = spec.horizon + 1
     if spec.regime in ("I", "II", "III", "IV"):
-        w, u = _poly_profiles(spec)
-        weights = [w(n + spec.n0) for n in range(stored + 1)]
-        values = [u(n + spec.n0) for n in range(stored + 1)]
+        profile = _poly_profiles(spec)
+        weights, values = zip(*(profile(n + spec.n0) for n in range(stored + 1)))
         return BuiltCounterexample(RadialTree(spec.N, weights),
                                    RadialFunction(values), spec)
     lam = to_mpf(spec.lam)
@@ -262,22 +266,224 @@ def _checked_layers(tree, horizon: int | None) -> range:
     return range(0 if tree.one_sided else -h, h + 1)
 
 
+_SLACK = 2.0 ** -44           # 512 float64 units: covers the screen's small error terms
+_EXCUSE = -(2.0 ** -30)       # log2(term/|lap|) must stay below this to excuse a layer
+_LN2 = math.log(2)
+
+
+def _top53(man: int, exp: int):
+    """(f, E) with man 2^exp ~ f 2^E, 1/2 <= f < 1, f the top 53 bits of man > 0.
+
+    The rescale is exact and the truncation's relative error below 2^-52;
+    E stays a Python int, so no value leaves the float range.
+    """
+    bc = man.bit_length()
+    return (math.ldexp(man >> (bc - 53), -53) if bc > 53 else math.ldexp(man, -bc)), exp + bc
+
+
+def _screen(tree, u, layers, term_of) -> list:
+    """Float64 bounds (lo, hi) on log2|margin| per layer, or None where undecided.
+
+    A layer gets bounds only when they prove, about the values the mpf
+    stream computes at the working precision (at least 53 bits), that
+    u_n > 0, the gradient is nonzero, lap < 0 and term/|lap| < 2^(-2^-30).
+    Its margin lap + term is then negative, neither fails nor is
+    borderline (|margin|/scale > 6e-10, far beyond ten tolerances), and
+    -2^hi <= margin <= -2^lo.  Every other layer is None.
+
+    Inputs.  The mpf values of the stream: u_n, the conductances (a, b)
+    and the differences d_out, d_in, formed by the `mpf_sub` call of the
+    stream's subtraction at the working precision (d_in as the negated
+    outward difference of the layer below, the same value since rounding
+    to nearest is odd).  lap = (a d_out + b d_in)/(a + b); its numerator S is
+    formed exactly from the integer mantissas.  Everything else is
+    float64 on the top 53 bits of each mantissa with the binary exponent
+    carried as an int: rho = b/a (|log2 rho| <= 960, else None),
+    a + b = a (1 + rho), grad^2 = (d_out^2 + rho d_in^2)/(2 (1 + rho)),
+    and the term in log2 as p log2 u + (q/2) log2 grad^2.  A one-sided
+    root is lap = d_out, grad^2 = d_out^2/2.
+
+    Bound, with u = 2^-53 and prec the working precision:
+    - mpf rounds a d_out, b d_in, their sum, a + b and the quotient, so
+      |lap_mpf - lap| <= 4.1 2^-prec kappa |lap|, kappa = P/|S| and
+      P = |a d_out| + |b d_in| (exact, from the same integers).  With
+      r = 4.2 2^-prec kappa_float <= 2^-8 (else None; 2^-1000 stands in
+      for 2^-prec beyond 1000 bits), log2|lap_mpf| is within
+      r/(ln 2 (1 - r)) <= 1.45 r of log2|lap|;
+    - every other error is at most 2^-44 (1 + |p| + |q/2| + M), where
+      M = |p log2 u| + |(q/2) log2 grad^2| + |log2|lap||.  It covers the
+      53-bit cuts of S, a, rho, u_n and the differences (2u relative
+      each), the float grad^2 and a + b (within 21u and 9u, no
+      cancellation) and the mpf grad^2 (6 roundings), p and q/2 at 53 bits
+      against their mpf values, mpmath's powers (an integer power or a
+      square root within a few ulps, exp(t ln x) within (4 + |t ln x|)
+      ulps), the mpf product of the powers and the mpf margin sum, the
+      float roundings of the log2 sums, and libm's log2 and expm1 (4u,
+      plus 2u per unit of the result).  The constant is over ten times
+      their sum.
+    With E the sum of the two, log2(term/|lap|) lies in [l - E, l + E];
+    log2(1 - 2^x), decreasing, is evaluated at both ends for lo and hi.
+    """
+    prec = mp.mp.prec
+    n_layers = len(layers)
+    p = float(term_of.p)
+    h = float(term_of._half_q) if term_of._sign else 0.0
+    if prec < 53 or any(x and not 1e-300 < abs(x) < 1e300 for x in (p, h)) \
+            or (term_of.p and not p):
+        return [None] * n_layers        # no 53-bit rounding, or an exponent floats cannot carry
+    slack = _SLACK * (1 + abs(p) + abs(h))
+    unit_bits = min(prec, 1000)         # 2^-unit_bits >= 2^-prec, and a normal float
+    r_unit = 4.2 * math.ldexp(1.0, -unit_bits)
+    kappa_bits = unit_bits - 12         # kappa beyond 2^kappa_bits cannot give r <= 2^-8
+    log2, ldexp, frexp, expm1 = math.log2, math.ldexp, math.frexp, math.expm1
+    one_sided = tree.one_sided
+    root_ok = one_sided and tree.horizon >= 1
+    values, lo_u = u.values(), u.lo
+    # outward differences D_k = u_{k+1} - u_k, once each, over the layers' span
+    k0 = max(layers.start - lo_u - 1, 0)
+    k1 = min(layers.stop - lo_u, len(values) - 1)
+    rounding = mp.mp._prec_rounding[1]   # the context's, as mpf.__sub__ reads it
+    diffs = []
+    for k in range(k0, k1):
+        sign, man, exp, _ = mpf_sub(values[k + 1]._mpf_, values[k]._mpf_, prec, rounding)
+        diffs.append((sign, man, exp) + (_top53(man, exp) if man else (0.0, 0)))
+    bounds = []
+    last_w = last_split = None          # a weight and its split: the next layer's b
+    for n in layers:
+        root = n == 0 and one_sided
+        if not root:
+            try:
+                a, b = tree.conductances(n)
+            except InputError:
+                bounds.append(None)         # the stream raises here; leave it to it
+                continue
+        elif not root_ok:
+            bounds.append(None)
+            continue
+        i = n - lo_u
+        if not (0 <= i - k0 - (not root) and i - k0 < len(diffs)):
+            bounds.append(None)
+            continue
+        usign, uman, uexp, _ = values[i]._mpf_
+        so, mo, xo, fo, eo = diffs[i - k0]
+        if usign or not uman:
+            bounds.append(None)
+            continue
+        if root:
+            # lap = d_out exactly, grad^2 = d_out^2 / 2
+            if not (so and mo):
+                bounds.append(None)
+                continue
+            lam_lap = log2(fo) + eo
+            d_lap = 0.0
+            rho, den = 0.0, 1.0
+            fi = 0.0
+        else:
+            _, ma, xa, _ = a._mpf_
+            _, mb, xb, _ = b._mpf_
+            si, mi, xi, fi, ei = diffs[i - 1 - k0]
+            si = 1 - si                             # d_in = -D_{i-1}
+            # S = a d_out + b d_in and P = |a d_out| + |b d_in|, exactly
+            t1, e1 = ma * mo, xa + xo
+            t2, e2 = mb * mi, xb + xi
+            if not t1:
+                e1 = e2
+            elif not t2:
+                e2 = e1
+            e = min(e1, e2)
+            if abs(e1 - e2) > 1 << 14:
+                bounds.append(None)
+                continue
+            t1 <<= e1 - e
+            t2 <<= e2 - e
+            S = (-t1 if so else t1) + (-t2 if si else t2)
+            if S >= 0:
+                bounds.append(None)
+                continue
+            P = t1 + t2
+            S = -S
+            if P.bit_length() - S.bit_length() > kappa_bits:
+                bounds.append(None)
+                continue
+            r = r_unit * (P / S)
+            if not r <= 0.00390625:
+                bounds.append(None)
+                continue
+            d_lap = 1.45 * r
+            fa, ea = _top53(ma, xa)
+            fb, eb = last_split if b is last_w else _top53(mb, xb)
+            last_w, last_split = a, (fa, ea)
+            if abs(eb - ea) > 960:
+                bounds.append(None)
+                continue
+            rho = ldexp(fb / fa, eb - ea)
+            den = 1.0 + rho
+            fS, eS = _top53(S, e)
+            lam_lap = log2(fS / (fa * den)) + (eS - ea)
+        log_term = 0.0
+        big = abs(lam_lap)
+        if p:
+            fu, eu = _top53(uman, uexp)
+            t = p * (log2(fu) + eu)
+            log_term += t
+            big += abs(t)
+        if h:
+            # grad^2 = (d_out^2 + rho d_in^2) / (2 (1 + rho)), aligned at the larger term
+            if fo:
+                m1, x1 = frexp(fo * fo)
+                e1 = 2 * eo + x1
+            if fi:
+                m2, x2 = frexp(rho * fi * fi)
+                e2 = 2 * ei + x2
+                if fo:
+                    eg = e1 if e1 > e2 else e2
+                    g = ldexp(m1, e1 - eg) + ldexp(m2, e2 - eg)
+                else:
+                    eg, g = e2, m2
+            else:
+                eg, g = e1, m1
+            t = h * (log2(g / (2 * den)) + eg)
+            log_term += t
+            big += abs(t)
+        ell = log_term - lam_lap
+        err = d_lap + slack + _SLACK * big
+        if not ell + err < _EXCUSE:
+            bounds.append(None)
+            continue
+        g_hi = log2(-expm1((ell + err) * _LN2))     # log2(1 - 2^x) at the upper end
+        g_lo = log2(-expm1((ell - err) * _LN2))
+        lo = lam_lap - d_lap + g_hi - _SLACK * (1 + abs(g_hi) + abs(lam_lap))
+        hi = lam_lap + d_lap + g_lo + _SLACK * (1 + abs(g_lo) + abs(lam_lap))
+        bounds.append((lo, hi) if math.isfinite(lo) and math.isfinite(hi) else None)
+    return bounds
+
+
 def _verify_pass(tree, u, p, q, layers, bits, force) -> MarginReport | None:
     """One pass over the checked layers; None on a borderline margin unless forced.
 
-    lap and grad^2 come from the tree's operator stream and the term from
-    the term kernel, with the verdict of `check_nonpositive`, so the report
-    equals that of a loop over the reference functions bit for bit.
+    `_screen` excuses, in float64, the layers whose margin is provably
+    negative, not borderline and below some other layer's margin, so that
+    none of them can fail, ask for precision or hold the maximum.  Every
+    other layer, undecided or a candidate for the maximum, goes in layer
+    order through the tree's operator stream and the term kernel with the
+    verdict of `check_nonpositive`, so the report equals that of a loop
+    over the reference functions bit for bit.
     """
     ops = layer_operators(tree, u)
     term_of = term_kernel(p, q)
+    bounds = _screen(tree, u, layers, term_of)
+    # a layer whose |margin| provably exceeds another's cannot be the maximum
+    cut = min((b[1] for b in bounds if b is not None), default=math.inf)
     tol = rel_tol()
     ten_tol = 10 * tol
     max_margin = mp.mpf("-inf")
     worst = layers.start
     failures = []
     undefined = []
-    for n, (un, lap, grad_sq) in zip(layers, map(ops, layers)):
+    for n, bound in zip(layers, bounds):
+        if bound is not None and bound[0] > cut:
+            continue
+        un, lap, grad_sq = ops(n)
         try:
             term = term_of(un, grad_sq)
         except InputError:
@@ -709,12 +915,18 @@ def _certify_poly(regime, point, *, eps, lam, N, horizon) -> Certificate:
         param = to_mpf(lam)
     delta1 = mp.power(lambda_limit(regime, point, param) / 2, 1 / e)
     probes = _probe_offsets(horizon)
+    profile, lam_of = _lambda_kernel(regime, point, param)
+
+    def probe(m):
+        """lambda_fn(regime, point, param, m), from the kernel built once above."""
+        _check_lambda_index(regime, m)
+        return lam_of(profile(m - 1), profile(m), profile(m + 1))
+
     best_margin = None
     n0 = 2
     while n0 <= _N0_CAP:
         # the first non-positive probe rules the candidate out; skip the rest
-        probe_vals = list(takewhile(lambda v: v > 0, (
-            lambda_fn(regime, point, param, n + n0) for n in probes)))
+        probe_vals = list(takewhile(lambda v: v > 0, (probe(n + n0) for n in probes)))
         if len(probe_vals) == len(probes):
             wmin = _window_min(regime, point, param, n0, horizon)
             d0 = _delta0_value(regime, point, n0)

@@ -58,8 +58,11 @@ def _walk(ops, value, x, next_site, max_steps: int, kind: str,
     `ops(x)` is (u, lap, grad^2) at x, `value(x)` is u(x) and `next_site(x)`
     the minimizing neighbour.  The walk records each site, stops at a zero
     gradient, after max_steps moves, at a revisit (flagged) or at a move
-    onto a site outside `inside` (termination "horizon").
+    onto a site outside `inside` (termination "horizon").  A negative
+    max_steps is rejected here, for both backends.
     """
+    if max_steps < 0:
+        raise InputError("max_steps must be nonnegative")
     site = ops(x)
     if site[2] == 0:
         raise InputError(f"no descent possible: zero gradient at the start {kind}")
@@ -104,8 +107,6 @@ def descent_walk(g: WeightedGraph, u: GraphFunction, x0: int,
     """
     if not u.is_positive():
         raise InputError("descent needs a positive function")
-    if max_steps < 0:
-        raise InputError("max_steps must be nonnegative")
 
     def next_vertex(x):
         return min(g.neighbors(x), key=lambda yw: (u[yw[0]], yw[0]))[0]

@@ -324,3 +324,73 @@ def test_volume_two_sided_csv_and_nash_williams(capsys, tmp_path):
     assert rows[0] == "n,volume,target,ratio"
     assert [r.split(",")[:2] for r in rows[1:]] == [[str(n), lv.mpf_str(vols[n])]
                                                      for n in range(4, 31)]
+
+
+# ---------------------------------------------------------------------------
+# recheck: `verify` on stored certificates, pinned byte for byte
+
+# sha256 of `verify` stdout at 128 bits on each regime's certificate at
+# horizon 200 (N = 3, the parameters of CONSTRUCT_DIGESTS), stored as a
+# 40-digit radial file and a 40-digit values CSV, and on the same files with
+# layer 67 lowered below both neighbours.  Recorded before the margin pass
+# gained its float64 screen; III's certified report carries the known
+# 128-bit precision-bump fault and stays as it is.
+RECHECK_HORIZON = 200
+RECHECK_LOWERED = 67
+VERIFY_DIGESTS = {
+    "I": ("4e56e9716f975e032cf2e6fd514cc8c27559eeb9e74d073a01c319165bb09710",
+         "9d12d9e05a97645f9d6b30e729349478e65567f57a15806c84d88e34102dbe94"),
+    "II": ("8f63a423b5fe0d784e09ed02cac83b0d3a50bb0d8f159efe99737f5501365530",
+          "21d366a52ed527357e8cc9d2f5a53775c7da8c42f4ff7725a9bd94adcdc6038a"),
+    "III": ("e28539295c3f8f5eef6b72ffa02cd8c37f17351efb8ce47bb2f7c6f9cdc4d189",
+           "c982233e1aa529249d4d5e155de8904261ca6c38728f9ad45973c331ada541e6"),
+    "IV": ("d38f1c63d235cc02dafd205e5f65f6b0255ca1bb1410b0cab865a985422649e1",
+          "6f1329be901b48e05556b0928f95dafaa9ceee97f91b642961217c5760c8eedd"),
+    "V1": ("87c93df822fe6b0c9e1063d3e2b71c86c65aa66ee8ee0edb1780ac1b1370d894",
+          "95fe411334478423101c72aa30bff9491022db5752ef3cfadb4c1206a6ddad42"),
+    "V2": ("3d5c8dd9ab6996967d51c824494ed05f077806ae4153a723134bd85b44633e66",
+          "addf8e7ec8c71c253d4adcee007e54e87c90edf95bb83ecb31f3594db484fb07"),
+}
+
+
+def _values_csv(values: dict) -> str:
+    rows = ["layer,value"] + [f"{n},{mp.nstr(v, 40, strip_zeros=False)}"
+                              for n, v in sorted(values.items())]
+    return "\n".join(rows) + "\n"
+
+
+def stored_certificate_files(regime, tmp_path):
+    """(tree path, values path, lowered values path) of a stored certificate."""
+    p, q, extra, _, _ = CONSTRUCT_DIGESTS[regime]
+    params = {k.lstrip("-"): F(v) for k, v in zip(extra[::2], extra[1::2])}
+    built = lv.certify(regime, lv.pq(F(p), F(q)), N=3, horizon=RECHECK_HORIZON,
+                       **params).built
+    values = {n: built.u.value(n) for n in range(built.u.lo, built.u.hi + 1)}
+    k = RECHECK_LOWERED
+    lowered = dict(values)
+    lowered[k] = min(values[k - 1], values[k + 1]) * (1 - mp.mpf("1e-6"))
+    paths = (tmp_path / f"{regime}.tree", tmp_path / f"{regime}.csv",
+             tmp_path / f"{regime}.low.csv")
+    paths[0].write_text(lv.format_radial_text(built.tree, digits=40))
+    paths[1].write_text(_values_csv(values))
+    paths[2].write_text(_values_csv(lowered))
+    return paths
+
+
+def verify_stdout(capsys, regime, tree_path, values_path):
+    p, q = CONSTRUCT_DIGESTS[regime][:2]
+    code = main(["--precision-bits", "128", "verify", "--graph", str(tree_path),
+                 "--u", str(values_path), "--p", p, "--q", q])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("regime", list(VERIFY_DIGESTS))
+def test_verify_report_digest(capsys, tmp_path, regime):
+    tree_path, values_path, lowered_path = stored_certificate_files(regime, tmp_path)
+    certified, negative = VERIFY_DIGESTS[regime]
+    code, out = verify_stdout(capsys, regime, tree_path, values_path)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == certified
+    code, out = verify_stdout(capsys, regime, tree_path, lowered_path)
+    assert code == 1 and json.loads(out)["verified"] is False
+    assert hashlib.sha256(out.encode()).hexdigest() == negative

@@ -35,6 +35,16 @@ def test_walk_respects_max_steps():
     assert walk.termination == "max-steps"
 
 
+def test_both_walks_reject_negative_max_steps():
+    g, u = path([5, 4, 3, 2, 1])
+    with pytest.raises(InputError, match="max_steps"):
+        lv.descent_walk(g, u, 0, -1)
+    tree = lv.RadialTree(3, [1] * 12)
+    u = lv.RadialFunction([mp.mpf(1) / (n + 1) for n in range(12)])
+    with pytest.raises(InputError, match="max_steps"):
+        lv.radial_descent_walk(tree, u, max_steps=-1)
+
+
 def test_walk_tie_break_smallest_id():
     # star: center 0 with leaves 1, 2, 3 at the same minimal value
     g = lv.WeightedGraph(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])

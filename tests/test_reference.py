@@ -18,6 +18,8 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import before_layer_chain as before
 import before_streams as old
@@ -180,6 +182,205 @@ def test_fused_pass_borderline_matches_reference(excess, borderline):
     u = lv.RadialFunction(values)
     assert assert_pass_matches(tree, u, F(1), F(0), range(0, 5))[1] == borderline
 
+
+# ---------------------------------------------------------------------------
+# the float64 screen in front of the margin pass
+
+SCREEN_EXPONENTS = EXPONENTS + [(F(0), F(0))]
+# tau in lap = -u^p (1 + tau) at a planted layer (q = 0): margin/scale is
+# -tau/(1 + tau), so these sit on both sides of tol, of ten tolerances, of
+# zero and of the screen's own threshold 1 - 2^(-2^-30) ~ 6.5e-10.
+PLANTED_TAUS = ["0", "1e-30", "-1e-30", "1e-29", "-1e-29", "1.1e-29", "-1.1e-29",
+                "6.4e-10", "-6.4e-10", "6.6e-10", "7e-10", "1e-9", "1e-8", "1e-3"]
+
+
+@st.composite
+def screen_cases(draw):
+    """A recipe for a profile on a one- or two-sided tree, built by `build_case`."""
+    kind = draw(st.sampled_from(["scaled", "near_constant", "ties", "planted"]))
+    exponents = SCREEN_EXPONENTS if kind != "planted" else [(F(1), F(0)), (F(-3, 2), F(0)),
+                                                            (F(0), F(0))]
+    one_sided = draw(st.booleans())
+    M = draw(st.integers(2, 9))
+    n_values = M + 1 if one_sided else 2 * M + 1
+    floats = st.floats(0.1, 3.0)
+    return {
+        "bits": draw(st.sampled_from([53, 256])),
+        "one_sided": one_sided,
+        "N": draw(st.integers(2, 4)),
+        "M": M,
+        "kind": kind,
+        "pq": draw(st.sampled_from(exponents)),
+        "weights": draw(st.lists(floats, min_size=2 * M + 1, max_size=2 * M + 1)),
+        "weight_exp": draw(st.sampled_from([-400, 0, 400])),
+        "growth": draw(st.sampled_from([0, 1, 8])),
+        "values": draw(st.lists(floats, min_size=n_values, max_size=n_values)),
+        "value_exp": draw(st.sampled_from([-400, 0, 400])),
+        "constant": draw(st.sampled_from(["1", "2.5"])),
+        "digits": draw(st.integers(0, 35)),
+        "curvature": draw(st.sampled_from(["0.5", "1", "4"])),
+        "plant": (draw(st.integers(0, 2 * M)), draw(st.sampled_from(PLANTED_TAUS))),
+        "flat": draw(st.none() | st.integers(0, n_values - 1)),
+        "non_positive": draw(st.none() | st.tuples(st.integers(0, n_values - 1),
+                                                   st.sampled_from(["0", "-0.5"]))),
+        "negated": draw(st.booleans()),
+    }
+
+
+def build_case(case):
+    """(tree, u, p, q, layers) at the working precision."""
+    M, lo = case["M"], 0 if case["one_sided"] else -case["M"]
+    p, q = case["pq"]
+    scale = mp.mpf(10) ** case["weight_exp"]
+    w = [mp.mpf(x) * scale * mp.e ** (case["growth"] * k) for k, x in enumerate(case["weights"])]
+    if case["kind"] == "ties":
+        w = [w[0]] * len(w)
+        c = mp.mpf(case["curvature"])
+        values = [c * (M + 1) ** 2 + 1 - c * n * n for n in range(lo, M + 1)]
+    elif case["kind"] == "near_constant":
+        tiny = mp.mpf(10) ** -case["digits"]
+        values = [mp.mpf(case["constant"]) + tiny * mp.mpf(x) for x in case["values"]]
+    else:
+        scale = mp.mpf(10) ** case["value_exp"]
+        values = [mp.mpf(x) * scale for x in case["values"]]
+    if case["one_sided"]:
+        tree = lv.RadialTree(case["N"], w[:M + 1])
+    else:
+        tree = lv.TwoSidedRadialTree(case["N"], w[:M], w[M:2 * M])
+    layers = cx._checked_layers(tree, None)
+    if case["kind"] == "planted":
+        # set u_{j+1} so that lap_j = -u_j^p (1 + tau)
+        j = layers[case["plant"][0] % len(layers)]
+        target = -mp.power(values[j - lo], p) * (1 + mp.mpf(case["plant"][1]))
+        if j == 0 and case["one_sided"]:
+            values[1] = values[0] + target
+        else:
+            a, b = tree.conductances(j)
+            d_in = values[j - 1 - lo] - values[j - lo]
+            values[j + 1 - lo] = values[j - lo] + (target * (a + b) - b * d_in) / a
+    if case["flat"] is not None and 0 < case["flat"] < len(values) - 1:
+        k = case["flat"]
+        values[k - 1] = values[k + 1] = values[k]
+    if case["non_positive"] is not None:
+        k, value = case["non_positive"]
+        values[k] = mp.mpf(value)
+    if case["negated"]:
+        values = [-v for v in values]
+    return tree, lv.RadialFunction(values, lo=lo), p, q, layers
+
+
+def assert_screen_sound(tree, u, p, q, layers):
+    """Every layer the screen bounds is a negative, passing, non-borderline margin
+    whose log2|margin| lies inside the bounds."""
+    bounds = cx._screen(tree, u, layers, lv.term_kernel(p, q))
+    assert len(bounds) == len(layers)
+    ops = lv.layer_operators(tree, u)
+    for n, bound in zip(layers, bounds):
+        if bound is None:
+            continue
+        un, lap, grad_sq = ops(n)
+        term = lv.nonlinear_term(un, grad_sq, p, q)
+        check = lv.check_nonpositive(lap + term, max(abs(lap), term))
+        assert un > 0 and lap < 0 and grad_sq > 0
+        assert check.margin < 0 and check.holds and not check.borderline
+        assert bound[0] <= mp.log(-check.margin, 2) <= bound[1]
+    return bounds
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(screen_cases())
+def test_screened_pass_matches_reference(case):
+    with mp.workprec(case["bits"]):
+        tree, u, p, q, layers = build_case(case)
+        assert_pass_matches(tree, u, p, q, layers)
+        assert_screen_sound(tree, u, p, q, layers)
+
+
+def test_screen_bounds_hold_at_53_bits_under_cancellation():
+    """A layer whose Laplacian cancels, a d_out ~ -b d_in with kappa up to
+    ~1e12 (regime III's range): at 53 bits the mpf lap is then off by up to
+    ~1e-4 relative, and the bounds must still hold."""
+    rng = random.Random(53)
+    with mp.workprec(53):
+        screened = 0
+        for digits in range(2, 13):
+            for _ in range(6):
+                tree = lv.RadialTree(3, [mp.mpf(rng.uniform(0.2, 5.0)) for _ in range(4)])
+                a, b = tree.conductances(1)
+                D = mp.mpf(10) ** digits * mp.mpf(rng.uniform(1, 2))
+                lap = -mp.mpf(rng.uniform(1.05, 2.0))
+                u1 = 3 * D
+                values = [u1 + D, u1, u1 - (b * D - lap * (a + b)) / a, mp.mpf(1)]
+                u = lv.RadialFunction(values)
+                bounds = assert_screen_sound(tree, u, F(0), F(0), range(1, 2))
+                screened += bounds[0] is not None
+                assert_pass_matches(tree, u, F(0), F(0), range(0, 3))
+        assert screened >= 50
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+def test_screen_bounds_hold_at_its_threshold(bits):
+    """term/|lap| = 1/(1 + tau) on a grid of tau around the screen's threshold
+    2^(2^-30) - 1 ~ 6.5e-10, where log2(1 - 2^x) is steepest."""
+    rng = random.Random(bits)
+    with mp.workprec(bits):
+        for k in range(-40, 41):
+            tau = mp.mpf("6.456e-10") * (1 + mp.mpf(k) / 400)
+            tree = lv.RadialTree(3, [mp.mpf(rng.uniform(0.2, 5.0)) for _ in range(4)])
+            values = [mp.mpf(rng.uniform(0.5, 3.0)) for _ in range(4)]
+            a, b = tree.conductances(1)
+            d_in = values[0] - values[1]
+            values[2] = values[1] + (-(1 + tau) * (a + b) - b * d_in) / a
+            u = lv.RadialFunction(values)
+            assert_screen_sound(tree, u, F(0), F(0), range(1, 2))
+            assert_pass_matches(tree, u, F(0), F(0), range(0, 3))
+
+
+def test_screen_bounds_cover_extreme_magnitudes():
+    """u ~ 1e-401 under weights ~ e^3680, and u = 1 + 1e-35: the screen still
+    decides, and its bounds hold."""
+    for bits in (53, 128, 256):
+        with mp.workprec(bits):
+            lam = mp.mpf(8)
+            tree = lv.RadialTree(3, [lam * mp.e ** (lam * n) for n in range(455, 466)])
+            u = lv.RadialFunction([mp.e ** (-lam * n / 4) for n in range(455, 466)])
+            layers = range(0, 10)
+            bounds = assert_screen_sound(tree, u, F(1, 2), F(1, 2), layers)
+            assert all(b is not None for b in bounds[1:])
+            assert_pass_matches(tree, u, F(1, 2), F(1, 2), layers)
+            near = lv.RadialFunction([1 + mp.mpf(10) ** -35 * mp.mpf(2) ** -n
+                                      for n in range(11)])
+            assert_screen_sound(tree, near, F(-1), F(3, 2), layers)
+            assert_pass_matches(tree, near, F(-1), F(3, 2), layers)
+
+
+# The bench's certify horizons: the six acceptance configurations.
+SCREEN_HORIZONS = {"I": 150, "II": 270, "III": 125, "IV": 600, "V1": 460, "V2": 280}
+
+
+@pytest.mark.parametrize("regime", list(REGIMES))
+def test_screen_sends_few_layers_to_mpf(monkeypatch, regime):
+    """The screen decides all but a handful of layers: a screen that declined
+    every layer would send all 126-561 of them through the mpf stream."""
+    p, q, params = REGIMES[regime]
+    cert = lv.certify(regime, lv.pq(p, q), N=3, horizon=SCREEN_HORIZONS[regime], **params)
+    passes = []
+    stream = cx.layer_operators
+
+    def counting(tree, u):
+        ops, calls = stream(tree, u), []
+        passes.append(calls)
+
+        def counted(n):
+            calls.append(n)
+            return ops(n)
+        return counted
+
+    monkeypatch.setattr(cx, "layer_operators", counting)
+    report = cx.verify(cert.built)
+    assert report == cert.report
+    assert passes and all(1 <= len(calls) <= 16 for calls in passes)
+    assert report.worst_layer in passes[-1]
 
 # ---------------------------------------------------------------------------
 # tabulated Lambda window
