@@ -6,7 +6,7 @@ from .caccioppoli import (CConstants, EstimateReport, ExpVolumeBound, TestFuncti
                           exp_volume_bound, h_value, holder_conjugate, kappa0,
                           phi_value, test_function_value)
 from .counterexamples import (BuiltCounterexample, Certificate, DeltaBound, MarginReport,
-                              RegimeSpec, TailReport, VolumeBand, build, calibrate,
+                              PowerLogLaw, RegimeSpec, TailReport, VolumeBand, build, calibrate,
                               certify, certify_spec,
                               delta0, interior_threshold, lambda_fn, lambda_limit,
                               layer_rows, margin_at, nonlinear_term, tail_check, term_kernel,

@@ -1004,22 +1004,97 @@ class VolumeBand:
         return self.ratio_max / self.ratio_min
 
 
+@dataclass(frozen=True)
+class PowerLogLaw:
+    """The growth law n^expo (ln n)^logexp: positive and finite for n >= 2.
+
+    A call evaluates the law in mpf at the working precision.  The mpf (or
+    int) exponents are kept, so that `volume_band` can bound log2 of the
+    law in float64 before it evaluates it anywhere.
+    """
+
+    expo: mp.mpf | int
+    logexp: mp.mpf
+
+    def __call__(self, n: int) -> mp.mpf:
+        return mp.mpf(n) ** self.expo * mp.ln(n) ** self.logexp
+
+
 def volume_target(spec: RegimeSpec) -> Callable[[int], mp.mpf]:
     """The growth law the construction is designed to realize."""
     point = spec.point
     if spec.regime == "I":
         expo = to_mpf((2 * spec.p + spec.q) / (spec.p + spec.q - 1))
         logexp = to_mpf(exponents(point, "I").beta) + to_mpf(spec.eps)
-        return lambda n: mp.mpf(n) ** expo * mp.ln(n) ** logexp
+        return PowerLogLaw(expo, logexp)
     if spec.regime == "II":
-        logexp = 1 + to_mpf(spec.eps)
-        return lambda n: mp.mpf(n) ** 2 * mp.ln(n) ** logexp
+        return PowerLogLaw(2, 1 + to_mpf(spec.eps))
     if spec.regime == "III":
         expo = to_mpf(spec.q / (spec.q - 1))
         logexp = to_mpf(exponents(point, "III").beta) + to_mpf(spec.eps)
-        return lambda n: mp.mpf(n) ** expo * mp.ln(n) ** logexp
+        return PowerLogLaw(expo, logexp)
     lam = to_mpf(spec.lam)
     return lambda n: mp.e ** (lam * n)
+
+
+_BAND_SLACK = 2.0 ** -40        # 4096 float64 units per unit of magnitude
+_BAND_UNDECIDED = 2.0 ** -10    # an n whose bound is wider stays a candidate
+_BAND_EXP = 2 ** 40             # so is a volume whose binary exponent is not below this
+
+
+def _band_bounds(vols: list, law: PowerLogLaw, window: range) -> list:
+    """Float64 bounds (lo, hi) on log2 of the mpf ratio vols[n] / law(n),
+    per n of the window; (-inf, inf) where undecided.
+
+    Per n, with A and B the law's exponents, a and b their floats, prec the
+    working precision (at least 53 bits, else every n is undecided) and
+    M = |log2 vols[n]| + |a log2 n| + |b log2 ln n|,
+
+        log2 ratio = log2 vols[n] - a log2 n - b log2 ln n  +/-  err,
+        err = 2^-40 (1 + |a| + |b| + M).
+
+    log2 vols[n] is read from the top 53 bits of the exact mpf running
+    volume, with its binary exponent an int.  Bound, in relative units of
+    2^-52:
+    - the mpf ratio: mpmath's ln n within 1 ulp; n^A and (ln n)^B within
+      (4 + |A ln n|) and (4 + |B ln ln n| + |B|) ulps (an integer power or
+      a square root within a few, exp(t ln x) with ln x at prec + 10 bits
+      within (4 + |t ln x|), B times the error of ln n); the product and
+      the quotient 1 ulp each.  An ulp is at most 2^(1 - prec) <= 2^-52
+      relative, and err <= 2^-10 below keeps the sum under 2^-20, where
+      |log2(1 + x)| <= 1.45 |x|; so log2 of the mpf ratio is within
+      1.45 (11 + |B| + 0.7 M) of that of the exact one;
+    - float64: the 53-bit cut of the volume (1.45), libm's log2 and ln
+      (1 ulp each, 1.45 |b| through log2 ln n), a and b against A and B
+      (half a unit of |a log2 n| and |b log2 ln n|), the products and the
+      three sums (one unit of M each), at most 2 + 1.5 |b| + 5 M.
+    The two sum to under 2^-52 (18 + 3 |b| + 6 M); err is over ten times
+    that.  An n with err above 2^-10 (or a non-finite bound, or a volume
+    that is not positive or has an exponent of 2^40 or more) keeps bounds
+    (-inf, inf): it stays a candidate, and its bounds excuse no other n.
+    """
+    undecided = (-math.inf, math.inf)
+    if mp.mp.prec < 53 or any(e and not 1e-300 < abs(float(e)) < 1e300
+                              for e in (law.expo, law.logexp)):
+        return [undecided] * len(window)    # no 53-bit rounding, or an exponent floats cannot carry
+    a, b = float(law.expo), float(law.logexp)
+    slack = _BAND_SLACK * (1 + abs(a) + abs(b))
+    log2, log = math.log2, math.log
+    bounds = []
+    for n in window:
+        sign, man, exp, _ = vols[n]._mpf_
+        f, e = _top53(man, exp)
+        if man and not sign and -_BAND_EXP < e < _BAND_EXP:
+            lv = log2(f) + e
+            la = a * log2(n)
+            lb = b * log2(log(n))
+            ell = lv - la - lb
+            err = slack + _BAND_SLACK * (abs(lv) + abs(la) + abs(lb))
+            if err <= _BAND_UNDECIDED:
+                bounds.append((ell - err, ell + err))
+                continue
+        bounds.append(undecided)
+    return bounds
 
 
 def volume_band(built: BuiltCounterexample, target: Callable[[int], object],
@@ -1028,16 +1103,29 @@ def volume_band(built: BuiltCounterexample, target: Callable[[int], object],
 
     A bounded band certifies two-sided comparability at desk scale; a band
     that keeps widening as n_hi grows is how a wrong growth law shows up.
+
+    For a `PowerLogLaw` target, `_band_bounds` excuses in float64 every n
+    whose ratio is provably above another n's and below a third's, so that
+    it can hold neither extreme; the law is evaluated in mpf only at the
+    others, in increasing n, and the band equals that of the loop over every
+    n bit for bit.  Any other target is evaluated at every n and must be
+    positive and finite there.
     """
     if n_lo < 2:
         raise InputError("volume band needs n_lo >= 2 (targets may involve ln n)")
     if n_hi < n_lo:
         raise InputError("need n_hi >= n_lo")
     vols = built.tree.ball_volumes(n_hi)
+    window = range(n_lo, n_hi + 1)
+    if isinstance(target, PowerLogLaw):
+        bounds = _band_bounds(vols, target, window)
+        top = max(lo for lo, _ in bounds)           # some ratio is >= 2^top
+        bottom = min(hi for _, hi in bounds)        # and some is <= 2^bottom
+        window = [n for n, (lo, hi) in zip(window, bounds) if hi >= top or lo <= bottom]
     ratio_min = ratio_max = None
-    for n in range(n_lo, n_hi + 1):
+    for n in window:
         t = to_mpf(target(n))
-        if not t > 0:
+        if not 0 < t < mp.inf:
             raise InputError(f"target must be positive, got {t} at n={n}")
         ratio = vols[n] / t
         if ratio_min is None or ratio < ratio_min:

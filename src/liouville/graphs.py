@@ -263,7 +263,7 @@ def nash_williams_partial(
     total = mp.mpf(0)
     for n in range(n_min, n_max + 1):
         vol = to_mpf(volume_profile(n))
-        if not vol > 0:
+        if not 0 < vol < mp.inf:
             raise InputError(f"volume profile must be positive, got {vol} at n={n}")
         total += n / vol
     return total

@@ -110,7 +110,7 @@ class _LayerChain:
     E_{-1}.
     """
 
-    __slots__ = ("_N", "_w", "_lo", "_hi")
+    __slots__ = ("_N", "_w", "_lo", "_hi", "_p0")
     one_sided: bool
 
     def __init__(self, N: int, weights: tuple, layer_lo: int, layer_hi: int):
@@ -122,6 +122,7 @@ class _LayerChain:
         self._w = weights
         self._lo = layer_lo
         self._hi = layer_hi
+        self._p0 = None         # (precision, p0()) once computed; the chain never changes
 
     @property
     def N(self) -> int:
@@ -250,8 +251,15 @@ class _LayerChain:
         Off the root, a vertex at layer n has mu(x) proportional to
         w_n + w_{n-1}; its edge away from the root carries the ratio
         (N-1)(w_n + w_{n-1}) / w_out and its edge toward it
-        (w_n + w_{n-1}) / w_in.
+        (w_n + w_{n-1}) / w_in.  The value is kept per tree, for the last
+        working precision it was asked at.
         """
+        prec = mp.mp.prec
+        if self._p0 is None or self._p0[0] != prec:
+            self._p0 = (prec, self._max_edge_ratio())
+        return self._p0[1]
+
+    def _max_edge_ratio(self) -> mp.mpf:
         w, z, N = self._w, -self._lo, self._N
         if self.one_sided:
             ratios = [mp.mpf(N)]                # N equal edges at the root

@@ -326,6 +326,46 @@ def test_volume_two_sided_csv_and_nash_williams(capsys, tmp_path):
                                                      for n in range(4, 31)]
 
 
+# sha256 of `volume` stdout at 128 bits (N = 3, n0 = 2 unless given), recorded
+# before the band gained its float64 screen: the I/II/III bands go through the
+# screen, the exponential laws and the --exponent-offset target do not.
+VOLUME_DIGESTS = [
+    (["--regime", "I", "--p", "2", "--q", "1", "--eps", "1/10", "--n-lo", "16",
+      "--n-hi", "2048"],
+     "fcdbdbaf8b4823b4c85567fcbaed51b5aec0e50cdaf1d8c026230cbf0c5568c3"),
+    (["--regime", "II", "--p", "0", "--q", "3", "--eps", "1/2", "--n-lo", "16",
+      "--n-hi", "1024"],
+     "b711b51a4f193b5b4152040e5e1234f54ef8c48a56e2d4db4cfa439fe1a0ef70"),
+    (["--regime", "III", "--p", "-1", "--q", "3/2", "--eps", "1/10", "--n-lo", "2",
+      "--n-hi", "1024"],
+     "96a6fe6105a74b38ce711857f483346bea73da1255f1bed0eb813669435ee4d3"),
+    (["--regime", "IV", "--p", "-2", "--q", "1", "--lam", "1", "--n-lo", "16",
+      "--n-hi", "600"],
+     "61b4c59297cc0cba64879b4a329672108e1e29caf7e90ae1303f126b52c7c65f"),
+    (["--regime", "V1", "--p", "1/2", "--q", "1/2", "--lam", "1", "--n-lo", "16",
+      "--n-hi", "460"],
+     "8f33c357ab03f9e782a787c4f9a651631ccda7f1accc6eb8f562935096207183"),
+    (["--regime", "V2", "--p", "2", "--q", "-1", "--lam", "4", "--n-lo", "4",
+      "--n-hi", "280"],
+     "170a625f174acfcc333140fb8859db35bf5a7b5011ed8c6d6f9615792ba5c333"),
+    (["--regime", "I", "--p", "2", "--q", "1", "--eps", "1/10", "--n-lo", "16",
+      "--n-hi", "512", "--exponent-offset", "2"],
+     "86e284c63858a938b12baaa7bf92695e1818cb236c0472a3a996a200d6610260"),
+    (["--regime", "III", "--p", "-1", "--q", "3/2", "--eps", "1/10", "--n-lo", "16",
+      "--n-hi", "512", "--n0", "8192", "--nash-williams"],
+     "cc0fb58bc7aab7bacbb4d1f95bd64113886b766c2a4cc366f8cc805713521815"),
+]
+
+
+@pytest.mark.parametrize("args, digest", VOLUME_DIGESTS,
+                         ids=[" ".join(a[1:2] + a[-2:]) for a, _ in VOLUME_DIGESTS])
+def test_volume_report_digest(capsys, args, digest):
+    code = main(["--precision-bits", "128", "volume", "--N", "3"] + args)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # recheck: `verify` on stored certificates, pinned byte for byte
 

@@ -362,6 +362,14 @@ def test_volume_band_input_checks(regime1_small):
         lv.volume_band(regime1_small, lambda n: mp.mpf(0), 2, 10)
 
 
+@pytest.mark.parametrize("bad", ["+inf", "nan"])
+def test_volume_band_rejects_a_non_finite_target(regime1_small, bad):
+    """An infinite target would give a ratio of 0 and a spread of 1/0."""
+    target = lambda n: mp.mpf(bad) if n == 7 else mp.mpf(n) ** 3
+    with pytest.raises(InputError, match="target must be positive, got .* at n=7"):
+        lv.volume_band(regime1_small, target, 2, 10)
+
+
 def test_layer_rows_shape(regime1_small):
     rows = list(lv.layer_rows(regime1_small, horizon=10))
     assert len(rows) == 11

@@ -155,6 +155,14 @@ def test_nash_williams_rejects_nonpositive():
         lv.nash_williams_partial(lambda n: mp.mpf(n) - 1, 5)
 
 
+@pytest.mark.parametrize("bad", ["+inf", "nan"])
+def test_nash_williams_rejects_a_non_finite_volume(bad):
+    """An infinite volume would add a term of 0 and hide the bad profile."""
+    prof = lambda n: mp.mpf(bad) if n == 3 else mp.mpf(n) ** 2
+    with pytest.raises(InputError, match="volume profile must be positive, got .* at n=3"):
+        lv.nash_williams_partial(prof, 5)
+
+
 def test_harnack_constant_holds():
     g = path3()
     rep = lv.harnack_check(g, lv.GraphFunction.constant(g, 3), 1)

@@ -93,6 +93,21 @@ def test_one_sided_p0_matches_materialization():
     assert rel_close(tree.p0(), lv.p0_of(g))
 
 
+def test_p0_is_computed_once_per_tree_and_precision(monkeypatch):
+    """Repeated calls on one tree reuse the scan; another precision redoes it."""
+    tree = lv.RadialTree(3, [mp.mpf(k + 1) / 7 for k in range(8)])
+    scans = []
+    scan = lv.RadialTree._max_edge_ratio
+    monkeypatch.setattr(lv.RadialTree, "_max_edge_ratio",
+                        lambda self: scans.append(1) or scan(self))
+    first = tree.p0()
+    assert tree.p0() is first and len(scans) == 1
+    with mp.workprec(256):
+        fine = tree.p0()
+        assert fine._mpf_ == scan(tree)._mpf_ and fine._mpf_ != first._mpf_
+    assert tree.p0()._mpf_ == first._mpf_ and len(scans) == 3
+
+
 def test_root_structure_two_sided():
     tree = lv.TwoSidedRadialTree(3, [1, 1, 1], [1, 1, 1])
     g, layers = tree.materialize(3)

@@ -7,13 +7,16 @@ functions (`laplacian_at`, `gradient_sq_at`, `nonlinear_term`, `margin_at`,
 the operator streams and the term kernel, must report what its per-site
 loops did (kept verbatim in `before_streams.py`), and the tree classes,
 merged onto one layer chain, must give what their separate bodies gave
-(kept verbatim in `before_layer_chain.py`).  Every comparison is
+(kept verbatim in `before_layer_chain.py`).  The volume band, which
+screens its window in float64, must give what the loop over every n gave
+(kept verbatim in `before_band.py`).  Every comparison is
 `==`: the fast paths perform the same floating-point operations in the
 same order, so any difference at all is a bug.
 """
 
 import dataclasses
 import random
+import types
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -21,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import before_band
 import before_layer_chain as before
 import before_streams as old
 import liouville as lv
@@ -773,3 +777,180 @@ def test_layer_chain_matches_the_two_classes(style, seed):
         if M >= 2:
             want = max(want, (pos[1] + pos[0]) / pos[0])
         assert exact(two.p0()) == exact(want)
+
+
+# ---------------------------------------------------------------------------
+# the volume band's float64 screen against the loop over every n
+# (tests/before_band.py), exactly
+
+class StoredVolumes:
+    """A stand-in tree with its running volumes mu(B(o, 0..H)) given outright."""
+
+    def __init__(self, vols):
+        self.vols = vols
+
+    def ball_volumes(self, n_max):
+        if not 0 <= n_max < len(self.vols):
+            raise InputError(f"radius {n_max} exceeds the volume-computable horizon")
+        return self.vols[:n_max + 1]
+
+
+def band_bits(band_fn, tree, law, n_lo, n_hi):
+    """The exact band, or the type and message of what it raised."""
+    try:
+        band = band_fn(types.SimpleNamespace(tree=tree), law, n_lo, n_hi)
+    except InputError as exc:
+        return "raised", type(exc).__name__, str(exc)
+    return band.ratio_min._mpf_, band.ratio_max._mpf_
+
+
+rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def band_cases(draw):
+    """A recipe for running volumes and a power-log law, built by `build_band_case`."""
+    H = draw(st.integers(2, 40))
+    n_lo = draw(st.sampled_from([0, 1, 2, 2]) | st.integers(2, H))
+    n_hi = draw(st.sampled_from([n_lo, n_lo - 1, H, H + 1]) | st.integers(n_lo, H))
+    return {
+        "bits": draw(st.sampled_from([53, 256])),
+        "expo": draw(rationals | st.sampled_from([F(0), F(2), F(-3, 2)])),
+        "int_expo": draw(st.booleans()),
+        "logexp": draw(rationals | st.sampled_from([F(0), F(-1), F(1, 2)])),
+        "kind": draw(st.sampled_from(["tree", "flat", "ties"])),
+        "N": draw(st.integers(2, 4)),
+        "weights": draw(st.lists(st.floats(0.1, 3.0), min_size=H + 1, max_size=H + 1)),
+        "growth": draw(st.sampled_from([-2, 0, 1, 3])),
+        "scale": draw(st.sampled_from(["1e-300", "1", "3.7", "1e300"])),
+        "ties": draw(st.lists(st.sampled_from(["0.5", "1", "2"]), min_size=H + 1,
+                              max_size=H + 1)),
+        "plant": draw(st.none() | st.tuples(
+            st.integers(0, H), st.sampled_from(["max", "min"]),
+            st.sampled_from([0, 1, -1, 2, -2]) | st.sampled_from([-24, -32, -36, -40]).map(
+                lambda k: F(2) ** k) | st.sampled_from([-24, -32, -36, -40]).map(
+                lambda k: -F(2) ** k))),
+        "n_lo": n_lo,
+        "n_hi": n_hi,
+    }
+
+
+def build_band_case(case):
+    """(tree, law) at the working precision: a real tree, volumes c law(n)
+    (flat to rounding) or volumes exactly c_n law(n) with c_n in {1/2, 1, 2}
+    (ties), with one n's ratio then set to the window's extreme give or take
+    a few ulps or a relative 2^-24..2^-40, near the screen's own bounds."""
+    expo = int(case["expo"]) if case["int_expo"] else lv.to_mpf(case["expo"])
+    law = lv.PowerLogLaw(expo, lv.to_mpf(case["logexp"]))
+    H = len(case["weights"]) - 1
+    scale = mp.mpf(case["scale"])
+    if case["kind"] == "tree":
+        weights = [mp.mpf(x) * scale * mp.mpf(k + 2) ** case["growth"]
+                   for k, x in enumerate(case["weights"])]
+        vols = lv.RadialTree(case["N"], weights).ball_volumes(H)
+    elif case["kind"] == "flat":
+        vols = [scale] * 2 + [scale * law(n) for n in range(2, H + 1)]
+    else:
+        vols = [scale] * 2 + [mp.mpf(case["ties"][n]) * law(n) for n in range(2, H + 1)]
+    window = range(max(case["n_lo"], 2), min(case["n_hi"], H) + 1)
+    if case["plant"] is not None and window:
+        k, side, nudge = case["plant"]
+        j = window[k % len(window)]
+        ratios = [vols[n] / law(n) for n in window]
+        extreme = max(ratios) if side == "max" else min(ratios)
+        v = extreme * law(j)
+        if isinstance(nudge, int):
+            vols[j] = v + nudge * mp.ldexp(1, mp.frexp(v)[1] - mp.mp.prec)
+        else:
+            vols[j] = v * (1 + lv.to_mpf(nudge))
+    if case["kind"] == "tree" and case["plant"] is None:
+        return lv.RadialTree(case["N"], weights), law
+    return StoredVolumes(vols), law
+
+
+def assert_band_bounds_hold(tree, law, window):
+    """Every decided bound encloses log2 of the mpf ratio."""
+    vols = tree.ball_volumes(window.stop - 1)
+    bounds = cx._band_bounds(vols, law, window)
+    assert len(bounds) == len(window)
+    for n, (lo, hi) in zip(window, bounds):
+        ratio = vols[n] / law(n)
+        with mp.workprec(mp.mp.prec + 64):
+            assert lo <= mp.log(ratio, 2) <= hi, n
+    return bounds
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(band_cases())
+def test_screened_band_matches_the_full_loop(case):
+    with mp.workprec(case["bits"]):
+        tree, law = build_band_case(case)
+        n_lo, n_hi = case["n_lo"], case["n_hi"]
+        assert band_bits(cx.volume_band, tree, law, n_lo, n_hi) == \
+            band_bits(before_band.volume_band, tree, law, n_lo, n_hi)
+        window = range(max(n_lo, 2), min(n_hi, len(case["weights"]) - 1) + 1)
+        if window:
+            assert_band_bounds_hold(tree, law, window)
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_band_bounds_hold_on_the_regimes(bits):
+    """The bounds enclose every ratio of the I/II/III laws on n0 = 2 builds and
+    on the calibrated shifts, over [2, 600]."""
+    with mp.workprec(bits):
+        for regime, (p, q, params) in REGIMES.items():
+            if regime not in ("I", "II", "III"):
+                continue
+            for n0 in (2, 8192):
+                spec = lv.RegimeSpec(regime=regime, p=p, q=q, N=3, horizon=601, n0=n0,
+                                     delta=mp.mpf(1), **params)
+                built = lv.build(spec)
+                law = lv.volume_target(spec)
+                assert_band_bounds_hold(built.tree, law, range(2, 601))
+                assert band_bits(cx.volume_band, built.tree, law, 2, 600) == \
+                    band_bits(before_band.volume_band, built.tree, law, 2, 600)
+
+
+def counted_band(monkeypatch, built, law, n_lo, n_hi):
+    """The band, and the n at which the law was evaluated: through the call
+    of a `PowerLogLaw`, or else through a wrapper around the callable."""
+    calls = []
+    if isinstance(law, lv.PowerLogLaw):
+        call = lv.PowerLogLaw.__call__
+        monkeypatch.setattr(lv.PowerLogLaw, "__call__",
+                            lambda self, n: calls.append(n) or call(self, n))
+        band = lv.volume_band(built, law, n_lo, n_hi)
+        monkeypatch.undo()
+    else:
+        band = lv.volume_band(built, lambda n: calls.append(n) or law(n), n_lo, n_hi)
+    return band, calls
+
+
+@pytest.mark.parametrize("regime", list(REGIMES))
+def test_band_evaluates_power_log_laws_at_few_n(monkeypatch, regime):
+    """On the certify builds the I/II/III laws are evaluated at no more than 8
+    of the 110-255 n of `construct`'s band; the exponential laws, flat to
+    rounding, and an opaque callable are evaluated at every n."""
+    p, q, params = REGIMES[regime]
+    horizon = SCREEN_HORIZONS[regime]
+    cert = lv.certify(regime, lv.pq(p, q), N=3, horizon=horizon, **params)
+    law = lv.volume_target(cert.spec)
+    window = list(range(16, horizon + 1))
+    band, calls = counted_band(monkeypatch, cert.built, law, 16, horizon)
+    assert band == before_band.volume_band(cert.built, law, 16, horizon)
+    if regime in ("I", "II", "III"):
+        assert 1 <= len(calls) <= 8 and calls == sorted(set(calls))
+        _, calls = counted_band(monkeypatch, cert.built, lambda n: law(n), 16, horizon)
+    assert calls == window
+
+
+def test_band_evaluates_the_bench_law_at_few_n(monkeypatch):
+    """The n0 = 2 regime I build over [16, 4096]: at most 8 of 4081 n."""
+    p, q, params = REGIMES["I"]
+    spec = lv.RegimeSpec(regime="I", p=p, q=q, N=3, horizon=4100, n0=2,
+                         delta=mp.mpf(1), **params)
+    built = lv.build(spec)
+    law = lv.volume_target(spec)
+    band, calls = counted_band(monkeypatch, built, law, 16, 4096)
+    assert 1 <= len(calls) <= 8
+    assert band == before_band.volume_band(built, law, 16, 4096)
