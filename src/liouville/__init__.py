@@ -20,7 +20,7 @@ from .errors import (CalibrationError, HypothesisNotMetError, InputError,
 from .graphs import (GraphFunction, HarnackReport, WeightedGraph, ball_volume,
                      format_graph_text, gradient_form, gradient_norm, harnack_check,
                      laplacian, nash_williams_partial, p0_of, parse_graph_text,
-                     restricted_gradient_norm, site_operators, vertex_measure)
+                     restricted_gradient_norm, site_classes, site_operators, vertex_measure)
 from .numerics import (default_precision_bits, check_le, check_nonpositive,
                        mpf_str, precision, rel_tol, to_mpf)
 from .radial import (RadialFunction, RadialTree, TwoSidedRadialTree,

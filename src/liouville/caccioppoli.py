@@ -32,7 +32,8 @@ import mpmath as mp
 
 from .errors import HypothesisNotMetError, InputError
 from .counterexamples import term_kernel
-from .graphs import GraphFunction, WeightedGraph, harnack_check, site_operators, vertex_measure
+from .graphs import (GraphFunction, WeightedGraph, harnack_check, site_classes,
+                     site_operators, vertex_measure)
 from .numerics import check_le, check_nonpositive, rel_tol, to_mpf
 from .radial import RadialFunction, RadialTree, layer_operators
 from .regions import PQPoint, st_condition
@@ -254,25 +255,37 @@ def estimate_sides(g: WeightedGraph, u: GraphFunction, o: int, tf: TestFunction,
     s_m = to_mpf(s)
     phi_of = _memo(tf.value)
     phi_pow = _memo(lambda phi: to_mpf(phi) ** s_m)
-    ineq_bad = 0
-    lhs_terms = []
-    gq, u_pt = {}, {}
     domain = sorted(omega_set)  # fixed reduction order, bit-reproducible sums
-    for x in domain:
-        phi_x = phi_of(dist[x])
-        u_x, lap, grad_sq = ops(x)
+    class_of, reps = site_classes(g, u, domain)
+
+    def site_values(c):
+        """(|grad u|^q, solves) on class c; None for a zero gradient with q < 0."""
+        u_x, lap, grad_sq = ops(reps[c])
         grad = mp.sqrt(grad_sq)
         if grad == 0 and point.q < 0:
+            return None
+        gq = term_of.grad_power(grad)
+        term = mp.power(u_x, term_of.p) * gq
+        return gq, check_nonpositive(lap + term, max(abs(lap), term), tol).holds
+
+    # Per class, evaluated at the first vertex that needs it, so values and
+    # raised errors come in the order of a loop over every vertex.
+    site_at = _memo(site_values)
+    u_pt_at = _memo(lambda c: mp.power(u[reps[c]], p_t))
+    weight_at = _memo(lambda c: u_pt_at(c) * site_at(c)[0])
+    ineq_bad = 0
+    lhs_terms = []
+    for x, c in zip(domain, class_of):
+        phi_x = phi_of(dist[x])
+        site = site_at(c)
+        if site is None:
             failures.append(f"zero gradient with q < 0 at vertex {x}")
             continue
-        gq[x] = term_of.grad_power(grad)
-        term = mp.power(u_x, term_of.p) * gq[x]
-        if not check_nonpositive(lap + term, max(abs(lap), term), tol).holds:
+        if not site[1]:
             ineq_bad += 1
         if phi_x == 0:
             continue
-        u_pt[x] = mp.power(u_x, p_t)
-        lhs_terms.append(vertex_measure(g, x) * (u_pt[x] * gq[x]) * phi_pow(phi_x))
+        lhs_terms.append(vertex_measure(g, x) * weight_at(c) * phi_pow(phi_x))
     if ineq_bad:
         failures.append(f"the inequality fails at {ineq_bad} domain vertices")
     if not full:
@@ -290,8 +303,9 @@ def estimate_sides(g: WeightedGraph, u: GraphFunction, o: int, tf: TestFunction,
     edge_pow = _memo(lambda dphi: mp.power(abs(to_mpf(dphi)), a_rho))
     edge_terms = []
     middle_terms = []
-    for x in domain:
+    for x, c in zip(domain, class_of):
         phi_x = phi_of(dist[x])
+        site = site_at(c)
         for y, w in g.neighbors(x):
             if y not in omega_set:
                 continue
@@ -299,8 +313,8 @@ def estimate_sides(g: WeightedGraph, u: GraphFunction, o: int, tf: TestFunction,
             if dphi == 0:
                 continue
             edge_terms.append(w * edge_pow(dphi))
-            if phi_x != 0 and x in gq:
-                middle_terms.append(w * phi_pow(phi_x) * u_pt[x] * gq[x])
+            if phi_x != 0 and site is not None:
+                middle_terms.append(w * phi_pow(phi_x) * u_pt_at(c) * site[0])
     edge_sum = mp.fsum(edge_terms)
     middle = mp.fsum(middle_terms)
     return _finish_report(variant, point, s, t, p0, omega_desc, lhs, middle,

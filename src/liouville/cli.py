@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -27,7 +28,7 @@ from .caccioppoli import TestFunction, estimate_sides, estimate_sides_radial
 from .errors import CalibrationError, HypothesisNotMetError, InputError, LiouvilleError
 from .graphs import GraphFunction, WeightedGraph, nash_williams_partial, parse_graph_text
 from .numerics import MIN_PRECISION_BITS, default_precision_bits, mpf_str, precision
-from .radial import RadialFunction, RadialTree, parse_radial_text
+from .radial import RadialFunction, parse_radial_text
 from .regions import ON_LINE, choose_st, classify_g, classify_k, pq
 
 SCHEMA = 1
@@ -85,8 +86,17 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             writer.writerow([mpf_str(c) if isinstance(c, mp.mpf) else c for c in row])
 
 
+def _read_text(path: str) -> str:
+    """The file's contents as UTF-8 text; other bytes are an input error."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})")
+
+
 def _load_graph_file(path: str):
-    text = Path(path).read_text()
+    text = _read_text(path)
     stripped = next((ln for ln in text.splitlines() if ln.strip()
                      and not ln.strip().startswith("#")), "")
     if stripped.startswith("radial"):
@@ -97,20 +107,23 @@ def _load_graph_file(path: str):
 def _load_values_csv(path: str) -> dict[int, mp.mpf]:
     """Two-column CSV: vertex (or layer) index, value.  Header row optional."""
     values: dict[int, mp.mpf] = {}
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            try:
-                idx = int(row[0])
-            except ValueError:
-                continue  # header
-            if len(row) < 2:
-                raise InputError(f"{path}: row {row!r} needs an index and a value")
-            try:
-                values[idx] = mp.mpf(row[1])
-            except ValueError:
-                raise InputError(f"{path}: bad value in row {row!r}")
+    try:
+        rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
+    except csv.Error as exc:                # e.g. a field over the csv field limit
+        raise InputError(f"{path}: {exc}")
+    for row in rows:
+        if not row or row[0].strip().startswith("#"):
+            continue
+        try:
+            idx = int(row[0])
+        except ValueError:
+            continue  # header
+        if len(row) < 2:
+            raise InputError(f"{path}: row {row!r} needs an index and a value")
+        try:
+            values[idx] = mp.mpf(row[1])
+        except ValueError:
+            raise InputError(f"{path}: bad value in row {row!r}")
     if not values:
         raise InputError(f"no values found in {path}")
     return values
@@ -289,7 +302,7 @@ def _cmd_estimate(args) -> int:
                                  f"got {args.omega!r}")
         report = estimate_sides(obj, u, args.base, tf, args.s, args.t, point,
                                 args.p0, variant=args.variant, omega=omega)
-    elif isinstance(obj, RadialTree):
+    elif obj.one_sided:
         u = _radial_function(obj, values)
         if args.omega != "all":
             raise InputError("radial estimates support only --omega all")
@@ -346,7 +359,9 @@ def _cmd_volume(args) -> int:
         base_target = target
         off = mp.mpf(args.exponent_offset)
         target = lambda n: base_target(n) * mp.mpf(n) ** off
-    band = cx.volume_band(built, target, args.n_lo, args.n_hi)
+    window = cx._band_window(args.n_lo, args.n_hi)
+    vols = built.tree.ball_volumes(args.n_hi)
+    band = cx._volume_band(vols, target, window)
     payload = {
         "schema": SCHEMA,
         "command": "volume",
@@ -358,15 +373,13 @@ def _cmd_volume(args) -> int:
         "ratio_max": mpf_str(band.ratio_max),
         "spread": mpf_str(band.spread),
     }
-    if args.nash_williams or args.csv:
-        vols = built.tree.ball_volumes(args.n_hi)
     if args.nash_williams:
         payload["nash_williams_partial"] = mpf_str(
             nash_williams_partial(lambda n: vols[n], args.n_hi))
     _emit(payload, args.json)
     if args.csv:
         rows = []
-        for n in range(args.n_lo, args.n_hi + 1):
+        for n in window:
             t = target(n)
             rows.append((n, vols[n], t, vols[n] / t))
         _write_csv(args.csv, ["n", "volume", "target", "ratio"], rows)

@@ -42,7 +42,7 @@ import mpmath as mp
 from mpmath.libmp import mpf_sub
 
 from .errors import CalibrationError, InputError
-from .graphs import GraphFunction, WeightedGraph, site_operators
+from .graphs import GraphFunction, WeightedGraph, site_classes, site_operators
 from .numerics import check_nonpositive, precision, rel_tol, to_mpf
 from .radial import RadialFunction, RadialTree, TwoSidedRadialTree, layer_operators
 from .regions import PQPoint, classify_g, exponents, pq
@@ -541,24 +541,37 @@ def verify(built: BuiltCounterexample, horizon: int | None = None) -> MarginRepo
 
 
 def verify_graph(g: WeightedGraph, u: GraphFunction, p, q) -> MarginReport:
-    """Vertexwise margin check on an explicit finite graph."""
+    """Vertexwise margin check on an explicit finite graph.
+
+    A vertex's margin and verdict are functions of its stencil, so they are
+    computed once per class of `site_classes`, at its first vertex; the
+    report is then read off vertex by vertex in id order, as a loop over
+    every vertex would write it.
+    """
     ops = site_operators(g, u)
     term_of = term_kernel(p, q)
     tol = rel_tol()
     bits = mp.mp.prec
-    max_margin = mp.mpf("-inf")
-    worst = 0
-    failures = []
-    undefined = []
-    for x in g.vertices():
+    class_of, reps = site_classes(g, u)
+    checks = []                 # per class; None where the term is undefined
+    for x in reps:
         ux, lap, grad_sq = ops(x)
         grad = mp.sqrt(grad_sq)
         try:
             term = term_of(ux, grad * grad)
         except InputError:
+            checks.append(None)
+            continue
+        checks.append(check_nonpositive(lap + term, max(abs(lap), term), tol))
+    max_margin = mp.mpf("-inf")
+    worst = 0
+    failures = []
+    undefined = []
+    for x, c in enumerate(class_of):
+        check = checks[c]
+        if check is None:
             undefined.append(x)
             continue
-        check = check_nonpositive(lap + term, max(abs(lap), term), tol)
         if check.margin > max_margin:
             max_margin = check.margin
             worst = x
@@ -1111,12 +1124,21 @@ def volume_band(built: BuiltCounterexample, target: Callable[[int], object],
     n bit for bit.  Any other target is evaluated at every n and must be
     positive and finite there.
     """
+    window = _band_window(n_lo, n_hi)
+    return _volume_band(built.tree.ball_volumes(n_hi), target, window)
+
+
+def _band_window(n_lo: int, n_hi: int) -> range:
+    """The radii n_lo..n_hi of a volume band, checked."""
     if n_lo < 2:
         raise InputError("volume band needs n_lo >= 2 (targets may involve ln n)")
     if n_hi < n_lo:
         raise InputError("need n_hi >= n_lo")
-    vols = built.tree.ball_volumes(n_hi)
-    window = range(n_lo, n_hi + 1)
+    return range(n_lo, n_hi + 1)
+
+
+def _volume_band(vols: list, target: Callable[[int], object], window: range) -> VolumeBand:
+    """`volume_band` over a checked window, from the running volumes vols[0..n_hi]."""
     if isinstance(target, PowerLogLaw):
         bounds = _band_bounds(vols, target, window)
         top = max(lo for lo, _ in bounds)           # some ratio is >= 2^top

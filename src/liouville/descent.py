@@ -26,7 +26,7 @@ import mpmath as mp
 
 from .counterexamples import BuiltCounterexample, term_kernel
 from .errors import InputError
-from .graphs import GraphFunction, WeightedGraph, site_operators
+from .graphs import GraphFunction, WeightedGraph, site_classes, site_operators
 from .numerics import check_nonpositive, rel_tol, to_mpf
 from .radial import RadialFunction, RadialTree, TwoSidedRadialTree, layer_operators
 from .regions import PQPoint
@@ -256,25 +256,42 @@ class PointwiseBoundReport:
     hypothesis_failures: tuple[int, ...]
 
 
-def _pointwise_core(sites, operators, point: PQPoint) -> PointwiseBoundReport:
-    """Margin of u^(p-1) |grad u|^q - 1 at every site solving the inequality."""
+_UNDEFINED, _NOT_A_SOLUTION = object(), object()
+
+
+def _pointwise_core(sites, class_of, reps, operators, point: PQPoint) -> PointwiseBoundReport:
+    """Margin of u^(p-1) |grad u|^q - 1 at every site solving the inequality.
+
+    Sites of one class share their operators: each class is evaluated once,
+    at its representative reps[c], and the report is read off site by site
+    in the order of `sites`, whose i-th entry is in class class_of[i].
+    """
     tol = rel_tol()
     term_of = term_kernel(point.p, point.q)
-    margins = []
-    skipped = []
-    failures = []
     p1 = to_mpf(point.p - 1)
-    for site, (u_val, lap, grad_sq) in zip(sites, map(operators, sites)):
+    verdicts = []
+    for u_val, lap, grad_sq in map(operators, reps):
         grad = mp.sqrt(grad_sq)
         try:
             term = term_of(u_val, grad ** 2)
         except InputError:
-            skipped.append(site)
+            verdicts.append(_UNDEFINED)
             continue
         if not check_nonpositive(lap + term, max(abs(lap), term), tol).holds:
-            failures.append(site)
+            verdicts.append(_NOT_A_SOLUTION)
             continue
-        margins.append(mp.power(u_val, p1) * term_of.grad_power(grad) - 1)
+        verdicts.append(mp.power(u_val, p1) * term_of.grad_power(grad) - 1)
+    margins = []
+    skipped = []
+    failures = []
+    for site, c in zip(sites, class_of):
+        verdict = verdicts[c]
+        if verdict is _UNDEFINED:
+            skipped.append(site)
+        elif verdict is _NOT_A_SOLUTION:
+            failures.append(site)
+        else:
+            margins.append(verdict)
     holds = all(m <= tol for m in margins)
     return PointwiseBoundReport(
         checked=len(margins), holds=holds,
@@ -288,7 +305,8 @@ def pointwise_bound_check(g: WeightedGraph, u: GraphFunction,
     """u^(p-1) |grad u|^q <= 1 at every vertex where u solves the inequality."""
     if not u.is_positive():
         raise InputError("pointwise bound needs a positive function")
-    return _pointwise_core(g.vertices(), site_operators(g, u), point)
+    class_of, reps = site_classes(g, u)
+    return _pointwise_core(g.vertices(), class_of, reps, site_operators(g, u), point)
 
 
 def pointwise_bound_check_built(built: BuiltCounterexample,
@@ -297,4 +315,5 @@ def pointwise_bound_check_built(built: BuiltCounterexample,
     inner = built.tree.interior_layers()
     h = inner.stop - 1 if horizon is None else min(horizon, inner.stop - 1)
     layers = range(max(inner.start, -h), h + 1)
-    return _pointwise_core(layers, layer_operators(built.tree, built.u), built.spec.point)
+    return _pointwise_core(layers, range(len(layers)), layers,
+                           layer_operators(built.tree, built.u), built.spec.point)

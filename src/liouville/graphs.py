@@ -208,6 +208,34 @@ def site_operators(g: WeightedGraph, u: GraphFunction) -> Callable[[int], tuple]
     return ops
 
 
+def site_classes(g: WeightedGraph, u: GraphFunction,
+                 sites: Iterable[int] | None = None) -> tuple[list[int], list[int]]:
+    """Group sites (default: every vertex, in id order) by their exact stencil.
+
+    The stencil of x is u(x) followed by (mu_xy, u(y)) for each neighbour y
+    in adjacency order, compared bit for bit.  `site_operators` and mu(x)
+    are pure functions of it, so at one precision every site of a class has
+    the same u, lap and grad^2 to the last bit, and so does anything computed
+    from them alone.  Returns (class_of, reps): class_of[i] is the class of
+    the i-th site, and reps[c] is the first site of class c, classes being
+    numbered in order of first appearance.  A materialized radial ball has
+    one class per layer; on a graph without repeats every class is a
+    singleton.
+    """
+    _require_total(g, u)
+    values = [v._mpf_ for v in u.values()]
+    adj = g._adj
+    index: dict[tuple, int] = {}
+    class_of, reps = [], []
+    for x in g.vertices() if sites is None else sites:
+        key = (values[x], *[(w._mpf_, values[y]) for y, w in adj[x]])
+        c = index.setdefault(key, len(reps))
+        if c == len(reps):
+            reps.append(x)
+        class_of.append(c)
+    return class_of, reps
+
+
 def gradient_norm(g: WeightedGraph, u: GraphFunction, x: int) -> mp.mpf:
     """|grad u|(x) = sqrt(Gamma(u, u)(x))."""
     return mp.sqrt(gradient_form(g, u, u, x))

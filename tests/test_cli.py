@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import liouville as lv
 from liouville.cli import main
@@ -243,6 +245,96 @@ def test_estimate_bad_omega_is_usage_error(capsys, tmp_path):
         assert err.count("\n") == 1 and err.startswith("error:") and "omega" in err, err
 
 
+def test_estimate_rejects_a_two_sided_tree(capsys, tmp_path):
+    (tmp_path / "tree.txt").write_text("radial two-sided N=2 horizon=2\n"
+                                       "-2 1\n-1 1\n0 1\n1 1\n")
+    (tmp_path / "u.csv").write_text("".join(f"{n},{3 + n}\n" for n in range(-2, 3)))
+    code = main(["estimate", "--graph", str(tmp_path / "tree.txt"),
+                 "--u", str(tmp_path / "u.csv"), "--phi", "h:1", "--s", "7",
+                 "--t", "1/2", "--p", "2", "--q", "1", "--p0", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: estimate expects an edge-list graph or a one-sided radial tree\n"
+
+
+@pytest.mark.parametrize("which", ["graph", "values"])
+def test_input_that_is_not_utf8_is_usage_error(capsys, tmp_path, which):
+    graph, values = b"graph v=2\n0 1 1\n", b"0,1\n1,2\n"
+    if which == "graph":
+        graph = graph.replace(b"1\n", b"\xff\n")
+    else:
+        values = values.replace(b"2", b"\xff2")
+    (tmp_path / "g.txt").write_bytes(graph)
+    (tmp_path / "u.csv").write_bytes(values)
+    code = main(_verify_args(tmp_path / "g.txt", tmp_path / "u.csv"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error:") and "UTF-8" in err, err
+
+
+def test_values_csv_field_over_the_csv_limit_is_usage_error(capsys, tmp_path):
+    (tmp_path / "g.txt").write_text("graph v=2\n0 1 1\n")
+    (tmp_path / "u.csv").write_text('0,1\n1,"' + "2" * 200_000 + '"\n')
+    code = main(_verify_args(tmp_path / "g.txt", tmp_path / "u.csv"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error:") and "field limit" in err, err
+
+
+# Tokens the parsers and the values CSV treat specially, or that Python's
+# int() and mpmath's mpf() accept in surprising spellings.
+FUZZ_TOKENS = ["", " ", "0", "1", "-1", "2", "3", "1e999999", "1e-999999", "nan", "inf",
+               "-inf", "0x1p3", "1/2", "\u0661", "9" * 30, "#", ",", "\x00", "\t", "\r",
+               "\n", "\ufeff", '"', "'", "\u00e9", "graph", "radial", "v=", "v=3", "v=0",
+               "v=-1", "N=3", "N=1", "horizon=2", "horizon=0", "horizon=-1", "two-sided",
+               "arm", "0.5", "-0", "1_0", "+1", "layer,value"]
+_fuzz_line = (st.lists(st.sampled_from(FUZZ_TOKENS), max_size=5).map(" ".join)
+              | st.lists(st.sampled_from(FUZZ_TOKENS), max_size=4).map(",".join))
+
+
+def _spliced(valid: list[str]):
+    """A valid file with a run of its characters replaced by a garbage line."""
+    return st.builds(lambda text, at, cut, line: text[:at] + line + text[at + cut:],
+                     st.sampled_from(valid), st.integers(0, 40), st.integers(0, 6),
+                     _fuzz_line)
+
+
+def _garbage(valid: list[str]):
+    text = (st.lists(_fuzz_line, max_size=8).map("\n".join) | st.text(max_size=60)
+            | _spliced(valid))
+    return text.map(lambda t: t.encode("utf-8", "surrogatepass")) | st.binary(max_size=40)
+
+
+FUZZ_GRAPHS = ["graph v=3\n0 1 1\n1 2 2\n", "radial N=3 horizon=2\n0 1\n1 2\n2 3\n",
+               "radial two-sided N=2 horizon=2\n-2 1\n-1 1\n0 1\n1 1\n"]
+FUZZ_VALUES = ["0,1\n1,2\n2,3\n", "layer,value\n-2,1\n-1,1\n0,1\n1,2\n2,3\n"]
+FUZZ_COMMANDS = {
+    "verify": ["--p", "2", "--q", "1"],
+    "estimate": ["--p", "2", "--q", "1", "--phi", "h:1", "--s", "7", "--t", "1/2",
+                 "--p0", "4"],
+    "descend": ["--start", "0", "--steps", "3"],
+}
+
+
+@settings(max_examples=1000, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graph=_garbage(FUZZ_GRAPHS), values=_garbage(FUZZ_VALUES),
+       command=st.sampled_from(sorted(FUZZ_COMMANDS)))
+def test_garbage_files_exit_2_with_one_error_line(capsys, tmp_path, graph, values, command):
+    """parse_graph_text, parse_radial_text and the values CSV through main:
+    malformed input exits 2 with one error line, and nothing escapes as a
+    traceback; input that happens to be well formed gets a report."""
+    (tmp_path / "g.txt").write_bytes(graph)
+    (tmp_path / "u.csv").write_bytes(values)
+    code = main([command, "--graph", str(tmp_path / "g.txt"), "--u", str(tmp_path / "u.csv")]
+                + FUZZ_COMMANDS[command])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out == "" and err.count("\n") == 1 and err.startswith("error:"), err
+    else:
+        assert out.startswith("{"), (code, err)
+
 def test_graph_file_with_infinite_weight_is_usage_error(capsys, tmp_path):
     (tmp_path / "g.txt").write_text("graph v=2\n0 1 inf\n")
     (tmp_path / "u.csv").write_text("0,1\n1,2\n")
@@ -325,6 +417,21 @@ def test_volume_two_sided_csv_and_nash_williams(capsys, tmp_path):
     assert [r.split(",")[:2] for r in rows[1:]] == [[str(n), lv.mpf_str(vols[n])]
                                                      for n in range(4, 31)]
 
+
+def test_volume_sums_the_running_volume_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    ball_volumes = lv.radial._LayerChain.ball_volumes
+
+    def counted(self, n_max):
+        calls.append(n_max)
+        return ball_volumes(self, n_max)
+
+    monkeypatch.setattr(lv.radial._LayerChain, "ball_volumes", counted)
+    code, payload = run_cli(capsys, "volume", "--regime", "I", "--p", "2", "--q", "1",
+                            "--eps", "1/10", "--N", "3", "--n-lo", "16", "--n-hi", "256",
+                            "--nash-williams", "--csv", str(tmp_path / "vol.csv"))
+    assert code == 0 and "nash_williams_partial" in payload
+    assert calls == [256]
 
 # sha256 of `volume` stdout at 128 bits (N = 3, n0 = 2 unless given), recorded
 # before the band gained its float64 screen: the I/II/III bands go through the

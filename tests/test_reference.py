@@ -21,14 +21,14 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import before_band
 import before_layer_chain as before
 import before_streams as old
 import liouville as lv
-from liouville import caccioppoli
+from liouville import caccioppoli, descent, graphs
 from liouville import counterexamples as cx
 from liouville.errors import InputError
 
@@ -717,6 +717,159 @@ def test_pointwise_bounds_and_verify_graph_match_old(request, seed):
                             old.radial_harnack_check(built.tree, built.u, 1))
             assert exact((new_h.worst_ratio, new_h.worst_edge)) == \
                 exact((old_h.worst_ratio, old_h.worst_edge))
+
+
+# ---------------------------------------------------------------------------
+# the stencil quotient under verify_graph, pointwise_bound_check and
+# estimate_sides against the per-vertex loops, exactly
+
+STAR_WEIGHTS = ["1", "2", "1/3"]
+STAR_VALUES = ["1", "3/2", "2", "5"]
+
+
+@st.composite
+def star_cases(draw):
+    """Stars, each repeated, hung off a hub vertex 0 or left disjoint.
+
+    Values and weights come from small sets, so stencils repeat inside a
+    copy and across stars; a copy may be nudged by one unit in the last
+    place of one leaf value or weight, or list its leaves in reverse order
+    (the same (w, u(y)) multiset in another neighbour order).  A flat star
+    (every leaf at the centre's value) puts zero-gradient leaves in one class.
+    """
+    fraction = st.sampled_from(STAR_VALUES)
+    stars = []
+    for _ in range(draw(st.integers(1, 5))):
+        k = draw(st.integers(1, 3))
+        centre = draw(fraction)
+        flat = draw(st.booleans())
+        leaves = [(draw(st.sampled_from(STAR_WEIGHTS)), centre if flat else draw(fraction))
+                  for _ in range(k)]
+        copies = draw(st.integers(1, 4))
+        variant = draw(st.sampled_from([None, "value", "weight", "reversed"]))
+        stars.append((draw(st.sampled_from(STAR_WEIGHTS)), centre, tuple(leaves), copies,
+                      variant, draw(st.integers(0, k - 1))))
+    return ("stars", draw(st.booleans()), draw(fraction), tuple(stars))
+
+
+def ulp_up(x):
+    """The next mpf above x > 0 at the working precision."""
+    _, _, exp, bits = x._mpf_
+    return x + mp.ldexp(1, exp + bits - mp.mp.prec)
+
+
+def build_stars(case):
+    """(graph, function) of a `star_cases` recipe."""
+    _, hub, hub_value, stars = case
+    edges, values = [], [lv.to_mpf(F(hub_value))]
+    for hub_weight, centre, leaves, copies, variant, which in stars:
+        for copy in range(copies):
+            c = len(values)
+            values.append(lv.to_mpf(F(centre)))
+            if hub:
+                edges.append((0, c, lv.to_mpf(F(hub_weight))))
+            copy_leaves = [(lv.to_mpf(F(w)), lv.to_mpf(F(v))) for w, v in leaves]
+            if copy == copies - 1 and variant == "value":
+                w, v = copy_leaves[which]
+                copy_leaves[which] = (w, ulp_up(v))
+            elif copy == copies - 1 and variant == "weight":
+                w, v = copy_leaves[which]
+                copy_leaves[which] = (ulp_up(w), v)
+            elif copy == copies - 1 and variant == "reversed":
+                copy_leaves.reverse()
+            for w, v in copy_leaves:
+                edges.append((c, len(values), w))
+                values.append(v)
+    if not hub:                 # vertex 0 stands alone otherwise
+        edges.append((0, len(values), mp.mpf(1)))
+        values.append(values[0])
+    return lv.WeightedGraph(len(values), edges), lv.GraphFunction(values)
+
+
+ball_cases = st.tuples(st.just("ball"), st.integers(0, 10 ** 6), st.integers(1, 4))
+
+
+def build_graph_case(case):
+    if case[0] == "stars":
+        return build_stars(case)
+    g, gu, _, _ = ball_case(random.Random(case[1]), case[2])
+    return g, gu
+
+
+def assert_quotient_matches(case, point, cutoff, st_pair):
+    g, gu = build_graph_case(case)
+    for p, q in ((point.p, point.q), (F(2), F(1)), (F(1), F(0)), (F(2), F(-1))):
+        same(lv.verify_graph, old.verify_graph, g, gu, p, q)
+    same(lv.pointwise_bound_check, old.pointwise_bound_check, g, gu, point)
+    reachable = [x for x, d in enumerate(g.distances_from(0)) if d >= 0]
+    omega = None if len(reachable) == g.n_vertices else reachable
+    tf = caccioppoli.TestFunction.parse(cutoff)
+    (s, t), variant = st_pair
+    same(lv.estimate_sides, old.estimate_sides, g, gu, 0, tf, s, t, point, lv.p0_of(g),
+         variant=variant, omega=omega)
+
+
+# Twelve copies of a star whose leaves sit below its centre: more than 20
+# failing leaves in two classes.  A constant function on stars of different
+# weights: margin 0 (q > 0) in every class, a tie for the maximum.
+MANY_FAILURES = ("stars", True, "1", (("1", "5", (("1", "1"), ("2", "3/2")), 4, None, 0),) * 3)
+CONSTANT_TIES = ("stars", True, "2", (("1", "2", (("1", "2"),), 2, None, 0),
+                                      ("1/3", "2", (("2", "2"), ("1/3", "2")), 3, None, 0)))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(star_cases(), ball_cases), point=st.sampled_from(POINTS),
+       cutoff=st.sampled_from(CUTOFFS), st_pair=st.sampled_from(list(zip(ST, ("est1", "est2")))))
+@example(case=MANY_FAILURES, point=POINTS[0], cutoff="h:1", st_pair=(ST[1], "est2"))
+@example(case=CONSTANT_TIES, point=POINTS[0], cutoff="h:1", st_pair=(ST[1], "est2"))
+@example(case=CONSTANT_TIES, point=POINTS[4], cutoff="h:1", st_pair=(ST[1], "est2"))
+def test_stencil_quotient_matches_the_vertex_loops(case, point, cutoff, st_pair):
+    assert_quotient_matches(case, point, cutoff, st_pair)
+
+
+def test_quotient_examples_cover_their_cases():
+    g, gu = build_stars(MANY_FAILURES)
+    class_of = lv.site_classes(g, gu)[0]
+    assert sum(lv.laplacian(g, gu, x) > 0 for x in g.vertices()) > 20   # so margin > 0
+    report = lv.verify_graph(g, gu, 2, 1)
+    assert len(report.failures) == 20 and len({class_of[x] for x, _ in report.failures}) > 2
+    g, gu = build_stars(CONSTANT_TIES)
+    assert len(set(lv.site_classes(g, gu)[0])) > 2
+    assert lv.verify_graph(g, gu, 2, 1).max_margin == 0
+    undefined = lv.verify_graph(g, gu, 2, F(-1, 2)).undefined_layers
+    assert undefined == tuple(g.vertices())
+
+
+def counted_site_streams(monkeypatch):
+    """Wrap the graph operator stream where the graph checks read it; the
+    returned list grows by one per site evaluated."""
+    calls = []
+
+    def site_operators(g, u):
+        ops = graphs.site_operators(g, u)
+
+        def counted(x):
+            calls.append(x)
+            return ops(x)
+
+        return counted
+
+    for module in (cx, descent):
+        monkeypatch.setattr(module, "site_operators", site_operators)
+    return calls
+
+
+@pytest.mark.parametrize("fixture, radius", [("regime1_small", 6), ("regime4_walk", 6)])
+def test_graph_checks_evaluate_each_layer_of_a_ball_once(request, monkeypatch, fixture, radius):
+    built = request.getfixturevalue(fixture)
+    g, layers = built.tree.materialize(radius)
+    gu = lv.induced_graph_function(built.u, layers)
+    calls = counted_site_streams(monkeypatch)
+    lv.verify_graph(g, gu, built.spec.p, built.spec.q)
+    assert len(calls) == radius + 1
+    calls.clear()
+    lv.pointwise_bound_check(g, gu, built.spec.point)
+    assert len(calls) == radius + 1
 
 
 # ---------------------------------------------------------------------------
