@@ -27,7 +27,7 @@ from . import descent as dsc
 from .caccioppoli import TestFunction, estimate_sides, estimate_sides_radial
 from .errors import CalibrationError, HypothesisNotMetError, InputError, LiouvilleError
 from .graphs import GraphFunction, WeightedGraph, nash_williams_partial, parse_graph_text
-from .numerics import MIN_PRECISION_BITS, default_precision_bits, mpf_str, precision
+from .numerics import MIN_PRECISION_BITS, default_precision_bits, mpf_memo, mpf_str, precision
 from .radial import RadialFunction, parse_radial_text
 from .regions import ON_LINE, choose_st, classify_g, classify_k, pq
 
@@ -107,6 +107,7 @@ def _load_graph_file(path: str):
 def _load_values_csv(path: str) -> dict[int, mp.mpf]:
     """Two-column CSV: vertex (or layer) index, value.  Header row optional."""
     values: dict[int, mp.mpf] = {}
+    value = mpf_memo()
     try:
         rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
     except csv.Error as exc:                # e.g. a field over the csv field limit
@@ -121,7 +122,7 @@ def _load_values_csv(path: str) -> dict[int, mp.mpf]:
         if len(row) < 2:
             raise InputError(f"{path}: row {row!r} needs an index and a value")
         try:
-            values[idx] = mp.mpf(row[1])
+            values[idx] = value(row[1])
         except ValueError:
             raise InputError(f"{path}: bad value in row {row!r}")
     if not values:

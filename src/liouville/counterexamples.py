@@ -90,6 +90,13 @@ def _region_matches(regime: str, point: PQPoint) -> bool:
     return classify_g(point) == {"I": "G1", "II": "G2", "III": "G3", "IV": "G4"}[regime]
 
 
+def _check_size(N: int, horizon: int) -> None:
+    if N < 2:
+        raise InputError("tree degree N must be at least 2")
+    if horizon < 2:
+        raise InputError("horizon must be at least 2")
+
+
 def validate_spec(spec: RegimeSpec) -> None:
     if spec.regime not in REGIMES:
         raise InputError(f"unknown regime {spec.regime!r}")
@@ -97,10 +104,7 @@ def validate_spec(spec: RegimeSpec) -> None:
         raise InputError(
             f"(p,q)=({spec.p},{spec.q}) is not in the exponent region of regime {spec.regime}"
         )
-    if spec.N < 2:
-        raise InputError("tree degree N must be at least 2")
-    if spec.horizon < 2:
-        raise InputError("horizon must be at least 2")
+    _check_size(spec.N, spec.horizon)
     if spec.regime in ("I", "II", "III", "IV") and spec.n0 < 2:
         raise InputError("n0 must be at least 2 (logarithms need n + n0 >= 2)")
     if spec.regime in ("I", "II", "III") and spec.eps is None:
@@ -261,6 +265,8 @@ def margin_at(tree, u: RadialFunction, p, q, n: int) -> mp.mpf:
 def _checked_layers(tree, horizon: int | None) -> range:
     deepest = tree.interior_layers().stop - 1
     h = deepest if horizon is None else horizon
+    if h < 0:
+        raise InputError(f"horizon must be at least 0, got {h}")
     if h > deepest:
         raise InputError(f"horizon {h} exceeds checkable layers (needs u at {h + 1})")
     return range(0 if tree.one_sided else -h, h + 1)
@@ -895,6 +901,7 @@ def certify(regime: str, point: PQPoint, *, N: int, horizon: int,
         raise InputError(
             f"(p,q)=({point.p},{point.q}) is not in the exponent region of regime {regime}"
         )
+    _check_size(N, horizon)
     if regime in ("I", "II", "III"):
         if eps is None:
             raise InputError(f"regime {regime} calibration needs eps")

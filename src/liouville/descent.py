@@ -20,11 +20,12 @@ gate is closed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath as mp
 
-from .counterexamples import BuiltCounterexample, term_kernel
+from .counterexamples import _EXCUSE, _LN2, BuiltCounterexample, _top53, term_kernel
 from .errors import InputError
 from .graphs import GraphFunction, WeightedGraph, site_classes, site_operators
 from .numerics import check_nonpositive, rel_tol, to_mpf
@@ -185,57 +186,291 @@ class _Family:
                            worst_margin=max(self.margins) if self.margins else None)
 
 
+# ---------------------------------------------------------------------------
+# The float64 screen in front of the mpf margins
+
+_SLACK = 2.0 ** -40         # allowance per unit of magnitude in a log2 bound
+_UNDECIDED = 2.0 ** -10     # a log2 bound wider than this decides nothing
+_FAILS = 2.0 ** -20         # a re-check provably above this fails: far above tol
+_TINY = 2.0 ** -1000        # absolute widening: covers float64's subnormal range
+
+
+class _Screened:
+    """A family's margins behind the float64 screen: `_Family`, fed bounds.
+
+    `add(item, bounds)` records one margin of the family: `margin_of(item)`
+    gives the mpf margin and its verdict, and bounds is (lo, hi) with
+    lo <= that margin <= hi, or None where the screen did not decide.
+    `done` evaluates in mpf, in order, every item that is unbounded or
+    could hold the maximum (hi >= the largest lo), and excuses the rest:
+    an excused margin lies strictly below an evaluated one, so the maximum
+    and its first occurrence are unchanged, and so is `holds`.  A margin
+    fails only above tol, and then the larger evaluated one fails too (the
+    sandwich's sign condition only fails unbounded items).  A nan margin
+    (only from non-finite inputs) stops the screen, since the maximum of a
+    list holding a nan depends on where the nan sits: then every item is
+    evaluated.  The report equals `_Family`'s over every margin bit for bit.
+    """
+
+    def __init__(self, margin_of):
+        self.margin_of = margin_of
+        self.items = []
+
+    def add(self, item, bounds):
+        self.items.append((item, bounds))
+
+    def done(self) -> BoundFamily:
+        top = max((b[0] for _, b in self.items if b is not None), default=-math.inf)
+        ok, worst = True, None
+        for item, b in self.items:
+            if b is not None and b[1] < top:
+                continue
+            margin, good = self.margin_of(item)
+            if mp.isnan(margin):
+                every = _Family()
+                for it, _ in self.items:
+                    every.add(*self.margin_of(it))
+                return every.done()
+            ok = ok and good
+            if worst is None or margin > worst:
+                worst = margin
+        return BoundFamily(checked=len(self.items), holds=ok, worst_margin=worst)
+
+
+def _signed_log2(x: mp.mpf):
+    """(x < 0, log2|x|) from the top 53 bits of x; None for zero or a non-finite x."""
+    sign, man, exp, _ = x._mpf_
+    if not man:
+        return None
+    f, e = _top53(man, exp)
+    return sign, math.log2(f) + e
+
+
+def _exponent_floats(*exponents):
+    """The exponents as floats, or None if one is beyond what a float carries."""
+    floats = [float(x) for x in exponents]
+    if any(x and not 1e-300 < abs(f) < 1e300 for x, f in zip(exponents, floats)):
+        return None
+    return floats
+
+
+def _log2_bound(const, *terms):
+    """(y, err) with y = const + sum of c l over the (c, l) terms, and err a
+    bound on |y - log2 Q|, where Q is the mpf quantity y stands for; None
+    where err exceeds 2^-10 (or is not finite).
+
+    Each l is log2 of an mpf input, read by `_signed_log2`, and each c a
+    float of the mpf exponent that Q raises that input to (or +-1); const
+    is log2 of an mpf constant factor (sqrt 2 as 1/2).  Q is formed at the
+    working precision prec >= 53, and u = 2^-52 bounds an ulp relative to
+    the value.  With S = 1 + |const| + sum (|c| + |c l|), in units of u:
+    - float64: the 53-bit cut of an input (1.45 in log2), libm's log2 of
+      its leading fraction (half a unit) and the sum with its binary
+      exponent (half a unit of |l|), each times |c|; c against the mpf
+      exponent and the product c l (half a unit of |c l| each); the float
+      sums (half a unit of S each, at most four): under 2 sum |c| +
+      1.5 sum |c l| + 2 S;
+    - mpf: each power x^t within (4 + |t ln x|) ulps (an integer power or a
+      square root within a few; exp(t ln x) with ln x at prec + 10 bits),
+      so 1.45 (4 + 0.7 |c l|) + 0.1 |c l| in log2, and up to four plain
+      roundings (products, a square, a square root, the constant's own),
+      1.45 each: under 12 per power + 1.1 sum |c l| + 6.
+    All of it is below 25 S units; err = 2^-40 S is over 150 times that.
+    Where the bound then decides a margin, its final mpf roundings (a
+    subtraction and a division, or one subtraction) and libm's expm1 move
+    it by a few units relative to itself; `_bounds` widens it by 2^-40
+    relative to cover them.
+    """
+    y, size = const, 1.0 + abs(const)
+    for c, l in terms:
+        t = c * l
+        y += t
+        size += abs(c) + abs(t)
+    err = _SLACK * size
+    return (y, err) if err <= _UNDECIDED else None
+
+
+def _falling(y):
+    """(1 - 2^y) / max(1, 2^y), decreasing in y."""
+    return -math.expm1(y * _LN2) if y <= 0 else math.expm1(-y * _LN2)
+
+
+def _valley(x):
+    """max(-r, r - 1) / max(1, r) at r = 2^x: falls to -1/2 at x = -1, then rises."""
+    if x < -1:
+        return -(2.0 ** x)
+    return math.expm1(x * _LN2) if x < 0 else -math.expm1(-x * _LN2)
+
+
+def _bounds(shape, bound):
+    """Bounds (lo, hi) on a margin given as a function of y, from the
+    `_log2_bound` of y; None where that is None or the bounds are not finite.
+
+    shape "falling": (1 - 2^y)/max(1, 2^y); "valley": `_valley`, the
+    sandwich margin at y = log2(|lap|/drop); "rising": 2^y - 1.
+    """
+    if bound is None:
+        return None
+    y, err = bound
+    a, b = y - err, y + err
+    if shape == "falling":
+        lo, hi = _falling(b), _falling(a)
+    elif shape == "rising":
+        if b > 1000:
+            return None             # 2^b beyond the float range
+        lo, hi = math.expm1(a * _LN2), math.expm1(b * _LN2)
+    else:
+        ends = _valley(a), _valley(b)
+        lo, hi = (-0.5 if a <= -1 <= b else min(ends)), max(ends)
+    lo -= abs(lo) * _SLACK + _TINY
+    hi += abs(hi) * _SLACK + _TINY
+    return (lo, hi) if math.isfinite(lo) and math.isfinite(hi) else None
+
+
+def _site_logs(u, lap, g):
+    """(log2 u, `_signed_log2(lap)`, log2 g) where u, lap and g are finite
+    and nonzero and u and g positive; None otherwise."""
+    lu, ll, lg = _signed_log2(u), _signed_log2(lap), _signed_log2(g)
+    if lu and ll and lg and not lu[0] and not lg[0]:
+        return lu[1], ll, lg[1]
+    return None
+
+
+def _decided_solution(lu, lap, lg2, p, half_q):
+    """The re-check's verdict where the screen decides it, else None.
+
+    lap is `_signed_log2` of the Laplacian; lu and lg2 are log2 u and
+    log2 grad^2, with u and the gradient positive and finite.  A positive
+    Laplacian fails, since the term is positive.  Otherwise, as in
+    `counterexamples._screen`, ell = log2(term/|lap|) provably below
+    -2^-30 proves lap + term < 0, a pass, and provably above 2^-20 proves
+    (lap + term)/term > 6e-7, far above tol, a failure.
+    """
+    negative, ll = lap
+    if not negative:
+        return False
+    bound = _log2_bound(0.0, (p, lu), (half_q, lg2), (-1.0, ll))
+    if bound is None:
+        return None
+    ell, err = bound
+    if ell + err < _EXCUSE:
+        return True
+    if ell - err > _FAILS:
+        return False
+    return None
+
+
+# The mpf margins and the re-check, as the loops over every step compute them.
+
+def _solution_check(u, lap, grad, term_of, tol):
+    """Whether u solves the inequality at a site; None where the term is undefined."""
+    try:
+        term = term_of(u, grad ** 2)
+    except InputError:
+        return None
+    return check_nonpositive(lap + term, max(abs(lap), term), tol).holds
+
+
+def _averaging(step, sqrt2, tol):
+    rhs = sqrt2 * step.grad
+    scale = max(abs(step.lap), rhs)
+    m = (abs(step.lap) - rhs) / scale if scale > 0 else mp.mpf(0)
+    return m, m <= tol
+
+
+def _sandwich(step, tol):
+    scale = max(abs(step.lap), abs(step.drop))
+    if scale == 0:
+        return mp.mpf(0), False     # lap must be strictly negative
+    m = max(step.lap, -step.drop - step.lap) / scale
+    return m, step.lap < 0 and m <= tol
+
+
+def _gradient_ratio(step, ratio_factor, tol):
+    bound = ratio_factor * step.drop
+    m = (step.grad - bound) / max(step.grad, bound)
+    return m, m <= tol
+
+
+def _pointwise_power(step, sqrt2, neg_p, one_minus_q, tol):
+    rhs = sqrt2 * mp.power(step.u, neg_p) * mp.power(step.grad, one_minus_q)
+    m = (1 - rhs) / max(mp.mpf(1), rhs)
+    return m, m <= tol
+
+
+def _pointwise_margin(u, grad_sq, p1, term_of, tol):
+    m = mp.power(u, p1) * term_of.grad_power(mp.sqrt(grad_sq)) - 1
+    return m, m <= tol
+
+
 def walk_diagnostics(walk: DescentWalk, p0=None,
                      point: PQPoint | None = None) -> WalkDiagnostics:
     """Per-step bound margins over a recorded walk.
 
     Margins are normalized by the dominant magnitude of each comparison.
-    Passing p0 enables the gradient ratio family; passing the exponent
-    pair enables the solution re-check and the pointwise power family.
+    Passing p0 (finite, at least 1) enables the gradient ratio family;
+    passing the exponent pair enables the solution re-check and the
+    pointwise power family.
+
+    Each normalized margin is a monotone function of one log2 quantity y
+    of the step's mpf values (for the sandwich, falling then rising), so a
+    float64 bound on y bounds the margin (`_log2_bound`, `_bounds`).  mpf
+    evaluates a family's margin only at the steps `_Screened` cannot
+    excuse, and the re-check only where `_decided_solution` leaves it open;
+    a step whose u, lap or grad is zero or not finite, or any step below
+    53 bits, is evaluated in mpf throughout.  The report equals that of
+    the loop evaluating every margin in mpf, bit for bit.
     """
     tol = rel_tol()
     sqrt2 = mp.sqrt(2)
+    exponents = []
     if p0 is not None:
-        ratio_factor = mp.sqrt((1 + to_mpf(p0) ** 2) / 2)
+        p0 = to_mpf(p0)
+        if not (mp.isfinite(p0) and p0 >= 1):
+            raise InputError("p0 must be at least 1")
+        ratio_factor = mp.sqrt((1 + p0 ** 2) / 2)
+        log_rf = _signed_log2(ratio_factor)[1]
     if point is not None:
         term_of = term_kernel(point.p, point.q)
         neg_p, one_minus_q = -to_mpf(point.p), 1 - to_mpf(point.q)
-    dec, sand, avg, gratio, ppower = (_Family() for _ in range(5))
+        exponents = [term_of.p, term_of._half_q if term_of._sign else 0, neg_p, one_minus_q]
+    floats = _exponent_floats(*exponents) if mp.mp.prec >= 53 else None
+    if exponents and floats is not None:
+        p, half_q, neg_p_f, one_minus_q_f = floats
+    dec = _Family()
+    sand = _Screened(lambda s: _sandwich(s, tol))
+    avg = _Screened(lambda s: _averaging(s, sqrt2, tol))
+    gratio = _Screened(lambda s: _gradient_ratio(s, ratio_factor, tol))
+    ppower = _Screened(lambda s: _pointwise_power(s, sqrt2, neg_p, one_minus_q, tol))
     solution_sites = 0
     for step in walk.steps:
-        rhs = sqrt2 * step.grad
-        scale = max(abs(step.lap), rhs)
-        m = (abs(step.lap) - rhs) / scale if scale > 0 else mp.mpf(0)
-        avg.add(m, m <= tol)
+        logs = _site_logs(step.u, step.lap, step.grad) if floats is not None else None
+        if logs:
+            lu, (lap_negative, ll), lg = logs
+            drop = step.drop is not None and _signed_log2(step.drop)
+            ld = drop[1] if drop and not drop[0] else None
+        avg.add(step, logs and _bounds("falling", _log2_bound(0.5, (1.0, lg), (-1.0, ll))))
         solves = False
         if point is not None:
-            try:
-                term = term_of(step.u, step.grad ** 2)
-                solves = check_nonpositive(step.lap + term,
-                                           max(abs(step.lap), term), tol).holds
-            except InputError:
-                solves = False
+            solves = logs and _decided_solution(lu, logs[1], 2 * lg, p, half_q)
+            if solves is None:
+                solves = _solution_check(step.u, step.lap, step.grad, term_of, tol) is True
             if solves:
                 solution_sites += 1
         if step.drop is not None:
             dec.add(-step.drop, step.drop > 0)
+            screened = logs is not None and ld is not None
             if solves:
-                scale = max(abs(step.lap), abs(step.drop))
-                if scale == 0:
-                    sand.add(mp.mpf(0), False)  # lap must be strictly negative
-                else:
-                    m = max(step.lap, -step.drop - step.lap) / scale
-                    sand.add(m, step.lap < 0 and m <= tol)
+                sand.add(step, screened and lap_negative and _bounds(
+                    "valley", _log2_bound(0.0, (1.0, ll), (-1.0, ld))) or None)
             # the gradient ratio bound only needs a nonpositive Laplacian and
             # a strict drop, not the full solution property
             if p0 is not None and step.drop > 0 and step.lap <= 0:
-                bound = ratio_factor * step.drop
-                m = (step.grad - bound) / max(step.grad, bound)
-                gratio.add(m, m <= tol)
+                gratio.add(step, screened and _bounds(
+                    "falling", _log2_bound(log_rf, (1.0, ld), (-1.0, lg))) or None)
         if point is not None and solves and step.grad > 0:
-            rhs = sqrt2 * mp.power(step.u, neg_p) * mp.power(step.grad, one_minus_q)
-            m = (1 - rhs) / max(mp.mpf(1), rhs)
-            ppower.add(m, m <= tol)
+            ppower.add(step, logs and _bounds("falling", _log2_bound(
+                0.5, (neg_p_f, lu), (one_minus_q_f, lg))))
     return WalkDiagnostics(
         n_sites=len(walk.steps),
         strict_decrease=dec.done(),
@@ -265,23 +500,36 @@ def _pointwise_core(sites, class_of, reps, operators, point: PQPoint) -> Pointwi
     Sites of one class share their operators: each class is evaluated once,
     at its representative reps[c], and the report is read off site by site
     in the order of `sites`, whose i-th entry is in class class_of[i].
+    The re-check and the margin go through the float64 screen of
+    `walk_diagnostics`: the margin is 2^w - 1 with w = (p-1) log2 u +
+    (q/2) log2 grad^2, and mpf evaluates a class only where the re-check
+    is open or the class could hold the maximum.
     """
     tol = rel_tol()
     term_of = term_kernel(point.p, point.q)
     p1 = to_mpf(point.p - 1)
+    half_q = term_of._half_q if term_of._sign else 0
+    floats = _exponent_floats(term_of.p, half_q, p1) if mp.mp.prec >= 53 else None
+    if floats is not None:
+        p, half_q_f, p1_f = floats
+    margins = _Screened(lambda ug: _pointwise_margin(*ug, p1, term_of, tol))
     verdicts = []
     for u_val, lap, grad_sq in map(operators, reps):
-        grad = mp.sqrt(grad_sq)
-        try:
-            term = term_of(u_val, grad ** 2)
-        except InputError:
-            verdicts.append(_UNDEFINED)
-            continue
-        if not check_nonpositive(lap + term, max(abs(lap), term), tol).holds:
+        logs = _site_logs(u_val, lap, grad_sq) if floats is not None else None
+        solves = logs and _decided_solution(*logs, p, half_q_f)
+        if solves is None:
+            solves = _solution_check(u_val, lap, mp.sqrt(grad_sq), term_of, tol)
+            if solves is None:
+                verdicts.append(_UNDEFINED)
+                continue
+        if not solves:
             verdicts.append(_NOT_A_SOLUTION)
             continue
-        verdicts.append(mp.power(u_val, p1) * term_of.grad_power(grad) - 1)
-    margins = []
+        verdicts.append(None)
+        margins.add((u_val, grad_sq), logs and _bounds(
+            "rising", _log2_bound(0.0, (p1_f, logs[0]), (half_q_f, logs[2]))))
+    family = margins.done()
+    checked = 0
     skipped = []
     failures = []
     for site, c in zip(sites, class_of):
@@ -291,11 +539,9 @@ def _pointwise_core(sites, class_of, reps, operators, point: PQPoint) -> Pointwi
         elif verdict is _NOT_A_SOLUTION:
             failures.append(site)
         else:
-            margins.append(verdict)
-    holds = all(m <= tol for m in margins)
+            checked += 1
     return PointwiseBoundReport(
-        checked=len(margins), holds=holds,
-        max_margin=max(margins) if margins else None,
+        checked=checked, holds=family.holds, max_margin=family.worst_margin,
         skipped=tuple(skipped), hypothesis_failures=tuple(failures),
     )
 
@@ -312,6 +558,8 @@ def pointwise_bound_check(g: WeightedGraph, u: GraphFunction,
 def pointwise_bound_check_built(built: BuiltCounterexample,
                                 horizon: int | None = None) -> PointwiseBoundReport:
     """Layerwise version for radial builds: the interior layers within the horizon."""
+    if horizon is not None and horizon < 0:
+        raise InputError(f"horizon must be at least 0, got {horizon}")
     inner = built.tree.interior_layers()
     h = inner.stop - 1 if horizon is None else min(horizon, inner.stop - 1)
     layers = range(max(inner.start, -h), h + 1)

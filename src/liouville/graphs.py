@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import mpmath as mp
 
 from .errors import InputError, IsolatedVertexError
-from .numerics import check_le, to_mpf
+from .numerics import check_le, mpf_memo, to_mpf
 
 
 class WeightedGraph:
@@ -352,6 +352,7 @@ def parse_graph_text(text: str) -> WeightedGraph:
     except ValueError:
         raise InputError(f"bad vertex count in header: {lines[0]!r}")
     edges = []
+    weight = mpf_memo()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:
@@ -361,7 +362,7 @@ def parse_graph_text(text: str) -> WeightedGraph:
         except ValueError:
             raise InputError(f"bad vertex id in line: {ln!r}")
         try:
-            edges.append((x, y, mp.mpf(parts[2])))
+            edges.append((x, y, weight(parts[2])))
         except ValueError:
             raise InputError(f"bad edge weight in line: {ln!r}")
     return WeightedGraph(n, edges)

@@ -67,6 +67,24 @@ def to_mpf(x) -> mp.mpf:
     raise TypeError(f"cannot convert {type(x).__name__} to mpf")
 
 
+def mpf_memo():
+    """mp.mpf on strings, converting each distinct string once.
+
+    For one parse at one precision: a file of repeated decimals (a
+    materialized ball holds a handful of distinct ones) pays for each
+    distinct string once.  A string mp.mpf rejects raises every time.
+    """
+    cache: dict[str, mp.mpf] = {}
+
+    def convert(text: str) -> mp.mpf:
+        value = cache.get(text)
+        if value is None:
+            value = cache[text] = mp.mpf(text)
+        return value
+
+    return convert
+
+
 @dataclass(frozen=True)
 class InequalityCheck:
     """Outcome of testing `value <= 0`, relative to a scale.

@@ -541,3 +541,38 @@ def test_verify_report_digest(capsys, tmp_path, regime):
     code, out = verify_stdout(capsys, regime, tree_path, lowered_path)
     assert code == 1 and json.loads(out)["verified"] is False
     assert hashlib.sha256(out.encode()).hexdigest() == negative
+
+
+def test_verify_rejects_a_negative_horizon(capsys, tmp_path):
+    """--horizon -1 checked no layer and reported a vacuous certificate."""
+    tree_path, values_path, _ = stored_certificate_files("I", tmp_path)
+    code = main(["verify", "--graph", str(tree_path), "--u", str(values_path),
+                 "--p", "2", "--q", "1", "--horizon", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: horizon must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+@pytest.mark.parametrize("regime", ["I", "III", "IV"])
+def test_construct_rejects_a_short_horizon(capsys, regime, horizon):
+    """I, III and IV died in the n0 search on an empty probe list; they now
+    exit 2 with validate_spec's message, as II, V1 and V2 do."""
+    p, q, extra, _, _ = CONSTRUCT_DIGESTS[regime]
+    code = main(["construct", "--regime", regime, "--p", p, "--q", q, "--N", "3",
+                 "--horizon", horizon] + extra)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: horizon must be at least 2\n"
+
+
+def test_descend_rejects_a_p0_below_one(capsys, tmp_path):
+    g = lv.WeightedGraph(3, [(0, 1, 1), (1, 2, 1)])
+    (tmp_path / "g.txt").write_text(lv.format_graph_text(g))
+    (tmp_path / "u.csv").write_text("0,3\n1,2\n2,1\n")
+    args = ["descend", "--graph", str(tmp_path / "g.txt"), "--u", str(tmp_path / "u.csv"),
+            "--start", "0", "--steps", "2", "--p0"]
+    code = main(args + ["-3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err == "error: p0 must be at least 1\n"
+    assert main(args + ["1"]) == 0

@@ -170,3 +170,22 @@ def test_pointwise_bound_skips_zero_gradient_negative_q():
     rep = lv.pointwise_bound_check(g, u, lv.pq(2, -1))
     assert rep.checked == 0
     assert set(rep.skipped) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("p0", [-3, mp.mpf("0.5"), 0, mp.nan, mp.inf, "-inf"])
+def test_walk_diagnostics_rejects_a_meaningless_p0(p0):
+    """p0 below 1 would read -3 as 3 through its square; nan or inf has no
+    gradient ratio bound at all."""
+    g = lv.WeightedGraph(2, [(0, 1, 1)])
+    walk = lv.descent_walk(g, lv.GraphFunction([1, "0.5"]), 0, 1)
+    with pytest.raises(InputError, match="p0 must be at least 1"):
+        lv.walk_diagnostics(walk, p0=p0, point=lv.pq(2, -1))
+    assert lv.walk_diagnostics(walk, p0=1).gradient_ratio.holds
+
+
+@pytest.mark.parametrize("horizon", [-1, -5])
+def test_pointwise_bound_rejects_a_negative_horizon(regime5_walk, horizon):
+    """A negative horizon checked no layer and reported the bound as holding."""
+    with pytest.raises(InputError, match="horizon must be at least 0"):
+        lv.pointwise_bound_check_built(regime5_walk, horizon=horizon)
+    assert lv.pointwise_bound_check_built(regime5_walk, horizon=0).checked == 1

@@ -298,3 +298,15 @@ def test_graph_text_comments_and_errors():
         lv.parse_graph_text("graph v=x\n")
     with pytest.raises(InputError):
         lv.parse_graph_text("0 1 1.0\n")
+
+
+def test_graph_text_converts_each_distinct_weight_once():
+    """A materialized ball repeats a handful of weights; each distinct string
+    is converted once, and every weight equals its own conversion."""
+    text = "graph v=5\n0 1 0.1\n0 2 0.1\n1 3 2.5e-3\n2 4 0.1\n"
+    g = lv.parse_graph_text(text)
+    weights = [w for _, w in g.edges()]
+    assert weights == [mp.mpf(s) for s in ("0.1", "0.1", "2.5e-3", "0.1")]
+    assert weights[0] is weights[1] is weights[3]
+    with pytest.raises(InputError, match="bad edge weight in line: '1 2 x'"):
+        lv.parse_graph_text(text + "1 2 x\n")

@@ -1107,3 +1107,273 @@ def test_band_evaluates_the_bench_law_at_few_n(monkeypatch):
     band, calls = counted_band(monkeypatch, built, law, 16, 4096)
     assert 1 <= len(calls) <= 8
     assert band == before_band.volume_band(built, law, 16, 4096)
+
+
+# ---------------------------------------------------------------------------
+# the float64 screen in front of the walk diagnostics and the pointwise bound
+# against the loops evaluating every margin in mpf (tests/before_streams.py)
+
+# Normalized margins planted in one family: on both sides of 0, of tol and of
+# ten tolerances.  "0" is planted exactly where the family allows it.
+WALK_MARGINS = ["0", "1e-35", "-1e-35", "5e-30", "-5e-30", "1e-27", "-1e-27"]
+WALK_PLANTS = ["averaging", "sandwich_low", "sandwich_half", "sandwich_high",
+               "gradient_ratio", "pointwise_power", "solution", "bound"]
+WALK_P0S = [None, 1, F(3, 2), 4]
+
+step_recipes = st.fixed_dictionaries({
+    "values": st.lists(st.floats(0.1, 3.0), min_size=4, max_size=4),
+    "exps": st.sampled_from([(0, 0, 0, 0), (-400,) * 4, (400,) * 4])
+    | st.lists(st.sampled_from([-400, 0, 400]), min_size=4, max_size=4).map(tuple),
+    "u_sign": st.sampled_from([1] * 8 + [0, -1]),
+    "lap_sign": st.sampled_from([-1] * 6 + [0, 1, 1]),
+    "drop": st.sampled_from(["positive"] * 6 + ["zero", "negative"]),
+    "grad_zero": st.sampled_from([False] * 7 + [True]),
+    "plant": st.none() | st.sampled_from(WALK_PLANTS),
+    "margin": st.sampled_from(WALK_MARGINS),
+    "copy": st.none() | st.integers(0, 7),
+})
+
+
+@st.composite
+def walk_cases(draw):
+    """A recipe for a recorded walk, built by `build_walk`: steps with planted
+    margins, copies of earlier steps (ties for the maximum) or one step
+    repeated (flat families), at 53 or 128 bits."""
+    return {
+        "bits": draw(st.sampled_from([53, 128])),
+        "steps": draw(st.lists(step_recipes, min_size=1, max_size=8)),
+        "flat": draw(st.sampled_from([False, False, False, True])),
+        "p0": draw(st.sampled_from(WALK_P0S)),
+        "point": draw(st.sampled_from(POINTS + [None])),
+    }
+
+
+def planted_step(r, p0, point):
+    """(u, lap, grad, drop) of a step recipe at the working precision."""
+    u, lap, grad, drop = (mp.mpf(v) * mp.mpf(10) ** e for v, e in zip(r["values"], r["exps"]))
+    u *= r["u_sign"]
+    lap *= r["lap_sign"]
+    grad = mp.mpf(0) if r["grad_zero"] else grad
+    drop = {"positive": drop, "zero": mp.mpf(0), "negative": -drop}[r["drop"]]
+    m, plant, sqrt2 = mp.mpf(r["margin"]), r["plant"], mp.sqrt(2)
+    if plant is None or not u > 0:
+        return u, lap, grad, drop
+    if plant == "averaging" and grad > 0:
+        # (|lap| - sqrt2 grad) / max(|lap|, sqrt2 grad) = m
+        rhs = sqrt2 * grad
+        lap = -(rhs / (1 - m) if m > 0 else rhs * (1 + m))
+    elif plant == "gradient_ratio" and p0 is not None and drop > 0:
+        bound = mp.sqrt((1 + lv.to_mpf(p0) ** 2) / 2) * drop
+        lap = -abs(lap)
+        grad = bound / (1 - m) if m > 0 else bound * (1 + m)
+    elif point is None or grad == 0:
+        pass
+    elif plant.startswith("sandwich") and drop > 0:
+        # r = |lap|/drop with max(-r, r - 1) / max(1, r) = m, on either side of
+        # r = 1/2, or r = 1/2 itself, the margin's minimum -1/2
+        if plant == "sandwich_half":
+            r_ = mp.mpf(0.5)
+        else:
+            r_ = 1 / (1 - m) if m >= 0 else (-m if plant == "sandwich_low" else 1 + m)
+        lap = -r_ * drop
+        # u^p grad^q = |lap|/2, so that the step solves
+        p, q = lv.to_mpf(point.p), lv.to_mpf(point.q)
+        u = (abs(lap) / 2 / mp.power(grad, q)) ** (1 / p)
+    elif plant == "pointwise_power":
+        # sqrt2 u^-p grad^(1-q) = rhs, with (1 - rhs) / max(1, rhs) = m
+        p, q = lv.to_mpf(point.p), lv.to_mpf(point.q)
+        rhs = 1 - m if m >= 0 else 1 / (1 + m)
+        u = (rhs / (sqrt2 * mp.power(grad, 1 - q))) ** (-1 / p)
+        lap = -2 * lv.nonlinear_term(u, grad ** 2, point.p, point.q)
+    elif plant == "bound":
+        # u^(p-1) grad^q = 1 + m
+        p, q = lv.to_mpf(point.p), lv.to_mpf(point.q)
+        u = ((1 + m) / mp.power(grad, q)) ** (1 / (p - 1))
+        lap = -2 * lv.nonlinear_term(u, grad ** 2, point.p, point.q)
+    elif plant == "solution":
+        # term / |lap| = 1 + m
+        lap = -lv.nonlinear_term(u, grad ** 2, point.p, point.q) / (1 + m)
+    return u, lap, grad, drop
+
+
+def build_walk(case):
+    """The recorded walk of a `walk_cases` recipe, at the working precision."""
+    rows = []
+    for r in case["steps"]:
+        if r["copy"] is not None and r["copy"] < len(rows):
+            rows.append(rows[r["copy"]])
+        else:
+            rows.append(planted_step(r, case["p0"], case["point"]))
+    if case["flat"]:
+        rows = rows[:1] * len(rows)
+    steps = [descent.DescentStep(site=i, u=u, lap=lap, grad=grad,
+                                 drop=drop if i < len(rows) - 1 else None)
+             for i, (u, lap, grad, drop) in enumerate(rows)]
+    return descent.DescentWalk(steps=tuple(steps), termination="max-steps",
+                               revisit_flagged=False)
+
+
+def assert_pointwise_core_matches(walk, point):
+    """`_pointwise_core` on the walk's (u, lap, grad^2), equal sites sharing a
+    class, against the loop over every site."""
+    sites = [(s.u, s.lap, s.grad ** 2) for s in walk.steps]
+    index, class_of, reps = {}, [], []
+    for i, site in enumerate(sites):
+        c = index.setdefault(tuple(x._mpf_ for x in site), len(reps))
+        if c == len(reps):
+            reps.append(i)
+        class_of.append(c)
+    same(lambda: descent._pointwise_core(range(len(sites)), class_of, reps,
+                                         sites.__getitem__, point),
+         lambda: old._pointwise_core([(i, u, lap, mp.sqrt(g2))
+                                      for i, (u, lap, g2) in enumerate(sites)], point))
+
+
+def check_bounds(monkeypatch):
+    """Make every `_Screened` check each bound it is given against the mpf
+    margin; a second call (the next example of a Hypothesis test) keeps it."""
+    if getattr(descent._Screened, "checks_bounds", False):
+        return
+
+    class CheckedBounds(descent._Screened):
+        checks_bounds = True
+
+        def add(self, item, bounds):
+            if bounds is not None:
+                margin, _ = self.margin_of(item)
+                assert bounds[0] <= margin <= bounds[1], (bounds, margin)
+            super().add(item, bounds)
+
+    monkeypatch.setattr(descent, "_Screened", CheckedBounds)
+
+
+def planted_walk(plants, point=POINTS[0], p0=4, bits=128):
+    """A `walk_cases` recipe of unit-scale steps, one per (plant, margin)."""
+    step = {"values": [1.0, 0.7, 1.3, 0.9], "exps": (0, 0, 0, 0), "u_sign": 1,
+            "lap_sign": -1, "drop": "positive", "grad_zero": False, "copy": None}
+    return {"bits": bits, "flat": False, "p0": p0, "point": point,
+            "steps": [dict(step, plant=plant, margin=m) for plant, m in plants]
+            + [dict(step, plant=None, margin="0")]}
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(walk_cases())
+@example(planted_walk([("solution", m) for m in WALK_MARGINS]))
+@example(planted_walk([("sandwich_half", "0"), ("sandwich_low", "-1e-35"),
+                       ("sandwich_high", "1e-35")]))
+@example(planted_walk([(plant, m) for plant in WALK_PLANTS for m in ("0", "5e-30")],
+                      point=POINTS[4], p0=1))
+def test_screened_diagnostics_match_the_mpf_loops(monkeypatch, case):
+    check_bounds(monkeypatch)
+    with mp.workprec(case["bits"]):
+        walk = build_walk(case)
+        same(lv.walk_diagnostics, old.walk_diagnostics, walk, case["p0"], case["point"])
+        if case["point"] is not None:
+            assert_pointwise_core_matches(walk, case["point"])
+
+
+def planted_tree(rng, point, margin):
+    """A one-sided tree whose profile is scaled so that the pointwise bound's
+    margin is `margin` at one layer solving the inequality, if one does."""
+    tree, u = one_sided_case(rng, rng.randrange(4, 12))
+    ops = lv.layer_operators(tree, u)
+    p, q = lv.to_mpf(point.p), lv.to_mpf(point.q)
+    layers = [n for n in range(tree.layer_hi)
+              if ops(n)[1] < 0 and abs(ops(n)[1]) > 2 * ops(n)[0] and ops(n)[2] > 0]
+    if layers:
+        n = rng.choice(layers)
+        un, _, grad_sq = ops(n)
+        x = mp.power(un, p - 1) * mp.power(grad_sq, q / 2)
+        c = ((1 + mp.mpf(margin)) / x) ** (1 / (p - 1 + q))
+        u = lv.RadialFunction([v * c for v in u.values()])
+    return tree, u
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_screened_pointwise_bound_matches_on_planted_trees(monkeypatch, seed):
+    """pointwise_bound_check_built, pointwise_bound_check on the materialized
+    ball and the walk diagnostics on trees with a planted pointwise margin."""
+    check_bounds(monkeypatch)
+    rng = random.Random(9000 + seed)
+    for bits in (53, 128):
+        with mp.workprec(bits):
+            for point in POINTS:
+                for margin in WALK_MARGINS:
+                    tree, u = planted_tree(rng, point, margin)
+                    spec = lv.RegimeSpec(regime="I", p=point.p, q=point.q, N=tree.N, horizon=2)
+                    built = cx.BuiltCounterexample(tree, u, spec)
+                    same(lv.pointwise_bound_check_built, old.pointwise_bound_check_built,
+                         built, None)
+                    g, layers = tree.materialize(min(3, tree.layer_hi - 1))
+                    gu = lv.induced_graph_function(u, layers)
+                    same(lv.pointwise_bound_check, old.pointwise_bound_check, g, gu, point)
+                    if same(lv.radial_descent_walk, old.radial_descent_walk,
+                            tree, u, 0, 50)[0] == "ok":
+                        walk = lv.radial_descent_walk(tree, u, 0, 50)
+                        same(lv.walk_diagnostics, old.walk_diagnostics, walk, tree.p0(), point)
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_walk_screen_bounds_hold(monkeypatch, request, bits):
+    """Every bound the screen hands a family contains the family's mpf margin,
+    on the conftest IV and V1 walks rebuilt at the precision, their pointwise
+    bounds and the 10^-400..10^400 walks of random trees."""
+    check_bounds(monkeypatch)
+    rng = random.Random(bits)
+    with mp.workprec(bits):
+        for name in ("regime4_walk", "regime5_walk"):
+            built = lv.build(request.getfixturevalue(name).spec)
+            walk = lv.radial_descent_walk(built.tree, built.u, 0, 1000)
+            same(lv.walk_diagnostics, old.walk_diagnostics, walk, built.tree.p0(),
+                 built.spec.point)
+            same(lv.pointwise_bound_check_built, old.pointwise_bound_check_built, built, 1000)
+        for scale in ("1e-400", "1", "1e400"):
+            tree, u = one_sided_case(rng, 30)
+            u = lv.RadialFunction([v * mp.mpf(scale) for v in u.values()])
+            walk = lv.radial_descent_walk(tree, u, 1, 30)
+            for point in POINTS:
+                same(lv.walk_diagnostics, old.walk_diagnostics, walk, tree.p0(), point)
+
+
+def counted_margins(monkeypatch):
+    """Wrap the mpf margins and the re-check of the walk diagnostics and the
+    pointwise bound; the returned dict counts the calls per function."""
+    calls = {}
+    for name in ("_averaging", "_sandwich", "_gradient_ratio", "_pointwise_power",
+                 "_solution_check", "_pointwise_margin"):
+        fn = getattr(descent, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(descent, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("fixture", ["regime4_walk", "regime5_walk"])
+def test_walk_screen_sends_few_steps_to_mpf(monkeypatch, request, fixture):
+    """On the conftest IV walk (1000 steps) each family and the re-check reach
+    mpf at a handful of steps.  V1 is self-similar: its gradient-ratio margins
+    and its pointwise-bound margins agree to 1e-30, so those two reach mpf at
+    every step, and the other families still at a handful."""
+    built = request.getfixturevalue(fixture)
+    walk = lv.radial_descent_walk(built.tree, built.u, 0, 1000)
+    point = built.spec.point
+    want_walk = old.walk_diagnostics(walk, built.tree.p0(), point)
+    want_bound = old.pointwise_bound_check_built(built, 1000)
+    calls = counted_margins(monkeypatch)
+    diag = lv.walk_diagnostics(walk, built.tree.p0(), point)
+    walk_calls = dict(calls)
+    calls.clear()
+    bound = lv.pointwise_bound_check_built(built, 1000)
+    assert exact(diag) == exact(want_walk) and exact(bound) == exact(want_bound)
+    every = {"_gradient_ratio", "_pointwise_margin"} if fixture == "regime5_walk" else set()
+    for name in ("_averaging", "_sandwich", "_gradient_ratio", "_pointwise_power",
+                 "_solution_check"):
+        n = walk_calls.get(name, 0)
+        assert n >= 990 if name in every else n <= 4, (name, n)
+    n = calls.get("_pointwise_margin", 0)
+    assert n >= 990 if "_pointwise_margin" in every else n <= 4
+    assert "_solution_check" not in calls
