@@ -5,7 +5,7 @@ from .caccioppoli import (CConstants, EstimateReport, ExpVolumeBound, TestFuncti
                           c_constant, estimate_sides, estimate_sides_radial,
                           exp_volume_bound, h_value, holder_conjugate, kappa0,
                           phi_value, test_function_value)
-from .counterexamples import (BuiltCounterexample, Certificate, DeltaBound, MarginReport,
+from .counterexamples import (BuiltCounterexample, Certificate, DeltaBound, ExpLaw, MarginReport,
                               PowerLogLaw, RegimeSpec, TailReport, VolumeBand, build, calibrate,
                               certify, certify_spec,
                               delta0, interior_threshold, lambda_fn, lambda_limit,

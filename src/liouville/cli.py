@@ -356,7 +356,9 @@ def _cmd_volume(args) -> int:
                          n0=args.n0, delta=delta)
     built = cx.build(spec)
     target = cx.volume_target(spec)
-    if args.exponent_offset:
+    if args.exponent_offset and isinstance(target, cx.PowerLogLaw):
+        target = cx.PowerLogLaw(target.expo + args.exponent_offset, target.logexp)
+    elif args.exponent_offset:
         base_target = target
         off = mp.mpf(args.exponent_offset)
         target = lambda n: base_target(n) * mp.mpf(n) ** off

@@ -39,7 +39,8 @@ from itertools import takewhile
 from typing import Callable
 
 import mpmath as mp
-from mpmath.libmp import mpf_sub
+from mpmath.libmp import (from_int, mpf_add, mpf_div, mpf_exp, mpf_gt, mpf_log, mpf_lt,
+                          mpf_mul, mpf_sub, round_nearest)
 
 from .errors import CalibrationError, InputError
 from .graphs import GraphFunction, WeightedGraph, site_classes, site_operators
@@ -1024,37 +1025,77 @@ class VolumeBand:
         return self.ratio_max / self.ratio_min
 
 
+def _law_parameter(x, what: str) -> mp.mpf:
+    """A growth law's parameter as a finite mpf at the working precision."""
+    x = to_mpf(x)
+    if not mp.isfinite(x):
+        raise InputError(f"{what} must be finite, got {x}")
+    return x
+
+
 @dataclass(frozen=True)
 class PowerLogLaw:
     """The growth law n^expo (ln n)^logexp: positive and finite for n >= 2.
 
-    A call evaluates the law in mpf at the working precision.  The mpf (or
-    int) exponents are kept, so that `volume_band` can bound log2 of the
-    law in float64 before it evaluates it anywhere.
+    The exponents are converted to finite mpfs when the law is built, and
+    kept, so that `volume_band` can bound log2 of the law in float64 before
+    it evaluates it anywhere.  A call evaluates exp(expo ln n + logexp ln ln n)
+    at 20 bits above the working precision, with one final rounding to it
+    (the error is derived in `_band_bounds`).
     """
 
-    expo: mp.mpf | int
+    expo: mp.mpf
     logexp: mp.mpf
 
+    def __post_init__(self):
+        object.__setattr__(self, "expo", _law_parameter(self.expo, "power-log exponent"))
+        object.__setattr__(self, "logexp", _law_parameter(self.logexp, "power-log exponent"))
+
     def __call__(self, n: int) -> mp.mpf:
-        return mp.mpf(n) ** self.expo * mp.ln(n) ** self.logexp
+        prec = mp.mp.prec
+        wp = prec + 20
+        ln_n = mpf_log(from_int(n), wp, round_nearest)
+        t = mpf_mul(self.expo._mpf_, ln_n, wp, round_nearest)
+        if self.logexp:
+            lnln_n = mpf_log(ln_n, wp, round_nearest)
+            t = mpf_add(t, mpf_mul(self.logexp._mpf_, lnln_n, wp, round_nearest),
+                        wp, round_nearest)
+        return mp.make_mpf(mpf_exp(t, prec, round_nearest))
 
 
-def volume_target(spec: RegimeSpec) -> Callable[[int], mp.mpf]:
+@dataclass(frozen=True)
+class ExpLaw:
+    """The growth law exp(lam n): positive and finite for every int n.
+
+    lam is converted to a finite mpf when the law is built.  A call forms
+    lam n exactly and rounds only exp(lam n), once, to the working precision:
+    mpmath's exp is within 1 ulp there.  (Raising e, itself rounded, to the
+    power lam n would multiply e's rounding error by lam n.)
+    """
+
+    lam: mp.mpf
+
+    def __post_init__(self):
+        object.__setattr__(self, "lam", _law_parameter(self.lam, "exponential rate"))
+
+    def __call__(self, n: int) -> mp.mpf:
+        return mp.make_mpf(mpf_exp(mpf_mul(self.lam._mpf_, from_int(n)), mp.mp.prec,
+                                   round_nearest))
+
+
+def volume_target(spec: RegimeSpec) -> PowerLogLaw | ExpLaw:
     """The growth law the construction is designed to realize."""
     point = spec.point
     if spec.regime == "I":
-        expo = to_mpf((2 * spec.p + spec.q) / (spec.p + spec.q - 1))
+        expo = (2 * spec.p + spec.q) / (spec.p + spec.q - 1)
         logexp = to_mpf(exponents(point, "I").beta) + to_mpf(spec.eps)
         return PowerLogLaw(expo, logexp)
     if spec.regime == "II":
         return PowerLogLaw(2, 1 + to_mpf(spec.eps))
     if spec.regime == "III":
-        expo = to_mpf(spec.q / (spec.q - 1))
         logexp = to_mpf(exponents(point, "III").beta) + to_mpf(spec.eps)
-        return PowerLogLaw(expo, logexp)
-    lam = to_mpf(spec.lam)
-    return lambda n: mp.e ** (lam * n)
+        return PowerLogLaw(spec.q / (spec.q - 1), logexp)
+    return ExpLaw(spec.lam)
 
 
 _BAND_SLACK = 2.0 ** -40        # 4096 float64 units per unit of magnitude
@@ -1076,27 +1117,32 @@ def _band_bounds(vols: list, law: PowerLogLaw, window: range) -> list:
     log2 vols[n] is read from the top 53 bits of the exact mpf running
     volume, with its binary exponent an int.  Bound, in relative units of
     2^-52:
-    - the mpf ratio: mpmath's ln n within 1 ulp; n^A and (ln n)^B within
-      (4 + |A ln n|) and (4 + |B ln ln n| + |B|) ulps (an integer power or
-      a square root within a few, exp(t ln x) with ln x at prec + 10 bits
-      within (4 + |t ln x|), B times the error of ln n); the product and
-      the quotient 1 ulp each.  An ulp is at most 2^(1 - prec) <= 2^-52
-      relative, and err <= 2^-10 below keeps the sum under 2^-20, where
-      |log2(1 + x)| <= 1.45 |x|; so log2 of the mpf ratio is within
-      1.45 (11 + |B| + 0.7 M) of that of the exact one;
+    - the mpf ratio.  The law is exp(t), t = A ln n + B ln ln n formed at
+      wp = prec + 20 bits: with d = 2^(1 - wp), each of ln n and ln ln n
+      within 1 ulp there, and the two products and the sum rounded to
+      nearest, t is off by under 2d (1 + |A ln n| + |B ln ln n| + |B|)
+      (B meets ln n's error through ln ln n).  exp turns that into the same
+      relative error, and its own rounding to prec adds 1 ulp; the quotient
+      adds 1 ulp.  An ulp is at most 2^(1 - prec) <= 2^-52 relative and
+      d = 2^-20 ulp, so the ratio is within 2 + 2^-18 (1 + |B| + 0.7 M)
+      units (|A ln n| + |B ln ln n| <= 0.7 M); err <= 2^-10 below keeps
+      that under 2^-20, where |log2(1 + x)| <= 1.45 |x|, so log2 of the
+      mpf ratio is within 3 + 2^-17 (1 + |b| + M) of that of the exact one;
     - float64: the 53-bit cut of the volume (1.45), libm's log2 and ln
       (1 ulp each, 1.45 |b| through log2 ln n), a and b against A and B
       (half a unit of |a log2 n| and |b log2 ln n|), the products and the
       three sums (one unit of M each), at most 2 + 1.5 |b| + 5 M.
-    The two sum to under 2^-52 (18 + 3 |b| + 6 M); err is over ten times
+    The two sum to under 2^-52 (6 + 2 |b| + 6 M); err is over 600 times
     that.  An n with err above 2^-10 (or a non-finite bound, or a volume
     that is not positive or has an exponent of 2^40 or more) keeps bounds
     (-inf, inf): it stays a candidate, and its bounds excuse no other n.
+    So does every n of a law with an exponent that floats cannot carry
+    (float() of such an mpf reads inf or 0).
     """
     undecided = (-math.inf, math.inf)
     if mp.mp.prec < 53 or any(e and not 1e-300 < abs(float(e)) < 1e300
                               for e in (law.expo, law.logexp)):
-        return [undecided] * len(window)    # no 53-bit rounding, or an exponent floats cannot carry
+        return [undecided] * len(window)
     a, b = float(law.expo), float(law.logexp)
     slack = _BAND_SLACK * (1 + abs(a) + abs(b))
     log2, log = math.log2, math.log
@@ -1128,7 +1174,8 @@ def volume_band(built: BuiltCounterexample, target: Callable[[int], object],
     whose ratio is provably above another n's and below a third's, so that
     it can hold neither extreme; the law is evaluated in mpf only at the
     others, in increasing n, and the band equals that of the loop over every
-    n bit for bit.  Any other target is evaluated at every n and must be
+    n bit for bit.  Any other target (an `ExpLaw`, whose ratios are flat to
+    rounding, or a plain callable) is evaluated at every n and must be
     positive and finite there.
     """
     window = _band_window(n_lo, n_hi)
@@ -1151,17 +1198,19 @@ def _volume_band(vols: list, target: Callable[[int], object], window: range) -> 
         top = max(lo for lo, _ in bounds)           # some ratio is >= 2^top
         bottom = min(hi for _, hi in bounds)        # and some is <= 2^bottom
         window = [n for n, (lo, hi) in zip(window, bounds) if hi >= top or lo <= bottom]
+    prec = mp.mp.prec
     ratio_min = ratio_max = None
-    for n in window:
+    for n in window:                # on raw mpf values: the operations of mpf's /, < and >
         t = to_mpf(target(n))
-        if not 0 < t < mp.inf:
+        raw = t._mpf_
+        if raw[0] or not raw[1]:    # negative, zero, infinite or nan
             raise InputError(f"target must be positive, got {t} at n={n}")
-        ratio = vols[n] / t
-        if ratio_min is None or ratio < ratio_min:
+        ratio = mpf_div(vols[n]._mpf_, raw, prec, round_nearest)
+        if ratio_min is None or mpf_lt(ratio, ratio_min):
             ratio_min = ratio
-        if ratio_max is None or ratio > ratio_max:
+        if ratio_max is None or mpf_gt(ratio, ratio_max):
             ratio_max = ratio
-    return VolumeBand(ratio_min=ratio_min, ratio_max=ratio_max)
+    return VolumeBand(ratio_min=mp.make_mpf(ratio_min), ratio_max=mp.make_mpf(ratio_max))
 
 
 def layer_rows(built: BuiltCounterexample, horizon: int | None = None):

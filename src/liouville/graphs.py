@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import mpmath as mp
+from mpmath.libmp import fzero, mpf_add, mpf_rdiv_int, round_nearest
 
 from .errors import InputError, IsolatedVertexError
 from .numerics import check_le, mpf_memo, to_mpf
@@ -288,13 +289,15 @@ def nash_williams_partial(
     """
     if n_min < 1 or n_max < n_min:
         raise InputError("need 1 <= n_min <= n_max")
-    total = mp.mpf(0)
-    for n in range(n_min, n_max + 1):
+    prec = mp.mp.prec
+    total = fzero
+    for n in range(n_min, n_max + 1):   # on raw mpf values: the operations of mpf's += and /
         vol = to_mpf(volume_profile(n))
-        if not 0 < vol < mp.inf:
+        raw = vol._mpf_
+        if raw[0] or not raw[1]:        # negative, zero, infinite or nan
             raise InputError(f"volume profile must be positive, got {vol} at n={n}")
-        total += n / vol
-    return total
+        total = mpf_add(total, mpf_rdiv_int(n, raw, prec, round_nearest), prec, round_nearest)
+    return mp.make_mpf(total)
 
 
 @dataclass(frozen=True)

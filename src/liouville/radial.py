@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import mpmath as mp
+from mpmath.libmp import fzero, mpf_add, mpf_mul_int, round_nearest
 
 from .errors import InputError
 from .graphs import GraphFunction, HarnackReport, WeightedGraph
@@ -216,15 +217,23 @@ class _LayerChain:
         """mu(D_k) of the infinite tree in normalized form: N w_0, then
         N (w_{k-1} + w_k) on a one-sided tree; (N-1) w_0 + w_{-1}, then
         (N-1)(w_{k-1} + w_k) + (w_{-k} + w_{-k-1}) over both arms of a two-sided one."""
-        w, z = self._w, -self._lo
-        if not 0 <= k < len(w) - z:
+        if not 0 <= k < len(self._w) + self._lo:
             raise InputError(f"layer {k} outside the volume-computable range")
+        return mp.make_mpf(self._measure(k, mp.mp.prec))
+
+    def _measure(self, k: int, prec: int) -> tuple:
+        """`layer_measure` at a checked k as a raw mpf value: the operations
+        of mpf's + and of int * mpf at prec, rounded to nearest."""
+        w, z, rnd = self._w, -self._lo, round_nearest
         if self.one_sided:
-            return self._N * (w[k - 1] + w[k]) if k else self._N * w[0]
+            pair = mpf_add(w[k - 1]._mpf_, w[k]._mpf_, prec, rnd) if k else w[0]._mpf_
+            return mpf_mul_int(pair, self._N, prec, rnd)
         fan = self._N - 1
         if k == 0:
-            return fan * w[z] + w[z - 1]
-        return fan * (w[z + k - 1] + w[z + k]) + (w[z - k] + w[z - k - 1])
+            return mpf_add(mpf_mul_int(w[z]._mpf_, fan, prec, rnd), w[z - 1]._mpf_, prec, rnd)
+        inner = mpf_mul_int(mpf_add(w[z + k - 1]._mpf_, w[z + k]._mpf_, prec, rnd), fan,
+                            prec, rnd)
+        return mpf_add(inner, mpf_add(w[z - k]._mpf_, w[z - k - 1]._mpf_, prec, rnd), prec, rnd)
 
     def _radii(self, n: int) -> range:
         """0..n, if mu(B(o, n)) is computable from the stored shells."""
@@ -237,11 +246,12 @@ class _LayerChain:
 
     def ball_volumes(self, n_max: int) -> list[mp.mpf]:
         """Running volumes mu(B(o, 0..n_max)), summed layer by layer in order."""
+        prec = mp.mp.prec
         vols = []
-        acc = mp.mpf(0)
-        for k in self._radii(n_max):
-            acc += self.layer_measure(k)
-            vols.append(acc)
+        acc = fzero
+        for k in self._radii(n_max):    # on raw mpf values: the operations of mpf's +=
+            acc = mpf_add(acc, self._measure(k, prec), prec, round_nearest)
+            vols.append(mp.make_mpf(acc))
         return vols
 
     def p0(self) -> mp.mpf:

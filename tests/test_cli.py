@@ -433,9 +433,32 @@ def test_volume_sums_the_running_volume_once(capsys, tmp_path, monkeypatch):
     assert code == 0 and "nash_williams_partial" in payload
     assert calls == [256]
 
+def test_volume_offset_keeps_a_power_log_law_screened(capsys, monkeypatch):
+    """--exponent-offset k on a power-log law is the law n^(a + k) (ln n)^b, so
+    the band still goes through the float64 screen; an exponential law keeps
+    the product and is evaluated at every n."""
+    calls = []
+    for cls in (lv.PowerLogLaw, lv.ExpLaw):
+        monkeypatch.setattr(cls, "__call__", lambda self, n, call=cls.__call__:
+                            calls.append((self, n)) or call(self, n))
+    code, _ = run_cli(capsys, "volume", "--regime", "I", "--p", "2", "--q", "1",
+                      "--eps", "1/10", "--N", "3", "--n-lo", "16", "--n-hi", "512",
+                      "--exponent-offset", "2")
+    assert code == 0
+    assert 1 <= len(calls) <= 8
+    assert {(type(law), law.expo) for law, _ in calls} == {(lv.PowerLogLaw, mp.mpf("4.5"))}
+    calls.clear()
+    code, _ = run_cli(capsys, "volume", "--regime", "IV", "--p", "-2", "--q", "1",
+                      "--lam", "1", "--N", "3", "--n-lo", "16", "--n-hi", "64",
+                      "--exponent-offset", "-1")
+    assert code == 0
+    assert [(type(law), n) for law, n in calls] == [(lv.ExpLaw, n) for n in range(16, 65)]
+
+
 # sha256 of `volume` stdout at 128 bits (N = 3, n0 = 2 unless given), recorded
-# before the band gained its float64 screen: the I/II/III bands go through the
-# screen, the exponential laws and the --exponent-offset target do not.
+# before the band gained its float64 screen: the I/II/III bands, the regime I
+# band with --exponent-offset among them, go through the screen, the
+# exponential laws do not.
 VOLUME_DIGESTS = [
     (["--regime", "I", "--p", "2", "--q", "1", "--eps", "1/10", "--n-lo", "16",
       "--n-hi", "2048"],

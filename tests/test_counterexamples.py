@@ -355,6 +355,75 @@ def test_volume_band_v2_bounded():
     assert band.spread <= 4
 
 
+def test_volume_targets_declare_their_laws():
+    """I/II/III grow like a power-log law, IV/V1/V2 exponentially at the build's rate."""
+    law = lv.volume_target(spec_I())
+    assert isinstance(law, lv.PowerLogLaw) and law.expo == mp.mpf("2.5")
+    for regime, p, q, lam in (("IV", -2, 1, F(1)), ("V1", F(1, 2), F(1, 2), F(3, 2)),
+                              ("V2", 2, -1, F(4))):
+        spec = lv.RegimeSpec(regime=regime, p=F(p), q=F(q), N=3, horizon=30, lam=lam,
+                             delta=mp.mpf(1))
+        assert lv.volume_target(spec) == lv.ExpLaw(lam)
+
+
+def test_growth_laws_convert_their_parameters():
+    law = lv.PowerLogLaw(F(9, 2), 2)
+    assert isinstance(law.expo, mp.mpf) and isinstance(law.logexp, mp.mpf)
+    assert law == lv.PowerLogLaw(mp.mpf("4.5"), mp.mpf(2))
+    assert law(16) == lv.PowerLogLaw(mp.mpf("4.5"), mp.mpf(2))(16)
+    assert lv.ExpLaw(F(1, 2)) == lv.ExpLaw(mp.mpf("0.5"))
+    assert lv.ExpLaw(3).lam == 3 and isinstance(lv.ExpLaw(3).lam, mp.mpf)
+
+
+@pytest.mark.parametrize("bad", [mp.nan, mp.inf, -mp.inf, "nan", float("inf")])
+def test_growth_laws_reject_non_finite_parameters(bad):
+    with pytest.raises(InputError, match="power-log exponent must be finite"):
+        lv.PowerLogLaw(bad, 1)
+    with pytest.raises(InputError, match="power-log exponent must be finite"):
+        lv.PowerLogLaw(2, bad)
+    with pytest.raises(InputError, match="exponential rate must be finite"):
+        lv.ExpLaw(bad)
+
+
+def ulps(x, ref, bits):
+    """|x - ref| in units of the last place of x, a bits-bit mpf."""
+    return abs(x - ref) / mp.ldexp(1, mp.frexp(x)[1] - bits)
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_exp_law_is_within_an_ulp(bits):
+    """exp(n) rounded once; e ** n, by contrast, raises e's own rounding
+    error to the n-th power and misses by hundreds of ulps at n = 4096."""
+    with mp.workprec(bits):
+        law = lv.ExpLaw(1)
+        for n in (2, 16, 100, 1000, 4096):
+            value, powered = law(n), mp.e ** n
+            with mp.workprec(2 * bits):
+                ref = mp.exp(n)
+                assert ulps(value, ref, bits) <= 1, n
+        assert ulps(powered, ref, bits) > 100
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_power_log_law_is_within_its_error_bound(bits):
+    """Relative error under 2^(1 - prec) (1 + 2^-18 (1 + |A ln n| + |B ln ln n| + |B|)),
+    as derived in `_band_bounds`: exp's rounding, and t = A ln n + B ln ln n
+    formed 20 bits above the working precision."""
+    laws = [(F(5, 2), F(11, 10)), (2, F(3, 2)), (3, F(-9, 10)), (F(-7, 3), 0),
+            (0, F(5, 3)), (40, -12), (F(-59, 3), F(47, 5)), (F(1, 7), F(-50, 3))]
+    with mp.workprec(bits):
+        for expo, logexp in laws:
+            law = lv.PowerLogLaw(expo, logexp)
+            A, B = law.expo, law.logexp
+            for n in (2, 3, 10, 16, 100, 4096, 10 ** 6, 2 ** 40):
+                value = law(n)
+                with mp.workprec(2 * bits + 64):
+                    ref = mp.mpf(n) ** A * mp.ln(n) ** B
+                    bound = 1 + mp.ldexp(1, -18) * (1 + abs(A * mp.ln(n))
+                                                    + abs(B * mp.ln(mp.ln(n))) + abs(B))
+                    assert abs(value / ref - 1) <= mp.ldexp(1, 1 - bits) * bound, (expo, n)
+
+
 def test_volume_band_input_checks(regime1_small):
     with pytest.raises(InputError):
         lv.volume_band(regime1_small, lambda n: mp.mpf(1), 1, 10)

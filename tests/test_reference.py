@@ -9,12 +9,15 @@ loops did (kept verbatim in `before_streams.py`), and the tree classes,
 merged onto one layer chain, must give what their separate bodies gave
 (kept verbatim in `before_layer_chain.py`).  The volume band, which
 screens its window in float64, must give what the loop over every n gave
-(kept verbatim in `before_band.py`).  Every comparison is
+(kept verbatim in `before_band.py`), and the Nash-Williams sum, which
+runs on raw mpf values, must give what its loop over mpf objects gave
+(kept verbatim in `before_nash_williams.py`).  Every comparison is
 `==`: the fast paths perform the same floating-point operations in the
 same order, so any difference at all is a bug.
 """
 
 import dataclasses
+import math
 import random
 import types
 from fractions import Fraction as F
@@ -26,6 +29,7 @@ from hypothesis import strategies as st
 
 import before_band
 import before_layer_chain as before
+import before_nash_williams
 import before_streams as old
 import liouville as lv
 from liouville import caccioppoli, descent, graphs
@@ -1107,6 +1111,71 @@ def test_band_evaluates_the_bench_law_at_few_n(monkeypatch):
     band, calls = counted_band(monkeypatch, built, law, 16, 4096)
     assert 1 <= len(calls) <= 8
     assert band == before_band.volume_band(built, law, 16, 4096)
+
+
+def test_band_takes_a_law_with_an_exponent_floats_cannot_carry():
+    """An exponent beyond the float range leaves every n undecided: the band
+    is the loop over every n, with no OverflowError."""
+    tree = lv.RadialTree(3, [mp.mpf(k + 1) for k in range(12)])
+    vols = tree.ball_volumes(9)
+    for expo in (10 ** 400, F(1, 10 ** 400), -10 ** 400):
+        law = lv.PowerLogLaw(expo, mp.mpf(1))
+        assert cx._band_bounds(vols, law, range(2, 10)) == [(-math.inf, math.inf)] * 8
+        band = cx._volume_band(vols, law, range(2, 10))
+        assert (band.ratio_min._mpf_, band.ratio_max._mpf_) == \
+            band_bits(before_band.volume_band, tree, law, 2, 9)
+
+
+# ---------------------------------------------------------------------------
+# the Nash-Williams sum on raw mpf values against its loop over mpf objects
+# (tests/before_nash_williams.py), exactly
+
+def nash_bits(nash_fn, profile, n_max, n_min):
+    """The exact sum, or the type and message of what it raised."""
+    try:
+        return nash_fn(profile, n_max, n_min=n_min)._mpf_
+    except InputError as exc:
+        return "raised", type(exc).__name__, str(exc)
+
+
+def random_volume(rng, n):
+    """A positive volume in one of the forms a profile may return."""
+    kind = rng.randrange(5)
+    if kind == 0:       # magnitudes far apart, so additions round or perturb
+        return mp.ldexp(mp.mpf(rng.random()) + mp.mpf(2) ** -60, rng.randrange(-600, 600))
+    if kind == 1:
+        return mp.mpf(n) ** rng.choice([2, 3, mp.mpf("1.5")]) * mp.ln(n + 1)
+    if kind == 2:
+        return rng.randrange(1, 10 ** 6)
+    if kind == 3:
+        return F(rng.randrange(1, 10 ** 9), rng.randrange(1, 10 ** 9))
+    return rng.uniform(1e-3, 1e3)
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+@pytest.mark.parametrize("seed", range(3))
+def test_nash_williams_sum_matches_the_mpf_loop(bits, seed):
+    rng = random.Random(9100 + 10 * seed + bits)
+    with mp.workprec(bits):
+        for _ in range(12):
+            n_min = rng.randrange(1, 50)
+            n_max = n_min + rng.randrange(0, 400)
+            vols = {n: random_volume(rng, n) for n in range(n_min, n_max + 1)}
+            assert nash_bits(graphs.nash_williams_partial, vols.__getitem__, n_max, n_min) == \
+                nash_bits(before_nash_williams.nash_williams_partial, vols.__getitem__,
+                          n_max, n_min)
+
+
+@pytest.mark.parametrize("bad", [0, -3, F(-1, 2), mp.mpf(0), mp.mpf("-2.5"), mp.inf, -mp.inf,
+                                 mp.nan, float("nan"), "-1e-300"])
+def test_nash_williams_errors_match_the_mpf_loop(bad):
+    profile = lambda n: bad if n == 7 else mp.mpf(n) ** 2
+    want = nash_bits(before_nash_williams.nash_williams_partial, profile, 20, 2)
+    assert want[0] == "raised"
+    assert nash_bits(graphs.nash_williams_partial, profile, 20, 2) == want
+    for n_max, n_min in ((5, 0), (3, 5)):
+        assert nash_bits(graphs.nash_williams_partial, profile, n_max, n_min) == \
+            nash_bits(before_nash_williams.nash_williams_partial, profile, n_max, n_min)
 
 
 # ---------------------------------------------------------------------------
