@@ -22,7 +22,7 @@ from .graphs import (GraphFunction, HarnackReport, WeightedGraph, ball_volume,
                      laplacian, nash_williams_partial, p0_of, parse_graph_text,
                      restricted_gradient_norm, site_classes, site_operators, vertex_measure)
 from .numerics import (default_precision_bits, check_le, check_nonpositive,
-                       mpf_str, precision, rel_tol, to_mpf)
+                       mpf_str, parse_decimal, precision, rel_tol, to_mpf)
 from .radial import (RadialFunction, RadialTree, TwoSidedRadialTree,
                      format_radial_text, induced_graph_function, layer_operators,
                      parse_radial_text)

@@ -27,7 +27,8 @@ from . import descent as dsc
 from .caccioppoli import TestFunction, estimate_sides, estimate_sides_radial
 from .errors import CalibrationError, HypothesisNotMetError, InputError, LiouvilleError
 from .graphs import GraphFunction, WeightedGraph, nash_williams_partial, parse_graph_text
-from .numerics import MIN_PRECISION_BITS, default_precision_bits, mpf_memo, mpf_str, precision
+from .numerics import (MIN_PRECISION_BITS, default_precision_bits, mpf_memo, mpf_str,
+                       parse_decimal, precision)
 from .radial import RadialFunction, parse_radial_text
 from .regions import ON_LINE, choose_st, classify_g, classify_k, pq
 
@@ -49,11 +50,8 @@ def _fraction(text: str) -> Fraction:
 def _real(text: str) -> mp.mpf:
     """Decimal string at working precision; a/b rationals also accepted."""
     try:
-        if "/" in text:
-            frac = Fraction(text)
-            return mp.mpf(frac.numerator) / mp.mpf(frac.denominator)
-        return mp.mpf(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_decimal(text)
+    except ValueError:
         raise argparse.ArgumentTypeError(f"not a real number: {text!r}")
 
 

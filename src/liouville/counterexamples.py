@@ -265,6 +265,8 @@ def margin_at(tree, u: RadialFunction, p, q, n: int) -> mp.mpf:
 
 def _checked_layers(tree, horizon: int | None) -> range:
     deepest = tree.interior_layers().stop - 1
+    if horizon is None and deepest < 0:
+        raise InputError("the tree has no checkable layer (it needs u at layer 1)")
     h = deepest if horizon is None else horizon
     if h < 0:
         raise InputError(f"horizon must be at least 0, got {h}")

@@ -19,7 +19,7 @@ import mpmath as mp
 from mpmath.libmp import fzero, mpf_add, mpf_rdiv_int, round_nearest
 
 from .errors import InputError, IsolatedVertexError
-from .numerics import check_le, mpf_memo, to_mpf
+from .numerics import all_finite, all_positive, check_le, mpf_memo, to_mpf
 
 
 class WeightedGraph:
@@ -45,7 +45,8 @@ class WeightedGraph:
             if key in canonical:
                 raise InputError(f"duplicate edge {key}")
             weight = to_mpf(w)
-            if not 0 < weight < mp.inf:
+            sign, man, _, _ = weight._mpf_
+            if sign or not man:             # not positive and finite
                 raise InputError(f"edge {key} has weight {w}; weights must be positive and finite")
             canonical[key] = weight
         adj: list[list[tuple[int, mp.mpf]]] = [[] for _ in range(n_vertices)]
@@ -124,7 +125,7 @@ class GraphFunction:
 
     def __init__(self, values: Sequence):
         self._values = tuple(to_mpf(v) for v in values)
-        if not all(map(mp.isfinite, self._values)):
+        if not all_finite(self._values):
             raise InputError("function values must be finite")
 
     @classmethod
@@ -145,7 +146,7 @@ class GraphFunction:
         return self._values
 
     def is_positive(self) -> bool:
-        return not self._values or min(self._values) > 0    # values are finite
+        return all_positive(self._values)
 
     def combine(self, a, other: "GraphFunction", b) -> "GraphFunction":
         """Pointwise a*self + b*other."""

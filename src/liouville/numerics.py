@@ -10,11 +10,13 @@ relative tolerance of that magnitude.
 from __future__ import annotations
 
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import MPZ, bitcount, ften, from_int, mpf_div, mpf_mul, mpf_pow_int, mpf_shift
 
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 53         # a float64 significand
@@ -53,6 +55,48 @@ def rel_tol() -> mp.mpf:
     return mp.mpf(DEFAULT_REL_TOL)
 
 
+# A plain ASCII decimal: sign and integer digits, fraction digits, exponent.
+# Every other spelling mp.mpf accepts (inf, nan, a/b, surrounding space,
+# digit separators, non-ASCII digits, a trailing l) goes to mp.mpf itself.
+_DECIMAL = re.compile(r"([+-]?[0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")
+# 5^k as raw mpf values for the divisions 10^-k = 5^-k 2^-k of `parse_decimal`;
+# beyond 400 digits mpmath multiplies by a power of ten instead.
+_POW5 = tuple((0, MPZ(5) ** k, 0, bitcount(MPZ(5) ** k)) for k in range(401))
+
+
+def parse_decimal(text: str) -> mp.mpf:
+    """mp.mpf(text), bit for bit, at the working precision.
+
+    A plain decimal man * 10^e is rounded as mpmath's `from_str` rounds it,
+    with man and e split off as its `str_to_man_exp` splits them.  For
+    -400 <= e < 0 mpmath divides man by the integer 10^-e; dividing by 5^-e
+    and scaling by 2^e gives the same correctly rounded quotient without
+    forming 10^-e and stripping its trailing zero bits.  A zero denominator
+    in an a/b rational raises ValueError, like any other malformed string.
+    """
+    m = _DECIMAL.fullmatch(text)
+    if m is None or not (m[1].lstrip("+-") or m[2]):
+        try:
+            return mp.mpf(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}")
+    digits, frac, e = m.groups()
+    exp = int(e) if e else 0
+    if frac is not None:
+        frac = frac.rstrip("0")
+        exp -= len(frac)
+        digits += frac
+    man = int(digits)               # "-.0" leaves "-", which mpmath rejects here too
+    prec, rnd = mp.mp._prec_rounding
+    if abs(exp) > 400:
+        value = mpf_mul(from_int(man, prec + 10), mpf_pow_int(ften, exp, prec + 10), prec, rnd)
+    elif exp >= 0:
+        value = from_int(man * 10 ** exp, prec, rnd)
+    else:
+        value = mpf_shift(mpf_div(from_int(man), _POW5[-exp], prec, rnd), exp)
+    return mp.make_mpf(value)
+
+
 def to_mpf(x) -> mp.mpf:
     """Convert ints, Fractions, decimal strings, floats, or mpfs to mpf.
 
@@ -62,27 +106,40 @@ def to_mpf(x) -> mp.mpf:
         return x
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-    if isinstance(x, (int, float, str)):
+    if isinstance(x, str):
+        return parse_decimal(x)
+    if isinstance(x, (int, float)):
         return mp.mpf(x)
     raise TypeError(f"cannot convert {type(x).__name__} to mpf")
 
 
 def mpf_memo():
-    """mp.mpf on strings, converting each distinct string once.
+    """`parse_decimal`, converting each distinct string once.
 
     For one parse at one precision: a file of repeated decimals (a
     materialized ball holds a handful of distinct ones) pays for each
-    distinct string once.  A string mp.mpf rejects raises every time.
+    distinct string once.  A string it rejects raises every time.
     """
     cache: dict[str, mp.mpf] = {}
 
     def convert(text: str) -> mp.mpf:
         value = cache.get(text)
         if value is None:
-            value = cache[text] = mp.mpf(text)
+            value = cache[text] = parse_decimal(text)
         return value
 
     return convert
+
+
+def all_finite(values) -> bool:
+    """Every mpf is finite: on raw values, a zero mantissa with a nonzero
+    exponent is inf, -inf or nan."""
+    return all(man or not exp for _, man, exp, _ in (v._mpf_ for v in values))
+
+
+def all_positive(values) -> bool:
+    """Every mpf is positive and finite: sign 0 and a nonzero mantissa."""
+    return not any(sign or not man for sign, man, _, _ in (v._mpf_ for v in values))
 
 
 @dataclass(frozen=True)

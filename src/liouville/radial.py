@@ -28,7 +28,7 @@ from mpmath.libmp import fzero, mpf_add, mpf_mul_int, round_nearest
 
 from .errors import InputError
 from .graphs import GraphFunction, HarnackReport, WeightedGraph
-from .numerics import check_le, to_mpf
+from .numerics import all_finite, all_positive, check_le, parse_decimal, to_mpf
 
 
 class RadialFunction:
@@ -40,7 +40,7 @@ class RadialFunction:
         self._values = tuple(to_mpf(v) for v in values)
         if not self._values:
             raise InputError("radial function needs at least one layer")
-        if not all(map(mp.isfinite, self._values)):
+        if not all_finite(self._values):
             raise InputError("radial function values must be finite")
         self._lo = lo
 
@@ -65,7 +65,7 @@ class RadialFunction:
         return self._values
 
     def is_positive(self) -> bool:
-        return min(self._values) > 0        # values are finite, and there is one at least
+        return all_positive(self._values)
 
 
 def layer_operators(tree, u: RadialFunction) -> Callable[[int], tuple]:
@@ -117,7 +117,7 @@ class _LayerChain:
     def __init__(self, N: int, weights: tuple, layer_lo: int, layer_hi: int):
         if not (isinstance(N, int) and N >= 2):
             raise InputError("tree degree N must be an integer >= 2")
-        if any(not 0 < w < mp.inf for w in weights):
+        if not all_positive(weights):
             raise InputError("shell weights must be positive and finite")
         self._N = N
         self._w = weights
@@ -415,7 +415,7 @@ def parse_radial_text(text: str):
         if len(parts) != 2:
             raise InputError(f"bad shell line: {ln!r}")
         try:
-            n, w = int(parts[0]), mp.mpf(parts[1])
+            n, w = int(parts[0]), parse_decimal(parts[1])
         except ValueError:
             raise InputError(f"bad shell line (needs an integer index and a number): {ln!r}")
         if n not in shells:

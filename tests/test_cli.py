@@ -287,7 +287,7 @@ FUZZ_TOKENS = ["", " ", "0", "1", "-1", "2", "3", "1e999999", "1e-999999", "nan"
                "-inf", "0x1p3", "1/2", "\u0661", "9" * 30, "#", ",", "\x00", "\t", "\r",
                "\n", "\ufeff", '"', "'", "\u00e9", "graph", "radial", "v=", "v=3", "v=0",
                "v=-1", "N=3", "N=1", "horizon=2", "horizon=0", "horizon=-1", "two-sided",
-               "arm", "0.5", "-0", "1_0", "+1", "layer,value"]
+               "arm", "0.5", "-0", "1_0", "+1", "layer,value", "1/0", "0/0"]
 _fuzz_line = (st.lists(st.sampled_from(FUZZ_TOKENS), max_size=5).map(" ".join)
               | st.lists(st.sampled_from(FUZZ_TOKENS), max_size=4).map(",".join))
 
@@ -360,6 +360,35 @@ def test_radial_values_not_finite_is_usage_error(capsys, tmp_path, bad):
     code = main(_verify_args(tmp_path / "tree.txt", tmp_path / "u.csv"))
     assert code == 2
     assert "finite" in capsys.readouterr().err
+
+
+# A zero denominator in each loader: a graph weight, a shell weight, a value.
+ZERO_DENOMINATOR_FILES = {
+    "graph weight": ("graph v=2\n0 1 {bad}\n", "0,1\n1,2\n"),
+    "shell weight": ("radial N=3 horizon=2\n0 1\n1 {bad}\n2 3\n", "0,3\n1,2\n2,1\n"),
+    "value": ("graph v=2\n0 1 1\n", "0,1\n1,{bad}\n"),
+}
+
+
+@pytest.mark.parametrize("bad", ["1/0", "0/0", "-1/0"])
+@pytest.mark.parametrize("loader", sorted(ZERO_DENOMINATOR_FILES))
+def test_zero_denominator_is_usage_error(capsys, tmp_path, loader, bad):
+    """A zero-denominator rational escaped main as a ZeroDivisionError."""
+    graph, values = ZERO_DENOMINATOR_FILES[loader]
+    (tmp_path / "g.txt").write_text(graph.format(bad=bad))
+    (tmp_path / "u.csv").write_text(values.format(bad=bad))
+    code = main(_verify_args(tmp_path / "g.txt", tmp_path / "u.csv"))
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and bad in err
+
+
+@pytest.mark.parametrize("lam", ["1/0", "0/0"])
+def test_real_option_with_zero_denominator_is_usage_error(capsys, lam):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--regime", "IV", "--p", "-2", "--q", "1", "--lam", lam])
+    assert exc.value.code == 2
+    assert "not a real number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("body", [
@@ -574,6 +603,16 @@ def test_verify_rejects_a_negative_horizon(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == "error: horizon must be at least 0, got -1\n"
+
+
+def test_verify_says_a_horizon_0_tree_has_no_checkable_layer(capsys, tmp_path):
+    """With no --horizon this read "horizon must be at least 0, got -1"."""
+    (tmp_path / "tree.txt").write_text("radial N=3 horizon=0\n0 1\n")
+    (tmp_path / "u.csv").write_text("0,1\n")
+    code = main(_verify_args(tmp_path / "tree.txt", tmp_path / "u.csv"))
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: the tree has no checkable layer (it needs u at layer 1)\n"
 
 
 @pytest.mark.parametrize("horizon", ["0", "-3"])

@@ -11,7 +11,8 @@ merged onto one layer chain, must give what their separate bodies gave
 screens its window in float64, must give what the loop over every n gave
 (kept verbatim in `before_band.py`), and the Nash-Williams sum, which
 runs on raw mpf values, must give what its loop over mpf objects gave
-(kept verbatim in `before_nash_williams.py`).  Every comparison is
+(kept verbatim in `before_nash_williams.py`).  The decimal reader
+`parse_decimal` must give what `mp.mpf` gives.  Every comparison is
 `==`: the fast paths perform the same floating-point operations in the
 same order, so any difference at all is a bug.
 """
@@ -1446,3 +1447,75 @@ def test_walk_screen_sends_few_steps_to_mpf(monkeypatch, request, fixture):
     n = calls.get("_pointwise_margin", 0)
     assert n >= 990 if "_pointwise_margin" in every else n <= 4
     assert "_solution_check" not in calls
+
+
+# ---------------------------------------------------------------------------
+# The decimal reader against mp.mpf
+
+READER_BITS = [53, 128, 256, 512]
+
+
+def mpf_or_error(convert, text):
+    """convert(text)._mpf_ at each of READER_BITS, or the exception type raised."""
+    out = []
+    for bits in READER_BITS:
+        with mp.workprec(bits):
+            try:
+                out.append(convert(text)._mpf_)
+            except (ValueError, ZeroDivisionError) as exc:
+                out.append(type(exc))
+    return out
+
+
+@st.composite
+def decimal_strings(draw):
+    """Plain decimals: 1-60 digits, some trailing zeros, a sign, the point
+    anywhere (integer or fraction part possibly empty) or absent, and an
+    exponent across +-450, on both sides of mpmath's 400 cutoff."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=60))
+    digits += "0" * draw(st.integers(0, 8))
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    point = draw(st.none() | st.integers(0, len(digits)))
+    body = digits if point is None else digits[:point] + "." + digits[point:]
+    exponent = draw(st.none() | st.integers(-450, 450))
+    if exponent is not None:
+        body += draw(st.sampled_from(["e", "E"])) + draw(st.sampled_from(["", "+"])
+                                                         if exponent >= 0 else st.just(""))
+        body += str(exponent)
+    return sign + body
+
+
+@settings(max_examples=1500, deadline=None)
+@given(decimal_strings())
+@example("1e400")
+@example("1e401")
+@example("1e-400")
+@example("1e-401")
+@example("1.5e-399")
+@example("-100e-402")
+@example("0.000e-450")
+@example("12345678901234567890123456789012345678901234567890123456789.0e-420")
+def test_parse_decimal_is_mpf(text):
+    """Bit for bit; mpmath's own rejections (".0", whose digits strip to
+    nothing) included."""
+    assert mpf_or_error(lv.parse_decimal, text) == mpf_or_error(mp.mpf, text)
+
+
+@pytest.mark.parametrize("text", ["inf", "+inf", "-inf", "Infinity", "nan", "NaN", "1/3",
+                                  "-2/7", "3/-4", "0/5", " 1.5 ", "1.5\n", "1_0", "1.5_5",
+                                  "١٢", "1l", "2.5L", "1E5", "0x10"])
+def test_parse_decimal_special_spellings_are_mpf(text):
+    assert mpf_or_error(lv.parse_decimal, text) == mpf_or_error(mp.mpf, text)
+
+
+@pytest.mark.parametrize("text", ["", ".", "e5", "1e", "1.2.3", "--1", ".0", "-.00e3", "+",
+                                  "1e+", ".e5", "abc"])
+def test_parse_decimal_rejects_malformed_strings_as_mpf_does(text):
+    assert mpf_or_error(mp.mpf, text) == [ValueError] * len(READER_BITS)
+    assert mpf_or_error(lv.parse_decimal, text) == [ValueError] * len(READER_BITS)
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0", "-1/0"])
+def test_parse_decimal_turns_a_zero_denominator_into_value_error(text):
+    assert mpf_or_error(mp.mpf, text) == [ZeroDivisionError] * len(READER_BITS)
+    assert mpf_or_error(lv.parse_decimal, text) == [ValueError] * len(READER_BITS)
