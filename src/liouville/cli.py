@@ -47,12 +47,18 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
-def _real(text: str) -> mp.mpf:
-    """Decimal string at working precision; a/b rationals also accepted."""
+# Options read by `_real`; `main` converts them at the run's precision.
+_REAL_OPTIONS = ("lam", "delta", "p0")
+
+
+def _real(text: str) -> str:
+    """A decimal string (a/b rationals also accepted), checked here and
+    kept as text: `main` converts it once the run's precision is set."""
     try:
-        return parse_decimal(text)
+        parse_decimal(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a real number: {text!r}")
+    return text
 
 
 def _precision_bits(text: str) -> int:
@@ -531,6 +537,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         with precision(bits):
+            for name in _REAL_OPTIONS:
+                if getattr(args, name, None) is not None:
+                    setattr(args, name, parse_decimal(getattr(args, name)))
             return args.fn(args)
     except HypothesisNotMetError as exc:
         print(f"hypotheses not met: {exc}", file=sys.stderr)

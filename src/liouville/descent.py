@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import fzero, mpf_le, mpf_neg, mpf_sqrt
 
 from .counterexamples import _EXCUSE, _LN2, BuiltCounterexample, _top53, term_kernel
 from .errors import InputError
@@ -52,20 +53,22 @@ class DescentWalk:
         return len(self.steps)
 
 
-def _walk(ops, value, x, next_site, max_steps: int, kind: str,
-          inside=lambda x: True) -> DescentWalk:
+def _walk(ops, move, x, max_steps: int, kind: str, inside=lambda x: True) -> DescentWalk:
     """The walk loop of both backends, from site x.
 
-    `ops(x)` is (u, lap, grad^2) at x, `value(x)` is u(x) and `next_site(x)`
-    the minimizing neighbour.  The walk records each site, stops at a zero
-    gradient, after max_steps moves, at a revisit (flagged) or at a move
-    onto a site outside `inside` (termination "horizon").  A negative
-    max_steps is rejected here, for both backends.
+    `ops(x)` is (u, lap, grad^2) at x, and `move(x, ux)`, called right after
+    `ops(x)`, is the minimizing neighbour y of x and the drop ux - u(y).
+    The walk records each site, stops at a zero gradient, after max_steps
+    moves, at a revisit (flagged) or at a move onto a site outside `inside`
+    (termination "horizon").  A negative max_steps is rejected here, for
+    both backends.  grad is mp.sqrt's libmp call on the raw grad^2 (never
+    negative), and it is zero exactly where grad^2 is.
     """
     if max_steps < 0:
         raise InputError("max_steps must be nonnegative")
+    prec, rnd = mp.mp._prec_rounding
     site = ops(x)
-    if site[2] == 0:
+    if site[2]._mpf_ == fzero:
         raise InputError(f"no descent possible: zero gradient at the start {kind}")
     records = []
     visited = {x}
@@ -73,14 +76,13 @@ def _walk(ops, value, x, next_site, max_steps: int, kind: str,
     revisit = False
     while True:
         ux, lap, grad_sq = site
-        grad = mp.sqrt(grad_sq)
-        records.append([x, ux, lap, grad, None])
-        if grad == 0:
+        records.append([x, ux, lap, mp.make_mpf(mpf_sqrt(grad_sq._mpf_, prec, rnd)), None])
+        if grad_sq._mpf_ == fzero:
             termination = "zero-gradient"
             break
         if len(records) == max_steps + 1:
             break
-        nxt = next_site(x)
+        nxt, drop = move(x, ux)
         if nxt in visited:
             termination = "revisit"
             revisit = True
@@ -88,12 +90,11 @@ def _walk(ops, value, x, next_site, max_steps: int, kind: str,
         if not inside(nxt):
             termination = "horizon"
             break
-        records[-1][4] = ux - value(nxt)
+        records[-1][4] = drop
         visited.add(nxt)
         x = nxt
         site = ops(x)
-    steps = tuple(DescentStep(site=r[0], u=r[1], lap=r[2], grad=r[3], drop=r[4])
-                  for r in records)
+    steps = tuple(DescentStep(*r) for r in records)
     return DescentWalk(steps=steps, termination=termination, revisit_flagged=revisit)
 
 
@@ -109,10 +110,11 @@ def descent_walk(g: WeightedGraph, u: GraphFunction, x0: int,
     if not u.is_positive():
         raise InputError("descent needs a positive function")
 
-    def next_vertex(x):
-        return min(g.neighbors(x), key=lambda yw: (u[yw[0]], yw[0]))[0]
+    def move(x, ux):
+        y = min(g.neighbors(x), key=lambda yw: (u[yw[0]], yw[0]))[0]
+        return y, ux - u[y]
 
-    return _walk(site_operators(g, u), u.__getitem__, x0, next_vertex, max_steps, "vertex")
+    return _walk(site_operators(g, u), move, x0, max_steps, "vertex")
 
 
 def radial_descent_walk(tree: RadialTree | TwoSidedRadialTree, u: RadialFunction,
@@ -138,19 +140,23 @@ def radial_descent_walk(tree: RadialTree | TwoSidedRadialTree, u: RadialFunction
     if not interior(start_layer):
         raise InputError(f"start layer {start_layer} has no stored neighborhood")
 
-    def next_layer(n):
-        if two_sided and n == 0:
-            cands = [(u.value(1), 1, 1), (u.value(-1), 2, -1)]
-        elif n == 0:
-            cands = [(u.value(1), 1, 1)]
-        else:
-            parent = n - 1 if n > 0 else n + 1
-            child = n + 1 if n > 0 else n - 1
-            cands = [(u.value(parent), 0, parent), (u.value(child), 1, child)]
-        return min(cands)[2]
+    ops = layer_operators(tree, u)
+    values, u_lo = u.values(), u.lo
 
-    return _walk(layer_operators(tree, u), u.value, start_layer, next_layer, max_steps,
-                 "layer", interior)
+    def move(n, ux):
+        # the values themselves decide, exactly: the parent, or the positive
+        # arm at a two-sided root, wins a tie; the drop is -(u_next - u_n)
+        # from the stream, the same bits as ux - u_next
+        if n == 0:
+            nxt = 1 if not two_sided or mpf_le(values[1 - u_lo]._mpf_,
+                                               values[-1 - u_lo]._mpf_) else -1
+        else:
+            parent, child = (n - 1, n + 1) if n > 0 else (n + 1, n - 1)
+            nxt = parent if mpf_le(values[parent - u_lo]._mpf_,
+                                   values[child - u_lo]._mpf_) else child
+        return nxt, mp.make_mpf(mpf_neg(ops.d_out if nxt > n else ops.d_in))
+
+    return _walk(ops, move, start_layer, max_steps, "layer", interior)
 
 
 @dataclass(frozen=True)

@@ -312,8 +312,11 @@ class HarnackReport:
 def harnack_check(g: WeightedGraph, u: GraphFunction, p0) -> HarnackReport:
     """Scan all edges for 1/p0 <= u(x)/u(y) <= p0.
 
-    Requires u > 0; reports the extremal adjacent ratio and the edge where
-    it occurs.
+    Requires u > 0; reports the extremal adjacent ratio and the first edge
+    where it occurs.  The ratio is a function of the pair (u(x), u(y)), so
+    each distinct pair of values is evaluated once: a repeated pair repeats
+    a ratio that did not exceed the maximum so far, and cannot be the first
+    edge at a strict maximum.
     """
     _require_total(g, u)
     p0 = to_mpf(p0)
@@ -321,8 +324,13 @@ def harnack_check(g: WeightedGraph, u: GraphFunction, p0) -> HarnackReport:
         raise InputError("p0 must be at least 1")
     worst_ratio = mp.mpf(1)
     worst_edge: tuple[int, int] | None = None
+    seen = set()
     for (x, y), _ in g.edges():
         a, b = u[x], u[y]
+        pair = (a._mpf_, b._mpf_)
+        if pair in seen:
+            continue
+        seen.add(pair)
         if not (a > 0 and b > 0):
             raise InputError(f"harnack_check needs positive values, edge ({x},{y})")
         ratio = a / b if a >= b else b / a

@@ -57,7 +57,8 @@ def rel_tol() -> mp.mpf:
 
 # A plain ASCII decimal: sign and integer digits, fraction digits, exponent.
 # Every other spelling mp.mpf accepts (inf, nan, a/b, surrounding space,
-# digit separators, non-ASCII digits, a trailing l) goes to mp.mpf itself.
+# non-ASCII digits, a trailing l) goes to mp.mpf itself, but for digit
+# separators, which `parse_decimal` rejects.
 _DECIMAL = re.compile(r"([+-]?[0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")
 # 5^k as raw mpf values for the divisions 10^-k = 5^-k 2^-k of `parse_decimal`;
 # beyond 400 digits mpmath multiplies by a power of ten instead.
@@ -73,9 +74,13 @@ def parse_decimal(text: str) -> mp.mpf:
     and scaling by 2^e gives the same correctly rounded quotient without
     forming 10^-e and stripping its trailing zero bits.  A zero denominator
     in an a/b rational raises ValueError, like any other malformed string.
+    So does a digit separator "_", which mpmath misreads after the point
+    (mp.mpf("1.5_5") is 0.155), so no input number may carry one.
     """
     m = _DECIMAL.fullmatch(text)
     if m is None or not (m[1].lstrip("+-") or m[2]):
+        if "_" in text:
+            raise ValueError(f"digit separator in {text!r}")
         try:
             return mp.mpf(text)
         except ZeroDivisionError:

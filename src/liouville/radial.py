@@ -24,11 +24,14 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpf_add, mpf_mul_int, round_nearest
+from mpmath.libmp import (from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_neg,
+                          mpf_pow_int, mpf_sub, round_nearest)
 
 from .errors import InputError
 from .graphs import GraphFunction, HarnackReport, WeightedGraph
 from .numerics import all_finite, all_positive, check_le, parse_decimal, to_mpf
+
+_TWO = from_int(2)
 
 
 class RadialFunction:
@@ -71,34 +74,81 @@ class RadialFunction:
 def layer_operators(tree, u: RadialFunction) -> Callable[[int], tuple]:
     """The operator stream of u on a radial tree: n -> (u_n, lap, grad^2).
 
-    The cover is checked once, here.  At each layer the outward and inward
-    differences are formed once and feed both lap and grad^2 by the
-    operations of `laplacian_at` and `gradient_sq_at`, so the values are
-    theirs bit for bit; layers without both neighbours raise as they do.
-    Per-layer loops read `map(ops, layers)`; a walk calls `ops(n)`.
+    The cover is checked once, here; nothing else is done per layer until
+    a layer is asked for.  Each operation is the `mpmath.libmp` call that
+    mpf's own operator makes in `laplacian_at` and `gradient_sq_at`, on
+    raw values at the precision and rounding read at call time, so the
+    values are theirs bit for bit; layers without both neighbours raise as
+    they do.  Per-layer loops read `map(ops, layers)`; a walk calls `ops(n)`
+    and reads the last layer's differences from `d_out` and `d_in`.
+
+    The stream rolls: when ops(n) follows ops(n - 1) at the same precision
+    under round-to-nearest, and n - 1 is neither 0 nor the root, the
+    inward products at n are the outward ones at n - 1.  The inward weight
+    at n is the outward weight w_{n-1} at n - 1 (only layer 0 scales its
+    outward weight by N - 1, and a one-sided root has none), and
+    d_in(n) = fl(u_{n-1} - u_n) = -fl(u_n - u_{n-1}) = -d_out(n - 1), since
+    rounding to nearest is odd.  So b d_in = -(a d_out) at n - 1 and
+    b d_in^2 = a d_out^2 there, the same bits.  Any other call order forms
+    both differences afresh.
     """
     tree.check_covers(u)
-    values, lo = u.values(), u.lo
-    conductances = tree.conductances
-    one_sided = tree.one_sided
-    root_ok = one_sided and tree.horizon >= 1
+    return _LayerStream(tree, u)
 
-    def ops(n):
-        if n == 0 and one_sided:
-            if not root_ok:
+
+class _LayerStream:
+    """`layer_operators`' stream; `d_out` and `d_in` are the raw differences
+    u_{n+1} - u_n and u_{n-1} - u_n at the last layer n (d_in None at a
+    one-sided root)."""
+
+    __slots__ = ("_w", "_lo", "_span", "_fan", "_values", "_ulo", "_one_sided", "_root_ok",
+                 "_pr", "_last", "_prec", "_ad", "_ad2", "d_out", "d_in")
+
+    def __init__(self, tree, u: RadialFunction):
+        self._w, self._lo = tree._w, tree.layer_lo
+        self._span = tree.layer_hi - tree.layer_lo
+        self._fan = tree.N - 1
+        self._values, self._ulo = u.values(), u.lo
+        self._one_sided = tree.one_sided
+        self._root_ok = tree.one_sided and tree.layer_hi >= 1
+        self._pr = mp.mp._prec_rounding         # mpmath updates this list in place
+        self._last = self._prec = self._ad = self._ad2 = self.d_out = self.d_in = None
+
+    def __call__(self, n):
+        prec, rnd = self._pr
+        values = self._values
+        if n == 0 and self._one_sided:
+            if not self._root_ok:
                 raise InputError("horizon too small for the root operators")
             un = values[0]
-            d_out = values[1] - un
-            return un, d_out, d_out ** 2 / 2
-        a, b = conductances(n)
-        i = n - lo
+            d_out = mpf_sub(values[1]._mpf_, un._mpf_, prec, rnd)
+            self._last, self.d_out, self.d_in = 0, d_out, None
+            return un, mp.make_mpf(d_out), mp.make_mpf(
+                mpf_div(mpf_pow_int(d_out, 2, prec, rnd), _TWO, prec, rnd))
+        j = n - self._lo
+        if not 0 < j < self._span:
+            raise InputError(f"layer {n} has no stored inward and outward edge")
+        a, b = self._w[j]._mpf_, self._w[j - 1]._mpf_
+        if n == 0:
+            a = mpf_mul_int(a, self._fan, prec, rnd)
+        i = n - self._ulo
         un = values[i]
-        d_out = values[i + 1] - un
-        d_in = values[i - 1] - un
-        ab = a + b
-        return un, (a * d_out + b * d_in) / ab, (a * d_out ** 2 + b * d_in ** 2) / (2 * ab)
-
-    return ops
+        d_out = mpf_sub(values[i + 1]._mpf_, un._mpf_, prec, rnd)
+        if n - 1 == self._last and n != 1 and prec == self._prec and rnd == round_nearest:
+            d_in = mpf_neg(self.d_out)
+            bd, bd2 = mpf_neg(self._ad), self._ad2
+        else:
+            d_in = mpf_sub(values[i - 1]._mpf_, un._mpf_, prec, rnd)
+            bd = mpf_mul(b, d_in, prec, rnd)
+            bd2 = mpf_mul(b, mpf_pow_int(d_in, 2, prec, rnd), prec, rnd)
+        ad = mpf_mul(a, d_out, prec, rnd)
+        ad2 = mpf_mul(a, mpf_pow_int(d_out, 2, prec, rnd), prec, rnd)
+        ab = mpf_add(a, b, prec, rnd)
+        self._last, self._prec, self._ad, self._ad2 = n, prec, ad, ad2
+        self.d_out, self.d_in = d_out, d_in
+        return (un, mp.make_mpf(mpf_div(mpf_add(ad, bd, prec, rnd), ab, prec, rnd)),
+                mp.make_mpf(mpf_div(mpf_add(ad2, bd2, prec, rnd), mpf_mul_int(ab, 2, prec, rnd),
+                                 prec, rnd)))
 
 
 class _LayerChain:

@@ -383,6 +383,60 @@ def test_zero_denominator_is_usage_error(capsys, tmp_path, loader, bad):
     assert err.count("\n") == 1 and err.startswith("error:") and bad in err
 
 
+# A digit separator in each loader: mp.mpf would read 1.5_5 as 0.155.
+SEPARATOR_FILES = {
+    "graph weight": ("graph v=2\n0 1 1_0\n", "0,1\n1,2\n"),
+    "shell weight": ("radial N=3 horizon=2\n0 1\n1 1.5_5\n2 3\n", "0,3\n1,2\n2,1\n"),
+    "value": ("graph v=2\n0 1 1\n", "0,1\n1,1.5_5\n"),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(SEPARATOR_FILES))
+def test_digit_separator_is_usage_error(capsys, tmp_path, loader):
+    graph, values = SEPARATOR_FILES[loader]
+    (tmp_path / "g.txt").write_text(graph)
+    (tmp_path / "u.csv").write_text(values)
+    code = main(_verify_args(tmp_path / "g.txt", tmp_path / "u.csv"))
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "_" in err
+
+
+def test_real_option_with_digit_separator_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--regime", "IV", "--p", "-2", "--q", "1", "--lam", "1.5_5"])
+    assert exc.value.code == 2
+    assert "not a real number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+def test_real_options_are_read_at_the_run_precision(monkeypatch, bits):
+    """--lam, --delta and --p0 are rounded at --precision-bits, not at
+    mpmath's ambient 53 bits."""
+    from liouville import cli
+    seen = {}
+
+    def capture(args):
+        for name in ("lam", "delta", "p0"):
+            if getattr(args, name, None) is not None:
+                seen[name] = getattr(args, name)._mpf_
+        seen["prec"] = mp.mp.prec
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_construct", capture)
+    monkeypatch.setattr(cli, "_cmd_descend", capture)
+    assert main(["--precision-bits", str(bits), "construct", "--regime", "IV", "--p", "-2",
+                 "--q", "1", "--lam", "0.1", "--delta", "1/3"]) == 0
+    assert main(["--precision-bits", str(bits), "descend", "--graph", "g", "--u", "u",
+                 "--p0", "0.1"]) == 0
+    with mp.workprec(bits):
+        tenth, third = mp.mpf("0.1")._mpf_, (mp.mpf(1) / 3)._mpf_
+    assert seen == {"lam": tenth, "delta": third, "p0": tenth, "prec": bits}
+    if bits > 53:
+        with mp.workprec(53):
+            assert mp.mpf("0.1")._mpf_ != tenth
+
+
 @pytest.mark.parametrize("lam", ["1/0", "0/0"])
 def test_real_option_with_zero_denominator_is_usage_error(capsys, lam):
     with pytest.raises(SystemExit) as exc:

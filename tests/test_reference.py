@@ -1502,10 +1502,19 @@ def test_parse_decimal_is_mpf(text):
 
 
 @pytest.mark.parametrize("text", ["inf", "+inf", "-inf", "Infinity", "nan", "NaN", "1/3",
-                                  "-2/7", "3/-4", "0/5", " 1.5 ", "1.5\n", "1_0", "1.5_5",
+                                  "-2/7", "3/-4", "0/5", " 1.5 ", "1.5\n",
                                   "١٢", "1l", "2.5L", "1E5", "0x10"])
 def test_parse_decimal_special_spellings_are_mpf(text):
     assert mpf_or_error(lv.parse_decimal, text) == mpf_or_error(mp.mpf, text)
+
+
+@pytest.mark.parametrize("text", ["1_0", "1.5_5", "1.00_1", "1_000e-3", "1/2_0", "_1"])
+def test_parse_decimal_rejects_digit_separators(text):
+    """mp.mpf misreads a separator after the point (1.5_5 as 0.155), so no
+    spelling with one is read."""
+    assert mpf_or_error(lv.parse_decimal, text) == [ValueError] * len(READER_BITS)
+    with mp.workprec(128):
+        assert mp.mpf("1.5_5") == mp.mpf("0.155")
 
 
 @pytest.mark.parametrize("text", ["", ".", "e5", "1e", "1.2.3", "--1", ".0", "-.00e3", "+",
@@ -1519,3 +1528,194 @@ def test_parse_decimal_rejects_malformed_strings_as_mpf_does(text):
 def test_parse_decimal_turns_a_zero_denominator_into_value_error(text):
     assert mpf_or_error(mp.mpf, text) == [ZeroDivisionError] * len(READER_BITS)
     assert mpf_or_error(lv.parse_decimal, text) == [ValueError] * len(READER_BITS)
+
+
+# ---------------------------------------------------------------------------
+# the rolling layer stream and the walk that reads it
+
+
+def _scaled(draw, lo, hi):
+    """A random mpf of either sign within [lo, hi) in magnitude's log2."""
+    man = draw(st.integers(1, 2 ** 60))
+    return mp.mpf(draw(st.sampled_from([1, -1])) * man) * mp.mpf(2) ** draw(st.integers(lo, hi))
+
+
+@st.composite
+def stream_cases(draw):
+    """A one- or two-sided tree with weights and values spanning 2^+-1000,
+    and a call sequence that goes forward, backward, repeats a layer and
+    jumps (out of range too), each call at one of three precisions."""
+    N = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        H = draw(st.integers(1, 12))
+        tree = lv.RadialTree(N, [abs(_scaled(draw, -1000, 1000)) for _ in range(H + 1)])
+        u = lv.RadialFunction([_scaled(draw, -1000, 1000) for _ in range(H + 1)])
+    else:
+        M = draw(st.integers(1, 8))
+        tree = lv.TwoSidedRadialTree(N, [abs(_scaled(draw, -1000, 1000)) for _ in range(M)],
+                                     [abs(_scaled(draw, -1000, 1000)) for _ in range(M)])
+        u = lv.RadialFunction([_scaled(draw, -1000, 1000) for _ in range(2 * M + 1)], lo=-M)
+    n = draw(st.integers(tree.layer_lo, tree.layer_hi))
+    bits = draw(st.sampled_from([53, 128, 256]))
+    calls = []
+    for move, change in draw(st.lists(st.tuples(
+            st.sampled_from(["forward"] * 4 + ["backward", "repeat", "jump"]),
+            st.sampled_from([None] * 3 + [53, 128, 256])), max_size=40)):
+        if move == "forward":
+            n += 1
+        elif move == "backward":
+            n -= 1
+        elif move == "jump":
+            n = draw(st.integers(tree.layer_lo - 1, tree.layer_hi + 1))
+        bits = change or bits           # a workprec change between two calls
+        calls.append((n, bits))
+    return tree, u, calls
+
+
+def _reference_operators(tree, u, n):
+    lap, grad_sq = tree.laplacian_at(u, n), tree.gradient_sq_at(u, n)
+    return u.value(n), lap, grad_sq
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream_cases())
+def test_layer_stream_is_the_reference_operators(case):
+    """Every call, rolled or not, gives the reference values bit for bit,
+    and raises where they raise; after a call, `d_out` and `d_in` are the
+    layer's differences."""
+    tree, u, calls = case
+    ops = lv.layer_operators(tree, u)
+    for n, bits in calls:
+        with mp.workprec(bits):
+            got = outcome(ops, n)
+            assert got == outcome(_reference_operators, tree, u, n)
+            if got[0] == "ok":
+                _assert_differences(ops, tree, u, n)
+
+
+def _assert_differences(ops, tree, u, n):
+    assert ops.d_out == (u.value(n + 1) - u.value(n))._mpf_
+    if n == 0 and tree.one_sided:
+        assert ops.d_in is None
+    else:
+        assert ops.d_in == (u.value(n - 1) - u.value(n))._mpf_
+
+
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_layer_stream_rolls_forward_through_the_root(two_sided):
+    """Forward over every layer (across the root of a two-sided tree) at
+    each precision, back, and forward again; then forward with the
+    precision alternating between 53 and 256 bits from call to call."""
+    rng = random.Random(8100)
+    tree, u = two_sided_case(rng, 6) if two_sided else one_sided_case(rng, 12)
+    layers = list(tree.interior_layers())
+    for bits in (53, 128, 256):
+        with mp.workprec(bits):
+            ops = lv.layer_operators(tree, u)
+            for order in (layers, layers[::-1], layers):
+                for n in order:
+                    assert exact(ops(n)) == exact(_reference_operators(tree, u, n))
+                    _assert_differences(ops, tree, u, n)
+    ops = lv.layer_operators(tree, u)
+    for k, n in enumerate(layers):
+        with mp.workprec((53, 256)[k % 2]):
+            assert exact(ops(n)) == exact(_reference_operators(tree, u, n))
+
+
+def test_layer_stream_builds_without_touching_the_layers():
+    """Building the stream checks the cover and reads no layer."""
+    rng = random.Random(8101)
+    tree, u = one_sided_case(rng, 5)
+    with pytest.raises(InputError, match="does not cover"):
+        lv.layer_operators(tree, lv.RadialFunction(u.values()[:-1]))
+    ops = lv.layer_operators(tree, u)
+    assert ops.d_out is None and ops.d_in is None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_walk_drops_are_the_value_differences(request, seed):
+    """Each step's drop is u(x_i) - u(x_{i+1}) bit for bit, at 53, 128 and
+    256 bits, on the conftest builds and on random trees of both kinds."""
+    rng = random.Random(8200 + seed)
+    cases = [(b.tree, b.u) for b in conftest_builds(request)] if seed == 0 else []
+    for _ in range(3):
+        cases.append(one_sided_case(rng, rng.randrange(4, 30)))
+        cases.append(two_sided_case(rng, rng.randrange(2, 15)))
+    for bits in (53, 128, 256):
+        with mp.workprec(bits):
+            for tree, u in cases:
+                starts = {tree.layer_lo + 1, 0, tree.layer_hi - 1,
+                          rng.randrange(tree.layer_lo + 1, tree.layer_hi)}
+                for start in sorted(starts):
+                    try:
+                        walk = lv.radial_descent_walk(tree, u, start, 300)
+                    except InputError:      # a flat start: no descent
+                        continue
+                    for step, nxt in zip(walk.steps, walk.steps[1:]):
+                        assert step.drop._mpf_ == (u.value(step.site) - u.value(nxt.site))._mpf_
+                    assert walk.steps[-1].drop is None
+
+
+def test_walk_value_ties_pick_the_parent():
+    """A tie between parent and child goes to the parent, the smaller
+    breadth-first id, and at a two-sided root to the positive arm."""
+    tree = lv.RadialTree(3, [1] * 8)
+    u = lv.RadialFunction([6, 5, 4, 3, 4, 2, 1, 0.5, 0.25])
+    walk = lv.radial_descent_walk(tree, u, 3, 10)
+    assert [s.site for s in walk.steps] == [3, 2] and walk.termination == "revisit"
+    assert exact(walk) == exact(old.radial_descent_walk(tree, u, 3, 10))
+    tree = lv.TwoSidedRadialTree(3, [1] * 4, [1] * 4)
+    u = lv.RadialFunction([1, 2, 3, 4, 5, 4, 3, 2, 1], lo=-4)
+    walk = lv.radial_descent_walk(tree, u, 0, 10)
+    assert [s.site for s in walk.steps] == [0, 1, 2, 3]
+    assert exact(walk) == exact(old.radial_descent_walk(tree, u, 0, 10))
+
+
+def test_walk_compares_values_not_rounded_differences():
+    """At 53 bits u_{n-1} - u_n and u_{n+1} - u_n round to the same float
+    while u_{n+1} < u_{n-1}, stored at 128 bits: the child must win."""
+    with mp.workprec(128):
+        big = mp.mpf(2) ** 60
+        tree = lv.RadialTree(3, [1] * 6)
+        u = lv.RadialFunction([big * 4, big + 2, 1, big + 1, 0.5, 0.25, 0.125])
+    with mp.workprec(53):
+        assert u.value(1) - u.value(2) == u.value(3) - u.value(2)
+        walk = lv.radial_descent_walk(tree, u, 2, 10)
+        assert [s.site for s in walk.steps][:2] == [2, 3]
+        assert exact(walk) == exact(old.radial_descent_walk(tree, u, 2, 10))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_harnack_check_evaluates_each_value_pair_once(request, monkeypatch, seed):
+    """The report equals the every-edge scan bit for bit, worst edge
+    included, on balls (each layer pair repeats on many edges) and on
+    random graphs drawing values from a few, so that pairs and the maximum
+    repeat; each distinct ordered pair of values is divided once."""
+    rng = random.Random(8300 + seed)
+    if seed == 0:
+        b = conftest_builds(request)[0]
+        g, layers = b.tree.materialize(6)
+        cases = [(g, lv.induced_graph_function(b.u, layers))]
+    else:
+        cases = [ball_case(rng, 5)[:2]]
+    for _ in range(3):
+        n = rng.randrange(2, 40)
+        pool = [mp.mpf(rng.choice([1, 2, 3, 5])) / rng.choice([1, 3, 7]) for _ in range(3)]
+        edges = {(x, rng.randrange(x + 1, n), 1) for x in range(n - 1)
+                 for _ in range(rng.randrange(1, 3))}
+        cases.append((lv.WeightedGraph(n, sorted(edges)),
+                      lv.GraphFunction([rng.choice(pool) for _ in range(n)])))
+    for g, gu in cases:
+        for p0 in (1, 2, lv.p0_of(g)):
+            same(graphs.harnack_check, old.harnack_check, g, gu, p0)
+        pairs = {(gu[x]._mpf_, gu[y]._mpf_) for (x, y), _ in g.edges()}
+        divisions = []
+        real_div = mp.mpf.__truediv__
+        monkeypatch.setattr(mp.mpf, "__truediv__",
+                            lambda a, b: divisions.append(1) or real_div(a, b))
+        graphs.harnack_check(g, gu, 2)
+        monkeypatch.undo()
+        assert len(divisions) == len(pairs)
+    bad = lv.GraphFunction([mp.mpf(1), mp.mpf(0), mp.mpf(1)])
+    path = lv.WeightedGraph(3, [(0, 1, 1), (1, 2, 1)])
+    same(graphs.harnack_check, old.harnack_check, path, bad, 2)
