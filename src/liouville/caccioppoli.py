@@ -34,7 +34,7 @@ from .errors import HypothesisNotMetError, InputError
 from .counterexamples import term_kernel
 from .graphs import (GraphFunction, WeightedGraph, harnack_check, site_classes,
                      site_operators, vertex_measure)
-from .numerics import check_le, check_nonpositive, rel_tol, to_mpf
+from .numerics import check_le, memo, rel_tol, to_mpf
 from .radial import RadialFunction, RadialTree, layer_operators
 from .regions import PQPoint, st_condition
 
@@ -206,20 +206,6 @@ def _finish_report(variant, point, s, t, p0, omega_desc, lhs, middle, edge_sum,
     )
 
 
-def _memo(fn):
-    """fn, with each value kept for the rest of one call (no state across calls)."""
-    table = {}
-
-    def at(key):
-        try:
-            return table[key]
-        except KeyError:
-            value = table[key] = fn(key)
-            return value
-
-    return at
-
-
 def estimate_sides(g: WeightedGraph, u: GraphFunction, o: int, tf: TestFunction,
                    s, t, point: PQPoint, p0, variant: str = "est2",
                    omega=None) -> EstimateReport:
@@ -253,26 +239,15 @@ def estimate_sides(g: WeightedGraph, u: GraphFunction, o: int, tf: TestFunction,
     term_of = term_kernel(point.p, point.q)
     p_t = term_of.p - to_mpf(t)
     s_m = to_mpf(s)
-    phi_of = _memo(tf.value)
-    phi_pow = _memo(lambda phi: to_mpf(phi) ** s_m)
+    phi_of = memo(tf.value)
+    phi_pow = memo(lambda phi: to_mpf(phi) ** s_m)
     domain = sorted(omega_set)  # fixed reduction order, bit-reproducible sums
     class_of, reps = site_classes(g, u, domain)
-
-    def site_values(c):
-        """(|grad u|^q, solves) on class c; None for a zero gradient with q < 0."""
-        u_x, lap, grad_sq = ops(reps[c])
-        grad = mp.sqrt(grad_sq)
-        if grad == 0 and point.q < 0:
-            return None
-        gq = term_of.grad_power(grad)
-        term = mp.power(u_x, term_of.p) * gq
-        return gq, check_nonpositive(lap + term, max(abs(lap), term), tol).holds
-
     # Per class, evaluated at the first vertex that needs it, so values and
     # raised errors come in the order of a loop over every vertex.
-    site_at = _memo(site_values)
-    u_pt_at = _memo(lambda c: mp.power(u[reps[c]], p_t))
-    weight_at = _memo(lambda c: u_pt_at(c) * site_at(c)[0])
+    site_at = memo(lambda c: term_of.site(*ops(reps[c]), tol))
+    u_pt_at = memo(lambda c: mp.power(u[reps[c]], p_t))
+    weight_at = memo(lambda c: u_pt_at(c) * site_at(c)[0])
     ineq_bad = 0
     lhs_terms = []
     for x, c in zip(domain, class_of):
@@ -300,7 +275,7 @@ def estimate_sides(g: WeightedGraph, u: GraphFunction, o: int, tf: TestFunction,
     lhs = mp.fsum(lhs_terms)
     a, rho, _ = _estimate_exponents(point, s, t)
     a_rho = a * rho
-    edge_pow = _memo(lambda dphi: mp.power(abs(to_mpf(dphi)), a_rho))
+    edge_pow = memo(lambda dphi: mp.power(abs(to_mpf(dphi)), a_rho))
     edge_terms = []
     middle_terms = []
     for x, c in zip(domain, class_of):
@@ -354,19 +329,18 @@ def estimate_sides_radial(tree: RadialTree, u: RadialFunction, tf: TestFunction,
     p_t = term_of.p - to_mpf(t)
     phi = [tf.value(n) for n in range(R + 2)]       # phi vanishes at R + 1
     s_m = to_mpf(s)
-    phi_pow = _memo(lambda phi: to_mpf(phi) ** s_m)
+    phi_pow = memo(lambda phi: to_mpf(phi) ** s_m)
     ineq_bad = 0
     lhs_terms = []
     gq, u_pt = {}, {}
     layers = range(0, R + 1)
     for n, (u_n, lap, grad_sq) in zip(layers, map(layer_operators(tree, u), layers)):
-        grad = mp.sqrt(grad_sq)
-        if grad == 0 and point.q < 0:
+        site = term_of.site(u_n, lap, grad_sq, tol)
+        if site is None:
             failures.append(f"zero gradient with q < 0 at layer {n}")
             continue
-        gq[n] = term_of.grad_power(grad)
-        term = mp.power(u_n, term_of.p) * gq[n]
-        if not check_nonpositive(lap + term, max(abs(lap), term), tol).holds:
+        gq[n], solves = site
+        if not solves:
             ineq_bad += 1
         if phi[n] == 0:
             continue
@@ -377,7 +351,7 @@ def estimate_sides_radial(tree: RadialTree, u: RadialFunction, tf: TestFunction,
     lhs = mp.fsum(lhs_terms)
     a, rho, _ = _estimate_exponents(point, s, t)
     a_rho = a * rho
-    edge_pow = _memo(lambda dphi: mp.power(abs(to_mpf(dphi)), a_rho))
+    edge_pow = memo(lambda dphi: mp.power(abs(to_mpf(dphi)), a_rho))
     edge_terms = []
     middle_terms = []
     for n in layers:
@@ -427,7 +401,7 @@ def exp_volume_bound(p0, z, n, vol2n) -> ExpVolumeBound:
     if not vol2n > 0:
         raise InputError("vol2n must be positive")
     log_value = z * (mp.ln(mp.sqrt(2 * p0)) + mp.ln(z) - mp.ln(n)) + mp.ln(vol2n)
-    value = mp.inf if log_value > _LOG_HUGE else mp.e ** log_value
+    value = mp.inf if log_value > _LOG_HUGE else mp.exp(log_value)
     return ExpVolumeBound(value=value, log_value=log_value)
 
 

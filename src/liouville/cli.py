@@ -27,7 +27,7 @@ from . import descent as dsc
 from .caccioppoli import TestFunction, estimate_sides, estimate_sides_radial
 from .errors import CalibrationError, HypothesisNotMetError, InputError, LiouvilleError
 from .graphs import GraphFunction, WeightedGraph, nash_williams_partial, parse_graph_text
-from .numerics import (MIN_PRECISION_BITS, default_precision_bits, mpf_memo, mpf_str,
+from .numerics import (MIN_PRECISION_BITS, default_precision_bits, memo, mpf_str,
                        parse_decimal, precision)
 from .radial import RadialFunction, parse_radial_text
 from .regions import ON_LINE, choose_st, classify_g, classify_k, pq
@@ -111,7 +111,7 @@ def _load_graph_file(path: str):
 def _load_values_csv(path: str) -> dict[int, mp.mpf]:
     """Two-column CSV: vertex (or layer) index, value.  Header row optional."""
     values: dict[int, mp.mpf] = {}
-    value = mpf_memo()
+    value = memo(parse_decimal)
     try:
         rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
     except csv.Error as exc:                # e.g. a field over the csv field limit

@@ -40,8 +40,9 @@ from typing import Callable
 
 import mpmath as mp
 from mpmath.libmp import (from_int, mpf_add, mpf_div, mpf_exp, mpf_gt, mpf_log, mpf_lt,
-                          mpf_mul, mpf_sub, round_nearest)
+                          mpf_mul, round_nearest)
 
+from . import screen
 from .errors import CalibrationError, InputError
 from .graphs import GraphFunction, WeightedGraph, site_classes, site_operators
 from .numerics import check_nonpositive, precision, rel_tol, to_mpf
@@ -216,16 +217,18 @@ class _TermKernel:
     Calling it on (u, grad^2) gives the nonlinear term, with the q = 0
     convention |grad u|^0 = 1; a value that is not positive, or a zero
     gradient with q < 0, is undefined and raises.  `grad_power` is the
-    factor |grad u|^q from the gradient norm itself.
+    factor |grad u|^q from the gradient norm itself, `site` one site of the
+    energy estimates, and `half_q` the exponent of grad^2 in the term (0
+    when q = 0), which the float64 screens read.
     """
 
-    __slots__ = ("p", "q", "_q", "_half_q", "_sign")
+    __slots__ = ("p", "q", "_q", "half_q", "_sign")
 
     def __init__(self, p, q):
         self.q = Fraction(q)
         self.p = to_mpf(p)
         self._q = to_mpf(self.q)
-        self._half_q = self._q / 2
+        self.half_q = self._q / 2
         self._sign = (self.q > 0) - (self.q < 0)
 
     def __call__(self, u_value: mp.mpf, grad_sq: mp.mpf) -> mp.mpf:
@@ -237,11 +240,21 @@ class _TermKernel:
             if self._sign > 0:
                 return mp.mpf(0)
             raise InputError("zero gradient with q < 0: u^p |grad u|^q undefined")
-        return mp.power(u_value, self.p) * mp.power(grad_sq, self._half_q)
+        return mp.power(u_value, self.p) * mp.power(grad_sq, self.half_q)
 
     def grad_power(self, grad: mp.mpf) -> mp.mpf:
         """|grad u|^q from the gradient norm, 1 when q = 0."""
         return mp.power(grad, self._q) if self._sign else mp.mpf(1)
+
+    def site(self, u_value, lap, grad_sq, tol):
+        """(|grad u|^q, whether lap + u^p |grad u|^q <= 0 holds) at a site,
+        with |grad u| = sqrt(grad^2); None for a zero gradient with q < 0."""
+        grad = mp.sqrt(grad_sq)
+        if grad == 0 and self._sign < 0:
+            return None
+        gq = self.grad_power(grad)
+        term = mp.power(u_value, self.p) * gq
+        return gq, check_nonpositive(lap + term, max(abs(lap), term), tol).holds
 
 
 def term_kernel(p, q) -> _TermKernel:
@@ -275,196 +288,101 @@ def _checked_layers(tree, horizon: int | None) -> range:
     return range(0 if tree.one_sided else -h, h + 1)
 
 
-_SLACK = 2.0 ** -44           # 512 float64 units: covers the screen's small error terms
-_EXCUSE = -(2.0 ** -30)       # log2(term/|lap|) must stay below this to excuse a layer
-_LN2 = math.log(2)
-
-
-def _top53(man: int, exp: int):
-    """(f, E) with man 2^exp ~ f 2^E, 1/2 <= f < 1, f the top 53 bits of man > 0.
-
-    The rescale is exact and the truncation's relative error below 2^-52;
-    E stays a Python int, so no value leaves the float range.
-    """
-    bc = man.bit_length()
-    return (math.ldexp(man >> (bc - 53), -53) if bc > 53 else math.ldexp(man, -bc)), exp + bc
+def _aligned(x1: int, e1: int, x2: int, e2: int):
+    """(y1, y2, e) with x1 2^e1 = y1 2^e and x2 2^e2 = y2 2^e, exactly; None
+    where the exponents of two nonzero terms lie more than 2^14 apart."""
+    if not x1:
+        e1 = e2
+    elif not x2:
+        e2 = e1
+    k = e1 - e2
+    if not -16384 <= k <= 16384:
+        return None
+    return (x1 << k, x2, e2) if k >= 0 else (x1, x2 << -k, e1)
 
 
 def _screen(tree, u, layers, term_of) -> list:
     """Float64 bounds (lo, hi) on log2|margin| per layer, or None where undecided.
 
     A layer gets bounds only when they prove, about the values the mpf
-    stream computes at the working precision (at least 53 bits), that
-    u_n > 0, the gradient is nonzero, lap < 0 and term/|lap| < 2^(-2^-30).
-    Its margin lap + term is then negative, neither fails nor is
-    borderline (|margin|/scale > 6e-10, far beyond ten tolerances), and
-    -2^hi <= margin <= -2^lo.  Every other layer is None.
-
-    Inputs.  The mpf values of the stream: u_n, the conductances (a, b)
-    and the differences d_out, d_in, formed by the `mpf_sub` call of the
-    stream's subtraction at the working precision (d_in as the negated
-    outward difference of the layer below, the same value since rounding
-    to nearest is odd).  lap = (a d_out + b d_in)/(a + b); its numerator S is
-    formed exactly from the integer mantissas.  Everything else is
-    float64 on the top 53 bits of each mantissa with the binary exponent
-    carried as an int: rho = b/a (|log2 rho| <= 960, else None),
-    a + b = a (1 + rho), grad^2 = (d_out^2 + rho d_in^2)/(2 (1 + rho)),
-    and the term in log2 as p log2 u + (q/2) log2 grad^2.  A one-sided
-    root is lap = d_out, grad^2 = d_out^2/2.
-
-    Bound, with u = 2^-53 and prec the working precision:
-    - mpf rounds a d_out, b d_in, their sum, a + b and the quotient, so
-      |lap_mpf - lap| <= 4.1 2^-prec kappa |lap|, kappa = P/|S| and
-      P = |a d_out| + |b d_in| (exact, from the same integers).  With
-      r = 4.2 2^-prec kappa_float <= 2^-8 (else None; 2^-1000 stands in
-      for 2^-prec beyond 1000 bits), log2|lap_mpf| is within
-      r/(ln 2 (1 - r)) <= 1.45 r of log2|lap|;
-    - every other error is at most 2^-44 (1 + |p| + |q/2| + M), where
-      M = |p log2 u| + |(q/2) log2 grad^2| + |log2|lap||.  It covers the
-      53-bit cuts of S, a, rho, u_n and the differences (2u relative
-      each), the float grad^2 and a + b (within 21u and 9u, no
-      cancellation) and the mpf grad^2 (6 roundings), p and q/2 at 53 bits
-      against their mpf values, mpmath's powers (an integer power or a
-      square root within a few ulps, exp(t ln x) within (4 + |t ln x|)
-      ulps), the mpf product of the powers and the mpf margin sum, the
-      float roundings of the log2 sums, and libm's log2 and expm1 (4u,
-      plus 2u per unit of the result).  The constant is over ten times
-      their sum.
-    With E the sum of the two, log2(term/|lap|) lies in [l - E, l + E];
-    log2(1 - 2^x), decreasing, is evaluated at both ends for lo and hi.
+    stream computes at the working precision, that u_n > 0, lap < 0 and
+    that `screen.solution_check` passes lap + term: it is then negative and
+    neither fails nor is borderline.  This is the check's input stage.
+    The differences d_out, d_in and S = a d_out + b d_in,
+    P = |a d_out| + |b d_in|, G = a d_out^2 + b d_in^2 and A = a + b (a one-
+    sided root: a = 1, b = 0) are formed exactly from the integer mantissas
+    of u and the conductances (a, b); log2|lap| = log2(|S|/A) and log2 grad^2
+    = log2(G/2A) are read from the top 53 bits of each, within 5 units plus
+    half a unit of the result, and the stream's grad^2 is within 10 more
+    (the differences rounded once each, then 7 roundings).  The one error
+    outside the shared budget is the mpf Laplacian's: the differences,
+    a d_out, b d_in, their sum, a + b and the quotient are rounded, so
+    |lap_mpf - lap| <= 5.1 2^-prec kappa |lap|, kappa = P/|S|.  With
+    r = 5.2 2^-prec kappa_float <= 2^-8 (else None; 2^-1000 stands in for
+    2^-prec beyond 1000 bits), log2|lap_mpf| is within 1.45 r of log2|lap|,
+    and the check is widened by that.
     """
-    prec = mp.mp.prec
-    n_layers = len(layers)
-    p = float(term_of.p)
-    h = float(term_of._half_q) if term_of._sign else 0.0
-    if prec < 53 or any(x and not 1e-300 < abs(x) < 1e300 for x in (p, h)) \
-            or (term_of.p and not p):
-        return [None] * n_layers        # no 53-bit rounding, or an exponent floats cannot carry
-    slack = _SLACK * (1 + abs(p) + abs(h))
-    unit_bits = min(prec, 1000)         # 2^-unit_bits >= 2^-prec, and a normal float
-    r_unit = 4.2 * math.ldexp(1.0, -unit_bits)
+    floats = screen.exponent_floats(term_of.p, term_of.half_q)
+    if floats is None:
+        return [None] * len(layers)
+    p, h = floats
+    unit_bits = min(mp.mp.prec, 1000)   # 2^-unit_bits >= 2^-prec, and a normal float
+    r_unit = 5.2 * math.ldexp(1.0, -unit_bits)
     kappa_bits = unit_bits - 12         # kappa beyond 2^kappa_bits cannot give r <= 2^-8
-    log2, ldexp, frexp, expm1 = math.log2, math.ldexp, math.frexp, math.expm1
-    one_sided = tree.one_sided
-    root_ok = one_sided and tree.horizon >= 1
+    log2, top53 = math.log2, screen.top53
     values, lo_u = u.values(), u.lo
-    # outward differences D_k = u_{k+1} - u_k, once each, over the layers' span
-    k0 = max(layers.start - lo_u - 1, 0)
-    k1 = min(layers.stop - lo_u, len(values) - 1)
-    rounding = mp.mp._prec_rounding[1]   # the context's, as mpf.__sub__ reads it
-    diffs = []
-    for k in range(k0, k1):
-        sign, man, exp, _ = mpf_sub(values[k + 1]._mpf_, values[k]._mpf_, prec, rounding)
-        diffs.append((sign, man, exp) + (_top53(man, exp) if man else (0.0, 0)))
-    bounds = []
-    last_w = last_split = None          # a weight and its split: the next layer's b
-    for n in layers:
-        root = n == 0 and one_sided
-        if not root:
+
+    def diff(k):                        # u_{k+1} - u_k as (D, e), exactly, D a signed int
+        s1, m1, x1, _ = values[k + 1]._mpf_
+        s0, m0, x0, _ = values[k]._mpf_
+        d = _aligned(-m1 if s1 else m1, x1, m0 if s0 else -m0, x0)
+        return d and (d[0] + d[1], d[2])
+
+    k0 = max(layers.start - lo_u - 1, 0)    # the differences over the layers' span, once each
+    diffs = [diff(k) for k in range(k0, min(layers.stop - lo_u, len(values) - 1))]
+
+    def bounds(n):
+        root = n == 0 and tree.one_sided
+        i = n - lo_u
+        if not 0 <= i - k0 - (not root) < len(diffs) - (not root):
+            return None
+        lu = screen.log2_abs(values[i])
+        d_out, d_in = diffs[i - k0], (0, 0) if root else diffs[i - k0 - 1]   # -d_in
+        if lu is None or lu[0] or not (d_out and d_in):
+            return None
+        (do, xo), (di, xi) = d_out, d_in
+        if root:                        # lap = d_out, grad^2 = d_out^2/2: a = 1, b = 0
+            if tree.horizon < 1:
+                return None
+            ma, xa, mb, xb = 1, 0, 0, 0
+        else:
             try:
                 a, b = tree.conductances(n)
             except InputError:
-                bounds.append(None)         # the stream raises here; leave it to it
-                continue
-        elif not root_ok:
-            bounds.append(None)
-            continue
-        i = n - lo_u
-        if not (0 <= i - k0 - (not root) and i - k0 < len(diffs)):
-            bounds.append(None)
-            continue
-        usign, uman, uexp, _ = values[i]._mpf_
-        so, mo, xo, fo, eo = diffs[i - k0]
-        if usign or not uman:
-            bounds.append(None)
-            continue
-        if root:
-            # lap = d_out exactly, grad^2 = d_out^2 / 2
-            if not (so and mo):
-                bounds.append(None)
-                continue
-            lam_lap = log2(fo) + eo
-            d_lap = 0.0
-            rho, den = 0.0, 1.0
-            fi = 0.0
-        else:
+                return None             # the stream raises here; leave it to it
             _, ma, xa, _ = a._mpf_
             _, mb, xb, _ = b._mpf_
-            si, mi, xi, fi, ei = diffs[i - 1 - k0]
-            si = 1 - si                             # d_in = -D_{i-1}
-            # S = a d_out + b d_in and P = |a d_out| + |b d_in|, exactly
-            t1, e1 = ma * mo, xa + xo
-            t2, e2 = mb * mi, xb + xi
-            if not t1:
-                e1 = e2
-            elif not t2:
-                e2 = e1
-            e = min(e1, e2)
-            if abs(e1 - e2) > 1 << 14:
-                bounds.append(None)
-                continue
-            t1 <<= e1 - e
-            t2 <<= e2 - e
-            S = (-t1 if so else t1) + (-t2 if si else t2)
-            if S >= 0:
-                bounds.append(None)
-                continue
-            P = t1 + t2
-            S = -S
-            if P.bit_length() - S.bit_length() > kappa_bits:
-                bounds.append(None)
-                continue
-            r = r_unit * (P / S)
-            if not r <= 0.00390625:
-                bounds.append(None)
-                continue
-            d_lap = 1.45 * r
-            fa, ea = _top53(ma, xa)
-            fb, eb = last_split if b is last_w else _top53(mb, xb)
-            last_w, last_split = a, (fa, ea)
-            if abs(eb - ea) > 960:
-                bounds.append(None)
-                continue
-            rho = ldexp(fb / fa, eb - ea)
-            den = 1.0 + rho
-            fS, eS = _top53(S, e)
-            lam_lap = log2(fS / (fa * den)) + (eS - ea)
-        log_term = 0.0
-        big = abs(lam_lap)
-        if p:
-            fu, eu = _top53(uman, uexp)
-            t = p * (log2(fu) + eu)
-            log_term += t
-            big += abs(t)
-        if h:
-            # grad^2 = (d_out^2 + rho d_in^2) / (2 (1 + rho)), aligned at the larger term
-            if fo:
-                m1, x1 = frexp(fo * fo)
-                e1 = 2 * eo + x1
-            if fi:
-                m2, x2 = frexp(rho * fi * fi)
-                e2 = 2 * ei + x2
-                if fo:
-                    eg = e1 if e1 > e2 else e2
-                    g = ldexp(m1, e1 - eg) + ldexp(m2, e2 - eg)
-                else:
-                    eg, g = e2, m2
-            else:
-                eg, g = e1, m1
-            t = h * (log2(g / (2 * den)) + eg)
-            log_term += t
-            big += abs(t)
-        ell = log_term - lam_lap
-        err = d_lap + slack + _SLACK * big
-        if not ell + err < _EXCUSE:
-            bounds.append(None)
-            continue
-        g_hi = log2(-expm1((ell + err) * _LN2))     # log2(1 - 2^x) at the upper end
-        g_lo = log2(-expm1((ell - err) * _LN2))
-        lo = lam_lap - d_lap + g_hi - _SLACK * (1 + abs(g_hi) + abs(lam_lap))
-        hi = lam_lap + d_lap + g_lo + _SLACK * (1 + abs(g_lo) + abs(lam_lap))
-        bounds.append((lo, hi) if math.isfinite(lo) and math.isfinite(hi) else None)
-    return bounds
+        t1, t2 = ma * do, mb * di       # a d_out and -b d_in
+        prods = _aligned(t1, xa + xo, -t2, xb + xi)
+        ab = _aligned(ma, xa, mb, xb)
+        squares = _aligned(t1 * do, xa + 2 * xo, t2 * di, xb + 2 * xi)
+        if not (prods and ab and squares):
+            return None
+        y1, y2, e = prods
+        S = -y1 - y2                    # -(a d_out + b d_in)
+        P = abs(y1) + abs(y2)
+        if S <= 0 or P.bit_length() - S.bit_length() > kappa_bits:
+            return None
+        r = r_unit * (P / S)
+        if not r <= 0.00390625:
+            return None
+        fA, eA = top53(ab[0] + ab[1], ab[2])
+        fS, eS = top53(S, e)
+        fG, eG = top53(squares[0] + squares[1], squares[2])
+        return screen.solution_check(p, h, lu[1], (1, log2(fS / fA) + (eS - eA)),
+                                     log2(fG / fA) + (eG - eA - 1), 1.45 * r)[1]
+
+    return [bounds(n) for n in layers]
 
 
 def _verify_pass(tree, u, p, q, layers, bits, force) -> MarginReport | None:
@@ -473,25 +391,21 @@ def _verify_pass(tree, u, p, q, layers, bits, force) -> MarginReport | None:
     `_screen` excuses, in float64, the layers whose margin is provably
     negative, not borderline and below some other layer's margin, so that
     none of them can fail, ask for precision or hold the maximum.  Every
-    other layer, undecided or a candidate for the maximum, goes in layer
-    order through the tree's operator stream and the term kernel with the
-    verdict of `check_nonpositive`, so the report equals that of a loop
-    over the reference functions bit for bit.
+    other layer, undecided or a candidate for the maximum (the smallest
+    |margin|), goes in layer order through the tree's operator stream and
+    the term kernel with the verdict of `check_nonpositive`, so the report
+    equals that of a loop over the reference functions bit for bit.
     """
     ops = layer_operators(tree, u)
     term_of = term_kernel(p, q)
-    bounds = _screen(tree, u, layers, term_of)
-    # a layer whose |margin| provably exceeds another's cannot be the maximum
-    cut = min((b[1] for b in bounds if b is not None), default=math.inf)
+    picked = screen.extremes(_screen(tree, u, layers, term_of), low=True)
     tol = rel_tol()
     ten_tol = 10 * tol
     max_margin = mp.mpf("-inf")
     worst = layers.start
     failures = []
     undefined = []
-    for n, bound in zip(layers, bounds):
-        if bound is not None and bound[0] > cut:
-            continue
+    for n in map(layers.__getitem__, picked):
         un, lap, grad_sq = ops(n)
         try:
             term = term_of(un, grad_sq)
@@ -1043,7 +957,7 @@ class PowerLogLaw:
     kept, so that `volume_band` can bound log2 of the law in float64 before
     it evaluates it anywhere.  A call evaluates exp(expo ln n + logexp ln ln n)
     at 20 bits above the working precision, with one final rounding to it
-    (the error is derived in `_band_bounds`).
+    (its error is bounded in `_band_bounds`).
     """
 
     expo: mp.mpf
@@ -1100,68 +1014,31 @@ def volume_target(spec: RegimeSpec) -> PowerLogLaw | ExpLaw:
     return ExpLaw(spec.lam)
 
 
-_BAND_SLACK = 2.0 ** -40        # 4096 float64 units per unit of magnitude
-_BAND_UNDECIDED = 2.0 ** -10    # an n whose bound is wider stays a candidate
-_BAND_EXP = 2 ** 40             # so is a volume whose binary exponent is not below this
-
-
 def _band_bounds(vols: list, law: PowerLogLaw, window: range) -> list:
     """Float64 bounds (lo, hi) on log2 of the mpf ratio vols[n] / law(n),
     per n of the window; (-inf, inf) where undecided.
 
-    Per n, with A and B the law's exponents, a and b their floats, prec the
-    working precision (at least 53 bits, else every n is undecided) and
-    M = |log2 vols[n]| + |a log2 n| + |b log2 ln n|,
-
-        log2 ratio = log2 vols[n] - a log2 n - b log2 ln n  +/-  err,
-        err = 2^-40 (1 + |a| + |b| + M).
-
-    log2 vols[n] is read from the top 53 bits of the exact mpf running
-    volume, with its binary exponent an int.  Bound, in relative units of
-    2^-52:
-    - the mpf ratio.  The law is exp(t), t = A ln n + B ln ln n formed at
-      wp = prec + 20 bits: with d = 2^(1 - wp), each of ln n and ln ln n
-      within 1 ulp there, and the two products and the sum rounded to
-      nearest, t is off by under 2d (1 + |A ln n| + |B ln ln n| + |B|)
-      (B meets ln n's error through ln ln n).  exp turns that into the same
-      relative error, and its own rounding to prec adds 1 ulp; the quotient
-      adds 1 ulp.  An ulp is at most 2^(1 - prec) <= 2^-52 relative and
-      d = 2^-20 ulp, so the ratio is within 2 + 2^-18 (1 + |B| + 0.7 M)
-      units (|A ln n| + |B ln ln n| <= 0.7 M); err <= 2^-10 below keeps
-      that under 2^-20, where |log2(1 + x)| <= 1.45 |x|, so log2 of the
-      mpf ratio is within 3 + 2^-17 (1 + |b| + M) of that of the exact one;
-    - float64: the 53-bit cut of the volume (1.45), libm's log2 and ln
-      (1 ulp each, 1.45 |b| through log2 ln n), a and b against A and B
-      (half a unit of |a log2 n| and |b log2 ln n|), the products and the
-      three sums (one unit of M each), at most 2 + 1.5 |b| + 5 M.
-    The two sum to under 2^-52 (6 + 2 |b| + 6 M); err is over 600 times
-    that.  An n with err above 2^-10 (or a non-finite bound, or a volume
-    that is not positive or has an exponent of 2^40 or more) keeps bounds
-    (-inf, inf): it stays a candidate, and its bounds excuse no other n.
-    So does every n of a law with an exponent that floats cannot carry
-    (float() of such an mpf reads inf or 0).
+    The screen's input stage: the ratio is vols[n] n^-A (ln n)^-B, A and B
+    the law's exponents, and `screen.log2_bound` takes log2 vols[n], read
+    from the exact running volume, as its constant, and log2 n and
+    log2 ln n from libm.  The law,
+    exp(A ln n + B ln ln n) at prec + 20 bits, is within 1 + 2^-18 (1 +
+    |A ln n| + |B ln ln n| + |B|) ulps: inside the budget's (4 + |C ln x|)
+    ulps per power.  An n whose volume is not positive or whose bound
+    decides nothing stays a candidate and excuses no other n; so does every
+    n of a law with an exponent floats cannot carry, or below 53 bits.
     """
     undecided = (-math.inf, math.inf)
-    if mp.mp.prec < 53 or any(e and not 1e-300 < abs(float(e)) < 1e300
-                              for e in (law.expo, law.logexp)):
+    floats = screen.exponent_floats(law.expo, law.logexp)
+    if floats is None:
         return [undecided] * len(window)
-    a, b = float(law.expo), float(law.logexp)
-    slack = _BAND_SLACK * (1 + abs(a) + abs(b))
-    log2, log = math.log2, math.log
+    a, b = -floats[0], -floats[1]
+    log2, log, log2_abs, log2_bound = math.log2, math.log, screen.log2_abs, screen.log2_bound
     bounds = []
     for n in window:
-        sign, man, exp, _ = vols[n]._mpf_
-        f, e = _top53(man, exp)
-        if man and not sign and -_BAND_EXP < e < _BAND_EXP:
-            lv = log2(f) + e
-            la = a * log2(n)
-            lb = b * log2(log(n))
-            ell = lv - la - lb
-            err = slack + _BAND_SLACK * (abs(lv) + abs(la) + abs(lb))
-            if err <= _BAND_UNDECIDED:
-                bounds.append((ell - err, ell + err))
-                continue
-        bounds.append(undecided)
+        lv = log2_abs(vols[n])
+        bound = lv and not lv[0] and log2_bound(lv[1], ((a, log2(n)), (b, log2(log(n)))))
+        bounds.append((bound[0] - bound[1], bound[0] + bound[1]) if bound else undecided)
     return bounds
 
 
@@ -1196,10 +1073,8 @@ def _band_window(n_lo: int, n_hi: int) -> range:
 def _volume_band(vols: list, target: Callable[[int], object], window: range) -> VolumeBand:
     """`volume_band` over a checked window, from the running volumes vols[0..n_hi]."""
     if isinstance(target, PowerLogLaw):
-        bounds = _band_bounds(vols, target, window)
-        top = max(lo for lo, _ in bounds)           # some ratio is >= 2^top
-        bottom = min(hi for _, hi in bounds)        # and some is <= 2^bottom
-        window = [n for n, (lo, hi) in zip(window, bounds) if hi >= top or lo <= bottom]
+        picked = screen.extremes(_band_bounds(vols, target, window), low=True, high=True)
+        window = [window[i] for i in picked]
     prec = mp.mp.prec
     ratio_min = ratio_max = None
     for n in window:                # on raw mpf values: the operations of mpf's /, < and >

@@ -20,13 +20,13 @@ gate is closed.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 from mpmath.libmp import fzero, mpf_le, mpf_neg, mpf_sqrt
 
-from .counterexamples import _EXCUSE, _LN2, BuiltCounterexample, _top53, term_kernel
+from . import screen
+from .counterexamples import BuiltCounterexample, term_kernel
 from .errors import InputError
 from .graphs import GraphFunction, WeightedGraph, site_classes, site_operators
 from .numerics import check_nonpositive, rel_tol, to_mpf
@@ -192,30 +192,21 @@ class _Family:
                            worst_margin=max(self.margins) if self.margins else None)
 
 
-# ---------------------------------------------------------------------------
-# The float64 screen in front of the mpf margins
-
-_SLACK = 2.0 ** -40         # allowance per unit of magnitude in a log2 bound
-_UNDECIDED = 2.0 ** -10     # a log2 bound wider than this decides nothing
-_FAILS = 2.0 ** -20         # a re-check provably above this fails: far above tol
-_TINY = 2.0 ** -1000        # absolute widening: covers float64's subnormal range
-
-
 class _Screened:
     """A family's margins behind the float64 screen: `_Family`, fed bounds.
 
     `add(item, bounds)` records one margin of the family: `margin_of(item)`
     gives the mpf margin and its verdict, and bounds is (lo, hi) with
     lo <= that margin <= hi, or None where the screen did not decide.
-    `done` evaluates in mpf, in order, every item that is unbounded or
-    could hold the maximum (hi >= the largest lo), and excuses the rest:
-    an excused margin lies strictly below an evaluated one, so the maximum
-    and its first occurrence are unchanged, and so is `holds`.  A margin
-    fails only above tol, and then the larger evaluated one fails too (the
-    sandwich's sign condition only fails unbounded items).  A nan margin
-    (only from non-finite inputs) stops the screen, since the maximum of a
-    list holding a nan depends on where the nan sits: then every item is
-    evaluated.  The report equals `_Family`'s over every margin bit for bit.
+    `done` evaluates in mpf, in order, the items `screen.extremes` picks
+    for the maximum, and excuses the rest: an excused margin lies strictly
+    below an evaluated one, so the maximum and its first occurrence are
+    unchanged, and so is `holds`.  A margin fails only above tol, and then
+    the larger evaluated one fails too (the sandwich's sign condition only
+    fails unbounded items).  A nan margin (only from non-finite inputs)
+    voids the screen, since the maximum of a list holding a nan depends on
+    where the nan sits: then every item is evaluated.  The report equals
+    `_Family`'s over every margin bit for bit.
     """
 
     def __init__(self, margin_of):
@@ -226,143 +217,22 @@ class _Screened:
         self.items.append((item, bounds))
 
     def done(self) -> BoundFamily:
-        top = max((b[0] for _, b in self.items if b is not None), default=-math.inf)
-        ok, worst = True, None
-        for item, b in self.items:
-            if b is not None and b[1] < top:
-                continue
-            margin, good = self.margin_of(item)
-            if mp.isnan(margin):
-                every = _Family()
-                for it, _ in self.items:
-                    every.add(*self.margin_of(it))
-                return every.done()
-            ok = ok and good
-            if worst is None or margin > worst:
-                worst = margin
-        return BoundFamily(checked=len(self.items), holds=ok, worst_margin=worst)
-
-
-def _signed_log2(x: mp.mpf):
-    """(x < 0, log2|x|) from the top 53 bits of x; None for zero or a non-finite x."""
-    sign, man, exp, _ = x._mpf_
-    if not man:
-        return None
-    f, e = _top53(man, exp)
-    return sign, math.log2(f) + e
-
-
-def _exponent_floats(*exponents):
-    """The exponents as floats, or None if one is beyond what a float carries."""
-    floats = [float(x) for x in exponents]
-    if any(x and not 1e-300 < abs(f) < 1e300 for x, f in zip(exponents, floats)):
-        return None
-    return floats
-
-
-def _log2_bound(const, *terms):
-    """(y, err) with y = const + sum of c l over the (c, l) terms, and err a
-    bound on |y - log2 Q|, where Q is the mpf quantity y stands for; None
-    where err exceeds 2^-10 (or is not finite).
-
-    Each l is log2 of an mpf input, read by `_signed_log2`, and each c a
-    float of the mpf exponent that Q raises that input to (or +-1); const
-    is log2 of an mpf constant factor (sqrt 2 as 1/2).  Q is formed at the
-    working precision prec >= 53, and u = 2^-52 bounds an ulp relative to
-    the value.  With S = 1 + |const| + sum (|c| + |c l|), in units of u:
-    - float64: the 53-bit cut of an input (1.45 in log2), libm's log2 of
-      its leading fraction (half a unit) and the sum with its binary
-      exponent (half a unit of |l|), each times |c|; c against the mpf
-      exponent and the product c l (half a unit of |c l| each); the float
-      sums (half a unit of S each, at most four): under 2 sum |c| +
-      1.5 sum |c l| + 2 S;
-    - mpf: each power x^t within (4 + |t ln x|) ulps (an integer power or a
-      square root within a few; exp(t ln x) with ln x at prec + 10 bits),
-      so 1.45 (4 + 0.7 |c l|) + 0.1 |c l| in log2, and up to four plain
-      roundings (products, a square, a square root, the constant's own),
-      1.45 each: under 12 per power + 1.1 sum |c l| + 6.
-    All of it is below 25 S units; err = 2^-40 S is over 150 times that.
-    Where the bound then decides a margin, its final mpf roundings (a
-    subtraction and a division, or one subtraction) and libm's expm1 move
-    it by a few units relative to itself; `_bounds` widens it by 2^-40
-    relative to cover them.
-    """
-    y, size = const, 1.0 + abs(const)
-    for c, l in terms:
-        t = c * l
-        y += t
-        size += abs(c) + abs(t)
-    err = _SLACK * size
-    return (y, err) if err <= _UNDECIDED else None
-
-
-def _falling(y):
-    """(1 - 2^y) / max(1, 2^y), decreasing in y."""
-    return -math.expm1(y * _LN2) if y <= 0 else math.expm1(-y * _LN2)
-
-
-def _valley(x):
-    """max(-r, r - 1) / max(1, r) at r = 2^x: falls to -1/2 at x = -1, then rises."""
-    if x < -1:
-        return -(2.0 ** x)
-    return math.expm1(x * _LN2) if x < 0 else -math.expm1(-x * _LN2)
-
-
-def _bounds(shape, bound):
-    """Bounds (lo, hi) on a margin given as a function of y, from the
-    `_log2_bound` of y; None where that is None or the bounds are not finite.
-
-    shape "falling": (1 - 2^y)/max(1, 2^y); "valley": `_valley`, the
-    sandwich margin at y = log2(|lap|/drop); "rising": 2^y - 1.
-    """
-    if bound is None:
-        return None
-    y, err = bound
-    a, b = y - err, y + err
-    if shape == "falling":
-        lo, hi = _falling(b), _falling(a)
-    elif shape == "rising":
-        if b > 1000:
-            return None             # 2^b beyond the float range
-        lo, hi = math.expm1(a * _LN2), math.expm1(b * _LN2)
-    else:
-        ends = _valley(a), _valley(b)
-        lo, hi = (-0.5 if a <= -1 <= b else min(ends)), max(ends)
-    lo -= abs(lo) * _SLACK + _TINY
-    hi += abs(hi) * _SLACK + _TINY
-    return (lo, hi) if math.isfinite(lo) and math.isfinite(hi) else None
+        picked = screen.extremes([b for _, b in self.items], high=True)
+        checks = [self.margin_of(self.items[i][0]) for i in picked]
+        if any(mp.isnan(m) for m, _ in checks):
+            checks = [self.margin_of(item) for item, _ in self.items]
+        family = _Family()
+        for check in checks:
+            family.add(*check)
+        return replace(family.done(), checked=len(self.items))
 
 
 def _site_logs(u, lap, g):
-    """(log2 u, `_signed_log2(lap)`, log2 g) where u, lap and g are finite
+    """(log2 u, `screen.log2_abs(lap)`, log2 g) where u, lap and g are finite
     and nonzero and u and g positive; None otherwise."""
-    lu, ll, lg = _signed_log2(u), _signed_log2(lap), _signed_log2(g)
+    lu, ll, lg = screen.log2_abs(u), screen.log2_abs(lap), screen.log2_abs(g)
     if lu and ll and lg and not lu[0] and not lg[0]:
         return lu[1], ll, lg[1]
-    return None
-
-
-def _decided_solution(lu, lap, lg2, p, half_q):
-    """The re-check's verdict where the screen decides it, else None.
-
-    lap is `_signed_log2` of the Laplacian; lu and lg2 are log2 u and
-    log2 grad^2, with u and the gradient positive and finite.  A positive
-    Laplacian fails, since the term is positive.  Otherwise, as in
-    `counterexamples._screen`, ell = log2(term/|lap|) provably below
-    -2^-30 proves lap + term < 0, a pass, and provably above 2^-20 proves
-    (lap + term)/term > 6e-7, far above tol, a failure.
-    """
-    negative, ll = lap
-    if not negative:
-        return False
-    bound = _log2_bound(0.0, (p, lu), (half_q, lg2), (-1.0, ll))
-    if bound is None:
-        return None
-    ell, err = bound
-    if ell + err < _EXCUSE:
-        return True
-    if ell - err > _FAILS:
-        return False
     return None
 
 
@@ -420,12 +290,12 @@ def walk_diagnostics(walk: DescentWalk, p0=None,
 
     Each normalized margin is a monotone function of one log2 quantity y
     of the step's mpf values (for the sandwich, falling then rising), so a
-    float64 bound on y bounds the margin (`_log2_bound`, `_bounds`).  mpf
+    float64 bound on y bounds the margin (`screen.margin_bounds`).  mpf
     evaluates a family's margin only at the steps `_Screened` cannot
-    excuse, and the re-check only where `_decided_solution` leaves it open;
-    a step whose u, lap or grad is zero or not finite, or any step below
-    53 bits, is evaluated in mpf throughout.  The report equals that of
-    the loop evaluating every margin in mpf, bit for bit.
+    excuse, and the re-check only where `screen.solution_check` leaves it
+    open; a step whose u, lap or grad is zero or not finite, or any step
+    below 53 bits, is evaluated in mpf throughout.  The report equals that
+    of the loop evaluating every margin in mpf, bit for bit.
     """
     tol = rel_tol()
     sqrt2 = mp.sqrt(2)
@@ -435,14 +305,15 @@ def walk_diagnostics(walk: DescentWalk, p0=None,
         if not (mp.isfinite(p0) and p0 >= 1):
             raise InputError("p0 must be at least 1")
         ratio_factor = mp.sqrt((1 + p0 ** 2) / 2)
-        log_rf = _signed_log2(ratio_factor)[1]
+        log_rf = screen.log2_abs(ratio_factor)[1]
     if point is not None:
         term_of = term_kernel(point.p, point.q)
         neg_p, one_minus_q = -to_mpf(point.p), 1 - to_mpf(point.q)
-        exponents = [term_of.p, term_of._half_q if term_of._sign else 0, neg_p, one_minus_q]
-    floats = _exponent_floats(*exponents) if mp.mp.prec >= 53 else None
+        exponents = [term_of.p, term_of.half_q, neg_p, one_minus_q]
+    floats = screen.exponent_floats(*exponents)
     if exponents and floats is not None:
         p, half_q, neg_p_f, one_minus_q_f = floats
+    bounds = screen.margin_bounds
     dec = _Family()
     sand = _Screened(lambda s: _sandwich(s, tol))
     avg = _Screened(lambda s: _averaging(s, sqrt2, tol))
@@ -453,12 +324,12 @@ def walk_diagnostics(walk: DescentWalk, p0=None,
         logs = _site_logs(step.u, step.lap, step.grad) if floats is not None else None
         if logs:
             lu, (lap_negative, ll), lg = logs
-            drop = step.drop is not None and _signed_log2(step.drop)
+            drop = step.drop is not None and screen.log2_abs(step.drop)
             ld = drop[1] if drop and not drop[0] else None
-        avg.add(step, logs and _bounds("falling", _log2_bound(0.5, (1.0, lg), (-1.0, ll))))
+        avg.add(step, logs and bounds("falling", 0.5, ((1.0, lg), (-1.0, ll))))
         solves = False
         if point is not None:
-            solves = logs and _decided_solution(lu, logs[1], 2 * lg, p, half_q)
+            solves = logs and screen.solution_check(p, half_q, lu, logs[1], 2 * lg)[0]
             if solves is None:
                 solves = _solution_check(step.u, step.lap, step.grad, term_of, tol) is True
             if solves:
@@ -467,16 +338,15 @@ def walk_diagnostics(walk: DescentWalk, p0=None,
             dec.add(-step.drop, step.drop > 0)
             screened = logs is not None and ld is not None
             if solves:
-                sand.add(step, screened and lap_negative and _bounds(
-                    "valley", _log2_bound(0.0, (1.0, ll), (-1.0, ld))) or None)
+                sand.add(step, screened and lap_negative
+                         and bounds("valley", 0.0, ((1.0, ll), (-1.0, ld))) or None)
             # the gradient ratio bound only needs a nonpositive Laplacian and
             # a strict drop, not the full solution property
             if p0 is not None and step.drop > 0 and step.lap <= 0:
-                gratio.add(step, screened and _bounds(
-                    "falling", _log2_bound(log_rf, (1.0, ld), (-1.0, lg))) or None)
+                gratio.add(step, screened
+                           and bounds("falling", log_rf, ((1.0, ld), (-1.0, lg))) or None)
         if point is not None and solves and step.grad > 0:
-            ppower.add(step, logs and _bounds("falling", _log2_bound(
-                0.5, (neg_p_f, lu), (one_minus_q_f, lg))))
+            ppower.add(step, logs and bounds("falling", 0.5, ((neg_p_f, lu), (one_minus_q_f, lg))))
     return WalkDiagnostics(
         n_sites=len(walk.steps),
         strict_decrease=dec.done(),
@@ -514,15 +384,14 @@ def _pointwise_core(sites, class_of, reps, operators, point: PQPoint) -> Pointwi
     tol = rel_tol()
     term_of = term_kernel(point.p, point.q)
     p1 = to_mpf(point.p - 1)
-    half_q = term_of._half_q if term_of._sign else 0
-    floats = _exponent_floats(term_of.p, half_q, p1) if mp.mp.prec >= 53 else None
+    floats = screen.exponent_floats(term_of.p, term_of.half_q, p1)
     if floats is not None:
         p, half_q_f, p1_f = floats
     margins = _Screened(lambda ug: _pointwise_margin(*ug, p1, term_of, tol))
     verdicts = []
     for u_val, lap, grad_sq in map(operators, reps):
         logs = _site_logs(u_val, lap, grad_sq) if floats is not None else None
-        solves = logs and _decided_solution(*logs, p, half_q_f)
+        solves = logs and screen.solution_check(p, half_q_f, *logs)[0]
         if solves is None:
             solves = _solution_check(u_val, lap, mp.sqrt(grad_sq), term_of, tol)
             if solves is None:
@@ -532,8 +401,8 @@ def _pointwise_core(sites, class_of, reps, operators, point: PQPoint) -> Pointwi
             verdicts.append(_NOT_A_SOLUTION)
             continue
         verdicts.append(None)
-        margins.add((u_val, grad_sq), logs and _bounds(
-            "rising", _log2_bound(0.0, (p1_f, logs[0]), (half_q_f, logs[2]))))
+        margins.add((u_val, grad_sq), logs and screen.margin_bounds(
+            "rising", 0.0, ((p1_f, logs[0]), (half_q_f, logs[2]))))
     family = margins.done()
     checked = 0
     skipped = []

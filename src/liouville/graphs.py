@@ -19,7 +19,7 @@ import mpmath as mp
 from mpmath.libmp import fzero, mpf_add, mpf_rdiv_int, round_nearest
 
 from .errors import InputError, IsolatedVertexError
-from .numerics import all_finite, all_positive, check_le, mpf_memo, to_mpf
+from .numerics import all_finite, all_positive, check_le, memo, parse_decimal, to_mpf
 
 
 class WeightedGraph:
@@ -364,7 +364,7 @@ def parse_graph_text(text: str) -> WeightedGraph:
     except ValueError:
         raise InputError(f"bad vertex count in header: {lines[0]!r}")
     edges = []
-    weight = mpf_memo()
+    weight = memo(parse_decimal)
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 3:

@@ -118,22 +118,22 @@ def to_mpf(x) -> mp.mpf:
     raise TypeError(f"cannot convert {type(x).__name__} to mpf")
 
 
-def mpf_memo():
-    """`parse_decimal`, converting each distinct string once.
+class memo(dict):
+    """fn, with each value kept for the rest of one call (no state across calls).
 
-    For one parse at one precision: a file of repeated decimals (a
-    materialized ball holds a handful of distinct ones) pays for each
-    distinct string once.  A string it rejects raises every time.
+    `memo(parse_decimal)` converts each distinct string of one file once
+    (a materialized ball holds a handful of distinct decimals); a key fn
+    rejects raises every time.
     """
-    cache: dict[str, mp.mpf] = {}
 
-    def convert(text: str) -> mp.mpf:
-        value = cache.get(text)
-        if value is None:
-            value = cache[text] = parse_decimal(text)
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
         return value
 
-    return convert
+    __call__ = dict.__getitem__
 
 
 def all_finite(values) -> bool:

@@ -416,21 +416,19 @@ def induced_graph_function(u: RadialFunction, layers: Sequence[int]) -> GraphFun
 # two-sided trees add "two-sided" to the header and arm markers.
 
 def format_radial_text(tree, digits: int = 30) -> str:
-    if isinstance(tree, RadialTree):
-        lines = [f"radial N={tree.N} horizon={tree.horizon}"]
-        for n in range(tree.horizon + 1):
-            lines.append(f"{n} {mp.nstr(tree.weight(n), digits, strip_zeros=True)}")
-        return "\n".join(lines) + "\n"
-    if isinstance(tree, TwoSidedRadialTree):
-        M = tree.arm_horizon
-        lines = [f"radial N={tree.N} horizon={M} two-sided", "arm +"]
-        for n in range(0, M):
-            lines.append(f"{n} {mp.nstr(tree.weight(n), digits, strip_zeros=True)}")
-        lines.append("arm -")
-        for n in range(-1, -M - 1, -1):
-            lines.append(f"{n} {mp.nstr(tree.weight(n), digits, strip_zeros=True)}")
-        return "\n".join(lines) + "\n"
-    raise InputError(f"not a radial tree: {type(tree).__name__}")
+    if not isinstance(tree, _LayerChain):
+        raise InputError(f"not a radial tree: {type(tree).__name__}")
+    H = tree.layer_hi
+
+    def shells(layers):
+        return [f"{n} {mp.nstr(tree.weight(n), digits, strip_zeros=True)}" for n in layers]
+
+    if tree.one_sided:
+        lines = [f"radial N={tree.N} horizon={H}", *shells(range(H + 1))]
+    else:
+        lines = [f"radial N={tree.N} horizon={H} two-sided", "arm +", *shells(range(H)),
+                 "arm -", *shells(range(-1, -H - 1, -1))]
+    return "\n".join(lines) + "\n"
 
 
 def parse_radial_text(text: str):

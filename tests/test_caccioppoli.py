@@ -248,6 +248,18 @@ def test_exp_volume_bound_vanishes_below_kappa0():
     assert vals[2] < mp.mpf("1e-100")
 
 
+@pytest.mark.parametrize("log", [1000, 10 ** 5, 10 ** 8])
+def test_exp_volume_bound_value_is_exp_of_its_log(log):
+    """At 128 bits the value is within 1 ulp of exp(log_value) taken at 256
+    bits (e ** log_value, with e itself rounded, is 1.7e7 ulps off at 1e8)."""
+    with mp.workprec(128):
+        # sqrt(2 p0) = z = n = 1, so log_value = ln vol2n
+        b = lv.exp_volume_bound(mp.mpf(1) / 2, 1, 1, mp.exp(log))
+        ulp = mp.ldexp(1, mp.frexp(b.value)[1] - 128)
+    with mp.workprec(256):
+        assert abs(b.value - mp.exp(b.log_value)) <= ulp
+
+
 def test_exp_volume_bound_overflow_sentinel():
     b = lv.exp_volume_bound(2, mp.mpf("1e9"), 2, 1)
     assert b.value == mp.inf
