@@ -201,8 +201,6 @@ def _certify(args) -> cx.Certificate:
     for II, lam for V), or else the one the calibration search accepts."""
     point = pq(args.p, args.q)
     regime = args.regime
-    if regime == "IV" and args.lam is None:
-        raise InputError("regime IV needs --lam")
     pinned = {
         "I": args.delta is not None,
         "II": args.n0 is not None,

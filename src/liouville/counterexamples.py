@@ -92,28 +92,31 @@ def _region_matches(regime: str, point: PQPoint) -> bool:
     return classify_g(point) == {"I": "G1", "II": "G2", "III": "G3", "IV": "G4"}[regime]
 
 
-def _check_size(N: int, horizon: int) -> None:
+def _check_params(regime: str, point: PQPoint, N: int, horizon: int, eps, lam) -> None:
+    """The checks a pinned spec and a search share: a known regime, (p, q)
+    in its region, N >= 2, horizon >= 2, eps > 0 for I-III and lam > 0 for IV."""
+    if regime not in REGIMES:
+        raise InputError(f"unknown regime {regime!r}")
+    if not _region_matches(regime, point):
+        raise InputError(
+            f"(p,q)=({point.p},{point.q}) is not in the exponent region of regime {regime}"
+        )
     if N < 2:
         raise InputError("tree degree N must be at least 2")
     if horizon < 2:
         raise InputError("horizon must be at least 2")
+    if regime in ("I", "II", "III") and (eps is None or not to_mpf(eps) > 0):
+        raise InputError(f"regime {regime} needs a positive eps")
+    if regime == "IV" and (lam is None or not to_mpf(lam) > 0):
+        raise InputError("regime IV needs a positive lam")
 
 
 def validate_spec(spec: RegimeSpec) -> None:
-    if spec.regime not in REGIMES:
-        raise InputError(f"unknown regime {spec.regime!r}")
-    if not _region_matches(spec.regime, spec.point):
-        raise InputError(
-            f"(p,q)=({spec.p},{spec.q}) is not in the exponent region of regime {spec.regime}"
-        )
-    _check_size(spec.N, spec.horizon)
+    _check_params(spec.regime, spec.point, spec.N, spec.horizon, spec.eps, spec.lam)
     if spec.regime in ("I", "II", "III", "IV") and spec.n0 < 2:
         raise InputError("n0 must be at least 2 (logarithms need n + n0 >= 2)")
-    if spec.regime in ("I", "II", "III") and spec.eps is None:
-        raise InputError(f"regime {spec.regime} needs eps")
-    if spec.regime in ("IV", "V1", "V2"):
-        if spec.lam is None or not to_mpf(spec.lam) > 0:
-            raise InputError(f"regime {spec.regime} needs a positive lam")
+    if spec.regime in ("V1", "V2") and (spec.lam is None or not to_mpf(spec.lam) > 0):
+        raise InputError(f"regime {spec.regime} needs a positive lam")
     if spec.regime in ("I", "III", "IV"):
         if spec.delta is None or not to_mpf(spec.delta) > 0:
             raise InputError(f"regime {spec.regime} needs a positive delta")
@@ -398,35 +401,53 @@ def _verify_pass(tree, u, p, q, layers, bits, force) -> MarginReport | None:
     """
     ops = layer_operators(tree, u)
     term_of = term_kernel(p, q)
-    picked = screen.extremes(_screen(tree, u, layers, term_of), low=True)
+    sites = [layers[i] for i in screen.extremes(_screen(tree, u, layers, term_of), low=True)]
     tol = rel_tol()
     ten_tol = 10 * tol
-    max_margin = mp.mpf("-inf")
-    worst = layers.start
-    failures = []
-    undefined = []
-    for n in map(layers.__getitem__, picked):
+    checks = []
+    for n in sites:
         un, lap, grad_sq = ops(n)
         try:
             term = term_of(un, grad_sq)
         except InputError:
-            undefined.append(n)
+            checks.append(None)
             continue
         margin = lap + term
         scale = max(abs(lap), term)
         if margin != 0 and abs(margin) <= ten_tol * scale and not force:
             return None
+        checks.append((margin, margin <= tol * scale))
+    return _margin_report(sites, checks, (layers.start, layers.stop - 1), bits, tol)
+
+
+def _margin_report(sites, checks, span, bits, tol) -> MarginReport:
+    """The report of per-site checks (margin, holds), None where the term is
+    undefined, read in site order over the sites span[0]..span[1].
+
+    The sites given may be a subset of the span (the ones the screen leaves
+    to mpf); the worst site starts at span[0] and the count of checked sites
+    is the span's size less the undefined ones.
+    """
+    max_margin = mp.mpf("-inf")
+    worst = span[0]
+    failures = []
+    undefined = []
+    for x, check in zip(sites, checks):
+        if check is None:
+            undefined.append(x)
+            continue
+        margin, holds = check
         if margin > max_margin:
             max_margin = margin
-            worst = n
-        if not margin <= tol * scale and len(failures) < 20:
-            failures.append((n, margin))
+            worst = x
+        if not holds and len(failures) < 20:
+            failures.append((x, margin))
     return MarginReport(
         verified=not failures and not undefined,
         max_margin=max_margin,
         worst_layer=worst,
-        layers=(layers.start, layers.stop - 1),
-        n_layers=len(layers) - len(undefined),
+        layers=span,
+        n_layers=span[1] - span[0] + 1 - len(undefined),
         precision_bits=bits,
         tol=tol,
         failures=tuple(failures),
@@ -485,32 +506,10 @@ def verify_graph(g: WeightedGraph, u: GraphFunction, p, q) -> MarginReport:
         except InputError:
             checks.append(None)
             continue
-        checks.append(check_nonpositive(lap + term, max(abs(lap), term), tol))
-    max_margin = mp.mpf("-inf")
-    worst = 0
-    failures = []
-    undefined = []
-    for x, c in enumerate(class_of):
-        check = checks[c]
-        if check is None:
-            undefined.append(x)
-            continue
-        if check.margin > max_margin:
-            max_margin = check.margin
-            worst = x
-        if not check.holds and len(failures) < 20:
-            failures.append((x, check.margin))
-    return MarginReport(
-        verified=not failures and not undefined,
-        max_margin=max_margin,
-        worst_layer=worst,
-        layers=(0, g.n_vertices - 1),
-        n_layers=g.n_vertices - len(undefined),
-        precision_bits=bits,
-        tol=tol,
-        failures=tuple(failures),
-        undefined_layers=tuple(undefined),
-    )
+        check = check_nonpositive(lap + term, max(abs(lap), term), tol)
+        checks.append((check.margin, check.holds))
+    return _margin_report(range(g.n_vertices), map(checks.__getitem__, class_of),
+                          (0, g.n_vertices - 1), bits, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -802,36 +801,28 @@ def certify(regime: str, point: PQPoint, *, N: int, horizon: int,
     """Search the free parameters until build + verify + tail all pass.
 
     Returns the accepted candidate's build, margin report and tail, so a
-    caller never has to recompute them.  Regimes I-IV walk n0 through
-    powers of two; the shift n -> n + n0 is what makes the calibration
-    function positive and flat enough on the horizon.  delta is fixed from
-    the recipe bounds: the root bound delta_0, the limit-based
-    delta_1 = (limit/2)^(1/e), and a tail cap (window-minimum/2)^(1/e)
-    that keeps the factor-two tail clearance reachable; with p < 0 (regime
-    IV) the three combine through max instead of min.  Regimes V double
-    the rate lambda from 1 until the closed-form layer conditions clear 1
-    with a five percent margin.
+    caller never has to recompute them.  Each candidate of `_candidates`
+    is built and verified in turn; the tail is checked once the margins
+    pass.  When none passes, `CalibrationError` carries the smallest
+    max_margin among the candidates verified and the spec that had it
+    (both None when no candidate cleared its screen).
     """
-    if regime not in REGIMES:
-        raise InputError(f"unknown regime {regime!r}")
-    if not _region_matches(regime, point):
-        raise InputError(
-            f"(p,q)=({point.p},{point.q}) is not in the exponent region of regime {regime}"
-        )
-    _check_size(N, horizon)
-    if regime in ("I", "II", "III"):
-        if eps is None:
-            raise InputError(f"regime {regime} calibration needs eps")
-        eps = Fraction(eps)
-        if eps <= 0:
-            raise InputError("eps must be positive")
-    if regime == "IV" and lam is None:
-        raise InputError("regime IV calibration needs lam")
-    if regime in ("V1", "V2"):
-        return _certify_rate(regime, point, N=N, horizon=horizon)
-    if regime == "II":
-        return _certify_log(point, eps, N=N, horizon=horizon)
-    return _certify_poly(regime, point, eps=eps, lam=lam, N=N, horizon=horizon)
+    _check_params(regime, point, N, horizon, eps, lam)
+    eps = Fraction(eps) if regime in ("I", "II", "III") else None
+    best_margin = best_spec = None
+    for spec, tail in _candidates(regime, point, eps, lam, N, horizon):
+        built = build(spec)
+        report = verify(built)
+        if report.verified:
+            if tail is None:
+                tail = tail_check(spec)
+            if tail.ok:
+                return Certificate(built, report, tail)
+        if best_margin is None or report.max_margin < best_margin:
+            best_margin, best_spec = report.max_margin, spec
+    name, cap = ("lambda", _LAMBDA_CAP) if regime in ("V1", "V2") else ("n0", _N0_CAP)
+    raise CalibrationError(f"regime {regime}: no passing {name} up to {cap}",
+                           best_margin=best_margin, best_spec=best_spec)
 
 
 def calibrate(regime: str, point: PQPoint, *, N: int, horizon: int,
@@ -840,91 +831,62 @@ def calibrate(regime: str, point: PQPoint, *, N: int, horizon: int,
     return certify(regime, point, N=N, horizon=horizon, eps=eps, lam=lam).spec
 
 
-def _certify_poly(regime, point, *, eps, lam, N, horizon) -> Certificate:
-    if regime == "I":
-        e = to_mpf(point.p + point.q - 1)
-        param = eps
-    elif regime == "III":
-        e = to_mpf(point.q - 1)
-        param = eps
-    else:
-        e = to_mpf(point.p)
-        param = to_mpf(lam)
-    delta1 = mp.power(lambda_limit(regime, point, param) / 2, 1 / e)
-    probes = _probe_offsets(horizon)
-    profile, lam_of = _lambda_kernel(regime, point, param)
+def _candidates(regime, point, eps, lam, N, horizon):
+    """(spec, tail or None) per candidate that clears its closed-form screen,
+    in search order.
 
-    def probe(m):
-        """lambda_fn(regime, point, param, m), from the kernel built once above."""
-        _check_lambda_index(regime, m)
-        return lam_of(profile(m - 1), profile(m), profile(m + 1))
-
-    best_margin = None
-    n0 = 2
-    while n0 <= _N0_CAP:
-        # the first non-positive probe rules the candidate out; skip the rest
-        probe_vals = list(takewhile(lambda v: v > 0, (probe(n + n0) for n in probes)))
-        if len(probe_vals) == len(probes):
-            wmin = _window_min(regime, point, param, n0, horizon)
-            d0 = _delta0_value(regime, point, n0)
-            tail_cap = mp.power(wmin / 2, 1 / e)
-            combine = max if regime == "IV" else min
-            delta = combine(d0.value, delta1, tail_cap)
-            spec = RegimeSpec(regime=regime, p=point.p, q=point.q, N=N, horizon=horizon,
-                              eps=None if regime == "IV" else eps,
-                              lam=to_mpf(lam) if regime == "IV" else None,
-                              n0=n0, delta=delta)
-            if min(probe_vals) >= interior_threshold(spec):
-                built = build(spec)
-                cert = Certificate(built, verify(built), _interior_tail(spec, horizon, wmin))
-                if cert.ok:
-                    return cert
-                if best_margin is None or cert.report.max_margin < best_margin:
-                    best_margin = cert.report.max_margin
-        n0 *= 2
-    raise CalibrationError(
-        f"regime {regime}: no passing n0 up to {_N0_CAP}", best_margin=best_margin
-    )
-
-
-def _certify_log(point, eps, *, N, horizon) -> Certificate:
-    best_margin = None
-    n0 = 2
-    while n0 <= _N0_CAP:
-        spec = RegimeSpec(regime="II", p=point.p, q=point.q, N=N, horizon=horizon,
-                          eps=eps, n0=n0)
-        built = build(spec)
-        report = verify(built)
-        if report.verified:
+    Regimes V1/V2 double the rate lambda from 1 and keep each lambda whose
+    closed-form layer conditions clear 1 with five percent to spare (that
+    is `tail_check`, so its report comes along).  Regime II walks n0
+    through powers of two with no screen.  Regimes I, III and IV walk n0
+    the same way; the shift n -> n + n0 is what makes the calibration
+    function positive and flat enough on the horizon.  An n0 is kept when
+    Lambda is positive at every probe and the smallest probe clears the
+    interior threshold of delta, which is fixed from the recipe bounds: the
+    root bound delta_0, the limit-based delta_1 = (limit/2)^(1/e), and a
+    tail cap (window-minimum/2)^(1/e) that keeps the factor-two tail
+    clearance reachable; with p < 0 (regime IV) the three combine through
+    max instead of min.
+    """
+    base = dict(regime=regime, p=point.p, q=point.q, N=N, horizon=horizon)
+    if regime in ("V1", "V2"):
+        rate = mp.mpf(1)
+        while rate <= _LAMBDA_CAP:
+            spec = RegimeSpec(**base, lam=rate)
             tail = tail_check(spec)
             if tail.ok:
-                return Certificate(built, report, tail)
-        if best_margin is None or report.max_margin < best_margin:
-            best_margin = report.max_margin
+                yield spec, tail
+            rate *= 2
+        return
+    if regime != "II":
+        lam = to_mpf(lam) if regime == "IV" else None
+        param = eps if lam is None else lam
+        e = to_mpf({"I": point.p + point.q - 1, "III": point.q - 1, "IV": point.p}[regime])
+        delta1 = mp.power(lambda_limit(regime, point, param) / 2, 1 / e)
+        combine = max if regime == "IV" else min
+        probes = _probe_offsets(horizon)
+        profile, lam_of = _lambda_kernel(regime, point, param)
+
+        def probe(m):
+            """lambda_fn(regime, point, param, m), from the kernel built once above."""
+            _check_lambda_index(regime, m)
+            return lam_of(profile(m - 1), profile(m), profile(m + 1))
+
+    n0 = 2
+    while n0 <= _N0_CAP:
+        if regime == "II":
+            yield RegimeSpec(**base, eps=eps, n0=n0), None
+        else:
+            # the first non-positive probe rules the candidate out; skip the rest
+            probe_vals = list(takewhile(lambda v: v > 0, (probe(n + n0) for n in probes)))
+            if len(probe_vals) == len(probes):
+                wmin = _window_min(regime, point, param, n0, horizon)
+                delta = combine(_delta0_value(regime, point, n0).value, delta1,
+                                mp.power(wmin / 2, 1 / e))
+                spec = RegimeSpec(**base, eps=eps, lam=lam, n0=n0, delta=delta)
+                if min(probe_vals) >= interior_threshold(spec):
+                    yield spec, _interior_tail(spec, horizon, wmin)
         n0 *= 2
-    raise CalibrationError(f"regime II: no passing n0 up to {_N0_CAP}",
-                           best_margin=best_margin)
-
-
-def _certify_rate(regime, point, *, N, horizon) -> Certificate:
-    required = to_mpf(V_COND_MARGIN)
-    best_margin = None
-    lam = mp.mpf(1)
-    while lam <= _LAMBDA_CAP:
-        conds = [lambda_fn(regime, point, lam, n) for n in (0, 1)]
-        if min(conds) >= required:
-            spec = RegimeSpec(regime=regime, p=point.p, q=point.q, N=N,
-                              horizon=horizon, lam=lam)
-            built = build(spec)
-            report = verify(built)
-            if report.verified:
-                return Certificate(built, report, tail_check(spec))
-            if best_margin is None or report.max_margin < best_margin:
-                best_margin = report.max_margin
-        lam *= 2
-    raise CalibrationError(
-        f"regime {regime}: closed-form conditions never cleared {required} up to "
-        f"lambda={_LAMBDA_CAP}", best_margin=best_margin)
 
 
 # ---------------------------------------------------------------------------

@@ -309,36 +309,42 @@ class HarnackReport:
     p0: mp.mpf
 
 
-def harnack_check(g: WeightedGraph, u: GraphFunction, p0) -> HarnackReport:
-    """Scan all edges for 1/p0 <= u(x)/u(y) <= p0.
+def harnack_scan(pairs, p0, what: str) -> HarnackReport:
+    """Scan ((x, y), u(x), u(y)) edge triples for 1/p0 <= u(x)/u(y) <= p0.
 
-    Requires u > 0; reports the extremal adjacent ratio and the first edge
-    where it occurs.  The ratio is a function of the pair (u(x), u(y)), so
-    each distinct pair of values is evaluated once: a repeated pair repeats
-    a ratio that did not exceed the maximum so far, and cannot be the first
-    edge at a strict maximum.
+    Requires p0 >= 1 and u > 0 (`what`, a format string, names the edge in
+    the error); reports the extremal adjacent ratio and the first edge
+    where it occurs, decided by the tolerant `check_le`.  The ratio is a
+    function of the pair (u(x), u(y)), so each distinct pair of values is
+    evaluated once: a repeated pair repeats a ratio that did not exceed the
+    maximum so far, and cannot be the first edge at a strict maximum.
     """
-    _require_total(g, u)
     p0 = to_mpf(p0)
     if p0 < 1:
         raise InputError("p0 must be at least 1")
     worst_ratio = mp.mpf(1)
     worst_edge: tuple[int, int] | None = None
     seen = set()
-    for (x, y), _ in g.edges():
-        a, b = u[x], u[y]
+    for edge, a, b in pairs:
         pair = (a._mpf_, b._mpf_)
         if pair in seen:
             continue
         seen.add(pair)
         if not (a > 0 and b > 0):
-            raise InputError(f"harnack_check needs positive values, edge ({x},{y})")
+            raise InputError("harnack_check needs positive values, " + what.format(*edge))
         ratio = a / b if a >= b else b / a
         if ratio > worst_ratio:
             worst_ratio = ratio
-            worst_edge = (x, y)
+            worst_edge = edge
     holds = check_le(worst_ratio, p0).holds
     return HarnackReport(holds=holds, worst_edge=worst_edge, worst_ratio=worst_ratio, p0=p0)
+
+
+def harnack_check(g: WeightedGraph, u: GraphFunction, p0) -> HarnackReport:
+    """Scan all edges for 1/p0 <= u(x)/u(y) <= p0, by `harnack_scan`."""
+    _require_total(g, u)
+    return harnack_scan((((x, y), u[x], u[y]) for (x, y), _ in g.edges()), p0,
+                        "edge ({},{})")
 
 
 # Edge-list text format: header "graph v=<count>", then "x y mu" lines.

@@ -28,8 +28,8 @@ from mpmath.libmp import (from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_in
                           mpf_pow_int, mpf_sub, round_nearest)
 
 from .errors import InputError
-from .graphs import GraphFunction, HarnackReport, WeightedGraph
-from .numerics import all_finite, all_positive, check_le, parse_decimal, to_mpf
+from .graphs import GraphFunction, HarnackReport, WeightedGraph, harnack_scan
+from .numerics import all_finite, all_positive, parse_decimal, to_mpf
 
 _TWO = from_int(2)
 
@@ -243,25 +243,14 @@ class _LayerChain:
     def harnack_check(self, u: RadialFunction, p0) -> HarnackReport:
         """Layerwise Harnack scan; every E_n edge realizes the ratio u_n : u_{n+1}.
 
-        Decided like `graphs.harnack_check` (tolerant `check_le`, p0 >= 1), so a
+        Decided by `graphs.harnack_scan`, as `graphs.harnack_check` is, so a
         tree and its materialized ball agree on the verdict.
         """
         self.check_covers(u)
-        p0 = to_mpf(p0)
-        if p0 < 1:
-            raise InputError("p0 must be at least 1")
-        worst_ratio = mp.mpf(1)
-        worst_edge = None
         values = u.values()[self.layer_lo - u.lo:]
-        for n, a, b in zip(range(self.layer_lo, self.layer_hi), values, values[1:]):
-            if not (a > 0 and b > 0):
-                raise InputError(f"harnack_check needs positive values, layers {n},{n + 1}")
-            ratio = a / b if a >= b else b / a
-            if ratio > worst_ratio:
-                worst_ratio = ratio
-                worst_edge = (n, n + 1)
-        return HarnackReport(holds=check_le(worst_ratio, p0).holds, worst_edge=worst_edge,
-                             worst_ratio=worst_ratio, p0=p0)
+        layers = range(self.layer_lo, self.layer_hi)
+        return harnack_scan((((n, n + 1), a, b) for n, a, b in zip(layers, values, values[1:])),
+                            p0, "layers {},{}")
 
     def layer_measure(self, k: int) -> mp.mpf:
         """mu(D_k) of the infinite tree in normalized form: N w_0, then

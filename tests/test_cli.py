@@ -692,3 +692,32 @@ def test_descend_rejects_a_p0_below_one(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and err == "error: p0 must be at least 1\n"
     assert main(args + ["1"]) == 0
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--regime", "II", "--p", "0", "--q", "3", "--eps", "0", "--n0", "4"],
+     "regime II needs a positive eps"),
+    (["--regime", "IV", "--p", "-2", "--q", "1", "--lam", "0"],
+     "regime IV needs a positive lam"),
+    (["--regime", "IV", "--p", "-2", "--q", "1", "--lam=-1"],
+     "regime IV needs a positive lam"),
+    (["--regime", "I", "--p", "2", "--q", "1", "--eps=-1/10", "--delta", "1/100"],
+     "regime I needs a positive eps"),
+], ids=["pinned II eps 0", "searched IV lam 0", "searched IV lam -1", "pinned I eps < 0"])
+def test_construct_rejects_a_non_positive_eps_or_lam(capsys, args, message):
+    """Pinned II with eps 0 and searched IV with lam 0 died dividing by zero;
+    searched IV with lam -1 tried every n0 and exited 1, pinned I with a
+    negative eps exited 1.  The shared parameter check stops each of them."""
+    code = main(["construct", "--N", "3", "--horizon", "20"] + args)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_construct_exits_1_when_the_search_is_exhausted(capsys):
+    """On (101/100, -1/100) no lambda up to the cap clears V2's screen."""
+    code = main(["construct", "--regime", "V2", "--p", "101/100", "--q=-1/100",
+                 "--N", "3", "--horizon", "20"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("calibration failed: regime V2: ") and err.count("\n") == 1

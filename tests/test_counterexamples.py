@@ -4,7 +4,8 @@ import mpmath as mp
 import pytest
 
 import liouville as lv
-from liouville.errors import InputError
+from liouville import counterexamples as cx
+from liouville.errors import CalibrationError, InputError
 
 
 def spec_I(n0=2, delta="1", horizon=30, eps=F(1, 10)):
@@ -444,3 +445,32 @@ def test_layer_rows_shape(regime1_small):
     assert len(rows) == 11
     n, w, u, lap, grad, margin = rows[3]
     assert n == 3 and w > 0 and u > 0 and margin <= 0
+
+
+# ---------------------------------------------------------------------------
+# an exhausted search
+
+
+def test_search_exhausted_before_any_candidate_is_built():
+    """On (101/100, -1/100) no lambda up to the cap clears V2's closed-form
+    screen, so nothing is verified and the error carries no best candidate."""
+    with pytest.raises(CalibrationError) as exc:
+        lv.certify("V2", lv.pq(F(101, 100), F(-1, 100)), N=3, horizon=20)
+    assert exc.value.best_margin is None and exc.value.best_spec is None
+
+
+def test_search_exhausted_reports_its_best_candidate(monkeypatch):
+    """Regime I at (2, 1) calibrates to n0 = 2^14 on horizon 40; with the cap
+    at 2^13 the n0 = 2^13 candidate verifies but fails its tail, and its
+    margin, the smallest of those verified, comes back with its spec."""
+    point = lv.pq(2, 1)
+    assert lv.calibrate("I", point, N=3, horizon=40, eps=F(1, 10)).n0 == 2 ** 14
+    monkeypatch.setattr(cx, "_N0_CAP", 2 ** 13)
+    with pytest.raises(CalibrationError) as exc:
+        lv.certify("I", point, N=3, horizon=40, eps=F(1, 10))
+    best = exc.value.best_spec
+    assert best.n0 == 2 ** 13
+    cert = lv.certify_spec(best)
+    assert cert.report.verified and not cert.tail.ok
+    assert exc.value.best_margin == cert.report.max_margin
+    assert mp.nstr(exc.value.best_margin, 4) == "-1.514e-17"

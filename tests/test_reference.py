@@ -31,11 +31,12 @@ from hypothesis import strategies as st
 import before_band
 import before_layer_chain as before
 import before_nash_williams
+import before_search
 import before_streams as old
 import liouville as lv
 from liouville import caccioppoli, descent, graphs
 from liouville import counterexamples as cx
-from liouville.errors import InputError
+from liouville.errors import CalibrationError, InputError
 
 # The six acceptance regimes with their free parameters, as in the benchmark.
 REGIMES = {
@@ -513,6 +514,44 @@ def test_certify_returns_what_a_recomputation_gives(regime):
     assert again.report == cert.report
     assert again.tail == cert.tail
     assert cert.ok
+
+
+# ---------------------------------------------------------------------------
+# the one search loop against the three it replaced (tests/before_search.py)
+
+
+@pytest.mark.parametrize("horizon", [40, 50])
+@pytest.mark.parametrize("regime", list(REGIMES))
+def test_search_matches_the_old_loops(regime, horizon):
+    p, q, params = REGIMES[regime]
+    new = lv.certify(regime, lv.pq(p, q), N=3, horizon=horizon, **params)
+    old = before_search.certify(regime, lv.pq(p, q), N=3, horizon=horizon, **params)
+    assert new.spec == old.spec
+    assert new.built.u.values() == old.built.u.values()
+    assert new.report == old.report
+    assert new.tail == old.tail
+
+
+# (regime, p, q, horizon, params, n0 cap): no lambda clears V2's screen; the
+# last regime I candidate under the cap verifies and fails its tail.
+EXHAUSTED = {
+    "V2 screen": ("V2", F(101, 100), F(-1, 100), 20, {}, None),
+    "I tail": ("I", F(2), F(1), 40, {"eps": F(1, 10)}, 2 ** 13),
+}
+
+
+@pytest.mark.parametrize("case", list(EXHAUSTED))
+def test_exhausted_search_matches_the_old_loops(monkeypatch, case):
+    regime, p, q, horizon, params, cap = EXHAUSTED[case]
+    if cap is not None:
+        monkeypatch.setattr(cx, "_N0_CAP", cap)
+        monkeypatch.setattr(before_search, "_N0_CAP", cap)
+    with pytest.raises(CalibrationError) as new:
+        lv.certify(regime, lv.pq(p, q), N=3, horizon=horizon, **params)
+    with pytest.raises(CalibrationError) as old:
+        before_search.certify(regime, lv.pq(p, q), N=3, horizon=horizon, **params)
+    assert new.value.best_margin == old.value.best_margin
+    assert (new.value.best_margin is None) == (cap is None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The shared float64 screen: its error budget, its picker, and that no
-other module writes a budget or a reader of its own."""
+other module writes a budget or a reader of its own (nor a second search
+loop or margin report)."""
 
 import ast
 from fractions import Fraction as F
@@ -154,3 +155,23 @@ def test_the_guard_sees_the_spellings_it_forbids():
     assert violations("m.py", ast.parse(source)) == [
         "m.py:1 budget constant", "m.py:2 budget constant", "m.py:4 top-53 reader",
         "m.py:7 private import"]
+
+
+def single_steps(tree):
+    """How many `raise CalibrationError(...)` statements and `MarginReport(...)`
+    calls the module holds: the search's one exit and the one report builder."""
+    raises = sum(isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+                 and getattr(n.exc.func, "id", None) == "CalibrationError"
+                 for n in ast.walk(tree))
+    reports = sum(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "MarginReport"
+                  for n in ast.walk(tree))
+    return raises, reports
+
+
+def test_one_search_exit_and_one_margin_report():
+    """The calibration search is one loop and the verify backends share one
+    report builder; a second copy of either shows up here."""
+    counts = [single_steps(ast.parse(path.read_text())) for path in PACKAGE.glob("*.py")]
+    assert tuple(map(sum, zip(*counts))) == (1, 1)
+    source = "raise CalibrationError('a')\nr = MarginReport(verified=True)\nraise InputError('b')\n"
+    assert single_steps(ast.parse(source)) == (1, 1)
