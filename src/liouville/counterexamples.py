@@ -39,13 +39,14 @@ from itertools import takewhile
 from typing import Callable
 
 import mpmath as mp
-from mpmath.libmp import (from_int, mpf_add, mpf_div, mpf_exp, mpf_gt, mpf_log, mpf_lt,
-                          mpf_mul, round_nearest)
+from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_exp, mpf_gt, mpf_log,
+                          mpf_lt, mpf_mul, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_rdiv_int,
+                          mpf_sub, round_nearest)
 
 from . import screen
 from .errors import CalibrationError, InputError
 from .graphs import GraphFunction, WeightedGraph, site_classes, site_operators
-from .numerics import check_nonpositive, precision, rel_tol, to_mpf
+from .numerics import check_nonpositive, memo, precision, rel_tol, to_mpf
 from .radial import RadialFunction, RadialTree, TwoSidedRadialTree, layer_operators
 from .regions import PQPoint, classify_g, exponents, pq
 
@@ -126,41 +127,65 @@ def validate_spec(spec: RegimeSpec) -> None:
 # Closed-form profiles and construction
 
 
-def _poly_profiles(spec: RegimeSpec):
-    """m -> (w_m, u_m) in the absolute index m = n + n0, regimes I-IV.
+def _profile(regime: str, point: PQPoint, param) -> Callable[[int], tuple]:
+    """m -> the raw closed-form profile of regimes I-IV at m = n + n0, which
+    `build`, the Lambda kernel and delta_0 read: (W, g) for I and III, (W, f)
+    for II, (m, 1/m) for IV, with W = m^lam (ln m)^(beta+eps) (III: lam =
+    beta) or m (ln m)^(1+eps), g = m^sigma (ln m)^beta, f = (ln m)^(-eps/2).
 
-    mpf(m) and ln m are formed once per m and shared by w and u.
+    Each value is made by the `mpmath.libmp` calls of its mpf expression
+    (`mp.mpf(m) ** sigma * mp.ln(m) ** beta`, ...) at the precision read
+    here, so it has that expression's bits.
     """
-    point = spec.point
-    if spec.regime == "IV":
-        lam = to_mpf(spec.lam)
-        delta = to_mpf(spec.delta)
-        return lambda m: (lam * mp.e ** (lam * m), delta / mp.mpf(m) + delta)
-    eps = to_mpf(spec.eps)
-    if spec.regime == "II":
-        w_log, u_log = 1 + eps, -eps / 2
-
+    prec, rnd = mp.mp._prec_rounding
+    if regime == "IV":
         def profile(m):
-            ln_m = mp.ln(m)
-            return mp.mpf(m) * ln_m ** w_log, ln_m ** u_log + 1
+            m = from_int(m, prec, rnd)
+            return m, mpf_rdiv_int(1, m, prec, rnd)
 
         return profile
-    if spec.regime not in ("I", "III"):
-        raise InputError(f"regime {spec.regime} has no polynomial profile")
-    ex = exponents(point, spec.regime)
-    beta, sigma = to_mpf(ex.beta), to_mpf(ex.sigma)
-    # I weights m^lam (ln m)^(beta+eps), III weights m^beta (ln m)^(beta+eps)
-    w_pow = to_mpf(ex.lam) if spec.regime == "I" else beta
-    w_log = beta + eps
-    delta = to_mpf(spec.delta)
-    plus_one = spec.regime == "III"         # III's u tends to 1, I's to 0
+    eps = to_mpf(param)
+    if regime == "II":
+        w_log, f_log = (1 + eps)._mpf_, (-eps / 2)._mpf_
+
+        def profile(m):
+            mf = from_int(m, prec, rnd)
+            ln_m = mpf_log(mf, prec, rnd)
+            return (mpf_mul(mf, mpf_pow(ln_m, w_log, prec, rnd), prec, rnd),
+                    mpf_pow(ln_m, f_log, prec, rnd))
+
+        return profile
+    if regime not in ("I", "III"):
+        raise InputError(f"unknown regime {regime!r}")
+    ex = exponents(point, regime)
+    lam_w, beta, sigma = (to_mpf(x)._mpf_ for x in (ex.lam, ex.beta, ex.sigma))
+    w_log = (to_mpf(ex.beta) + eps)._mpf_
 
     def profile(m):
-        mf, ln_m = mp.mpf(m), mp.ln(m)
-        u = delta / (mf ** sigma * ln_m ** beta)
-        return mf ** w_pow * ln_m ** w_log, (u + 1 if plus_one else u)
+        mf = from_int(m, prec, rnd)
+        ln_m = mpf_log(mf, prec, rnd)
+        return (mpf_mul(mpf_pow(mf, lam_w, prec, rnd), mpf_pow(ln_m, w_log, prec, rnd),
+                        prec, rnd),
+                mpf_mul(mpf_pow(mf, sigma, prec, rnd), mpf_pow(ln_m, beta, prec, rnd),
+                        prec, rnd))
 
     return profile
+
+
+def _e_powers(rate: mp.mpf, ns, scale: mp.mpf | None = None) -> list[mp.mpf]:
+    """[scale * mp.e ** (rate * n) for n in ns] (scale None: 1), bit for bit.
+
+    e is rounded once, and each power is the `mpf_pow(e, rate n)` call of
+    mpf's **.  Every power of e in `build` is made here, with e's rounding
+    error raised to the power rate n (`ExpLaw` rounds exp(lam n) once).
+    """
+    prec, rnd = mp.mp._prec_rounding
+    e, r = mp.e._mpf_, rate._mpf_
+    powers = (mpf_pow(e, mpf_mul_int(r, n, prec, rnd), prec, rnd) for n in ns)
+    if scale is not None:
+        s = scale._mpf_
+        powers = (mpf_mul(s, x, prec, rnd) for x in powers)
+    return [mp.make_mpf(x) for x in powers]
 
 
 @dataclass(frozen=True)
@@ -170,28 +195,46 @@ class BuiltCounterexample:
     spec: RegimeSpec
 
 
-def build(spec: RegimeSpec) -> BuiltCounterexample:
-    """Realize the recipe with stored layers one past the certified horizon."""
+def build(spec: RegimeSpec, *, table=None) -> BuiltCounterexample:
+    """Realize the recipe with stored layers one past the certified horizon.
+
+    Regimes I-III read W and g (II: f) at m = n + n0 from `table`, a memo
+    of `_profile` that a certify call shares (a fresh profile when None),
+    and form u = delta/g (I), delta/g + 1 (III) or f + 1 (II).  IV keeps its
+    own u = delta/m + delta: delta/m is not delta (1/m) in bits.
+    """
     validate_spec(spec)
     stored = spec.horizon + 1
-    if spec.regime in ("I", "II", "III", "IV"):
-        profile = _poly_profiles(spec)
-        weights, values = zip(*(profile(n + spec.n0) for n in range(stored + 1)))
-        return BuiltCounterexample(RadialTree(spec.N, weights),
-                                   RadialFunction(values), spec)
+    prec, rnd = mp.mp._prec_rounding
+    make, n0 = mp.make_mpf, spec.n0
+    if spec.regime in ("I", "II", "III"):
+        if table is None:               # (an empty memo is falsy: test for None)
+            table = _profile(spec.regime, spec.point, spec.eps)
+        rows = [table(m) for m in range(n0, n0 + stored + 1)]
+        delta = None if spec.regime == "II" else to_mpf(spec.delta)._mpf_
+        values = [g if delta is None else mpf_div(delta, g, prec, rnd) for _, g in rows]
+        if spec.regime != "I":          # II: f + 1, III: delta/g + 1
+            values = [mpf_add(v, fone, prec, rnd) for v in values]
+        return BuiltCounterexample(RadialTree(spec.N, [make(w) for w, _ in rows]),
+                                   RadialFunction(list(map(make, values))), spec)
     lam = to_mpf(spec.lam)
-    if spec.regime == "V1":
-        weights = [lam * mp.e ** (lam * n) for n in range(stored + 1)]
-        values = [mp.e ** (-lam * n / 4) for n in range(stored + 1)]
-        return BuiltCounterexample(RadialTree(spec.N, weights),
+    if spec.regime == "IV":
+        delta = to_mpf(spec.delta)._mpf_
+        ms = range(n0, n0 + stored + 1)
+        values = [make(mpf_add(mpf_div(delta, from_int(m, prec, rnd), prec, rnd), delta,
+                               prec, rnd)) for m in ms]
+        return BuiltCounterexample(RadialTree(spec.N, _e_powers(lam, ms, lam)),
                                    RadialFunction(values), spec)
+    if spec.regime == "V1":             # e^(-lam n / 4): /4 is exact, so -lam/4 then * n
+        ns = range(stored + 1)
+        return BuiltCounterexample(RadialTree(spec.N, _e_powers(lam, ns, lam)),
+                                   RadialFunction(_e_powers(-lam / 4, ns)), spec)
     # V2: one arm per sign, same normalized shell law on both.
     M = stored
-    pos = [lam * mp.e ** (lam * n) for n in range(0, M)]
-    neg = [lam * mp.e ** (lam * n) for n in range(-1, -M - 1, -1)]
-    values = [mp.e ** (-(lam - 1) * n) for n in range(-M, M + 1)]
-    return BuiltCounterexample(TwoSidedRadialTree(spec.N, pos, neg),
-                               RadialFunction(values, lo=-M), spec)
+    tree = TwoSidedRadialTree(spec.N, _e_powers(lam, range(0, M), lam),
+                              _e_powers(lam, range(-1, -M - 1, -1), lam))
+    return BuiltCounterexample(tree, RadialFunction(_e_powers(-(lam - 1), range(-M, M + 1)),
+                                                    lo=-M), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -519,78 +562,87 @@ def verify_graph(g: WeightedGraph, u: GraphFunction, p, q) -> MarginReport:
 def _lambda_kernel(regime: str, point: PQPoint, param):
     """(profile, combine) for regimes I-IV, with every constant hoisted.
 
-    Lambda(m) = combine(profile(m-1), profile(m), profile(m+1)); a profile
-    is the pair (W, g) for I and III, (W, f) for II and (m, 1/m) for IV.
+    Lambda(m) = combine(profile(m-1), profile(m), profile(m+1)) on the raw
+    pairs of `_profile`.  combine makes, in their order, the `mpmath.libmp`
+    calls of the mpf expression it stands for (written out in each comment),
+    at the precision read here, so Lambda keeps that expression's bits.
     """
+    profile = _profile(regime, point, param)
+    prec, rnd = mp.mp._prec_rounding
     p, q = to_mpf(point.p), to_mpf(point.q)
-    neg_p, neg_half_q = -p, -q / 2
-    if regime in ("I", "III"):
-        ex = exponents(point, regime)
-        lam_w, beta, sigma = to_mpf(ex.lam), to_mpf(ex.beta), to_mpf(ex.sigma)
-        w_log = beta + to_mpf(param)
-        p_minus_1 = p - 1
+    neg_p, neg_half_q = (-p)._mpf_, (-q / 2)._mpf_
 
-        def profile(m):
-            m = mp.mpf(m)
-            ln_m = mp.ln(m)
-            return m ** lam_w * ln_m ** w_log, m ** sigma * ln_m ** beta
+    def add(x, y): return mpf_add(x, y, prec, rnd)
+    def sub(x, y): return mpf_sub(x, y, prec, rnd)
+    def mul(x, y): return mpf_mul(x, y, prec, rnd)
+    def div(x, y): return mpf_div(x, y, prec, rnd)
+    def pow_(x, y): return mpf_pow(x, y, prec, rnd)
+    def inv(x): return mpf_rdiv_int(1, x, prec, rnd)
+    def sq(x): return mpf_pow_int(x, 2, prec, rnd)
+
+    def quad_of(a, x, b, y, a_b):   # (a x^2 + b y^2) / (2 (a + b))
+        return div(add(mul(a, sq(x)), mul(b, sq(y))), mpf_mul_int(a_b, 2, prec, rnd))
+
+    if regime in ("I", "III"):
+        p_minus_1 = (p - 1)._mpf_
 
         def combine(prev, cur, nxt):
+            # drift = 1 - gn (Wn/g_up + Wm/g_dn) / (Wn + Wm), quad as quad_of's; I:
+            # gn^(p-1) drift quad^(-q/2), III: drift (1/gn + 1)^(-p) / gn quad^(-q/2)
             (Wm, g_dn), (Wn, gn), (_, g_up) = prev, cur, nxt
-            drift = 1 - gn * (Wn / g_up + Wm / g_dn) / (Wn + Wm)
-            quad = ((Wn * (1 / gn - 1 / g_up) ** 2 + Wm * (1 / g_dn - 1 / gn) ** 2)
-                    / (2 * (Wn + Wm)))
+            w = add(Wn, Wm)
+            drift = sub(fone, div(mul(gn, add(div(Wn, g_up), div(Wm, g_dn))), w))
+            inv_n = inv(gn)
+            quad = quad_of(Wn, sub(inv_n, inv(g_up)), Wm, sub(inv(g_dn), inv_n), w)
             if regime == "I":
-                return gn ** p_minus_1 * drift * quad ** neg_half_q
-            return drift * (1 / gn + 1) ** neg_p / gn * quad ** neg_half_q
+                value = mul(mul(pow_(gn, p_minus_1), drift), pow_(quad, neg_half_q))
+            else:
+                value = mul(div(mul(drift, pow_(add(inv_n, fone), neg_p)), gn),
+                            pow_(quad, neg_half_q))
+            return mp.make_mpf(value)
 
         return profile, combine
     if regime == "II":
-        eps = to_mpf(param)
-        w_log, f_log = 1 + eps, -eps / 2
-
-        def profile(m):
-            m = mp.mpf(m)
-            ln_m = mp.ln(m)
-            return m * ln_m ** w_log, ln_m ** f_log
+        flat_fails = q > 0
 
         def combine(prev, cur, nxt):
+            # neg_lap = fn - (Wn f_up + Wm f_dn) / (Wn + Wm), quad as quad_of's;
+            # neg_lap (fn + 1)^(-p) quad^(-q/2)
             (Wm, f_dn), (Wn, fn), (_, f_up) = prev, cur, nxt
-            neg_lap = fn - (Wn * f_up + Wm * f_dn) / (Wn + Wm)
-            quad = (Wn * (f_up - fn) ** 2 + Wm * (f_dn - fn) ** 2) / (2 * (Wn + Wm))
-            return neg_lap * (fn + 1) ** neg_p * quad ** neg_half_q
+            w = add(Wn, Wm)
+            neg_lap = sub(fn, div(add(mul(Wn, f_up), mul(Wm, f_dn)), w))
+            quad = quad_of(Wn, sub(f_up, fn), Wm, sub(f_dn, fn), w)
+            if quad == fzero and flat_fails:
+                raise InputError(f"regime II: eps is too small for the working precision "
+                                 f"({prec} bits): (ln m)^(-eps/2) is flat")
+            return mp.make_mpf(mul(mul(neg_lap, pow_(add(fn, fone), neg_p)),
+                                   pow_(quad, neg_half_q)))
 
         return profile, combine
-    if regime == "IV":
-        r = mp.e ** (-to_mpf(param))
-        one_r = 1 + r
-        two_one_r = 2 * one_r
-        neg_half = mp.mpf("-0.5")
+    r = mp.e ** (-to_mpf(param))
+    one_r, two_one_r, r = (1 + r)._mpf_, (2 * (1 + r))._mpf_, r._mpf_
+    neg_half = mp.mpf("-0.5")._mpf_
 
-        def profile(m):
-            m = mp.mpf(m)
-            return m, 1 / m
+    def combine(prev, cur, nxt):
+        # drift = 1/m - (1/(m+1) + r/(m-1)) / (1 + r), quad = ((1/(m+1) - 1/m)^2
+        # + r (1/(m-1) - 1/m)^2) / (2 (1 + r)); drift (1/m + 1)^(-p) quad^(-1/2)
+        (m_dn, inv_dn), (_, inv_n), (_, inv_up) = prev, cur, nxt
+        drift = sub(inv_n, div(add(inv_up, div(r, m_dn)), one_r))
+        quad = div(add(sq(sub(inv_up, inv_n)), mul(r, sq(sub(inv_dn, inv_n)))), two_one_r)
+        return mp.make_mpf(mul(mul(drift, pow_(add(inv_n, fone), neg_p)), pow_(quad, neg_half)))
 
-        def combine(prev, cur, nxt):
-            (m_dn, inv_dn), (_, inv_n), (_, inv_up) = prev, cur, nxt
-            drift = inv_n - (inv_up + r / m_dn) / one_r
-            quad = ((inv_up - inv_n) ** 2 + r * (inv_dn - inv_n) ** 2) / two_one_r
-            return drift * (inv_n + 1) ** neg_p * quad ** neg_half
-
-        return profile, combine
-    raise InputError(f"unknown regime {regime!r}")
+    return profile, combine
 
 
-def _lambda_window(regime: str, point: PQPoint, param, lo: int, hi: int) -> list[mp.mpf]:
-    """Lambda(m) for m = lo..hi (regimes I-IV) from one table of profiles.
-
-    Equal, value for value, to lambda_fn at each m: the same kernel runs on
-    the same profile values, each computed once instead of three times.
-    """
+def _lambda_window(regime: str, point: PQPoint, param, lo: int, hi: int,
+                   table=None) -> list[mp.mpf]:
+    """Lambda(m) for m = lo..hi (regimes I-IV), each profile read once from
+    `table` (a certify call's memo of `_profile`) or else the kernel's own;
+    `lambda_fn` at m (I-IV) is this window at m alone."""
     _check_lambda_index(regime, lo)
     profile, combine = _lambda_kernel(regime, point, param)
-    table = [profile(m) for m in range(lo - 1, hi + 2)]
-    return [combine(*table[i - 1:i + 2]) for i in range(1, len(table) - 1)]
+    rows = list(map(profile if table is None else table, range(lo - 1, hi + 2)))
+    return [combine(*rows[i - 1:i + 2]) for i in range(1, len(rows) - 1)]
 
 
 def _v1_layer_rhs(point: PQPoint, lam, n: int) -> mp.mpf:
@@ -629,8 +681,7 @@ def lambda_fn(regime: str, point: PQPoint, param, n: int) -> mp.mpf:
         return _v1_layer_rhs(point, param, n)
     if regime == "V2":
         return _v2_layer_rhs(point, param)
-    profile, combine = _lambda_kernel(regime, point, param)
-    return combine(profile(n - 1), profile(n), profile(n + 1))
+    return _lambda_window(regime, point, param, n, n)[0]
 
 
 def _check_lambda_index(regime: str, n: int) -> None:
@@ -664,28 +715,23 @@ class DeltaBound:
     direction: str  # "upper" or "lower"
 
 
-def _delta0_value(regime: str, point: PQPoint, n0: int) -> DeltaBound:
+def _delta0_value(regime: str, point: PQPoint, n0: int, table=None) -> DeltaBound:
+    """delta_0 at n0, from g(n0) and g(n0 + 1) (IV: 1/n0) read off `table`
+    (a memo of `_profile`; a fresh profile when None: g does not need eps)."""
+    if regime not in ("I", "III", "IV"):
+        raise InputError(f"regime {regime} has no delta_0 formula")
+    if table is None:
+        table = _profile(regime, point, 0)
     p, q = to_mpf(point.p), to_mpf(point.q)
     if regime == "IV":
-        return DeltaBound(2 ** (1 / (2 * p)) / (1 / mp.mpf(n0) + 1), "lower")
+        return DeltaBound(2 ** (1 / (2 * p)) / (mp.make_mpf(table(n0)[1]) + 1), "lower")
+    e = p + q - 1 if regime == "I" else q - 1
+    g0, g1 = (mp.make_mpf(table(m)[1]) for m in (n0, n0 + 1))
+    diff = 1 / g0 - 1 / g1
     if regime == "I":
-        ex = exponents(point, "I")
-        e = p + q - 1
-    elif regime == "III":
-        ex = exponents(point, "III")
-        e = q - 1
+        value = 2 ** (q / (2 * e)) * g0 ** (p / e) * diff ** ((1 - q) / e)
     else:
-        raise InputError(f"regime {regime} has no delta_0 formula")
-    beta, sigma = to_mpf(ex.beta), to_mpf(ex.sigma)
-
-    def g(m):
-        return mp.mpf(m) ** sigma * mp.ln(m) ** beta
-
-    diff = 1 / g(n0) - 1 / g(n0 + 1)
-    if regime == "I":
-        value = 2 ** (q / (2 * e)) * g(n0) ** (p / e) * diff ** ((1 - q) / e)
-    else:
-        value = 2 ** (q / (2 * e)) * (1 / g(n0) + 1) ** (-p / e) * diff ** ((1 - q) / e)
+        value = 2 ** (q / (2 * e)) * (1 / g0 + 1) ** (-p / e) * diff ** ((1 - q) / e)
     return DeltaBound(value, "upper")
 
 
@@ -730,7 +776,9 @@ class TailReport:
     label: str = "finite-horizon certificate + tail margin"
 
 
-def tail_check(spec: RegimeSpec, horizon: int | None = None) -> TailReport:
+def tail_check(spec: RegimeSpec, horizon: int | None = None, *, table=None) -> TailReport:
+    """Lambda against twice the threshold on the tail window (I-IV read
+    their profiles from `table`, as `build` does), or V's closed forms."""
     H = spec.horizon if horizon is None else horizon
     if spec.regime in ("V1", "V2"):
         vals = [lambda_fn(spec.regime, spec.point, spec.lam, n) for n in (0, 1)]
@@ -739,17 +787,18 @@ def tail_check(spec: RegimeSpec, horizon: int | None = None) -> TailReport:
         return TailReport(ok=min_value >= required, window=_tail_window(H),
                           min_value=min_value, threshold=mp.mpf(1), required=required)
     param = spec.eps if spec.regime in ("I", "II", "III") else spec.lam
-    return _interior_tail(spec, H, _window_min(spec.regime, spec.point, param, spec.n0, H))
+    return _interior_tail(spec, H, _window_min(spec.regime, spec.point, param, spec.n0, H,
+                                               table))
 
 
 def _tail_window(H: int) -> tuple[int, int]:
     return max(1, math.ceil(H / 2)), H
 
 
-def _window_min(regime, point, param, n0, H) -> mp.mpf:
+def _window_min(regime, point, param, n0, H, table=None) -> mp.mpf:
     """min Lambda(n + n0) over the tail window of horizon H."""
     lo, hi = _tail_window(H)
-    return min(_lambda_window(regime, point, param, lo + n0, hi + n0))
+    return min(_lambda_window(regime, point, param, lo + n0, hi + n0, table))
 
 
 def _interior_tail(spec: RegimeSpec, H: int, min_value) -> TailReport:
@@ -782,9 +831,13 @@ class Certificate:
 
 
 def certify_spec(spec: RegimeSpec) -> Certificate:
-    """Build, verify and tail a fully pinned spec, once each."""
-    built = build(spec)
-    return Certificate(built, verify(built), tail_check(spec))
+    """Build, verify and tail a fully pinned spec, once each, on one table
+    of the spec's profile."""
+    validate_spec(spec)
+    table = None if spec.regime in ("V1", "V2") else memo(_profile(
+        spec.regime, spec.point, spec.lam if spec.regime == "IV" else spec.eps))
+    built = build(spec, table=table)
+    return Certificate(built, verify(built), tail_check(spec, table=table))
 
 
 def _probe_offsets(H: int) -> list[int]:
@@ -805,17 +858,20 @@ def certify(regime: str, point: PQPoint, *, N: int, horizon: int,
     is built and verified in turn; the tail is checked once the margins
     pass.  When none passes, `CalibrationError` carries the smallest
     max_margin among the candidates verified and the spec that had it
-    (both None when no candidate cleared its screen).
+    (both None when no candidate cleared its screen).  One memo of `_profile`
+    (I-IV), made here and dropped on return, gives the probes, tail windows,
+    delta_0, `build` and `tail_check` each m's profile, evaluated once.
     """
     _check_params(regime, point, N, horizon, eps, lam)
     eps = Fraction(eps) if regime in ("I", "II", "III") else None
+    table = None if regime in ("V1", "V2") else memo(_profile(regime, point, eps or lam))
     best_margin = best_spec = None
-    for spec, tail in _candidates(regime, point, eps, lam, N, horizon):
-        built = build(spec)
+    for spec, tail in _candidates(regime, point, eps, lam, N, horizon, table):
+        built = build(spec, table=table)
         report = verify(built)
         if report.verified:
             if tail is None:
-                tail = tail_check(spec)
+                tail = tail_check(spec, table=table)
             if tail.ok:
                 return Certificate(built, report, tail)
         if best_margin is None or report.max_margin < best_margin:
@@ -831,7 +887,7 @@ def calibrate(regime: str, point: PQPoint, *, N: int, horizon: int,
     return certify(regime, point, N=N, horizon=horizon, eps=eps, lam=lam).spec
 
 
-def _candidates(regime, point, eps, lam, N, horizon):
+def _candidates(regime, point, eps, lam, N, horizon, table):
     """(spec, tail or None) per candidate that clears its closed-form screen,
     in search order.
 
@@ -846,7 +902,7 @@ def _candidates(regime, point, eps, lam, N, horizon):
     root bound delta_0, the limit-based delta_1 = (limit/2)^(1/e), and a
     tail cap (window-minimum/2)^(1/e) that keeps the factor-two tail
     clearance reachable; with p < 0 (regime IV) the three combine through
-    max instead of min.
+    max instead of min.  The probes, windows and delta_0 read `table`.
     """
     base = dict(regime=regime, p=point.p, q=point.q, N=N, horizon=horizon)
     if regime in ("V1", "V2"):
@@ -865,23 +921,25 @@ def _candidates(regime, point, eps, lam, N, horizon):
         delta1 = mp.power(lambda_limit(regime, point, param) / 2, 1 / e)
         combine = max if regime == "IV" else min
         probes = _probe_offsets(horizon)
-        profile, lam_of = _lambda_kernel(regime, point, param)
+        lam_of = _lambda_kernel(regime, point, param)[1]
 
         def probe(m):
             """lambda_fn(regime, point, param, m), from the kernel built once above."""
             _check_lambda_index(regime, m)
-            return lam_of(profile(m - 1), profile(m), profile(m + 1))
+            return lam_of(table(m - 1), table(m), table(m + 1))
 
     n0 = 2
     while n0 <= _N0_CAP:
+        for m in [m for m in table if m < n0]:  # every read from here on is at m >= n0
+            del table[m]
         if regime == "II":
             yield RegimeSpec(**base, eps=eps, n0=n0), None
         else:
             # the first non-positive probe rules the candidate out; skip the rest
             probe_vals = list(takewhile(lambda v: v > 0, (probe(n + n0) for n in probes)))
             if len(probe_vals) == len(probes):
-                wmin = _window_min(regime, point, param, n0, horizon)
-                delta = combine(_delta0_value(regime, point, n0).value, delta1,
+                wmin = _window_min(regime, point, param, n0, horizon, table)
+                delta = combine(_delta0_value(regime, point, n0, table).value, delta1,
                                 mp.power(wmin / 2, 1 / e))
                 spec = RegimeSpec(**base, eps=eps, lam=lam, n0=n0, delta=delta)
                 if min(probe_vals) >= interior_threshold(spec):

@@ -714,6 +714,19 @@ def test_construct_rejects_a_non_positive_eps_or_lam(capsys, args, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("pinned", [[], ["--n0", "4"]], ids=["searched", "pinned"])
+def test_construct_rejects_an_eps_too_small_for_the_precision(capsys, pinned):
+    """At 128 bits (ln m)^(-eps/2) rounds to 1 for eps = 1e-400, so the regime
+    II profile is flat and Lambda's quad^(-q/2) divides by zero: a
+    ZeroDivisionError traceback (exit 1) before, a one-line exit 2 now."""
+    code = main(["--precision-bits", "128", "construct", "--regime", "II", "--p", "0",
+                 "--q", "3", "--eps", "1e-400", "--N", "3", "--horizon", "20"] + pinned)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("error: regime II: eps is too small for the working precision "
+                   "(128 bits): (ln m)^(-eps/2) is flat\n")
+
+
 def test_construct_exits_1_when_the_search_is_exhausted(capsys):
     """On (101/100, -1/100) no lambda up to the cap clears V2's screen."""
     code = main(["construct", "--regime", "V2", "--p", "101/100", "--q=-1/100",

@@ -474,3 +474,29 @@ def test_search_exhausted_reports_its_best_candidate(monkeypatch):
     assert cert.report.verified and not cert.tail.ok
     assert exc.value.best_margin == cert.report.max_margin
     assert mp.nstr(exc.value.best_margin, 4) == "-1.514e-17"
+
+
+def test_certify_evaluates_each_profile_once_per_call(monkeypatch):
+    """A certify call evaluates the closed-form profile once per m it reads
+    (probes, tail windows, delta_0 and build share one memo), and keeps
+    nothing for the next call: an identical call evaluates as many again."""
+    make = cx._profile
+    evaluated = []
+
+    def counted(*args):
+        profile = make(*args)
+
+        def evaluate(m):
+            evaluated.append(m)
+            return profile(m)
+
+        return evaluate
+
+    monkeypatch.setattr(cx, "_profile", counted)
+    counts = []
+    for _ in range(2):
+        evaluated.clear()
+        lv.certify("I", lv.pq(2, 1), N=3, horizon=150, eps=F(1, 10))
+        assert len(evaluated) == len(set(evaluated))
+        counts.append(len(evaluated))
+    assert counts[0] == counts[1] > 150

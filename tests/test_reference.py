@@ -11,7 +11,9 @@ merged onto one layer chain, must give what their separate bodies gave
 screens its window in float64, must give what the loop over every n gave
 (kept verbatim in `before_band.py`), and the Nash-Williams sum, which
 runs on raw mpf values, must give what its loop over mpf objects gave
-(kept verbatim in `before_nash_williams.py`).  The decimal reader
+(kept verbatim in `before_nash_williams.py`).  The closed forms, each
+evaluated once per certify on raw values, must give what their mpf
+expressions gave (kept verbatim in `before_build.py`).  The decimal reader
 `parse_decimal` must give what `mp.mpf` gives.  Every comparison is
 `==`: the fast paths perform the same floating-point operations in the
 same order, so any difference at all is a bug.
@@ -29,6 +31,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import before_band
+import before_build
 import before_layer_chain as before
 import before_nash_williams
 import before_search
@@ -552,6 +555,63 @@ def test_exhausted_search_matches_the_old_loops(monkeypatch, case):
         before_search.certify(regime, lv.pq(p, q), N=3, horizon=horizon, **params)
     assert new.value.best_margin == old.value.best_margin
     assert (new.value.best_margin is None) == (cap is None)
+
+
+# ---------------------------------------------------------------------------
+# the closed forms on raw values against their mpf expressions
+# (tests/before_build.py), bit for bit
+
+# The horizons of tests/test_cli.py::CONSTRUCT_DIGESTS, whose parameters are
+# REGIMES'; "III n0=2^27" is III pinned at the n0 its search reaches, on the
+# horizon where the regime III precision fault shows.
+CLOSED_FORM_CASES = {"I": 150, "II": 270, "III": 125, "IV": 600, "V1": 460, "V2": 280,
+                     "III n0=2^27": 1000}
+
+
+def raw(values):
+    return [x._mpf_ for x in values]
+
+
+def closed_form_spec(case):
+    regime = case.split()[0]
+    p, q, params = REGIMES[regime]
+    with lv.precision(128):
+        spec = lv.calibrate(regime, lv.pq(p, q), N=3, horizon=CLOSED_FORM_CASES[regime],
+                            **params)
+    if case == "III n0=2^27":
+        spec = dataclasses.replace(spec, n0=2 ** 27, horizon=CLOSED_FORM_CASES[case])
+    return spec
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("case", list(CLOSED_FORM_CASES))
+def test_build_is_its_mpf_expressions(case, bits):
+    spec = closed_form_spec(case)
+    with lv.precision(bits):
+        new, old = cx.build(spec), before_build.build(spec)
+    assert (new.tree.layer_lo, new.tree.layer_hi) == (old.tree.layer_lo, old.tree.layer_hi)
+    assert raw(new.tree._w) == raw(old.tree._w)         # V2: both arms, one tuple
+    assert new.u.lo == old.u.lo and raw(new.u.values()) == raw(old.u.values())
+    if spec.regime == "V2":
+        assert new.tree.layer_lo == -spec.horizon - 1 and new.u.lo == -spec.horizon - 1
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("case", [c for c in CLOSED_FORM_CASES if not c.startswith("V")])
+def test_lambda_and_delta0_are_their_mpf_expressions(case, bits):
+    spec = closed_form_spec(case)
+    regime, point = spec.regime, spec.point
+    param = spec.lam if regime == "IV" else spec.eps
+    lo, hi = spec.n0 + 1, spec.n0 + spec.horizon
+    with lv.precision(bits):
+        window = cx._lambda_window(regime, point, param, lo, hi)
+        assert raw(window) == raw(before_build.lambda_window(regime, point, param, lo, hi))
+        for m in (lo, (lo + hi) // 2, hi):
+            assert (lv.lambda_fn(regime, point, param, m)._mpf_
+                    == before_build.lambda_fn(regime, point, param, m)._mpf_)
+        if regime != "II":
+            assert (cx.delta0(spec).value._mpf_
+                    == before_build._delta0_value(regime, point, spec.n0).value._mpf_)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The shared float64 screen: its error budget, its picker, and that no
 other module writes a budget or a reader of its own (nor a second search
-loop or margin report)."""
+loop or margin report, nor a second copy of a closed form)."""
 
 import ast
 from fractions import Fraction as F
@@ -175,3 +175,40 @@ def test_one_search_exit_and_one_margin_report():
     assert tuple(map(sum, zip(*counts))) == (1, 1)
     source = "raise CalibrationError('a')\nr = MarginReport(verified=True)\nraise InputError('b')\n"
     assert single_steps(ast.parse(source)) == (1, 1)
+
+
+def closed_form_copies(tree):
+    """Second copies of a closed form in counterexamples.py, as "line what":
+    a `_poly_profiles` definition, a function or a logarithm inside
+    `_delta0_value` (a profile of its own) and an `mp.e ** x` inside `build`
+    (a power of e made outside `_e_powers`)."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        inner = [n for n in ast.walk(node) if n is not node]
+        if node.name == "_poly_profiles":
+            found.append(f"{node.lineno} _poly_profiles")
+        if node.name == "_delta0_value":
+            found += [f"{n.lineno} profile in _delta0_value" for n in inner
+                      if isinstance(n, (ast.FunctionDef, ast.Lambda))
+                      or isinstance(n, ast.Attribute) and n.attr in ("ln", "log", "mpf_log")]
+        if node.name == "build":
+            found += [f"{n.lineno} mp.e power in build" for n in inner
+                      if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+                      and isinstance(n.left, ast.Attribute) and n.left.attr == "e"
+                      and getattr(n.left.value, "id", None) == "mp"]
+    return found
+
+
+def test_each_closed_form_is_written_once():
+    """The I-III profile lives in `_profile` alone, and `build`'s powers of e
+    in `_e_powers`; a copy spelled out again shows up here."""
+    assert closed_form_copies(ast.parse((PACKAGE / "counterexamples.py").read_text())) == []
+    source = ("def _poly_profiles(spec):\n    pass\n"
+              "def _delta0_value(regime, point, n0):\n"
+              "    def g(m):\n        return m ** s * mp.ln(m) ** b\n"
+              "def build(spec):\n    return [lam * mp.e ** (lam * n) for n in ns]\n")
+    assert closed_form_copies(ast.parse(source)) == [
+        "1 _poly_profiles", "4 profile in _delta0_value", "5 profile in _delta0_value",
+        "7 mp.e power in build"]
