@@ -35,18 +35,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import takewhile
+from itertools import chain, groupby, takewhile
 from typing import Callable
 
 import mpmath as mp
-from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_exp, mpf_gt, mpf_log,
-                          mpf_lt, mpf_mul, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_rdiv_int,
-                          mpf_sub, round_nearest)
+from mpmath.libmp import (bitcount, fone, from_int, fzero, mpf_add, mpf_div, mpf_exp, mpf_gt,
+                          mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_pow, mpf_pow_int,
+                          mpf_rdiv_int, mpf_sub, round_nearest, to_int)
 
 from . import screen
 from .errors import CalibrationError, InputError
 from .graphs import GraphFunction, WeightedGraph, site_classes, site_operators
-from .numerics import check_nonpositive, memo, precision, rel_tol, to_mpf
+from .numerics import (EXP_RADIUS, EXP_RUN_MAX_PREC, RUN_GUARD_BITS, check_nonpositive,
+                       geometric_run, memo, pow_run, precision, rel_tol, to_mpf)
 from .radial import RadialFunction, RadialTree, TwoSidedRadialTree, layer_operators
 from .regions import PQPoint, classify_g, exponents, pq
 
@@ -178,10 +179,21 @@ def _e_powers(rate: mp.mpf, ns, scale: mp.mpf | None = None) -> list[mp.mpf]:
     e is rounded once, and each power is the `mpf_pow(e, rate n)` call of
     mpf's **.  Every power of e in `build` is made here, with e's rounding
     error raised to the power rate n (`ExpLaw` rounds exp(lam n) once).
+
+    ns is a range.  Where every rate n is an integer (an integer rate, and
+    rate n exact at the working precision), each side of n = 0 is one
+    `numerics.pow_run`; any other rate makes the call per n.
     """
     prec, rnd = mp.mp._prec_rounding
     e, r = mp.e._mpf_, rate._mpf_
-    powers = (mpf_pow(e, mpf_mul_int(r, n, prec, rnd), prec, rnd) for n in ns)
+    n_max = max(map(abs, [*ns[:1], *ns[-1:]]), default=0)
+    if r[2] < 0 or r[3] + bitcount(n_max) > prec:
+        powers = (mpf_pow(e, mpf_mul_int(r, n, prec, rnd), prec, rnd) for n in ns)
+    else:
+        c = to_int(r)
+        powers = chain.from_iterable(
+            pow_run(e, [c * n for n in side], prec)
+            for _, side in groupby(ns, key=lambda n: c * n < 0))
     if scale is not None:
         s = scale._mpf_
         powers = (mpf_mul(s, x, prec, rnd) for x in powers)
@@ -1018,6 +1030,19 @@ class ExpLaw:
         return mp.make_mpf(mpf_exp(mpf_mul(self.lam._mpf_, from_int(n)), mp.mp.prec,
                                    round_nearest))
 
+    def run(self, ns: range):
+        """Yield self(n)._mpf_ for n in ns, bit for bit: one `geometric_run`
+        with ratio exp(lam step), whose undecided values are self(n)'s.
+        Above `EXP_RUN_MAX_PREC` bits, which its radius does not cover,
+        every value is self(n)."""
+        prec, lam = mp.mp.prec, self.lam._mpf_
+        if not ns or prec > EXP_RUN_MAX_PREC:
+            return (self(n)._mpf_ for n in ns)
+        wp = prec + RUN_GUARD_BITS + 20
+        x0, ratio = (mpf_exp(mpf_mul(lam, from_int(n)), wp, round_nearest)
+                     for n in (ns[0], ns.step))
+        return geometric_run(x0, ratio, len(ns), prec, EXP_RADIUS, lambda i: self(ns[i])._mpf_)
+
 
 def volume_target(spec: RegimeSpec) -> PowerLogLaw | ExpLaw:
     """The growth law the construction is designed to realize."""
@@ -1073,9 +1098,10 @@ def volume_band(built: BuiltCounterexample, target: Callable[[int], object],
     whose ratio is provably above another n's and below a third's, so that
     it can hold neither extreme; the law is evaluated in mpf only at the
     others, in increasing n, and the band equals that of the loop over every
-    n bit for bit.  Any other target (an `ExpLaw`, whose ratios are flat to
-    rounding, or a plain callable) is evaluated at every n and must be
-    positive and finite there.
+    n bit for bit.  An `ExpLaw`, whose ratios are flat to rounding, is
+    evaluated in one run over the window (`ExpLaw.run`), with the bits of a
+    call at every n.  Any other target (a plain callable) is evaluated at
+    every n.  The target must be positive and finite at every n.
     """
     window = _band_window(n_lo, n_hi)
     return _volume_band(built.tree.ball_volumes(n_hi), target, window)
@@ -1095,13 +1121,15 @@ def _volume_band(vols: list, target: Callable[[int], object], window: range) -> 
     if isinstance(target, PowerLogLaw):
         picked = screen.extremes(_band_bounds(vols, target, window), low=True, high=True)
         window = [window[i] for i in picked]
+    if isinstance(target, ExpLaw):
+        targets = target.run(window)
+    else:
+        targets = (to_mpf(target(n))._mpf_ for n in window)
     prec = mp.mp.prec
     ratio_min = ratio_max = None
-    for n in window:                # on raw mpf values: the operations of mpf's /, < and >
-        t = to_mpf(target(n))
-        raw = t._mpf_
+    for n, raw in zip(window, targets):     # on raw mpf values: the operations of mpf's /, < and >
         if raw[0] or not raw[1]:    # negative, zero, infinite or nan
-            raise InputError(f"target must be positive, got {t} at n={n}")
+            raise InputError(f"target must be positive, got {mp.make_mpf(raw)} at n={n}")
         ratio = mpf_div(vols[n]._mpf_, raw, prec, round_nearest)
         if ratio_min is None or mpf_lt(ratio, ratio_min):
             ratio_min = ratio

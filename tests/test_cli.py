@@ -204,6 +204,30 @@ def test_construct_report_digest(capsys, regime):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 and exit code of `construct` stdout (N = 3, 128 bits) at rates that
+# leave rate n a non-integer, so `build` keeps its per-n mpf_pow calls: IV's
+# weights at lam = 3/2, V1's values e^(-lam n / 4) at lam = 2 (its weights
+# e^(2n) come from a run), and both V2 laws at lam = 5/2.  Recorded before
+# the exponentials were made from geometric runs, on the code of that time.
+FALLBACK_DIGESTS = {
+    "IV": (["--p", "-2", "--q", "1", "--lam", "3/2", "--horizon", "200"], 0,
+           "4fdea7c02a81d923b89dcf1c234b57a178c3ae10bf91710fb855eee6bee50f1a"),
+    "V1": (["--p", "1/2", "--q", "1/2", "--lam", "2", "--horizon", "200"], 1,
+           "85388d1fc8ecd34c967d203b08cf55a5e1351fb7cfbf5864441fc41a3f77bc9a"),
+    "V2": (["--p", "2", "--q", "-1", "--lam", "5/2", "--horizon", "100"], 1,
+           "270e48c2b6d22b5bbafcbe3b9a08b1a18a53ee494a07424f84a5bd34c1334a8f"),
+}
+
+
+@pytest.mark.parametrize("regime", list(FALLBACK_DIGESTS))
+def test_construct_digest_at_a_non_integer_rate(capsys, regime):
+    args, exit_code, digest = FALLBACK_DIGESTS[regime]
+    code = main(["--precision-bits", "128", "construct", "--regime", regime, "--N", "3"] + args)
+    out = capsys.readouterr().out
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # malformed input ends in exit 2, never a traceback
 

@@ -500,3 +500,28 @@ def test_certify_evaluates_each_profile_once_per_call(monkeypatch):
         assert len(evaluated) == len(set(evaluated))
         counts.append(len(evaluated))
     assert counts[0] == counts[1] > 150
+
+
+@pytest.mark.parametrize("regime, args, horizon", [
+    ("V1", ["--p", "1/2", "--q", "1/2"], 460),
+    ("IV", ["--p", "-2", "--q", "1", "--lam", "1"], 600),
+])
+def test_construct_makes_exponentials_from_runs_not_per_layer(monkeypatch, capsys, regime,
+                                                              args, horizon):
+    """`construct` at the bench horizons makes its powers of e (`_e_powers`)
+    and its exponential volume target (`ExpLaw`) from geometric runs, not
+    with one mpf_pow of e or mpf_exp per layer: the band's run calls mpf_exp
+    for its start and ratio and for each value it leaves undecided (about 1
+    in 64).  (The Lambda kernel's mpf_pow of other bases is not counted.)"""
+    from liouville.cli import main
+    e = mp.e._mpf_
+    calls = []
+    for name in ("mpf_pow", "mpf_exp"):
+        call = getattr(cx, name)
+        monkeypatch.setattr(cx, name, lambda *a, name=name, call=call: (
+            (name == "mpf_exp" or a[0] == e) and calls.append(name)) or call(*a))
+    code = main(["--precision-bits", "128", "construct", "--regime", regime, "--N", "3",
+                 "--horizon", str(horizon)] + args)
+    capsys.readouterr()
+    assert code == 0
+    assert 0 < len(calls) < horizon // 16

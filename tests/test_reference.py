@@ -13,10 +13,13 @@ screens its window in float64, must give what the loop over every n gave
 runs on raw mpf values, must give what its loop over mpf objects gave
 (kept verbatim in `before_nash_williams.py`).  The closed forms, each
 evaluated once per certify on raw values, must give what their mpf
-expressions gave (kept verbatim in `before_build.py`).  The decimal reader
+expressions gave (kept verbatim in `before_build.py`), and so must the
+powers of e and the exponential volume laws made from geometric runs, which
+stand in for one mpmath call per n.  The decimal reader
 `parse_decimal` must give what `mp.mpf` gives.  Every comparison is
 `==`: the fast paths perform the same floating-point operations in the
-same order, so any difference at all is a bug.
+same order, or, for the geometric runs, use a value only where a rounding
+test shows it is the call's, so any difference at all is a bug.
 """
 
 import dataclasses
@@ -37,7 +40,7 @@ import before_nash_williams
 import before_search
 import before_streams as old
 import liouville as lv
-from liouville import caccioppoli, descent, graphs
+from liouville import caccioppoli, descent, graphs, numerics
 from liouville import counterexamples as cx
 from liouville.errors import CalibrationError, InputError
 
@@ -612,6 +615,101 @@ def test_lambda_and_delta0_are_their_mpf_expressions(case, bits):
         if regime != "II":
             assert (cx.delta0(spec).value._mpf_
                     == before_build._delta0_value(regime, point, spec.n0).value._mpf_)
+
+
+# ---------------------------------------------------------------------------
+# powers of e and exponential laws from one geometric run against their per-n
+# calls (tests/before_build.py's `mp.e ** (rate * n)`, tests/before_band.py),
+# bit for bit
+
+E_POWER_RATES = [F(1), F(2), F(4), F(8), F(-2), F(-3), F(-1, 4), F(-1, 2), F(3, 2)]
+# ascending from 0 and from an n0, descending (the V2 arm), crossing zero both
+# ways, one element on either side of zero, and empty
+E_POWER_RANGES = [range(0, 461), range(2, 603), range(-1, -282, -1), range(-281, 282),
+                  range(150, -151, -1), range(7, 8), range(-5, -4), range(0, 1), range(5, 5)]
+
+
+def e_powers_expression(rate, ns, scale=None):
+    """The per-n mpf expression of before_build.build's weights and values."""
+    powers = [mp.e ** (rate * n) for n in ns]
+    return raw(powers if scale is None else [scale * x for x in powers])
+
+
+def counted_runs(monkeypatch, radius=None):
+    """Count the values each geometric run is asked for and those it hands to
+    the call it stands in for; radius replaces every run's radius if given."""
+    counts = {"values": 0, "calls": 0}
+    run = cx.geometric_run
+
+    def counted(x0, ratio, count, prec, r, exact):
+        counts["values"] += count
+
+        def call(i):
+            counts["calls"] += 1
+            return exact(i)
+
+        return run(x0, ratio, count, prec, r if radius is None else radius, call)
+
+    monkeypatch.setattr(cx, "geometric_run", counted)          # ExpLaw.run's
+    monkeypatch.setattr(numerics, "geometric_run", counted)    # numerics.pow_run's
+    return counts
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+@pytest.mark.parametrize("rate", E_POWER_RATES, ids=str)
+def test_e_powers_are_their_mpf_expressions(rate, bits):
+    with mp.workprec(bits):
+        r = lv.to_mpf(rate)
+        for ns in E_POWER_RANGES:
+            assert raw(cx._e_powers(r, ns)) == e_powers_expression(r, ns), ns
+        ns = E_POWER_RANGES[1]
+        assert raw(cx._e_powers(r, ns, abs(r))) == e_powers_expression(r, ns, abs(r))
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+@pytest.mark.parametrize("lam", [F(-1), F(0), F(1, 2), F(1), F(3, 2), F(8)], ids=str)
+def test_exp_law_band_is_the_full_loop(monkeypatch, lam, bits):
+    """The band of an `ExpLaw` over [2, 1990] is the loop over every n, and its
+    run gives law(n) at every n; exp(0 n) = 1 is exact, so it never leaves
+    the run's fallback."""
+    with mp.workprec(bits):
+        spec = lv.RegimeSpec(regime="IV", p=F(-2), q=F(1), N=3, horizon=1991, n0=2,
+                             lam=mp.mpf(1), delta=mp.mpf(1))
+        built = lv.build(spec)
+        law = lv.ExpLaw(lam)
+        counts = counted_runs(monkeypatch)
+        assert band_bits(cx.volume_band, built.tree, law, 2, 1990) == \
+            band_bits(before_band.volume_band, built.tree, law, 2, 1990)
+        assert counts["values"] == 1989
+        if lam == 0:
+            assert counts["calls"] == 1989
+        else:
+            assert counts["calls"] < 1989 // 16
+        assert list(law.run(range(2, 1991))) == [law(n)._mpf_ for n in range(2, 1991)]
+
+
+def test_exp_law_makes_its_calls_above_the_precision_its_radius_covers(monkeypatch):
+    counts = counted_runs(monkeypatch)
+    with mp.workprec(numerics.EXP_RUN_MAX_PREC + 1):
+        law = lv.ExpLaw(F(3, 2))
+        assert list(law.run(range(2, 50))) == [law(n)._mpf_ for n in range(2, 50)]
+    assert counts["values"] == 0
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_runs_that_decide_nothing_are_the_calls(monkeypatch, bits):
+    """With a radius that leaves no value decided, every value is the call the
+    run stands in for, and the bits are the same: the fallback is that call."""
+    counts = counted_runs(monkeypatch, radius=1 << 63)
+    with mp.workprec(bits):
+        for rate in (F(1), F(8), F(-3)):
+            r = lv.to_mpf(rate)
+            for ns in E_POWER_RANGES[:5]:
+                assert raw(cx._e_powers(r, ns)) == e_powers_expression(r, ns)
+        assert counts["calls"] == counts["values"] == 3 * sum(map(len, E_POWER_RANGES[:5]))
+        law = lv.ExpLaw(F(3, 2))
+        assert list(law.run(range(2, 300))) == [law(n)._mpf_ for n in range(2, 300)]
+    assert counts["calls"] == counts["values"] == 3 * sum(map(len, E_POWER_RANGES[:5])) + 298
 
 
 # ---------------------------------------------------------------------------
