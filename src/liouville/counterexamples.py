@@ -46,8 +46,8 @@ from mpmath.libmp import (bitcount, fone, from_int, fzero, mpf_add, mpf_div, mpf
 from . import screen
 from .errors import CalibrationError, InputError
 from .graphs import GraphFunction, WeightedGraph, site_classes, site_operators
-from .numerics import (EXP_RADIUS, EXP_RUN_MAX_PREC, RUN_GUARD_BITS, check_nonpositive,
-                       geometric_run, memo, pow_run, precision, rel_tol, to_mpf)
+from .numerics import (check_nonpositive, exp_run, memo, pow_run, precision, rel_tol,
+                       to_mpf)
 from .radial import RadialFunction, RadialTree, TwoSidedRadialTree, layer_operators
 from .regions import PQPoint, classify_g, exponents, pq
 
@@ -1031,17 +1031,10 @@ class ExpLaw:
                                    round_nearest))
 
     def run(self, ns: range):
-        """Yield self(n)._mpf_ for n in ns, bit for bit: one `geometric_run`
-        with ratio exp(lam step), whose undecided values are self(n)'s.
-        Above `EXP_RUN_MAX_PREC` bits, which its radius does not cover,
-        every value is self(n)."""
+        """Yield self(n)._mpf_ for n in ns, bit for bit, from one
+        `numerics.exp_run` whose undecided values are self(n)'s."""
         prec, lam = mp.mp.prec, self.lam._mpf_
-        if not ns or prec > EXP_RUN_MAX_PREC:
-            return (self(n)._mpf_ for n in ns)
-        wp = prec + RUN_GUARD_BITS + 20
-        x0, ratio = (mpf_exp(mpf_mul(lam, from_int(n)), wp, round_nearest)
-                     for n in (ns[0], ns.step))
-        return geometric_run(x0, ratio, len(ns), prec, EXP_RADIUS, lambda i: self(ns[i])._mpf_)
+        return exp_run(lam, ns, prec, lambda n: self(n)._mpf_)
 
 
 def volume_target(spec: RegimeSpec) -> PowerLogLaw | ExpLaw:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import (MPZ, bitcount, fone, ften, from_int, mpf_div, mpf_mul, mpf_pow_int,
-                          mpf_shift, normalize, round_nearest)
+from mpmath.libmp import (MPZ, bitcount, fone, ften, from_int, mpf_div, mpf_exp, mpf_mul,
+                          mpf_pow_int, mpf_shift, normalize, round_nearest)
 
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 53         # a float64 significand
@@ -137,13 +137,15 @@ class memo(dict):
     __call__ = dict.__getitem__
 
 
-# A geometric run carries prec + RUN_GUARD_BITS bits; its radii count units of
-# its last bit, 2^-64 of a prec-bit ulp.
-RUN_GUARD_BITS = 64
-_HALF_ULP = 1 << (RUN_GUARD_BITS - 1)
+# A geometric run carries prec + _GUARD_BITS bits; its radii count units of
+# its last bit, 2^-64 of a prec-bit ulp.  Its start and ratio are rounded at
+# prec + _SEED_BITS bits.
+_GUARD_BITS = 64
+_SEED_BITS = _GUARD_BITS + 20
+_HALF_ULP = 1 << (_GUARD_BITS - 1)
 # mpf_exp below this many bits, and the radius that covers it (see geometric_run).
-EXP_RUN_MAX_PREC = 600
-EXP_RADIUS = 1 << 56
+_EXP_RUN_MAX_PREC = 600
+_EXP_RADIUS = 1 << 56
 
 
 def geometric_run(x0: tuple, ratio: tuple, count: int, prec: int, radius: int, exact):
@@ -185,8 +187,9 @@ def geometric_run(x0: tuple, ratio: tuple, count: int, prec: int, radius: int, e
       k + L factors in all.  So its result lies in [b^k (1 - (k + L)
       2^(1-w)), b^k], and since k < 2^L and L <= 2^L, (k + L) 2^(1-w) <
       2^(-p-3L-2): 2^(62-3L) units.  The radius is twice that at the
-      smallest k the run reaches that is not formed exactly.
-    - mpf_exp(x, p) for p <= 600 (`EXP_RADIUS`).  It works at wp' = p + 14
+      smallest k the run reaches that is not formed exactly, and at least
+      one unit (from L = 22 on, twice the bound is below one).
+    - mpf_exp(x, p) for p <= 600 (`exp_run`).  It works at wp' = p + 14
       bits: x reduced by a multiple of ln 2 (within 2 ulps of wp'), a
       Taylor sum at wp' + r bits, r = floor(sqrt(wp')), and r squarings,
       which double its relative error while its extra r bits absorb them.
@@ -197,7 +200,7 @@ def geometric_run(x0: tuple, ratio: tuple, count: int, prec: int, radius: int, e
       paths (integer x goes through a power of a rounded e), and the run is
       not used there.
     """
-    wp = prec + RUN_GUARD_BITS
+    wp = prec + _GUARD_BITS
     lo = radius + 4 * count
     hi = _HALF_ULP - lo
     _, man, exp, bc = x0
@@ -226,15 +229,27 @@ def pow_run(base: tuple, ks: list[int], prec: int):
     if ks[0] < 0:
         return (mpf_div(fone, x, prec, round_nearest) for x in pow_run(base, [-k for k in ks],
                                                                        prec + 5))
-    wp = prec + RUN_GUARD_BITS + 20
+    wp = prec + _SEED_BITS
     step = ks[1] - ks[0] if len(ks) > 1 else 0
     ratio = mpf_pow_int(base, abs(step), wp, round_nearest)
     if step < 0:
         ratio = mpf_div(fone, ratio, wp, round_nearest)
     k = max(min(ks[0], ks[-1]), 3, -(-1000 // base[3]))     # the least k not formed exactly
     return geometric_run(mpf_pow_int(base, ks[0], wp, round_nearest), ratio, len(ks), prec,
-                         1 << (63 - 3 * k.bit_length()),
+                         1 << max(63 - 3 * k.bit_length(), 0),
                          lambda i: mpf_pow_int(base, ks[i], prec, round_nearest))
+
+
+def exp_run(lam: tuple, ns: range, prec: int, exact):
+    """mpf_exp(lam n, prec) for n in ns, bit for bit, as raw values: one
+    `geometric_run` with ratio exp(lam step), whose undecided values are
+    exact(n), the call it stands in for.  Above `_EXP_RUN_MAX_PREC` bits,
+    which its radius does not cover, every value is exact(n)."""
+    if not ns or prec > _EXP_RUN_MAX_PREC:
+        return map(exact, ns)
+    wp = prec + _SEED_BITS
+    x0, ratio = (mpf_exp(mpf_mul(lam, from_int(n)), wp, round_nearest) for n in (ns[0], ns.step))
+    return geometric_run(x0, ratio, len(ns), prec, _EXP_RADIUS, lambda i: exact(ns[i]))
 
 
 def all_finite(values) -> bool:

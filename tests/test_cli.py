@@ -228,6 +228,31 @@ def test_construct_digest_at_a_non_integer_rate(capsys, regime):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 and exit code of regime IV's `volume` and pinned `construct` stdout
+# (N = 3, 128 bits) at n0 = 2^21, where lam n0 is large enough that the run of
+# powers of e has the least radius; lam = 3 starts the run at k = 3 2^21.
+# Recorded on the per-n mpf_pow code, before the exponentials were made from
+# geometric runs.
+IV = ["--regime", "IV", "--N", "3", "--p", "-2", "--q", "1", "--n0", "2097152"]
+LARGE_N0_DIGESTS = [
+    (["volume", *IV, "--lam", "1", "--n-lo", "2", "--n-hi", "4"], 0,
+     "20e700a0b8c2cfba62c98d695cf64edfb40b6f2036b6b569a531d8401361945f"),
+    (["construct", *IV, "--lam", "1", "--delta", "1", "--horizon", "40"], 1,
+     "2b848f9a3db9cff470ceaea59ea97a0474ac04e1d289705a7e597e182f48d33f"),
+    (["construct", *IV, "--lam", "3", "--delta", "1", "--horizon", "40"], 1,
+     "c4b1f777d4d5192be893b0205b732a3ae11c3dccab987fe0c2e070dabf2fd1e2"),
+]
+
+
+@pytest.mark.parametrize("args, exit_code, digest", LARGE_N0_DIGESTS,
+                         ids=["volume", "construct lam 1", "construct lam 3"])
+def test_iv_digest_at_a_large_n0(capsys, args, exit_code, digest):
+    code = main(["--precision-bits", "128"] + args)
+    out = capsys.readouterr().out
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # malformed input ends in exit 2, never a traceback
 

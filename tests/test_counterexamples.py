@@ -5,6 +5,7 @@ import pytest
 
 import liouville as lv
 from liouville import counterexamples as cx
+from liouville import numerics
 from liouville.errors import CalibrationError, InputError
 
 
@@ -510,15 +511,17 @@ def test_construct_makes_exponentials_from_runs_not_per_layer(monkeypatch, capsy
                                                               args, horizon):
     """`construct` at the bench horizons makes its powers of e (`_e_powers`)
     and its exponential volume target (`ExpLaw`) from geometric runs, not
-    with one mpf_pow of e or mpf_exp per layer: the band's run calls mpf_exp
-    for its start and ratio and for each value it leaves undecided (about 1
-    in 64).  (The Lambda kernel's mpf_pow of other bases is not counted.)"""
+    with one mpf_pow of e or mpf_exp per layer: each run calls mpf_pow_int of
+    e or mpf_exp for its start and ratio and for each value it leaves
+    undecided (about 1 in 64).  (The Lambda kernel's mpf_pow of other bases
+    is not counted.)"""
     from liouville.cli import main
     e = mp.e._mpf_
     calls = []
-    for name in ("mpf_pow", "mpf_exp"):
-        call = getattr(cx, name)
-        monkeypatch.setattr(cx, name, lambda *a, name=name, call=call: (
+    for module, name in ((cx, "mpf_pow"), (cx, "mpf_exp"), (numerics, "mpf_exp"),
+                         (numerics, "mpf_pow_int")):
+        call = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, name=name, call=call: (
             (name == "mpf_exp" or a[0] == e) and calls.append(name)) or call(*a))
     code = main(["--precision-bits", "128", "construct", "--regime", regime, "--N", "3",
                  "--horizon", str(horizon)] + args)

@@ -624,9 +624,11 @@ def test_lambda_and_delta0_are_their_mpf_expressions(case, bits):
 
 E_POWER_RATES = [F(1), F(2), F(4), F(8), F(-2), F(-3), F(-1, 4), F(-1, 2), F(3, 2)]
 # ascending from 0 and from an n0, descending (the V2 arm), crossing zero both
-# ways, one element on either side of zero, and empty
+# ways, one element on either side of zero, empty, and far from zero both ways
+# (from n = 2^21 on, pow_run's radius is its floor of one unit)
 E_POWER_RANGES = [range(0, 461), range(2, 603), range(-1, -282, -1), range(-281, 282),
-                  range(150, -151, -1), range(7, 8), range(-5, -4), range(0, 1), range(5, 5)]
+                  range(150, -151, -1), range(7, 8), range(-5, -4), range(0, 1), range(5, 5),
+                  range(2 ** 21, 2 ** 21 + 4), range(-2 ** 21, -2 ** 21 - 4, -1)]
 
 
 def e_powers_expression(rate, ns, scale=None):
@@ -639,7 +641,7 @@ def counted_runs(monkeypatch, radius=None):
     """Count the values each geometric run is asked for and those it hands to
     the call it stands in for; radius replaces every run's radius if given."""
     counts = {"values": 0, "calls": 0}
-    run = cx.geometric_run
+    run = numerics.geometric_run
 
     def counted(x0, ratio, count, prec, r, exact):
         counts["values"] += count
@@ -650,20 +652,27 @@ def counted_runs(monkeypatch, radius=None):
 
         return run(x0, ratio, count, prec, r if radius is None else radius, call)
 
-    monkeypatch.setattr(cx, "geometric_run", counted)          # ExpLaw.run's
-    monkeypatch.setattr(numerics, "geometric_run", counted)    # numerics.pow_run's
+    monkeypatch.setattr(numerics, "geometric_run", counted)
     return counts
 
 
 @pytest.mark.parametrize("bits", [53, 128, 256])
 @pytest.mark.parametrize("rate", E_POWER_RATES, ids=str)
-def test_e_powers_are_their_mpf_expressions(rate, bits):
+def test_e_powers_are_their_mpf_expressions(monkeypatch, rate, bits):
+    """An integer rate takes its powers from runs, which hand few values to
+    the call (each exact e^0 = 1 among them); any other rate makes none."""
+    counts = counted_runs(monkeypatch)
     with mp.workprec(bits):
         r = lv.to_mpf(rate)
         for ns in E_POWER_RANGES:
             assert raw(cx._e_powers(r, ns)) == e_powers_expression(r, ns), ns
         ns = E_POWER_RANGES[1]
         assert raw(cx._e_powers(r, ns, abs(r))) == e_powers_expression(r, ns, abs(r))
+    if rate.denominator == 1:
+        assert counts["values"] == sum(map(len, E_POWER_RANGES)) + len(ns)
+        assert counts["calls"] < counts["values"] // 16
+    else:
+        assert counts["values"] == 0
 
 
 @pytest.mark.parametrize("bits", [53, 128, 256])
@@ -690,7 +699,7 @@ def test_exp_law_band_is_the_full_loop(monkeypatch, lam, bits):
 
 def test_exp_law_makes_its_calls_above_the_precision_its_radius_covers(monkeypatch):
     counts = counted_runs(monkeypatch)
-    with mp.workprec(numerics.EXP_RUN_MAX_PREC + 1):
+    with mp.workprec(numerics._EXP_RUN_MAX_PREC + 1):
         law = lv.ExpLaw(F(3, 2))
         assert list(law.run(range(2, 50))) == [law(n)._mpf_ for n in range(2, 50)]
     assert counts["values"] == 0
