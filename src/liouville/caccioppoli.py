@@ -206,167 +206,130 @@ def _finish_report(variant, point, s, t, p0, omega_desc, lhs, middle, edge_sum,
     )
 
 
+def _estimate(variant, s, t, point: PQPoint, p0, u, harnack, where, sites, ops, measure,
+              phi, edges, boundary=(), omega_desc="all") -> EstimateReport:
+    """Evaluate one energy estimate over sites and undirected edges.
+
+    `sites` maps each site of the domain, in summation order, to its stencil
+    class, and `ops(c)` gives a class's (u, lap, grad^2); `measure(x)` and
+    `phi(x)` are a site's measure and cutoff value, and `edges` holds the
+    (x, y, w) with both ends in the domain.  Each edge with phi(y) != phi(x)
+    adds w |dphi|^(a rho) once per direction, and a middle term from each
+    end where phi is nonzero and the term is defined.  `where` names a site
+    and the domain in the failure messages; `boundary` lists the failures
+    of a domain's boundary hypothesis.
+    """
+    if variant not in ("est1", "est2"):
+        raise InputError(f"unknown estimate variant {variant!r}")
+    s, t = Fraction(s), Fraction(t)
+    failures = []
+    if not u.is_positive():
+        failures.append("u is not strictly positive")
+    if not st_condition(point, s, t):
+        failures.append("(s, t) violates the admissibility system")
+    if not harnack(u, p0).holds:
+        failures.append("adjacent-ratio bound fails for the given p0")
+    tol = rel_tol()
+    term_of = term_kernel(point.p, point.q)
+    p_t = term_of.p - to_mpf(t)
+    s_m = to_mpf(s)
+    phi_pow = memo(lambda phi: to_mpf(phi) ** s_m)
+    # Per class, evaluated at the first site that needs it, so values and
+    # raised errors come in the order of a loop over every site.
+    ops_at = memo(ops)
+    site_at = memo(lambda c: term_of.site(*ops_at(c), tol))
+    u_pt_at = memo(lambda c: mp.power(ops_at(c)[0], p_t))
+    ineq_bad = 0
+    lhs_terms = []
+    for x, c in sites.items():
+        phi_x = phi(x)
+        site = site_at(c)
+        if site is None:
+            failures.append(f"zero gradient with q < 0 at {where[0]} {x}")
+            continue
+        if not site[1]:
+            ineq_bad += 1
+        if phi_x != 0:
+            lhs_terms.append(measure(x) * u_pt_at(c) * site[0] * phi_pow(phi_x))
+    if ineq_bad:
+        failures.append(f"the inequality fails at {ineq_bad} {where[1]}")
+    failures += boundary
+    a, rho, _ = _estimate_exponents(point, s, t)
+    a_rho = a * rho
+    edge_pow = memo(lambda dphi: mp.power(abs(to_mpf(dphi)), a_rho))
+    edge_terms = []
+    middle_terms = []
+    for x, y, w in edges:
+        dphi = phi(y) - phi(x)
+        if dphi == 0:
+            continue
+        edge_terms.append(2 * w * edge_pow(dphi))
+        for end in (x, y):
+            phi_e = phi(end)
+            if phi_e != 0 and site_at(sites[end]) is not None:
+                c = sites[end]
+                middle_terms.append(w * phi_pow(phi_e) * u_pt_at(c) * site_at(c)[0])
+    return _finish_report(variant, point, s, t, p0, omega_desc, mp.fsum(lhs_terms),
+                          mp.fsum(middle_terms), mp.fsum(edge_terms), failures)
+
+
 def estimate_sides(g: WeightedGraph, u: GraphFunction, o: int, tf: TestFunction,
                    s, t, point: PQPoint, p0, variant: str = "est2",
                    omega=None) -> EstimateReport:
     """Evaluate one energy estimate on an explicit graph by direct summation.
 
-    omega = None means the whole vertex set.  Sums over pairs are over
-    ordered pairs, so each edge contributes both directions.  The cutoff,
-    phi^s, u^(p-t) and |grad u|^q are tabulated once per call and shared by
-    the left-hand side and the middle sum.
+    omega = None means the whole vertex set.  The sites are omega's vertices
+    in id order, grouped by `site_classes`, and the edges are g's inside
+    omega, so every pair sum runs over both directions of each edge.
     """
-    if variant not in ("est1", "est2"):
-        raise InputError(f"unknown estimate variant {variant!r}")
-    s, t = Fraction(s), Fraction(t)
-    failures = []
     omega_set = set(g.vertices()) if omega is None else set(omega)
     if not omega_set.issubset(g.vertices()):
         raise InputError(f"omega holds ids that are not vertices 0..{g.n_vertices - 1}")
-    omega_desc = "all" if omega is None else f"{len(omega_set)} vertices"
-    full = len(omega_set) == g.n_vertices
-    if not u.is_positive():
-        failures.append("u is not strictly positive")
-    if not st_condition(point, s, t):
-        failures.append("(s, t) violates the admissibility system")
-    if not harnack_check(g, u, p0).holds:
-        failures.append("adjacent-ratio bound fails for the given p0")
+    domain = sorted(omega_set)  # fixed reduction order, bit-reproducible sums
+    class_of, reps = site_classes(g, u, domain)
+    ops = site_operators(g, u)
+    boundary = []
+    if len(omega_set) < g.n_vertices and any(
+            y not in omega_set and u[y] < u[x] for x in domain for y, _ in g.neighbors(x)):
+        boundary.append("boundary monotonicity u(y) >= u(x) fails")
     # The cutoff lives on omega: values outside the domain never enter a sum,
     # and on a finite graph compact support is automatic.
     dist = g.distances_from(o)
-    tol = rel_tol()
-    ops = site_operators(g, u)
-    term_of = term_kernel(point.p, point.q)
-    p_t = term_of.p - to_mpf(t)
-    s_m = to_mpf(s)
     phi_of = memo(tf.value)
-    phi_pow = memo(lambda phi: to_mpf(phi) ** s_m)
-    domain = sorted(omega_set)  # fixed reduction order, bit-reproducible sums
-    class_of, reps = site_classes(g, u, domain)
-    # Per class, evaluated at the first vertex that needs it, so values and
-    # raised errors come in the order of a loop over every vertex.
-    site_at = memo(lambda c: term_of.site(*ops(reps[c]), tol))
-    u_pt_at = memo(lambda c: mp.power(u[reps[c]], p_t))
-    weight_at = memo(lambda c: u_pt_at(c) * site_at(c)[0])
-    ineq_bad = 0
-    lhs_terms = []
-    for x, c in zip(domain, class_of):
-        phi_x = phi_of(dist[x])
-        site = site_at(c)
-        if site is None:
-            failures.append(f"zero gradient with q < 0 at vertex {x}")
-            continue
-        if not site[1]:
-            ineq_bad += 1
-        if phi_x == 0:
-            continue
-        lhs_terms.append(vertex_measure(g, x) * weight_at(c) * phi_pow(phi_x))
-    if ineq_bad:
-        failures.append(f"the inequality fails at {ineq_bad} domain vertices")
-    if not full:
-        for x in domain:
-            for y, _ in g.neighbors(x):
-                if y not in omega_set and u[y] < u[x]:
-                    failures.append("boundary monotonicity u(y) >= u(x) fails")
-                    break
-            else:
-                continue
-            break
-    lhs = mp.fsum(lhs_terms)
-    a, rho, _ = _estimate_exponents(point, s, t)
-    a_rho = a * rho
-    edge_pow = memo(lambda dphi: mp.power(abs(to_mpf(dphi)), a_rho))
-    edge_terms = []
-    middle_terms = []
-    for x, c in zip(domain, class_of):
-        phi_x = phi_of(dist[x])
-        site = site_at(c)
-        for y, w in g.neighbors(x):
-            if y not in omega_set:
-                continue
-            dphi = phi_of(dist[y]) - phi_x
-            if dphi == 0:
-                continue
-            edge_terms.append(w * edge_pow(dphi))
-            if phi_x != 0 and site is not None:
-                middle_terms.append(w * phi_pow(phi_x) * u_pt_at(c) * site[0])
-    edge_sum = mp.fsum(edge_terms)
-    middle = mp.fsum(middle_terms)
-    return _finish_report(variant, point, s, t, p0, omega_desc, lhs, middle,
-                          edge_sum, failures)
+    return _estimate(variant, s, t, point, p0, u, lambda u, p0: harnack_check(g, u, p0),
+                     ("vertex", "domain vertices"), dict(zip(domain, class_of)),
+                     lambda c: ops(reps[c]), lambda x: vertex_measure(g, x),
+                     lambda x: phi_of(dist[x]),
+                     [(x, y, w) for (x, y), w in g.edges() if x in omega_set and y in omega_set],
+                     boundary, "all" if omega is None else f"{len(omega_set)} vertices")
 
 
 def estimate_sides_radial(tree: RadialTree, u: RadialFunction, tf: TestFunction,
                           s, t, point: PQPoint, p0=None,
                           variant: str = "est2") -> EstimateReport:
-    """Layer-compressed estimate evaluation on a radial tree, domain = all.
+    """Layer-compressed estimate evaluation on a one-sided radial tree, domain = all.
 
-    The cutoff is a function of the layer, so every sum collapses to shell
-    sums: layer measures are N w_0 and N (w_{k-1} + w_k), and the shell
-    E_n contributes total edge weight N w_n per direction.  Equals the
-    explicit-graph evaluation on a materialized ball containing the
-    cutoff's support (asserted in the test suite at small radius).
+    The cutoff is a function of the layer, so the sites are the layers
+    0..R of the cutoff's support, each its own class, with the layer
+    measures N w_0 and N (w_{k-1} + w_k), and the edges are the shells E_n
+    across which the cutoff changes, of total weight N w_n.  Equals the
+    explicit-graph evaluation on a materialized ball containing the support
+    (asserted in the test suite).
     """
-    if variant not in ("est1", "est2"):
-        raise InputError(f"unknown estimate variant {variant!r}")
-    s, t = Fraction(s), Fraction(t)
     R = tf.support_radius()
-    if tree.horizon < R + 1:
+    if not tree.one_sided:
+        raise InputError("the radial estimate needs a one-sided radial tree")
+    if tree.layer_hi < R + 1:
         raise InputError(
-            f"tree horizon {tree.horizon} too small for support radius {R} (needs R+1)"
+            f"tree horizon {tree.layer_hi} too small for support radius {R} (needs R+1)"
         )
-    if p0 is None:
-        p0 = tree.p0()
-    failures = []
-    if not u.is_positive():
-        failures.append("u is not strictly positive")
-    if not st_condition(point, s, t):
-        failures.append("(s, t) violates the admissibility system")
-    if not tree.harnack_check(u, p0).holds:
-        failures.append("adjacent-ratio bound fails for the given p0")
-    tol = rel_tol()
-    term_of = term_kernel(point.p, point.q)
-    p_t = term_of.p - to_mpf(t)
+    layers = range(R + 1)
     phi = [tf.value(n) for n in range(R + 2)]       # phi vanishes at R + 1
-    s_m = to_mpf(s)
-    phi_pow = memo(lambda phi: to_mpf(phi) ** s_m)
-    ineq_bad = 0
-    lhs_terms = []
-    gq, u_pt = {}, {}
-    layers = range(0, R + 1)
-    for n, (u_n, lap, grad_sq) in zip(layers, map(layer_operators(tree, u), layers)):
-        site = term_of.site(u_n, lap, grad_sq, tol)
-        if site is None:
-            failures.append(f"zero gradient with q < 0 at layer {n}")
-            continue
-        gq[n], solves = site
-        if not solves:
-            ineq_bad += 1
-        if phi[n] == 0:
-            continue
-        u_pt[n] = mp.power(u_n, p_t)
-        lhs_terms.append(tree.layer_measure(n) * u_pt[n] * gq[n] * phi_pow(phi[n]))
-    if ineq_bad:
-        failures.append(f"the inequality fails at {ineq_bad} layers inside the support")
-    lhs = mp.fsum(lhs_terms)
-    a, rho, _ = _estimate_exponents(point, s, t)
-    a_rho = a * rho
-    edge_pow = memo(lambda dphi: mp.power(abs(to_mpf(dphi)), a_rho))
-    edge_terms = []
-    middle_terms = []
-    for n in layers:
-        dphi = phi[n + 1] - phi[n]
-        if dphi == 0:
-            continue
-        shell = tree.N * tree.weight(n)
-        edge_terms.append(2 * shell * edge_pow(dphi))
-        for end in (n, n + 1):
-            if phi[end] != 0 and end in gq:
-                middle_terms.append(shell * phi_pow(phi[end]) * u_pt[end] * gq[end])
-    edge_sum = mp.fsum(edge_terms)
-    middle = mp.fsum(middle_terms)
-    return _finish_report(variant, point, s, t, p0, "all", lhs, middle,
-                          edge_sum, failures)
+    return _estimate(variant, s, t, point, tree.p0() if p0 is None else p0, u,
+                     tree.harnack_check, ("layer", "layers inside the support"),
+                     dict(zip(layers, layers)), layer_operators(tree, u), tree.layer_measure,
+                     phi.__getitem__,
+                     [(n, n + 1, tree.N * tree.weight(n)) for n in layers if phi[n + 1] != phi[n]])
 
 
 def require_hypotheses(report: EstimateReport) -> EstimateReport:

@@ -450,20 +450,28 @@ def _verify_pass(tree, u, p, q, layers, bits, force) -> MarginReport | None:
     negative, not borderline and below some other layer's margin, so that
     none of them can fail, ask for precision or hold the maximum.  Every
     other layer, undecided or a candidate for the maximum (the smallest
-    |margin|), goes in layer order through the tree's operator stream and
-    the term kernel with the verdict of `check_nonpositive`, so the report
+    |margin|), goes in layer order through `_site_checks`, so the report
     equals that of a loop over the reference functions bit for bit.
     """
-    ops = layer_operators(tree, u)
     term_of = term_kernel(p, q)
     sites = [layers[i] for i in screen.extremes(_screen(tree, u, layers, term_of), low=True)]
+    checks = _site_checks(layer_operators(tree, u), sites, term_of, force)
+    return None if checks is None else _margin_report(sites, checks,
+                                                      (layers.start, layers.stop - 1), bits)
+
+
+def _site_checks(ops, sites, term_of, force) -> list | None:
+    """Per site, (margin, holds) of lap + u^p |grad u|^q <= 0 against the
+    relative tolerance of its dominant term, None where the term is
+    undefined; None for the whole list on a borderline margin (a nonzero
+    one within ten tolerances of zero) unless forced."""
     tol = rel_tol()
     ten_tol = 10 * tol
     checks = []
-    for n in sites:
-        un, lap, grad_sq = ops(n)
+    for x in sites:
+        ux, lap, grad_sq = ops(x)
         try:
-            term = term_of(un, grad_sq)
+            term = term_of(ux, grad_sq)
         except InputError:
             checks.append(None)
             continue
@@ -472,10 +480,10 @@ def _verify_pass(tree, u, p, q, layers, bits, force) -> MarginReport | None:
         if margin != 0 and abs(margin) <= ten_tol * scale and not force:
             return None
         checks.append((margin, margin <= tol * scale))
-    return _margin_report(sites, checks, (layers.start, layers.stop - 1), bits, tol)
+    return checks
 
 
-def _margin_report(sites, checks, span, bits, tol) -> MarginReport:
+def _margin_report(sites, checks, span, bits) -> MarginReport:
     """The report of per-site checks (margin, holds), None where the term is
     undefined, read in site order over the sites span[0]..span[1].
 
@@ -504,7 +512,7 @@ def _margin_report(sites, checks, span, bits, tol) -> MarginReport:
         layers=span,
         n_layers=span[1] - span[0] + 1 - len(undefined),
         precision_bits=bits,
-        tol=tol,
+        tol=rel_tol(),
         failures=tuple(failures),
         undefined_layers=tuple(undefined),
     )
@@ -540,31 +548,18 @@ def verify(built: BuiltCounterexample, horizon: int | None = None) -> MarginRepo
 
 
 def verify_graph(g: WeightedGraph, u: GraphFunction, p, q) -> MarginReport:
-    """Vertexwise margin check on an explicit finite graph.
+    """Vertexwise margin check on an explicit finite graph, in one forced pass.
 
     A vertex's margin and verdict are functions of its stencil, so they are
     computed once per class of `site_classes`, at its first vertex; the
     report is then read off vertex by vertex in id order, as a loop over
     every vertex would write it.
     """
-    ops = site_operators(g, u)
-    term_of = term_kernel(p, q)
-    tol = rel_tol()
-    bits = mp.mp.prec
+    ops, term_of = site_operators(g, u), term_kernel(p, q)
     class_of, reps = site_classes(g, u)
-    checks = []                 # per class; None where the term is undefined
-    for x in reps:
-        ux, lap, grad_sq = ops(x)
-        grad = mp.sqrt(grad_sq)
-        try:
-            term = term_of(ux, grad * grad)
-        except InputError:
-            checks.append(None)
-            continue
-        check = check_nonpositive(lap + term, max(abs(lap), term), tol)
-        checks.append((check.margin, check.holds))
+    checks = _site_checks(ops, reps, term_of, force=True)
     return _margin_report(range(g.n_vertices), map(checks.__getitem__, class_of),
-                          (0, g.n_vertices - 1), bits, tol)
+                          (0, g.n_vertices - 1), mp.mp.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -1136,13 +1131,12 @@ def layer_rows(built: BuiltCounterexample, horizon: int | None = None):
     layers = _checked_layers(built.tree, horizon)
     term_of = term_kernel(built.spec.p, built.spec.q)
     for n, (un, lap, grad_sq) in zip(layers, map(layer_operators(built.tree, built.u), layers)):
-        grad = mp.sqrt(grad_sq)
         try:
-            margin = lap + term_of(un, grad * grad)
+            margin = lap + term_of(un, grad_sq)
         except InputError:
             margin = mp.nan
         try:
             w = built.tree.weight(n)
         except InputError:
             w = mp.nan
-        yield (n, w, un, lap, grad, margin)
+        yield (n, w, un, lap, mp.sqrt(grad_sq), margin)

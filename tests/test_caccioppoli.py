@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import liouville as lv
 from liouville.errors import InputError
@@ -127,6 +129,49 @@ def test_estimate_radial_matches_materialized(regime1_small):
     for a, b in ((rep_rad.lhs, rep_g.lhs), (rep_rad.rhs, rep_g.rhs),
                  (rep_rad.edge_sum, rep_g.edge_sum)):
         assert abs(a - b) <= mp.mpf("1e-30") * max(abs(a), abs(b))
+
+
+def close(a, b, rel=mp.mpf("1e-25")):
+    """Both None, or within rel of the larger magnitude."""
+    if a is None or b is None:
+        return a is b
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), N=st.sampled_from([2, 3]), horizon=st.integers(2, 8),
+       point=st.sampled_from([lv.pq(2, 1), lv.pq(-1, F(3, 2)), lv.pq(3, 0),
+                              lv.pq(2, F(-1, 2))]),
+       variant=st.sampled_from(["est1", "est2"]))
+def test_estimate_radial_matches_materialized_ball(data, N, horizon, point, variant):
+    """On random one-sided trees, the layer evaluation and the graph
+    evaluation on a materialized ball agree on every side of the estimate
+    when the cutoff vanishes one layer inside the ball."""
+    R = data.draw(st.integers(2, horizon), label="radius")
+    cutoffs = [tf for tf in (lv.TestFunction(kind, k) for kind in ("h", "phi")
+                             for k in (1, 2, 3, 4)) if tf.support_radius() <= R - 1]
+    tf = data.draw(st.sampled_from(cutoffs), label="cutoff")
+    weights = data.draw(st.lists(st.floats(0.2, 5.0), min_size=horizon + 1,
+                                 max_size=horizon + 1), label="weights")
+    values = data.draw(st.lists(st.floats(0.1, 3.0), min_size=horizon + 1,
+                                max_size=horizon + 1), label="values")
+    s, t = (F(7), F(1, 3)) if variant == "est1" else (F(5, 2), F(5, 4))
+    tree, u = lv.RadialTree(N, weights), lv.RadialFunction(values)
+    p0 = tree.p0()
+    radial = lv.estimate_sides_radial(tree, u, tf, s, t, point, p0=p0, variant=variant)
+    g, layers = tree.materialize(R)
+    ball = lv.estimate_sides(g, lv.induced_graph_function(u, layers), 0, tf, s, t, point, p0,
+                             variant=variant)
+    for field in ("lhs", "middle_factor", "edge_sum", "rhs"):
+        assert close(getattr(radial, field), getattr(ball, field)), field
+    assert radial.holds == ball.holds
+
+
+def test_estimate_radial_rejects_a_two_sided_tree():
+    tree = lv.TwoSidedRadialTree(3, [1] * 6, [1] * 6)
+    u = lv.RadialFunction([1] * 13, lo=-6)
+    with pytest.raises(InputError, match="one-sided"):
+        lv.estimate_sides_radial(tree, u, lv.TestFunction("h", 1), 7, F(1, 3), lv.pq(2, 1))
 
 
 def test_estimate_est1_chains_to_est2(regime1_small):

@@ -528,3 +528,29 @@ def test_construct_makes_exponentials_from_runs_not_per_layer(monkeypatch, capsy
     capsys.readouterr()
     assert code == 0
     assert 0 < len(calls) < horizon // 16
+
+
+CSV_REGIMES = [
+    ("I", lv.pq(2, 1), {"eps": F(1, 10)}),
+    ("II", lv.pq(0, 3), {"eps": F(1, 2)}),
+    ("III", lv.pq(-1, F(3, 2)), {"eps": F(1, 10)}),
+    ("IV", lv.pq(-2, 1), {"lam": F(1)}),
+    ("V1", lv.pq(F(1, 2), F(1, 2)), {}),
+    ("V2", lv.pq(2, -1), {}),
+]
+
+
+@pytest.mark.parametrize("regime, point, kw", CSV_REGIMES, ids=[r[0] for r in CSV_REGIMES])
+def test_layer_rows_margins_are_the_certificates(regime, point, kw):
+    """The CSV's margin column is the certificate's margin, bit for bit: every
+    row's margin is `margin_at`'s, and at the worst layer it is the report's
+    max_margin when the check ran at the working precision."""
+    cert = lv.certify(regime, point, N=3, horizon=125, **kw)
+    built, report = cert.built, cert.report
+    rows = list(lv.layer_rows(built))
+    assert len(rows) == report.layers[1] - report.layers[0] + 1
+    for n, _, _, _, _, margin in rows:
+        assert margin._mpf_ == cx.margin_at(built.tree, built.u, point.p, point.q, n)._mpf_, n
+    if report.precision_bits == mp.mp.prec:
+        worst = rows[report.worst_layer - report.layers[0]]
+        assert worst[5]._mpf_ == report.max_margin._mpf_

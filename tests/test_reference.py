@@ -5,7 +5,9 @@ functions (`laplacian_at`, `gradient_sq_at`, `nonlinear_term`, `margin_at`,
 `check_nonpositive`) reports, and the tabulated Lambda window must equal
 `lambda_fn` point by point.  The nonexistence machinery, rewritten onto
 the operator streams and the term kernel, must report what its per-site
-loops did (kept verbatim in `before_streams.py`), and the tree classes,
+loops did (kept verbatim in `before_streams.py`; the graph checks and the
+CSV rows, which read the radial arithmetic, against those loops with only
+the lines of that arithmetic changed), and the tree classes,
 merged onto one layer chain, must give what their separate bodies gave
 (kept verbatim in `before_layer_chain.py`).  The volume band, which
 screens its window in float64, must give what the loop over every n gave
@@ -22,7 +24,9 @@ same order, or, for the geometric runs, use a value only where a rounding
 test shows it is the call's, so any difference at all is a bug.
 """
 
+import __future__
 import dataclasses
+import inspect
 import math
 import random
 import types
@@ -755,6 +759,39 @@ def same(new_fn, old_fn, *args, **kwargs):
     return want
 
 
+def retargeted(fn, *edits):
+    """`fn` of before_streams with each (old, new) text edit made once in its
+    source, compiled in that module's namespace."""
+    text = inspect.getsource(fn)
+    for before_text, after_text in edits:
+        assert text.count(before_text) == 1, before_text
+        text = text.replace(before_text, after_text)
+    namespace = {**vars(old), "gradient_form": graphs.gradient_form}
+    exec(compile(text, inspect.getsourcefile(fn), "exec",
+                 __future__.annotations.compiler_flag, dont_inherit=True), namespace)
+    return namespace[fn.__name__]
+
+
+# The graph checks and the CSV rows read the radial backend's arithmetic:
+# the term from grad^2 itself, not from sqrt(grad^2) squared, and the
+# left-hand side's product as ((mu u^(p-t)) |grad u|^q) phi^s.  Their
+# references are the loops of before_streams with only those lines changed.
+OLD_VERIFY_GRAPH = retargeted(
+    old.verify_graph,
+    ("nonlinear_term(u[x], grad * grad, p, q)",
+     "nonlinear_term(u[x], gradient_form(g, u, u, x), p, q)"))
+OLD_LAYER_ROWS = retargeted(
+    old.layer_rows,
+    ("nonlinear_term(built.u.value(n), grad * grad,",
+     "nonlinear_term(built.u.value(n), built.tree.gradient_sq_at(built.u, n),"))
+OLD_ESTIMATE_SIDES = retargeted(
+    old.estimate_sides,
+    ("weight_term = mp.power(u[x], p_t) * (mp.power(grad, q) if point.q != 0 else mp.mpf(1))",
+     "gq = mp.power(grad, q) if point.q != 0 else mp.mpf(1)"),
+    ("vertex_measure(g, x) * weight_term * to_mpf(phi_x) ** s_m",
+     "vertex_measure(g, x) * mp.power(u[x], p_t) * gq * to_mpf(phi_x) ** s_m"))
+
+
 # Exponent pairs for the nonexistence machinery: p + q != 1 so that the
 # estimate constants exist, with q > 0, q = 0 and q < 0.
 POINTS = [lv.pq(2, 1), lv.pq(-1, F(3, 2)), lv.pq(3, 0), lv.pq(F(1, 2), 0),
@@ -849,7 +886,7 @@ def test_estimate_sides_matches_old(request, seed):
             tf = caccioppoli.TestFunction.parse(tf_text)
             for point in POINTS[::2] + POINTS[4:5]:
                 for (s, t), variant in zip(ST, ("est1", "est2")):
-                    same(lv.estimate_sides, old.estimate_sides, g, gu, 0, tf, s, t,
+                    same(lv.estimate_sides, OLD_ESTIMATE_SIDES, g, gu, 0, tf, s, t,
                          point, p0, variant=variant, omega=omega)
 
 
@@ -913,7 +950,7 @@ def test_pointwise_bounds_and_verify_graph_match_old(request, seed):
             same(lv.pointwise_bound_check_built, old.pointwise_bound_check_built,
                  built, horizon)
         for horizon in (None, 2):
-            same(lambda *a: list(lv.layer_rows(*a)), lambda *a: list(old.layer_rows(*a)),
+            same(lambda *a: list(lv.layer_rows(*a)), lambda *a: list(OLD_LAYER_ROWS(*a)),
                  built, horizon)
         radius = min(3, built.tree.layer_hi - 1) if built.u.lo == 0 else 2
         g, layers = built.tree.materialize(radius)
@@ -921,7 +958,7 @@ def test_pointwise_bounds_and_verify_graph_match_old(request, seed):
         point = built.spec.point
         same(lv.pointwise_bound_check, old.pointwise_bound_check, g, gu, point)
         for p, q in ((point.p, point.q), (F(1), F(0)), (F(2), F(-1))):
-            same(lv.verify_graph, old.verify_graph, g, gu, p, q)
+            same(lv.verify_graph, OLD_VERIFY_GRAPH, g, gu, p, q)
         same(lv.harnack_check, old.harnack_check, g, gu, 2)
         if built.u.is_positive():
             new_h, old_h = (built.tree.harnack_check(built.u, 1),
@@ -1010,13 +1047,13 @@ def build_graph_case(case):
 def assert_quotient_matches(case, point, cutoff, st_pair):
     g, gu = build_graph_case(case)
     for p, q in ((point.p, point.q), (F(2), F(1)), (F(1), F(0)), (F(2), F(-1))):
-        same(lv.verify_graph, old.verify_graph, g, gu, p, q)
+        same(lv.verify_graph, OLD_VERIFY_GRAPH, g, gu, p, q)
     same(lv.pointwise_bound_check, old.pointwise_bound_check, g, gu, point)
     reachable = [x for x, d in enumerate(g.distances_from(0)) if d >= 0]
     omega = None if len(reachable) == g.n_vertices else reachable
     tf = caccioppoli.TestFunction.parse(cutoff)
     (s, t), variant = st_pair
-    same(lv.estimate_sides, old.estimate_sides, g, gu, 0, tf, s, t, point, lv.p0_of(g),
+    same(lv.estimate_sides, OLD_ESTIMATE_SIDES, g, gu, 0, tf, s, t, point, lv.p0_of(g),
          variant=variant, omega=omega)
 
 
