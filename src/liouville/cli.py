@@ -109,7 +109,8 @@ def _load_graph_file(path: str):
 
 
 def _load_values_csv(path: str) -> dict[int, mp.mpf]:
-    """Two-column CSV: vertex (or layer) index, value.  Header row optional."""
+    """Two-column CSV: vertex (or layer) index, value, each index once.
+    Header row optional."""
     values: dict[int, mp.mpf] = {}
     value = memo(parse_decimal)
     try:
@@ -125,6 +126,8 @@ def _load_values_csv(path: str) -> dict[int, mp.mpf]:
             continue  # header
         if len(row) < 2:
             raise InputError(f"{path}: row {row!r} needs an index and a value")
+        if idx in values:
+            raise InputError(f"{path}: duplicate index {idx}")
         try:
             values[idx] = value(row[1])
         except ValueError:
@@ -201,15 +204,7 @@ def _certify(args) -> cx.Certificate:
     for II, lam for V), or else the one the calibration search accepts."""
     point = pq(args.p, args.q)
     regime = args.regime
-    pinned = {
-        "I": args.delta is not None,
-        "II": args.n0 is not None,
-        "III": args.delta is not None,
-        "IV": args.delta is not None,
-        "V1": args.lam is not None,
-        "V2": args.lam is not None,
-    }[regime]
-    if pinned:
+    if getattr(args, {"II": "n0", "V1": "lam", "V2": "lam"}.get(regime, "delta")) is not None:
         return cx.certify_spec(cx.RegimeSpec(
             regime=regime, p=point.p, q=point.q, N=args.N, horizon=args.horizon,
             eps=args.eps, lam=args.lam,
@@ -348,10 +343,8 @@ def _cmd_volume(args) -> int:
     if regime in ("I", "III", "IV") and delta is None:
         delta = mp.mpf(1)  # volumes depend only on the weights
     lam = args.lam
-    if regime in ("V1", "V2") and lam is None:
+    if regime in ("IV", "V1", "V2") and lam is None:
         raise InputError(f"regime {regime} volume needs --lam")
-    if regime == "IV" and lam is None:
-        raise InputError("regime IV volume needs --lam")
     horizon = max(args.n_hi + 1, 2)
     spec = cx.RegimeSpec(regime=regime, p=point.p, q=point.q, N=args.N,
                          horizon=horizon, eps=args.eps, lam=lam,
@@ -525,9 +518,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """argv with each negative number joined to the option before it: "--q
+    -1/2" becomes "--q=-1/2".  argparse reads a token that starts with "-"
+    as an option unless it has the shape -1 or -0.5, so -1/2 or -1e-3 would
+    not reach the option as its value."""
+    out: list[str] = []
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and len(tok) > 1 and tok[0] == "-" and tok[1] in "0123456789."):
+            tok = f"{out.pop()}={tok}"
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv))
     try:
         bits = args.precision_bits or default_precision_bits()
     except ValueError as exc:            # a bad LIOUVILLE_PRECISION_BITS

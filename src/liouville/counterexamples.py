@@ -35,19 +35,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, groupby, takewhile
+from itertools import takewhile
 from typing import Callable
 
 import mpmath as mp
-from mpmath.libmp import (bitcount, fone, from_int, fzero, mpf_add, mpf_div, mpf_exp, mpf_gt,
-                          mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_pow, mpf_pow_int,
-                          mpf_rdiv_int, mpf_sub, round_nearest, to_int)
+from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_exp, mpf_gt, mpf_log,
+                          mpf_lt, mpf_mul, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_rdiv_int,
+                          mpf_sub, round_nearest)
 
 from . import screen
 from .errors import CalibrationError, InputError
 from .graphs import GraphFunction, WeightedGraph, site_classes, site_operators
-from .numerics import (check_nonpositive, exp_run, memo, pow_run, precision, rel_tol,
-                       to_mpf)
+from .numerics import check_nonpositive, exp_run, memo, precision, rel_tol, to_mpf
 from .radial import RadialFunction, RadialTree, TwoSidedRadialTree, layer_operators
 from .regions import PQPoint, classify_g, exponents, pq
 
@@ -173,28 +172,16 @@ def _profile(regime: str, point: PQPoint, param) -> Callable[[int], tuple]:
     return profile
 
 
-def _e_powers(rate: mp.mpf, ns, scale: mp.mpf | None = None) -> list[mp.mpf]:
-    """[scale * mp.e ** (rate * n) for n in ns] (scale None: 1), bit for bit.
+def _e_powers(rate: mp.mpf, ns: range, scale: mp.mpf | None = None) -> list[mp.mpf]:
+    """[scale * ExpLaw(rate)(n) for n in ns] (scale None: 1), bit for bit.
 
-    e is rounded once, and each power is the `mpf_pow(e, rate n)` call of
-    mpf's **.  Every power of e in `build` is made here, with e's rounding
-    error raised to the power rate n (`ExpLaw` rounds exp(lam n) once).
-
-    ns is a range.  Where every rate n is an integer (an integer rate, and
-    rate n exact at the working precision), each side of n = 0 is one
-    `numerics.pow_run`; any other rate makes the call per n.
+    Every exponential `build` stores is made here, from one `ExpLaw.run`:
+    rate n formed exactly and exp rounded once, so no value carries the
+    rounding error of a rounded e raised to the power rate n.
     """
-    prec, rnd = mp.mp._prec_rounding
-    e, r = mp.e._mpf_, rate._mpf_
-    n_max = max(map(abs, [*ns[:1], *ns[-1:]]), default=0)
-    if r[2] < 0 or r[3] + bitcount(n_max) > prec:
-        powers = (mpf_pow(e, mpf_mul_int(r, n, prec, rnd), prec, rnd) for n in ns)
-    else:
-        c = to_int(r)
-        powers = chain.from_iterable(
-            pow_run(e, [c * n for n in side], prec)
-            for _, side in groupby(ns, key=lambda n: c * n < 0))
+    powers = ExpLaw(rate).run(ns)
     if scale is not None:
+        prec, rnd = mp.mp._prec_rounding
         s = scale._mpf_
         powers = (mpf_mul(s, x, prec, rnd) for x in powers)
     return [mp.make_mpf(x) for x in powers]
@@ -237,7 +224,7 @@ def build(spec: RegimeSpec, *, table=None) -> BuiltCounterexample:
                                prec, rnd)) for m in ms]
         return BuiltCounterexample(RadialTree(spec.N, _e_powers(lam, ms, lam)),
                                    RadialFunction(values), spec)
-    if spec.regime == "V1":             # e^(-lam n / 4): /4 is exact, so -lam/4 then * n
+    if spec.regime == "V1":             # e^(-lam n / 4): /4 is exact
         ns = range(stored + 1)
         return BuiltCounterexample(RadialTree(spec.N, _e_powers(lam, ns, lam)),
                                    RadialFunction(_e_powers(-lam / 4, ns)), spec)
@@ -1027,9 +1014,9 @@ class ExpLaw:
 
     def run(self, ns: range):
         """Yield self(n)._mpf_ for n in ns, bit for bit, from one
-        `numerics.exp_run` whose undecided values are self(n)'s."""
+        `numerics.exp_run`, whose undecided values are that call."""
         prec, lam = mp.mp.prec, self.lam._mpf_
-        return exp_run(lam, ns, prec, lambda n: self(n)._mpf_)
+        return exp_run(lam, ns, prec)
 
 
 def volume_target(spec: RegimeSpec) -> PowerLogLaw | ExpLaw:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import (MPZ, bitcount, fone, ften, from_int, mpf_div, mpf_exp, mpf_mul,
+from mpmath.libmp import (MPZ, bitcount, ften, from_int, mpf_div, mpf_exp, mpf_mul,
                           mpf_pow_int, mpf_shift, normalize, round_nearest)
 
 DEFAULT_PRECISION_BITS = 128
@@ -137,9 +137,9 @@ class memo(dict):
     __call__ = dict.__getitem__
 
 
-# A geometric run carries prec + _GUARD_BITS bits; its radii count units of
-# its last bit, 2^-64 of a prec-bit ulp.  Its start and ratio are rounded at
-# prec + _SEED_BITS bits.
+# A geometric run carries prec + _GUARD_BITS bits; its radius counts units
+# of its last bit, 2^-64 of a prec-bit ulp.  Its start and ratio are rounded
+# at prec + _SEED_BITS bits.
 _GUARD_BITS = 64
 _SEED_BITS = _GUARD_BITS + 20
 _HALF_ULP = 1 << (_GUARD_BITS - 1)
@@ -156,7 +156,7 @@ def geometric_run(x0: tuple, ratio: tuple, count: int, prec: int, radius: int, e
     m 2^e: m_0 is x0's mantissa cut to wp bits, and each step multiplies m
     by ratio's mantissa and cuts the product back to wp bits (toward zero).
     x0 and ratio must be positive and within 2^-wp of the exact terms
-    relatively (the callers round them at prec + 84 bits).  The first cut
+    relatively (`exp_run` rounds them at prec + 84 bits).  The first cut
     and every step's cut lose less than 2^(1-wp) each, so x_i is within
     (3 + 3i) 2^-wp relatively, that is within 3i + 3 < 4 count units of m's
     last bit, of the exact term.
@@ -175,30 +175,15 @@ def geometric_run(x0: tuple, ratio: tuple, count: int, prec: int, radius: int, e
     near a prec-bit value and needs no argument.  Every other value, a
     share of about 4 (radius + 4 count) / 2^64, is exact(i).
 
-    The radii of the two calls the package replaces:
-    - mpf_pow_int(b, k, p) for an integer k >= 1 (`pow_run`).  For
-      k <= 2, or when k times b's mantissa bits is below 1000, it forms b^k
-      exactly and rounds once: no error.  Otherwise it squares and
-      multiplies at w = p + 4L + 4 bits, L = bitcount(k), truncating each
-      product of more than w bits toward zero, which scales it by a factor
-      in (1 - 2^(1-w), 1].  The truncations compound through the
-      squarings: the j-th square carries each earlier square's factor to
-      the power 2^(j-i), and the product over k's bits carries fewer than
-      k + L factors in all.  So its result lies in [b^k (1 - (k + L)
-      2^(1-w)), b^k], and since k < 2^L and L <= 2^L, (k + L) 2^(1-w) <
-      2^(-p-3L-2): 2^(62-3L) units.  The radius is twice that at the
-      smallest k the run reaches that is not formed exactly, and at least
-      one unit (from L = 22 on, twice the bound is below one).
-    - mpf_exp(x, p) for p <= 600 (`exp_run`).  It works at wp' = p + 14
-      bits: x reduced by a multiple of ln 2 (within 2 ulps of wp'), a
-      Taylor sum at wp' + r bits, r = floor(sqrt(wp')), and r squarings,
-      which double its relative error while its extra r bits absorb them.
-      Counting each truncation as one unit gives fewer than 1.5 sqrt(wp') +
-      10 ulps of wp' (48 at 600 bits); the largest error seen on 2,300
-      arguments lam n at 53 to 512 bits was 10.3.  The radius allows 64
-      ulps of p + 14 bits: 2^56 units.  Above 600 bits mpf_exp takes other
-      paths (integer x goes through a power of a rounded e), and the run is
-      not used there.
+    `exp_run`'s radius covers mpf_exp(x, p) for p <= 600.  It works at wp'
+    = p + 14 bits: x reduced by a multiple of ln 2 (within 2 ulps of wp'), a
+    Taylor sum at wp' + r bits, r = floor(sqrt(wp')), and r squarings, which
+    double its relative error while its extra r bits absorb them.  Counting
+    each truncation as one unit gives fewer than 1.5 sqrt(wp') + 10 ulps of
+    wp' (48 at 600 bits); the largest error seen on 2,300 arguments lam n at
+    53 to 512 bits was 10.3.  The radius allows 64 ulps of p + 14 bits: 2^56
+    units.  Above 600 bits mpf_exp takes other paths (integer x goes through
+    a power of a rounded e), and the run is not used there.
     """
     wp = prec + _GUARD_BITS
     lo = radius + 4 * count
@@ -218,38 +203,19 @@ def geometric_run(x0: tuple, ratio: tuple, count: int, prec: int, radius: int, e
         e += r_exp + cut
 
 
-def pow_run(base: tuple, ks: list[int], prec: int):
-    """mpf_pow(base, k, prec) for ks, integers of one sign in arithmetic
-    progression, bit for bit, from one `geometric_run`.
+def exp_run(lam: tuple, ns: range, prec: int):
+    """mpf_exp(lam n, prec), with lam n formed exactly, for n in ns, bit for
+    bit, as raw values: one `geometric_run` with ratio exp(lam step), whose
+    undecided values are that call.  Above `_EXP_RUN_MAX_PREC` bits, which
+    its radius does not cover, every value is the call."""
+    def exp(n, bits=prec):
+        return mpf_exp(mpf_mul(lam, from_int(n)), bits, round_nearest)
 
-    For an integer k >= 0 that call is mpf_pow_int(base, k), which the run
-    stands in for (k = 0 gives 1, exactly, through it); for k < 0 it is
-    1 / mpf_pow_int(base, -k) at prec + 5 bits, so the run is made there.
-    """
-    if ks[0] < 0:
-        return (mpf_div(fone, x, prec, round_nearest) for x in pow_run(base, [-k for k in ks],
-                                                                       prec + 5))
-    wp = prec + _SEED_BITS
-    step = ks[1] - ks[0] if len(ks) > 1 else 0
-    ratio = mpf_pow_int(base, abs(step), wp, round_nearest)
-    if step < 0:
-        ratio = mpf_div(fone, ratio, wp, round_nearest)
-    k = max(min(ks[0], ks[-1]), 3, -(-1000 // base[3]))     # the least k not formed exactly
-    return geometric_run(mpf_pow_int(base, ks[0], wp, round_nearest), ratio, len(ks), prec,
-                         1 << max(63 - 3 * k.bit_length(), 0),
-                         lambda i: mpf_pow_int(base, ks[i], prec, round_nearest))
-
-
-def exp_run(lam: tuple, ns: range, prec: int, exact):
-    """mpf_exp(lam n, prec) for n in ns, bit for bit, as raw values: one
-    `geometric_run` with ratio exp(lam step), whose undecided values are
-    exact(n), the call it stands in for.  Above `_EXP_RUN_MAX_PREC` bits,
-    which its radius does not cover, every value is exact(n)."""
     if not ns or prec > _EXP_RUN_MAX_PREC:
-        return map(exact, ns)
+        return map(exp, ns)
     wp = prec + _SEED_BITS
-    x0, ratio = (mpf_exp(mpf_mul(lam, from_int(n)), wp, round_nearest) for n in (ns[0], ns.step))
-    return geometric_run(x0, ratio, len(ns), prec, _EXP_RADIUS, lambda i: exact(ns[i]))
+    return geometric_run(exp(ns[0], wp), exp(ns.step, wp), len(ns), prec, _EXP_RADIUS,
+                         lambda i: exp(ns[i]))
 
 
 def all_finite(values) -> bool:

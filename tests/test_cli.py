@@ -205,10 +205,11 @@ def test_construct_report_digest(capsys, regime):
 
 
 # sha256 and exit code of `construct` stdout (N = 3, 128 bits) at rates that
-# leave rate n a non-integer, so `build` keeps its per-n mpf_pow calls: IV's
-# weights at lam = 3/2, V1's values e^(-lam n / 4) at lam = 2 (its weights
-# e^(2n) come from a run), and both V2 laws at lam = 5/2.  Recorded before
-# the exponentials were made from geometric runs, on the code of that time.
+# leave rate n a non-integer: IV's weights at lam = 3/2, V1's values
+# e^(-lam n / 4) at lam = 2, and both V2 laws at lam = 5/2.  Recorded before
+# the exponentials were made from geometric runs, on the code of that time,
+# when `build` raised the rounded e to the power rate n; exp(rate n) rounded
+# once leaves every printed digit.
 FALLBACK_DIGESTS = {
     "IV": (["--p", "-2", "--q", "1", "--lam", "3/2", "--horizon", "200"], 0,
            "4fdea7c02a81d923b89dcf1c234b57a178c3ae10bf91710fb855eee6bee50f1a"),
@@ -229,10 +230,10 @@ def test_construct_digest_at_a_non_integer_rate(capsys, regime):
 
 
 # sha256 and exit code of regime IV's `volume` and pinned `construct` stdout
-# (N = 3, 128 bits) at n0 = 2^21, where lam n0 is large enough that the run of
-# powers of e has the least radius; lam = 3 starts the run at k = 3 2^21.
-# Recorded on the per-n mpf_pow code, before the exponentials were made from
-# geometric runs.
+# (N = 3, 128 bits) at n0 = 2^21, where the run of exponentials starts far
+# from zero: at exp(2^21) for lam = 1 and exp(3 2^21) for lam = 3.  Recorded
+# on the per-n mpf_pow code, before the exponentials were made from geometric
+# runs.
 IV = ["--regime", "IV", "--N", "3", "--p", "-2", "--q", "1", "--n0", "2097152"]
 LARGE_N0_DIGESTS = [
     (["volume", *IV, "--lam", "1", "--n-lo", "2", "--n-hi", "4"], 0,
@@ -783,3 +784,64 @@ def test_construct_exits_1_when_the_search_is_exhausted(capsys):
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith("calibration failed: regime V2: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# negative numbers as separate option values, and duplicate CSV indices
+
+def _path_graph_files(tmp_path):
+    g = lv.WeightedGraph(3, [(0, 1, 1), (1, 2, 1)])
+    (tmp_path / "g.txt").write_text(lv.format_graph_text(g))
+    (tmp_path / "u.csv").write_text("0,3\n1,2\n2,1\n")
+    return ["--graph", str(tmp_path / "g.txt"), "--u", str(tmp_path / "u.csv")]
+
+
+@pytest.mark.parametrize("command, separated, code", [
+    (["classify"], ["--p", "-3/2", "--q", "-1/2"], 0),
+    (["verify", "FILES"], ["--p", "2", "--q", "-1/2"], 1),
+    (["verify", "FILES"], ["--p", "-3/2", "--q", "1/2"], 1),
+    (["construct", "--regime", "V2", "--N", "3", "--horizon", "20"],
+     ["--p", "5/2", "--q", "-3/2"], 0),
+    (["construct", "--regime", "IV", "--p", "-2", "--q", "1", "--N", "3", "--horizon", "20"],
+     ["--lam", "-1/2"], 2),
+    (["construct", "--regime", "I", "--p", "2", "--q", "1", "--N", "3", "--horizon", "20"],
+     ["--eps", "-1e-3", "--delta", "-.5"], 2),
+    (["descend", "FILES", "--p", "2", "--q", "1"], ["--p0", "-1/2"], 2),
+], ids=["classify", "verify q", "verify p", "construct", "construct lam", "construct eps",
+        "descend p0"])
+def test_a_negative_number_may_follow_its_option(capsys, tmp_path, command, separated, code):
+    """`--q -1/2` reads as `--q=-1/2`: argparse took -1/2 (and -1e-3, -.5)
+    for an option and exited 2 with "expected one argument"."""
+    files = _path_graph_files(tmp_path)
+    command = [a for arg in command for a in (files if arg == "FILES" else [arg])]
+    joined = [f"{opt}={value}" for opt, value in zip(separated[::2], separated[1::2])]
+    assert main(command + separated) == code
+    out, err = capsys.readouterr()
+    assert main(command + joined) == code
+    assert capsys.readouterr() == (out, err)
+    assert "expected one argument" not in err and err.count("\n") <= 1
+
+
+@pytest.mark.parametrize("args", [["--bogus"], ["--bogus", "-1/2"], ["--q"]])
+def test_an_unknown_option_or_a_missing_value_still_exits_2(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--p", "1", "--q", "-1/2"] + args)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["graph", "radial"])
+def test_values_csv_with_a_duplicate_index_is_usage_error(capsys, tmp_path, kind):
+    """A second row for an index was read over the first without a word."""
+    if kind == "graph":
+        args = _path_graph_files(tmp_path)
+        rows, index = "0,3\n1,2\n1,5\n2,1\n", 1
+    else:
+        (tmp_path / "tree.txt").write_text("radial N=3 horizon=2\n0 1\n1 1\n2 1\n")
+        args = ["--graph", str(tmp_path / "tree.txt"), "--u", str(tmp_path / "u.csv")]
+        rows, index = "layer,value\n0,4\n1,3\n2,2\n2,7\n3,1\n", 2
+    (tmp_path / "u.csv").write_text(rows)
+    code = main(["verify"] + args + ["--p", "2", "--q", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: {tmp_path / 'u.csv'}: duplicate index {index}\n"

@@ -65,6 +65,38 @@ def test_build_rejects_small_n0():
         lv.build(spec_I(n0=1))
 
 
+def stored_exponentials(regime, lam, horizon):
+    """(value, rate, n) for every exponential `build` stores at this lam: the
+    shells lam e^(lam n), read as e^(lam n) (lam is 1 or 2, so the scaling is
+    exact), and the values e^(-lam n / 4) (V1) or e^(-(lam - 1) n) (V2)."""
+    p, q = {"V1": (F(1, 2), F(1, 2)), "V2": (F(2), F(-1))}[regime]
+    built = lv.build(lv.RegimeSpec(regime=regime, p=p, q=q, N=3, horizon=horizon,
+                                   lam=mp.mpf(lam)))
+    tree, u = built.tree, built.u
+    rate = -F(lam, 4) if regime == "V1" else F(1 - lam)
+    return ([(tree.weight(n) / lam, F(lam), n) for n in range(tree.layer_lo, tree.layer_hi)]
+            + [(u.value(n), rate, n) for n in range(u.lo, u.hi + 1)])
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_build_stores_each_exponential_within_one_ulp(bits):
+    """Every exponential `build` stores is within 1 ulp of exp(rate n), for
+    rates 1, 2, -1 and -1/4 over n = 0..4096 (V2 on both sides of 0), and so
+    is each of `_e_powers`, which IV and V make theirs from, at rate 3/2.  A
+    rounded e raised to the power rate n drifts by hundreds of ulps there."""
+    with mp.workprec(bits):
+        stored = (stored_exponentials("V1", 1, 4095) + stored_exponentials("V2", 2, 4095)
+                  + [(x, F(3, 2), n) for n, x in enumerate(cx._e_powers(mp.mpf(1.5),
+                                                                        range(4097)))])
+    assert {rate for _, rate, _ in stored} == {1, 2, -1, F(-1, 4), F(3, 2)}
+    with mp.workprec(2 * bits + 40):
+        for x, rate, n in stored:
+            _, man, exp, bc = x._mpf_
+            ulp = mp.ldexp(1, exp + bc - bits)
+            assert abs(x - mp.exp(mp.mpf(rate.numerator) * n / rate.denominator)) <= ulp, \
+                (rate, n)
+
+
 # ---------------------------------------------------------------------------
 # delta0
 

@@ -15,13 +15,15 @@ screens its window in float64, must give what the loop over every n gave
 runs on raw mpf values, must give what its loop over mpf objects gave
 (kept verbatim in `before_nash_williams.py`).  The closed forms, each
 evaluated once per certify on raw values, must give what their mpf
-expressions gave (kept verbatim in `before_build.py`), and so must the
-powers of e and the exponential volume laws made from geometric runs, which
-stand in for one mpmath call per n.  The decimal reader
-`parse_decimal` must give what `mp.mpf` gives.  Every comparison is
-`==`: the fast paths perform the same floating-point operations in the
-same order, or, for the geometric runs, use a value only where a rounding
-test shows it is the call's, so any difference at all is a bug.
+expressions gave (kept verbatim in `before_build.py`; the exponentials of
+IV, V1 and V2 against that file with only its powers of the rounded e made
+the exp-once call), and the exponentials and exponential volume laws made
+from geometric runs must give the one mpmath call per n they stand in for.
+The decimal reader `parse_decimal` must give what `mp.mpf` gives.  Every
+comparison is `==`: the fast paths perform the same floating-point
+operations in the same order, or, for the geometric runs, use a value only
+where a rounding test shows it is the call's, so any difference at all is
+a bug.
 """
 
 import __future__
@@ -568,6 +570,35 @@ def test_exhausted_search_matches_the_old_loops(monkeypatch, case):
 # the closed forms on raw values against their mpf expressions
 # (tests/before_build.py), bit for bit
 
+def retargeted(namespace, fn, *edits):
+    """`fn` of a before_* module with each (old, new) text edit made once in
+    its source, compiled into `namespace` (a copy of that module's)."""
+    text = inspect.getsource(fn)
+    for before_text, after_text in edits:
+        assert text.count(before_text) == 1, before_text
+        text = text.replace(before_text, after_text)
+    exec(compile(text, inspect.getsourcefile(fn), "exec",
+                 __future__.annotations.compiler_flag, dont_inherit=True), namespace)
+    return namespace[fn.__name__]
+
+
+# Every exponential `build` stores is exp(rate n) with rate n exact, rounded
+# once.  The reference for IV, V1 and V2 is before_build with only its powers
+# `mp.e ** (rate * n)` made that call, `ExpLaw(rate)(n)`.
+EXP_ONCE = {**vars(before_build), "ExpLaw": cx.ExpLaw}
+retargeted(EXP_ONCE, before_build._poly_profiles,
+           ("lam * mp.e ** (lam * m)", "lam * ExpLaw(lam)(m)"))
+EXP_ONCE_BUILD = retargeted(
+    EXP_ONCE, before_build.build,
+    ("[lam * mp.e ** (lam * n) for n in range(stored + 1)]",
+     "[lam * ExpLaw(lam)(n) for n in range(stored + 1)]"),
+    ("mp.e ** (-lam * n / 4)", "ExpLaw(-lam / 4)(n)"),
+    ("[lam * mp.e ** (lam * n) for n in range(0, M)]",
+     "[lam * ExpLaw(lam)(n) for n in range(0, M)]"),
+    ("[lam * mp.e ** (lam * n) for n in range(-1, -M - 1, -1)]",
+     "[lam * ExpLaw(lam)(n) for n in range(-1, -M - 1, -1)]"),
+    ("mp.e ** (-(lam - 1) * n)", "ExpLaw(-(lam - 1))(n)"))
+
 # The horizons of tests/test_cli.py::CONSTRUCT_DIGESTS, whose parameters are
 # REGIMES'; "III n0=2^27" is III pinned at the n0 its search reaches, on the
 # horizon where the regime III precision fault shows.
@@ -594,8 +625,9 @@ def closed_form_spec(case):
 @pytest.mark.parametrize("case", list(CLOSED_FORM_CASES))
 def test_build_is_its_mpf_expressions(case, bits):
     spec = closed_form_spec(case)
+    reference = EXP_ONCE_BUILD if spec.regime in ("IV", "V1", "V2") else before_build.build
     with lv.precision(bits):
-        new, old = cx.build(spec), before_build.build(spec)
+        new, old = cx.build(spec), reference(spec)
     assert (new.tree.layer_lo, new.tree.layer_hi) == (old.tree.layer_lo, old.tree.layer_hi)
     assert raw(new.tree._w) == raw(old.tree._w)         # V2: both arms, one tuple
     assert new.u.lo == old.u.lo and raw(new.u.values()) == raw(old.u.values())
@@ -622,22 +654,21 @@ def test_lambda_and_delta0_are_their_mpf_expressions(case, bits):
 
 
 # ---------------------------------------------------------------------------
-# powers of e and exponential laws from one geometric run against their per-n
-# calls (tests/before_build.py's `mp.e ** (rate * n)`, tests/before_band.py),
-# bit for bit
+# build's exponentials and exponential laws from one geometric run against
+# their per-n call exp(rate n), rate n exact (`ExpLaw(rate)(n)`;
+# tests/before_band.py), bit for bit
 
 E_POWER_RATES = [F(1), F(2), F(4), F(8), F(-2), F(-3), F(-1, 4), F(-1, 2), F(3, 2)]
 # ascending from 0 and from an n0, descending (the V2 arm), crossing zero both
 # ways, one element on either side of zero, empty, and far from zero both ways
-# (from n = 2^21 on, pow_run's radius is its floor of one unit)
 E_POWER_RANGES = [range(0, 461), range(2, 603), range(-1, -282, -1), range(-281, 282),
                   range(150, -151, -1), range(7, 8), range(-5, -4), range(0, 1), range(5, 5),
                   range(2 ** 21, 2 ** 21 + 4), range(-2 ** 21, -2 ** 21 - 4, -1)]
 
 
 def e_powers_expression(rate, ns, scale=None):
-    """The per-n mpf expression of before_build.build's weights and values."""
-    powers = [mp.e ** (rate * n) for n in ns]
+    """The per-n exp-once call of build's weights and values (EXP_ONCE_BUILD's)."""
+    powers = [cx.ExpLaw(rate)(n) for n in ns]
     return raw(powers if scale is None else [scale * x for x in powers])
 
 
@@ -663,8 +694,8 @@ def counted_runs(monkeypatch, radius=None):
 @pytest.mark.parametrize("bits", [53, 128, 256])
 @pytest.mark.parametrize("rate", E_POWER_RATES, ids=str)
 def test_e_powers_are_their_mpf_expressions(monkeypatch, rate, bits):
-    """An integer rate takes its powers from runs, which hand few values to
-    the call (each exact e^0 = 1 among them); any other rate makes none."""
+    """Every rate takes its exponentials from runs, which hand few values to
+    the call (each exact e^0 = 1 among them)."""
     counts = counted_runs(monkeypatch)
     with mp.workprec(bits):
         r = lv.to_mpf(rate)
@@ -672,11 +703,8 @@ def test_e_powers_are_their_mpf_expressions(monkeypatch, rate, bits):
             assert raw(cx._e_powers(r, ns)) == e_powers_expression(r, ns), ns
         ns = E_POWER_RANGES[1]
         assert raw(cx._e_powers(r, ns, abs(r))) == e_powers_expression(r, ns, abs(r))
-    if rate.denominator == 1:
-        assert counts["values"] == sum(map(len, E_POWER_RANGES)) + len(ns)
-        assert counts["calls"] < counts["values"] // 16
-    else:
-        assert counts["values"] == 0
+    assert counts["values"] == sum(map(len, E_POWER_RANGES)) + len(ns)
+    assert counts["calls"] < counts["values"] // 16
 
 
 @pytest.mark.parametrize("bits", [53, 128, 256])
@@ -759,33 +787,22 @@ def same(new_fn, old_fn, *args, **kwargs):
     return want
 
 
-def retargeted(fn, *edits):
-    """`fn` of before_streams with each (old, new) text edit made once in its
-    source, compiled in that module's namespace."""
-    text = inspect.getsource(fn)
-    for before_text, after_text in edits:
-        assert text.count(before_text) == 1, before_text
-        text = text.replace(before_text, after_text)
-    namespace = {**vars(old), "gradient_form": graphs.gradient_form}
-    exec(compile(text, inspect.getsourcefile(fn), "exec",
-                 __future__.annotations.compiler_flag, dont_inherit=True), namespace)
-    return namespace[fn.__name__]
-
-
 # The graph checks and the CSV rows read the radial backend's arithmetic:
 # the term from grad^2 itself, not from sqrt(grad^2) squared, and the
 # left-hand side's product as ((mu u^(p-t)) |grad u|^q) phi^s.  Their
-# references are the loops of before_streams with only those lines changed.
+# references are the loops of before_streams with only those lines changed,
+# each compiled into its own copy of that module's namespace.
+STREAMS = {**vars(old), "gradient_form": graphs.gradient_form}
 OLD_VERIFY_GRAPH = retargeted(
-    old.verify_graph,
+    {**STREAMS}, old.verify_graph,
     ("nonlinear_term(u[x], grad * grad, p, q)",
      "nonlinear_term(u[x], gradient_form(g, u, u, x), p, q)"))
 OLD_LAYER_ROWS = retargeted(
-    old.layer_rows,
+    {**STREAMS}, old.layer_rows,
     ("nonlinear_term(built.u.value(n), grad * grad,",
      "nonlinear_term(built.u.value(n), built.tree.gradient_sq_at(built.u, n),"))
 OLD_ESTIMATE_SIDES = retargeted(
-    old.estimate_sides,
+    {**STREAMS}, old.estimate_sides,
     ("weight_term = mp.power(u[x], p_t) * (mp.power(grad, q) if point.q != 0 else mp.mpf(1))",
      "gq = mp.power(grad, q) if point.q != 0 else mp.mpf(1)"),
     ("vertex_measure(g, x) * weight_term * to_mpf(phi_x) ** s_m",

@@ -180,8 +180,9 @@ def test_one_search_exit_and_one_margin_report():
 def closed_form_copies(tree):
     """Second copies of a closed form in counterexamples.py, as "line what":
     a `_poly_profiles` definition, a function or a logarithm inside
-    `_delta0_value` (a profile of its own) and an `mp.e ** x` inside `build`
-    (a power of e made outside `_e_powers`)."""
+    `_delta0_value` (a profile of its own) and any read of `mp.e` inside
+    `build` or its exponential helper `_e_powers` (a power of the rounded e,
+    not exp rounded once)."""
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.FunctionDef):
@@ -193,22 +194,23 @@ def closed_form_copies(tree):
             found += [f"{n.lineno} profile in _delta0_value" for n in inner
                       if isinstance(n, (ast.FunctionDef, ast.Lambda))
                       or isinstance(n, ast.Attribute) and n.attr in ("ln", "log", "mpf_log")]
-        if node.name == "build":
-            found += [f"{n.lineno} mp.e power in build" for n in inner
-                      if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
-                      and isinstance(n.left, ast.Attribute) and n.left.attr == "e"
-                      and getattr(n.left.value, "id", None) == "mp"]
+        if node.name in ("build", "_e_powers"):
+            found += [f"{n.lineno} mp.e in {node.name}" for n in inner
+                      if isinstance(n, ast.Attribute) and n.attr == "e"
+                      and getattr(n.value, "id", None) == "mp"]
     return found
 
 
 def test_each_closed_form_is_written_once():
-    """The I-III profile lives in `_profile` alone, and `build`'s powers of e
-    in `_e_powers`; a copy spelled out again shows up here."""
+    """The I-III profile lives in `_profile` alone, and `build`'s exponentials
+    in `_e_powers`, from exp rounded once; a copy spelled out again, or a
+    power of the rounded e, shows up here."""
     assert closed_form_copies(ast.parse((PACKAGE / "counterexamples.py").read_text())) == []
     source = ("def _poly_profiles(spec):\n    pass\n"
               "def _delta0_value(regime, point, n0):\n"
               "    def g(m):\n        return m ** s * mp.ln(m) ** b\n"
-              "def build(spec):\n    return [lam * mp.e ** (lam * n) for n in ns]\n")
+              "def build(spec):\n    return [lam * mp.e ** (lam * n) for n in ns]\n"
+              "def _e_powers(rate, ns):\n    return pow_run(mp.e._mpf_, list(ns), prec)\n")
     assert closed_form_copies(ast.parse(source)) == [
         "1 _poly_profiles", "4 profile in _delta0_value", "5 profile in _delta0_value",
-        "7 mp.e power in build"]
+        "7 mp.e in build", "9 mp.e in _e_powers"]
