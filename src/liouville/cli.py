@@ -110,20 +110,23 @@ def _load_graph_file(path: str):
 
 def _load_values_csv(path: str) -> dict[int, mp.mpf]:
     """Two-column CSV: vertex (or layer) index, value, each index once.
-    Header row optional."""
+    The first row (past blank and comment rows) may be a header; a later
+    row whose index is not an integer is an input error."""
     values: dict[int, mp.mpf] = {}
     value = memo(parse_decimal)
     try:
         rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
     except csv.Error as exc:                # e.g. a field over the csv field limit
         raise InputError(f"{path}: {exc}")
-    for row in rows:
-        if not row or row[0].strip().startswith("#"):
-            continue
+    rows = [row for row in rows if row and not row[0].strip().startswith("#")]
+    for k, row in enumerate(rows):
         try:
             idx = int(row[0])
         except ValueError:
-            continue  # header
+            if k == 0:
+                continue                    # the header
+            raise InputError(f"{path}: bad index in row {row!r} (only the first row "
+                             f"may be a header)")
         if len(row) < 2:
             raise InputError(f"{path}: row {row!r} needs an index and a value")
         if idx in values:
@@ -216,11 +219,12 @@ def _certify(args) -> cx.Certificate:
 
 
 def _cmd_construct(args) -> int:
+    cx._band_window(args.volume_lo, args.volume_hi)     # a bad window exits 2, as in volume
     cert = _certify(args)
     spec, built, report, tail = cert.spec, cert.built, cert.report, cert.tail
     band = None
     v_hi = min(args.volume_hi, spec.horizon)
-    if v_hi >= args.volume_lo >= 2:
+    if v_hi >= args.volume_lo:          # else the horizon stops short of the window
         vb = cx.volume_band(built, cx.volume_target(spec), args.volume_lo, v_hi)
         band = {"n_lo": args.volume_lo, "n_hi": v_hi,
                 "ratio_min": mpf_str(vb.ratio_min), "ratio_max": mpf_str(vb.ratio_max),

@@ -59,6 +59,7 @@ V_COND_MARGIN = Fraction(21, 20)
 _N0_CAP = 2 ** 34
 _LAMBDA_CAP = 64
 _MAX_PRECISION_BUMPS = 2
+_EXP_CAP = 1 << 40          # a binary exponent a float carries exactly, summed a few times
 
 
 @dataclass(frozen=True)
@@ -346,6 +347,13 @@ def _aligned(x1: int, e1: int, x2: int, e2: int):
     return (x1 << k, x2, e2) if k >= 0 else (x1, x2 << -k, e1)
 
 
+def _exact_sum(x1: int, e1: int, x2: int, e2: int):
+    """(y, e) with y 2^e = x1 2^e1 + x2 2^e2, exactly; None where `_aligned`
+    finds the exponents of two nonzero terms more than 2^14 apart."""
+    d = _aligned(x1, e1, x2, e2)
+    return d and (d[0] + d[1], d[2])
+
+
 def _screen(tree, u, layers, term_of) -> list:
     """Float64 bounds (lo, hi) on log2|margin| per layer, or None where undecided.
 
@@ -554,17 +562,51 @@ def verify_graph(g: WeightedGraph, u: GraphFunction, p, q) -> MarginReport:
 
 
 def _lambda_kernel(regime: str, point: PQPoint, param):
-    """(profile, combine) for regimes I-IV, with every constant hoisted.
+    """(profile, combine, bounds) for regimes I-IV, with every constant hoisted.
 
     Lambda(m) = combine(profile(m-1), profile(m), profile(m+1)) on the raw
     pairs of `_profile`.  combine makes, in their order, the `mpmath.libmp`
     calls of the mpf expression it stands for (written out in each comment),
     at the precision read here, so Lambda keeps that expression's bits.
+
+    bounds(rows), on the profiles rows = [profile(lo - 1), ..., profile(hi + 1)]
+    of a window, gives per m = lo..hi float64 bounds (lo, hi) on log2 of
+    combine's value at m, or None where undecided: the float64 screen's
+    input stage (`liouville.screen`), in the manner of `_screen`.
+    - Each kernel's one cancelling quantity (I, III: the drift's numerator;
+      II: neg_lap's; IV: the drift's, with the mpf r and 1 + r taken as
+      exact) is formed exactly from the integer mantissas of the rows and of
+      their first differences, which `_window_bounds` makes once per row
+      and pair.
+    - Every factor of the value (the drift, quad, the base of the power of
+      -p, gn) is read as log2 of its value on exact inputs: at most 13 units
+      (a unit is 2^-52) of 53-bit cuts, a unit each, and float sums,
+      products and quotients, half a unit each, then libm's log2 on
+      [1/2, 1) and a sum (`_log2`).  That is within 20 units plus half a
+      unit of the result, inside `screen.log2_bound`'s allowance per input.
+    - combine's roundings before its final products and powers move each
+      factor by a relative rho: the drift by c 2^-prec (kappa + 1), kappa the
+      condition number of its cancelling sum (c = 5.1, 4.1, 3.1 for I/III,
+      II, IV as its roundings count; 5.2, 4.2, 3.2 cover kappa's floats);
+      quad by 2.1 2^-prec (kappa_q + 4) (I, III: kappa_q that of a
+      difference of two inverses, doubled by the square) or 7.2 2^-prec
+      (II, IV); the base of the power by 2.1 (I, III) or 1.1 (II, IV)
+      2^-prec.  With each rho <= 2^-8 (else None; 2^-1000 stands in for
+      2^-prec beyond 1000 bits), log2 of a factor moves by at most 1.45 rho,
+      and the bound is widened by 1.45 times the sum of |C| rho over the
+      factors, C a factor's exponent in the value.
+    An m whose cancelling quantity is not positive (Lambda <= 0, or II's
+    flat profile), whose difference of profiles is zero, or whose values a
+    float cannot carry stays undecided, so combine runs there.
     """
     profile = _profile(regime, point, param)
     prec, rnd = mp.mp._prec_rounding
     p, q = to_mpf(point.p), to_mpf(point.q)
     neg_p, neg_half_q = (-p)._mpf_, (-q / 2)._mpf_
+    unit = math.ldexp(1.0, -min(prec, 1000))    # >= 2^-prec, and a normal float
+    floats = screen.exponent_floats(p - 1, -p, -q / 2)
+    c_g, c_x, c_q = floats or (0.0, 0.0, 0.0)
+    log2, top53, log2_bound = math.log2, screen.top53, screen.log2_bound
 
     def add(x, y): return mpf_add(x, y, prec, rnd)
     def sub(x, y): return mpf_sub(x, y, prec, rnd)
@@ -576,6 +618,13 @@ def _lambda_kernel(regime: str, point: PQPoint, param):
 
     def quad_of(a, x, b, y, a_b):   # (a x^2 + b y^2) / (2 (a + b))
         return div(add(mul(a, sq(x)), mul(b, sq(y))), mpf_mul_int(a_b, 2, prec, rnd))
+
+    def bound(terms, rho):          # the log2_bound of the value, widened by 1.45 rho
+        b = log2_bound(0.0, terms)
+        return b and (b[0] - b[1] - 1.45 * rho, b[0] + b[1] + 1.45 * rho)
+
+    def kernel(combine, at):
+        return profile, combine, lambda rows: _window_bounds(rows, floats and at)
 
     if regime in ("I", "III"):
         p_minus_1 = (p - 1)._mpf_
@@ -595,7 +644,42 @@ def _lambda_kernel(regime: str, point: PQPoint, param):
                             pow_(quad, neg_half_q))
             return mp.make_mpf(value)
 
-        return profile, combine
+        def at(i, W, g, rW, rg, diffs):
+            # drift = D / ((Wn + Wm) g_up g_dn), D = Wn g_dn d_up - Wm g_up d_dn with the
+            # differences d_up = g_up - gn, d_dn = gn - g_dn, and kappa = gn (Wn g_dn +
+            # Wm g_up) / D; quad = (Wn (d_up / (gn g_up))^2 + Wm (d_dn / (g_dn gn))^2) /
+            # (2 (Wn + Wm)), and 1/g - 1/g' has kappa_q = (g + g') / |g' - g|
+            dn, up = diffs[i - 1], diffs[i]
+            (mWm, xWm), (mWn, xWn), (mgd, xgd), (mgu, xgu) = W[i - 1], W[i], g[i - 1], g[i + 1]
+            D = dn and up and _exact_sum(mWn * mgd * up[0], xWn + xgd + up[1],
+                                         -mWm * mgu * dn[0], xWm + xgu + dn[1])
+            if not D or D[0] <= 0:
+                return None
+            fD, eD = top53(*D)
+            (fWm, eWm), (fWn, eWn) = rW[i - 1], rW[i]
+            (fgd, egd), (fgn, egn), (fgu, egu) = rg[i - 1], rg[i], rg[i + 1]
+            fP, eP = _fsum(fWn * fgd, eWn + egd, fWm * fgu, eWm + egu)
+            rho_d = 5.2 * unit * (_ratio(fP * fgn, eP + egn, fD, eD) + 1)
+            k_q = max(_ratio(*_fsum(fgd, egd, fgn, egn), dn[2], dn[3]),
+                      _ratio(*_fsum(fgn, egn, fgu, egu), up[2], up[3]))
+            rho_q = 2.1 * unit * (k_q + 4)
+            if not max(rho_d, rho_q) <= 0.00390625:
+                return None
+            fw, ew = _fsum(fWm, eWm, fWn, eWn)
+            t_up, t_dn = up[2] / (fgn * fgu), dn[2] / (fgd * fgn)
+            fs, es = _fsum(fWn * t_up * t_up, eWn + 2 * (up[3] - egn - egu),
+                           fWm * t_dn * t_dn, eWm + 2 * (dn[3] - egd - egn))
+            drift = _log2(fD / (fw * fgd * fgu), eD - ew - egd - egu)
+            quad = _log2(fs / fw, es - ew - 1)
+            if regime == "I":
+                return bound(((c_g, log2(fgn) + egn), (1.0, drift), (c_q, quad)),
+                             rho_d + abs(c_q) * rho_q)
+            fx, ex = top53(*_exact_sum(*g[i], 1, 0))                    # gn + 1
+            return bound(((1.0, drift), (c_x, _log2(fx / fgn, ex - egn)),
+                          (-1.0, log2(fgn) + egn), (c_q, quad)),
+                         rho_d + abs(c_q) * rho_q + abs(c_x) * 2.1 * unit)
+
+        return kernel(combine, at)
     if regime == "II":
         flat_fails = q > 0
 
@@ -612,7 +696,30 @@ def _lambda_kernel(regime: str, point: PQPoint, param):
             return mp.make_mpf(mul(mul(neg_lap, pow_(add(fn, fone), neg_p)),
                                    pow_(quad, neg_half_q)))
 
-        return profile, combine
+        def at(i, W, f, rW, rf, diffs):
+            # neg_lap = L / (Wn + Wm), L = Wm d_dn - Wn d_up with the differences
+            # d_up = f_up - fn, d_dn = fn - f_dn, and kappa = (Wn f_up + Wm f_dn) / L;
+            # quad = (Wn d_up^2 + Wm d_dn^2) / (2 (Wn + Wm))
+            dn, up = diffs[i - 1], diffs[i]
+            (mWm, xWm), (mWn, xWn) = W[i - 1], W[i]
+            L = dn and up and _exact_sum(mWm * dn[0], xWm + dn[1], -mWn * up[0], xWn + up[1])
+            if not L or L[0] <= 0:
+                return None
+            fL, eL = top53(*L)
+            (fWm, eWm), (fWn, eWn), (fu, eu), (fd, ed) = rW[i - 1], rW[i], rf[i + 1], rf[i - 1]
+            rho_d = 4.2 * unit * (_ratio(*_fsum(fWn * fu, eWn + eu, fWm * fd, eWm + ed),
+                                         fL, eL) + 1)
+            if not rho_d <= 0.00390625:
+                return None
+            fw, ew = _fsum(fWm, eWm, fWn, eWn)
+            fs, es = _fsum(fWn * up[2] * up[2], eWn + 2 * up[3], fWm * dn[2] * dn[2],
+                           eWm + 2 * dn[3])
+            fx, ex = top53(*_exact_sum(*f[i], 1, 0))                    # fn + 1
+            return bound(((1.0, _log2(fL / fw, eL - ew)), (c_x, log2(fx) + ex),
+                          (c_q, _log2(fs / fw, es - ew - 1))),
+                         rho_d + (1.1 * abs(c_x) + 7.2 * abs(c_q)) * unit)
+
+        return kernel(combine, at)
     r = mp.e ** (-to_mpf(param))
     one_r, two_one_r, r = (1 + r)._mpf_, (2 * (1 + r))._mpf_, r._mpf_
     neg_half = mp.mpf("-0.5")._mpf_
@@ -625,7 +732,78 @@ def _lambda_kernel(regime: str, point: PQPoint, param):
         quad = div(add(sq(sub(inv_up, inv_n)), mul(r, sq(sub(inv_dn, inv_n)))), two_one_r)
         return mp.make_mpf(mul(mul(drift, pow_(add(inv_n, fone), neg_p)), pow_(quad, neg_half)))
 
-    return profile, combine
+    (_, m_r, x_r, _), (_, m_o, x_o, _) = r, one_r
+    (fr, er), (fo, eo), (ft, et) = (top53(x[1], x[2]) for x in (r, one_r, two_one_r))
+
+    def at(i, M, V, rM, rV, diffs):
+        # drift = T / ((1 + r) m_dn), T = m_dn inv_n (1 + r) - m_dn inv_up - r, and
+        # kappa = (m_dn inv_up + r) / T; quad = (d_up^2 + r d_dn^2) / (2 (1 + r)), d_up
+        # and d_dn the differences of 1/m
+        dn, up = diffs[i - 1], diffs[i]
+        (m_dn, x_dn), (m_n, x_n), (m_up, x_up) = M[i - 1], V[i], V[i + 1]
+        T = dn and up and _exact_sum(m_dn * m_n * m_o, x_dn + x_n + x_o, -m_dn * m_up,
+                                     x_dn + x_up)
+        T = T and _exact_sum(*T, -m_r, x_r)
+        if not T or T[0] <= 0:
+            return None
+        fT, eT = top53(*T)
+        (fm, em), (fu, eu) = rM[i - 1], rV[i + 1]
+        rho_d = 3.2 * unit * (_ratio(*_fsum(fm * fu, em + eu, fr, er), fT, eT) + 1)
+        if not rho_d <= 0.00390625:
+            return None
+        fs, es = _fsum(up[2] * up[2], 2 * up[3], fr * dn[2] * dn[2], er + 2 * dn[3])
+        fx, ex = top53(*_exact_sum(m_n, x_n, 1, 0))                     # inv_n + 1
+        return bound(((1.0, _log2(fT / (fo * fm), eT - eo - em)), (c_x, log2(fx) + ex),
+                      (-0.5, _log2(fs / ft, es - et))),
+                     rho_d + (1.1 * abs(c_x) + 3.6) * unit)
+
+    return kernel(combine, at)
+
+
+def _window_bounds(rows, at) -> list:
+    """[at(m, A, B, rA, rB, diffs) for each inner row m] of the profile rows
+    (A, B): A and B hold each row's values as (mantissa, exponent), exactly,
+    rA and rB their `screen.top53`, and diffs per pair of rows (D, e, f, E)
+    with D 2^e = B_{k+1} - B_k exactly and (f, E) the top53 of |D|, or None
+    where that is zero (or its exponents lie far apart); all are read once.
+    None at every m where at is None (an exponent floats cannot carry) or a
+    value is not positive or has a binary exponent beyond 2^40 in size,
+    which keeps sums of a few exponents exact as floats."""
+    if not at or not all(not x[0] and x[1] and -_EXP_CAP < x[2] < _EXP_CAP
+                         for row in rows for x in row):
+        return [None] * (len(rows) - 2)
+    top53 = screen.top53
+    A = [(a[1], a[2]) for a, _ in rows]
+    B = [(b[1], b[2]) for _, b in rows]
+    diffs = []
+    for (m1, x1), (m0, x0) in zip(B[1:], B):
+        d = _exact_sum(m1, x1, -m0, x0)
+        diffs.append(d and d[0] and (*d, *top53(abs(d[0]), d[1])))
+    reads = A, B, [top53(*a) for a in A], [top53(*b) for b in B], diffs
+    return [at(i, *reads) for i in range(1, len(rows) - 1)]
+
+
+def _fsum(fa, ea, fb, eb):
+    """(f, e), f 2^e the float sum of fa 2^ea and fb 2^eb (fa, fb > 0), within
+    half a unit: the term of lower exponent is scaled down, never up."""
+    if ea >= eb:
+        return fa + math.ldexp(fb, eb - ea), ea
+    return math.ldexp(fa, ea - eb) + fb, eb
+
+
+def _ratio(fa, ea, fb, eb) -> float:
+    """The float fa 2^ea / (fb 2^eb), its binary exponent capped at 1000: the
+    bounds' fa/fb exceeds 1/8, so a capped ratio still exceeds 2^996, which
+    no rho <= 2^-8 allows."""
+    return math.ldexp(fa / fb, min(ea - eb, 1000))
+
+
+def _log2(f, e) -> float:
+    """log2(f 2^e), f > 0 a float and e an int: frexp splits f exactly, so
+    libm's log2 reads a number in [1/2, 1), within half a unit, and the sum
+    rounds once, by half a unit of the result."""
+    f, k = math.frexp(f)
+    return math.log2(f) + (e + k)
 
 
 def _lambda_window(regime: str, point: PQPoint, param, lo: int, hi: int,
@@ -634,7 +812,7 @@ def _lambda_window(regime: str, point: PQPoint, param, lo: int, hi: int,
     `table` (a certify call's memo of `_profile`) or else the kernel's own;
     `lambda_fn` at m (I-IV) is this window at m alone."""
     _check_lambda_index(regime, lo)
-    profile, combine = _lambda_kernel(regime, point, param)
+    profile, combine, _ = _lambda_kernel(regime, point, param)
     rows = list(map(profile if table is None else table, range(lo - 1, hi + 2)))
     return [combine(*rows[i - 1:i + 2]) for i in range(1, len(rows) - 1)]
 
@@ -790,9 +968,15 @@ def _tail_window(H: int) -> tuple[int, int]:
 
 
 def _window_min(regime, point, param, n0, H, table=None) -> mp.mpf:
-    """min Lambda(n + n0) over the tail window of horizon H."""
-    lo, hi = _tail_window(H)
-    return min(_lambda_window(regime, point, param, lo + n0, hi + n0, table))
+    """min Lambda(n + n0) over the tail window of horizon H, that of
+    `_lambda_window` bit for bit: the kernel's float64 bounds pick the m
+    whose Lambda could be the smallest (`screen.extremes`), and combine runs
+    only there, on the same rows."""
+    lo, hi = (n + n0 for n in _tail_window(H))
+    _check_lambda_index(regime, lo)
+    profile, combine, bounds = _lambda_kernel(regime, point, param)
+    rows = list(map(profile if table is None else table, range(lo - 1, hi + 2)))
+    return min(combine(*rows[i:i + 3]) for i in screen.extremes(bounds(rows), low=True))
 
 
 def _interior_tail(spec: RegimeSpec, H: int, min_value) -> TailReport:

@@ -435,6 +435,8 @@ def parse_radial_text(text: str):
             two_sided = True
         elif "=" in tok:
             k, v = tok.split("=", 1)
+            if k in fields:
+                raise InputError(f"radial header repeats the field {k}=: {lines[0]!r}")
             fields[k] = v
         else:
             raise InputError(f"bad header token {tok!r}")

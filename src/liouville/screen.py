@@ -1,5 +1,6 @@
 """The float64 screen in front of the margin pass of `verify`, the
-power-log volume band and the walk diagnostics with the pointwise bound.
+power-log volume band, the walk diagnostics with the pointwise bound and
+the minimum of Lambda over a tail window.
 
 Each bounds log2 of every item's mpf quantity in float64, and mpf then
 evaluates only the items whose bounds cannot settle a verdict or an

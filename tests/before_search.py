@@ -49,7 +49,7 @@ def _certify_poly(regime, point, *, eps, lam, N, horizon) -> Certificate:
         param = to_mpf(lam)
     delta1 = mp.power(lambda_limit(regime, point, param) / 2, 1 / e)
     probes = _probe_offsets(horizon)
-    profile, lam_of = _lambda_kernel(regime, point, param)
+    profile, lam_of, _ = _lambda_kernel(regime, point, param)
 
     def probe(m):
         """lambda_fn(regime, point, param, m), from the kernel built once above."""

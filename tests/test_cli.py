@@ -845,3 +845,74 @@ def test_values_csv_with_a_duplicate_index_is_usage_error(capsys, tmp_path, kind
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == f"error: {tmp_path / 'u.csv'}: duplicate index {index}\n"
+
+
+# ---------------------------------------------------------------------------
+# construct's volume window, a values CSV's header row
+
+@pytest.mark.parametrize("window, message", [
+    (["--volume-lo", "1"], "volume band needs n_lo >= 2 (targets may involve ln n)"),
+    (["--volume-lo", "30", "--volume-hi", "10"], "need n_hi >= n_lo"),
+], ids=["lo below 2", "hi below lo"])
+def test_construct_rejects_a_bad_volume_window(capsys, window, message):
+    """`construct` printed "volume_band": null and exited 0 on a window that
+    `volume` rejects; both exit 2 now, through the same check."""
+    code = main(["construct", "--regime", "V1", "--p", "1/2", "--q", "1/2", "--N", "3",
+                 "--horizon", "40"] + window)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    code = main(["volume", "--regime", "V1", "--p", "1/2", "--q", "1/2", "--lam", "1",
+                 "--n-lo", window[1]] + (["--n-hi", window[3]] if len(window) > 2 else []))
+    assert code == 2 and capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_construct_below_the_volume_window_keeps_a_null_band(capsys):
+    code, payload = run_cli(capsys, "construct", "--regime", "V1", "--p", "1/2", "--q", "1/2",
+                            "--N", "3", "--horizon", "12", "--volume-lo", "16")
+    assert code == 0 and payload["volume_band"] is None
+    code, payload = run_cli(capsys, "construct", "--regime", "V1", "--p", "1/2", "--q", "1/2",
+                            "--N", "3", "--horizon", "20", "--volume-lo", "16")
+    assert code == 0 and (payload["volume_band"]["n_lo"], payload["volume_band"]["n_hi"]) \
+        == (16, 20)
+
+
+@pytest.mark.parametrize("rows, bad", [
+    ("0,3\n1.0,7\n1,2\n2,1\n", ["1.0", "7"]),
+    ("index,value\n0,3\nlayer,value\n1,2\n2,1\n", ["layer", "value"]),
+    ("# note\n\n0,3\n1,2\nx\n2,1\n", ["x"]),
+], ids=["stray float index", "second header", "after a comment"])
+def test_values_csv_takes_only_its_first_row_as_a_header(capsys, tmp_path, rows, bad):
+    """Every row whose index was not an integer was skipped as a header; only
+    the first row (past blank and comment rows) may be one now."""
+    args = _path_graph_files(tmp_path)
+    (tmp_path / "u.csv").write_text(rows)
+    code = main(["verify"] + args + ["--p", "2", "--q", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == (f"error: {tmp_path / 'u.csv'}: bad index in row {bad!r} (only the first "
+                   f"row may be a header)\n")
+
+
+def test_values_csv_header_may_follow_comments(capsys, tmp_path):
+    args = _path_graph_files(tmp_path)
+    (tmp_path / "u.csv").write_text("# values\n\nvertex,value\n0,3\n1,2\n2,1\n")
+    code = main(["verify"] + args + ["--p", "2", "--q", "1"])
+    out, _ = capsys.readouterr()
+    assert code in (0, 1) and out.startswith("{")
+
+
+@pytest.mark.parametrize("header, field", [
+    ("radial N=3 N=5 horizon=2", "N"),
+    ("radial N=3 horizon=2 horizon=3", "horizon"),
+    ("radial horizon=2 two-sided N=3 N=3", "N"),
+])
+def test_radial_header_with_a_repeated_field_is_usage_error(capsys, tmp_path, header, field):
+    """`radial N=3 N=5 horizon=3` read as N=5, the last of the two."""
+    (tmp_path / "tree.txt").write_text(header + "\n0 1\n1 1\n2 1\n")
+    (tmp_path / "u.csv").write_text("0,4\n1,3\n2,2\n3,1\n")
+    code = main(["verify", "--graph", str(tmp_path / "tree.txt"), "--u",
+                 str(tmp_path / "u.csv"), "--p", "2", "--q", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: radial header repeats the field {field}=: {header!r}\n"

@@ -586,3 +586,55 @@ def test_layer_rows_margins_are_the_certificates(regime, point, kw):
     if report.precision_bits == mp.mp.prec:
         worst = rows[report.worst_layer - report.layers[0]]
         assert worst[5]._mpf_ == report.max_margin._mpf_
+
+
+# the bench's six `construct` configurations (bench/workloads.py)
+BENCH_CONSTRUCTS = {
+    "I": (["--p", "2", "--q", "1", "--eps", "1/10"], 150),
+    "II": (["--p", "0", "--q", "3", "--eps", "1/2"], 270),
+    "III": (["--p", "-1", "--q", "3/2", "--eps", "1/10"], 125),
+    "IV": (["--p", "-2", "--q", "1", "--lam", "1"], 600),
+    "V1": (["--p", "1/2", "--q", "1/2"], 460),
+    "V2": (["--p", "2", "--q", "-1"], 280),
+}
+PROBE_COMBINES = {"I": 35, "II": 0, "III": 52, "IV": 10, "V1": 0, "V2": 0}
+
+
+@pytest.mark.parametrize("regime", list(BENCH_CONSTRUCTS))
+def test_construct_screens_its_lambda_windows(monkeypatch, capsys, regime):
+    """`construct` at the bench horizons runs the Lambda kernel's combine at
+    no more than three m per tail window (`_window_min`), where it ran it at
+    every m of the window; the probes of the n0 search, counted apart, keep
+    their count."""
+    from liouville.cli import main
+    counts = {"probe": 0, "window": 0, "windows": 0}
+    inside = []
+    kernel, window_min = cx._lambda_kernel, cx._window_min
+
+    def counted_kernel(*args):
+        profile, combine, *rest = kernel(*args)
+
+        def counted(*rows):
+            counts["window" if inside else "probe"] += 1
+            return combine(*rows)
+
+        return (profile, counted, *rest)
+
+    def counted_window_min(*args, **kwargs):
+        counts["windows"] += 1
+        inside.append(True)
+        try:
+            return window_min(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cx, "_lambda_kernel", counted_kernel)
+    monkeypatch.setattr(cx, "_window_min", counted_window_min)
+    args, horizon = BENCH_CONSTRUCTS[regime]
+    code = main(["--precision-bits", "128", "construct", "--regime", regime, "--N", "3",
+                 "--horizon", str(horizon)] + args)
+    capsys.readouterr()
+    assert code == 0
+    assert counts["probe"] == PROBE_COMBINES[regime]
+    assert (counts["windows"] > 0) == (regime not in ("V1", "V2"))
+    assert counts["window"] <= 3 * counts["windows"], counts

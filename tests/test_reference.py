@@ -654,6 +654,90 @@ def test_lambda_and_delta0_are_their_mpf_expressions(case, bits):
 
 
 # ---------------------------------------------------------------------------
+# the float64 screen of a Lambda tail window (`_lambda_kernel`'s bounds and
+# `_window_min`) against the mpf window, bit for bit
+
+
+def _rational(draw, lo, hi, den=12):
+    """A rational lo + (hi - lo) t/d, 0 < t < d <= den: strictly inside (lo, hi)."""
+    d = draw(st.integers(2, den))
+    return lo + (hi - lo) * F(draw(st.integers(1, d - 1)), d)
+
+
+@st.composite
+def lambda_window_cases(draw):
+    """A point in the region of regime I, II, III or IV with its eps or lam,
+    an n0 among 2, 4, ..., 2^34, a horizon up to 400 and a precision."""
+    regime = draw(st.sampled_from(["I", "II", "III", "IV"]))
+    if regime == "I":
+        p = draw(st.sampled_from([F(0), F(1, 2), F(1), F(2), F(3), F(5, 2)]))
+        q = _rational(draw, 1 - p, 2)
+    elif regime == "II":
+        p, q = _rational(draw, -3, 10), _rational(draw, 2, 5) if draw(st.booleans()) else F(2)
+    else:
+        p = _rational(draw, -4, 0)
+        q = F(1) if regime == "IV" else _rational(draw, 1, 2)
+    param = _rational(draw, 0, 4, 8) if regime == "IV" else _rational(draw, 0, 2, 10)
+    return {"regime": regime, "point": lv.pq(p, q), "param": param,
+            "n0": 2 ** draw(st.integers(1, 34)), "H": draw(st.integers(2, 400)),
+            "bits": draw(st.sampled_from([53, 128, 256]))}
+
+
+def assert_lambda_bounds_hold(regime, point, param, lo, hi):
+    """Every decided bound encloses log2 of the mpf Lambda `_lambda_window`
+    gives at its m; the window is returned."""
+    window = cx._lambda_window(regime, point, param, lo, hi)
+    profile, _, bounds = cx._lambda_kernel(regime, point, param)
+    found = bounds([profile(m) for m in range(lo - 1, hi + 2)])
+    assert len(found) == len(window)
+    for m, value, bound in zip(range(lo, hi + 1), window, found):
+        if bound is not None:
+            assert value > 0, m
+            with mp.workprec(mp.mp.prec + 64):
+                assert bound[0] <= mp.log(value, 2) <= bound[1], m
+    return window
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lambda_window_cases())
+@example({"regime": "I", "point": lv.pq(2, 1), "param": F(1, 10), "n0": 2, "H": 300,
+          "bits": 128})                                 # Lambda < 0 over the window
+@example({"regime": "III", "point": lv.pq(-1, F(3, 2)), "param": F(1, 10), "n0": 2 ** 27,
+          "H": 125, "bits": 128})                       # III's calibrated window
+@example({"regime": "IV", "point": lv.pq(-2, 1), "param": F(1), "n0": 2 ** 34, "H": 400,
+          "bits": 53})
+@example({"regime": "II", "point": lv.pq(0, 3), "param": F("1e-400"), "n0": 4, "H": 20,
+          "bits": 128})                                 # flat: (ln m)^(-eps/2) rounds to 1
+def test_screened_window_min_is_the_window_minimum(case):
+    regime, point, param, n0, H = (case[k] for k in ("regime", "point", "param", "n0", "H"))
+    lo, hi = (n + n0 for n in cx._tail_window(H))
+    with lv.precision(case["bits"]):
+        try:
+            window = assert_lambda_bounds_hold(regime, point, param, lo, hi)
+        except InputError:                                  # II's flat profile
+            with pytest.raises(InputError, match="flat"):
+                cx._window_min(regime, point, param, n0, H)
+            return
+        found = cx._window_min(regime, point, param, n0, H)
+        assert found._mpf_ == min(window)._mpf_
+        assert found._mpf_ == min(before_build.lambda_window(regime, point, param, lo, hi))._mpf_
+        table = numerics.memo(cx._profile(regime, point, param))
+        assert cx._window_min(regime, point, param, n0, H, table)._mpf_ == found._mpf_
+
+
+def test_screened_windows_hold_non_positive_and_undecided_m():
+    """The examples above reach what the screen leaves to mpf: regime I at
+    n0 = 2 has Lambda < 0 over its whole window, and II's flat profile
+    raises, from `_window_min` as from the full window."""
+    with lv.precision(128):
+        window = cx._lambda_window("I", lv.pq(2, 1), F(1, 10), 152, 302)
+        assert max(window) < 0
+        assert cx._window_min("I", lv.pq(2, 1), F(1, 10), 2, 300)._mpf_ == min(window)._mpf_
+        with pytest.raises(InputError, match="flat"):
+            cx._window_min("II", lv.pq(0, 3), F("1e-400"), 4, 20)
+
+
+# ---------------------------------------------------------------------------
 # build's exponentials and exponential laws from one geometric run against
 # their per-n call exp(rate n), rate n exact (`ExpLaw(rate)(n)`;
 # tests/before_band.py), bit for bit
