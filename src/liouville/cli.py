@@ -111,7 +111,8 @@ def _load_graph_file(path: str):
 def _load_values_csv(path: str) -> dict[int, mp.mpf]:
     """Two-column CSV: vertex (or layer) index, value, each index once.
     The first row (past blank and comment rows) may be a header; a later
-    row whose index is not an integer is an input error."""
+    row whose index is not an integer, or a row with more or fewer than
+    two fields, is an input error."""
     values: dict[int, mp.mpf] = {}
     value = memo(parse_decimal)
     try:
@@ -127,8 +128,9 @@ def _load_values_csv(path: str) -> dict[int, mp.mpf]:
                 continue                    # the header
             raise InputError(f"{path}: bad index in row {row!r} (only the first row "
                              f"may be a header)")
-        if len(row) < 2:
-            raise InputError(f"{path}: row {row!r} needs an index and a value")
+        if len(row) != 2:
+            raise InputError(f"{path}: row {row!r} needs an index and a value, "
+                             f"and nothing more")
         if idx in values:
             raise InputError(f"{path}: duplicate index {idx}")
         try:
@@ -437,7 +439,11 @@ def _cmd_descend(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv.  Every command is listed with its help, but only
+    a command named by a token of argv gets its arguments: adding all six
+    commands' arguments takes argparse about a millisecond, and a run uses
+    one command."""
     parser = argparse.ArgumentParser(
         prog="liouville",
         description="Verification tools for Delta u + u^p |grad u|^q <= 0 on weighted graphs",
@@ -446,11 +452,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="working significand size (default: env or 128)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("classify", help="classify an exponent pair")
-    c.add_argument("--p", type=_fraction, required=True)
-    c.add_argument("--q", type=_fraction, required=True)
-    c.add_argument("--json", default=None)
-    c.set_defaults(fn=_cmd_classify)
+    def command(name, text, fn):
+        c = sub.add_parser(name, help=text)
+        c.set_defaults(fn=fn)
+        return c if name in argv else None
+
+    if c := command("classify", "classify an exponent pair", _cmd_classify):
+        c.add_argument("--p", type=_fraction, required=True)
+        c.add_argument("--q", type=_fraction, required=True)
+        c.add_argument("--json", default=None)
 
     def common_build_args(sp, volume=False):
         sp.add_argument("--regime", required=True,
@@ -465,59 +475,54 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--json", default=None)
         sp.add_argument("--csv", default=None)
 
-    c = sub.add_parser("construct", help="build, calibrate, and verify a counterexample")
-    common_build_args(c)
-    c.add_argument("--horizon", type=int, default=10000)
-    c.add_argument("--volume-lo", type=int, default=16)
-    c.add_argument("--volume-hi", type=int, default=4096)
-    c.set_defaults(fn=_cmd_construct)
+    if c := command("construct", "build, calibrate, and verify a counterexample", _cmd_construct):
+        common_build_args(c)
+        c.add_argument("--horizon", type=int, default=10000)
+        c.add_argument("--volume-lo", type=int, default=16)
+        c.add_argument("--volume-hi", type=int, default=4096)
 
-    c = sub.add_parser("verify", help="margin check for a stored graph or tree + values")
-    c.add_argument("--graph", required=True)
-    c.add_argument("--u", required=True)
-    c.add_argument("--p", type=_fraction, required=True)
-    c.add_argument("--q", type=_fraction, required=True)
-    c.add_argument("--horizon", type=int, default=None)
-    c.add_argument("--json", default=None)
-    c.set_defaults(fn=_cmd_verify)
+    if c := command("verify", "margin check for a stored graph or tree + values", _cmd_verify):
+        c.add_argument("--graph", required=True)
+        c.add_argument("--u", required=True)
+        c.add_argument("--p", type=_fraction, required=True)
+        c.add_argument("--q", type=_fraction, required=True)
+        c.add_argument("--horizon", type=int, default=None)
+        c.add_argument("--json", default=None)
 
-    c = sub.add_parser("estimate", help="evaluate one energy estimate")
-    c.add_argument("--graph", required=True)
-    c.add_argument("--u", required=True)
-    c.add_argument("--phi", required=True, help="test function, e.g. phi:3 or h:8")
-    c.add_argument("--s", type=_fraction, required=True)
-    c.add_argument("--t", type=_fraction, required=True)
-    c.add_argument("--p", type=_fraction, required=True)
-    c.add_argument("--q", type=_fraction, required=True)
-    c.add_argument("--p0", type=_real, required=True)
-    c.add_argument("--variant", choices=["est1", "est2"], default="est2")
-    c.add_argument("--base", type=int, default=0, help="base vertex of the cutoff")
-    c.add_argument("--omega", default="all",
-                   help='"all" or a comma-separated vertex list')
-    c.add_argument("--json", default=None)
-    c.set_defaults(fn=_cmd_estimate)
+    if c := command("estimate", "evaluate one energy estimate", _cmd_estimate):
+        c.add_argument("--graph", required=True)
+        c.add_argument("--u", required=True)
+        c.add_argument("--phi", required=True, help="test function, e.g. phi:3 or h:8")
+        c.add_argument("--s", type=_fraction, required=True)
+        c.add_argument("--t", type=_fraction, required=True)
+        c.add_argument("--p", type=_fraction, required=True)
+        c.add_argument("--q", type=_fraction, required=True)
+        c.add_argument("--p0", type=_real, required=True)
+        c.add_argument("--variant", choices=["est1", "est2"], default="est2")
+        c.add_argument("--base", type=int, default=0, help="base vertex of the cutoff")
+        c.add_argument("--omega", default="all",
+                       help='"all" or a comma-separated vertex list')
+        c.add_argument("--json", default=None)
 
-    c = sub.add_parser("volume", help="volume growth band for a construction")
-    common_build_args(c, volume=True)
-    c.add_argument("--n-lo", type=int, default=16)
-    c.add_argument("--n-hi", type=int, default=4096)
-    c.add_argument("--exponent-offset", type=int, default=0,
-                   help="multiply the target by n^offset (wrong-target control)")
-    c.add_argument("--nash-williams", action="store_true",
-                   help="include the partial sum of n / volume(n)")
-    c.set_defaults(fn=_cmd_volume)
+    if c := command("volume", "volume growth band for a construction", _cmd_volume):
+        common_build_args(c, volume=True)
+        c.add_argument("--n-lo", type=int, default=16)
+        c.add_argument("--n-hi", type=int, default=4096)
+        c.add_argument("--exponent-offset", type=int, default=0,
+                       help="multiply the target by n^offset (wrong-target control)")
+        c.add_argument("--nash-williams", action="store_true",
+                       help="include the partial sum of n / volume(n)")
 
-    c = sub.add_parser("descend", help="greedy minimizing-neighbor walk + diagnostics")
-    c.add_argument("--graph", required=True)
-    c.add_argument("--u", required=True)
-    c.add_argument("--start", type=int, default=0)
-    c.add_argument("--steps", type=int, default=1000)
-    c.add_argument("--p", type=_fraction, default=None)
-    c.add_argument("--q", type=_fraction, default=None)
-    c.add_argument("--p0", type=_real, default=None)
-    c.add_argument("--json", default=None)
-    c.add_argument("--csv", default=None)
-    c.set_defaults(fn=_cmd_descend)
+    if c := command("descend", "greedy minimizing-neighbor walk + diagnostics", _cmd_descend):
+        c.add_argument("--graph", required=True)
+        c.add_argument("--u", required=True)
+        c.add_argument("--start", type=int, default=0)
+        c.add_argument("--steps", type=int, default=1000)
+        c.add_argument("--p", type=_fraction, default=None)
+        c.add_argument("--q", type=_fraction, default=None)
+        c.add_argument("--p0", type=_real, default=None)
+        c.add_argument("--json", default=None)
+        c.add_argument("--csv", default=None)
 
     return parser
 
@@ -537,8 +542,8 @@ def _joined(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv))
+    argv = _joined(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         bits = args.precision_bits or default_precision_bits()
     except ValueError as exc:            # a bad LIOUVILLE_PRECISION_BITS

@@ -358,20 +358,21 @@ def format_graph_text(g: WeightedGraph, digits: int = 30) -> str:
 
 
 def parse_graph_text(text: str) -> WeightedGraph:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+    lines = (ln.strip() for ln in text.splitlines())
+    lines = (ln for ln in lines if ln and not ln.startswith("#"))
+    head = next(lines, None)
+    if head is None:
         raise InputError("empty graph file")
-    header = lines[0].split()
+    header = head.split()
     if len(header) != 2 or header[0] != "graph" or not header[1].startswith("v="):
-        raise InputError(f"bad graph header: {lines[0]!r}")
+        raise InputError(f"bad graph header: {head!r}")
     try:
         n = int(header[1][2:])
     except ValueError:
-        raise InputError(f"bad vertex count in header: {lines[0]!r}")
+        raise InputError(f"bad vertex count in header: {head!r}")
     edges = []
     weight = memo(parse_decimal)
-    for ln in lines[1:]:
+    for ln in lines:
         parts = ln.split()
         if len(parts) != 3:
             raise InputError(f"bad edge line: {ln!r}")

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import (MPZ, bitcount, ften, from_int, mpf_div, mpf_exp, mpf_mul,
-                          mpf_pow_int, mpf_shift, normalize, round_nearest)
+from mpmath.libmp import (MPZ, bitcount, ften, from_int, mpf_exp, mpf_mul, mpf_pow_int,
+                          normalize, round_nearest)
 
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 53         # a float64 significand
@@ -61,9 +61,9 @@ def rel_tol() -> mp.mpf:
 # non-ASCII digits, a trailing l) goes to mp.mpf itself, but for digit
 # separators, which `parse_decimal` rejects.
 _DECIMAL = re.compile(r"([+-]?[0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")
-# 5^k as raw mpf values for the divisions 10^-k = 5^-k 2^-k of `parse_decimal`;
+# 5^k and its bit count, for the quotients 10^-k = 5^-k 2^-k of `parse_decimal`;
 # beyond 400 digits mpmath multiplies by a power of ten instead.
-_POW5 = tuple((0, MPZ(5) ** k, 0, bitcount(MPZ(5) ** k)) for k in range(401))
+_POW5 = tuple((MPZ(5) ** k, bitcount(MPZ(5) ** k)) for k in range(401))
 
 
 def parse_decimal(text: str) -> mp.mpf:
@@ -71,9 +71,12 @@ def parse_decimal(text: str) -> mp.mpf:
 
     A plain decimal man * 10^e is rounded as mpmath's `from_str` rounds it,
     with man and e split off as its `str_to_man_exp` splits them.  For
-    -400 <= e < 0 mpmath divides man by the integer 10^-e; dividing by 5^-e
-    and scaling by 2^e gives the same correctly rounded quotient without
-    forming 10^-e and stripping its trailing zero bits.  A zero denominator
+    -400 <= e < 0 mpmath divides man by the integer 10^-e, and its
+    `mpf_div` rounds the quotient correctly.  Here one integer division of
+    |man| 2^s by 5^-e, with s chosen so the quotient has at least prec + 5
+    bits and a nonzero remainder kept as a sticky last bit, is rounded once
+    by `normalize` in the context's mode, and 2^e goes into the exponent:
+    the same correctly rounded value (Clinger's method).  A zero denominator
     in an a/b rational raises ValueError, like any other malformed string.
     So does a digit separator "_", which mpmath misreads after the point
     (mp.mpf("1.5_5") is 0.155), so no input number may carry one.
@@ -99,7 +102,13 @@ def parse_decimal(text: str) -> mp.mpf:
     elif exp >= 0:
         value = from_int(man * 10 ** exp, prec, rnd)
     else:
-        value = mpf_shift(mpf_div(from_int(man), _POW5[-exp], prec, rnd), exp)
+        den, den_bc = _POW5[-exp]
+        sign, man = (1, -man) if man < 0 else (0, man)
+        shift = max(prec + den_bc - man.bit_length(), 0) + 5
+        quot, rem = divmod(man << shift, den)
+        if rem:
+            quot, shift = quot << 1 | 1, shift + 1
+        value = normalize(sign, quot, exp - shift, quot.bit_length(), prec, rnd)
     return mp.make_mpf(value)
 
 

@@ -421,33 +421,36 @@ def format_radial_text(tree, digits: int = 30) -> str:
 
 
 def parse_radial_text(text: str):
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+    lines = (ln.strip() for ln in text.splitlines())
+    lines = (ln for ln in lines if ln and not ln.startswith("#"))
+    head = next(lines, None)
+    if head is None:
         raise InputError("empty radial file")
-    header = lines[0].split()
-    if not header or header[0] != "radial":
-        raise InputError(f"bad radial header: {lines[0]!r}")
+    header = head.split()
+    if header[0] != "radial":
+        raise InputError(f"bad radial header: {head!r}")
     fields = {}
     two_sided = False
     for tok in header[1:]:
+        k, eq, v = tok.partition("=")
         if tok == "two-sided":
             two_sided = True
-        elif "=" in tok:
-            k, v = tok.split("=", 1)
-            if k in fields:
-                raise InputError(f"radial header repeats the field {k}=: {lines[0]!r}")
-            fields[k] = v
-        else:
+        elif not eq:
             raise InputError(f"bad header token {tok!r}")
+        elif k not in ("N", "horizon"):
+            raise InputError(f"radial header has the unknown field {k}=: {head!r}")
+        elif k in fields:
+            raise InputError(f"radial header repeats the field {k}=: {head!r}")
+        else:
+            fields[k] = v
     try:
         N = int(fields["N"])
         horizon = int(fields["horizon"])
     except (KeyError, ValueError):
-        raise InputError(f"radial header needs integer N= and horizon=: {lines[0]!r}")
+        raise InputError(f"radial header needs integer N= and horizon=: {head!r}")
     shells = range(-horizon, horizon) if two_sided else range(0, horizon + 1)
     entries: dict[int, mp.mpf] = {}
-    for ln in lines[1:]:
+    for ln in lines:
         if ln.startswith("arm"):
             continue
         parts = ln.split()

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import liouville as lv
-from liouville.cli import main
+from liouville.cli import build_parser, main
 
 
 def run_cli(capsys, *args):
@@ -271,7 +271,7 @@ def test_radial_file_with_non_numeric_line_is_usage_error(capsys, tmp_path, line
     assert "bad shell line" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rows", ["0,1\n1\n", "0,1\n1,abc\n"])
+@pytest.mark.parametrize("rows", ["0,1\n1\n", "0,1\n1,abc\n", "0,3,junk\n1,2\n"])
 def test_values_csv_bad_row_is_usage_error(capsys, tmp_path, rows):
     g = lv.WeightedGraph(2, [(0, 1, 1)])
     (tmp_path / "g.txt").write_text(lv.format_graph_text(g))
@@ -916,3 +916,35 @@ def test_radial_header_with_a_repeated_field_is_usage_error(capsys, tmp_path, he
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == f"error: radial header repeats the field {field}=: {header!r}\n"
+
+
+@pytest.mark.parametrize("header, field", [
+    ("radial N=3 horizon=2 Nn=7", "Nn"),
+    ("radial Horizon=3 N=3 horizon=2", "Horizon"),
+    ("radial N=3 horizon=2 two-sided=1", "two-sided"),
+])
+def test_radial_header_with_an_unknown_field_is_usage_error(capsys, tmp_path, header, field):
+    """`radial N=3 horizon=2 Nn=7` read as N=3, the misspelt field unseen."""
+    (tmp_path / "tree.txt").write_text(header + "\n0 1\n1 1\n2 1\n")
+    (tmp_path / "u.csv").write_text("0,4\n1,3\n2,2\n")
+    code = main(["verify", "--graph", str(tmp_path / "tree.txt"), "--u",
+                 str(tmp_path / "u.csv"), "--p", "2", "--q", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: radial header has the unknown field {field}=: {header!r}\n"
+
+
+COMMANDS = ("classify", "construct", "verify", "estimate", "volume", "descend")
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in COMMANDS])
+def test_help_is_that_of_the_parser_with_every_command(capsys, argv):
+    """`main` adds arguments only to the command it runs; the help it
+    prints is the full parser's, word for word."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    got = capsys.readouterr().out
+    assert exc.value.code == 0 and got.startswith("usage: liouville")
+    with pytest.raises(SystemExit):
+        build_parser(list(COMMANDS)).parse_args(argv)
+    assert got == capsys.readouterr().out

@@ -1839,10 +1839,33 @@ def decimal_strings(draw):
 @example("-100e-402")
 @example("0.000e-450")
 @example("12345678901234567890123456789012345678901234567890123456789.0e-420")
+@example("1.00000000000000011102230246251565404236316680908203125")
+@example("1.00000000000000033306690738754696212708950042724609375")
+@example("-1.00000000000000011102230246251565404236316680908203125")
+@example("-1.00000000000000033306690738754696212708950042724609375")
+@example("-0.0")
 def test_parse_decimal_is_mpf(text):
     """Bit for bit; mpmath's own rejections (".0", whose digits strip to
     nothing) included."""
     assert mpf_or_error(lv.parse_decimal, text) == mpf_or_error(mp.mpf, text)
+
+
+def test_parse_decimal_divides_once(monkeypatch):
+    """A negative exponent costs one integer quotient, rounded once: no
+    mpf is made of the mantissa, no mpf division, no shift.  The 53-bit
+    ties above (1 + 2^-53 down to 1, 1 + 3 2^-53 up to 1 + 2^-51) and the
+    property test hold the bits."""
+    texts = ["0.1", "-2.5e-7", "2.270075335734646803520915403211727302541"]
+    with mp.workprec(128):
+        want = [repr(mp.mpf(t)._mpf_) for t in texts]      # the sign an int, as mpmath's
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("parse_decimal went through an mpf conversion")
+
+    for name in ("from_int", "mpf_div", "mpf_shift"):
+        monkeypatch.setattr(numerics, name, forbidden, raising=False)
+    with mp.workprec(128):
+        assert [repr(numerics.parse_decimal(t)._mpf_) for t in texts] == want
 
 
 @pytest.mark.parametrize("text", ["inf", "+inf", "-inf", "Infinity", "nan", "NaN", "1/3",
