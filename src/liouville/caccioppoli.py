@@ -127,19 +127,13 @@ def c_constant(p0, t, point: PQPoint) -> CConstants:
     C = (sqrt(2 p0) (1 + p0^t))^(theta + 1) (p0^(t+1))^theta / 4 with
     theta = (p + t(q-1))/(p + q - t), and C' = C^((p+q-t)/(p+q-1)).
     """
-    p_frac, q_frac, t_frac = point.p, point.q, Fraction(t)
-    if p_frac + q_frac == t_frac:
-        raise InputError("c_constant undefined: p + q - t vanishes")
-    if p_frac + q_frac == 1:
-        raise InputError("c_constant undefined: p + q - 1 vanishes")
+    _, rho, theta = _estimate_exponents(point, t)
     p0 = to_mpf(p0)
-    if p0 < 1:
-        raise InputError("p0 must be at least 1")
-    p, q, t = to_mpf(p_frac), to_mpf(q_frac), to_mpf(t_frac)
-    theta = (p + t * (q - 1)) / (p + q - t)
+    if not 1 <= p0 < mp.inf:
+        raise InputError("p0 must be finite and at least 1")
+    t = to_mpf(Fraction(t))
     base = mp.sqrt(2 * p0) * (1 + p0 ** t)
     C = base ** (theta + 1) * (p0 ** (t + 1)) ** theta / 4
-    rho = (p + q - t) / (p + q - 1)
     return CConstants(C=C, C_prime=mp.power(C, rho))
 
 
@@ -164,7 +158,14 @@ class EstimateReport:
     edge_sum: mp.mpf | None = None
 
 
-def _estimate_exponents(point: PQPoint, s, t):
+def _estimate_exponents(point: PQPoint, t):
+    """(a, rho, theta) of the estimates at t; where p + q - t or p + q - 1
+    vanishes they are undefined, an input error raised before any division."""
+    t = Fraction(t)
+    if point.p + point.q == t:
+        raise InputError("c_constant undefined: p + q - t vanishes")
+    if point.p + point.q == 1:
+        raise InputError("c_constant undefined: p + q - 1 vanishes")
     p, q = to_mpf(point.p), to_mpf(point.q)
     t_m = to_mpf(t)
     a = (2 * p + q + t_m * (q - 2)) / (p + q - t_m)
@@ -176,10 +177,12 @@ def _estimate_exponents(point: PQPoint, s, t):
 def _rhs_value(variant, point, s, t, consts, middle, edge_sum):
     p, q = to_mpf(point.p), to_mpf(point.q)
     s_m, t_m = to_mpf(s), to_mpf(t)
-    a, rho, theta = _estimate_exponents(point, s, t)
+    a, rho, theta = _estimate_exponents(point, t)
     if variant == "est1":
         mid_exp = (1 - t_m) / (p + q - t_m)
         edge_exp = (p + q - 1) / (p + q - t_m)
+        if middle == 0 and mid_exp < 0 or edge_sum == 0 and edge_exp < 0:
+            return None                 # a vanishing sum to a negative power
         return (consts.C * mp.power(2 * s_m, a) * mp.power(t_m, -theta)
                 * mp.power(middle, mid_exp) * mp.power(edge_sum, edge_exp))
     return (consts.C_prime * mp.power(2 * s_m, a * rho) * mp.power(t_m, -theta * rho)
@@ -189,15 +192,14 @@ def _rhs_value(variant, point, s, t, consts, middle, edge_sum):
 def _finish_report(variant, point, s, t, p0, omega_desc, lhs, middle, edge_sum,
                    failures) -> EstimateReport:
     consts = c_constant(p0, t, point)
+    rhs = None
     if variant == "est1" and Fraction(t) >= 1:
         failures = failures + ["est-1 is only evaluated for t < 1; use est-2"]
-        rhs = mp.nan
-        holds = False
-    else:
-        rhs = _rhs_value(variant, point, s, t, consts, middle, edge_sum)
-        holds = bool(check_le(lhs, rhs).holds)
+    elif (rhs := _rhs_value(variant, point, s, t, consts, middle, edge_sum)) is None:
+        failures = failures + ["est-1's right-hand side raises a zero sum to a negative power"]
+    holds = rhs is not None and bool(check_le(lhs, rhs).holds)
     return EstimateReport(
-        variant=variant, lhs=lhs, rhs=rhs, holds=holds,
+        variant=variant, lhs=lhs, rhs=mp.nan if rhs is None else rhs, holds=holds,
         hypotheses_ok=not failures, hypothesis_failures=tuple(failures),
         constants=consts, s=Fraction(s), t=Fraction(t), p0=to_mpf(p0),
         omega=omega_desc,
@@ -222,6 +224,9 @@ def _estimate(variant, s, t, point: PQPoint, p0, u, harnack, where, sites, ops, 
     if variant not in ("est1", "est2"):
         raise InputError(f"unknown estimate variant {variant!r}")
     s, t = Fraction(s), Fraction(t)
+    if not (s > 0 and t > 0):
+        raise InputError("the estimates test against phi^s u^(-t) with s > 0 and t > 0")
+    a, rho, _ = _estimate_exponents(point, t)
     failures = []
     if not u.is_positive():
         failures.append("u is not strictly positive")
@@ -234,27 +239,29 @@ def _estimate(variant, s, t, point: PQPoint, p0, u, harnack, where, sites, ops, 
     p_t = term_of.p - to_mpf(t)
     s_m = to_mpf(s)
     phi_pow = memo(lambda phi: to_mpf(phi) ** s_m)
-    # Per class, evaluated at the first site that needs it, so values and
-    # raised errors come in the order of a loop over every site.
-    ops_at = memo(ops)
-    site_at = memo(lambda c: term_of.site(*ops_at(c), tol))
-    u_pt_at = memo(lambda c: mp.power(ops_at(c)[0], p_t))
+    phis = [phi(x) for x in sites]
+    cut = {c for c, phi_x in zip(sites.values(), phis) if phi_x != 0}
+    # Each class once, in class order (the order of first use): its site, and
+    # u^(p-t) where a sum reads it.
+    at = {}
+    for c in dict.fromkeys(sites.values()):
+        ux, lap, grad_sq = ops(c)
+        site = term_of.site(ux, lap, grad_sq, tol)
+        at[c] = site, mp.power(ux, p_t) if site is not None and c in cut else None
     ineq_bad = 0
     lhs_terms = []
-    for x, c in sites.items():
-        phi_x = phi(x)
-        site = site_at(c)
+    for (x, c), phi_x in zip(sites.items(), phis):
+        site, u_pt = at[c]
         if site is None:
             failures.append(f"zero gradient with q < 0 at {where[0]} {x}")
             continue
         if not site[1]:
             ineq_bad += 1
         if phi_x != 0:
-            lhs_terms.append(measure(x) * u_pt_at(c) * site[0] * phi_pow(phi_x))
+            lhs_terms.append(measure(x) * u_pt * site[0] * phi_pow(phi_x))
     if ineq_bad:
         failures.append(f"the inequality fails at {ineq_bad} {where[1]}")
     failures += boundary
-    a, rho, _ = _estimate_exponents(point, s, t)
     a_rho = a * rho
     edge_pow = memo(lambda dphi: mp.power(abs(to_mpf(dphi)), a_rho))
     edge_terms = []
@@ -266,9 +273,11 @@ def _estimate(variant, s, t, point: PQPoint, p0, u, harnack, where, sites, ops, 
         edge_terms.append(2 * w * edge_pow(dphi))
         for end in (x, y):
             phi_e = phi(end)
-            if phi_e != 0 and site_at(sites[end]) is not None:
-                c = sites[end]
-                middle_terms.append(w * phi_pow(phi_e) * u_pt_at(c) * site_at(c)[0])
+            if phi_e == 0:
+                continue
+            site, u_pt = at[sites[end]]
+            if site is not None:
+                middle_terms.append(w * phi_pow(phi_e) * u_pt * site[0])
     return _finish_report(variant, point, s, t, p0, omega_desc, mp.fsum(lhs_terms),
                           mp.fsum(middle_terms), mp.fsum(edge_terms), failures)
 

@@ -101,9 +101,8 @@ def _read_text(path: str) -> str:
 
 def _load_graph_file(path: str):
     text = _read_text(path)
-    stripped = next((ln for ln in text.splitlines() if ln.strip()
-                     and not ln.strip().startswith("#")), "")
-    if stripped.startswith("radial"):
+    lines = (ln.strip() for ln in text.splitlines())
+    if next((ln for ln in lines if ln and not ln.startswith("#")), "").startswith("radial"):
         return parse_radial_text(text)
     return parse_graph_text(text)
 
@@ -310,6 +309,8 @@ def _cmd_estimate(args) -> int:
         u = _radial_function(obj, values)
         if args.omega != "all":
             raise InputError("radial estimates support only --omega all")
+        if args.base != 0:
+            raise InputError("radial estimates support only --base 0, the root")
         report = estimate_sides_radial(obj, u, tf, args.s, args.t, point,
                                        p0=args.p0, variant=args.variant)
     else:

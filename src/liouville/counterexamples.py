@@ -323,7 +323,8 @@ def margin_at(tree, u: RadialFunction, p, q, n: int) -> mp.mpf:
 
 
 def _checked_layers(tree, horizon: int | None) -> range:
-    deepest = tree.interior_layers().stop - 1
+    inner = tree.interior_layers()
+    deepest = inner.stop - 1
     if horizon is None and deepest < 0:
         raise InputError("the tree has no checkable layer (it needs u at layer 1)")
     h = deepest if horizon is None else horizon
@@ -331,7 +332,7 @@ def _checked_layers(tree, horizon: int | None) -> range:
         raise InputError(f"horizon must be at least 0, got {h}")
     if h > deepest:
         raise InputError(f"horizon {h} exceeds checkable layers (needs u at {h + 1})")
-    return range(0 if tree.one_sided else -h, h + 1)
+    return range(max(inner.start, -h), h + 1)
 
 
 def _aligned(x1: int, e1: int, x2: int, e2: int):
@@ -362,9 +363,9 @@ def _screen(tree, u, layers, term_of) -> list:
     that `screen.solution_check` passes lap + term: it is then negative and
     neither fails nor is borderline.  This is the check's input stage.
     The differences d_out, d_in and S = a d_out + b d_in,
-    P = |a d_out| + |b d_in|, G = a d_out^2 + b d_in^2 and A = a + b (a one-
-    sided root: a = 1, b = 0) are formed exactly from the integer mantissas
-    of u and the conductances (a, b); log2|lap| = log2(|S|/A) and log2 grad^2
+    P = |a d_out| + |b d_in|, G = a d_out^2 + b d_in^2 and A = a + b (d_in
+    = 0 where b = 0) are formed exactly from the integer mantissas of u and
+    `conductances(n)`; log2|lap| = log2(|S|/A) and log2 grad^2
     = log2(G/2A) are read from the top 53 bits of each, within 5 units plus
     half a unit of the result, and the stream's grad^2 is within 10 more
     (the differences rounded once each, then 7 roundings).  The one error
@@ -373,7 +374,7 @@ def _screen(tree, u, layers, term_of) -> list:
     |lap_mpf - lap| <= 5.1 2^-prec kappa |lap|, kappa = P/|S|.  With
     r = 5.2 2^-prec kappa_float <= 2^-8 (else None; 2^-1000 stands in for
     2^-prec beyond 1000 bits), log2|lap_mpf| is within 1.45 r of log2|lap|,
-    and the check is widened by that.
+    and the check is widened by that.  u covers the tree (`_verify_pass`).
     """
     floats = screen.exponent_floats(term_of.p, term_of.half_q)
     if floats is None:
@@ -392,29 +393,18 @@ def _screen(tree, u, layers, term_of) -> list:
         return d and (d[0] + d[1], d[2])
 
     k0 = max(layers.start - lo_u - 1, 0)    # the differences over the layers' span, once each
-    diffs = [diff(k) for k in range(k0, min(layers.stop - lo_u, len(values) - 1))]
+    diffs = [diff(k) for k in range(k0, layers.stop - lo_u)]
 
     def bounds(n):
-        root = n == 0 and tree.one_sided
+        a, b = tree.conductances(n)
+        _, ma, xa, _ = a._mpf_
+        _, mb, xb, _ = b._mpf_
         i = n - lo_u
-        if not 0 <= i - k0 - (not root) < len(diffs) - (not root):
-            return None
         lu = screen.log2_abs(values[i])
-        d_out, d_in = diffs[i - k0], (0, 0) if root else diffs[i - k0 - 1]   # -d_in
+        d_out, d_in = diffs[i - k0], diffs[i - k0 - 1] if mb else (0, 0)   # -d_in
         if lu is None or lu[0] or not (d_out and d_in):
             return None
         (do, xo), (di, xi) = d_out, d_in
-        if root:                        # lap = d_out, grad^2 = d_out^2/2: a = 1, b = 0
-            if tree.horizon < 1:
-                return None
-            ma, xa, mb, xb = 1, 0, 0, 0
-        else:
-            try:
-                a, b = tree.conductances(n)
-            except InputError:
-                return None             # the stream raises here; leave it to it
-            _, ma, xa, _ = a._mpf_
-            _, mb, xb, _ = b._mpf_
         t1, t2 = ma * do, mb * di       # a d_out and -b d_in
         prods = _aligned(t1, xa + xo, -t2, xb + xi)
         ab = _aligned(ma, xa, mb, xb)
@@ -449,8 +439,9 @@ def _verify_pass(tree, u, p, q, layers, bits, force) -> MarginReport | None:
     equals that of a loop over the reference functions bit for bit.
     """
     term_of = term_kernel(p, q)
+    ops = layer_operators(tree, u)      # checks the cover that `_screen` reads
     sites = [layers[i] for i in screen.extremes(_screen(tree, u, layers, term_of), low=True)]
-    checks = _site_checks(layer_operators(tree, u), sites, term_of, force)
+    checks = _site_checks(ops, sites, term_of, force)
     return None if checks is None else _margin_report(sites, checks,
                                                       (layers.start, layers.stop - 1), bits)
 

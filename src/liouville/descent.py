@@ -126,37 +126,28 @@ def radial_descent_walk(tree: RadialTree | TwoSidedRadialTree, u: RadialFunction
     always has the smaller id (winning value ties; at the two-sided root
     the positive arm comes first), and an immediate direction reversal is
     a vertex revisit.  Layers lie on a line, so that reversal is the walk's
-    first revisit.  A move onto a layer whose operators would need data
-    beyond the stored horizon stops the walk with termination "horizon".
+    first revisit.  A start outside `interior_layers()` is an input error,
+    and a move out of it stops the walk with termination "horizon".
     """
-    two_sided = not tree.one_sided
-    lo, hi = tree.layer_lo, tree.layer_hi
-
-    def interior(n):
-        return lo < n < hi if two_sided else n < hi
-
+    inner = tree.interior_layers()
     if not u.is_positive():
         raise InputError("descent needs a positive function")
-    if not interior(start_layer):
+    if start_layer not in inner:
         raise InputError(f"start layer {start_layer} has no stored neighborhood")
 
     ops = layer_operators(tree, u)
     values, u_lo = u.values(), u.lo
 
     def move(n, ux):
-        # the values themselves decide, exactly: the parent, or the positive
-        # arm at a two-sided root, wins a tie; the drop is -(u_next - u_n)
-        # from the stream, the same bits as ux - u_next
-        if n == 0:
-            nxt = 1 if not two_sided or mpf_le(values[1 - u_lo]._mpf_,
-                                               values[-1 - u_lo]._mpf_) else -1
-        else:
-            parent, child = (n - 1, n + 1) if n > 0 else (n + 1, n - 1)
-            nxt = parent if mpf_le(values[parent - u_lo]._mpf_,
-                                   values[child - u_lo]._mpf_) else child
+        # the values themselves decide, exactly: the parent (layer 1 at a root)
+        # wins a tie, and is all a layer with no inward difference has; the drop
+        # is -(u_next - u_n) from the stream, the same bits as ux - u_next
+        parent, child = (n - 1, n + 1) if n > 0 else (n + 1, n - 1)
+        nxt = parent if ops.d_in is None or mpf_le(values[parent - u_lo]._mpf_,
+                                                   values[child - u_lo]._mpf_) else child
         return nxt, mp.make_mpf(mpf_neg(ops.d_out if nxt > n else ops.d_in))
 
-    return _walk(ops, move, start_layer, max_steps, "layer", interior)
+    return _walk(ops, move, start_layer, max_steps, "layer", inner.__contains__)
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ normalization is exact.  At an interior layer n,
     lap   = [w_n (u_{n+1}-u_n) + w_{n-1} (u_{n-1}-u_n)] / (w_n + w_{n-1})
     grad^2 = [w_n (u_{n+1}-u_n)^2 + w_{n-1} (u_{n-1}-u_n)^2] / (2 (w_n + w_{n-1}))
 
-while at the root of a one-sided tree lap = u_1 - u_0 and
-grad^2 = (u_1 - u_0)^2 / 2.  Brute-force equivalence with materialized
-balls is part of the test suite.
+so every layer is a site with two conductances, stated once in
+`_LayerChain.conductances`; a one-sided root is the site (1, 0), where
+lap = u_1 - u_0 and grad^2 = (u_1 - u_0)^2 / 2.  Brute-force equivalence
+with materialized balls is part of the test suite.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import mpmath as mp
-from mpmath.libmp import (from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_neg,
+from mpmath.libmp import (fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_neg,
                           mpf_pow_int, mpf_sub, round_nearest)
 
 from .errors import InputError
 from .graphs import GraphFunction, HarnackReport, WeightedGraph, harnack_scan
 from .numerics import all_finite, all_positive, parse_decimal, to_mpf
 
-_TWO = from_int(2)
+_UNIT_ROOT = (mp.mpf(1), mp.mpf(0))    # a one-sided root's conductances
 
 
 class RadialFunction:
@@ -78,15 +79,16 @@ def layer_operators(tree, u: RadialFunction) -> Callable[[int], tuple]:
     a layer is asked for.  Each operation is the `mpmath.libmp` call that
     mpf's own operator makes in `laplacian_at` and `gradient_sq_at`, on
     raw values at the precision and rounding read at call time, so the
-    values are theirs bit for bit; layers without both neighbours raise as
-    they do.  Per-layer loops read `map(ops, layers)`; a walk calls `ops(n)`
-    and reads the last layer's differences from `d_out` and `d_in`.
+    values are theirs bit for bit; all read `conductances(n)`, so layers
+    outside `interior_layers()` raise as they do.  Per-layer loops read
+    `map(ops, layers)`; a walk calls `ops(n)` and reads the last layer's
+    differences from `d_out` and `d_in`.
 
     The stream rolls: when ops(n) follows ops(n - 1) at the same precision
-    under round-to-nearest, and n - 1 is neither 0 nor the root, the
-    inward products at n are the outward ones at n - 1.  The inward weight
-    at n is the outward weight w_{n-1} at n - 1 (only layer 0 scales its
-    outward weight by N - 1, and a one-sided root has none), and
+    under round-to-nearest, n is not 1 and b is not 0, the inward products
+    at n are the outward ones at n - 1.  The inward conductance at n is the
+    outward one w_{n-1} at n - 1 (only a root's outward conductance differs
+    from its shell weight: (N - 1) w_0, or 1), and
     d_in(n) = fl(u_{n-1} - u_n) = -fl(u_n - u_{n-1}) = -d_out(n - 1), since
     rounding to nearest is odd.  So b d_in = -(a d_out) at n - 1 and
     b d_in^2 = a d_out^2 there, the same bits.  Any other call order forms
@@ -98,43 +100,29 @@ def layer_operators(tree, u: RadialFunction) -> Callable[[int], tuple]:
 
 class _LayerStream:
     """`layer_operators`' stream; `d_out` and `d_in` are the raw differences
-    u_{n+1} - u_n and u_{n-1} - u_n at the last layer n (d_in None at a
-    one-sided root)."""
+    u_{n+1} - u_n and u_{n-1} - u_n at the last layer n (d_in None where the
+    inward conductance is 0)."""
 
-    __slots__ = ("_w", "_lo", "_span", "_fan", "_values", "_ulo", "_one_sided", "_root_ok",
-                 "_pr", "_last", "_prec", "_ad", "_ad2", "d_out", "d_in")
+    __slots__ = ("_conductances", "_values", "_ulo", "_pr", "_last", "_prec", "_ad", "_ad2",
+                 "d_out", "d_in")
 
     def __init__(self, tree, u: RadialFunction):
-        self._w, self._lo = tree._w, tree.layer_lo
-        self._span = tree.layer_hi - tree.layer_lo
-        self._fan = tree.N - 1
+        self._conductances = tree.conductances
         self._values, self._ulo = u.values(), u.lo
-        self._one_sided = tree.one_sided
-        self._root_ok = tree.one_sided and tree.layer_hi >= 1
         self._pr = mp.mp._prec_rounding         # mpmath updates this list in place
         self._last = self._prec = self._ad = self._ad2 = self.d_out = self.d_in = None
 
     def __call__(self, n):
+        a, b = self._conductances(n)
+        a, b = a._mpf_, b._mpf_
         prec, rnd = self._pr
         values = self._values
-        if n == 0 and self._one_sided:
-            if not self._root_ok:
-                raise InputError("horizon too small for the root operators")
-            un = values[0]
-            d_out = mpf_sub(values[1]._mpf_, un._mpf_, prec, rnd)
-            self._last, self.d_out, self.d_in = 0, d_out, None
-            return un, mp.make_mpf(d_out), mp.make_mpf(
-                mpf_div(mpf_pow_int(d_out, 2, prec, rnd), _TWO, prec, rnd))
-        j = n - self._lo
-        if not 0 < j < self._span:
-            raise InputError(f"layer {n} has no stored inward and outward edge")
-        a, b = self._w[j]._mpf_, self._w[j - 1]._mpf_
-        if n == 0:
-            a = mpf_mul_int(a, self._fan, prec, rnd)
         i = n - self._ulo
         un = values[i]
         d_out = mpf_sub(values[i + 1]._mpf_, un._mpf_, prec, rnd)
-        if n - 1 == self._last and n != 1 and prec == self._prec and rnd == round_nearest:
+        if b == fzero:                  # no inward edge: u_{n-1} is not read
+            d_in, bd, bd2 = None, fzero, fzero
+        elif n - 1 == self._last and n != 1 and prec == self._prec and rnd == round_nearest:
             d_in = mpf_neg(self.d_out)
             bd, bd2 = mpf_neg(self._ad), self._ad2
         else:
@@ -158,10 +146,10 @@ class _LayerChain:
     n - layer_lo.  Every method is written once for both trees; `one_sided`
     is read only where the root differs: a one-sided root has N children
     and no inward edge, a two-sided root N-1 children plus the arm edge
-    E_{-1}.
+    E_{-1}.  For the operators, that is `conductances`.
     """
 
-    __slots__ = ("_N", "_w", "_lo", "_hi", "_p0")
+    __slots__ = ("_N", "_w", "_lo", "_hi", "_inner", "_p0")
     one_sided: bool
 
     def __init__(self, N: int, weights: tuple, layer_lo: int, layer_hi: int):
@@ -173,6 +161,7 @@ class _LayerChain:
         self._w = weights
         self._lo = layer_lo
         self._hi = layer_hi
+        self._inner = range(layer_lo if self.one_sided else layer_lo + 1, layer_hi)
         self._p0 = None         # (precision, p0()) once computed; the chain never changes
 
     @property
@@ -202,40 +191,37 @@ class _LayerChain:
     def interior_layers(self) -> range:
         """Layers where both operators are defined (need u at n-1, n, n+1);
         a one-sided root needs only u_1."""
-        return range(self._lo if self.one_sided else self._lo + 1, self._hi)
+        return self._inner
 
     def conductances(self, n: int) -> tuple[mp.mpf, mp.mpf]:
-        """(outward, inward) weights (w_n, w_{n-1}) at a layer with both edges;
-        at a two-sided root they are ((N-1) w_0, w_{-1})."""
-        i = n - self._lo
-        if not 0 < i < self._hi - self._lo:
+        """(outward, inward) conductances of layer n in `interior_layers()`: (w_n,
+        w_{n-1}), ((N-1) w_0, w_{-1}) at a two-sided root, (1, 0) at a one-sided one."""
+        if n not in self._inner:
             raise InputError(f"layer {n} has no stored inward and outward edge")
-        if n == 0:
-            return (self._N - 1) * self._w[i], self._w[i - 1]
-        return self._w[i], self._w[i - 1]
+        i = n - self._lo
+        if n:
+            return self._w[i], self._w[i - 1]
+        if self.one_sided:
+            return _UNIT_ROOT
+        return (self._N - 1) * self._w[i], self._w[i - 1]
+
+    def _site(self, u: RadialFunction, n: int) -> tuple:
+        """(a, b, u_{n+1} - u_n, u_{n-1} - u_n) at layer n, (a, b) its
+        conductances; where b = 0 the inward difference is 0, u_{n-1} unread."""
+        self.check_covers(u)
+        a, b = self.conductances(n)
+        un = u.value(n)
+        return a, b, u.value(n + 1) - un, u.value(n - 1) - un if b else b
 
     def laplacian_at(self, u: RadialFunction, n: int) -> mp.mpf:
         """lap at layer n by the formulas of the module docstring (the reference)."""
-        self.check_covers(u)
-        if n == 0 and self.one_sided:
-            if self._hi < 1:
-                raise InputError("horizon too small for the root Laplacian")
-            return u.value(1) - u.value(0)
-        wn, wm = self.conductances(n)
-        return (wn * (u.value(n + 1) - u.value(n))
-                + wm * (u.value(n - 1) - u.value(n))) / (wn + wm)
+        a, b, d_out, d_in = self._site(u, n)
+        return (a * d_out + b * d_in) / (a + b)
 
     def gradient_sq_at(self, u: RadialFunction, n: int) -> mp.mpf:
         """grad^2 at layer n by the formulas of the module docstring (the reference)."""
-        self.check_covers(u)
-        if n == 0 and self.one_sided:
-            if self._hi < 1:
-                raise InputError("horizon too small for the root gradient")
-            return (u.value(1) - u.value(0)) ** 2 / 2
-        wn, wm = self.conductances(n)
-        return (
-            wn * (u.value(n + 1) - u.value(n)) ** 2 + wm * (u.value(n - 1) - u.value(n)) ** 2
-        ) / (2 * (wn + wm))
+        a, b, d_out, d_in = self._site(u, n)
+        return (a * d_out ** 2 + b * d_in ** 2) / (2 * (a + b))
 
     def gradient_at(self, u: RadialFunction, n: int) -> mp.mpf:
         return mp.sqrt(self.gradient_sq_at(u, n))

@@ -197,7 +197,7 @@ def estimate_sides(g: WeightedGraph, u: GraphFunction, o: int, tf: TestFunction,
                 continue
             break
     lhs = mp.fsum(lhs_terms)
-    a, rho, _ = _estimate_exponents(point, s, t)
+    a, rho, _ = _estimate_exponents(point, t)
     edge_terms = []
     middle_terms = []
     for x in domain:
@@ -275,7 +275,7 @@ def estimate_sides_radial(tree: RadialTree, u: RadialFunction, tf: TestFunction,
     if ineq_bad:
         failures.append(f"the inequality fails at {ineq_bad} layers inside the support")
     lhs = mp.fsum(lhs_terms)
-    a, rho, _ = _estimate_exponents(point, s, t)
+    a, rho, _ = _estimate_exponents(point, t)
     edge_terms = []
     middle_terms = []
     for n in range(0, R + 1):

@@ -82,8 +82,55 @@ def test_c_constant_degenerate_rejected():
         lv.c_constant(2, F(1, 2), lv.pq(F(1, 2), F(1, 2)))  # p + q = 1
 
 
+def test_c_constant_rejects_a_p0_that_is_not_finite():
+    for p0 in (mp.inf, mp.nan, F(1, 2)):
+        with pytest.raises(InputError, match="p0 must be finite and at least 1"):
+            lv.c_constant(p0, F(1, 2), lv.pq(2, 1))
+
+
 # ---------------------------------------------------------------------------
 # estimates
+
+
+@pytest.mark.parametrize("p, q, t, message", [
+    (F(1, 2), F(1, 2), F(1, 2), "p \\+ q - 1 vanishes"),
+    (2, 1, 3, "p \\+ q - t vanishes"),
+    (F(3, 2), F(1, 2), 2, "p \\+ q - t vanishes"),
+])
+@pytest.mark.parametrize("variant", ["est1", "est2"])
+def test_estimate_where_its_exponents_are_undefined_is_an_input_error(p, q, t, message,
+                                                                       variant):
+    """On the line p + q = 1, and at t = p + q, the estimate's exponents
+    divide by zero; both backends say so before any division."""
+    g = lv.WeightedGraph(3, [(0, 1, 1), (1, 2, 2)])
+    u = lv.GraphFunction([3, 2, 1])
+    tree = lv.RadialTree(3, [1, 2, 3, 4, 5])
+    tf = lv.TestFunction("h", 1)
+    with pytest.raises(InputError, match=message):
+        lv.estimate_sides(g, u, 0, tf, 7, t, lv.pq(p, q), 2, variant=variant)
+    with pytest.raises(InputError, match=message):
+        lv.estimate_sides_radial(tree, lv.RadialFunction([6, 5, 4, 3, 2]), tf, 7, t,
+                                 lv.pq(p, q), 2, variant=variant)
+
+
+@pytest.mark.parametrize("s, t", [(0, F(1, 2)), (-1, F(1, 2)), (7, 0), (7, -1)])
+def test_estimate_needs_positive_s_and_t(s, t):
+    g = lv.WeightedGraph(3, [(0, 1, 1), (1, 2, 2)])
+    with pytest.raises(InputError, match="s > 0 and t > 0"):
+        lv.estimate_sides(g, lv.GraphFunction([3, 2, 1]), 0, lv.TestFunction("h", 1),
+                          s, t, lv.pq(2, 1), 2)
+
+
+def test_estimate_est1_with_a_vanishing_middle_sum_is_undefined():
+    """A constant u has |grad u|^q = 0 at q > 0, so the middle sum is 0; at
+    p + q < t its exponent (1-t)/(p+q-t) is negative and the right-hand
+    side is undefined, which the report says instead of raising."""
+    g = lv.WeightedGraph(3, [(0, 1, 1), (1, 2, 2)])
+    rep = lv.estimate_sides(g, lv.GraphFunction([2, 2, 2]), 0, lv.TestFunction("h", 1),
+                            1, F(1, 2), lv.pq(-2, F(3, 2)), 1, variant="est1")
+    assert rep.middle_factor == 0 and mp.isnan(rep.rhs) and not rep.holds
+    assert not rep.hypotheses_ok
+    assert any("right-hand side raises a zero sum" in m for m in rep.hypothesis_failures)
 
 
 def test_estimate_zero_cutoff_on_domain():

@@ -307,6 +307,107 @@ def test_estimate_rejects_a_two_sided_tree(capsys, tmp_path):
     assert err == "error: estimate expects an edge-list graph or a one-sided radial tree\n"
 
 
+ESTIMATE_FILES = {
+    "graph": ("graph v=3\n0 1 1\n1 2 2\n", "0,3\n1,2\n2,1\n"),
+    "radial": ("radial N=3 horizon=4\n0 1\n1 2\n2 3\n3 4\n4 5\n",
+               "".join(f"{n},{6 - n}\n" for n in range(5))),
+}
+
+
+def _estimate_files(tmp_path, which):
+    graph, values = ESTIMATE_FILES[which]
+    (tmp_path / "g.txt").write_text(graph)
+    (tmp_path / "u.csv").write_text(values)
+    return ["estimate", "--graph", str(tmp_path / "g.txt"), "--u", str(tmp_path / "u.csv"),
+            "--phi", "h:1"]
+
+
+@pytest.mark.parametrize("which", sorted(ESTIMATE_FILES))
+@pytest.mark.parametrize("p, q, t, message", [
+    ("1/2", "1/2", "1/2", "p + q - 1 vanishes"),
+    ("2", "1", "3", "p + q - t vanishes"),
+])
+def test_estimate_with_undefined_exponents_exits_2(capsys, tmp_path, which, p, q, t, message):
+    """On p + q = 1, or at t = p + q, the estimate used to die dividing by
+    zero in `_estimate_exponents` and exit 1 with a traceback."""
+    code = main(_estimate_files(tmp_path, which)
+                + ["--s", "7", "--t", t, "--p", p, "--q", q, "--p0", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: c_constant undefined: {message}\n"
+
+
+_estimate_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _estimate_exponent_args(draw):
+    """p, q, s and t on and off the lines p + q = 1, t = p + q and t = 1."""
+    p = draw(_estimate_fraction)
+    q = draw(st.sampled_from([1 - p]) | _estimate_fraction)
+    t = draw(st.sampled_from([p + q, F(1)]) | _estimate_fraction)
+    s = draw(_estimate_fraction)
+    return [f"--p={p}", f"--q={q}", f"--s={s}", f"--t={t}"]
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(exponents=_estimate_exponent_args(), p0=st.sampled_from(["1", "2", "inf", "nan"]),
+       which=st.sampled_from(sorted(ESTIMATE_FILES)), variant=st.sampled_from(["est1", "est2"]))
+def test_estimate_exits_0_to_3_for_any_exponents(capsys, tmp_path, exponents, p0, which,
+                                                 variant):
+    """Whatever the exponents and p0, estimate gives a report (exit 0, 1 or
+    3) or one error line (exit 2), and never a traceback."""
+    code = main(_estimate_files(tmp_path, which) + exponents
+                + [f"--p0={p0}", "--variant", variant])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out == "" and err.count("\n") == 1 and err.startswith("error:"), err
+    else:
+        assert out.startswith("{"), (code, err)
+
+
+def test_estimate_on_a_radial_tree_takes_only_the_root_as_base(capsys, tmp_path):
+    """--base names the cutoff's base vertex; a radial estimate is centred
+    at the root, so any other base is an input error, not ignored."""
+    args = _estimate_files(tmp_path, "radial") + ["--s", "7", "--t", "1/2", "--p", "2",
+                                                  "--q", "1", "--p0", "2"]
+    assert main(args) == main(args + ["--base", "0"])
+    capsys.readouterr()
+    code = main(args + ["--base", "99"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: radial estimates support only --base 0, the root\n"
+
+
+def test_an_indented_radial_header_reads_as_radial(capsys, tmp_path):
+    """Both readers strip their lines, so the file sniffer does too: an
+    indented header verifies as the unindented file does."""
+    (tmp_path / "u.csv").write_text("".join(f"{n},{6 - n}\n" for n in range(5)))
+    reports = []
+    for name, indent in (("plain.txt", ""), ("indented.txt", "  ")):
+        (tmp_path / name).write_text(f"{indent}radial N=3 horizon=4\n0 1\n1 2\n2 3\n3 4\n4 5\n")
+        main(["verify", "--graph", str(tmp_path / name), "--u", str(tmp_path / "u.csv"),
+              "--p", "2", "--q", "1"])
+        out, err = capsys.readouterr()
+        assert out.startswith("{") and err == "", err
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
+def test_descend_from_a_negative_layer_of_a_one_sided_tree_exits_2(capsys, tmp_path):
+    """A one-sided tree has no layer -1; the walk's start check, read from
+    `interior_layers()`, says so before the operator stream is asked."""
+    (tmp_path / "tree.txt").write_text("radial N=3 horizon=4\n0 1\n1 2\n2 3\n3 4\n4 5\n")
+    (tmp_path / "u.csv").write_text("".join(f"{n},{6 - n}\n" for n in range(5)))
+    code = main(["descend", "--graph", str(tmp_path / "tree.txt"), "--u",
+                 str(tmp_path / "u.csv"), "--start", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: start layer -1 has no stored neighborhood\n"
+
+
 @pytest.mark.parametrize("which", ["graph", "values"])
 def test_input_that_is_not_utf8_is_usage_error(capsys, tmp_path, which):
     graph, values = b"graph v=2\n0 1 1\n", b"0,1\n1,2\n"

@@ -120,6 +120,24 @@ def test_root_structure_two_sided():
             assert g.degree(x) == 3
 
 
+def test_conductances_are_the_layer_model():
+    """Every layer of interior_layers() is a site with two conductances: the
+    stored weights off the roots (the same objects), ((N-1) w_0, w_{-1}) at
+    a two-sided root and (1, 0) at a one-sided one; no other layer has any."""
+    one = lv.RadialTree(3, ["0.5", 2, 3, 4])
+    two = lv.TwoSidedRadialTree(3, ["0.5", 2, 3], [5, 6, 7])
+    a, b = one.conductances(2)
+    assert a is one.weight(2) and b is one.weight(1)
+    assert one.conductances(0) == (1, 0)
+    assert two.conductances(0) == (2 * two.weight(0), two.weight(-1))
+    assert two.conductances(-1) == (two.weight(-1), two.weight(-2))
+    for tree in (one, two):
+        inner = tree.interior_layers()
+        for n in (inner.start - 1, inner.stop):
+            with pytest.raises(InputError, match="no stored inward and outward edge"):
+                tree.conductances(n)
+
+
 def test_radius_beyond_horizon_rejected():
     tree = lv.RadialTree(3, [1, 1, 1])
     with pytest.raises(InputError):
