@@ -104,11 +104,10 @@ class TestFunction:
 
 
 def test_function_value(tf: TestFunction, g: WeightedGraph, x: int, o: int) -> Fraction:
-    """Evaluate the cutoff at a vertex from its BFS distance to the base o."""
+    """Evaluate the cutoff at a vertex from its BFS distance to the base o;
+    it is 0 at a vertex the base cannot reach."""
     d = g.distances_from(o)[x]
-    if d < 0:
-        raise InputError(f"vertex {x} is unreachable from the base vertex {o}")
-    return tf.value(d)
+    return tf.value(d) if d >= 0 else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +303,7 @@ def estimate_sides(g: WeightedGraph, u: GraphFunction, o: int, tf: TestFunction,
     # The cutoff lives on omega: values outside the domain never enter a sum,
     # and on a finite graph compact support is automatic.
     dist = g.distances_from(o)
-    phi_of = memo(tf.value)
+    phi_of = memo(lambda d: tf.value(d) if d >= 0 else Fraction(0))    # 0 where o cannot reach
     return _estimate(variant, s, t, point, p0, u, lambda u, p0: harnack_check(g, u, p0),
                      ("vertex", "domain vertices"), dict(zip(domain, class_of)),
                      lambda c: ops(reps[c]), lambda x: vertex_measure(g, x),

@@ -18,6 +18,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import mpmath as mp
@@ -27,8 +28,8 @@ from . import descent as dsc
 from .caccioppoli import TestFunction, estimate_sides, estimate_sides_radial
 from .errors import CalibrationError, HypothesisNotMetError, InputError, LiouvilleError
 from .graphs import GraphFunction, WeightedGraph, nash_williams_partial, parse_graph_text
-from .numerics import (MIN_PRECISION_BITS, default_precision_bits, memo, mpf_str,
-                       parse_decimal, precision)
+from .numerics import (MIN_PRECISION_BITS, content_lines, default_precision_bits, memo,
+                       mpf_str, parse_decimal, precision)
 from .radial import RadialFunction, parse_radial_text
 from .regions import ON_LINE, choose_st, classify_g, classify_k, pq
 
@@ -91,20 +92,13 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _read_text(path: str) -> str:
-    """The file's contents as UTF-8 text; other bytes are an input error."""
+    """The file's contents as UTF-8 text, a leading byte order mark
+    dropped; other bytes are an input error."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start})")
-
-
-def _load_graph_file(path: str):
-    text = _read_text(path)
-    lines = (ln.strip() for ln in text.splitlines())
-    if next((ln for ln in lines if ln and not ln.startswith("#")), "").startswith("radial"):
-        return parse_radial_text(text)
-    return parse_graph_text(text)
 
 
 def _load_values_csv(path: str) -> dict[int, mp.mpf]:
@@ -118,7 +112,10 @@ def _load_values_csv(path: str) -> dict[int, mp.mpf]:
         rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
     except csv.Error as exc:                # e.g. a field over the csv field limit
         raise InputError(f"{path}: {exc}")
-    rows = [row for row in rows if row and not row[0].strip().startswith("#")]
+    # `content_lines`' rule on each row's joined fields; only a row whose
+    # first field is blank needs the join
+    rows = [row for row in rows if (head := row and (row[0].strip() or "".join(row).strip()))
+            and not head.startswith("#")]
     for k, row in enumerate(rows):
         try:
             idx = int(row[0])
@@ -141,19 +138,23 @@ def _load_values_csv(path: str) -> dict[int, mp.mpf]:
     return values
 
 
-def _graph_function(g: WeightedGraph, values: dict[int, mp.mpf]) -> GraphFunction:
-    missing = [x for x in g.vertices() if x not in values]
+def _load_pair(args):
+    """(graph or tree, u) from the files --graph and --u.  The first content
+    line of --graph picks its reader; u needs a value at every vertex of a
+    graph, or at every layer of a tree."""
+    text = _read_text(args.graph)
+    if next(content_lines(text), "").startswith("radial"):
+        obj = parse_radial_text(text)
+        keys, what = range(obj.layer_lo, obj.layer_hi + 1), "layers"
+        make = partial(RadialFunction, lo=obj.layer_lo)
+    else:
+        obj = parse_graph_text(text)
+        keys, what, make = obj.vertices(), "vertices", GraphFunction
+    values = _load_values_csv(args.u)
+    missing = [k for k in keys if k not in values]
     if missing:
-        raise InputError(f"values missing for vertices {missing[:5]}")
-    return GraphFunction([values[x] for x in g.vertices()])
-
-
-def _radial_function(tree, values: dict[int, mp.mpf]) -> RadialFunction:
-    lo, hi = tree.layer_lo, tree.layer_hi
-    missing = [n for n in range(lo, hi + 1) if n not in values]
-    if missing:
-        raise InputError(f"values missing for layers {missing[:5]}")
-    return RadialFunction([values[n] for n in range(lo, hi + 1)], lo=lo)
+        raise InputError(f"values missing for {what} {missing[:5]}")
+    return obj, make([values[k] for k in keys])
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +261,11 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    obj = _load_graph_file(args.graph)
-    values = _load_values_csv(args.u)
+    obj, u = _load_pair(args)
     point = pq(args.p, args.q)
     if isinstance(obj, WeightedGraph):
-        u = _graph_function(obj, values)
         report = cx.verify_graph(obj, u, point.p, point.q)
     else:
-        u = _radial_function(obj, values)
         report = cx.verify_radial(obj, u, point.p, point.q, horizon=args.horizon)
     payload = {
         "schema": SCHEMA,
@@ -290,12 +288,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    obj = _load_graph_file(args.graph)
-    values = _load_values_csv(args.u)
+    obj, u = _load_pair(args)
     tf = TestFunction.parse(args.phi)
     point = pq(args.p, args.q)
     if isinstance(obj, WeightedGraph):
-        u = _graph_function(obj, values)
         omega = None
         if args.omega != "all":
             try:
@@ -306,7 +302,6 @@ def _cmd_estimate(args) -> int:
         report = estimate_sides(obj, u, args.base, tf, args.s, args.t, point,
                                 args.p0, variant=args.variant, omega=omega)
     elif obj.one_sided:
-        u = _radial_function(obj, values)
         if args.omega != "all":
             raise InputError("radial estimates support only --omega all")
         if args.base != 0:
@@ -396,14 +391,11 @@ def _cmd_volume(args) -> int:
 
 
 def _cmd_descend(args) -> int:
-    obj = _load_graph_file(args.graph)
-    values = _load_values_csv(args.u)
+    obj, u = _load_pair(args)
     point = pq(args.p, args.q) if args.p is not None and args.q is not None else None
     if isinstance(obj, WeightedGraph):
-        u = _graph_function(obj, values)
         walk = dsc.descent_walk(obj, u, args.start, args.steps)
     else:
-        u = _radial_function(obj, values)
         walk = dsc.radial_descent_walk(obj, u, start_layer=args.start,
                                        max_steps=args.steps)
     diag = dsc.walk_diagnostics(walk, p0=args.p0, point=point)

@@ -19,7 +19,8 @@ import mpmath as mp
 from mpmath.libmp import fzero, mpf_add, mpf_rdiv_int, round_nearest
 
 from .errors import InputError, IsolatedVertexError
-from .numerics import all_finite, all_positive, check_le, memo, parse_decimal, to_mpf
+from .numerics import (all_finite, all_positive, check_le, content_lines, memo, parse_decimal,
+                       to_mpf)
 
 
 class WeightedGraph:
@@ -49,15 +50,16 @@ class WeightedGraph:
             if sign or not man:             # not positive and finite
                 raise InputError(f"edge {key} has weight {w}; weights must be positive and finite")
             canonical[key] = weight
+        # before any per-vertex list: the first isolated id is at most the
+        # number of vertices the edges touch, however large n_vertices is
+        touched = {v for key in canonical for v in key}
+        if len(touched) < n_vertices:
+            v = next(v for v in range(n_vertices) if v not in touched)
+            raise IsolatedVertexError(f"vertex {v} is isolated; the Laplacian is undefined there")
         adj: list[list[tuple[int, mp.mpf]]] = [[] for _ in range(n_vertices)]
         for (x, y), w in sorted(canonical.items()):
             adj[x].append((y, w))
             adj[y].append((x, w))
-        for v, nbrs in enumerate(adj):
-            if not nbrs:
-                raise IsolatedVertexError(
-                    f"vertex {v} is isolated; the Laplacian is undefined there"
-                )
         self._n = n_vertices
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         self._edges = tuple(sorted(canonical.items()))
@@ -358,8 +360,7 @@ def format_graph_text(g: WeightedGraph, digits: int = 30) -> str:
 
 
 def parse_graph_text(text: str) -> WeightedGraph:
-    lines = (ln.strip() for ln in text.splitlines())
-    lines = (ln for ln in lines if ln and not ln.startswith("#"))
+    lines = content_lines(text)
     head = next(lines, None)
     if head is None:
         raise InputError("empty graph file")

@@ -128,6 +128,12 @@ def to_mpf(x) -> mp.mpf:
     raise TypeError(f"cannot convert {type(x).__name__} to mpf")
 
 
+def content_lines(text: str):
+    """The stripped lines of text that are neither blank nor `#` comments,
+    lazily: the one line rule of every input file."""
+    return (ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#"))
+
+
 class memo(dict):
     """fn, with each value kept for the rest of one call (no state across calls).
 

@@ -22,6 +22,7 @@ with materialized balls is part of the test suite.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Sequence
 
 import mpmath as mp
@@ -30,7 +31,7 @@ from mpmath.libmp import (fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_neg
 
 from .errors import InputError
 from .graphs import GraphFunction, HarnackReport, WeightedGraph, harnack_scan
-from .numerics import all_finite, all_positive, parse_decimal, to_mpf
+from .numerics import all_finite, all_positive, content_lines, parse_decimal, to_mpf
 
 _UNIT_ROOT = (mp.mpf(1), mp.mpf(0))    # a one-sided root's conductances
 
@@ -407,8 +408,7 @@ def format_radial_text(tree, digits: int = 30) -> str:
 
 
 def parse_radial_text(text: str):
-    lines = (ln.strip() for ln in text.splitlines())
-    lines = (ln for ln in lines if ln and not ln.startswith("#"))
+    lines = content_lines(text)
     head = next(lines, None)
     if head is None:
         raise InputError("empty radial file")
@@ -437,7 +437,7 @@ def parse_radial_text(text: str):
     shells = range(-horizon, horizon) if two_sided else range(0, horizon + 1)
     entries: dict[int, mp.mpf] = {}
     for ln in lines:
-        if ln.startswith("arm"):
+        if ln in ("arm +", "arm -"):
             continue
         parts = ln.split()
         if len(parts) != 2:
@@ -452,15 +452,11 @@ def parse_radial_text(text: str):
         if n in entries:
             raise InputError(f"duplicate shell index {n}: {ln!r}")
         entries[n] = w
+    if len(entries) < len(shells):      # the entries are distinct indices in shells
+        order = chain(range(shells.stop), range(-1, shells.start - 1, -1))   # 0, 1, .., -1, ..
+        first = next(n for n in order if n not in entries)
+        raise InputError(f"missing shell weight for layer {first}")
     if two_sided:
-        try:
-            pos = [entries[n] for n in range(0, horizon)]
-            neg = [entries[n] for n in range(-1, -horizon - 1, -1)]
-        except KeyError as missing:
-            raise InputError(f"missing shell weight for layer {missing}")
-        return TwoSidedRadialTree(N, pos, neg)
-    try:
-        weights = [entries[n] for n in range(0, horizon + 1)]
-    except KeyError as missing:
-        raise InputError(f"missing shell weight for layer {missing}")
-    return RadialTree(N, weights)
+        return TwoSidedRadialTree(N, [entries[n] for n in range(horizon)],
+                                  [entries[n] for n in range(-1, -horizon - 1, -1)])
+    return RadialTree(N, [entries[n] for n in shells])

@@ -143,6 +143,27 @@ def test_estimate_zero_cutoff_on_domain():
     assert rep.lhs == 0 and rep.rhs == 0 and rep.holds
 
 
+@pytest.mark.parametrize("variant", ["est1", "est2"])
+def test_estimate_on_a_disjoint_union_reads_the_cutoff_as_0_off_the_base(variant):
+    """On A + B with the base in A, the cutoff is 0 on B, which the base
+    cannot reach: the sums are A's bit for bit, and B's hypothesis failures
+    (here the ratio bound) are still reported."""
+    a_edges, a_u = [(i, i + 1, i + 1) for i in range(4)], [5, 4, 3, 2, 1]
+    alone = lv.WeightedGraph(5, a_edges)
+    union = lv.WeightedGraph(7, a_edges + [(5, 6, 1)])
+    tf = lv.TestFunction("h", 2)
+    assert [lv.test_function_value(tf, union, x, 0) for x in (5, 6)] == [0, 0]
+    reps = [lv.estimate_sides(g, lv.GraphFunction(u), 0, tf, 7, F(1, 2), lv.pq(2, 1), 2,
+                              variant=variant)
+            for g, u in ((alone, a_u), (union, a_u + [1, 100]))]
+    for field in ("lhs", "edge_sum", "middle_factor"):
+        a, b = (getattr(rep, field) for rep in reps)
+        assert (a is None and b is None) or repr(a._mpf_) == repr(b._mpf_), field
+    ratio = "adjacent-ratio bound fails for the given p0"
+    assert ratio not in reps[0].hypothesis_failures
+    assert ratio in reps[1].hypothesis_failures
+
+
 def test_estimate_constant_solution_holds():
     g = lv.WeightedGraph(6, [(i, i + 1, 1) for i in range(5)])
     u = lv.GraphFunction.constant(g, 3)

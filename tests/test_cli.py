@@ -1049,3 +1049,102 @@ def test_help_is_that_of_the_parser_with_every_command(capsys, argv):
     with pytest.raises(SystemExit):
         build_parser(list(COMMANDS)).parse_args(argv)
     assert got == capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# one input path: the line rule, the byte order mark, the arm markers
+
+ONE_SIDED = ("radial N=3 horizon=3\n0 1\n1 2\n2 3\n3 4\n", "0,4\n1,3\n2,2\n3,1\n")
+PATH_GRAPH = ("graph v=3\n0 1 1\n1 2 1\n", "vertex,value\n0,3\n1,2\n2,1\n")
+TWO_SIDED = ("radial N=3 horizon=2 two-sided\narm +\n0 1\n1 2\narm -\n-1 1\n-2 2\n",
+             "layer,value\n-2,1\n-1,2\n0,3\n1,2\n2,1\n")
+
+
+def _verify_files(capsys, tmp_path, graph: str, values: str):
+    """(exit code, stdout, stderr) of `verify` on the two texts, UTF-8 encoded."""
+    (tmp_path / "g.txt").write_bytes(graph.encode())
+    (tmp_path / "u.csv").write_bytes(values.encode())
+    code = main(_verify_args(tmp_path / "g.txt", tmp_path / "u.csv"))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("files", [ONE_SIDED, PATH_GRAPH, TWO_SIDED],
+                         ids=["one-sided", "graph", "two-sided"])
+@pytest.mark.parametrize("which", ["graph", "values"])
+def test_a_leading_byte_order_mark_is_dropped(capsys, tmp_path, files, which):
+    """A BOM sent a tree file to the graph reader (`bad graph header:
+    '\\ufeffradial ...'`), and made a values CSV without a header lose its
+    first row as the header (`values missing for layers [0]`)."""
+    expected = _verify_files(capsys, tmp_path, *files)
+    graph, values = files
+    if which == "graph":
+        graph = "\ufeff" + graph
+    else:
+        values = "\ufeff" + values.removeprefix("vertex,value\n").removeprefix("layer,value\n")
+    got = _verify_files(capsys, tmp_path, graph, values)
+    assert expected[0] in (0, 1) and expected[2] == ""
+    assert got == expected
+
+
+@pytest.mark.parametrize("line, message", [
+    ("armada 5 7 x", "bad shell line: 'armada 5 7 x'"),
+    ("arm", "bad shell line: 'arm'"),
+    ("arm 5", "bad shell line (needs an integer index and a number): 'arm 5'"),
+    ("arm +-", "bad shell line (needs an integer index and a number): 'arm +-'"),
+])
+def test_only_the_two_arm_markers_are_skipped(capsys, tmp_path, line, message):
+    """Every line that started with "arm" was skipped, so a mistyped shell
+    line went unnoticed and `verify` ran on the rest."""
+    graph = ONE_SIDED[0].replace("1 2\n", f"{line}\n1 2\n")
+    code, out, err = _verify_files(capsys, tmp_path, graph, ONE_SIDED[1])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("blank", ["   ", "\t", " \t ", ",", " , \t"])
+def test_a_values_csv_row_of_blank_fields_is_skipped(capsys, tmp_path, blank):
+    """A whitespace-only row was read as a bad index (`bad index in row
+    ['   ']`), or as the header when it came first; it is skipped as a
+    blank line is, so the header may follow it."""
+    expected = _verify_files(capsys, tmp_path, *PATH_GRAPH)
+    values = PATH_GRAPH[1]
+    for spliced in (f"{blank}\n{values}", values.replace("1,2\n", f"1,2\n{blank}\n")):
+        assert _verify_files(capsys, tmp_path, PATH_GRAPH[0], spliced) == expected
+
+
+def test_estimate_on_a_disconnected_graph_reads_the_cutoff_as_0_off_the_base(capsys,
+                                                                             tmp_path):
+    """It exited 2 with `distance must be nonnegative`."""
+    (tmp_path / "g.txt").write_text("graph v=4\n0 1 1\n2 3 1\n")
+    (tmp_path / "u.csv").write_text("0,3\n1,2\n2,3\n3,2\n")
+    code = main(["estimate", "--graph", str(tmp_path / "g.txt"), "--u", str(tmp_path / "u.csv"),
+                 "--phi", "h:1", "--s", "7", "--t", "1/2", "--p", "2", "--q", "1", "--p0", "2"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 3) and out.startswith("{"), err
+
+
+_FILLER = st.sampled_from(["", " ", "\t", " \t  ", "#", "# note", "  # a comment, with a comma",
+                           "\t#x"])
+_INSERTS = st.lists(st.tuples(st.integers(0, 99), _FILLER), max_size=6)
+
+
+def _spliced_lines(text: str, inserts) -> str:
+    lines = text.splitlines()
+    for at, line in inserts:
+        lines.insert(at % (len(lines) + 1), line)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=120, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(files=st.sampled_from([ONE_SIDED, PATH_GRAPH, TWO_SIDED]), graph_inserts=_INSERTS,
+       value_inserts=_INSERTS, boms=st.tuples(st.booleans(), st.booleans()))
+def test_blank_and_comment_lines_and_a_bom_leave_verify_unchanged(capsys, tmp_path, files,
+                                                                  graph_inserts, value_inserts,
+                                                                  boms):
+    """Blank, whitespace-only and `#` comment lines anywhere in either file,
+    and a leading BOM on either, leave `verify`'s output byte for byte."""
+    expected = _verify_files(capsys, tmp_path, *files)
+    graph, values = (("\ufeff" if bom else "") + _spliced_lines(text, inserts)
+                     for text, inserts, bom in zip(files, (graph_inserts, value_inserts), boms))
+    assert _verify_files(capsys, tmp_path, graph, values) == expected

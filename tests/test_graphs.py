@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import mpmath as mp
 import pytest
@@ -38,6 +39,32 @@ def test_unknown_vertex_rejected():
 def test_isolated_vertex_rejected_at_construction():
     with pytest.raises(IsolatedVertexError):
         lv.WeightedGraph(3, [(0, 1, 1)])
+
+
+def test_a_vertex_count_past_the_edges_is_rejected_before_allocating():
+    """One edge cannot cover a million vertices: the first isolated vertex
+    is named before any per-vertex list is built (a million of them take
+    about 61 MiB)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(IsolatedVertexError,
+                           match=r"^vertex 2 is isolated; the Laplacian is undefined there$"):
+            lv.parse_graph_text("graph v=1000000\n0 1 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("n, edges, first", [
+    (5, [(0, 1, 1), (3, 4, 1)], 2),
+    (4, [(0, 1, 1), (1, 3, 1)], 2),         # fewer vertices than edge ends
+    (4, [(1, 2, 1), (2, 3, 1)], 0),
+    (3, [(0, 1, 1)], 2),
+])
+def test_the_first_isolated_vertex_is_named(n, edges, first):
+    with pytest.raises(IsolatedVertexError, match=f"^vertex {first} is isolated;"):
+        lv.WeightedGraph(n, edges)
 
 
 @pytest.mark.parametrize("bad", [
