@@ -32,7 +32,7 @@ import mpmath as mp
 
 from .errors import HypothesisNotMetError, InputError
 from .counterexamples import term_kernel
-from .graphs import (GraphFunction, WeightedGraph, harnack_check, site_classes,
+from .graphs import (GraphFunction, WeightedGraph, checked_p0, harnack_check, site_classes,
                      site_operators, vertex_measure)
 from .numerics import check_le, memo, rel_tol, to_mpf
 from .radial import RadialFunction, RadialTree, layer_operators
@@ -127,9 +127,7 @@ def c_constant(p0, t, point: PQPoint) -> CConstants:
     theta = (p + t(q-1))/(p + q - t), and C' = C^((p+q-t)/(p+q-1)).
     """
     _, rho, theta = _estimate_exponents(point, t)
-    p0 = to_mpf(p0)
-    if not 1 <= p0 < mp.inf:
-        raise InputError("p0 must be finite and at least 1")
+    p0 = checked_p0(p0)
     t = to_mpf(Fraction(t))
     base = mp.sqrt(2 * p0) * (1 + p0 ** t)
     C = base ** (theta + 1) * (p0 ** (t + 1)) ** theta / 4
@@ -382,9 +380,7 @@ def kappa0(p0, variant: str, q=None) -> mp.mpf:
     variant "V1": 1 / (2 sqrt(2 p0) e).  variant "V2" (needs q < 0):
     1 / ((e sqrt(2 p0) (1 + p0))^(2-q) (p0^2)^(1-q)).
     """
-    p0 = to_mpf(p0)
-    if p0 < 1:
-        raise InputError("p0 must be at least 1")
+    p0 = checked_p0(p0)
     if variant == "V1":
         return 1 / (2 * mp.sqrt(2 * p0) * mp.e)
     if variant == "V2":

@@ -76,11 +76,27 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _emit(report: dict, path: str | None) -> None:
-    payload = json.dumps(report, indent=2, sort_keys=True)
+def _emit(args, report: dict) -> None:
+    """Print the report under the schema and the command's name, and write
+    it to --json too when that is given."""
+    payload = json.dumps({"schema": SCHEMA, "command": args.command, **report},
+                         indent=2, sort_keys=True)
     print(payload)
-    if path:
-        Path(path).write_text(payload + "\n")
+    if args.json:
+        Path(args.json).write_text(payload + "\n")
+
+
+def _margin_fields(report: cx.MarginReport) -> dict:
+    """The margin report's fields, as construct and verify print them."""
+    return {"verified": report.verified, "max_margin": mpf_str(report.max_margin),
+            "worst_layer": report.worst_layer, "layers": list(report.layers),
+            "precision_bits": report.precision_bits}
+
+
+def _band_fields(band: cx.VolumeBand) -> dict:
+    """The volume band's fields, as construct and volume print them."""
+    return {"ratio_min": mpf_str(band.ratio_min), "ratio_max": mpf_str(band.ratio_max),
+            "spread": mpf_str(band.spread)}
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -141,7 +157,7 @@ def _load_values_csv(path: str) -> dict[int, mp.mpf]:
 def _load_pair(args):
     """(graph or tree, u) from the files --graph and --u.  The first content
     line of --graph picks its reader; u needs a value at every vertex of a
-    graph, or at every layer of a tree."""
+    graph, or at every layer of a tree, and at no other index."""
     text = _read_text(args.graph)
     if next(content_lines(text), "").startswith("radial"):
         obj = parse_radial_text(text)
@@ -154,6 +170,9 @@ def _load_pair(args):
     missing = [k for k in keys if k not in values]
     if missing:
         raise InputError(f"values missing for {what} {missing[:5]}")
+    if len(values) > len(keys):         # every key has its value, so some index is not a key
+        extra = sorted(k for k in values if k not in keys)
+        raise InputError(f"values given for {what} the file does not have {extra[:5]}")
     return obj, make([values[k] for k in keys])
 
 
@@ -166,8 +185,6 @@ def _cmd_classify(args) -> int:
     g_label = classify_g(point)
     k_label = classify_k(point)
     report = {
-        "schema": SCHEMA,
-        "command": "classify",
         "p": _frac_str(point.p),
         "q": _frac_str(point.q),
         "g": g_label,
@@ -182,7 +199,7 @@ def _cmd_classify(args) -> int:
         report["t_default"] = _frac_str(sel.t_default)
         report["s_min"] = _frac_str(sel.s_min)
         report["s_default"] = _frac_str(sel.s_default)
-    _emit(report, args.json)
+    _emit(args, report)
     return EXIT_OK
 
 
@@ -204,6 +221,29 @@ def _spec_dict(spec: cx.RegimeSpec) -> dict:
     }
 
 
+# The build options each regime reads.  `construct` reads n0 on I, III and
+# IV only beside delta, which pins the spec there (else the search picks n0),
+# and `volume` never reads delta: volumes depend only on the weights.
+_BUILD_OPTIONS = {"eps": ("I", "II", "III"), "lam": ("IV", "V1", "V2"),
+                  "delta": ("I", "III", "IV"), "n0": ("I", "II", "III", "IV")}
+
+
+def _refuse_unread_options(args) -> None:
+    """An input error for a build option that the run would drop."""
+    regime = args.regime
+    for name, regimes in _BUILD_OPTIONS.items():
+        if getattr(args, name) is None:
+            continue
+        if regime not in regimes:
+            raise InputError(f"regime {regime} does not read --{name}")
+        if name == "delta" and args.command == "volume":
+            raise InputError("volume does not read --delta: volumes depend only on the weights")
+        if name == "n0" and args.command == "construct" and regime != "II" \
+                and args.delta is None:
+            raise InputError(f"regime {regime} reads --n0 only with --delta "
+                             f"(without it the search picks n0)")
+
+
 def _certify(args) -> cx.Certificate:
     """Certify the spec pinned on the command line (delta for I/III/IV, n0
     for II, lam for V), or else the one the calibration search accepts."""
@@ -221,6 +261,7 @@ def _certify(args) -> cx.Certificate:
 
 
 def _cmd_construct(args) -> int:
+    _refuse_unread_options(args)
     cx._band_window(args.volume_lo, args.volume_hi)     # a bad window exits 2, as in volume
     cert = _certify(args)
     spec, built, report, tail = cert.spec, cert.built, cert.report, cert.tail
@@ -228,17 +269,10 @@ def _cmd_construct(args) -> int:
     v_hi = min(args.volume_hi, spec.horizon)
     if v_hi >= args.volume_lo:          # else the horizon stops short of the window
         vb = cx.volume_band(built, cx.volume_target(spec), args.volume_lo, v_hi)
-        band = {"n_lo": args.volume_lo, "n_hi": v_hi,
-                "ratio_min": mpf_str(vb.ratio_min), "ratio_max": mpf_str(vb.ratio_max),
-                "spread": mpf_str(vb.spread)}
-    payload = {
-        "schema": SCHEMA,
-        "command": "construct",
+        band = {"n_lo": args.volume_lo, "n_hi": v_hi, **_band_fields(vb)}
+    _emit(args, {
         "spec": _spec_dict(spec),
-        "verified": report.verified,
-        "max_margin": mpf_str(report.max_margin),
-        "worst_layer": report.worst_layer,
-        "layers": list(report.layers),
+        **_margin_fields(report),
         "certificate": tail.label if tail.ok else report.label,
         "tail": {
             "ok": tail.ok,
@@ -247,9 +281,7 @@ def _cmd_construct(args) -> int:
             "required": mpf_str(tail.required),
         },
         "volume_band": band,
-        "precision_bits": report.precision_bits,
-    }
-    _emit(payload, args.json)
+    })
     if args.csv:
         _write_csv(args.csv, ["layer", "w", "u", "laplacian", "grad", "margin"],
                    cx.layer_rows(built))
@@ -264,22 +296,18 @@ def _cmd_verify(args) -> int:
     obj, u = _load_pair(args)
     point = pq(args.p, args.q)
     if isinstance(obj, WeightedGraph):
+        if args.horizon is not None:
+            raise InputError("--horizon applies only to a radial tree; a graph is checked "
+                             "at every vertex")
         report = cx.verify_graph(obj, u, point.p, point.q)
     else:
         report = cx.verify_radial(obj, u, point.p, point.q, horizon=args.horizon)
-    payload = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "verified": report.verified,
-        "max_margin": mpf_str(report.max_margin),
-        "worst_layer": report.worst_layer,
-        "layers": list(report.layers),
+    _emit(args, {
+        **_margin_fields(report),
         "n_layers": report.n_layers,
         "undefined_layers": list(report.undefined_layers),
-        "precision_bits": report.precision_bits,
         "label": report.label,
-    }
-    _emit(payload, args.json)
+    })
     return EXIT_OK if report.verified else EXIT_FAILED
 
 
@@ -310,9 +338,7 @@ def _cmd_estimate(args) -> int:
                                        p0=args.p0, variant=args.variant)
     else:
         raise InputError("estimate expects an edge-list graph or a one-sided radial tree")
-    payload = {
-        "schema": SCHEMA,
-        "command": "estimate",
+    _emit(args, {
         "variant": report.variant,
         "lhs": mpf_str(report.lhs),
         "rhs": mpf_str(report.rhs),
@@ -327,8 +353,7 @@ def _cmd_estimate(args) -> int:
         "omega": report.omega,
         "edge_sum": mpf_str(report.edge_sum),
         "middle_factor": mpf_str(report.middle_factor) if report.middle_factor is not None else None,
-    }
-    _emit(payload, args.json)
+    })
     if not report.hypotheses_ok:
         return EXIT_HYPOTHESES
     return EXIT_OK if report.holds else EXIT_FAILED
@@ -339,18 +364,16 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_volume(args) -> int:
+    _refuse_unread_options(args)
     point = pq(args.p, args.q)
     regime = args.regime
-    delta = args.delta
-    if regime in ("I", "III", "IV") and delta is None:
-        delta = mp.mpf(1)  # volumes depend only on the weights
-    lam = args.lam
-    if regime in ("IV", "V1", "V2") and lam is None:
+    if regime in ("IV", "V1", "V2") and args.lam is None:
         raise InputError(f"regime {regime} volume needs --lam")
     horizon = max(args.n_hi + 1, 2)
     spec = cx.RegimeSpec(regime=regime, p=point.p, q=point.q, N=args.N,
-                         horizon=horizon, eps=args.eps, lam=lam,
-                         n0=args.n0, delta=delta)
+                         horizon=horizon, eps=args.eps, lam=args.lam,
+                         n0=args.n0 if args.n0 is not None else 2,
+                         delta=mp.mpf(1) if regime in ("I", "III", "IV") else None)
     built = cx.build(spec)
     target = cx.volume_target(spec)
     if args.exponent_offset and isinstance(target, cx.PowerLogLaw):
@@ -363,20 +386,16 @@ def _cmd_volume(args) -> int:
     vols = built.tree.ball_volumes(args.n_hi)
     band = cx._volume_band(vols, target, window)
     payload = {
-        "schema": SCHEMA,
-        "command": "volume",
         "spec": _spec_dict(spec),
         "n_lo": args.n_lo,
         "n_hi": args.n_hi,
         "exponent_offset": args.exponent_offset,
-        "ratio_min": mpf_str(band.ratio_min),
-        "ratio_max": mpf_str(band.ratio_max),
-        "spread": mpf_str(band.spread),
+        **_band_fields(band),
     }
     if args.nash_williams:
         payload["nash_williams_partial"] = mpf_str(
             nash_williams_partial(lambda n: vols[n], args.n_hi))
-    _emit(payload, args.json)
+    _emit(args, payload)
     if args.csv:
         rows = []
         for n in window:
@@ -391,8 +410,10 @@ def _cmd_volume(args) -> int:
 
 
 def _cmd_descend(args) -> int:
+    if (args.p is None) != (args.q is None):
+        raise InputError("descend reads --p and --q only together")
     obj, u = _load_pair(args)
-    point = pq(args.p, args.q) if args.p is not None and args.q is not None else None
+    point = None if args.p is None else pq(args.p, args.q)
     if isinstance(obj, WeightedGraph):
         walk = dsc.descent_walk(obj, u, args.start, args.steps)
     else:
@@ -406,9 +427,7 @@ def _cmd_descend(args) -> int:
         return {"checked": f.checked, "holds": f.holds,
                 "worst_margin": mpf_str(f.worst_margin) if f.worst_margin is not None else None}
 
-    payload = {
-        "schema": SCHEMA,
-        "command": "descend",
+    _emit(args, {
         "n_sites": diag.n_sites,
         "termination": walk.termination,
         "revisit_flagged": walk.revisit_flagged,
@@ -418,8 +437,7 @@ def _cmd_descend(args) -> int:
         "gradient_ratio": fam(diag.gradient_ratio),
         "pointwise_power": fam(diag.pointwise_power),
         "solution_sites": diag.solution_sites,
-    }
-    _emit(payload, args.json)
+    })
     if args.csv:
         rows = ((s.site, s.u, s.lap, s.grad, s.drop if s.drop is not None else "")
                 for s in walk.steps)
@@ -455,7 +473,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         c.add_argument("--q", type=_fraction, required=True)
         c.add_argument("--json", default=None)
 
-    def common_build_args(sp, volume=False):
+    def common_build_args(sp):
         sp.add_argument("--regime", required=True,
                         choices=list(cx.REGIMES))
         sp.add_argument("--p", type=_fraction, required=True)
@@ -463,7 +481,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         sp.add_argument("--eps", type=_fraction, default=None)
         sp.add_argument("--lam", type=_real, default=None)
         sp.add_argument("--N", type=int, default=3)
-        sp.add_argument("--n0", type=int, default=None if not volume else 2)
+        sp.add_argument("--n0", type=int, default=None)
         sp.add_argument("--delta", type=_real, default=None)
         sp.add_argument("--json", default=None)
         sp.add_argument("--csv", default=None)
@@ -498,7 +516,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         c.add_argument("--json", default=None)
 
     if c := command("volume", "volume growth band for a construction", _cmd_volume):
-        common_build_args(c, volume=True)
+        common_build_args(c)
         c.add_argument("--n-lo", type=int, default=16)
         c.add_argument("--n-hi", type=int, default=4096)
         c.add_argument("--exponent-offset", type=int, default=0,

@@ -59,7 +59,6 @@ V_COND_MARGIN = Fraction(21, 20)
 _N0_CAP = 2 ** 34
 _LAMBDA_CAP = 64
 _MAX_PRECISION_BUMPS = 2
-_EXP_CAP = 1 << 40          # a binary exponent a float carries exactly, summed a few times
 
 
 @dataclass(frozen=True)
@@ -389,8 +388,7 @@ def _screen(tree, u, layers, term_of) -> list:
     def diff(k):                        # u_{k+1} - u_k as (D, e), exactly, D a signed int
         s1, m1, x1, _ = values[k + 1]._mpf_
         s0, m0, x0, _ = values[k]._mpf_
-        d = _aligned(-m1 if s1 else m1, x1, m0 if s0 else -m0, x0)
-        return d and (d[0] + d[1], d[2])
+        return _exact_sum(-m1 if s1 else m1, x1, m0 if s0 else -m0, x0)
 
     k0 = max(layers.start - lo_u - 1, 0)    # the differences over the layers' span, once each
     diffs = [diff(k) for k in range(k0, layers.stop - lo_u)]
@@ -760,8 +758,8 @@ def _window_bounds(rows, at) -> list:
     None at every m where at is None (an exponent floats cannot carry) or a
     value is not positive or has a binary exponent beyond 2^40 in size,
     which keeps sums of a few exponents exact as floats."""
-    if not at or not all(not x[0] and x[1] and -_EXP_CAP < x[2] < _EXP_CAP
-                         for row in rows for x in row):
+    cap = screen._EXP_CAP
+    if not at or not all(not x[0] and x[1] and -cap < x[2] < cap for row in rows for x in row):
         return [None] * (len(rows) - 2)
     top53 = screen.top53
     A = [(a[1], a[2]) for a, _ in rows]
@@ -944,14 +942,11 @@ def tail_check(spec: RegimeSpec, horizon: int | None = None, *, table=None) -> T
     their profiles from `table`, as `build` does), or V's closed forms."""
     H = spec.horizon if horizon is None else horizon
     if spec.regime in ("V1", "V2"):
-        vals = [lambda_fn(spec.regime, spec.point, spec.lam, n) for n in (0, 1)]
-        min_value = min(vals)
-        required = to_mpf(V_COND_MARGIN)
-        return TailReport(ok=min_value >= required, window=_tail_window(H),
-                          min_value=min_value, threshold=mp.mpf(1), required=required)
-    param = spec.eps if spec.regime in ("I", "II", "III") else spec.lam
-    return _interior_tail(spec, H, _window_min(spec.regime, spec.point, param, spec.n0, H,
-                                               table))
+        min_value = min(lambda_fn(spec.regime, spec.point, spec.lam, n) for n in (0, 1))
+    else:
+        param = spec.eps if spec.regime in ("I", "II", "III") else spec.lam
+        min_value = _window_min(spec.regime, spec.point, param, spec.n0, H, table)
+    return _interior_tail(spec, H, min_value)
 
 
 def _tail_window(H: int) -> tuple[int, int]:
@@ -971,9 +966,9 @@ def _window_min(regime, point, param, n0, H, table=None) -> mp.mpf:
 
 
 def _interior_tail(spec: RegimeSpec, H: int, min_value) -> TailReport:
-    """The tail report of regimes I-IV, given the window minimum."""
+    """The tail report, given the least value of Lambda that it checks."""
     threshold = interior_threshold(spec)
-    required = 2 * threshold
+    required = to_mpf(V_COND_MARGIN) if spec.regime in ("V1", "V2") else 2 * threshold
     return TailReport(ok=min_value >= required, window=_tail_window(H),
                       min_value=min_value, threshold=threshold, required=required)
 

@@ -28,7 +28,7 @@ from mpmath.libmp import fzero, mpf_le, mpf_neg, mpf_sqrt
 from . import screen
 from .counterexamples import BuiltCounterexample, term_kernel
 from .errors import InputError
-from .graphs import GraphFunction, WeightedGraph, site_classes, site_operators
+from .graphs import GraphFunction, WeightedGraph, checked_p0, site_classes, site_operators
 from .numerics import check_nonpositive, rel_tol, to_mpf
 from .radial import RadialFunction, RadialTree, TwoSidedRadialTree, layer_operators
 from .regions import PQPoint
@@ -292,9 +292,7 @@ def walk_diagnostics(walk: DescentWalk, p0=None,
     sqrt2 = mp.sqrt(2)
     exponents = []
     if p0 is not None:
-        p0 = to_mpf(p0)
-        if not (mp.isfinite(p0) and p0 >= 1):
-            raise InputError("p0 must be at least 1")
+        p0 = checked_p0(p0)
         ratio_factor = mp.sqrt((1 + p0 ** 2) / 2)
         log_rf = screen.log2_abs(ratio_factor)[1]
     if point is not None:

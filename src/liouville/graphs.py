@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpf_add, mpf_rdiv_int, round_nearest
+from mpmath.libmp import fzero, mpf_add, mpf_rdiv_int, repr_dps, round_nearest
 
 from .errors import InputError, IsolatedVertexError
 from .numerics import (all_finite, all_positive, check_le, content_lines, memo, parse_decimal,
@@ -303,6 +303,14 @@ def nash_williams_partial(
     return mp.make_mpf(total)
 
 
+def checked_p0(p0) -> mp.mpf:
+    """p0 as an mpf, or an input error unless it is finite and at least 1."""
+    p0 = to_mpf(p0)
+    if not 1 <= p0 < mp.inf:            # nan fails both comparisons
+        raise InputError("p0 must be finite and at least 1")
+    return p0
+
+
 @dataclass(frozen=True)
 class HarnackReport:
     holds: bool
@@ -314,16 +322,14 @@ class HarnackReport:
 def harnack_scan(pairs, p0, what: str) -> HarnackReport:
     """Scan ((x, y), u(x), u(y)) edge triples for 1/p0 <= u(x)/u(y) <= p0.
 
-    Requires p0 >= 1 and u > 0 (`what`, a format string, names the edge in
+    Requires a finite p0 >= 1 and u > 0 (`what`, a format string, names the edge in
     the error); reports the extremal adjacent ratio and the first edge
     where it occurs, decided by the tolerant `check_le`.  The ratio is a
     function of the pair (u(x), u(y)), so each distinct pair of values is
     evaluated once: a repeated pair repeats a ratio that did not exceed the
     maximum so far, and cannot be the first edge at a strict maximum.
     """
-    p0 = to_mpf(p0)
-    if p0 < 1:
-        raise InputError("p0 must be at least 1")
+    p0 = checked_p0(p0)
     worst_ratio = mp.mpf(1)
     worst_edge: tuple[int, int] | None = None
     seen = set()
@@ -350,9 +356,12 @@ def harnack_check(g: WeightedGraph, u: GraphFunction, p0) -> HarnackReport:
 
 
 # Edge-list text format: header "graph v=<count>", then "x y mu" lines.
-# Lines starting with '#' are comments.
+# Lines starting with '#' are comments.  The writers' default digits are
+# mpmath's repr digits at the working precision, enough to read back the
+# same bits.
 
-def format_graph_text(g: WeightedGraph, digits: int = 30) -> str:
+def format_graph_text(g: WeightedGraph, digits: int | None = None) -> str:
+    digits = repr_dps(mp.mp.prec) if digits is None else digits
     lines = [f"graph v={g.n_vertices}"]
     for (x, y), w in g.edges():
         lines.append(f"{x} {y} {mp.nstr(w, digits, strip_zeros=True)}")

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import mpmath as mp
 from mpmath.libmp import (fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_neg,
-                          mpf_pow_int, mpf_sub, round_nearest)
+                          mpf_pow_int, mpf_sub, repr_dps, round_nearest)
 
 from .errors import InputError
 from .graphs import GraphFunction, HarnackReport, WeightedGraph, harnack_scan
@@ -391,9 +391,10 @@ def induced_graph_function(u: RadialFunction, layers: Sequence[int]) -> GraphFun
 # Radial serialization: "radial N=<N> horizon=<H>" then "n w_n" lines;
 # two-sided trees add "two-sided" to the header and arm markers.
 
-def format_radial_text(tree, digits: int = 30) -> str:
+def format_radial_text(tree, digits: int | None = None) -> str:
     if not isinstance(tree, _LayerChain):
         raise InputError(f"not a radial tree: {type(tree).__name__}")
+    digits = repr_dps(mp.mp.prec) if digits is None else digits
     H = tree.layer_hi
 
     def shells(layers):

@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import liouville as lv
+from liouville import cli
 from liouville.cli import build_parser, main
 
 
@@ -841,7 +844,7 @@ def test_descend_rejects_a_p0_below_one(capsys, tmp_path):
             "--start", "0", "--steps", "2", "--p0"]
     code = main(args + ["-3"])
     out, err = capsys.readouterr()
-    assert code == 2 and out == "" and err == "error: p0 must be at least 1\n"
+    assert code == 2 and out == "" and err == "error: p0 must be finite and at least 1\n"
     assert main(args + ["1"]) == 0
 
 
@@ -1148,3 +1151,109 @@ def test_blank_and_comment_lines_and_a_bom_leave_verify_unchanged(capsys, tmp_pa
     graph, values = (("\ufeff" if bom else "") + _spliced_lines(text, inserts)
                      for text, inserts, bom in zip(files, (graph_inserts, value_inserts), boms))
     assert _verify_files(capsys, tmp_path, graph, values) == expected
+
+
+# ---------------------------------------------------------------------------
+# an option the run cannot read, a values row for an index the file lacks
+
+V1_VOLUME = ["volume", "--regime", "V1", "--p", "1/2", "--q", "1/2", "--lam", "1", "--N", "3",
+             "--n-lo", "4", "--n-hi", "30"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["construct", "--regime", "I", "--p", "2", "--q", "1", "--eps", "1/10", "--horizon", "50",
+      "--n0", "8"], "regime I reads --n0 only with --delta (without it the search picks n0)"),
+    (["construct", "--regime", "II", "--p", "0", "--q", "3", "--eps", "1/2", "--horizon", "50",
+      "--delta", "5"], "regime II does not read --delta"),
+    (["construct", "--regime", "IV", "--p", "-2", "--q", "1", "--lam", "1", "--horizon", "50",
+      "--eps", "1/3"], "regime IV does not read --eps"),
+    (["construct", "--regime", "I", "--p", "2", "--q", "1", "--eps", "1/10", "--horizon", "50",
+      "--lam", "7"], "regime I does not read --lam"),
+    (["construct", "--regime", "V1", "--p", "1/2", "--q", "1/2", "--horizon", "50",
+      "--eps", "1/10"], "regime V1 does not read --eps"),
+    (V1_VOLUME + ["--delta", "9", "--n0", "77"], "regime V1 does not read --delta"),
+    (V1_VOLUME + ["--n0", "77"], "regime V1 does not read --n0"),
+    (["volume", "--regime", "I", "--p", "2", "--q", "1", "--eps", "1/10", "--n-lo", "16",
+      "--n-hi", "64", "--delta", "9"],
+     "volume does not read --delta: volumes depend only on the weights"),
+    (["verify", "FILES", "--p", "2", "--q", "1", "--horizon", "0"],
+     "--horizon applies only to a radial tree; a graph is checked at every vertex"),
+    (["descend", "FILES", "--p", "2"], "descend reads --p and --q only together"),
+    (["descend", "FILES", "--q", "1"], "descend reads --p and --q only together"),
+], ids=["construct I n0 without delta", "construct II delta", "construct IV eps",
+        "construct I lam", "construct V1 eps", "volume V1 delta and n0", "volume V1 n0",
+        "volume I delta", "verify graph horizon", "descend p alone", "descend q alone"])
+def test_an_option_the_run_cannot_read_exits_2(capsys, tmp_path, args, message):
+    """Each of these exited 0 (or 1) with the option dropped: the report of
+    the run without it, or a spec that echoed a value no step read."""
+    files = _path_graph_files(tmp_path)
+    args = [a for arg in args for a in (files if arg == "FILES" else [arg])]
+    code = main(args)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("files, rows, named", [
+    (PATH_GRAPH, "7,5\n", "vertices the file does not have [7]"),
+    (PATH_GRAPH, "9,1\n-1,1\n3,1\n12,1\n8,1\n4,1\n",
+     "vertices the file does not have [-1, 3, 4, 8, 9]"),
+    (ONE_SIDED, "4,1\n", "layers the file does not have [4]"),
+    (TWO_SIDED, "-3,1\n3,1\n", "layers the file does not have [-3, 3]"),
+], ids=["graph", "graph, five of six", "one-sided", "two-sided"])
+def test_a_values_row_for_an_index_the_file_lacks_exits_2(capsys, tmp_path, files, rows, named):
+    """On the 3-vertex path a row `7,5` was read and dropped without a word."""
+    code, out, err = _verify_files(capsys, tmp_path, files[0], files[1] + rows)
+    assert (code, out, err) == (2, "", f"error: values given for {named}\n")
+
+
+# ---------------------------------------------------------------------------
+# one output path: every report goes out through `_emit`
+
+def envelope_outside_emit(tree):
+    """Reads of SCHEMA, and "schema" or "command" keys of a dict, a subscript
+    or a keyword, anywhere but in the function `_emit`, as "line what"."""
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "_emit":
+            continue
+        for n in ast.walk(stmt):
+            if isinstance(n, ast.Name) and n.id == "SCHEMA" and isinstance(n.ctx, ast.Load):
+                found.append(f"{n.lineno} SCHEMA")
+            keys = n.keys if isinstance(n, ast.Dict) else [n.slice] \
+                if isinstance(n, ast.Subscript) else []
+            found += [f"{k.lineno} {k.value} key" for k in keys
+                      if isinstance(k, ast.Constant) and k.value in ("schema", "command")]
+            if isinstance(n, ast.keyword) and n.arg in ("schema", "command"):
+                found.append(f"{n.value.lineno} {n.arg} key")
+    return found
+
+
+def test_only_emit_writes_the_envelope():
+    """A command that writes its own schema or name is a second envelope
+    that a schema bump would have to find."""
+    assert envelope_outside_emit(ast.parse(Path(cli.__file__).read_text())) == []
+    source = ("SCHEMA = 1\nr = {'schema': SCHEMA, 'command': 'x'}\nr['command'] = 'y'\n"
+              "d = dict(schema=1)\nsub = add_subparsers(dest='command')\n"
+              "def _emit(args, report):\n    return {'schema': SCHEMA, **report}\n")
+    assert envelope_outside_emit(ast.parse(source)) == [
+        "2 schema key", "2 command key", "2 SCHEMA", "3 command key", "4 schema key"]
+
+
+@pytest.mark.parametrize("command, args", [
+    ("classify", ["--p", "2", "--q", "1"]),
+    ("construct", ["--regime", "V1", "--p", "1/2", "--q", "1/2", "--N", "3", "--horizon", "12"]),
+    ("verify", ["FILES", "--p", "2", "--q", "1"]),
+    ("estimate", ["FILES", "--phi", "h:1", "--s", "7", "--t", "1/2", "--p", "2", "--q", "1",
+                  "--p0", "2"]),
+    ("volume", V1_VOLUME[1:]),
+    ("descend", ["FILES", "--start", "0", "--steps", "2"]),
+])
+def test_every_command_reports_the_schema_and_its_name(capsys, tmp_path, command, args):
+    files = _path_graph_files(tmp_path)
+    args = [a for arg in args for a in (files if arg == "FILES" else [arg])]
+    json_path = tmp_path / "report.json"
+    main([command, *args, "--json", str(json_path)])
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert (payload["schema"], payload["command"]) == (1, command)
+    assert json_path.read_text() == out

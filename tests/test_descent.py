@@ -178,7 +178,7 @@ def test_walk_diagnostics_rejects_a_meaningless_p0(p0):
     gradient ratio bound at all."""
     g = lv.WeightedGraph(2, [(0, 1, 1)])
     walk = lv.descent_walk(g, lv.GraphFunction([1, "0.5"]), 0, 1)
-    with pytest.raises(InputError, match="p0 must be at least 1"):
+    with pytest.raises(InputError, match="p0 must be finite and at least 1"):
         lv.walk_diagnostics(walk, p0=p0, point=lv.pq(2, -1))
     assert lv.walk_diagnostics(walk, p0=1).gradient_ratio.holds
 

@@ -2,6 +2,8 @@ import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liouville as lv
 from liouville.errors import InputError
@@ -288,3 +290,30 @@ def test_harnack_radial_rejects_p0_below_one(two_sided):
     with pytest.raises(InputError, match="p0"):
         tree.harnack_check(u, mp.mpf("0.999"))
     assert tree.harnack_check(u, 1).p0 == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(bits=st.sampled_from([53, 128, 256]),
+       kind=st.sampled_from(["one-sided", "two-sided", "graph"]),
+       raw=st.lists(st.tuples(st.integers(1, 1 << 300), st.integers(-3000, 3000)),
+                    min_size=2, max_size=12))
+def test_the_writers_default_digits_read_back_every_weight(bits, kind, raw):
+    """At 30 digits, `parse_radial_text(format_radial_text(tree))` changed
+    all 152 weights of the 128-bit regime-I build at horizon 150.  The
+    default is now mpmath's repr digits at the working precision, so every
+    weight, down to 2^-3000 and up to 2^3300, reads back bit for bit."""
+    with mp.workprec(bits):
+        w = [mp.ldexp(mp.mpf(m), e) for m, e in raw]
+        k = len(w) // 2
+        if kind == "one-sided":
+            tree = lv.parse_radial_text(lv.format_radial_text(lv.RadialTree(3, w)))
+            back = [tree.weight(n) for n in range(len(w))]
+        elif kind == "two-sided":
+            tree = lv.TwoSidedRadialTree(3, w[:k], w[k:2 * k])
+            w = w[k:2 * k][::-1] + w[:k]
+            tree = lv.parse_radial_text(lv.format_radial_text(tree))
+            back = [tree.weight(n) for n in range(-k, k)]
+        else:
+            g = lv.WeightedGraph(len(w) + 1, [(i, i + 1, x) for i, x in enumerate(w)])
+            back = [x for _, x in lv.parse_graph_text(lv.format_graph_text(g)).edges()]
+        assert [(x._mpf_, repr(x)) for x in back] == [(x._mpf_, repr(x)) for x in w]
