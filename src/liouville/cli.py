@@ -22,6 +22,7 @@ from functools import partial
 from pathlib import Path
 
 import mpmath as mp
+from mpmath.libmp import repr_dps
 
 from . import counterexamples as cx
 from . import descent as dsc
@@ -100,11 +101,12 @@ def _band_fields(band: cx.VolumeBand) -> dict:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
+    digits = repr_dps(mp.mp.prec)       # mpmath's repr digits: cells read back with their bits
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([mpf_str(c) if isinstance(c, mp.mpf) else c for c in row])
+            writer.writerow([mpf_str(c, digits) if isinstance(c, mp.mpf) else c for c in row])
 
 
 def _read_text(path: str) -> str:
@@ -221,49 +223,38 @@ def _spec_dict(spec: cx.RegimeSpec) -> dict:
     }
 
 
-# The build options each regime reads.  `construct` reads n0 on I, III and
-# IV only beside delta, which pins the spec there (else the search picks n0),
-# and `volume` never reads delta: volumes depend only on the weights.
-_BUILD_OPTIONS = {"eps": ("I", "II", "III"), "lam": ("IV", "V1", "V2"),
-                  "delta": ("I", "III", "IV"), "n0": ("I", "II", "III", "IV")}
-
-
 def _refuse_unread_options(args) -> None:
-    """An input error for a build option that the run would drop."""
-    regime = args.regime
-    for name, regimes in _BUILD_OPTIONS.items():
+    """An input error for a build option the run would drop: one its regime
+    (`cx.RECIPES`) does not read, `volume --delta` (volumes depend only on
+    the weights), or for `construct` a searched option without the pin."""
+    regime, recipe = args.regime, cx.RECIPES[args.regime]
+    for name in ("eps", "lam", "delta", "n0"):
         if getattr(args, name) is None:
             continue
-        if regime not in regimes:
+        if name != recipe.param and name not in recipe.searched:
             raise InputError(f"regime {regime} does not read --{name}")
         if name == "delta" and args.command == "volume":
             raise InputError("volume does not read --delta: volumes depend only on the weights")
-        if name == "n0" and args.command == "construct" and regime != "II" \
-                and args.delta is None:
-            raise InputError(f"regime {regime} reads --n0 only with --delta "
-                             f"(without it the search picks n0)")
+        pin = recipe.searched[-1]
+        if args.command == "construct" and name in recipe.searched and getattr(args, pin) is None:
+            raise InputError(f"regime {regime} reads --{name} only with --{pin} "
+                             f"(without it the search picks {name})")
 
 
-def _certify(args) -> cx.Certificate:
-    """Certify the spec pinned on the command line (delta for I/III/IV, n0
-    for II, lam for V), or else the one the calibration search accepts."""
-    point = pq(args.p, args.q)
-    regime = args.regime
-    if getattr(args, {"II": "n0", "V1": "lam", "V2": "lam"}.get(regime, "delta")) is not None:
-        return cx.certify_spec(cx.RegimeSpec(
-            regime=regime, p=point.p, q=point.q, N=args.N, horizon=args.horizon,
-            eps=args.eps, lam=args.lam,
-            n0=args.n0 if args.n0 is not None else 2,
-            delta=args.delta,
-        ))
-    return cx.certify(regime, point, N=args.N, horizon=args.horizon,
-                      eps=args.eps, lam=args.lam)
+def _spec(args, horizon: int, delta) -> cx.RegimeSpec:
+    return cx.RegimeSpec(regime=args.regime, p=args.p, q=args.q, N=args.N, horizon=horizon,
+                         eps=args.eps, lam=args.lam, delta=delta,
+                         n0=args.n0 if args.n0 is not None else 2)
 
 
 def _cmd_construct(args) -> int:
     _refuse_unread_options(args)
     cx._band_window(args.volume_lo, args.volume_hi)     # a bad window exits 2, as in volume
-    cert = _certify(args)
+    if getattr(args, cx.RECIPES[args.regime].searched[-1]) is not None:    # the pin
+        cert = cx.certify_spec(_spec(args, args.horizon, args.delta))
+    else:
+        cert = cx.certify(args.regime, pq(args.p, args.q), N=args.N, horizon=args.horizon,
+                          eps=args.eps, lam=args.lam)
     spec, built, report, tail = cert.spec, cert.built, cert.report, cert.tail
     band = None
     v_hi = min(args.volume_hi, spec.horizon)
@@ -365,15 +356,11 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_volume(args) -> int:
     _refuse_unread_options(args)
-    point = pq(args.p, args.q)
-    regime = args.regime
-    if regime in ("IV", "V1", "V2") and args.lam is None:
-        raise InputError(f"regime {regime} volume needs --lam")
-    horizon = max(args.n_hi + 1, 2)
-    spec = cx.RegimeSpec(regime=regime, p=point.p, q=point.q, N=args.N,
-                         horizon=horizon, eps=args.eps, lam=args.lam,
-                         n0=args.n0 if args.n0 is not None else 2,
-                         delta=mp.mpf(1) if regime in ("I", "III", "IV") else None)
+    recipe = cx.RECIPES[args.regime]
+    if recipe.param == "lam" and args.lam is None:
+        raise InputError(f"regime {args.regime} volume needs --lam")
+    spec = _spec(args, max(args.n_hi + 1, 2),
+                 mp.mpf(1) if "delta" in recipe.searched else None)
     built = cx.build(spec)
     target = cx.volume_target(spec)
     if args.exponent_offset and isinstance(target, cx.PowerLogLaw):

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import takewhile
 from typing import Callable
 
@@ -48,9 +49,7 @@ from .errors import CalibrationError, InputError
 from .graphs import GraphFunction, WeightedGraph, site_classes, site_operators
 from .numerics import check_nonpositive, exp_run, memo, precision, rel_tol, to_mpf
 from .radial import RadialFunction, RadialTree, TwoSidedRadialTree, layer_operators
-from .regions import PQPoint, classify_g, exponents, pq
-
-REGIMES = ("I", "II", "III", "IV", "V1", "V2")
+from .regions import PQPoint, exponents, in_g_region, pq
 
 # Acceptance factor for the rate search in family V: the closed-form layer
 # conditions must clear 1 with five percent to spare.
@@ -66,8 +65,8 @@ class RegimeSpec:
     """A fully pinned construction: regime, exponents, and parameters.
 
     horizon is the number of certified layers: margins are checked for
-    0 <= n <= horizon (both arms for V2).  eps applies to regimes I-III,
-    lam to IV and V, delta to I, III, IV; n0 is ignored by V1/V2.
+    0 <= n <= horizon (both arms for V2).  The fields a regime reads are
+    its `RECIPES` entry's; the others are ignored.
     """
 
     regime: str
@@ -85,42 +84,62 @@ class RegimeSpec:
         return pq(self.p, self.q)
 
 
-def _region_matches(regime: str, point: PQPoint) -> bool:
-    if regime == "V1":
-        return point.p + point.q == 1 and point.p >= 0 and point.q > 0
-    if regime == "V2":
-        return point.p + point.q == 1 and point.q < 0
-    return classify_g(point) == {"I": "G1", "II": "G2", "III": "G3", "IV": "G4"}[regime]
+@dataclass(frozen=True)
+class Recipe:
+    """One family's facts, stated once for the checks, the search and the CLI.
+
+    region(point): (p, q) is in its exponent region.  param: the spec field
+    its closed forms read, eps or the rate lam.  searched: the fields
+    `certify` picks, in `validate_spec`'s order, the pin last (given the
+    pin, `construct` certifies the spec as given and reads the others only
+    beside it); a family that searches n0 reads its profile at m = n + n0.
+    power(p, q): e of the threshold delta^e, in its operands' arithmetic
+    (None: it is 1).  least_m: the least m of Lambda (I-III: ln(m-1) > 0).
+    """
+
+    region: Callable[[PQPoint], bool]
+    param: str
+    searched: tuple[str, ...]
+    power: Callable | None = None
+    least_m: int | None = None
+
+
+RECIPES = {
+    "I": Recipe(partial(in_g_region, "G1"), "eps", ("n0", "delta"), lambda p, q: p + q - 1, 3),
+    "II": Recipe(partial(in_g_region, "G2"), "eps", ("n0",), least_m=3),
+    "III": Recipe(partial(in_g_region, "G3"), "eps", ("n0", "delta"), lambda p, q: q - 1, 3),
+    "IV": Recipe(partial(in_g_region, "G4"), "lam", ("n0", "delta"), lambda p, q: p, 2),
+    "V1": Recipe(lambda pt: pt.p + pt.q == 1 and pt.p >= 0 and pt.q > 0, "lam", ("lam",)),
+    "V2": Recipe(lambda pt: pt.p + pt.q == 1 and pt.q < 0, "lam", ("lam",)),
+}
+REGIMES = tuple(RECIPES)
 
 
 def _check_params(regime: str, point: PQPoint, N: int, horizon: int, eps, lam) -> None:
     """The checks a pinned spec and a search share: a known regime, (p, q)
-    in its region, N >= 2, horizon >= 2, eps > 0 for I-III and lam > 0 for IV."""
-    if regime not in REGIMES:
+    in its region, N >= 2, horizon >= 2, and param > 0 unless searched."""
+    if regime not in RECIPES:
         raise InputError(f"unknown regime {regime!r}")
-    if not _region_matches(regime, point):
-        raise InputError(
-            f"(p,q)=({point.p},{point.q}) is not in the exponent region of regime {regime}"
-        )
+    recipe = RECIPES[regime]
+    if not recipe.region(point):
+        raise InputError(f"(p,q)=({point.p},{point.q}) is not in the exponent region "
+                         f"of regime {regime}")
     if N < 2:
         raise InputError("tree degree N must be at least 2")
     if horizon < 2:
         raise InputError("horizon must be at least 2")
-    if regime in ("I", "II", "III") and (eps is None or not to_mpf(eps) > 0):
-        raise InputError(f"regime {regime} needs a positive eps")
-    if regime == "IV" and (lam is None or not to_mpf(lam) > 0):
-        raise InputError("regime IV needs a positive lam")
+    given = {"eps": eps, "lam": lam}[recipe.param]
+    if recipe.param not in recipe.searched and (given is None or not to_mpf(given) > 0):
+        raise InputError(f"regime {regime} needs a positive {recipe.param}")
 
 
 def validate_spec(spec: RegimeSpec) -> None:
     _check_params(spec.regime, spec.point, spec.N, spec.horizon, spec.eps, spec.lam)
-    if spec.regime in ("I", "II", "III", "IV") and spec.n0 < 2:
-        raise InputError("n0 must be at least 2 (logarithms need n + n0 >= 2)")
-    if spec.regime in ("V1", "V2") and (spec.lam is None or not to_mpf(spec.lam) > 0):
-        raise InputError(f"regime {spec.regime} needs a positive lam")
-    if spec.regime in ("I", "III", "IV"):
-        if spec.delta is None or not to_mpf(spec.delta) > 0:
-            raise InputError(f"regime {spec.regime} needs a positive delta")
+    for name in RECIPES[spec.regime].searched:
+        if name == "n0" and spec.n0 < 2:
+            raise InputError("n0 must be at least 2 (logarithms need n + n0 >= 2)")
+        if name != "n0" and (getattr(spec, name) is None or not to_mpf(getattr(spec, name)) > 0):
+            raise InputError(f"regime {spec.regime} needs a positive {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -795,14 +814,12 @@ def _log2(f, e) -> float:
     return math.log2(f) + (e + k)
 
 
-def _lambda_window(regime: str, point: PQPoint, param, lo: int, hi: int,
-                   table=None) -> list[mp.mpf]:
-    """Lambda(m) for m = lo..hi (regimes I-IV), each profile read once from
-    `table` (a certify call's memo of `_profile`) or else the kernel's own;
+def _lambda_window(regime: str, point: PQPoint, param, lo: int, hi: int) -> list[mp.mpf]:
+    """Lambda(m) for m = lo..hi (regimes I-IV), each profile read once;
     `lambda_fn` at m (I-IV) is this window at m alone."""
     _check_lambda_index(regime, lo)
     profile, combine, _ = _lambda_kernel(regime, point, param)
-    rows = list(map(profile if table is None else table, range(lo - 1, hi + 2)))
+    rows = list(map(profile, range(lo - 1, hi + 2)))
     return [combine(*rows[i - 1:i + 2]) for i in range(1, len(rows) - 1)]
 
 
@@ -832,12 +849,9 @@ def _v2_layer_rhs(point: PQPoint, lam) -> mp.mpf:
 def lambda_fn(regime: str, point: PQPoint, param, n: int) -> mp.mpf:
     """Per-layer calibration value for the given regime at absolute index n.
 
-    Regimes I-III need n >= 3 so that ln(n-1) stays positive; regime IV
-    needs n >= 2.  For V1, n = 0 selects the root condition and any n >= 1
-    the (n-independent) interior one; for V2 the closed form does not
-    depend on n at all.
+    For V1, n = 0 selects the root condition and any n >= 1 the
+    (n-independent) interior one; for V2 the closed form does not depend on n.
     """
-    _check_lambda_index(regime, n)
     if regime == "V1":
         return _v1_layer_rhs(point, param, n)
     if regime == "V2":
@@ -846,10 +860,9 @@ def lambda_fn(regime: str, point: PQPoint, param, n: int) -> mp.mpf:
 
 
 def _check_lambda_index(regime: str, n: int) -> None:
-    if regime in ("I", "II", "III") and n < 3:
-        raise InputError(f"regime {regime} calibration needs n >= 3, got {n}")
-    if regime == "IV" and n < 2:
-        raise InputError(f"regime IV calibration needs n >= 2, got {n}")
+    least = getattr(RECIPES.get(regime), "least_m", None)
+    if least is not None and n < least:
+        raise InputError(f"regime {regime} calibration needs n >= {least}, got {n}")
 
 
 def lambda_limit(regime: str, point: PQPoint, param) -> mp.mpf:
@@ -879,14 +892,15 @@ class DeltaBound:
 def _delta0_value(regime: str, point: PQPoint, n0: int, table=None) -> DeltaBound:
     """delta_0 at n0, from g(n0) and g(n0 + 1) (IV: 1/n0) read off `table`
     (a memo of `_profile`; a fresh profile when None: g does not need eps)."""
-    if regime not in ("I", "III", "IV"):
+    power = getattr(RECIPES.get(regime), "power", None)
+    if power is None:
         raise InputError(f"regime {regime} has no delta_0 formula")
     if table is None:
         table = _profile(regime, point, 0)
     p, q = to_mpf(point.p), to_mpf(point.q)
     if regime == "IV":
         return DeltaBound(2 ** (1 / (2 * p)) / (mp.make_mpf(table(n0)[1]) + 1), "lower")
-    e = p + q - 1 if regime == "I" else q - 1
+    e = power(p, q)
     g0, g1 = (mp.make_mpf(table(m)[1]) for m in (n0, n0 + 1))
     diff = 1 / g0 - 1 / g1
     if regime == "I":
@@ -907,14 +921,11 @@ def delta0(spec: RegimeSpec) -> DeltaBound:
 
 
 def interior_threshold(spec: RegimeSpec) -> mp.mpf:
-    """The quantity that must stay below Lambda at every interior layer."""
-    if spec.regime == "I":
-        return mp.power(to_mpf(spec.delta), to_mpf(spec.p + spec.q - 1))
-    if spec.regime == "III":
-        return mp.power(to_mpf(spec.delta), to_mpf(spec.q - 1))
-    if spec.regime == "IV":
-        return mp.power(to_mpf(spec.delta), to_mpf(spec.p))
-    return mp.mpf(1)
+    """The quantity that must stay below Lambda at every interior layer:
+    delta^e, e the recipe's power of the exact p and q, or 1."""
+    power = getattr(RECIPES.get(spec.regime), "power", None)
+    return mp.mpf(1) if power is None else mp.power(to_mpf(spec.delta),
+                                                    to_mpf(power(spec.p, spec.q)))
 
 
 # ---------------------------------------------------------------------------
@@ -941,11 +952,14 @@ def tail_check(spec: RegimeSpec, horizon: int | None = None, *, table=None) -> T
     """Lambda against twice the threshold on the tail window (I-IV read
     their profiles from `table`, as `build` does), or V's closed forms."""
     H = spec.horizon if horizon is None else horizon
-    if spec.regime in ("V1", "V2"):
-        min_value = min(lambda_fn(spec.regime, spec.point, spec.lam, n) for n in (0, 1))
-    else:
-        param = spec.eps if spec.regime in ("I", "II", "III") else spec.lam
+    if spec.regime not in RECIPES:
+        raise InputError(f"unknown regime {spec.regime!r}")
+    recipe = RECIPES[spec.regime]
+    param = getattr(spec, recipe.param)
+    if "n0" in recipe.searched:
         min_value = _window_min(spec.regime, spec.point, param, spec.n0, H, table)
+    else:
+        min_value = min(lambda_fn(spec.regime, spec.point, param, n) for n in (0, 1))
     return _interior_tail(spec, H, min_value)
 
 
@@ -968,7 +982,7 @@ def _window_min(regime, point, param, n0, H, table=None) -> mp.mpf:
 def _interior_tail(spec: RegimeSpec, H: int, min_value) -> TailReport:
     """The tail report, given the least value of Lambda that it checks."""
     threshold = interior_threshold(spec)
-    required = to_mpf(V_COND_MARGIN) if spec.regime in ("V1", "V2") else 2 * threshold
+    required = 2 * threshold if "n0" in RECIPES[spec.regime].searched else to_mpf(V_COND_MARGIN)
     return TailReport(ok=min_value >= required, window=_tail_window(H),
                       min_value=min_value, threshold=threshold, required=required)
 
@@ -998,8 +1012,9 @@ def certify_spec(spec: RegimeSpec) -> Certificate:
     """Build, verify and tail a fully pinned spec, once each, on one table
     of the spec's profile."""
     validate_spec(spec)
-    table = None if spec.regime in ("V1", "V2") else memo(_profile(
-        spec.regime, spec.point, spec.lam if spec.regime == "IV" else spec.eps))
+    recipe = RECIPES[spec.regime]
+    table = memo(_profile(spec.regime, spec.point, getattr(spec, recipe.param))) \
+        if "n0" in recipe.searched else None
     built = build(spec, table=table)
     return Certificate(built, verify(built), tail_check(spec, table=table))
 
@@ -1027,8 +1042,9 @@ def certify(regime: str, point: PQPoint, *, N: int, horizon: int,
     delta_0, `build` and `tail_check` each m's profile, evaluated once.
     """
     _check_params(regime, point, N, horizon, eps, lam)
-    eps = Fraction(eps) if regime in ("I", "II", "III") else None
-    table = None if regime in ("V1", "V2") else memo(_profile(regime, point, eps or lam))
+    recipe = RECIPES[regime]
+    eps = Fraction(eps) if recipe.param == "eps" else None
+    table = memo(_profile(regime, point, eps or lam)) if "n0" in recipe.searched else None
     best_margin = best_spec = None
     for spec, tail in _candidates(regime, point, eps, lam, N, horizon, table):
         built = build(spec, table=table)
@@ -1040,7 +1056,7 @@ def certify(regime: str, point: PQPoint, *, N: int, horizon: int,
                 return Certificate(built, report, tail)
         if best_margin is None or report.max_margin < best_margin:
             best_margin, best_spec = report.max_margin, spec
-    name, cap = ("lambda", _LAMBDA_CAP) if regime in ("V1", "V2") else ("n0", _N0_CAP)
+    name, cap = ("n0", _N0_CAP) if "n0" in recipe.searched else ("lambda", _LAMBDA_CAP)
     raise CalibrationError(f"regime {regime}: no passing {name} up to {cap}",
                            best_margin=best_margin, best_spec=best_spec)
 
@@ -1065,11 +1081,12 @@ def _candidates(regime, point, eps, lam, N, horizon, table):
     interior threshold of delta, which is fixed from the recipe bounds: the
     root bound delta_0, the limit-based delta_1 = (limit/2)^(1/e), and a
     tail cap (window-minimum/2)^(1/e) that keeps the factor-two tail
-    clearance reachable; with p < 0 (regime IV) the three combine through
-    max instead of min.  The probes, windows and delta_0 read `table`.
+    clearance reachable; with e < 0 (regime IV, e = p) the three combine
+    through max instead of min.  The probes, windows and delta_0 read `table`.
     """
+    recipe = RECIPES[regime]
     base = dict(regime=regime, p=point.p, q=point.q, N=N, horizon=horizon)
-    if regime in ("V1", "V2"):
+    if "n0" not in recipe.searched:
         rate = mp.mpf(1)
         while rate <= _LAMBDA_CAP:
             spec = RegimeSpec(**base, lam=rate)
@@ -1078,29 +1095,25 @@ def _candidates(regime, point, eps, lam, N, horizon, table):
                 yield spec, tail
             rate *= 2
         return
-    if regime != "II":
-        lam = to_mpf(lam) if regime == "IV" else None
+    lam = to_mpf(lam) if recipe.param == "lam" else None
+    if recipe.power is not None:            # delta is searched: screen each n0
         param = eps if lam is None else lam
-        e = to_mpf({"I": point.p + point.q - 1, "III": point.q - 1, "IV": point.p}[regime])
+        e = to_mpf(recipe.power(point.p, point.q))
         delta1 = mp.power(lambda_limit(regime, point, param) / 2, 1 / e)
-        combine = max if regime == "IV" else min
+        combine = max if e < 0 else min
         probes = _probe_offsets(horizon)
-        lam_of = _lambda_kernel(regime, point, param)[1]
-
-        def probe(m):
-            """lambda_fn(regime, point, param, m), from the kernel built once above."""
-            _check_lambda_index(regime, m)
-            return lam_of(table(m - 1), table(m), table(m + 1))
+        lam_of = _lambda_kernel(regime, point, param)[1]    # at m = n + n0 >= 3 >= least_m
 
     n0 = 2
     while n0 <= _N0_CAP:
         for m in [m for m in table if m < n0]:  # every read from here on is at m >= n0
             del table[m]
-        if regime == "II":
+        if recipe.power is None:
             yield RegimeSpec(**base, eps=eps, n0=n0), None
         else:
             # the first non-positive probe rules the candidate out; skip the rest
-            probe_vals = list(takewhile(lambda v: v > 0, (probe(n + n0) for n in probes)))
+            rows = ((table(m - 1), table(m), table(m + 1)) for m in (n + n0 for n in probes))
+            probe_vals = list(takewhile(lambda v: v > 0, (lam_of(*row) for row in rows)))
             if len(probe_vals) == len(probes):
                 wmin = _window_min(regime, point, param, n0, horizon, table)
                 delta = combine(_delta0_value(regime, point, n0, table).value, delta1,

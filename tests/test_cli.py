@@ -1,4 +1,5 @@
 import ast
+import csv
 import hashlib
 import json
 from fractions import Fraction as F
@@ -8,6 +9,7 @@ import mpmath as mp
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import repr_dps
 
 import liouville as lv
 from liouville import cli
@@ -651,8 +653,28 @@ def test_volume_two_sided_csv_and_nash_williams(capsys, tmp_path):
         lv.nash_williams_partial(lambda n: vols[n], 30))
     rows = csv_path.read_text().splitlines()
     assert rows[0] == "n,volume,target,ratio"
-    assert [r.split(",")[:2] for r in rows[1:]] == [[str(n), lv.mpf_str(vols[n])]
+    digits = repr_dps(mp.mp.prec)
+    assert [r.split(",")[:2] for r in rows[1:]] == [[str(n), lv.mpf_str(vols[n], digits)]
                                                      for n in range(4, 31)]
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_construct_csv_reads_back_with_the_certificates_bits(capsys, tmp_path, bits):
+    """At 25 digits none of the 151 w and none of the 151 u read back with
+    the certificate's bits."""
+    csv_path = tmp_path / "layers.csv"
+    code = main(["--precision-bits", str(bits), "construct", "--regime", "I", "--p", "2",
+                 "--q", "1", "--eps", "1/10", "--horizon", "150", "--csv", str(csv_path)])
+    capsys.readouterr()
+    assert code == 0
+    with lv.precision(bits):
+        built = lv.certify("I", lv.pq(2, 1), N=3, horizon=150, eps=F(1, 10)).built
+        rows = list(csv.DictReader(csv_path.open()))
+        assert [int(row["layer"]) for row in rows] == list(range(151))
+        assert [lv.parse_decimal(row["w"])._mpf_ for row in rows] \
+            == [built.tree.weight(n)._mpf_ for n in range(151)]
+        assert [lv.parse_decimal(row["u"])._mpf_ for row in rows] \
+            == [built.u.value(n)._mpf_ for n in range(151)]
 
 
 def test_volume_sums_the_running_volume_once(capsys, tmp_path, monkeypatch):
@@ -1191,6 +1213,61 @@ def test_an_option_the_run_cannot_read_exits_2(capsys, tmp_path, args, message):
     code = main(args)
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# What `construct` and `volume` do given one build option alone, written out
+# by hand: "reads" (the run goes on to the region check, since (p, q) is
+# outside the regime's region), "unread" (the regime does not read it),
+# "pin" (construct reads --n0 only beside --delta), "weights" (volume never
+# reads --delta) or "lam" (volume needs --lam first).
+OPTION_POLICY = {   # regime: {option: (construct, volume)}
+    "I": {"eps": ("reads", "reads"), "lam": ("unread", "unread"),
+          "delta": ("reads", "weights"), "n0": ("pin", "reads")},
+    "II": {"eps": ("reads", "reads"), "lam": ("unread", "unread"),
+           "delta": ("unread", "unread"), "n0": ("reads", "reads")},
+    "III": {"eps": ("reads", "reads"), "lam": ("unread", "unread"),
+            "delta": ("reads", "weights"), "n0": ("pin", "reads")},
+    "IV": {"eps": ("unread", "unread"), "lam": ("reads", "reads"),
+           "delta": ("reads", "weights"), "n0": ("pin", "lam")},
+    "V1": {"eps": ("unread", "unread"), "lam": ("reads", "reads"),
+           "delta": ("unread", "unread"), "n0": ("unread", "unread")},
+    "V2": {"eps": ("unread", "unread"), "lam": ("reads", "reads"),
+           "delta": ("unread", "unread"), "n0": ("unread", "unread")},
+}
+OPTION_VALUES = {"eps": "1/3", "lam": "1", "delta": "1/2", "n0": "8"}
+POLICY_CASES = [(command, regime, option, outcomes[k])
+                for k, command in enumerate(["construct", "volume"])
+                for regime, row in OPTION_POLICY.items() for option, outcomes in row.items()]
+
+
+@pytest.mark.parametrize("command, regime, option, outcome", POLICY_CASES,
+                         ids=["-".join(case[:3]) for case in POLICY_CASES])
+def test_each_regime_reads_its_build_options(capsys, command, regime, option, outcome):
+    p, q = ("2", "1") if regime == "IV" else ("-2", "1")
+    code = main([command, "--regime", regime, "--p", p, "--q", q,
+                 f"--{option}", OPTION_VALUES[option]])
+    message = {
+        "reads": f"(p,q)=({p},{q}) is not in the exponent region of regime {regime}",
+        "unread": f"regime {regime} does not read --{option}",
+        "pin": f"regime {regime} reads --n0 only with --delta (without it the search picks n0)",
+        "weights": "volume does not read --delta: volumes depend only on the weights",
+        "lam": f"regime {regime} volume needs --lam",
+    }[outcome]
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
+
+def regime_names(tree) -> list:
+    """String constants equal to a regime's name, as "line name"."""
+    return sorted(f"{n.lineno} {n.value}" for n in ast.walk(tree) if isinstance(n, ast.Constant)
+                  and n.value in ("I", "II", "III", "IV", "V1", "V2"))
+
+
+def test_cli_names_no_regime():
+    """What each regime reads, searches and pins is `counterexamples.RECIPES`;
+    a regime named in cli.py is a second statement of it."""
+    assert regime_names(ast.parse(Path(cli.__file__).read_text())) == []
+    source = 'if regime in ("IV", "V1"):\n    pin = {"II": "n0"}.get(regime, "delta")\n'
+    assert regime_names(ast.parse(source)) == ["1 IV", "1 V1", "2 II"]
 
 
 @pytest.mark.parametrize("files, rows, named", [

@@ -653,6 +653,30 @@ def test_lambda_and_delta0_are_their_mpf_expressions(case, bits):
                     == before_build._delta0_value(regime, point, spec.n0).value._mpf_)
 
 
+# Points where the power e of the threshold delta^e (I: p + q - 1, III: q - 1,
+# IV: p) is not dyadic, so that e formed from the rounded p and q (as delta_0
+# forms it) differs from e rounded once (as the threshold and the search do).
+NON_DYADIC = {"I": (F(1, 3), F(4, 3)), "III": (F(-1, 3), F(5, 3)), "IV": (F(-2, 3), F(1))}
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("regime", list(NON_DYADIC))
+def test_delta0_and_threshold_at_non_dyadic_points(regime, bits):
+    p, q = NON_DYADIC[regime]
+    exact_e = {"I": p + q - 1, "III": q - 1, "IV": p}[regime]
+    with lv.precision(bits):
+        P, Q = lv.to_mpf(p), lv.to_mpf(q)
+        rounded_e = {"I": P + Q - 1, "III": Q - 1, "IV": P}[regime]
+        assert (rounded_e == lv.to_mpf(exact_e)) == (regime == "IV")    # the trap is live
+        for n0 in (2, 8, 2 ** 20):
+            spec = lv.RegimeSpec(regime=regime, p=p, q=q, N=3, horizon=10, n0=n0,
+                                 delta=mp.mpf(3) / 7)
+            assert (cx.delta0(spec).value._mpf_
+                    == before_build._delta0_value(regime, spec.point, n0).value._mpf_)
+            assert (lv.interior_threshold(spec)._mpf_
+                    == mp.power(spec.delta, lv.to_mpf(exact_e))._mpf_)
+
+
 # ---------------------------------------------------------------------------
 # the float64 screen of a Lambda tail window (`_lambda_kernel`'s bounds and
 # `_window_min`) against the mpf window, bit for bit
