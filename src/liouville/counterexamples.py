@@ -923,7 +923,9 @@ def delta0(spec: RegimeSpec) -> DeltaBound:
 def interior_threshold(spec: RegimeSpec) -> mp.mpf:
     """The quantity that must stay below Lambda at every interior layer:
     delta^e, e the recipe's power of the exact p and q, or 1."""
-    power = getattr(RECIPES.get(spec.regime), "power", None)
+    if spec.regime not in RECIPES:
+        raise InputError(f"unknown regime {spec.regime!r}")
+    power = RECIPES[spec.regime].power
     return mp.mpf(1) if power is None else mp.power(to_mpf(spec.delta),
                                                     to_mpf(power(spec.p, spec.q)))
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import (MPZ, bitcount, ften, from_int, mpf_exp, mpf_mul, mpf_pow_int,
-                          normalize, round_nearest)
+from mpmath.libmp import (MPZ, bitcount, fone, ften, from_int, mpf_div, mpf_exp, mpf_mul,
+                          mpf_pow_int, normalize, round_down, round_nearest, round_up)
 
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 53         # a float64 significand
@@ -66,6 +66,60 @@ _DECIMAL = re.compile(r"([+-]?[0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")
 _POW5 = tuple((MPZ(5) ** k, bitcount(MPZ(5) ** k)) for k in range(401))
 
 
+def _pow10(n: int, wp: int):
+    """mpf_pow_int(ften, n, wp)'s raw value, bit for bit, for |n| > 400, or
+    None where the enclosure below cannot decide it.
+
+    With k = |n| and b = bitcount(k), mpmath rounds its power P ~ 5^k to Wr
+    bits, then scales by 2^k: RD with Wr = wp for n > 0; RU with Wr = wp +
+    5 for n < 0, which it then divides 1 by at wp bits, RD.  Its binary
+    powering cuts every product to W = Wr + 4b + 4 bits, all in the one
+    direction, each cut by less than 2^(1-W) relatively.  Squaring doubles
+    an error, so the j-th square 5^(2^j) is within (2^j - 1) 2^(1-W), and
+    the at most b products give P within sum_j 2^j 2^(1-W) < 2^(b+1-W) of
+    5^k; the second-order terms of upward cuts at most double that.  So P
+    is within 2^(b+3-W) of 5^k.
+
+    Here 5^k = 5^r (5^400)^q is formed from `_POW5` in an integer m of t =
+    W + 8 bits, by the same binary powering on 5^400: 5^r, 5^400 and every
+    product and square are cut toward zero to t bits, each by less than
+    u = 2^(1-t), so the j-th square is within (2^(j+1) - 1) u and m within
+    (4q + 1) u of 5^k 2^-e, which lies in [m, m + 16q].  P 2^-e lies
+    within 2^(b+3-W) 2^(t+1) = 2^(b+12) of it: inside [lo, hi] =
+    m -+ (16q + 2^(b+12)).  Where hi has t bits like m, and the top Wr bits
+    of lo and hi, cut in mpmath's direction, agree (Ziv's rounding test, as
+    in `geometric_run`), lo has t bits too and P rounds to those bits.  The
+    test fails where 5^k fits in Wr bits, which mpmath may hold exactly.
+    """
+    k = abs(n)
+    wr = wp if n > 0 else wp + 5
+    b = k.bit_length()
+    t = wr + 4 * b + 12
+    q, r = divmod(k, 400)
+    rad = 16 * q + (1 << (b + 12))
+    (man, bc), (five, five_bc) = _POW5[r], _POW5[400]
+    c, cut = max(five_bc - t, 0), bc - t
+    five, m, e = five >> c, (man >> cut if cut >= 0 else man << -cut), k + cut
+    while q:
+        if q & 1:
+            m *= five
+            cut = m.bit_length() - t
+            m, e = m >> cut, e + cut + c
+        q >>= 1
+        if q:
+            five *= five
+            cut = max(five.bit_length() - t, 0)
+            five, c = five >> cut, 2 * c + cut
+    lo, hi, s = m - rad, m + rad, t - wr
+    if n > 0:
+        top = lo >> s
+        return normalize(0, top, e + s, wr, wr, round_down) if top == hi >> s else None
+    top = -(-lo >> s)
+    if top != -(-hi >> s) or hi >> t:
+        return None
+    return mpf_div(fone, normalize(0, top, e + s, top.bit_length(), wr, round_up), wp, round_down)
+
+
 def parse_decimal(text: str) -> mp.mpf:
     """mp.mpf(text), bit for bit, at the working precision.
 
@@ -76,7 +130,10 @@ def parse_decimal(text: str) -> mp.mpf:
     |man| 2^s by 5^-e, with s chosen so the quotient has at least prec + 5
     bits and a nonzero remainder kept as a sticky last bit, is rounded once
     by `normalize` in the context's mode, and 2^e goes into the exponent:
-    the same correctly rounded value (Clinger's method).  A zero denominator
+    the same correctly rounded value (Clinger's method).  For |e| > 400
+    mpmath multiplies by its own power of ten at prec + 10 bits, which is
+    not correctly rounded; `_pow10` gives its bits where it can decide
+    them, and the call itself gives them elsewhere.  A zero denominator
     in an a/b rational raises ValueError, like any other malformed string.
     So does a digit separator "_", which mpmath misreads after the point
     (mp.mpf("1.5_5") is 0.155), so no input number may carry one.
@@ -98,7 +155,8 @@ def parse_decimal(text: str) -> mp.mpf:
     man = int(digits)               # "-.0" leaves "-", which mpmath rejects here too
     prec, rnd = mp.mp._prec_rounding
     if abs(exp) > 400:
-        value = mpf_mul(from_int(man, prec + 10), mpf_pow_int(ften, exp, prec + 10), prec, rnd)
+        ten = _pow10(exp, prec + 10) or mpf_pow_int(ften, exp, prec + 10)
+        value = mpf_mul(from_int(man, prec + 10), ten, prec, rnd)
     elif exp >= 0:
         value = from_int(man * 10 ** exp, prec, rnd)
     else:

@@ -151,6 +151,14 @@ def test_delta0_unsupported_regime():
                                 eps=F(1, 2), n0=2))
 
 
+@pytest.mark.parametrize("fn", [lv.interior_threshold, lv.tail_check, lv.build])
+def test_unknown_regime_is_named(fn):
+    spec = lv.RegimeSpec(regime="X", p=F(2), q=F(1), N=3, horizon=10, eps=F(1, 10),
+                         lam=mp.mpf(1), n0=2, delta=mp.mpf(1))
+    with pytest.raises(InputError, match="^unknown regime 'X'$"):
+        fn(spec)
+
+
 # ---------------------------------------------------------------------------
 # lambda functions
 

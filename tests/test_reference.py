@@ -36,6 +36,7 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import ften, mpf_pow_int
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -1822,7 +1823,7 @@ def test_walk_screen_sends_few_steps_to_mpf(monkeypatch, request, fixture):
 # ---------------------------------------------------------------------------
 # The decimal reader against mp.mpf
 
-READER_BITS = [53, 128, 256, 512]
+READER_BITS = [53, 128, 256, 512, 1024]
 
 
 def mpf_or_error(convert, text):
@@ -1841,13 +1842,14 @@ def mpf_or_error(convert, text):
 def decimal_strings(draw):
     """Plain decimals: 1-60 digits, some trailing zeros, a sign, the point
     anywhere (integer or fraction part possibly empty) or absent, and an
-    exponent across +-450, on both sides of mpmath's 400 cutoff."""
+    exponent across +-3000, on both sides of mpmath's 400 cutoff and over
+    the V1 and V2 certificates' range."""
     digits = draw(st.text("0123456789", min_size=1, max_size=60))
     digits += "0" * draw(st.integers(0, 8))
     sign = draw(st.sampled_from(["", "+", "-"]))
     point = draw(st.none() | st.integers(0, len(digits)))
     body = digits if point is None else digits[:point] + "." + digits[point:]
-    exponent = draw(st.none() | st.integers(-450, 450))
+    exponent = draw(st.none() | st.integers(-3000, 3000))
     if exponent is not None:
         body += draw(st.sampled_from(["e", "E"])) + draw(st.sampled_from(["", "+"])
                                                          if exponent >= 0 else st.just(""))
@@ -1865,6 +1867,12 @@ def decimal_strings(draw):
 @example("-100e-402")
 @example("0.000e-450")
 @example("12345678901234567890123456789012345678901234567890123456789.0e-420")
+@example("2.670204358332546958482251799636454240798e+2436")
+@example("-2.051584664733314668441615715220063499696e+441")
+@example("1.315637887248350860337409760415375138650e-609")
+@example("4.874280926300401658022303013486096046844e-441")
+@example("2.670204358332546958482251799636454240798e+34836")
+@example("3e-447")         # 5^447 fits in 1024 + 15 bits: `_pow10` leaves it to mpmath
 @example("1.00000000000000011102230246251565404236316680908203125")
 @example("1.00000000000000033306690738754696212708950042724609375")
 @example("-1.00000000000000011102230246251565404236316680908203125")
@@ -1895,6 +1903,49 @@ def test_parse_decimal_divides_once(monkeypatch):
         monkeypatch.setattr(numerics, name, forbidden, raising=False)
     with mp.workprec(128):
         assert [repr(numerics.parse_decimal(t)._mpf_) for t in texts] == want
+
+
+def test_parse_decimal_reads_tabulated_powers_of_five(monkeypatch):
+    """Past 10^400 the power of ten comes from `_POW5`: no mpf power is
+    taken for the 40-digit decimals of a V1 or V2 certificate, and they
+    read with mp.mpf's bits and reprs."""
+    texts = ["2.670204358332546958482251799636454240798e+2436", "8.0",
+             "1.31563788724835086033740976041537513865e-609",
+             "2.650396553004310816338679447269582701525e-261",
+             "7.122089044302971081064932582242749227171e-610",
+             "2.051584664733314668441615715220063499696e+457",
+             "4.874280926300401658022303013486096046844e-458"]
+    with mp.workprec(128):
+        want = [repr(mp.mpf(t)._mpf_) for t in texts]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("parse_decimal took an mpf power of ten")
+
+    monkeypatch.setattr(numerics, "mpf_pow_int", forbidden)
+    with mp.workprec(128):
+        assert [repr(numerics.parse_decimal(t)._mpf_) for t in texts] == want
+
+
+def test_pow10_is_mpmaths_power_where_decided():
+    """`_pow10` against mpf_pow_int at every |n| from 401 to 3000, and at a
+    few up to 10^6 (5^400 squared up to eleven times), at the prec + 10 bits
+    `parse_decimal` asks for: equal wherever it decides, and deciding every
+    n below 1024 bits.  At 1034 bits it leaves only the n whose 5^|n| fits
+    in the bits mpmath rounds to, which mpmath may hold exactly."""
+    for wp in (63, 138, 266, 522, 1034):
+        undecided = []
+        for k in [*range(401, 3001), 34817, 123457, 10 ** 6 + 3]:
+            for n in (k, -k):
+                got = numerics._pow10(n, wp)
+                if got is None:
+                    undecided.append(n)
+                else:
+                    assert got == mpf_pow_int(ften, n, wp), (n, wp)
+        if wp < 1034:
+            assert undecided == [], wp
+        else:
+            assert -447 in undecided
+            assert all((5 ** abs(n)).bit_length() <= wp + 5 * (n < 0) for n in undecided)
 
 
 @pytest.mark.parametrize("text", ["inf", "+inf", "-inf", "Infinity", "nan", "NaN", "1/3",
