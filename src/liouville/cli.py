@@ -29,8 +29,8 @@ from . import descent as dsc
 from .caccioppoli import TestFunction, estimate_sides, estimate_sides_radial
 from .errors import CalibrationError, HypothesisNotMetError, InputError, LiouvilleError
 from .graphs import GraphFunction, WeightedGraph, nash_williams_partial, parse_graph_text
-from .numerics import (MIN_PRECISION_BITS, content_lines, default_precision_bits, memo,
-                       mpf_str, parse_decimal, precision)
+from .numerics import (DECIMAL, MIN_PRECISION_BITS, content_lines, decimal_value,
+                       default_precision_bits, mpf_str, parse_decimal, parse_index, precision)
 from .radial import RadialFunction, parse_radial_text
 from .regions import ON_LINE, choose_st, classify_g, classify_k, pq
 
@@ -125,7 +125,8 @@ def _load_values_csv(path: str) -> dict[int, mp.mpf]:
     row whose index is not an integer, or a row with more or fewer than
     two fields, is an input error."""
     values: dict[int, mp.mpf] = {}
-    value = memo(parse_decimal)
+    prec, rnd = mp.mp._prec_rounding
+    read: dict[str, mp.mpf] = {}        # each distinct field once: a ball's values repeat
     try:
         rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
     except csv.Error as exc:                # e.g. a field over the csv field limit
@@ -136,7 +137,7 @@ def _load_values_csv(path: str) -> dict[int, mp.mpf]:
             and not head.startswith("#")]
     for k, row in enumerate(rows):
         try:
-            idx = int(row[0])
+            idx = parse_index(row[0])
         except ValueError:
             if k == 0:
                 continue                    # the header
@@ -147,10 +148,15 @@ def _load_values_csv(path: str) -> dict[int, mp.mpf]:
                              f"and nothing more")
         if idx in values:
             raise InputError(f"{path}: duplicate index {idx}")
-        try:
-            values[idx] = value(row[1])
-        except ValueError:
-            raise InputError(f"{path}: bad value in row {row!r}")
+        field = row[1]
+        if (value := read.get(field)) is None:
+            m = DECIMAL.fullmatch(field)
+            try:
+                value = read[field] = (decimal_value(*m.groups(), prec, rnd) if m
+                                       else parse_decimal(field))
+            except ValueError:
+                raise InputError(f"{path}: bad value in row {row!r}")
+        values[idx] = value
     if not values:
         raise InputError(f"no values found in {path}")
     return values
@@ -439,21 +445,27 @@ def _cmd_descend(args) -> int:
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser for argv.  Every command is listed with its help, but only
-    a command named by a token of argv gets its arguments: adding all six
-    commands' arguments takes argparse about a millisecond, and a run uses
-    one command."""
+    a command named by a token of argv gets a subparser: making the six
+    subparsers and their arguments takes argparse about a millisecond, and
+    a run uses one command.  argparse runs the subparser of the token it
+    reads as the command, so that token is in argv; the main parser's
+    usage, help and errors read only the names and their help."""
     parser = argparse.ArgumentParser(
         prog="liouville",
         description="Verification tools for Delta u + u^p |grad u|^q <= 0 on weighted graphs",
     )
     parser.add_argument("--precision-bits", type=_precision_bits, default=None,
                         help="working significand size (default: env or 128)")
-    sub = parser.add_subparsers(dest="command", required=True)
+
+    def subparser(prog, **kwargs):      # prog is "liouville <command>"
+        return argparse.ArgumentParser(prog, **kwargs) if prog.split()[-1] in argv else None
+
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
 
     def command(name, text, fn):
-        c = sub.add_parser(name, help=text)
-        c.set_defaults(fn=fn)
-        return c if name in argv else None
+        if c := sub.add_parser(name, help=text):
+            c.set_defaults(fn=fn)
+        return c
 
     if c := command("classify", "classify an exponent pair", _cmd_classify):
         c.add_argument("--p", type=_fraction, required=True)

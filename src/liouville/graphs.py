@@ -20,7 +20,7 @@ from mpmath.libmp import fzero, mpf_add, mpf_rdiv_int, repr_dps, round_nearest
 
 from .errors import InputError, IsolatedVertexError
 from .numerics import (all_finite, all_positive, check_le, content_lines, memo, parse_decimal,
-                       to_mpf)
+                       parse_index, to_mpf)
 
 
 class WeightedGraph:
@@ -381,13 +381,16 @@ def parse_graph_text(text: str) -> WeightedGraph:
     except ValueError:
         raise InputError(f"bad vertex count in header: {head!r}")
     edges = []
+    # Split, not one line pattern as in the radial reader: a ball's weights
+    # repeat, so each distinct one is read once, and a pattern's groups cost
+    # more per line than the split.
     weight = memo(parse_decimal)
     for ln in lines:
         parts = ln.split()
         if len(parts) != 3:
             raise InputError(f"bad edge line: {ln!r}")
         try:
-            x, y = int(parts[0]), int(parts[1])
+            x, y = parse_index(parts[0]), parse_index(parts[1])
         except ValueError:
             raise InputError(f"bad vertex id in line: {ln!r}")
         try:

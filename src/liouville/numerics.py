@@ -56,13 +56,16 @@ def rel_tol() -> mp.mpf:
     return mp.mpf(DEFAULT_REL_TOL)
 
 
-# A plain ASCII decimal: sign and integer digits, fraction digits, exponent.
-# Every other spelling mp.mpf accepts (inf, nan, a/b, surrounding space,
-# non-ASCII digits, a trailing l) goes to mp.mpf itself, but for digit
-# separators, which `parse_decimal` rejects.
-_DECIMAL = re.compile(r"([+-]?[0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")
-# 5^k and its bit count, for the quotients 10^-k = 5^-k 2^-k of `parse_decimal`;
-# beyond 400 digits mpmath multiplies by a power of ten instead.
+# A plain ASCII decimal with a digit: sign and integer digits, fraction
+# digits, exponent, the groups `decimal_value` reads.  The radial reader's
+# line pattern embeds it.  Every other spelling mp.mpf accepts (inf, nan,
+# a/b, surrounding space, non-ASCII digits, a trailing l) goes to mp.mpf
+# itself, but for digit separators, which `parse_decimal` rejects.
+NUMBER = r"([+-]?(?=\.?[0-9])[0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?"
+DECIMAL = re.compile(NUMBER)
+# 5^k and its bit count, for the products 10^k = 5^k 2^k and quotients 10^-k
+# = 5^-k 2^-k of `decimal_value`; beyond 400 digits mpmath multiplies by a
+# power of ten instead.
 _POW5 = tuple((MPZ(5) ** k, bitcount(MPZ(5) ** k)) for k in range(401))
 
 
@@ -120,54 +123,72 @@ def _pow10(n: int, wp: int):
     return mpf_div(fone, normalize(0, top, e + s, top.bit_length(), wr, round_up), wp, round_down)
 
 
-def parse_decimal(text: str) -> mp.mpf:
-    """mp.mpf(text), bit for bit, at the working precision.
+def decimal_value(digits: str, frac: str | None, e: str | None, prec: int, rnd: str) -> mp.mpf:
+    """mp.mpf of the decimal whose `NUMBER` groups are digits, frac and e,
+    bit for bit, at prec bits in mode rnd (the context's `_prec_rounding`,
+    which a reader reads once per file).
 
     A plain decimal man * 10^e is rounded as mpmath's `from_str` rounds it,
     with man and e split off as its `str_to_man_exp` splits them.  For
-    -400 <= e < 0 mpmath divides man by the integer 10^-e, and its
-    `mpf_div` rounds the quotient correctly.  Here one integer division of
-    |man| 2^s by 5^-e, with s chosen so the quotient has at least prec + 5
-    bits and a nonzero remainder kept as a sticky last bit, is rounded once
-    by `normalize` in the context's mode, and 2^e goes into the exponent:
-    the same correctly rounded value (Clinger's method).  For |e| > 400
-    mpmath multiplies by its own power of ten at prec + 10 bits, which is
-    not correctly rounded; `_pow10` gives its bits where it can decide
-    them, and the call itself gives them elsewhere.  A zero denominator
-    in an a/b rational raises ValueError, like any other malformed string.
-    So does a digit separator "_", which mpmath misreads after the point
-    (mp.mpf("1.5_5") is 0.155), so no input number may carry one.
+    0 <= e <= 400 mpmath rounds the integer man 10^e; here man 5^e, from
+    `_POW5`, is rounded by `normalize` with 2^e in the exponent, the same
+    value.  For -400 <= e < 0 mpmath divides man by the integer 10^-e, and
+    its `mpf_div` rounds the quotient correctly.  Here one integer division
+    of |man| 2^s by 5^-e, with s chosen so the quotient has at least prec +
+    5 bits and a nonzero remainder kept as a sticky last bit, is rounded
+    once by `normalize`, and 2^e goes into the exponent: the same correctly
+    rounded value (Clinger's method).  For |e| > 400 mpmath multiplies by
+    its own power of ten at prec + 10 bits, which is not correctly rounded;
+    `_pow10` gives its bits where it can decide them, and the call itself
+    gives them elsewhere.
     """
-    m = _DECIMAL.fullmatch(text)
-    if m is None or not (m[1].lstrip("+-") or m[2]):
-        if "_" in text:
-            raise ValueError(f"digit separator in {text!r}")
-        try:
-            return mp.mpf(text)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}")
-    digits, frac, e = m.groups()
     exp = int(e) if e else 0
-    if frac is not None:
+    if frac:
         frac = frac.rstrip("0")
         exp -= len(frac)
         digits += frac
     man = int(digits)               # "-.0" leaves "-", which mpmath rejects here too
-    prec, rnd = mp.mp._prec_rounding
-    if abs(exp) > 400:
+    if not -400 <= exp <= 400:
         ten = _pow10(exp, prec + 10) or mpf_pow_int(ften, exp, prec + 10)
-        value = mpf_mul(from_int(man, prec + 10), ten, prec, rnd)
-    elif exp >= 0:
-        value = from_int(man * 10 ** exp, prec, rnd)
-    else:
-        den, den_bc = _POW5[-exp]
-        sign, man = (1, -man) if man < 0 else (0, man)
-        shift = max(prec + den_bc - man.bit_length(), 0) + 5
-        quot, rem = divmod(man << shift, den)
-        if rem:
-            quot, shift = quot << 1 | 1, shift + 1
-        value = normalize(sign, quot, exp - shift, quot.bit_length(), prec, rnd)
-    return mp.make_mpf(value)
+        return mp.make_mpf(mpf_mul(from_int(man, prec + 10), ten, prec, rnd))
+    sign, man = (1, -man) if man < 0 else (0, man)
+    if exp >= 0:
+        man *= _POW5[exp][0]
+        return mp.make_mpf(normalize(sign, man, exp, man.bit_length(), prec, rnd))
+    den, den_bc = _POW5[-exp]
+    shift = prec + den_bc - man.bit_length()
+    shift = shift + 5 if shift > 0 else 5
+    quot, rem = divmod(man << shift, den)
+    if rem:
+        quot, shift = quot << 1 | 1, shift + 1
+    return mp.make_mpf(normalize(sign, quot, exp - shift, quot.bit_length(), prec, rnd))
+
+
+def parse_decimal(text: str) -> mp.mpf:
+    """mp.mpf(text), bit for bit, at the working precision: a plain
+    decimal through `DECIMAL` and `decimal_value`, any other spelling
+    through mp.mpf.  A zero denominator in an a/b rational raises
+    ValueError, like any other malformed string.  So does a digit separator
+    "_", which mpmath misreads after the point (mp.mpf("1.5_5") is 0.155),
+    so no input number may carry one.
+    """
+    m = DECIMAL.fullmatch(text)
+    if m is not None:
+        return decimal_value(*m.groups(), *mp.mp._prec_rounding)
+    if "_" in text:
+        raise ValueError(f"digit separator in {text!r}")
+    try:
+        return mp.mpf(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}")
+
+
+def parse_index(text: str) -> int:
+    """int(text) for an index field, but a digit separator "_" is a
+    ValueError, as in a number: "0_3" is not the index 3."""
+    if "_" in text:
+        raise ValueError(f"digit separator in {text!r}")
+    return int(text)
 
 
 def to_mpf(x) -> mp.mpf:

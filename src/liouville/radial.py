@@ -22,6 +22,7 @@ with materialized balls is part of the test suite.
 
 from __future__ import annotations
 
+import re
 from itertools import chain
 from typing import Callable, Sequence
 
@@ -31,7 +32,8 @@ from mpmath.libmp import (fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_neg
 
 from .errors import InputError
 from .graphs import GraphFunction, HarnackReport, WeightedGraph, harnack_scan
-from .numerics import all_finite, all_positive, content_lines, parse_decimal, to_mpf
+from .numerics import (NUMBER, all_finite, all_positive, content_lines, decimal_value,
+                       parse_decimal, parse_index, to_mpf)
 
 _UNIT_ROOT = (mp.mpf(1), mp.mpf(0))    # a one-sided root's conductances
 
@@ -408,6 +410,11 @@ def format_radial_text(tree, digits: int | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A shell line: an ASCII index and a plain decimal, matched at once.  Any
+# other line (an arm marker, another spelling, a malformed line) is split.
+_SHELL = re.compile(r"([+-]?[0-9]+)\s+" + NUMBER)
+
+
 def parse_radial_text(text: str):
     lines = content_lines(text)
     head = next(lines, None)
@@ -437,14 +444,21 @@ def parse_radial_text(text: str):
         raise InputError(f"radial header needs integer N= and horizon=: {head!r}")
     shells = range(-horizon, horizon) if two_sided else range(0, horizon + 1)
     entries: dict[int, mp.mpf] = {}
+    prec, rnd = mp.mp._prec_rounding
     for ln in lines:
-        if ln in ("arm +", "arm -"):
-            continue
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InputError(f"bad shell line: {ln!r}")
+        m = _SHELL.fullmatch(ln)
+        if m is None:
+            if ln in ("arm +", "arm -"):
+                continue
+            parts = ln.split()
+            if len(parts) != 2:
+                raise InputError(f"bad shell line: {ln!r}")
         try:
-            n, w = int(parts[0]), parse_decimal(parts[1])
+            if m:
+                n, digits, frac, e = m.groups()
+                n, w = int(n), decimal_value(digits, frac, e, prec, rnd)
+            else:
+                n, w = parse_index(parts[0]), parse_decimal(parts[1])
         except ValueError:
             raise InputError(f"bad shell line (needs an integer index and a number): {ln!r}")
         if n not in shells:

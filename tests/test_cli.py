@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import hashlib
@@ -9,7 +10,7 @@ import mpmath as mp
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import repr_dps
+from mpmath.libmp import from_man_exp, repr_dps
 
 import liouville as lv
 from liouville import cli
@@ -1076,6 +1077,25 @@ def test_help_is_that_of_the_parser_with_every_command(capsys, argv):
     assert got == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--precision-bits", "1", "verify", "--graph", "g.txt", "--u", "u.csv"],
+    ["--precision-bits", "x", "construct"],
+    ["bogus", "verify"],
+    ["classify", "verify"],
+    [],
+])
+def test_main_parser_errors_are_those_of_the_parser_with_every_command(capsys, argv):
+    """`main` makes a subparser only for a command argv names; the main
+    parser's usage, its choices and its errors still list all six."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    got = capsys.readouterr()
+    assert exc.value.code == 2 and got.out == "" and got.err.startswith("usage: liouville")
+    with pytest.raises(SystemExit):
+        build_parser(list(COMMANDS)).parse_args(argv)
+    assert got.err == capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # one input path: the line rule, the byte order mark, the arm markers
 
@@ -1173,6 +1193,106 @@ def test_blank_and_comment_lines_and_a_bom_leave_verify_unchanged(capsys, tmp_pa
     graph, values = (("\ufeff" if bom else "") + _spliced_lines(text, inserts)
                      for text, inserts, bom in zip(files, (graph_inserts, value_inserts), boms))
     assert _verify_files(capsys, tmp_path, graph, values) == expected
+
+
+@pytest.mark.parametrize("files, message", [
+    ((ONE_SIDED[0].replace("\n3 4\n", "\n0_3 4\n"), ONE_SIDED[1]),
+     "bad shell line (needs an integer index and a number): '0_3 4'"),
+    ((PATH_GRAPH[0].replace("1 2 1", "1 2_0 1"), PATH_GRAPH[1]),
+     "bad vertex id in line: '1 2_0 1'"),
+    ((ONE_SIDED[0], ONE_SIDED[1].replace("3,1", "0_3,1")),
+     "{u}: bad index in row ['0_3', '1'] (only the first row may be a header)"),
+])
+def test_an_index_with_a_digit_separator_is_usage_error(capsys, tmp_path, files, message):
+    """int() reads "0_3" as 3, so `0_3 4` was shell 3, `0_3,1` layer 3 and
+    `1 2_0 1` an edge to vertex 20, where a value with a separator exits 2."""
+    code, out, err = _verify_files(capsys, tmp_path, *files)
+    assert (code, out, err) == (2, "", f"error: {message.format(u=tmp_path / 'u.csv')}\n")
+
+
+@pytest.mark.parametrize("files", [
+    (ONE_SIDED[0].replace("\n1 2\n", "\n+1 2\n").replace("\n2 3\n", "\n\u0662\t3.0\n"),
+     ONE_SIDED[1].replace("1,3", "01,3").replace("2,2", " \u0662 ,2")),
+    (PATH_GRAPH[0].replace("1 2 1", "+1\t\u0662 1.0e0"), PATH_GRAPH[1].replace("2,1", "+2,1")),
+])
+def test_every_other_index_spelling_int_reads_is_read(capsys, tmp_path, files):
+    """A sign, a leading zero, non-ASCII digits, a tab: the lines the line
+    patterns do not match are read as before."""
+    canonical = ONE_SIDED if files[0].startswith("radial") else PATH_GRAPH
+    assert _verify_files(capsys, tmp_path, *files) == _verify_files(capsys, tmp_path, *canonical)
+
+
+def _exact(positive: bool):
+    """An exact mpf: a 1- to 160-bit mantissa times 2^e, |e| up to 9000
+    (decimal exponents on both sides of 400, both signs)."""
+    sign = st.just(0) if positive else st.sampled_from([0, 1])
+    return st.builds(lambda s, man, e: mp.make_mpf(from_man_exp(-man if s else man, e)),
+                     sign, st.integers(1, 2 ** 160), st.integers(-9000, 9000))
+
+
+@st.composite
+def _certificates(draw):
+    """(kind, weights, values) of a one-sided tree, a two-sided tree or a
+    path graph, with values of either sign and zeros."""
+    kind = draw(st.sampled_from(["one-sided", "two-sided", "graph"]))
+    H = draw(st.integers(1, 5))
+    n_weights, n_values = {"one-sided": (H + 1, H + 1), "two-sided": (2 * H, 2 * H + 1),
+                           "graph": (H, H + 1)}[kind]
+    weights = draw(st.lists(_exact(True), min_size=n_weights, max_size=n_weights))
+    values = draw(st.lists(_exact(False) | st.just(mp.mpf(0)), min_size=n_values,
+                           max_size=n_values))
+    return kind, weights, values
+
+
+def _certificate_texts(kind, weight_texts, value_texts):
+    """The tree or graph file and the values CSV holding the given numbers."""
+    k = len(weight_texts)
+    if kind == "graph":
+        graph = [f"graph v={k + 1}", *(f"{i} {i + 1} {t}" for i, t in enumerate(weight_texts))]
+        lo = 0
+    elif kind == "one-sided":
+        graph = [f"radial N=3 horizon={k - 1}", *map("{} {}".format, range(k), weight_texts)]
+        lo = 0
+    else:
+        H = k // 2
+        graph = [f"radial N=3 horizon={H} two-sided", "arm +",
+                 *map("{} {}".format, range(H), weight_texts[:H]), "arm -",
+                 *map("{} {}".format, range(-1, -H - 1, -1), weight_texts[H:])]
+        lo = -H
+    values = ["layer,value", *map("{},{}".format, range(lo, lo + len(value_texts)), value_texts)]
+    return "\n".join(graph) + "\n", "\n".join(values) + "\n"
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(certificate=_certificates(), strip=st.booleans())
+def test_certificate_files_read_back_with_the_bits_of_mpf(tmp_path, certificate, strip):
+    """Trees, graphs and values written at 40 digits and at mpmath's repr
+    digits read through `main`'s loader with mp.mpf(text)'s bits, and its
+    reprs (the sign an int), at 53, 128, 256 and 1024 bits: the radial line
+    pattern, the CSV field match and the graph reader all reach the kernel
+    or mp.mpf with what mp.mpf would read."""
+    kind, weights, values = certificate
+    for bits in (53, 128, 256, 1024):
+        for digits in sorted({40, repr_dps(bits)}):
+            texts = [[mp.nstr(x, digits, strip_zeros=strip) for x in xs]
+                     for xs in (weights, values)]
+            graph, csv_text = _certificate_texts(kind, *texts)
+            (tmp_path / "g.txt").write_text(graph)
+            (tmp_path / "u.csv").write_text(csv_text)
+            with mp.workprec(bits):
+                obj, u = cli._load_pair(argparse.Namespace(graph=str(tmp_path / "g.txt"),
+                                                           u=str(tmp_path / "u.csv")))
+                if kind == "graph":
+                    got_weights = [w for _, w in obj.edges()]
+                elif kind == "one-sided":
+                    got_weights = [obj.weight(n) for n in range(len(weights))]
+                else:
+                    H = len(weights) // 2
+                    got_weights = [obj.weight(n) for n in [*range(H), *range(-1, -H - 1, -1)]]
+                want = [[repr(mp.mpf(t)._mpf_) for t in ts] for ts in texts]
+                got = [[repr(x._mpf_) for x in xs] for xs in (got_weights, u.values())]
+            assert got == want, (bits, digits)
 
 
 # ---------------------------------------------------------------------------

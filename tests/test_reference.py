@@ -1926,6 +1926,79 @@ def test_parse_decimal_reads_tabulated_powers_of_five(monkeypatch):
         assert [repr(numerics.parse_decimal(t)._mpf_) for t in texts] == want
 
 
+def test_parse_decimal_multiplies_by_tabulated_powers_of_five(monkeypatch):
+    """A positive exponent up to 400 multiplies by `_POW5[e]` and puts e
+    into the binary exponent: no 10^e is formed and no `from_int` called."""
+    texts = ["12e5", "-3e400", "7e0", "8.0", "2.5e+380", "123456789012345678901234567890e17"]
+    with mp.workprec(128):
+        want = [repr(mp.mpf(t)._mpf_) for t in texts]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("parse_decimal went through from_int")
+
+    monkeypatch.setattr(numerics, "from_int", forbidden)
+    with mp.workprec(128):
+        assert [repr(numerics.parse_decimal(t)._mpf_) for t in texts] == want
+
+
+def _exact_decimal(num: int, k: int) -> str:
+    """num / 2^k written out exactly: num 5^k / 10^k."""
+    digits = str(abs(num) * 5 ** k).rjust(k + 1, "0")
+    return ("-" if num < 0 else "") + digits[:-k] + "." + digits[-k:]
+
+
+def test_parse_decimal_rounds_128_bit_midpoints_half_even():
+    """Exact midpoints between 128-bit neighbours, which random decimals
+    almost never hit: (2m + 1) 2^(e-1) rounds to the even one of m 2^e and
+    (m + 1) 2^e, through the quotient (a fraction) and through the
+    tabulated powers of five (t 10^E with t 5^E = 2m + 1); one more digit
+    past a midpoint rounds away from m."""
+    parities = set()
+    with mp.workprec(128):
+        for m in (2 ** 127 + 12345, 2 ** 127 + 12346, 3 * 2 ** 126 + 1, 2 ** 128 - 2):
+            parities.add(m & 1)
+            for text in (_exact_decimal(2 * m + 1, 128), _exact_decimal(-(2 * m + 1), 128)):
+                got = lv.parse_decimal(text)
+                assert repr(got._mpf_) == repr(mp.mpf(text)._mpf_), text
+                assert abs(got) == mp.ldexp(m + (m & 1), -127)
+                past = lv.parse_decimal(text + "1")    # a hair past it: a sticky bit
+                assert repr(past._mpf_) == repr(mp.mpf(text + "1")._mpf_), text
+                assert abs(past) == mp.ldexp(m + 1, -127)
+        for t, E in ((2 ** 59 + 1, 30), (2 ** 59 + 3, 30), (2 ** 122 + 1, 3), (2 ** 122 + 3, 3)):
+            odd = t * 5 ** E                # 2m + 1, of 129 bits
+            assert odd.bit_length() == 129
+            m = odd >> 1
+            parities.add(2 + (m & 1))
+            text = f"{t}e{E}"
+            got = lv.parse_decimal(text)
+            assert repr(got._mpf_) == repr(mp.mpf(text)._mpf_), text
+            assert got == mp.ldexp(m + (m & 1), E + 1)
+    assert parities == {0, 1, 2, 3}         # both parities on both paths
+
+
+def test_parse_decimal_carries_a_midpoint_into_the_next_binade():
+    """(2^129 - 1) 2^(e-1) lies halfway between the largest 128-bit
+    mantissa, which is odd, and 2^128: it rounds up to the power of 2, as
+    a fraction and as an integer (e = 0)."""
+    with mp.workprec(128):
+        for text in (_exact_decimal(2 ** 129 - 1, 129), str(2 ** 129 - 1),
+                     "-" + str(2 ** 129 - 1)):
+            got = lv.parse_decimal(text)
+            assert repr(got._mpf_) == repr(mp.mpf(text)._mpf_), text
+            assert got._mpf_[1:] == (1, 129 if "." not in text else 0, 1)
+
+
+def test_parse_decimal_reads_every_positive_exponent_to_400_as_mpf():
+    """The `_POW5[e]` branch at every e from 0 to 400, with 1- to 45-digit
+    mantissas of both signs, at every reader precision."""
+    rng = random.Random(26)
+    for e in range(401):
+        for text in (f"{rng.randrange(1, 10 ** rng.randint(1, 45))}e{e}",
+                     f"-{rng.randrange(1, 10 ** 40)}E+{e}", f"{rng.randrange(10 ** 30)}.e{e}"):
+            got, want = mpf_or_error(lv.parse_decimal, text), mpf_or_error(mp.mpf, text)
+            assert repr(got) == repr(want), text
+
+
 def test_pow10_is_mpmaths_power_where_decided():
     """`_pow10` against mpf_pow_int at every |n| from 401 to 3000, and at a
     few up to 10^6 (5^400 squared up to eleven times), at the prec + 10 bits
