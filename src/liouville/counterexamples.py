@@ -42,12 +42,13 @@ from typing import Callable
 import mpmath as mp
 from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_exp, mpf_gt, mpf_log,
                           mpf_lt, mpf_mul, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_rdiv_int,
-                          mpf_sub, round_nearest)
+                          mpf_sub, normalize, round_nearest)
 
 from . import screen
 from .errors import CalibrationError, InputError
 from .graphs import GraphFunction, WeightedGraph, site_classes, site_operators
-from .numerics import check_nonpositive, exp_run, memo, precision, rel_tol, to_mpf
+from .numerics import (ExpRun, LogRun, check_nonpositive, exp_run, memo, power_run, precision,
+                       rel_tol, to_mpf)
 from .radial import RadialFunction, RadialTree, TwoSidedRadialTree, layer_operators
 from .regions import PQPoint, exponents, in_g_region, pq
 
@@ -146,49 +147,65 @@ def validate_spec(spec: RegimeSpec) -> None:
 # Closed-form profiles and construction
 
 
-def _profile(regime: str, point: PQPoint, param) -> Callable[[int], tuple]:
-    """m -> the raw closed-form profile of regimes I-IV at m = n + n0, which
+class _Profile:
+    """The closed-form profile of a regime: run(ms) gives its rows at a range
+    of consecutive m in one pass; a single m is a run of one."""
+
+    def __init__(self, run):
+        self.run = run
+
+    def __call__(self, m: int) -> tuple:
+        return self.run(range(m, m + 1))[0]
+
+
+def _profile(regime: str, point: PQPoint, param) -> _Profile:
+    """The raw closed-form profile of regimes I-IV at m = n + n0, which
     `build`, the Lambda kernel and delta_0 read: (W, g) for I and III, (W, f)
     for II, (m, 1/m) for IV, with W = m^lam (ln m)^(beta+eps) (III: lam =
     beta) or m (ln m)^(1+eps), g = m^sigma (ln m)^beta, f = (ln m)^(-eps/2).
 
-    Each value is made by the `mpmath.libmp` calls of its mpf expression
-    (`mp.mpf(m) ** sigma * mp.ln(m) ** beta`, ...) at the precision read
-    here, so it has that expression's bits.
+    Each value has the bits of its mpf expression (`mp.mpf(m) ** sigma *
+    mp.ln(m) ** beta`, ...) at the precision read here.  I-III's rows are
+    mpf_mul(m^a, (ln m)^b) and mpf_mul(m^c, (ln m)^d) (II: a, c = 1, 0, and
+    m^0 f is f), each power on mpf_pow's own branch: `numerics.power_run`,
+    or exp(y c) from an `ExpRun` on c = mpf_log(x, prec + 10).  ln m and
+    those logs come from `LogRun`s, which, like the `ExpRun`s, carry their
+    values from one run of the profile to the next.
     """
     prec, rnd = mp.mp._prec_rounding
     if regime == "IV":
-        def profile(m):
-            m = from_int(m, prec, rnd)
-            return m, mpf_rdiv_int(1, m, prec, rnd)
-
-        return profile
+        return _Profile(lambda ms: [(m, mpf_rdiv_int(1, m, prec, rnd))
+                                    for m in (from_int(k, prec, rnd) for k in ms)])
     eps = to_mpf(param)
     if regime == "II":
-        w_log, f_log = (1 + eps)._mpf_, (-eps / 2)._mpf_
-
-        def profile(m):
-            mf = from_int(m, prec, rnd)
-            ln_m = mpf_log(mf, prec, rnd)
-            return (mpf_mul(mf, mpf_pow(ln_m, w_log, prec, rnd), prec, rnd),
-                    mpf_pow(ln_m, f_log, prec, rnd))
-
-        return profile
-    if regime not in ("I", "III"):
+        ys = fone, (1 + eps)._mpf_, fzero, (-eps / 2)._mpf_
+    elif regime in ("I", "III"):
+        ex = exponents(point, regime)
+        beta = to_mpf(ex.beta)
+        ys = to_mpf(ex.lam)._mpf_, (beta + eps)._mpf_, to_mpf(ex.sigma)._mpf_, beta._mpf_
+    else:
         raise InputError(f"unknown regime {regime!r}")
-    ex = exponents(point, regime)
-    lam_w, beta, sigma = (to_mpf(x)._mpf_ for x in (ex.lam, ex.beta, ex.sigma))
-    w_log = (to_mpf(ex.beta) + eps)._mpf_
+    exps = [ExpRun(y, prec) if y[2] < -1 else None for y in ys]
+    m_logs = LogRun(prec, *[prec + 10] * bool(exps[0] or exps[2]))   # logs[-1]: m^y's c
+    ln_logs = LogRun(prec + 10)
 
-    def profile(m):
-        mf = from_int(m, prec, rnd)
-        ln_m = mpf_log(mf, prec, rnd)
-        return (mpf_mul(mpf_pow(mf, lam_w, prec, rnd), mpf_pow(ln_m, w_log, prec, rnd),
-                        prec, rnd),
-                mpf_mul(mpf_pow(mf, sigma, prec, rnd), mpf_pow(ln_m, beta, prec, rnd),
-                        prec, rnd))
+    def mul(x, z):                  # mpf_mul of positive x and z
+        man = x[1] * z[1]
+        return normalize(0, man, x[2] + z[2], man.bit_length(), prec, rnd)
 
-    return profile
+    def run(ms):
+        if len(ms) > 256:               # the runs carry on: chunks bound the lists alive
+            return [row for i in range(0, len(ms), 256) for row in run(ms[i:i + 256])]
+        mfs = [normalize(0, m, 0, m.bit_length(), prec, rnd) for m in ms]     # from_int
+        logs = m_logs.run(mfs)
+        lns = logs[0]
+        (a, c), (b, d) = power_run(mfs, ys[0::2], prec), power_run(lns, ys[1::2], prec)
+        cs = logs[-1], ln_logs.run(lns)[0] if exps[1] or exps[3] else None
+        a, b, c, d = [exp.run(cs[i % 2]) if exp else pw
+                      for i, (pw, exp) in enumerate(zip((a, b, c, d), exps))]
+        return list(zip(map(mul, a, b), d if ys[2] == fzero else map(mul, c, d)))
+
+    return _Profile(run)
 
 
 def _e_powers(rate: mp.mpf, ns: range, scale: mp.mpf | None = None) -> list[mp.mpf]:
@@ -228,7 +245,7 @@ def build(spec: RegimeSpec, *, table=None) -> BuiltCounterexample:
     if spec.regime in ("I", "II", "III"):
         if table is None:               # (an empty memo is falsy: test for None)
             table = _profile(spec.regime, spec.point, spec.eps)
-        rows = [table(m) for m in range(n0, n0 + stored + 1)]
+        rows = table.run(range(n0, n0 + stored + 1))
         delta = None if spec.regime == "II" else to_mpf(spec.delta)._mpf_
         values = [g if delta is None else mpf_div(delta, g, prec, rnd) for _, g in rows]
         if spec.regime != "I":          # II: f + 1, III: delta/g + 1
@@ -819,7 +836,7 @@ def _lambda_window(regime: str, point: PQPoint, param, lo: int, hi: int) -> list
     `lambda_fn` at m (I-IV) is this window at m alone."""
     _check_lambda_index(regime, lo)
     profile, combine, _ = _lambda_kernel(regime, point, param)
-    rows = list(map(profile, range(lo - 1, hi + 2)))
+    rows = profile.run(range(lo - 1, hi + 2))
     return [combine(*rows[i - 1:i + 2]) for i in range(1, len(rows) - 1)]
 
 
@@ -901,7 +918,7 @@ def _delta0_value(regime: str, point: PQPoint, n0: int, table=None) -> DeltaBoun
     if regime == "IV":
         return DeltaBound(2 ** (1 / (2 * p)) / (mp.make_mpf(table(n0)[1]) + 1), "lower")
     e = power(p, q)
-    g0, g1 = (mp.make_mpf(table(m)[1]) for m in (n0, n0 + 1))
+    g0, g1 = (mp.make_mpf(row[1]) for row in table.run(range(n0, n0 + 2)))
     diff = 1 / g0 - 1 / g1
     if regime == "I":
         value = 2 ** (q / (2 * e)) * g0 ** (p / e) * diff ** ((1 - q) / e)
@@ -977,7 +994,7 @@ def _window_min(regime, point, param, n0, H, table=None) -> mp.mpf:
     lo, hi = (n + n0 for n in _tail_window(H))
     _check_lambda_index(regime, lo)
     profile, combine, bounds = _lambda_kernel(regime, point, param)
-    rows = list(map(profile if table is None else table, range(lo - 1, hi + 2)))
+    rows = (profile if table is None else table).run(range(lo - 1, hi + 2))
     return min(combine(*rows[i:i + 3]) for i in screen.extremes(bounds(rows), low=True))
 
 
@@ -1114,7 +1131,7 @@ def _candidates(regime, point, eps, lam, N, horizon, table):
             yield RegimeSpec(**base, eps=eps, n0=n0), None
         else:
             # the first non-positive probe rules the candidate out; skip the rest
-            rows = ((table(m - 1), table(m), table(m + 1)) for m in (n + n0 for n in probes))
+            rows = (table.run(range(m - 1, m + 2)) for m in (n + n0 for n in probes))
             probe_vals = list(takewhile(lambda v: v > 0, (lam_of(*row) for row in rows)))
             if len(probe_vals) == len(probes):
                 wmin = _window_min(regime, point, param, n0, horizon, table)

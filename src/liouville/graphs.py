@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpf_add, mpf_rdiv_int, repr_dps, round_nearest
+from mpmath.libmp import fzero, mpf_add, mpf_rdiv_int, mpf_sum, repr_dps, round_nearest
 
 from .errors import InputError, IsolatedVertexError
 from .numerics import (all_finite, all_positive, check_le, content_lines, memo, parse_decimal,
@@ -63,7 +63,10 @@ class WeightedGraph:
         self._n = n_vertices
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
         self._edges = tuple(sorted(canonical.items()))
-        self._measures = tuple(mp.fsum(w for _, w in nbrs) for nbrs in self._adj)
+        # mp.fsum's bits: it ends in this one mpf_sum of the raw weights
+        prec, rnd = mp.mp._prec_rounding
+        self._measures = tuple(mp.make_mpf(mpf_sum([w._mpf_ for _, w in nbrs], prec, rnd))
+                               for nbrs in self._adj)
         self._dist_cache: dict[int, tuple[int, ...]] = {}
 
     @property
@@ -377,7 +380,7 @@ def parse_graph_text(text: str) -> WeightedGraph:
     if len(header) != 2 or header[0] != "graph" or not header[1].startswith("v="):
         raise InputError(f"bad graph header: {head!r}")
     try:
-        n = int(header[1][2:])
+        n = parse_index(header[1][2:])
     except ValueError:
         raise InputError(f"bad vertex count in header: {head!r}")
     edges = []

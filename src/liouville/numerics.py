@@ -14,10 +14,15 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import groupby
+from math import factorial, isqrt
 
 import mpmath as mp
-from mpmath.libmp import (MPZ, bitcount, fone, ften, from_int, mpf_div, mpf_exp, mpf_mul,
-                          mpf_pow_int, normalize, round_down, round_nearest, round_up)
+from mpmath.libmp import (MPZ, bitcount, fone, ften, from_int, ftwo, mpf_div, mpf_exp,
+                          mpf_log, mpf_mul, mpf_pow_int, normalize, round_down, round_nearest,
+                          round_up)
+from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, ln2_fixed, log_taylor_cached
 
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 53         # a float64 significand
@@ -230,6 +235,15 @@ class memo(dict):
 
     __call__ = dict.__getitem__
 
+    def run(self, keys: range) -> list:
+        """[self(k) for k in keys], each maximal stretch of keys not yet kept
+        made by one fn.run (a run of consecutive keys)."""
+        gap = [k for k in keys if k not in self]
+        for _, part in groupby(enumerate(gap), lambda t: t[1] - t[0]):
+            ks = [k for _, k in part]
+            self.update(zip(ks, self.fn.run(range(ks[0], ks[-1] + 1))))
+        return [self[k] for k in keys]
+
 
 # A geometric run carries prec + _GUARD_BITS bits; its radius counts units
 # of its last bit, 2^-64 of a prec-bit ulp.  Its start and ratio are rounded
@@ -310,6 +324,202 @@ def exp_run(lam: tuple, ns: range, prec: int):
     wp = prec + _SEED_BITS
     return geometric_run(exp(ns[0], wp), exp(ns.step, wp), len(ns), prec, _EXP_RADIUS,
                          lambda i: exp(ns[i]))
+
+
+# A carried log takes at most _MAX_TERMS series terms per step, exp(y c)
+# three times as many; where more are needed, a seed costs less.  Both keep
+# 32 guard bits, where mpf_exp's radius is 2^24 units.
+_MAX_TERMS = 8
+_RUN_GUARD_BITS = 32
+
+
+@cache
+def _series(W: int):
+    """floor(2^W / (2j + 1)) for j <= _MAX_TERMS (atanh(z)/z in z^2) and
+    floor(2^W / k!) for k <= 3 _MAX_TERMS (exp), each with its reversed
+    prefixes (Horner's order)."""
+    odd = tuple((1 << W) // (2 * j + 1) for j in range(_MAX_TERMS + 1))
+    fac = tuple((1 << W) // factorial(k) for k in range(3 * _MAX_TERMS + 1))
+    return (odd, tuple(odd[j - 1::-1] if j else () for j in range(len(odd))),
+            fac, tuple(fac[k - 1::-1] if k else () for k in range(len(fac))))
+
+
+def _ln_fixed(x: tuple, wp: int) -> int:
+    """mpf_log's integer for x > 2 at wp <= LOG_TAYLOR_PREC bits (`LogRun`)."""
+    _, man, exp, bc = x
+    if man == 1:
+        return exp * ln2_fixed(wp)
+    return log_taylor_cached(man << (wp - bc), wp) + (exp + bc) * ln2_fixed(wp)
+
+
+class LogRun:
+    """mpf_log(x, p) for each p of precs (round to nearest), bit for bit, for
+    runs of increasing raw x: `run(xs)` gives a list per p, and one integer
+    L, 2^W ln x with W = max(precs) + 32, is carried from x to x, across
+    runs too.
+
+    For x > 2 (mag = exp + bc >= 2), mpf_log(x, p) rounds `_ln_fixed(x, wp)`,
+    wp = p + 20 <= LOG_TAYLOR_PREC, within E = 16 + wp/6 + 2 mag units of
+    2^wp ln x: the cached log of x 2^-mag's top 9 bits, cut from 20 or more
+    bits more (1.13 units); 2 atanh(v), v < 2^-9 within 1.5 units, in J <=
+    wp/36 + 1 terms of v^4 < 2^-36, each within 1 unit and each of its two
+    floor divisions 1 more (7.2 + 5.4 J); mag ln2_fixed(wp) (1.01 mag).  A
+    seed is `_ln_fixed(x, W + 16)` cut to W: 3 units of 2^-W.  A step to x'
+    adds 2 atanh(z), z = (x' - x)/(x' + x) = a/b exactly, |z| < 2^-q, q >=
+    4: Z = floor(a 2^W / b), Z2 = floor(Z^2 2^-W) (1 and 1.4 units),
+    Horner's sum S of floor(2^W / (2j + 1)) Z2^j, 2j + 3 >= (W + 1)/q (3.6
+    units with the tail), and 2 floor(S Z 2^-W): 6 units.  A step of more
+    than `_MAX_TERMS` terms seeds instead.  So mpmath's integer and L lie
+    within E 2^(W-wp) + err units of L's last bit of ln x, err the sum so
+    far, and where L's bits below the p-th lie farther than that from every
+    rounding boundary (Ziv's test, as in `geometric_run`) both round alike.
+    Elsewhere, at x <= 2 (mpf_log's near-1 branch) and if W + 16 >
+    LOG_TAYLOR_PREC, a value is the call.
+    """
+
+    def __init__(self, *precs: int):
+        self.precs, self.W = precs, max(precs) + _RUN_GUARD_BITS
+        self.last = None, 0, None, 0    # the last x carried as X 2^E, its L, and err
+
+    def run(self, xs: list) -> list:
+        precs, W = self.precs, self.W
+        if W + 16 > LOG_TAYLOR_PREC:
+            return [[mpf_log(x, p, round_nearest) for x in xs] for p in precs]
+        odd, rev = _series(W)[:2]
+        X0, E, L, err = self.last
+        Ls = []
+        for x in xs:
+            _, man, exp, bc = x
+            if exp + bc < 3 and (exp + bc < 2 or x == ftwo):
+                X0 = L = None           # the call
+            elif X0 is None:
+                X0, E, L, err = man, exp, _ln_fixed(x, W + 16) >> 16, err + 3
+            else:
+                if exp < E:
+                    X0, E = X0 << (E - exp), exp
+                X = man << (exp - E)
+                a, b = X - X0, X + X0
+                q = b.bit_length() - abs(a).bit_length() - 1    # |z| < 2^-q
+                j = max(0, (-(-(W + 1) // q) - 2) // 2) if q >= 4 else W
+                if j > _MAX_TERMS:
+                    L = _ln_fixed(x, W + 16) >> 16
+                else:
+                    Z = (a << W) // b
+                    Z2 = Z * Z >> W
+                    S = odd[j]
+                    for c in rev[j]:
+                        S = (S * Z2 >> W) + c
+                    L += 2 * (S * Z >> W)
+                X0, err = X, err + 6
+            Ls.append(L)
+        self.last = X0, E, L, err
+        mag, out = xs[-1][2] + xs[-1][3], []
+        for p in precs:
+            r = ((16 + (p + 20) // 6 + 2 * mag) << (W - p - 20)) + err
+            out.append([normalize(0, L, -W, n, p, round_nearest) if L is not None and
+                        r < L & ((h := 1 << ((n := L.bit_length()) - p - 1)) - 1) < h - r
+                        else mpf_log(x, p, round_nearest) for x, L in zip(xs, Ls)])
+        return out
+
+
+class ExpRun:
+    """mpf_exp(y c, prec) (round to nearest), y c exact, bit for bit, for runs
+    of raw c: `run(cs)` gives their list, and an integer m of wp = prec + 32
+    bits carries exp(y c) from c to c, across runs too, with
+    `geometric_run`'s radius (at 32 guard bits) and Ziv test.  A seed is
+    exp(y c) at wp + 20 bits cut to wp: 3 units.  A step multiplies m by
+    exp(d), d = y (c' - c) exactly, |d| < 2^-q, q >= 4, and cuts it to wp
+    bits, 3 more units: Horner's sum of floor(2^W / k!) D^k, k <= W/q, D =
+    floor(d 2^W), W = wp + 4, each level within 2 units and damped by |d|,
+    is with D's cut and the tail within 4.5 units of exp(d) >= 0.93.  A
+    step of more than 3 `_MAX_TERMS` terms seeds instead; above
+    `_EXP_RUN_MAX_PREC` bits every value is the call.
+    """
+
+    def __init__(self, y: tuple, prec: int):
+        self.y, self.prec = y, prec
+        self.last = None, 0, None, 0, 0     # the last c carried as C 2^E, m 2^e, and err
+
+    def run(self, cs: list) -> list:
+        y, prec = self.y, self.prec
+        if prec > _EXP_RUN_MAX_PREC:
+            return [mpf_exp(mpf_mul(y, c), prec, round_nearest) for c in cs]
+        wp = prec + _RUN_GUARD_BITS
+        W, most = wp + 4, 3 * _MAX_TERMS
+        fac, rev = _series(W)[2:]
+        ym = -y[1] if y[0] else y[1]
+        C0, E, m, e, err = self.last
+        ms = []
+        for c in cs:
+            sign, man, exp, _ = c
+            man = -man if sign else man
+            k = most + 1
+            if C0 is not None:
+                if exp < E:
+                    C0, E = C0 << (E - exp), exp
+                C = man << (exp - E)
+                D, s = ym * (C - C0), y[2] + E + W
+                D = D << s if s >= 0 else D >> -s
+                q = W - abs(D).bit_length()     # |d| < 2^-q
+                k = W // q if q >= 4 else W
+            if k > most:
+                C, E = man, exp
+                _, m, e, bc = mpf_exp(mpf_mul(y, c), wp + 20, round_nearest)
+                cut = bc - wp
+                m, e = (m >> cut if cut >= 0 else m << -cut), e + cut
+            else:
+                t = fac[k]
+                for f in rev[k]:
+                    t = (t * D >> W) + f
+                m *= t
+                cut = m.bit_length() - wp
+                m, e = m >> cut, e + cut - W
+            C0, err = C, err + 3
+            ms.append((m, e))
+        self.last = C0, E, m, e, err
+        half = 1 << (_RUN_GUARD_BITS - 1)
+        lo = (_EXP_RADIUS >> (_GUARD_BITS - _RUN_GUARD_BITS)) + err
+        return [normalize(0, m, e, wp, prec, round_nearest) if lo < m & (half - 1) < half - lo
+                else mpf_exp(mpf_mul(y, c), prec, round_nearest) for c, (m, e) in zip(cs, ms)]
+
+
+def power_run(xs: list, ys: tuple, prec: int) -> list:
+    """[[mpf_pow(x, y, prec) for x in xs] for y in ys] (round to nearest) for
+    positive raw xs of at most prec bits, bit for bit, on mpf_pow's branches:
+    mpf_pow_int for an integer y (1: x), mpf_sqrt's root for y = k/2, and
+    None for any other y (exp(y mpf_log(x, prec + 10)): `ExpRun`).  mpf_sqrt
+    is correctly rounded, so one math.isqrt per x, with a sticky bit, at the
+    largest precision ys need, gives every precision's bits."""
+    rnd = round_nearest
+    halves = [y[0] or y[1] != 1 for y in ys if y[2] == -1]     # True: at prec + 10
+    top = prec + 10 if any(halves) else prec
+    roots = []
+    for _, man, exp, bc in xs if halves else ():
+        if exp & 1:
+            man, exp, bc = man << 1, exp - 1, bc + 1
+        shift = max(4, 2 * top - bc + 4)
+        shift += shift & 1
+        n = man << shift
+        root = isqrt(n)
+        if root * root != n:
+            root, shift = 2 * root + 1, shift + 2
+        roots.append((root, (exp - shift) // 2, root.bit_length()))
+    out = []
+    for sign, man, exp, _ in ys:
+        n = -man if sign else man
+        if exp >= 0:
+            out.append(list(xs) if n == 1 and not exp else
+                       [mpf_pow_int(x, n << exp, prec, rnd) for x in xs])
+        elif exp < -1:
+            out.append(None)
+        elif n == 1:
+            out.append([normalize(0, r, e, bc, prec, rnd) for r, e, bc in roots])
+        else:
+            out.append([mpf_div(fone, normalize(0, r, e, bc, prec + 10, rnd), prec, rnd)
+                        if n == -1 else
+                        mpf_pow_int(normalize(0, r, e, bc, prec + 10, rnd), n, prec, rnd)
+                        for r, e, bc in roots])
+    return out
 
 
 def all_finite(values) -> bool:

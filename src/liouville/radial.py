@@ -438,8 +438,8 @@ def parse_radial_text(text: str):
         else:
             fields[k] = v
     try:
-        N = int(fields["N"])
-        horizon = int(fields["horizon"])
+        N = parse_index(fields["N"])
+        horizon = parse_index(fields["horizon"])
     except (KeyError, ValueError):
         raise InputError(f"radial header needs integer N= and horizon=: {head!r}")
     shells = range(-horizon, horizon) if two_sided else range(0, horizon + 1)

@@ -1210,6 +1210,22 @@ def test_an_index_with_a_digit_separator_is_usage_error(capsys, tmp_path, files,
     assert (code, out, err) == (2, "", f"error: {message.format(u=tmp_path / 'u.csv')}\n")
 
 
+@pytest.mark.parametrize("files, message", [
+    ((ONE_SIDED[0].replace("horizon=3", "horizon=0_3"), ONE_SIDED[1]),
+     "radial header needs integer N= and horizon=: 'radial N=3 horizon=0_3'"),
+    ((ONE_SIDED[0].replace("N=3", "N=0_3"), ONE_SIDED[1]),
+     "radial header needs integer N= and horizon=: 'radial N=0_3 horizon=3'"),
+    ((PATH_GRAPH[0].replace("v=3", "v=0_3"), PATH_GRAPH[1]),
+     "bad vertex count in header: 'graph v=0_3'"),
+])
+def test_a_header_count_with_a_digit_separator_is_usage_error(capsys, tmp_path, files,
+                                                              message):
+    """A header's count is read as an index is: int() read `horizon=0_3` as
+    3 and `v=0_3` as 3 vertices, and verify ran to a report."""
+    code, out, err = _verify_files(capsys, tmp_path, *files)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("files", [
     (ONE_SIDED[0].replace("\n1 2\n", "\n+1 2\n").replace("\n2 3\n", "\n\u0662\t3.0\n"),
      ONE_SIDED[1].replace("1,3", "01,3").replace("2,2", " \u0662 ,2")),

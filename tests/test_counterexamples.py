@@ -520,18 +520,21 @@ def test_search_exhausted_reports_its_best_candidate(monkeypatch):
 def test_certify_evaluates_each_profile_once_per_call(monkeypatch):
     """A certify call evaluates the closed-form profile once per m it reads
     (probes, tail windows, delta_0 and build share one memo), and keeps
-    nothing for the next call: an identical call evaluates as many again."""
+    nothing for the next call: an identical call evaluates as many again.
+    Every row comes from a run of the profile, so the run is what counts."""
     make = cx._profile
     evaluated = []
 
     def counted(*args):
         profile = make(*args)
+        run = profile.run
 
-        def evaluate(m):
-            evaluated.append(m)
-            return profile(m)
+        def evaluate(ms):
+            evaluated.extend(ms)
+            return run(ms)
 
-        return evaluate
+        profile.run = evaluate
+        return profile
 
     monkeypatch.setattr(cx, "_profile", counted)
     counts = []
@@ -568,6 +571,39 @@ def test_construct_makes_exponentials_from_runs_not_per_layer(monkeypatch, capsy
     capsys.readouterr()
     assert code == 0
     assert 0 < len(calls) < horizon // 16
+
+
+@pytest.mark.parametrize("regime, args, horizon", [
+    ("I", ["--p", "2", "--q", "1", "--eps", "1/10"], 150),
+    ("II", ["--p", "0", "--q", "3", "--eps", "1/2"], 270),
+    ("III", ["--p", "-1", "--q", "3/2", "--eps", "1/10"], 125),
+])
+def test_construct_makes_profile_logs_and_exps_from_runs_not_per_layer(monkeypatch, capsys,
+                                                                      regime, args, horizon):
+    """`construct` at the bench horizons and at twice them makes the I-III
+    profile's logs and powers from runs (`numerics.LogRun`, `ExpRun`), not
+    with an mpf_log or mpf_exp per layer: the calls at twice the horizon
+    exceed those at the horizon only by the values the runs leave
+    undecided (about 1 in 64), and the calls at the horizon are the runs'
+    seeds (a few per n0 of the search), the m <= 7 of the first candidates
+    and the volume law's few, where a per-m profile made one or more per
+    row."""
+    from liouville.cli import main
+    calls = []
+    for module in (cx, numerics):
+        for name in ("mpf_log", "mpf_exp"):
+            call = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, call=call: calls.append(a) or call(*a))
+    counts = []
+    for H in (horizon, 2 * horizon):
+        calls.clear()
+        code = main(["--precision-bits", "128", "construct", "--regime", regime, "--N", "3",
+                     "--horizon", str(H)] + args)
+        capsys.readouterr()
+        assert code == 0
+        counts.append(len(calls))
+    assert 0 < counts[0] < 128
+    assert counts[1] - counts[0] < horizon // 8
 
 
 CSV_REGIMES = [

@@ -24,6 +24,31 @@ def test_vertex_measure_half_weight_edge():
     assert lv.vertex_measure(g, 0) == mp.mpf("0.5")
 
 
+@st.composite
+def _weighted_edges(draw):
+    """A connected graph on 2-8 vertices (a path plus chords) with exact
+    positive weights: 1- to 200-bit mantissas, binary exponents to +-700."""
+    n = draw(st.integers(2, 8))
+    pairs = [(x, x + 1) for x in range(n - 1)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                           .filter(lambda e: e[1] > e[0] + 1), unique=True, max_size=8))
+    weights = st.builds(lambda man, e: mp.make_mpf(mp.libmp.from_man_exp(man, e)),
+                        st.integers(1, 2 ** 200), st.integers(-700, 700))
+    return n, [(x, y, draw(weights)) for x, y in pairs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph=_weighted_edges(), bits=st.sampled_from([53, 128, 256]))
+def test_vertex_measures_are_mp_fsum_bit_for_bit(graph, bits):
+    """Each vertex measure has the bits of mp.fsum of its edge weights at the
+    working precision (it is mp.fsum's last step, one mpf_sum)."""
+    n, edges = graph
+    with lv.precision(bits):
+        g = lv.WeightedGraph(n, edges)
+        for x in g.vertices():
+            assert lv.vertex_measure(g, x)._mpf_ == mp.fsum(w for _, w in g.neighbors(x))._mpf_
+
+
 def test_vertex_measure_t3_root():
     tree = lv.RadialTree(3, [2 ** n for n in range(4)])  # raw unit weights
     g, layers = tree.materialize(2)

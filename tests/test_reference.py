@@ -763,6 +763,115 @@ def test_screened_windows_hold_non_positive_and_undecided_m():
 
 
 # ---------------------------------------------------------------------------
+# the I-III profile from runs (carried logs, carried exp(y c), square roots
+# from math.isqrt) against its mpf expressions (tests/before_build.py), bit
+# for bit
+
+# Points whose exponents lam, beta, sigma are integers (mpf_pow_int), halves
+# of odd integers (square roots) or neither (exp(y log)), and II's eps for
+# 1 + eps and -eps/2 likewise; eps for I and III makes beta + eps any of the
+# three too.
+PROFILE_POINTS = {
+    "I": [(F(2), F(1)), (F(1), F(1)), (F(0), F(3, 2)), (F(1, 3), F(4, 3)), (F(3), F(1, 2)),
+          (F(1, 2), F(3, 4)), (F(7, 4), F(1, 2))],
+    "II": [(F(0), F(3)), (F(-2), F(2)), (F(5, 2), F(7, 3))],
+    "III": [(F(-1), F(3, 2)), (F(-1, 2), F(5, 3)), (F(-3), F(5, 4)), (F(-1, 3), F(7, 5)),
+            (F(-2), F(8, 5))],
+}
+PROFILE_EPS = [F(1, 2), F(1), F(3, 2), F(2), F(3), F(1, 10), F(2, 7), F(5, 3)]
+
+
+@st.composite
+def profile_runs(draw):
+    """A regime, a point of its region (PROFILE_POINTS, or any rational one),
+    eps, a precision, and one to four runs of consecutive m, each from 1 to
+    40 long, the first from m in [2, 2^34] and the next ones a jump of -60 to
+    +60 past the end of the one before (at least 2)."""
+    regime = draw(st.sampled_from(["I", "II", "III"]))
+    if draw(st.booleans()):
+        p, q = draw(st.sampled_from(PROFILE_POINTS[regime]))
+    elif regime == "I":
+        p = _rational(draw, 0, 3)
+        q = _rational(draw, 1 - p if p < 1 else 0, 2)
+    elif regime == "II":
+        p, q = _rational(draw, -3, 3), 2 + _rational(draw, 0, 3)
+    else:
+        p, q = _rational(draw, -4, 0), _rational(draw, 1, 2)
+    eps = draw(st.sampled_from(PROFILE_EPS)) if draw(st.booleans()) else _rational(draw, 0, 4, 20)
+    m = draw(st.integers(2, 40) | st.integers(2, 2 ** 34))
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 40))
+        runs.append(range(m, m + n))
+        m = max(2, m + n + draw(st.integers(-60, 60)))
+    return {"regime": regime, "point": lv.pq(p, q), "eps": eps, "runs": runs,
+            "bits": draw(st.sampled_from([53, 128, 256, 512, 600]))}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(profile_runs())
+@example({"regime": "I", "point": lv.pq(2, 1), "eps": F(1, 10), "bits": 128,
+          "runs": [range(2, 40), range(8192, 8195), range(8195, 8196), range(8269, 8300)]})
+@example({"regime": "II", "point": lv.pq(0, 3), "eps": F(1, 2), "bits": 600,
+          "runs": [range(2, 30), range(28, 33)]})
+@example({"regime": "III", "point": lv.pq(-1, F(3, 2)), "eps": F(1, 10), "bits": 53,
+          "runs": [range(2 ** 34 - 3, 2 ** 34 + 20), range(2 ** 33, 2 ** 33 + 3)]})
+@example({"regime": "II", "point": lv.pq(0, 3), "eps": F(1), "bits": 53,   # mpf_log(m, 53)
+          "runs": [range(11823829900, 11823829910), range(16197344590, 16197344600)]})
+@example({"regime": "I", "point": lv.pq(2, 1), "eps": F(1, 10), "bits": 128,  # mpf_exp
+          "runs": [range(13080, 13090), range(16095, 16105)]})
+def test_profile_runs_are_the_mpf_expressions(case):
+    """Every row a profile's runs give, across its calls, is its mpf
+    expressions' row: (W, g) or (W, f) as before_build's Lambda kernel
+    spells them, and build's (W, u) as `_poly_profiles` spells them.  The
+    last two examples hold the first m found where mpmath's result is not
+    the exact value correctly rounded: mpf_log(m, 53), two among 1.5
+    million m in [3, 2^34], and I's (ln m)^0.6 at 128 bits, two in m =
+    8192..16099; the run must give mpmath's bits there, not the exact ones."""
+    regime, point, eps = case["regime"], case["point"], case["eps"]
+    spec = lv.RegimeSpec(regime=regime, p=point.p, q=point.q, N=3, horizon=2, eps=eps,
+                         delta=mp.mpf(3) / 7)
+    with lv.precision(case["bits"]):
+        profile = cx._profile(regime, point, eps)
+        kernel = before_build._lambda_kernel(regime, point, eps)[0]
+        poly = before_build._poly_profiles(spec)
+        delta = lv.to_mpf(spec.delta)
+        for ms in case["runs"]:
+            for m, (W, g) in zip(ms, profile.run(ms)):
+                assert (W, g) == tuple(x._mpf_ for x in kernel(m)), m
+                g = mp.make_mpf(g)
+                u = g + 1 if regime == "II" else delta / g + (regime == "III")
+                assert (W, u._mpf_) == tuple(x._mpf_ for x in poly(m)), m
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256, 512, 610])
+def test_mpf_log_lies_within_the_log_run_radius(bits):
+    """mpf_log(x, p) rounds `numerics._ln_fixed(x, p + 20)`, which lies within
+    16 + wp/6 + 2 mag units of 2^wp ln x (`LogRun`'s radius): 2,000 arguments
+    per precision, integers m up to 2^36 (powers of 2 among them) and
+    p-bit values ln m in (2, 25)."""
+    rng = random.Random(bits)
+    wp = bits + 20
+    ms = [rng.randrange(3, 2 ** rng.randint(2, 36)) for _ in range(900)]
+    ms += [2 ** rng.randint(2, 36) for _ in range(100)]
+    with mp.workprec(bits):
+        xs = [mp.mpf(m)._mpf_ for m in ms] + [mp.log(m)._mpf_ for m in ms if m > 7]
+        xs += [(mp.mpf(2) + 23 * mp.rand())._mpf_ for _ in range(2000 - len(xs))]
+    assert len(xs) == 2000
+    worst = 0
+    for x in xs:
+        M = numerics._ln_fixed(x, wp)
+        assert mp.libmp.normalize(0, M, -wp, M.bit_length(), bits, "n") == \
+            mp.libmp.mpf_log(x, bits, "n")
+        with mp.workprec(wp + 64):
+            err = abs(mp.mpf(M) - mp.ldexp(mp.log(mp.make_mpf(x)), wp))
+        radius = 16 + wp // 6 + 2 * (x[2] + x[3])
+        assert err < radius, (x, err)
+        worst = max(worst, err / radius)
+    assert worst > 0
+
+
+# ---------------------------------------------------------------------------
 # build's exponentials and exponential laws from one geometric run against
 # their per-n call exp(rate n), rate n exact (`ExpLaw(rate)(n)`;
 # tests/before_band.py), bit for bit
