@@ -354,7 +354,7 @@ def _ln_fixed(x: tuple, wp: int) -> int:
 
 class LogRun:
     """mpf_log(x, p) for each p of precs (round to nearest), bit for bit, for
-    runs of increasing raw x: `run(xs)` gives a list per p, and one integer
+    runs of monotone raw x: `run(xs)` gives a list per p, and one integer
     L, 2^W ln x with W = max(precs) + 32, is carried from x to x, across
     runs too.
 
@@ -413,7 +413,7 @@ class LogRun:
                 X0, err = X, err + 6
             Ls.append(L)
         self.last = X0, E, L, err
-        mag, out = xs[-1][2] + xs[-1][3], []
+        mag, out = max((x[2] + x[3] for x in xs[:1] + xs[-1:]), default=0), []
         for p in precs:
             r = ((16 + (p + 20) // 6 + 2 * mag) << (W - p - 20)) + err
             out.append([normalize(0, L, -W, n, p, round_nearest) if L is not None and

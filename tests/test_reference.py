@@ -836,6 +836,7 @@ def test_profile_runs_are_the_mpf_expressions(case):
         kernel = before_build._lambda_kernel(regime, point, eps)[0]
         poly = before_build._poly_profiles(spec)
         delta = lv.to_mpf(spec.delta)
+        assert profile.run(range(2, 2)) == []
         for ms in case["runs"]:
             for m, (W, g) in zip(ms, profile.run(ms)):
                 assert (W, g) == tuple(x._mpf_ for x in kernel(m)), m
