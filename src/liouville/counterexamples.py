@@ -40,15 +40,15 @@ from itertools import takewhile
 from typing import Callable
 
 import mpmath as mp
-from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_exp, mpf_gt, mpf_log,
-                          mpf_lt, mpf_mul, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_rdiv_int,
-                          mpf_sub, normalize, round_nearest)
+from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul,
+                          mpf_mul_int, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_sub, normalize,
+                          round_nearest)
 
 from . import screen
 from .errors import CalibrationError, InputError
 from .graphs import GraphFunction, WeightedGraph, site_classes, site_operators
 from .numerics import (ExpRun, LogRun, check_nonpositive, exp_run, memo, power_run, precision,
-                       rel_tol, to_mpf)
+                       quotient_cmp, rel_tol, to_mpf)
 from .radial import RadialFunction, RadialTree, TwoSidedRadialTree, layer_operators
 from .regions import PQPoint, exponents, in_g_region, pq
 
@@ -1278,7 +1278,10 @@ def volume_band(built: BuiltCounterexample, target: Callable[[int], object],
     n bit for bit.  An `ExpLaw`, whose ratios are flat to rounding, is
     evaluated in one run over the window (`ExpLaw.run`), with the bits of a
     call at every n.  Any other target (a plain callable) is evaluated at
-    every n.  The target must be positive and finite at every n.
+    every n.  The target must be positive and finite at every n.  The
+    smallest and largest exact ratios are picked by `quotient_cmp` and each
+    divided once: rounding is monotone, so they round to the extremes of the
+    rounded ratios.
     """
     window = _band_window(n_lo, n_hi)
     return _volume_band(built.tree.ball_volumes(n_hi), target, window)
@@ -1302,16 +1305,19 @@ def _volume_band(vols: list, target: Callable[[int], object], window: range) -> 
         targets = target.run(window)
     else:
         targets = (to_mpf(target(n))._mpf_ for n in window)
-    prec = mp.mp.prec
-    ratio_min = ratio_max = None
-    for n, raw in zip(window, targets):     # on raw mpf values: the operations of mpf's /, < and >
+    lo = hi = None      # (volume, target) of the smallest and largest exact ratio so far
+    for n, raw in zip(window, targets):
         if raw[0] or not raw[1]:    # negative, zero, infinite or nan
             raise InputError(f"target must be positive, got {mp.make_mpf(raw)} at n={n}")
-        ratio = mpf_div(vols[n]._mpf_, raw, prec, round_nearest)
-        if ratio_min is None or mpf_lt(ratio, ratio_min):
-            ratio_min = ratio
-        if ratio_max is None or mpf_gt(ratio, ratio_max):
-            ratio_max = ratio
+        item = vols[n]._mpf_, raw
+        if lo is None:
+            lo = hi = item
+        elif quotient_cmp(*item, *lo) < 0:
+            lo = item
+        elif quotient_cmp(*item, *hi) > 0:
+            hi = item
+    prec = mp.mp.prec
+    ratio_min, ratio_max = (mpf_div(*item, prec, round_nearest) for item in (lo, hi))
     return VolumeBand(ratio_min=mp.make_mpf(ratio_min), ratio_max=mp.make_mpf(ratio_max))
 
 

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpf_add, mpf_rdiv_int, mpf_sum, repr_dps, round_nearest
+from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_rdiv_int, mpf_sum, repr_dps,
+                          round_nearest)
 
 from .errors import InputError, IsolatedVertexError
 from .numerics import (all_finite, all_positive, check_le, content_lines, memo, parse_decimal,
-                       parse_index, to_mpf)
+                       parse_index, quotient_cmp, to_mpf)
 
 
 class WeightedGraph:
@@ -270,12 +271,17 @@ def p0_of(g: WeightedGraph) -> mp.mpf:
     """Smallest p0 with mu_xy / mu(x) >= 1/p0 on every directed edge.
 
     Equals the maximum of mu(x)/mu_xy over both orientations of all edges;
-    always at least 1.
+    always at least 1.  The largest exact ratio is found by `quotient_cmp`
+    and divided once: rounding is monotone, so that is the largest of the
+    rounded ratios.
     """
-    worst = mp.mpf(1)
+    measures, top = g._measures, (fone, fone)
     for (x, y), w in g.edges():
-        worst = max(worst, vertex_measure(g, x) / w, vertex_measure(g, y) / w)
-    return worst
+        w = w._mpf_
+        for m in (measures[x]._mpf_, measures[y]._mpf_):
+            if quotient_cmp(m, w, *top) > 0:
+                top = m, w
+    return mp.make_mpf(mpf_div(*top, mp.mp.prec, round_nearest))
 
 
 def ball_volume(g: WeightedGraph, o: int, n: int) -> mp.mpf:
@@ -329,24 +335,34 @@ def harnack_scan(pairs, p0, what: str) -> HarnackReport:
     the error); reports the extremal adjacent ratio and the first edge
     where it occurs, decided by the tolerant `check_le`.  The ratio is a
     function of the pair (u(x), u(y)), so each distinct pair of values is
-    evaluated once: a repeated pair repeats a ratio that did not exceed the
-    maximum so far, and cannot be the first edge at a strict maximum.
+    read once.  The largest exact ratio is found by `quotient_cmp` and
+    divided once (rounding is monotone: that is the largest rounded ratio);
+    the worst edge is the first whose rounded ratio equals it, above 1.  A
+    ratio that rounds to it lies within 2 ulps of it, so only the pairs
+    that close are divided, in edge order, until one does.
     """
     p0 = checked_p0(p0)
-    worst_ratio = mp.mpf(1)
-    worst_edge: tuple[int, int] | None = None
-    seen = set()
+    prec = mp.mp.prec
+    seen, ratios, top = set(), [], (fone, fone)
     for edge, a, b in pairs:
-        pair = (a._mpf_, b._mpf_)
+        pair = a, b = a._mpf_, b._mpf_
         if pair in seen:
             continue
         seen.add(pair)
-        if not (a > 0 and b > 0):
+        if a[0] or b[0] or not (a[1] and b[1]):    # not positive and finite
             raise InputError("harnack_check needs positive values, " + what.format(*edge))
-        ratio = a / b if a >= b else b / a
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst_edge = edge
+        ratio = pair if quotient_cmp(a, b, fone, fone) >= 0 else (b, a)
+        ratios.append((edge, ratio))
+        if quotient_cmp(*ratio, *top) > 0:
+            top = ratio
+    worst = mpf_div(*top, prec, round_nearest)
+    worst_edge = None
+    if worst != fone:
+        _, man, exp, bc = worst
+        near = (0, (man << prec - bc) - 2, exp - prec + bc, 0)     # 2 ulps below worst
+        worst_edge = next(edge for edge, ratio in ratios if quotient_cmp(*ratio, near, fone) >= 0
+                          and mpf_div(*ratio, prec, round_nearest) == worst)
+    worst_ratio = mp.make_mpf(worst)
     holds = check_le(worst_ratio, p0).holds
     return HarnackReport(holds=holds, worst_edge=worst_edge, worst_ratio=worst_ratio, p0=p0)
 

@@ -522,6 +522,56 @@ def power_run(xs: list, ys: tuple, prec: int) -> list:
     return out
 
 
+def nearest_sum(m: int, e: int, prec: int, n: int = 0, f: int = 0) -> tuple[int, int]:
+    """(man, exp) with man 2^exp the sum m 2^e + n 2^f of positive integers
+    m and n (n = 0: m 2^e alone) rounded to nearest even at prec bits; man
+    may end in zeros.  These are mpf_mul_int's bits for m = N x's mantissa,
+    and mpf_add's for two positive raw values, by its rule: where one term's
+    top bit lies more than prec + 4 bits above the other's, and its lowest
+    set bit more than 100 above the other's, the smaller term is a sticky
+    bit below the larger, so no aligned sum grows past prec + 5 bits more
+    than the larger mantissa.  That is the correct rounding unless the
+    larger term is wider than prec bits."""
+    if n:
+        d = e + m.bit_length() - f - n.bit_length()     # m's top bit above n's
+        if d < 0:
+            m, e, n, f, d = n, f, m, e, -d
+        if d > prec + 4 and e + (m & -m).bit_length() - f - (n & -n).bit_length() > 100:
+            m, e = (m << prec + 4) + 1, e - prec - 4
+        elif e >= f:
+            m, e = (m << e - f) + n, f
+        else:
+            m += n << f - e
+    k = m.bit_length() - prec
+    if k > 0:       # add half less one, and one more where the kept part is odd
+        m = (m + (1 << k - 1) - 1 + (m >> k & 1)) >> k
+        e += k
+    return m, e
+
+
+def raw_positive(m: int, e: int) -> tuple:
+    """The normalized raw mpf of m 2^e, m > 0: trailing zeros moved to e."""
+    z = (m & -m).bit_length() - 1
+    m >>= z
+    return 0, m, e + z, m.bit_length()
+
+
+def quotient_cmp(a: tuple, b: tuple, c: tuple, d: tuple) -> int:
+    """The sign (-1, 0 or 1) of a/b - c/d, exactly, for positive finite raw
+    mpfs (only mantissas and exponents are read).  The cross products a d
+    and c b are compared by their top bits first; where those agree, the
+    exponents differ by at most the products' width, and so does a shift."""
+    x, y, s = a[1] * d[1], c[1] * b[1], a[2] + d[2] - c[2] - b[2]
+    top = x.bit_length() + s - y.bit_length()
+    if top:
+        return 1 if top > 0 else -1
+    if s > 0:
+        x <<= s
+    else:
+        y <<= -s
+    return (x > y) - (x < y)
+
+
 def all_finite(values) -> bool:
     """Every mpf is finite: on raw values, a zero mantissa with a nonzero
     exponent is inf, -inf or nan."""

@@ -27,13 +27,14 @@ from itertools import chain
 from typing import Callable, Sequence
 
 import mpmath as mp
-from mpmath.libmp import (fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_neg,
+from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_neg,
                           mpf_pow_int, mpf_sub, repr_dps, round_nearest)
 
 from .errors import InputError
 from .graphs import GraphFunction, HarnackReport, WeightedGraph, harnack_scan
 from .numerics import (NUMBER, all_finite, all_positive, content_lines, decimal_value,
-                       parse_decimal, parse_index, to_mpf)
+                       nearest_sum, parse_decimal, parse_index, quotient_cmp, raw_positive,
+                       to_mpf)
 
 _UNIT_ROOT = (mp.mpf(1), mp.mpf(0))    # a one-sided root's conductances
 
@@ -247,21 +248,27 @@ class _LayerChain:
         (N-1)(w_{k-1} + w_k) + (w_{-k} + w_{-k-1}) over both arms of a two-sided one."""
         if not 0 <= k < len(self._w) + self._lo:
             raise InputError(f"layer {k} outside the volume-computable range")
-        return mp.make_mpf(self._measure(k, mp.mp.prec))
+        return mp.make_mpf(raw_positive(*next(self._measures(range(k, k + 1), mp.mp.prec))))
 
-    def _measure(self, k: int, prec: int) -> tuple:
-        """`layer_measure` at a checked k as a raw mpf value: the operations
-        of mpf's + and of int * mpf at prec, rounded to nearest."""
-        w, z, rnd = self._w, -self._lo, round_nearest
-        if self.one_sided:
-            pair = mpf_add(w[k - 1]._mpf_, w[k]._mpf_, prec, rnd) if k else w[0]._mpf_
-            return mpf_mul_int(pair, self._N, prec, rnd)
-        fan = self._N - 1
-        if k == 0:
-            return mpf_add(mpf_mul_int(w[z]._mpf_, fan, prec, rnd), w[z - 1]._mpf_, prec, rnd)
-        inner = mpf_mul_int(mpf_add(w[z + k - 1]._mpf_, w[z + k]._mpf_, prec, rnd), fan,
-                            prec, rnd)
-        return mpf_add(inner, mpf_add(w[z - k]._mpf_, w[z - k - 1]._mpf_, prec, rnd), prec, rnd)
+    def _measures(self, ks: range, prec: int):
+        """Yield `layer_measure(k)` for each checked k of ks as (man, exp),
+        man 2^exp: the bits of mpf's + and of int * mpf at prec, rounded to
+        nearest, each by `nearest_sum`."""
+        w, z, one = self._w, -self._lo, self.one_sided
+        fan = self._N if one else self._N - 1
+        for k in ks:
+            _, m, e, _ = w[z + k]._mpf_
+            if k:
+                _, a, b, _ = w[z + k - 1]._mpf_
+                m, e = nearest_sum(m, e, prec, a, b)
+            m, e = nearest_sum(fan * m, e, prec)
+            if not one:                 # the negative arm's w_{-k-1}, + w_{-k}
+                _, a, b, _ = w[z - k - 1]._mpf_
+                if k:
+                    _, c, d, _ = w[z - k]._mpf_
+                    a, b = nearest_sum(a, b, prec, c, d)
+                m, e = nearest_sum(m, e, prec, a, b)
+            yield m, e
 
     def _radii(self, n: int) -> range:
         """0..n, if mu(B(o, n)) is computable from the stored shells."""
@@ -273,13 +280,15 @@ class _LayerChain:
         return mp.fsum(self.layer_measure(k) for k in self._radii(n))
 
     def ball_volumes(self, n_max: int) -> list[mp.mpf]:
-        """Running volumes mu(B(o, 0..n_max)), summed layer by layer in order."""
-        prec = mp.mp.prec
-        vols = []
-        acc = fzero
-        for k in self._radii(n_max):    # on raw mpf values: the operations of mpf's +=
-            acc = mpf_add(acc, self._measure(k, prec), prec, round_nearest)
-            vols.append(mp.make_mpf(acc))
+        """Running volumes mu(B(o, 0..n_max)), summed layer by layer in order,
+        in integers: the bits of mpf's +=."""
+        prec, make = mp.mp.prec, mp.make_mpf
+        vols, acc = [], None
+        for m, e in self._measures(self._radii(n_max), prec):
+            if acc:
+                m, e = nearest_sum(m, e, prec, *acc)
+            acc = m, e
+            vols.append(make(raw_positive(m, e)))
         return vols
 
     def p0(self) -> mp.mpf:
@@ -298,19 +307,28 @@ class _LayerChain:
         return self._p0[1]
 
     def _max_edge_ratio(self) -> mp.mpf:
-        w, z, N = self._w, -self._lo, self._N
+        """The largest ratio by `quotient_cmp`, divided once: rounding is
+        monotone, so that is the largest rounded ratio.  The numerators are
+        the sums of mpf's + and int * mpf, by `nearest_sum`."""
+        w, z, fan, prec = self._w, -self._lo, self._N - 1, mp.mp.prec
         if self.one_sided:
-            ratios = [mp.mpf(N)]                # N equal edges at the root
+            ratios = [(mp.mpf(self._N)._mpf_, fone)]    # N equal edges at the root
         else:
-            root = (N - 1) * w[z] + w[z - 1]
-            ratios = [root / w[z], root / w[z - 1]]
+            root = raw_positive(*next(self._measures(range(1), prec)))
+            ratios = [(root, w[z]._mpf_), (root, w[z - 1]._mpf_)]
         for n in range(self._lo + 1, self._hi):
             if n == 0:
                 continue
-            wn, wm = w[z + n], w[z + n - 1]
+            wn, wm = w[z + n]._mpf_, w[z + n - 1]._mpf_
             w_out, w_in = (wn, wm) if n > 0 else (wm, wn)
-            ratios += [(wn + wm) / w_in, (N - 1) * (wn + wm) / w_out]
-        return max(ratios)
+            m, e = nearest_sum(wn[1], wn[2], prec, wm[1], wm[2])
+            ratios += [(raw_positive(m, e), w_in),
+                       (raw_positive(*nearest_sum(fan * m, e, prec)), w_out)]
+        top = ratios[0]
+        for ratio in ratios:
+            if quotient_cmp(*ratio, *top) > 0:
+                top = ratio
+        return mp.make_mpf(mpf_div(*top, prec, round_nearest))
 
     def materialize(self, radius: int) -> tuple[WeightedGraph, tuple[int, ...]]:
         """Explicit ball of the given radius, plus each vertex's signed layer.

@@ -1,10 +1,13 @@
 import random
+import time
+import tracemalloc
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import before_layer_chain as before
 import liouville as lv
 from liouville.errors import InputError
 
@@ -221,6 +224,26 @@ def test_two_sided_ball_volumes_running_sum():
         assert rel_close(vols[k], lv.ball_volume(g, 0, k))
     with pytest.raises(InputError):
         tree.ball_volumes(6)
+
+
+def test_ball_volumes_of_weights_2_to_the_2_to_the_30_apart_are_quick_and_small():
+    """Neighbouring weights 2^(+-2^30) apart: each sum keeps the smaller term
+    as a sticky bit, as mpf_add does, so the volumes are mpf_add's and no
+    integer near 2^30 bits is built."""
+    far = mp.ldexp(1, 2 ** 30)
+    ws = [mp.mpf(3), far * 5, mp.mpf(1) / 7, 11 / far, mp.mpf(2), far / 3, mp.mpf(9)]
+    trees = [(lv.RadialTree(3, ws), before.RadialTree(3, ws), 6),
+             (lv.TwoSidedRadialTree(3, ws, ws[::-1]), before.TwoSidedRadialTree(3, ws, ws[::-1]),
+              6)]
+    for tree, old, n in trees:
+        tracemalloc.start()
+        start = time.perf_counter()
+        vols = tree.ball_volumes(n)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 100_000
+        assert [v._mpf_ for v in vols] == [v._mpf_ for v in old.ball_volumes(n)]
 
 
 @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])

@@ -44,10 +44,11 @@ import before_band
 import before_build
 import before_layer_chain as before
 import before_nash_williams
+import before_quotients
 import before_search
 import before_streams as old
 import liouville as lv
-from liouville import caccioppoli, descent, graphs, numerics
+from liouville import caccioppoli, descent, graphs, numerics, radial
 from liouville import counterexamples as cx
 from liouville.errors import CalibrationError, InputError
 
@@ -990,6 +991,12 @@ def exact(x):
     if isinstance(x, (tuple, list)):
         return tuple(exact(v) for v in x)
     return x
+
+
+def fraction(x):
+    """The exact value of a finite mpf, or of a raw one."""
+    sign, man, exp, _ = x if isinstance(x, tuple) else x._mpf_
+    return F(-man if sign else man) * F(2) ** exp
 
 
 def outcome(fn, *args, **kwargs):
@@ -2320,7 +2327,8 @@ def test_harnack_check_evaluates_each_value_pair_once(request, monkeypatch, seed
     """The report equals the every-edge scan bit for bit, worst edge
     included, on balls (each layer pair repeats on many edges) and on
     random graphs drawing values from a few, so that pairs and the maximum
-    repeat; each distinct ordered pair of values is divided once."""
+    repeat; the scan divides the largest exact ratio once, and else only
+    pairs whose exact ratio lies within 2 ulps below the rounded maximum."""
     rng = random.Random(8300 + seed)
     if seed == 0:
         b = conftest_builds(request)[0]
@@ -2338,14 +2346,126 @@ def test_harnack_check_evaluates_each_value_pair_once(request, monkeypatch, seed
     for g, gu in cases:
         for p0 in (1, 2, lv.p0_of(g)):
             same(graphs.harnack_check, old.harnack_check, g, gu, p0)
-        pairs = {(gu[x]._mpf_, gu[y]._mpf_) for (x, y), _ in g.edges()}
+        pairs = {(gu[x], gu[y]) for (x, y), _ in g.edges()}
         divisions = []
-        real_div = mp.mpf.__truediv__
-        monkeypatch.setattr(mp.mpf, "__truediv__",
-                            lambda a, b: divisions.append(1) or real_div(a, b))
-        graphs.harnack_check(g, gu, 2)
+        real_div = graphs.mpf_div
+        monkeypatch.setattr(graphs, "mpf_div", lambda *a: divisions.append(1) or real_div(*a))
+        worst = graphs.harnack_check(g, gu, 2).worst_ratio
         monkeypatch.undo()
-        assert len(divisions) == len(pairs)
+        ulp = F(2) ** (mp.frexp(worst)[1] - mp.mp.prec)
+        ratios = [max(fraction(a) / fraction(b), fraction(b) / fraction(a)) for a, b in pairs]
+        near = sum(r >= fraction(worst) - 2 * ulp for r in ratios)
+        assert 1 <= len(divisions) <= 1 + near
     bad = lv.GraphFunction([mp.mpf(1), mp.mpf(0), mp.mpf(1)])
     path = lv.WeightedGraph(3, [(0, 1, 1), (1, 2, 1)])
     same(graphs.harnack_check, old.harnack_check, path, bad, 2)
+
+
+# ---------------------------------------------------------------------------
+# extremes of ratios picked by exact comparison and divided once, and the
+# running volume summed in integers, against the loops that divided every
+# ratio (tests/before_quotients.py, before_band.py) and added in mpf
+# (before_layer_chain.py), exactly
+
+def wide_weights(rng, n, bits):
+    """Weights made at 3 bits + 20 bits, so that sums at bits round wide terms."""
+    with mp.workprec(3 * bits + 20):
+        return [mp.mpf(rng.uniform(0.1, 10)) * mp.mpf(2) ** rng.randrange(-300, 300)
+                for _ in range(n)]
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+@pytest.mark.parametrize("style", ["random", "flat", "extreme", "wide"])
+def test_edge_ratio_maxima_are_the_division_loops(style, bits):
+    rng = random.Random(8400 + bits + len(style))
+    with mp.workprec(bits):
+        for _ in range(4):
+            N, H, M = rng.choice([2, 3, 4, 5]), rng.randrange(0, 8), rng.randrange(1, 8)
+
+            def weights(n):
+                return wide_weights(rng, n, bits) if style == "wide" else \
+                    shell_weights(rng, n, style)
+
+            for tree in (lv.RadialTree(N, weights(H + 1)),
+                         lv.TwoSidedRadialTree(N, weights(M), weights(M))):
+                assert exact(tree._max_edge_ratio()) == \
+                    exact(before_quotients.max_edge_ratio(tree))
+                assert exact(tree.ball_volumes(tree.layer_hi - 1 + tree.one_sided)) == exact(
+                    before.RadialTree(N, tree._w).ball_volumes(H) if tree.one_sided else
+                    before.TwoSidedRadialTree(N, tree._w[M:], tree._w[M - 1::-1])
+                    .ball_volumes(M - 1))
+                if tree.layer_hi >= 1:
+                    g, _ = tree.materialize(min(tree.layer_hi, 3))
+                    assert exact(graphs.p0_of(g)) == exact(before_quotients.p0_of(g))
+            n = rng.randrange(2, 12)
+            edges = [(x, x + 1, w) for x, w in enumerate(weights(n - 1))]
+            edges += [(0, n - 1, w) for w in weights(1)] if n > 2 else []
+            g = lv.WeightedGraph(n, edges)
+            assert exact(graphs.p0_of(g)) == exact(before_quotients.p0_of(g))
+
+
+@st.composite
+def flat_cases(draw):
+    """A geometric sequence c r^n rounded at bits (r = 1 + k 2^-j, or a
+    ratio an ulp from 1): every quotient of neighbours, and every volume over
+    its law, is the same up to rounding, so the extremes are near-ties that
+    no float64 bound can part; one item may be nudged by a unit."""
+    bits = draw(st.sampled_from([53, 128, 256, 512]))
+    H = draw(st.integers(3, 60))
+    j = draw(st.sampled_from([1, 4, 20, bits - 1, bits + 3]))
+    return {"bits": bits, "H": H, "ratio": 1 + F(draw(st.integers(1, 9)), 2 ** j),
+            "c": draw(st.sampled_from([F(1), F(3, 7), F(10) ** 300, F(1, 10 ** 300)])),
+            "law": draw(st.sampled_from(["power", "exp", "callable"])),
+            "nudge": draw(st.none() | st.tuples(st.integers(0, H), st.sampled_from([-1, 1])))}
+
+
+def flat_sequence(case):
+    seq = [lv.to_mpf(case["c"]) * lv.to_mpf(case["ratio"]) ** n for n in range(case["H"] + 1)]
+    if case["nudge"] is not None:
+        k, d = case["nudge"]
+        seq[k] += d * mp.ldexp(1, mp.frexp(seq[k])[1] - mp.mp.prec)
+    return seq
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flat_cases())
+def test_band_and_harnack_scan_on_flat_sequences_are_the_division_loops(case):
+    with mp.workprec(case["bits"]):
+        seq = flat_sequence(case)
+        laws = {"power": lv.PowerLogLaw(2, mp.mpf(1)), "exp": lv.ExpLaw(F(1, 3))}
+        law = laws.get(case["law"], laws["power"])
+        target = law if case["law"] in laws else (lambda n: law(n))
+        vols = StoredVolumes([s * law(max(n, 2)) for n, s in enumerate(seq)])
+        H = case["H"]
+        assert band_bits(cx.volume_band, vols, target, 2, H) == \
+            band_bits(before_band.volume_band, vols, target, 2, H)
+        pairs = [((n, n + 1), a, b) for n, (a, b) in enumerate(zip(seq, seq[1:]))]
+        pairs += pairs[::-1]
+        for p0 in (1, lv.to_mpf(case["ratio"])):
+            assert outcome(graphs.harnack_scan, pairs, p0, "{},{}") == \
+                outcome(before_quotients.harnack_scan, pairs, p0, "{},{}")
+
+
+def test_band_and_running_volumes_make_no_per_n_mpf_call(monkeypatch):
+    """The bench's IV build over [16, 4096]: `volume_band` divides twice, for
+    an `ExpLaw` and an opaque callable alike, and `ball_volumes` adds in
+    integers, with the bits of the loops that divided and added in mpf."""
+    spec = lv.RegimeSpec(regime="IV", p=F(-2), q=F(1), N=3, horizon=4100, n0=2,
+                         lam=mp.mpf(1), delta=mp.mpf(1))
+    built = lv.build(spec)
+    law = lv.volume_target(spec)
+    calls = {"div": 0, "add": 0}
+    real_div, real_add = cx.mpf_div, radial.mpf_add
+    monkeypatch.setattr(cx, "mpf_div",
+                        lambda *a: calls.__setitem__("div", calls["div"] + 1) or real_div(*a))
+    monkeypatch.setattr(radial, "mpf_add",
+                        lambda *a: calls.__setitem__("add", calls["add"] + 1) or real_add(*a))
+    vols = built.tree.ball_volumes(4096)
+    assert calls["add"] == 0
+    bands = [lv.volume_band(built, target, 16, 4096)
+             for target in (law, lambda n: law(n) * mp.mpf(n) ** 2)]
+    assert calls == {"div": 4, "add": 0}
+    monkeypatch.undo()
+    assert exact(vols) == exact(before.RadialTree(3, built.tree._w).ball_volumes(4096))
+    for band, target in zip(bands, (law, lambda n: law(n) * mp.mpf(n) ** 2)):
+        assert band == before_band.volume_band(built, target, 16, 4096)
