@@ -126,7 +126,12 @@ def c_constant(p0, t, point: PQPoint) -> CConstants:
     C = (sqrt(2 p0) (1 + p0^t))^(theta + 1) (p0^(t+1))^theta / 4 with
     theta = (p + t(q-1))/(p + q - t), and C' = C^((p+q-t)/(p+q-1)).
     """
-    _, rho, theta = _estimate_exponents(point, t)
+    return _c_constant(p0, t, _estimate_exponents(point, t))
+
+
+def _c_constant(p0, t, exponents) -> CConstants:
+    """`c_constant` given the `_estimate_exponents` (a, rho, theta) at t."""
+    _, rho, theta = exponents
     p0 = checked_p0(p0)
     t = to_mpf(Fraction(t))
     base = mp.sqrt(2 * p0) * (1 + p0 ** t)
@@ -171,10 +176,10 @@ def _estimate_exponents(point: PQPoint, t):
     return a, rho, theta
 
 
-def _rhs_value(variant, point, s, t, consts, middle, edge_sum):
+def _rhs_value(variant, point, s, t, exponents, consts, middle, edge_sum):
     p, q = to_mpf(point.p), to_mpf(point.q)
     s_m, t_m = to_mpf(s), to_mpf(t)
-    a, rho, theta = _estimate_exponents(point, t)
+    a, rho, theta = exponents
     if variant == "est1":
         mid_exp = (1 - t_m) / (p + q - t_m)
         edge_exp = (p + q - 1) / (p + q - t_m)
@@ -186,13 +191,16 @@ def _rhs_value(variant, point, s, t, consts, middle, edge_sum):
             * edge_sum)
 
 
-def _finish_report(variant, point, s, t, p0, omega_desc, lhs, middle, edge_sum,
+def _finish_report(variant, point, s, t, exponents, p0, omega_desc, lhs, middle, edge_sum,
                    failures) -> EstimateReport:
-    consts = c_constant(p0, t, point)
+    """The report of an estimate from its sums, with exponents the
+    `_estimate_exponents` (a, rho, theta) at t."""
+    consts = _c_constant(p0, t, exponents)
     rhs = None
     if variant == "est1" and Fraction(t) >= 1:
         failures = failures + ["est-1 is only evaluated for t < 1; use est-2"]
-    elif (rhs := _rhs_value(variant, point, s, t, consts, middle, edge_sum)) is None:
+    elif (rhs := _rhs_value(variant, point, s, t, exponents, consts, middle,
+                            edge_sum)) is None:
         failures = failures + ["est-1's right-hand side raises a zero sum to a negative power"]
     holds = rhs is not None and bool(check_le(lhs, rhs).holds)
     return EstimateReport(
@@ -223,7 +231,8 @@ def _estimate(variant, s, t, point: PQPoint, p0, u, harnack, where, sites, ops, 
     s, t = Fraction(s), Fraction(t)
     if not (s > 0 and t > 0):
         raise InputError("the estimates test against phi^s u^(-t) with s > 0 and t > 0")
-    a, rho, _ = _estimate_exponents(point, t)
+    exponents = _estimate_exponents(point, t)
+    a, rho, _ = exponents
     failures = []
     if not u.is_positive():
         failures.append("u is not strictly positive")
@@ -275,8 +284,9 @@ def _estimate(variant, s, t, point: PQPoint, p0, u, harnack, where, sites, ops, 
             site, u_pt = at[sites[end]]
             if site is not None:
                 middle_terms.append(w * phi_pow(phi_e) * u_pt * site[0])
-    return _finish_report(variant, point, s, t, p0, omega_desc, mp.fsum(lhs_terms),
-                          mp.fsum(middle_terms), mp.fsum(edge_terms), failures)
+    return _finish_report(variant, point, s, t, exponents, p0, omega_desc,
+                          mp.fsum(lhs_terms), mp.fsum(middle_terms), mp.fsum(edge_terms),
+                          failures)
 
 
 def estimate_sides(g: WeightedGraph, u: GraphFunction, o: int, tf: TestFunction,

@@ -36,8 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import takewhile
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul,
@@ -587,17 +586,18 @@ def verify_graph(g: WeightedGraph, u: GraphFunction, p, q) -> MarginReport:
 
 
 def _lambda_kernel(regime: str, point: PQPoint, param):
-    """(profile, combine, bounds) for regimes I-IV, with every constant hoisted.
+    """(profile, combine, screened) for regimes I-IV, with every constant hoisted.
 
     Lambda(m) = combine(profile(m-1), profile(m), profile(m+1)) on the raw
     pairs of `_profile`.  combine makes, in their order, the `mpmath.libmp`
     calls of the mpf expression it stands for (written out in each comment),
     at the precision read here, so Lambda keeps that expression's bits.
 
-    bounds(rows), on the profiles rows = [profile(lo - 1), ..., profile(hi + 1)]
-    of a window, gives per m = lo..hi float64 bounds (lo, hi) on log2 of
-    combine's value at m, or None where undecided: the float64 screen's
-    input stage (`liouville.screen`), in the manner of `_screen`.
+    screened(rows), on the profiles rows = [profile(lo - 1), ..., profile(hi + 1)]
+    of a window, gives per m = lo..hi (`_Screened`) float64 bounds (lo, hi) on
+    log2 of combine's value at m, or None where that value is not proved
+    positive, and whether it is proved negative: the float64 screen's input
+    stage (`liouville.screen`), in the manner of `_screen`.
     - Each kernel's one cancelling quantity (I, III: the drift's numerator;
       II: neg_lap's; IV: the drift's, with the mpf r and 1 + r taken as
       exact) is formed exactly from the integer mantissas of the rows and of
@@ -620,9 +620,15 @@ def _lambda_kernel(regime: str, point: PQPoint, param):
       2^-prec beyond 1000 bits), log2 of a factor moves by at most 1.45 rho,
       and the bound is widened by 1.45 times the sum of |C| rho over the
       factors, C a factor's exponent in the value.
-    An m whose cancelling quantity is not positive (Lambda <= 0, or II's
-    flat profile), whose difference of profiles is zero, or whose values a
-    float cannot carry stays undecided, so combine runs there.
+    - The cancelling quantity's sign is exact.  Where the drift's numerator
+      (I, III, IV) is negative and every rho <= 2^-8, combine's drift keeps
+      that sign and quad is positive, so combine's value is negative: the m
+      is proved negative, with no bounds.  II's Lambda is not probed, so
+      its kernel proves no m negative.
+    An m whose cancelling quantity is zero (II: not positive), whose
+    difference of profiles is zero, whose rho exceeds 2^-8 or whose values
+    a float cannot carry stays undecided, so combine runs there when its
+    value is needed.
     """
     profile = _profile(regime, point, param)
     prec, rnd = mp.mp._prec_rounding
@@ -651,6 +657,9 @@ def _lambda_kernel(regime: str, point: PQPoint, param):
     def kernel(combine, at):
         return profile, combine, lambda rows: _window_bounds(rows, floats and at)
 
+    def cut(x):                     # top53 of |x| for an exact (mantissa, exponent)
+        return top53(abs(x[0]), x[1])
+
     if regime in ("I", "III"):
         p_minus_1 = (p - 1)._mpf_
 
@@ -678,9 +687,9 @@ def _lambda_kernel(regime: str, point: PQPoint, param):
             (mWm, xWm), (mWn, xWn), (mgd, xgd), (mgu, xgu) = W[i - 1], W[i], g[i - 1], g[i + 1]
             D = dn and up and _exact_sum(mWn * mgd * up[0], xWn + xgd + up[1],
                                          -mWm * mgu * dn[0], xWm + xgu + dn[1])
-            if not D or D[0] <= 0:
+            if not D:
                 return None
-            fD, eD = top53(*D)
+            fD, eD = cut(D)
             (fWm, eWm), (fWn, eWn) = rW[i - 1], rW[i]
             (fgd, egd), (fgn, egn), (fgu, egu) = rg[i - 1], rg[i], rg[i + 1]
             fP, eP = _fsum(fWn * fgd, eWn + egd, fWm * fgu, eWm + egu)
@@ -690,6 +699,8 @@ def _lambda_kernel(regime: str, point: PQPoint, param):
             rho_q = 2.1 * unit * (k_q + 4)
             if not max(rho_d, rho_q) <= 0.00390625:
                 return None
+            if D[0] < 0:
+                return _NEGATIVE
             fw, ew = _fsum(fWm, eWm, fWn, eWn)
             t_up, t_dn = up[2] / (fgn * fgu), dn[2] / (fgd * fgn)
             fs, es = _fsum(fWn * t_up * t_up, eWn + 2 * (up[3] - egn - egu),
@@ -769,13 +780,15 @@ def _lambda_kernel(regime: str, point: PQPoint, param):
         T = dn and up and _exact_sum(m_dn * m_n * m_o, x_dn + x_n + x_o, -m_dn * m_up,
                                      x_dn + x_up)
         T = T and _exact_sum(*T, -m_r, x_r)
-        if not T or T[0] <= 0:
+        if not T:
             return None
-        fT, eT = top53(*T)
+        fT, eT = cut(T)
         (fm, em), (fu, eu) = rM[i - 1], rV[i + 1]
         rho_d = 3.2 * unit * (_ratio(*_fsum(fm * fu, em + eu, fr, er), fT, eT) + 1)
         if not rho_d <= 0.00390625:
             return None
+        if T[0] < 0:
+            return _NEGATIVE
         fs, es = _fsum(up[2] * up[2], 2 * up[3], fr * dn[2] * dn[2], er + 2 * dn[3])
         fx, ex = top53(*_exact_sum(m_n, x_n, 1, 0))                     # inv_n + 1
         return bound(((1.0, _log2(fT / (fo * fm), eT - eo - em)), (c_x, log2(fx) + ex),
@@ -785,18 +798,32 @@ def _lambda_kernel(regime: str, point: PQPoint, param):
     return kernel(combine, at)
 
 
-def _window_bounds(rows, at) -> list:
-    """[at(m, A, B, rA, rB, diffs) for each inner row m] of the profile rows
-    (A, B): A and B hold each row's values as (mantissa, exponent), exactly,
-    rA and rB their `screen.top53`, and diffs per pair of rows (D, e, f, E)
-    with D 2^e = B_{k+1} - B_k exactly and (f, E) the top53 of |D|, or None
-    where that is zero (or its exponents lie far apart); all are read once.
-    None at every m where at is None (an exponent floats cannot carry) or a
-    value is not positive or has a binary exponent beyond 2^40 in size,
-    which keeps sums of a few exponents exact as floats."""
+# `at`'s verdict at an m whose Lambda is proved negative
+_NEGATIVE = "negative"
+
+
+class _Screened(NamedTuple):
+    """The Lambda kernel's screen of a window, per m: float64 bounds (lo, hi)
+    on log2 Lambda(m) where Lambda(m) > 0 is proved, else None; and whether
+    Lambda(m) < 0 is proved."""
+
+    bounds: list
+    negative: list
+
+
+def _window_bounds(rows, at) -> _Screened:
+    """at(m, A, B, rA, rB, diffs) for each inner row m of the profile rows,
+    split into `_Screened`: at gives bounds, None or _NEGATIVE.  A and B hold
+    each row's values (A, B) as (mantissa, exponent), exactly, rA and rB
+    their `screen.top53`, and diffs per pair of rows (D, e, f, E) with
+    D 2^e = B_{k+1} - B_k exactly and (f, E) the top53 of |D|, or None where
+    that is zero (or its exponents lie far apart); all are read once.
+    Undecided at every m where at is None (an exponent floats cannot carry)
+    or a value is not positive or has a binary exponent beyond 2^40 in
+    size, which keeps sums of a few exponents exact as floats."""
     cap = screen._EXP_CAP
     if not at or not all(not x[0] and x[1] and -cap < x[2] < cap for row in rows for x in row):
-        return [None] * (len(rows) - 2)
+        return _Screened([None] * (len(rows) - 2), [False] * (len(rows) - 2))
     top53 = screen.top53
     A = [(a[1], a[2]) for a, _ in rows]
     B = [(b[1], b[2]) for _, b in rows]
@@ -805,7 +832,9 @@ def _window_bounds(rows, at) -> list:
         d = _exact_sum(m1, x1, -m0, x0)
         diffs.append(d and d[0] and (*d, *top53(abs(d[0]), d[1])))
     reads = A, B, [top53(*a) for a in A], [top53(*b) for b in B], diffs
-    return [at(i, *reads) for i in range(1, len(rows) - 1)]
+    verdicts = [at(i, *reads) for i in range(1, len(rows) - 1)]
+    negative = [v is _NEGATIVE for v in verdicts]
+    return _Screened([None if neg else v for v, neg in zip(verdicts, negative)], negative)
 
 
 def _fsum(fa, ea, fb, eb):
@@ -989,13 +1018,15 @@ def _tail_window(H: int) -> tuple[int, int]:
 def _window_min(regime, point, param, n0, H, table=None) -> mp.mpf:
     """min Lambda(n + n0) over the tail window of horizon H, that of
     `_lambda_window` bit for bit: the kernel's float64 bounds pick the m
-    whose Lambda could be the smallest (`screen.extremes`), and combine runs
-    only there, on the same rows."""
+    whose Lambda could be the smallest (`screen.extremes`; an m proved
+    negative counts as undecided), and combine runs only there, on the same
+    rows."""
     lo, hi = (n + n0 for n in _tail_window(H))
     _check_lambda_index(regime, lo)
-    profile, combine, bounds = _lambda_kernel(regime, point, param)
+    profile, combine, screened = _lambda_kernel(regime, point, param)
     rows = (profile if table is None else table).run(range(lo - 1, hi + 2))
-    return min(combine(*rows[i:i + 3]) for i in screen.extremes(bounds(rows), low=True))
+    return min(combine(*rows[i:i + 3])
+               for i in screen.extremes(screened(rows).bounds, low=True))
 
 
 def _interior_tail(spec: RegimeSpec, H: int, min_value) -> TailReport:
@@ -1045,6 +1076,30 @@ def _probe_offsets(H: int) -> list[int]:
         probes.add(k)
         k *= 4
     return sorted(n for n in probes if n >= 1)
+
+
+def _probe_min(ms, table, combine, screened):
+    """min Lambda(m) over the probe points ms when Lambda(m) > 0 at every
+    one, else None; that of combine at each m, bit for bit.
+
+    ms are taken in their order, and the first m whose Lambda is proved
+    negative by the kernel's screen, or whose combine is not positive where
+    the screen leaves it undecided, ends the search.  Past them all,
+    combine runs at the m (not yet evaluated) whose bounds could hold the
+    minimum (`screen.extremes`).
+    """
+    rows, bounds, values = [], [], []
+    for m in ms:
+        row = table.run(range(m - 1, m + 2))
+        (bound,), (negative,) = screened(row)
+        value = None if bound or negative else combine(*row)
+        if negative or value is not None and not value > 0:
+            return None
+        rows.append(row)
+        bounds.append(bound)
+        values.append(value)
+    return min(combine(*rows[i]) if values[i] is None else values[i]
+               for i in screen.extremes(bounds, low=True))
 
 
 def certify(regime: str, point: PQPoint, *, N: int, horizon: int,
@@ -1120,8 +1175,11 @@ def _candidates(regime, point, eps, lam, N, horizon, table):
         e = to_mpf(recipe.power(point.p, point.q))
         delta1 = mp.power(lambda_limit(regime, point, param) / 2, 1 / e)
         combine = max if e < 0 else min
-        probes = _probe_offsets(horizon)
-        lam_of = _lambda_kernel(regime, point, param)[1]    # at m = n + n0 >= 3 >= least_m
+        # far end first: Lambda of I and III is positive at small n and
+        # negative farther out, and as n0 doubles the probes slide into the
+        # negative band far end first, so a rejected n0 takes one probe
+        probes = _probe_offsets(horizon)[::-1]
+        _, lam_of, screened = _lambda_kernel(regime, point, param)  # m >= 3 >= least_m
 
     n0 = 2
     while n0 <= _N0_CAP:
@@ -1129,17 +1187,14 @@ def _candidates(regime, point, eps, lam, N, horizon, table):
             del table[m]
         if recipe.power is None:
             yield RegimeSpec(**base, eps=eps, n0=n0), None
-        else:
-            # the first non-positive probe rules the candidate out; skip the rest
-            rows = (table.run(range(m - 1, m + 2)) for m in (n + n0 for n in probes))
-            probe_vals = list(takewhile(lambda v: v > 0, (lam_of(*row) for row in rows)))
-            if len(probe_vals) == len(probes):
-                wmin = _window_min(regime, point, param, n0, horizon, table)
-                delta = combine(_delta0_value(regime, point, n0, table).value, delta1,
-                                mp.power(wmin / 2, 1 / e))
-                spec = RegimeSpec(**base, eps=eps, lam=lam, n0=n0, delta=delta)
-                if min(probe_vals) >= interior_threshold(spec):
-                    yield spec, _interior_tail(spec, horizon, wmin)
+        elif (least := _probe_min([n + n0 for n in probes], table, lam_of,
+                                  screened)) is not None:
+            wmin = _window_min(regime, point, param, n0, horizon, table)
+            delta = combine(_delta0_value(regime, point, n0, table).value, delta1,
+                            mp.power(wmin / 2, 1 / e))
+            spec = RegimeSpec(**base, eps=eps, lam=lam, n0=n0, delta=delta)
+            if least >= interior_threshold(spec):
+                yield spec, _interior_tail(spec, horizon, wmin)
         n0 *= 2
 
 

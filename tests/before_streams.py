@@ -197,7 +197,8 @@ def estimate_sides(g: WeightedGraph, u: GraphFunction, o: int, tf: TestFunction,
                 continue
             break
     lhs = mp.fsum(lhs_terms)
-    a, rho, _ = _estimate_exponents(point, t)
+    exponents = _estimate_exponents(point, t)
+    a, rho, _ = exponents
     edge_terms = []
     middle_terms = []
     for x in domain:
@@ -217,7 +218,7 @@ def estimate_sides(g: WeightedGraph, u: GraphFunction, o: int, tf: TestFunction,
                 middle_terms.append(w * to_mpf(phi_x) ** s_m * mp.power(u[x], p_t) * gq)
     edge_sum = mp.fsum(edge_terms)
     middle = mp.fsum(middle_terms)
-    return _finish_report(variant, point, s, t, p0, omega_desc, lhs, middle,
+    return _finish_report(variant, point, s, t, exponents, p0, omega_desc, lhs, middle,
                           edge_sum, failures)
 
 
@@ -275,7 +276,8 @@ def estimate_sides_radial(tree: RadialTree, u: RadialFunction, tf: TestFunction,
     if ineq_bad:
         failures.append(f"the inequality fails at {ineq_bad} layers inside the support")
     lhs = mp.fsum(lhs_terms)
-    a, rho, _ = _estimate_exponents(point, t)
+    exponents = _estimate_exponents(point, t)
+    a, rho, _ = exponents
     edge_terms = []
     middle_terms = []
     for n in range(0, R + 1):
@@ -298,7 +300,7 @@ def estimate_sides_radial(tree: RadialTree, u: RadialFunction, tf: TestFunction,
                                 * mp.power(u.value(end), p_t) * gq)
     edge_sum = mp.fsum(edge_terms)
     middle = mp.fsum(middle_terms)
-    return _finish_report(variant, point, s, t, p0, "all", lhs, middle,
+    return _finish_report(variant, point, s, t, exponents, p0, "all", lhs, middle,
                           edge_sum, failures)
 
 

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import liouville as lv
+from liouville import caccioppoli
 from liouville.errors import InputError
 
 
@@ -181,6 +182,25 @@ def test_estimate_radial_regime_I_holds(regime1_small):
                                    variant="est2")
     assert rep.hypotheses_ok, rep.hypothesis_failures
     assert rep.holds and rep.lhs < rep.rhs
+
+
+def test_an_estimate_forms_its_exponents_once(monkeypatch, regime1_small):
+    """One (a, rho, theta) serves an estimate's sums, its constants C and C'
+    and its right-hand side, on either backend."""
+    calls = []
+    exponents = caccioppoli._estimate_exponents
+    monkeypatch.setattr(caccioppoli, "_estimate_exponents",
+                        lambda *args: calls.append(args) or exponents(*args))
+    built, point = regime1_small, lv.pq(2, 1)
+    sel = lv.choose_st(point)
+    tf = lv.TestFunction("phi", 2)
+    rep = lv.estimate_sides_radial(built.tree, built.u, tf, sel.s_default, sel.t_default,
+                                   point, variant="est2")
+    assert calls == [(point, sel.t_default)] and rep.holds
+    g, layers = built.tree.materialize(9)
+    lv.estimate_sides(g, lv.induced_graph_function(built.u, layers), 0, tf, sel.s_default,
+                      sel.t_default, point, built.tree.p0(), variant="est2")
+    assert len(calls) == 2
 
 
 def test_estimate_radial_matches_materialized(regime1_small):

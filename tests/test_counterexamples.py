@@ -641,17 +641,25 @@ BENCH_CONSTRUCTS = {
     "V1": (["--p", "1/2", "--q", "1/2"], 460),
     "V2": (["--p", "2", "--q", "-1"], 280),
 }
-PROBE_COMBINES = {"I": 35, "II": 0, "III": 52, "IV": 10, "V1": 0, "V2": 0}
+PROBE_COMBINES = {"I": 1, "II": 0, "III": 2, "IV": 1, "V1": 0, "V2": 0}
+# `numerics.memo.run` calls per bench construct: a read of a stretch of m
+# split into more runs shows up here
+PROFILE_RUNS = {"I": 24, "II": 2, "III": 47, "IV": 11, "V1": 0, "V2": 0}
 
 
 @pytest.mark.parametrize("regime", list(BENCH_CONSTRUCTS))
 def test_construct_screens_its_lambda_windows(monkeypatch, capsys, regime):
     """`construct` at the bench horizons runs the Lambda kernel's combine at
     no more than three m per tail window (`_window_min`), where it ran it at
-    every m of the window; the probes of the n0 search, counted apart, keep
-    their count."""
+    every m of the window.  The probes of the n0 search, counted apart, take
+    their signs from the kernel's screen, far end first, so a rejected n0
+    costs one profile run and no combine, and combine runs only where the
+    screen cannot rule out the minimum (PROBE_COMBINES; each probe cost a
+    combine, 35 for I, 52 for III and 10 for IV, when they went nearest
+    first unscreened).  PROFILE_RUNS pins the table's runs (I 38 and III 58
+    nearest first)."""
     from liouville.cli import main
-    counts = {"probe": 0, "window": 0, "windows": 0}
+    counts = {"probe": 0, "window": 0, "windows": 0, "runs": 0}
     inside = []
     kernel, window_min = cx._lambda_kernel, cx._window_min
 
@@ -672,13 +680,20 @@ def test_construct_screens_its_lambda_windows(monkeypatch, capsys, regime):
         finally:
             inside.pop()
 
+    def counted_run(table, keys):
+        counts["runs"] += 1
+        return run(table, keys)
+
+    run = numerics.memo.run
     monkeypatch.setattr(cx, "_lambda_kernel", counted_kernel)
     monkeypatch.setattr(cx, "_window_min", counted_window_min)
+    monkeypatch.setattr(numerics.memo, "run", counted_run)
     args, horizon = BENCH_CONSTRUCTS[regime]
     code = main(["--precision-bits", "128", "construct", "--regime", regime, "--N", "3",
                  "--horizon", str(horizon)] + args)
     capsys.readouterr()
     assert code == 0
     assert counts["probe"] == PROBE_COMBINES[regime]
+    assert counts["runs"] == PROFILE_RUNS[regime]
     assert (counts["windows"] > 0) == (regime not in ("V1", "V2"))
     assert counts["window"] <= 3 * counts["windows"], counts

@@ -568,6 +568,47 @@ def test_exhausted_search_matches_the_old_loops(monkeypatch, case):
     assert (new.value.best_margin is None) == (cap is None)
 
 
+@st.composite
+def search_cases(draw):
+    """Regime I, III or IV at a point of its region with its eps or lam, a
+    horizon of 8 to 80, an n0 cap of 2 to 2^20 and a precision."""
+    regime = draw(st.sampled_from(["I", "III", "IV"]))
+    point = _regime_point(draw, regime)
+    param = _rational(draw, 0, 4, 32) if regime == "IV" else _rational(draw, 0, 2, 40)
+    return {"regime": regime, "point": point,
+            "params": {"lam" if regime == "IV" else "eps": param},
+            "N": draw(st.integers(2, 4)), "H": draw(st.integers(8, 80)),
+            "cap": 2 ** draw(st.integers(1, 20)), "bits": draw(st.sampled_from([53, 128]))}
+
+
+def search_outcome(certify, case):
+    """What a search gives: the certificate's spec, values, report and tail,
+    or the best margin of its CalibrationError."""
+    try:
+        cert = certify(case["regime"], case["point"], N=case["N"], horizon=case["H"],
+                       **case["params"])
+    except CalibrationError as error:
+        return error.best_margin
+    return cert.spec, cert.built.u.values(), cert.report, cert.tail
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(search_cases())
+@example({"regime": "I", "point": lv.pq(2, 1), "params": {"eps": F(1, 10)}, "N": 3,
+          "H": 80, "cap": 2 ** 14, "bits": 128})
+@example({"regime": "III", "point": lv.pq(-1, F(3, 2)), "params": {"eps": F(1, 10)}, "N": 3,
+          "H": 80, "cap": 2 ** 20, "bits": 53})                # undecided probes past 2^16
+@example({"regime": "IV", "point": lv.pq(-2, 1), "params": {"lam": F(1, 8)}, "N": 3,
+          "H": 8, "cap": 2 ** 3, "bits": 53})
+def test_screened_search_is_the_old_loop(case):
+    """The n0 search of I, III and IV, its probes screened far end first,
+    gives the old nearest-first loop's certificate, or its best margin."""
+    with pytest.MonkeyPatch.context() as patch, lv.precision(case["bits"]):
+        patch.setattr(cx, "_N0_CAP", case["cap"])
+        patch.setattr(before_search, "_N0_CAP", case["cap"])
+        assert search_outcome(lv.certify, case) == search_outcome(before_search.certify, case)
+
+
 # ---------------------------------------------------------------------------
 # the closed forms on raw values against their mpf expressions
 # (tests/before_build.py), bit for bit
@@ -690,11 +731,8 @@ def _rational(draw, lo, hi, den=12):
     return lo + (hi - lo) * F(draw(st.integers(1, d - 1)), d)
 
 
-@st.composite
-def lambda_window_cases(draw):
-    """A point in the region of regime I, II, III or IV with its eps or lam,
-    an n0 among 2, 4, ..., 2^34, a horizon up to 400 and a precision."""
-    regime = draw(st.sampled_from(["I", "II", "III", "IV"]))
+def _regime_point(draw, regime):
+    """A point in the region of regime I, II, III or IV."""
     if regime == "I":
         p = draw(st.sampled_from([F(0), F(1, 2), F(1), F(2), F(3), F(5, 2)]))
         q = _rational(draw, 1 - p, 2)
@@ -703,25 +741,37 @@ def lambda_window_cases(draw):
     else:
         p = _rational(draw, -4, 0)
         q = F(1) if regime == "IV" else _rational(draw, 1, 2)
+    return lv.pq(p, q)
+
+
+@st.composite
+def lambda_window_cases(draw):
+    """A point in the region of regime I, II, III or IV with its eps or lam,
+    an n0 among 2, 4, ..., 2^34, a horizon up to 400 and a precision."""
+    regime = draw(st.sampled_from(["I", "II", "III", "IV"]))
+    point = _regime_point(draw, regime)
     param = _rational(draw, 0, 4, 8) if regime == "IV" else _rational(draw, 0, 2, 10)
-    return {"regime": regime, "point": lv.pq(p, q), "param": param,
+    return {"regime": regime, "point": point, "param": param,
             "n0": 2 ** draw(st.integers(1, 34)), "H": draw(st.integers(2, 400)),
             "bits": draw(st.sampled_from([53, 128, 256]))}
 
 
 def assert_lambda_bounds_hold(regime, point, param, lo, hi):
     """Every decided bound encloses log2 of the mpf Lambda `_lambda_window`
-    gives at its m; the window is returned."""
+    gives at its m, and every m the screen proves negative has Lambda < 0;
+    the window and the screen are returned."""
     window = cx._lambda_window(regime, point, param, lo, hi)
-    profile, _, bounds = cx._lambda_kernel(regime, point, param)
-    found = bounds([profile(m) for m in range(lo - 1, hi + 2)])
-    assert len(found) == len(window)
-    for m, value, bound in zip(range(lo, hi + 1), window, found):
+    profile, _, screened = cx._lambda_kernel(regime, point, param)
+    found = screened([profile(m) for m in range(lo - 1, hi + 2)])
+    assert len(found.bounds) == len(found.negative) == len(window)
+    for m, value, bound, negative in zip(range(lo, hi + 1), window, *found):
+        if negative:
+            assert bound is None and value < 0, m
         if bound is not None:
             assert value > 0, m
             with mp.workprec(mp.mp.prec + 64):
                 assert bound[0] <= mp.log(value, 2) <= bound[1], m
-    return window
+    return window, found
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -739,7 +789,7 @@ def test_screened_window_min_is_the_window_minimum(case):
     lo, hi = (n + n0 for n in cx._tail_window(H))
     with lv.precision(case["bits"]):
         try:
-            window = assert_lambda_bounds_hold(regime, point, param, lo, hi)
+            window, _ = assert_lambda_bounds_hold(regime, point, param, lo, hi)
         except InputError:                                  # II's flat profile
             with pytest.raises(InputError, match="flat"):
                 cx._window_min(regime, point, param, n0, H)
@@ -749,6 +799,59 @@ def test_screened_window_min_is_the_window_minimum(case):
         assert found._mpf_ == min(before_build.lambda_window(regime, point, param, lo, hi))._mpf_
         table = numerics.memo(cx._profile(regime, point, param))
         assert cx._window_min(regime, point, param, n0, H, table)._mpf_ == found._mpf_
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lambda_window_cases().filter(lambda case: case["regime"] != "II"))
+@example({"regime": "I", "point": lv.pq(2, 1), "param": F(1, 10), "n0": 2 ** 13, "H": 150,
+          "bits": 128})                                 # I's bench n0: every probe positive
+@example({"regime": "III", "point": lv.pq(-1, F(3, 2)), "param": F(1, 10), "n0": 2 ** 17,
+          "H": 80, "bits": 53})                         # undecided probes, Lambda < 0
+def test_probe_min_is_the_minimum_over_every_probe(case):
+    """`_probe_min` on the n0 search's probes, far end first, is combine's
+    minimum over every probe when all are positive, bit for bit, and None
+    when one is not."""
+    regime, point, param, n0, H = (case[k] for k in ("regime", "point", "param", "n0", "H"))
+    with lv.precision(case["bits"]):
+        profile, combine, screened = cx._lambda_kernel(regime, point, param)
+        ms = [n + n0 for n in reversed(cx._probe_offsets(H))]
+        values = [combine(*profile.run(range(m - 1, m + 2))) for m in ms]
+        found = cx._probe_min(ms, numerics.memo(profile), combine, screened)
+    if all(value > 0 for value in values):
+        assert found._mpf_ == min(values)._mpf_
+    else:
+        assert found is None
+
+
+# Windows (param, lo, hi) over which Lambda changes sign, between the m
+# in the comments; II's is positive over its window, and its screen proves
+# no m negative.  At 53 bits the screen leaves the m near I's and III's
+# second change and IV's at lambda = 2^-12 undecided (rho > 2^-8 there),
+# where combine's sign is not always that of the exact drift.
+SIGN_CHANGE_WINDOWS = {
+    "I": (lv.pq(2, 1), [(F(1, 10), 3, 60), (F(1, 10), 7300, 7500)]),   # 13|14, 7374|7375
+    "II": (lv.pq(0, 3), [(F(1, 2), 3, 60)]),
+    "III": (lv.pq(-1, F(3, 2)), [(F(1, 10), 3, 60),                    # 10|11
+                                 (F(1, 10), 65656100, 65656200)]),     # 65656147|65656148
+    "IV": (lv.pq(-2, 1), [(F(1, 8), 3, 60), (F(1, 4096), 8142, 8242)]),  # 16|17, 8192|8193
+}
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+@pytest.mark.parametrize("regime", list(SIGN_CHANGE_WINDOWS))
+def test_lambda_screen_signs_hold_across_a_sign_change(regime, bits):
+    """The kernel's screen where Lambda changes sign: every m it proves
+    negative has combine < 0 and every log2 bound encloses Lambda; on I,
+    III and IV it proves both signs."""
+    point, windows = SIGN_CHANGE_WINDOWS[regime]
+    negative = positive = 0
+    with lv.precision(bits):
+        for param, lo, hi in windows:
+            window, found = assert_lambda_bounds_hold(regime, point, param, lo, hi)
+            assert (min(window) < 0 < max(window)) == (regime != "II")
+            negative += sum(found.negative)
+            positive += sum(b is not None for b in found.bounds)
+    assert (negative > 0) == (regime != "II") and positive > 0
 
 
 def test_screened_windows_hold_non_positive_and_undecided_m():
