@@ -39,9 +39,8 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (fone, from_int, fzero, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul,
-                          mpf_mul_int, mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_sub, normalize,
-                          round_nearest)
+from mpmath.libmp import (from_int, fzero, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul,
+                          mpf_rdiv_int, normalize, round_nearest)
 
 from . import screen
 from .errors import CalibrationError, InputError
@@ -86,15 +85,19 @@ class RegimeSpec:
 
 @dataclass(frozen=True)
 class Recipe:
-    """One family's facts, stated once for the checks, the search and the CLI.
+    """One family's facts and closed forms, stated once for all readers.
 
     region(point): (p, q) is in its exponent region.  param: the spec field
     its closed forms read, eps or the rate lam.  searched: the fields
     `certify` picks, in `validate_spec`'s order, the pin last (given the
     pin, `construct` certifies the spec as given and reads the others only
-    beside it); a family that searches n0 reads its profile at m = n + n0.
+    beside it); a family searching n0 is read at m = n + n0, else m = n.
     power(p, q): e of the threshold delta^e, in its operands' arithmetic
     (None: it is 1).  least_m: the least m of Lambda (I-III: ln(m-1) > 0).
+    exps(point, eps): (a, b, c, d) of the rows (W, g) = (m^a (ln m)^b, m^c
+    (ln m)^d), W the weights (else lam e^(lam m); IV's rows: (m, 1/m)).
+    value(spec, g or m): v of u = v + base(spec), base exact.  Then Lambda's
+    kernel (combine, at), V's layer conditions, Lambda's limit and delta_0.
     """
 
     region: Callable[[PQPoint], bool]
@@ -102,24 +105,24 @@ class Recipe:
     searched: tuple[str, ...]
     power: Callable | None = None
     least_m: int | None = None
+    exps: Callable | None = None
+    value: Callable | None = None
+    base: Callable = lambda spec: 0
+    kernel: Callable | None = None
+    conditions: Callable | None = None
+    limit: Callable | None = None
+    delta0: Callable | None = None
+    two_sided: bool = False
 
 
-RECIPES = {
-    "I": Recipe(partial(in_g_region, "G1"), "eps", ("n0", "delta"), lambda p, q: p + q - 1, 3),
-    "II": Recipe(partial(in_g_region, "G2"), "eps", ("n0",), least_m=3),
-    "III": Recipe(partial(in_g_region, "G3"), "eps", ("n0", "delta"), lambda p, q: q - 1, 3),
-    "IV": Recipe(partial(in_g_region, "G4"), "lam", ("n0", "delta"), lambda p, q: p, 2),
-    "V1": Recipe(lambda pt: pt.p + pt.q == 1 and pt.p >= 0 and pt.q > 0, "lam", ("lam",)),
-    "V2": Recipe(lambda pt: pt.p + pt.q == 1 and pt.q < 0, "lam", ("lam",)),
-}
-REGIMES = tuple(RECIPES)
-
-
-def _check_params(regime: str, point: PQPoint, N: int, horizon: int, eps, lam) -> None:
-    """The checks a pinned spec and a search share: a known regime, (p, q)
-    in its region, N >= 2, horizon >= 2, and param > 0 unless searched."""
-    if regime not in RECIPES:
+class _Table(dict):
+    def __missing__(self, regime):      # the one lookup: an unknown regime raises, named
         raise InputError(f"unknown regime {regime!r}")
+
+
+def _check_params(regime: str, point: PQPoint, N: int, horizon: int, eps, lam) -> Recipe:
+    """The recipe, past the checks a pinned spec and a search share: a known
+    regime, (p, q) in its region, N, horizon >= 2, param > 0 unless searched."""
     recipe = RECIPES[regime]
     if not recipe.region(point):
         raise InputError(f"(p,q)=({point.p},{point.q}) is not in the exponent region "
@@ -131,15 +134,17 @@ def _check_params(regime: str, point: PQPoint, N: int, horizon: int, eps, lam) -
     given = {"eps": eps, "lam": lam}[recipe.param]
     if recipe.param not in recipe.searched and (given is None or not to_mpf(given) > 0):
         raise InputError(f"regime {regime} needs a positive {recipe.param}")
+    return recipe
 
 
-def validate_spec(spec: RegimeSpec) -> None:
-    _check_params(spec.regime, spec.point, spec.N, spec.horizon, spec.eps, spec.lam)
-    for name in RECIPES[spec.regime].searched:
+def validate_spec(spec: RegimeSpec) -> Recipe:
+    recipe = _check_params(spec.regime, spec.point, spec.N, spec.horizon, spec.eps, spec.lam)
+    for name in recipe.searched:
         if name == "n0" and spec.n0 < 2:
             raise InputError("n0 must be at least 2 (logarithms need n + n0 >= 2)")
         if name != "n0" and (getattr(spec, name) is None or not to_mpf(getattr(spec, name)) > 0):
             raise InputError(f"regime {spec.regime} needs a positive {name}")
+    return recipe
 
 
 # ---------------------------------------------------------------------------
@@ -159,31 +164,23 @@ class _Profile:
 
 def _profile(regime: str, point: PQPoint, param) -> _Profile:
     """The raw closed-form profile of regimes I-IV at m = n + n0, which
-    `build`, the Lambda kernel and delta_0 read: (W, g) for I and III, (W, f)
-    for II, (m, 1/m) for IV, with W = m^lam (ln m)^(beta+eps) (III: lam =
-    beta) or m (ln m)^(1+eps), g = m^sigma (ln m)^beta, f = (ln m)^(-eps/2).
+    `build`, the Lambda kernel and delta_0 read: the recipe's power-log rows
+    (W, g) (II: (W, f)), or (m, 1/m) for IV.
 
     Each value has the bits of its mpf expression (`mp.mpf(m) ** sigma *
-    mp.ln(m) ** beta`, ...) at the precision read here.  I-III's rows are
-    mpf_mul(m^a, (ln m)^b) and mpf_mul(m^c, (ln m)^d) (II: a, c = 1, 0, and
-    m^0 f is f), each power on mpf_pow's own branch: `numerics.power_run`,
+    mp.ln(m) ** beta`, ...) at the precision read here.  The power-log rows
+    are mpf_mul(m^a, (ln m)^b) and mpf_mul(m^c, (ln m)^d) (II: a, c = 1, 0,
+    and m^0 f is f), each power on mpf_pow's own branch: `numerics.power_run`,
     or exp(y c) from an `ExpRun` on c = mpf_log(x, prec + 10).  ln m and
     those logs come from `LogRun`s, which, like the `ExpRun`s, carry their
     values from one run of the profile to the next.
     """
     prec, rnd = mp.mp._prec_rounding
-    if regime == "IV":
+    recipe = RECIPES[regime]
+    if recipe.exps is None:
         return _Profile(lambda ms: [(m, mpf_rdiv_int(1, m, prec, rnd))
                                     for m in (from_int(k, prec, rnd) for k in ms)])
-    eps = to_mpf(param)
-    if regime == "II":
-        ys = fone, (1 + eps)._mpf_, fzero, (-eps / 2)._mpf_
-    elif regime in ("I", "III"):
-        ex = exponents(point, regime)
-        beta = to_mpf(ex.beta)
-        ys = to_mpf(ex.lam)._mpf_, (beta + eps)._mpf_, to_mpf(ex.sigma)._mpf_, beta._mpf_
-    else:
-        raise InputError(f"unknown regime {regime!r}")
+    ys = [to_mpf(y)._mpf_ for y in recipe.exps(point, to_mpf(param))]
     exps = [ExpRun(y, prec) if y[2] < -1 else None for y in ys]
     m_logs = LogRun(prec, *[prec + 10] * bool(exps[0] or exps[2]))   # logs[-1]: m^y's c
     ln_logs = LogRun(prec + 10)
@@ -232,43 +229,28 @@ class BuiltCounterexample:
 def build(spec: RegimeSpec, *, table=None) -> BuiltCounterexample:
     """Realize the recipe with stored layers one past the certified horizon.
 
-    Regimes I-III read W and g (II: f) at m = n + n0 from `table`, a memo
-    of `_profile` that a certify call shares (a fresh profile when None),
-    and form u = delta/g (I), delta/g + 1 (III) or f + 1 (II).  IV keeps its
-    own u = delta/m + delta: delta/m is not delta (1/m) in bits.
+    Layer n (both arms where two-sided) reads the recipe at m = n + n0: W and
+    g from `table`, a memo of `_profile` that a certify call shares (a fresh
+    profile when None), or the weights lam e^(lam m); then u = value + base.
     """
-    validate_spec(spec)
-    stored = spec.horizon + 1
-    prec, rnd = mp.mp._prec_rounding
-    make, n0 = mp.make_mpf, spec.n0
-    if spec.regime in ("I", "II", "III"):
+    recipe = validate_spec(spec)
+    M = spec.horizon + 1
+    n0 = spec.n0 if "n0" in recipe.searched else 0
+    ms = range(n0 - M * recipe.two_sided, n0 + M + 1)
+    if recipe.exps:
         if table is None:               # (an empty memo is falsy: test for None)
             table = _profile(spec.regime, spec.point, spec.eps)
-        rows = table.run(range(n0, n0 + stored + 1))
-        delta = None if spec.regime == "II" else to_mpf(spec.delta)._mpf_
-        values = [g if delta is None else mpf_div(delta, g, prec, rnd) for _, g in rows]
-        if spec.regime != "I":          # II: f + 1, III: delta/g + 1
-            values = [mpf_add(v, fone, prec, rnd) for v in values]
-        return BuiltCounterexample(RadialTree(spec.N, [make(w) for w, _ in rows]),
-                                   RadialFunction(list(map(make, values))), spec)
-    lam = to_mpf(spec.lam)
-    if spec.regime == "IV":
-        delta = to_mpf(spec.delta)._mpf_
-        ms = range(n0, n0 + stored + 1)
-        values = [make(mpf_add(mpf_div(delta, from_int(m, prec, rnd), prec, rnd), delta,
-                               prec, rnd)) for m in ms]
-        return BuiltCounterexample(RadialTree(spec.N, _e_powers(lam, ms, lam)),
-                                   RadialFunction(values), spec)
-    if spec.regime == "V1":             # e^(-lam n / 4): /4 is exact
-        ns = range(stored + 1)
-        return BuiltCounterexample(RadialTree(spec.N, _e_powers(lam, ns, lam)),
-                                   RadialFunction(_e_powers(-lam / 4, ns)), spec)
-    # V2: one arm per sign, same normalized shell law on both.
-    M = stored
-    tree = TwoSidedRadialTree(spec.N, _e_powers(lam, range(0, M), lam),
-                              _e_powers(lam, range(-1, -M - 1, -1), lam))
-    return BuiltCounterexample(tree, RadialFunction(_e_powers(-(lam - 1), range(-M, M + 1)),
-                                                    lo=-M), spec)
+        rows = table.run(ms)
+        weights, xs = [mp.make_mpf(w) for w, _ in rows], (mp.make_mpf(g) for _, g in rows)
+    else:
+        lam = to_mpf(spec.lam)
+        weights, xs = _e_powers(lam, ms, lam), ms
+    values = recipe.value(spec, xs)
+    if base := recipe.base(spec):       # (lazily: no list alive beside the next)
+        values = (v + base for v in values)
+    tree = (TwoSidedRadialTree(spec.N, weights[M:-1], weights[M - 1::-1]) if recipe.two_sided
+            else RadialTree(spec.N, weights))
+    return BuiltCounterexample(tree, RadialFunction(values, lo=ms.start - n0), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +568,12 @@ def verify_graph(g: WeightedGraph, u: GraphFunction, p, q) -> MarginReport:
 
 
 def _lambda_kernel(regime: str, point: PQPoint, param):
-    """(profile, combine, screened) for regimes I-IV, with every constant hoisted.
+    """(profile, combine, screened) for regimes I-IV.
 
     Lambda(m) = combine(profile(m-1), profile(m), profile(m+1)) on the raw
-    pairs of `_profile`.  combine makes, in their order, the `mpmath.libmp`
-    calls of the mpf expression it stands for (written out in each comment),
-    at the precision read here, so Lambda keeps that expression's bits.
+    pairs of `_profile`, made mpf: combine is its recipe's kernel's mpf
+    expression, kernel(p, q, unit, c_g, c_x, c_q, param) with c the float64
+    exponents of p - 1, -p and -q/2; callers keep the precision read here.
 
     screened(rows), on the profiles rows = [profile(lo - 1), ..., profile(hi + 1)]
     of a window, gives per m = lo..hi (`_Screened`) float64 bounds (lo, hi) on
@@ -630,159 +612,132 @@ def _lambda_kernel(regime: str, point: PQPoint, param):
     a float cannot carry stays undecided, so combine runs there when its
     value is needed.
     """
-    profile = _profile(regime, point, param)
-    prec, rnd = mp.mp._prec_rounding
     p, q = to_mpf(point.p), to_mpf(point.q)
-    neg_p, neg_half_q = (-p)._mpf_, (-q / 2)._mpf_
-    unit = math.ldexp(1.0, -min(prec, 1000))    # >= 2^-prec, and a normal float
+    unit = math.ldexp(1.0, -min(mp.mp.prec, 1000))      # >= 2^-prec, and a normal float
     floats = screen.exponent_floats(p - 1, -p, -q / 2)
-    c_g, c_x, c_q = floats or (0.0, 0.0, 0.0)
-    log2, top53, log2_bound = math.log2, screen.top53, screen.log2_bound
+    combine, at = RECIPES[regime].kernel(p, q, unit, *floats or (0.0, 0.0, 0.0), param)
+    return (_profile(regime, point, param), combine,
+            lambda rows: _window_bounds(rows, floats and at))
 
-    def add(x, y): return mpf_add(x, y, prec, rnd)
-    def sub(x, y): return mpf_sub(x, y, prec, rnd)
-    def mul(x, y): return mpf_mul(x, y, prec, rnd)
-    def div(x, y): return mpf_div(x, y, prec, rnd)
-    def pow_(x, y): return mpf_pow(x, y, prec, rnd)
-    def inv(x): return mpf_rdiv_int(1, x, prec, rnd)
-    def sq(x): return mpf_pow_int(x, 2, prec, rnd)
 
-    def quad_of(a, x, b, y, a_b):   # (a x^2 + b y^2) / (2 (a + b))
-        return div(add(mul(a, sq(x)), mul(b, sq(y))), mpf_mul_int(a_b, 2, prec, rnd))
+def _bound(terms, rho):        # the log2_bound of a value, widened by 1.45 rho
+    b = screen.log2_bound(0.0, terms)
+    return b and (b[0] - b[1] - 1.45 * rho, b[0] + b[1] + 1.45 * rho)
 
-    def bound(terms, rho):          # the log2_bound of the value, widened by 1.45 rho
-        b = log2_bound(0.0, terms)
-        return b and (b[0] - b[1] - 1.45 * rho, b[0] + b[1] + 1.45 * rho)
 
-    def kernel(combine, at):
-        return profile, combine, lambda rows: _window_bounds(rows, floats and at)
-
-    def cut(x):                     # top53 of |x| for an exact (mantissa, exponent)
-        return top53(abs(x[0]), x[1])
-
-    if regime in ("I", "III"):
-        p_minus_1 = (p - 1)._mpf_
-
-        def combine(prev, cur, nxt):
-            # drift = 1 - gn (Wn/g_up + Wm/g_dn) / (Wn + Wm), quad as quad_of's; I:
-            # gn^(p-1) drift quad^(-q/2), III: drift (1/gn + 1)^(-p) / gn quad^(-q/2)
-            (Wm, g_dn), (Wn, gn), (_, g_up) = prev, cur, nxt
-            w = add(Wn, Wm)
-            drift = sub(fone, div(mul(gn, add(div(Wn, g_up), div(Wm, g_dn))), w))
-            inv_n = inv(gn)
-            quad = quad_of(Wn, sub(inv_n, inv(g_up)), Wm, sub(inv(g_dn), inv_n), w)
-            if regime == "I":
-                value = mul(mul(pow_(gn, p_minus_1), drift), pow_(quad, neg_half_q))
-            else:
-                value = mul(div(mul(drift, pow_(add(inv_n, fone), neg_p)), gn),
-                            pow_(quad, neg_half_q))
-            return mp.make_mpf(value)
-
-        def at(i, W, g, rW, rg, diffs):
-            # drift = D / ((Wn + Wm) g_up g_dn), D = Wn g_dn d_up - Wm g_up d_dn with the
-            # differences d_up = g_up - gn, d_dn = gn - g_dn, and kappa = gn (Wn g_dn +
-            # Wm g_up) / D; quad = (Wn (d_up / (gn g_up))^2 + Wm (d_dn / (g_dn gn))^2) /
-            # (2 (Wn + Wm)), and 1/g - 1/g' has kappa_q = (g + g') / |g' - g|
-            dn, up = diffs[i - 1], diffs[i]
-            (mWm, xWm), (mWn, xWn), (mgd, xgd), (mgu, xgu) = W[i - 1], W[i], g[i - 1], g[i + 1]
-            D = dn and up and _exact_sum(mWn * mgd * up[0], xWn + xgd + up[1],
-                                         -mWm * mgu * dn[0], xWm + xgu + dn[1])
-            if not D:
-                return None
-            fD, eD = cut(D)
-            (fWm, eWm), (fWn, eWn) = rW[i - 1], rW[i]
-            (fgd, egd), (fgn, egn), (fgu, egu) = rg[i - 1], rg[i], rg[i + 1]
-            fP, eP = _fsum(fWn * fgd, eWn + egd, fWm * fgu, eWm + egu)
-            rho_d = 5.2 * unit * (_ratio(fP * fgn, eP + egn, fD, eD) + 1)
-            k_q = max(_ratio(*_fsum(fgd, egd, fgn, egn), dn[2], dn[3]),
-                      _ratio(*_fsum(fgn, egn, fgu, egu), up[2], up[3]))
-            rho_q = 2.1 * unit * (k_q + 4)
-            if not max(rho_d, rho_q) <= 0.00390625:
-                return None
-            if D[0] < 0:
-                return _NEGATIVE
-            fw, ew = _fsum(fWm, eWm, fWn, eWn)
-            t_up, t_dn = up[2] / (fgn * fgu), dn[2] / (fgd * fgn)
-            fs, es = _fsum(fWn * t_up * t_up, eWn + 2 * (up[3] - egn - egu),
-                           fWm * t_dn * t_dn, eWm + 2 * (dn[3] - egd - egn))
-            drift = _log2(fD / (fw * fgd * fgu), eD - ew - egd - egu)
-            quad = _log2(fs / fw, es - ew - 1)
-            if regime == "I":
-                return bound(((c_g, log2(fgn) + egn), (1.0, drift), (c_q, quad)),
-                             rho_d + abs(c_q) * rho_q)
-            fx, ex = top53(*_exact_sum(*g[i], 1, 0))                    # gn + 1
-            return bound(((1.0, drift), (c_x, _log2(fx / fgn, ex - egn)),
-                          (-1.0, log2(fgn) + egn), (c_q, quad)),
-                         rho_d + abs(c_q) * rho_q + abs(c_x) * 2.1 * unit)
-
-        return kernel(combine, at)
-    if regime == "II":
-        flat_fails = q > 0
-
-        def combine(prev, cur, nxt):
-            # neg_lap = fn - (Wn f_up + Wm f_dn) / (Wn + Wm), quad as quad_of's;
-            # neg_lap (fn + 1)^(-p) quad^(-q/2)
-            (Wm, f_dn), (Wn, fn), (_, f_up) = prev, cur, nxt
-            w = add(Wn, Wm)
-            neg_lap = sub(fn, div(add(mul(Wn, f_up), mul(Wm, f_dn)), w))
-            quad = quad_of(Wn, sub(f_up, fn), Wm, sub(f_dn, fn), w)
-            if quad == fzero and flat_fails:
-                raise InputError(f"regime II: eps is too small for the working precision "
-                                 f"({prec} bits): (ln m)^(-eps/2) is flat")
-            return mp.make_mpf(mul(mul(neg_lap, pow_(add(fn, fone), neg_p)),
-                                   pow_(quad, neg_half_q)))
-
-        def at(i, W, f, rW, rf, diffs):
-            # neg_lap = L / (Wn + Wm), L = Wm d_dn - Wn d_up with the differences
-            # d_up = f_up - fn, d_dn = fn - f_dn, and kappa = (Wn f_up + Wm f_dn) / L;
-            # quad = (Wn d_up^2 + Wm d_dn^2) / (2 (Wn + Wm))
-            dn, up = diffs[i - 1], diffs[i]
-            (mWm, xWm), (mWn, xWn) = W[i - 1], W[i]
-            L = dn and up and _exact_sum(mWm * dn[0], xWm + dn[1], -mWn * up[0], xWn + up[1])
-            if not L or L[0] <= 0:
-                return None
-            fL, eL = top53(*L)
-            (fWm, eWm), (fWn, eWn), (fu, eu), (fd, ed) = rW[i - 1], rW[i], rf[i + 1], rf[i - 1]
-            rho_d = 4.2 * unit * (_ratio(*_fsum(fWn * fu, eWn + eu, fWm * fd, eWm + ed),
-                                         fL, eL) + 1)
-            if not rho_d <= 0.00390625:
-                return None
-            fw, ew = _fsum(fWm, eWm, fWn, eWn)
-            fs, es = _fsum(fWn * up[2] * up[2], eWn + 2 * up[3], fWm * dn[2] * dn[2],
-                           eWm + 2 * dn[3])
-            fx, ex = top53(*_exact_sum(*f[i], 1, 0))                    # fn + 1
-            return bound(((1.0, _log2(fL / fw, eL - ew)), (c_x, log2(fx) + ex),
-                          (c_q, _log2(fs / fw, es - ew - 1))),
-                         rho_d + (1.1 * abs(c_x) + 7.2 * abs(c_q)) * unit)
-
-        return kernel(combine, at)
-    r = mp.e ** (-to_mpf(param))
-    one_r, two_one_r, r = (1 + r)._mpf_, (2 * (1 + r))._mpf_, r._mpf_
-    neg_half = mp.mpf("-0.5")._mpf_
+def _drift_kernel(plus_one: bool, p, q, unit, c_g, c_x, c_q, param):
+    """combine and at of u = delta/g (I), or of delta/g + 1 (III, plus_one)."""
 
     def combine(prev, cur, nxt):
-        # drift = 1/m - (1/(m+1) + r/(m-1)) / (1 + r), quad = ((1/(m+1) - 1/m)^2
-        # + r (1/(m-1) - 1/m)^2) / (2 (1 + r)); drift (1/m + 1)^(-p) quad^(-1/2)
-        (m_dn, inv_dn), (_, inv_n), (_, inv_up) = prev, cur, nxt
-        drift = sub(inv_n, div(add(inv_up, div(r, m_dn)), one_r))
-        quad = div(add(sq(sub(inv_up, inv_n)), mul(r, sq(sub(inv_dn, inv_n)))), two_one_r)
-        return mp.make_mpf(mul(mul(drift, pow_(add(inv_n, fone), neg_p)), pow_(quad, neg_half)))
+        Wm, g_dn, Wn, gn, g_up = map(mp.make_mpf, (*prev, *cur, nxt[1]))
+        w = Wn + Wm
+        drift = 1 - gn * (Wn / g_up + Wm / g_dn) / w
+        inv_n = 1 / gn
+        quad = (Wn * (inv_n - 1 / g_up) ** 2 + Wm * (1 / g_dn - inv_n) ** 2) / (w * 2)
+        value = drift * (inv_n + 1) ** -p / gn if plus_one else gn ** (p - 1) * drift
+        return value * quad ** (-q / 2)
 
-    (_, m_r, x_r, _), (_, m_o, x_o, _) = r, one_r
-    (fr, er), (fo, eo), (ft, et) = (top53(x[1], x[2]) for x in (r, one_r, two_one_r))
+    def at(i, W, g, rW, rg, dn, up):
+        # drift = D / ((Wn + Wm) g_up g_dn), D = Wn g_dn d_up - Wm g_up d_dn with the
+        # differences d_up = g_up - gn, d_dn = gn - g_dn, and kappa = gn (Wn g_dn +
+        # Wm g_up) / D; quad = (Wn (d_up / (gn g_up))^2 + Wm (d_dn / (g_dn gn))^2) /
+        # (2 (Wn + Wm)), and 1/g - 1/g' has kappa_q = (g + g') / |g' - g|
+        (mWm, xWm), (mWn, xWn), (mgd, xgd), (mgu, xgu) = W[i - 1], W[i], g[i - 1], g[i + 1]
+        D = dn and up and _exact_sum(mWn * mgd * up[0], xWn + xgd + up[1],
+                                     -mWm * mgu * dn[0], xWm + xgu + dn[1])
+        if not D:
+            return None
+        fD, eD = screen.top53(abs(D[0]), D[1])
+        (fWm, eWm), (fWn, eWn) = rW[i - 1], rW[i]
+        (fgd, egd), (fgn, egn), (fgu, egu) = rg[i - 1], rg[i], rg[i + 1]
+        fP, eP = _fsum(fWn * fgd, eWn + egd, fWm * fgu, eWm + egu)
+        rho_d = 5.2 * unit * (_ratio(fP * fgn, eP + egn, fD, eD) + 1)
+        k_q = max(_ratio(*_fsum(fgd, egd, fgn, egn), dn[2], dn[3]),
+                  _ratio(*_fsum(fgn, egn, fgu, egu), up[2], up[3]))
+        rho_q = 2.1 * unit * (k_q + 4)
+        if not max(rho_d, rho_q) <= 0.00390625:
+            return None
+        if D[0] < 0:
+            return _NEGATIVE
+        fw, ew = _fsum(fWm, eWm, fWn, eWn)
+        t_up, t_dn = up[2] / (fgn * fgu), dn[2] / (fgd * fgn)
+        fs, es = _fsum(fWn * t_up * t_up, eWn + 2 * (up[3] - egn - egu),
+                       fWm * t_dn * t_dn, eWm + 2 * (dn[3] - egd - egn))
+        drift = _log2(fD / (fw * fgd * fgu), eD - ew - egd - egu)
+        quad = _log2(fs / fw, es - ew - 1)
+        rho = rho_d + abs(c_q) * rho_q
+        if not plus_one:
+            return _bound(((c_g, math.log2(fgn) + egn), (1.0, drift), (c_q, quad)), rho)
+        fx, ex = screen.top53(*_exact_sum(*g[i], 1, 0))                        # gn + 1
+        return _bound(((1.0, drift), (c_x, _log2(fx / fgn, ex - egn)),
+                       (-1.0, math.log2(fgn) + egn), (c_q, quad)), rho + abs(c_x) * 2.1 * unit)
 
-    def at(i, M, V, rM, rV, diffs):
+    return combine, at
+
+
+def _log_kernel(p, q, unit, c_g, c_x, c_q, param):
+    """combine and at of u = f + 1 (II)."""
+
+    def combine(prev, cur, nxt):
+        Wm, f_dn, Wn, fn, f_up = map(mp.make_mpf, (*prev, *cur, nxt[1]))
+        w = Wn + Wm
+        neg_lap = fn - (Wn * f_up + Wm * f_dn) / w
+        quad = (Wn * (f_up - fn) ** 2 + Wm * (f_dn - fn) ** 2) / (w * 2)
+        if quad == 0 and q > 0:
+            raise InputError(f"regime II: eps is too small for the working precision "
+                             f"({mp.mp.prec} bits): (ln m)^(-eps/2) is flat")
+        return neg_lap * (fn + 1) ** -p * quad ** (-q / 2)
+
+    def at(i, W, f, rW, rf, dn, up):
+        # neg_lap = L / (Wn + Wm), L = Wm d_dn - Wn d_up with the differences
+        # d_up = f_up - fn, d_dn = fn - f_dn, and kappa = (Wn f_up + Wm f_dn) / L;
+        # quad = (Wn d_up^2 + Wm d_dn^2) / (2 (Wn + Wm))
+        (mWm, xWm), (mWn, xWn) = W[i - 1], W[i]
+        L = dn and up and _exact_sum(mWm * dn[0], xWm + dn[1], -mWn * up[0], xWn + up[1])
+        if not L or L[0] <= 0:
+            return None
+        fL, eL = screen.top53(*L)
+        (fWm, eWm), (fWn, eWn), (fu, eu), (fd, ed) = rW[i - 1], rW[i], rf[i + 1], rf[i - 1]
+        rho_d = 4.2 * unit * (_ratio(*_fsum(fWn * fu, eWn + eu, fWm * fd, eWm + ed),
+                                       fL, eL) + 1)
+        if not rho_d <= 0.00390625:
+            return None
+        fw, ew = _fsum(fWm, eWm, fWn, eWn)
+        fs, es = _fsum(fWn * up[2] * up[2], eWn + 2 * up[3], fWm * dn[2] * dn[2],
+                       eWm + 2 * dn[3])
+        fx, ex = screen.top53(*_exact_sum(*f[i], 1, 0))                        # fn + 1
+        return _bound(((1.0, _log2(fL / fw, eL - ew)), (c_x, math.log2(fx) + ex),
+                       (c_q, _log2(fs / fw, es - ew - 1))),
+                      rho_d + (1.1 * abs(c_x) + 7.2 * abs(c_q)) * unit)
+
+    return combine, at
+
+
+def _reciprocal_kernel(p, q, unit, c_g, c_x, c_q, lam):
+    """combine and at of u = delta (1/m + 1) (IV), r = e^(-lam)."""
+    r = mp.e ** (-to_mpf(lam))
+    one_r, two_one_r = 1 + r, 2 * (1 + r)
+
+    def combine(prev, cur, nxt):
+        m_dn, inv_dn, _, inv_n, _, inv_up = map(mp.make_mpf, (*prev, *cur, *nxt))
+        drift = inv_n - (inv_up + r / m_dn) / one_r
+        quad = ((inv_up - inv_n) ** 2 + r * (inv_dn - inv_n) ** 2) / two_one_r
+        return drift * (inv_n + 1) ** -p * quad ** -0.5
+
+    (_, m_r, x_r, _), (_, m_o, x_o, _) = r._mpf_, one_r._mpf_
+    (fr, er), (fo, eo), (ft, et) = (screen.top53(*x._mpf_[1:3]) for x in (r, one_r, two_one_r))
+
+    def at(i, M, V, rM, rV, dn, up):
         # drift = T / ((1 + r) m_dn), T = m_dn inv_n (1 + r) - m_dn inv_up - r, and
         # kappa = (m_dn inv_up + r) / T; quad = (d_up^2 + r d_dn^2) / (2 (1 + r)), d_up
         # and d_dn the differences of 1/m
-        dn, up = diffs[i - 1], diffs[i]
         (m_dn, x_dn), (m_n, x_n), (m_up, x_up) = M[i - 1], V[i], V[i + 1]
         T = dn and up and _exact_sum(m_dn * m_n * m_o, x_dn + x_n + x_o, -m_dn * m_up,
                                      x_dn + x_up)
         T = T and _exact_sum(*T, -m_r, x_r)
         if not T:
             return None
-        fT, eT = cut(T)
+        fT, eT = screen.top53(abs(T[0]), T[1])
         (fm, em), (fu, eu) = rM[i - 1], rV[i + 1]
         rho_d = 3.2 * unit * (_ratio(*_fsum(fm * fu, em + eu, fr, er), fT, eT) + 1)
         if not rho_d <= 0.00390625:
@@ -790,12 +745,11 @@ def _lambda_kernel(regime: str, point: PQPoint, param):
         if T[0] < 0:
             return _NEGATIVE
         fs, es = _fsum(up[2] * up[2], 2 * up[3], fr * dn[2] * dn[2], er + 2 * dn[3])
-        fx, ex = top53(*_exact_sum(m_n, x_n, 1, 0))                     # inv_n + 1
-        return bound(((1.0, _log2(fT / (fo * fm), eT - eo - em)), (c_x, log2(fx) + ex),
-                      (-0.5, _log2(fs / ft, es - et))),
-                     rho_d + (1.1 * abs(c_x) + 3.6) * unit)
+        fx, ex = screen.top53(*_exact_sum(m_n, x_n, 1, 0))                     # inv_n + 1
+        return _bound(((1.0, _log2(fT / (fo * fm), eT - eo - em)), (c_x, math.log2(fx) + ex),
+                       (-0.5, _log2(fs / ft, es - et))), rho_d + (1.1 * abs(c_x) + 3.6) * unit)
 
-    return kernel(combine, at)
+    return combine, at
 
 
 # `at`'s verdict at an m whose Lambda is proved negative
@@ -812,12 +766,13 @@ class _Screened(NamedTuple):
 
 
 def _window_bounds(rows, at) -> _Screened:
-    """at(m, A, B, rA, rB, diffs) for each inner row m of the profile rows,
+    """at(m, A, B, rA, rB, dn, up) for each inner row m of the profile rows,
     split into `_Screened`: at gives bounds, None or _NEGATIVE.  A and B hold
     each row's values (A, B) as (mantissa, exponent), exactly, rA and rB
-    their `screen.top53`, and diffs per pair of rows (D, e, f, E) with
-    D 2^e = B_{k+1} - B_k exactly and (f, E) the top53 of |D|, or None where
-    that is zero (or its exponents lie far apart); all are read once.
+    their `screen.top53`, and dn and up are the differences of the pairs of
+    rows below and above m, (D, e, f, E) with D 2^e = B_{k+1} - B_k exactly
+    and (f, E) the top53 of |D|, or None where that is zero (or its
+    exponents lie far apart); all are read once.
     Undecided at every m where at is None (an exponent floats cannot carry)
     or a value is not positive or has a binary exponent beyond 2^40 in
     size, which keeps sums of a few exponents exact as floats."""
@@ -831,8 +786,8 @@ def _window_bounds(rows, at) -> _Screened:
     for (m1, x1), (m0, x0) in zip(B[1:], B):
         d = _exact_sum(m1, x1, -m0, x0)
         diffs.append(d and d[0] and (*d, *top53(abs(d[0]), d[1])))
-    reads = A, B, [top53(*a) for a in A], [top53(*b) for b in B], diffs
-    verdicts = [at(i, *reads) for i in range(1, len(rows) - 1)]
+    reads = A, B, [top53(*a) for a in A], [top53(*b) for b in B]
+    verdicts = [at(i, *reads, diffs[i - 1], diffs[i]) for i in range(1, len(rows) - 1)]
     negative = [v is _NEGATIVE for v in verdicts]
     return _Screened([None if neg else v for v, neg in zip(verdicts, negative)], negative)
 
@@ -881,7 +836,7 @@ def _v1_layer_rhs(point: PQPoint, lam, n: int) -> mp.mpf:
             * (1 - mp.e ** (-3 * lam / 4)) / (1 + r))
 
 
-def _v2_layer_rhs(point: PQPoint, lam) -> mp.mpf:
+def _v2_layer_rhs(point: PQPoint, lam, n: int) -> mp.mpf:
     q = to_mpf(point.q)
     lam = to_mpf(lam)
     if lam <= 1:
@@ -898,31 +853,28 @@ def lambda_fn(regime: str, point: PQPoint, param, n: int) -> mp.mpf:
     For V1, n = 0 selects the root condition and any n >= 1 the
     (n-independent) interior one; for V2 the closed form does not depend on n.
     """
-    if regime == "V1":
-        return _v1_layer_rhs(point, param, n)
-    if regime == "V2":
-        return _v2_layer_rhs(point, param)
-    return _lambda_window(regime, point, param, n, n)[0]
+    conditions = RECIPES[regime].conditions     # V's, else Lambda from its kernel
+    return (conditions(point, param, n) if conditions
+            else _lambda_window(regime, point, param, n, n)[0])
 
 
 def _check_lambda_index(regime: str, n: int) -> None:
-    least = getattr(RECIPES.get(regime), "least_m", None)
+    least = RECIPES[regime].least_m
     if least is not None and n < least:
         raise InputError(f"regime {regime} calibration needs n >= {least}, got {n}")
 
 
 def lambda_limit(regime: str, point: PQPoint, param) -> mp.mpf:
     """Reported large-n limit of the calibration function (+inf for II)."""
-    if regime == "II":
-        return mp.inf
-    if regime in ("I", "III"):
-        sigma = to_mpf(exponents(point, regime).sigma)
-        q = to_mpf(point.q)
-        return (2 / sigma) ** (q / 2 - 1) * to_mpf(param)
-    if regime == "IV":
-        lam = to_mpf(param)
-        return mp.sqrt(2) * (1 - mp.e ** (-lam)) / (1 + mp.e ** (-lam))
-    raise InputError(f"regime {regime} has no closed-form limit; use lambda_fn directly")
+    limit = RECIPES[regime].limit
+    if limit is None:
+        raise InputError(f"regime {regime} has no closed-form limit; use lambda_fn directly")
+    return limit(point, param)
+
+
+def _g_limit(family: str, point: PQPoint, eps) -> mp.mpf:
+    sigma = to_mpf(exponents(point, family).sigma)
+    return (2 / sigma) ** (to_mpf(point.q) / 2 - 1) * to_mpf(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -936,24 +888,24 @@ class DeltaBound:
 
 
 def _delta0_value(regime: str, point: PQPoint, n0: int, table=None) -> DeltaBound:
-    """delta_0 at n0, from g(n0) and g(n0 + 1) (IV: 1/n0) read off `table`
-    (a memo of `_profile`; a fresh profile when None: g does not need eps)."""
-    power = getattr(RECIPES.get(regime), "power", None)
-    if power is None:
+    """delta_0 at n0, an upper bound on delta unless e < 0, from the profile
+    rows of `table` (a memo of `_profile`; a fresh one when None: g does not
+    need eps)."""
+    recipe = RECIPES[regime]
+    if recipe.delta0 is None:
         raise InputError(f"regime {regime} has no delta_0 formula")
     if table is None:
         table = _profile(regime, point, 0)
     p, q = to_mpf(point.p), to_mpf(point.q)
-    if regime == "IV":
-        return DeltaBound(2 ** (1 / (2 * p)) / (mp.make_mpf(table(n0)[1]) + 1), "lower")
-    e = power(p, q)
+    e = recipe.power(p, q)
+    return DeltaBound(recipe.delta0(p, q, e, n0, table), "lower" if e < 0 else "upper")
+
+
+def _g_root(plus_one: bool, p, q, e, n0: int, table) -> mp.mpf:
+    """delta_0 of u = delta/g (I) or delta/g + 1 (III, plus_one)."""
     g0, g1 = (mp.make_mpf(row[1]) for row in table.run(range(n0, n0 + 2)))
-    diff = 1 / g0 - 1 / g1
-    if regime == "I":
-        value = 2 ** (q / (2 * e)) * g0 ** (p / e) * diff ** ((1 - q) / e)
-    else:
-        value = 2 ** (q / (2 * e)) * (1 / g0 + 1) ** (-p / e) * diff ** ((1 - q) / e)
-    return DeltaBound(value, "upper")
+    factor = (1 / g0 + 1) ** (-p / e) if plus_one else g0 ** (p / e)
+    return 2 ** (q / (2 * e)) * factor * (1 / g0 - 1 / g1) ** ((1 - q) / e)
 
 
 def delta0(spec: RegimeSpec) -> DeltaBound:
@@ -969,11 +921,51 @@ def delta0(spec: RegimeSpec) -> DeltaBound:
 def interior_threshold(spec: RegimeSpec) -> mp.mpf:
     """The quantity that must stay below Lambda at every interior layer:
     delta^e, e the recipe's power of the exact p and q, or 1."""
-    if spec.regime not in RECIPES:
-        raise InputError(f"unknown regime {spec.regime!r}")
     power = RECIPES[spec.regime].power
     return mp.mpf(1) if power is None else mp.power(to_mpf(spec.delta),
                                                     to_mpf(power(spec.p, spec.q)))
+
+
+# ---------------------------------------------------------------------------
+# The regime table
+
+
+def _g_exponents(family: str, point: PQPoint, eps) -> tuple:
+    """(lam, beta + eps, sigma, beta) of `exponents(point, family)`."""
+    ex = exponents(point, family)
+    return ex.lam, to_mpf(ex.beta) + eps, ex.sigma, to_mpf(ex.beta)
+
+
+def _delta_over(spec: RegimeSpec, xs):
+    delta = to_mpf(spec.delta)
+    return (delta / x for x in xs)
+
+
+RECIPES = _Table({
+    "I": Recipe(partial(in_g_region, "G1"), "eps", ("n0", "delta"), lambda p, q: p + q - 1, 3,
+                exps=partial(_g_exponents, "I"), limit=partial(_g_limit, "I"), value=_delta_over,
+                kernel=partial(_drift_kernel, False), delta0=partial(_g_root, False)),
+    "II": Recipe(partial(in_g_region, "G2"), "eps", ("n0",), least_m=3,
+                 exps=lambda pt, eps: (1, 1 + eps, 0, -eps / 2), value=lambda spec, fs: fs,
+                 base=lambda spec: 1, kernel=_log_kernel, limit=lambda pt, eps: mp.inf),
+    "III": Recipe(partial(in_g_region, "G3"), "eps", ("n0", "delta"), lambda p, q: q - 1, 3,
+                  exps=partial(_g_exponents, "III"), value=_delta_over, base=lambda spec: 1,
+                  kernel=partial(_drift_kernel, True), limit=partial(_g_limit, "III"),
+                  delta0=partial(_g_root, True)),
+    "IV": Recipe(partial(in_g_region, "G4"), "lam", ("n0", "delta"), lambda p, q: p, 2,
+                 value=_delta_over, base=lambda spec: to_mpf(spec.delta),  # not delta (1/m + 1)
+                 kernel=_reciprocal_kernel,
+                 limit=lambda pt, lam: (mp.sqrt(2) * (1 - mp.e ** -to_mpf(lam))
+                                        / (1 + mp.e ** -to_mpf(lam))),
+                 delta0=lambda p, q, e, n0, table: 2 ** (1 / (2 * p)) / (1 / mp.mpf(n0) + 1)),
+    "V1": Recipe(lambda pt: pt.p + pt.q == 1 and pt.p >= 0 and pt.q > 0, "lam", ("lam",),
+                 value=lambda spec, ms: _e_powers(-to_mpf(spec.lam) / 4, ms),  # /4 is exact
+                 conditions=_v1_layer_rhs),
+    "V2": Recipe(lambda pt: pt.p + pt.q == 1 and pt.q < 0, "lam", ("lam",),
+                 value=lambda spec, ms: _e_powers(-(to_mpf(spec.lam) - 1), ms),
+                 conditions=_v2_layer_rhs, two_sided=True),    # one shell law on both arms
+})
+REGIMES = tuple(RECIPES)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,8 +992,6 @@ def tail_check(spec: RegimeSpec, horizon: int | None = None, *, table=None) -> T
     """Lambda against twice the threshold on the tail window (I-IV read
     their profiles from `table`, as `build` does), or V's closed forms."""
     H = spec.horizon if horizon is None else horizon
-    if spec.regime not in RECIPES:
-        raise InputError(f"unknown regime {spec.regime!r}")
     recipe = RECIPES[spec.regime]
     param = getattr(spec, recipe.param)
     if "n0" in recipe.searched:
@@ -1061,8 +1051,7 @@ class Certificate:
 def certify_spec(spec: RegimeSpec) -> Certificate:
     """Build, verify and tail a fully pinned spec, once each, on one table
     of the spec's profile."""
-    validate_spec(spec)
-    recipe = RECIPES[spec.regime]
+    recipe = validate_spec(spec)
     table = memo(_profile(spec.regime, spec.point, getattr(spec, recipe.param))) \
         if "n0" in recipe.searched else None
     built = build(spec, table=table)
@@ -1108,31 +1097,44 @@ def certify(regime: str, point: PQPoint, *, N: int, horizon: int,
 
     Returns the accepted candidate's build, margin report and tail, so a
     caller never has to recompute them.  Each candidate of `_candidates`
-    is built and verified in turn; the tail is checked once the margins
-    pass.  When none passes, `CalibrationError` carries the smallest
-    max_margin among the candidates verified and the spec that had it
-    (both None when no candidate cleared its screen).  One memo of `_profile`
-    (I-IV), made here and dropped on return, gives the probes, tail windows,
-    delta_0, `build` and `tail_check` each m's profile, evaluated once.
+    is built and verified in turn, and its tail checked once the margins
+    pass; one passing both with a stored u not strictly decreasing is
+    refused (a constant u solves the inequality and shows nothing).  Else
+    `CalibrationError` counts the refused and carries the smallest
+    max_margin among the others verified and the spec that had it (both
+    None when there is none).  One memo of `_profile` (I-IV), made here and
+    dropped on return, gives the probes, tail windows, delta_0, `build` and
+    `tail_check` each m's profile, evaluated once.
     """
-    _check_params(regime, point, N, horizon, eps, lam)
-    recipe = RECIPES[regime]
+    recipe = _check_params(regime, point, N, horizon, eps, lam)
     eps = Fraction(eps) if recipe.param == "eps" else None
     table = memo(_profile(regime, point, eps or lam)) if "n0" in recipe.searched else None
     best_margin = best_spec = None
+    refused = 0
     for spec, tail in _candidates(regime, point, eps, lam, N, horizon, table):
         built = build(spec, table=table)
         report = verify(built)
         if report.verified:
             if tail is None:
                 tail = tail_check(spec, table=table)
-            if tail.ok:
+            if tail.ok and _decreasing(built.u):
                 return Certificate(built, report, tail)
-        if best_margin is None or report.max_margin < best_margin:
+        if report.verified and tail.ok:
+            refused += 1
+        elif best_margin is None or report.max_margin < best_margin:
             best_margin, best_spec = report.max_margin, spec
     name, cap = ("n0", _N0_CAP) if "n0" in recipe.searched else ("lambda", _LAMBDA_CAP)
-    raise CalibrationError(f"regime {regime}: no passing {name} up to {cap}",
+    raise CalibrationError(f"regime {regime}: no passing {name} up to {cap}; {refused} "
+                           f"candidates refused: stored u not strictly decreasing",
                            best_margin=best_margin, best_spec=best_spec)
+
+
+def _decreasing(u: RadialFunction) -> bool:
+    """u_n > u_(n+1) at every stored layer (both arms), exactly, on signed
+    mantissas aligned per pair (mpf's compare subtracts: six times slower)."""
+    xs = [(-m if s else m, e) for s, m, e, _ in (v._mpf_ for v in u.values())]
+    return all((x0 << e0 - e1 > x1) if e0 >= e1 else (x0 > x1 << e1 - e0)
+               for (x0, e0), (x1, e1) in zip(xs, xs[1:]))
 
 
 def calibrate(regime: str, point: PQPoint, *, N: int, horizon: int,
@@ -1156,7 +1158,8 @@ def _candidates(regime, point, eps, lam, N, horizon, table):
     root bound delta_0, the limit-based delta_1 = (limit/2)^(1/e), and a
     tail cap (window-minimum/2)^(1/e) that keeps the factor-two tail
     clearance reachable; with e < 0 (regime IV, e = p) the three combine
-    through max instead of min.  The probes, windows and delta_0 read `table`.
+    through max instead of min; a delta of 0 (a constant u) is passed over.
+    The probes, windows and delta_0 read `table`.
     """
     recipe = RECIPES[regime]
     base = dict(regime=regime, p=point.p, q=point.q, N=N, horizon=horizon)
@@ -1193,7 +1196,7 @@ def _candidates(regime, point, eps, lam, N, horizon, table):
             delta = combine(_delta0_value(regime, point, n0, table).value, delta1,
                             mp.power(wmin / 2, 1 / e))
             spec = RegimeSpec(**base, eps=eps, lam=lam, n0=n0, delta=delta)
-            if least >= interior_threshold(spec):
+            if delta > 0 and least >= interior_threshold(spec):
                 yield spec, _interior_tail(spec, horizon, wmin)
         n0 *= 2
 
@@ -1277,18 +1280,14 @@ class ExpLaw:
 
 
 def volume_target(spec: RegimeSpec) -> PowerLogLaw | ExpLaw:
-    """The growth law the construction is designed to realize."""
-    point = spec.point
-    if spec.regime == "I":
-        expo = (2 * spec.p + spec.q) / (spec.p + spec.q - 1)
-        logexp = to_mpf(exponents(point, "I").beta) + to_mpf(spec.eps)
-        return PowerLogLaw(expo, logexp)
-    if spec.regime == "II":
-        return PowerLogLaw(2, 1 + to_mpf(spec.eps))
-    if spec.regime == "III":
-        logexp = to_mpf(exponents(point, "III").beta) + to_mpf(spec.eps)
-        return PowerLogLaw(spec.q / (spec.q - 1), logexp)
-    return ExpLaw(spec.lam)
+    """The growth law the construction is designed to realize: that of its
+    weights summed, m^(a+1) (ln m)^b for the weights m^a (ln m)^b of the
+    recipe's profile, else exp(lam m)."""
+    exps = RECIPES[spec.regime].exps
+    if exps is None:
+        return ExpLaw(spec.lam)
+    a, b, _, _ = exps(spec.point, to_mpf(spec.eps))
+    return PowerLogLaw(1 + a, b)
 
 
 def _band_bounds(vols: list, law: PowerLogLaw, window: range) -> list:

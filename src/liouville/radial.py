@@ -485,7 +485,7 @@ def parse_radial_text(text: str):
         if n in entries:
             raise InputError(f"duplicate shell index {n}: {ln!r}")
         entries[n] = w
-    if len(entries) < len(shells):      # the entries are distinct indices in shells
+    if len(entries) < shells.stop - shells.start:   # distinct indices; len() overflows
         order = chain(range(shells.stop), range(-1, shells.start - 1, -1))   # 0, 1, .., -1, ..
         first = next(n for n in order if n not in entries)
         raise InputError(f"missing shell weight for layer {first}")

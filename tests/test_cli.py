@@ -201,6 +201,19 @@ CONSTRUCT_DIGESTS = {
 
 
 @pytest.mark.parametrize("regime", list(CONSTRUCT_DIGESTS))
+def test_each_digest_certificate_stores_a_strictly_decreasing_u(regime):
+    """The certificate `certify` returns for each digest's spec stores a u
+    that falls at every stored layer (both arms for V2): none is a constant."""
+    p, q, extra, horizon, _ = CONSTRUCT_DIGESTS[regime]
+    params = {name.lstrip("-"): F(value) for name, value in zip(extra[::2], extra[1::2])}
+    with lv.precision(128):
+        cert = lv.certify(regime, lv.pq(F(p), F(q)), N=3, horizon=horizon, **params)
+    values = cert.built.u.values()
+    assert len(values) == (2 if regime == "V2" else 1) * (horizon + 1) + 1
+    assert all(a > b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("regime", list(CONSTRUCT_DIGESTS))
 def test_construct_report_digest(capsys, regime):
     p, q, extra, horizon, digest = CONSTRUCT_DIGESTS[regime]
     code = main(["--precision-bits", "128", "construct", "--regime", regime, "--p", p,
@@ -904,6 +917,17 @@ def test_construct_rejects_an_eps_too_small_for_the_precision(capsys, pinned):
                    "(128 bits): (ln m)^(-eps/2) is flat\n")
 
 
+def test_construct_exits_1_rather_than_certify_a_constant(capsys):
+    """III at (-1/2, 5/4) stores a constant u from n0 = 2^23 on at the
+    default 128 bits; `construct` certified it with every margin 0."""
+    code = main(["construct", "--regime", "III", "--p", "-1/2", "--q", "5/4", "--N", "3",
+                 "--horizon", "200", "--eps", "1/10"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("calibration failed: regime III: ") and err.count("\n") == 1
+    assert "candidates refused: stored u not strictly decreasing" in err
+
+
 def test_construct_exits_1_when_the_search_is_exhausted(capsys):
     """On (101/100, -1/100) no lambda up to the cap clears V2's screen."""
     code = main(["construct", "--regime", "V2", "--p", "101/100", "--q=-1/100",
@@ -1396,6 +1420,24 @@ def regime_names(tree) -> list:
     """String constants equal to a regime's name, as "line name"."""
     return sorted(f"{n.lineno} {n.value}" for n in ast.walk(tree) if isinstance(n, ast.Constant)
                   and n.value in ("I", "II", "III", "IV", "V1", "V2"))
+
+
+def names_outside_table(tree) -> list:
+    """`regime_names` of a module outside its `RECIPES = ...` statement."""
+    table = next(n for n in tree.body if isinstance(n, ast.Assign)
+                 and [getattr(t, "id", None) for t in n.targets] == ["RECIPES"])
+    return [name for name in regime_names(tree)
+            if not table.lineno <= int(name.split()[0]) <= table.end_lineno]
+
+
+def test_counterexamples_names_no_regime_outside_its_table():
+    """Each family's closed forms are its `RECIPES` entry, so no function of
+    counterexamples.py compares a regime name: one named outside the table
+    is a branch on it."""
+    source = Path(lv.counterexamples.__file__).read_text()
+    assert names_outside_table(ast.parse(source)) == []
+    source = 'RECIPES = {"I": 1,\n           "II": 2}\nif regime == "III":\n    pass\n'
+    assert names_outside_table(ast.parse(source)) == ["3 III"]
 
 
 def test_cli_names_no_regime():

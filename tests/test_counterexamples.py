@@ -151,7 +151,12 @@ def test_delta0_unsupported_regime():
                                 eps=F(1, 2), n0=2))
 
 
-@pytest.mark.parametrize("fn", [lv.interior_threshold, lv.tail_check, lv.build])
+@pytest.mark.parametrize("fn", [
+    lv.interior_threshold, lv.tail_check, lv.build, lv.volume_target, lv.delta0,
+    lambda spec: lv.lambda_limit(spec.regime, spec.point, spec.eps),
+    lambda spec: lv.lambda_fn(spec.regime, spec.point, spec.eps, 10),
+], ids=["interior_threshold", "tail_check", "build", "volume_target", "delta0",
+        "lambda_limit", "lambda_fn"])
 def test_unknown_regime_is_named(fn):
     spec = lv.RegimeSpec(regime="X", p=F(2), q=F(1), N=3, horizon=10, eps=F(1, 10),
                          lam=mp.mpf(1), n0=2, delta=mp.mpf(1))
@@ -517,6 +522,23 @@ def test_search_exhausted_reports_its_best_candidate(monkeypatch):
     assert mp.nstr(exc.value.best_margin, 4) == "-1.514e-17"
 
 
+def test_certify_refuses_a_constant_stored_u():
+    """At 128 bits III at (-1/2, 5/4) with eps 1/10 stores u = 1 + delta/g,
+    and from n0 = 2^23 on delta/g falls by less than an ulp of 1 over the
+    horizon: every stored u is one number and every margin exactly 0.  The
+    search accepted n0 = 2^23; it now refuses n0 = 2^23 through 2^34 and
+    fails, its best spec an earlier candidate whose margins failed."""
+    with lv.precision(128), pytest.raises(CalibrationError) as exc:
+        lv.certify("III", lv.pq(F(-1, 2), F(5, 4)), N=3, horizon=200, eps=F(1, 10))
+    assert str(exc.value).endswith(
+        "; 12 candidates refused: stored u not strictly decreasing")
+    best = exc.value.best_spec
+    assert best.n0 < 2 ** 23 and exc.value.best_margin > 0
+    with lv.precision(128):
+        values = lv.build(best).u.values()
+    assert all(a > b for a, b in zip(values, values[1:]))
+
+
 def test_certify_evaluates_each_profile_once_per_call(monkeypatch):
     """A certify call evaluates the closed-form profile once per m it reads
     (probes, tail windows, delta_0 and build share one memo), and keeps
@@ -556,13 +578,11 @@ def test_construct_makes_exponentials_from_runs_not_per_layer(monkeypatch, capsy
     and its exponential volume target (`ExpLaw`) from geometric runs, not
     with one mpf_pow of e or mpf_exp per layer: each run calls mpf_pow_int of
     e or mpf_exp for its start and ratio and for each value it leaves
-    undecided (about 1 in 64).  (The Lambda kernel's mpf_pow of other bases
-    is not counted.)"""
+    undecided (about 1 in 64).  counterexamples makes no raw mpf_pow call."""
     from liouville.cli import main
     e = mp.e._mpf_
     calls = []
-    for module, name in ((cx, "mpf_pow"), (cx, "mpf_exp"), (numerics, "mpf_exp"),
-                         (numerics, "mpf_pow_int")):
+    for module, name in ((cx, "mpf_exp"), (numerics, "mpf_exp"), (numerics, "mpf_pow_int")):
         call = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, name=name, call=call: (
             (name == "mpf_exp" or a[0] == e) and calls.append(name)) or call(*a))

@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -179,3 +181,16 @@ def test_quotient_cmp_is_the_fraction_comparison(case):
     p, q = exact_value(a) / exact_value(b), exact_value(c) / exact_value(d)
     assert quotient_cmp(a, b, c, d) == (p > q) - (p < q)
     assert quotient_cmp(c, d, a, b) == (q > p) - (q < p)
+
+
+def test_mpmath_is_the_version_the_pins_were_recorded_with():
+    """pyproject.toml states the mpmath range; the digest pins and the run
+    kernels reproduce mpmath 1.3's exact bits, not correctly rounded ones,
+    so another version fails here once rather than in every digest test."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    lo, hi = re.search(r'"mpmath>=([0-9.]+),<([0-9.]+)"', text).groups()
+    version = tuple(int(x) for x in re.findall(r"[0-9]+", mp.__version__)[:3])
+    lo, hi = (tuple(map(int, bound.split("."))) for bound in (lo, hi))
+    assert lo <= version < hi, (
+        f"mpmath {mp.__version__} is outside >={lo},<{hi}: the digest pins and the run "
+        "kernels reproduce mpmath 1.3's exact bits")

@@ -269,6 +269,14 @@ def test_radial_parse_rejects_duplicate_and_out_of_range_shells(text):
         lv.parse_radial_text(text)
 
 
+def test_radial_parse_names_the_missing_shell_past_2_63():
+    """A horizon past 2^63 made len() of its shell range overflow: an
+    OverflowError traceback where a missing shell is an input error."""
+    with pytest.raises(InputError, match="^missing shell weight for layer 3$"):
+        lv.parse_radial_text("radial N=3 horizon=9999999999999999999999999999992\n"
+                             "0 1\n1 2\n2 3\n")
+
+
 def test_radial_parse_accepts_each_shell_once():
     one = lv.parse_radial_text("radial N=3 horizon=2\n2 3\n0 1\n1 2\n")
     assert [one.weight(n) for n in range(3)] == [1, 2, 3]

@@ -602,11 +602,12 @@ def search_outcome(certify, case):
           "H": 8, "cap": 2 ** 3, "bits": 53})
 def test_screened_search_is_the_old_loop(case):
     """The n0 search of I, III and IV, its probes screened far end first,
-    gives the old nearest-first loop's certificate, or its best margin."""
+    gives the old nearest-first loop's certificate, or its best margin, with
+    the same refusals (`REFUSING_CERTIFY`)."""
     with pytest.MonkeyPatch.context() as patch, lv.precision(case["bits"]):
         patch.setattr(cx, "_N0_CAP", case["cap"])
-        patch.setattr(before_search, "_N0_CAP", case["cap"])
-        assert search_outcome(lv.certify, case) == search_outcome(before_search.certify, case)
+        patch.setitem(REFUSING_SEARCH, "_N0_CAP", case["cap"])
+        assert search_outcome(lv.certify, case) == search_outcome(REFUSING_CERTIFY, case)
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +624,18 @@ def retargeted(namespace, fn, *edits):
     exec(compile(text, inspect.getsourcefile(fn), "exec",
                  __future__.annotations.compiler_flag, dont_inherit=True), namespace)
     return namespace[fn.__name__]
+
+
+# The old n0 loop with the search's two refusals of a constant u: a delta
+# that is not positive is passed over, and a candidate that passes with a
+# stored u not strictly decreasing is refused and kept out of the best margin.
+REFUSING_SEARCH = {**vars(before_search), "_decreasing": cx._decreasing}
+retargeted(REFUSING_SEARCH, before_search._certify_poly,
+           ("if min(probe_vals)", "if delta > 0 and min(probe_vals)"),
+           ("if cert.ok:", "if cert.ok and _decreasing(built.u):"),
+           ("if best_margin is None or cert", "if not cert.ok and (best_margin is None or cert"),
+           ("< best_margin:\n", "< best_margin):\n"))
+REFUSING_CERTIFY = retargeted(REFUSING_SEARCH, before_search.certify)
 
 
 # Every exponential `build` stores is exp(rate n) with rate n exact, rounded
