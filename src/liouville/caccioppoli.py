@@ -34,7 +34,7 @@ from .errors import HypothesisNotMetError, InputError
 from .counterexamples import term_kernel
 from .graphs import (GraphFunction, WeightedGraph, checked_p0, harnack_check, site_classes,
                      site_operators, vertex_measure)
-from .numerics import check_le, memo, rel_tol, to_mpf
+from .numerics import check_le, memo, to_mpf
 from .radial import RadialFunction, RadialTree, layer_operators
 from .regions import PQPoint, st_condition
 
@@ -240,7 +240,6 @@ def _estimate(variant, s, t, point: PQPoint, p0, u, harnack, where, sites, ops, 
         failures.append("(s, t) violates the admissibility system")
     if not harnack(u, p0).holds:
         failures.append("adjacent-ratio bound fails for the given p0")
-    tol = rel_tol()
     term_of = term_kernel(point.p, point.q)
     p_t = term_of.p - to_mpf(t)
     s_m = to_mpf(s)
@@ -252,7 +251,7 @@ def _estimate(variant, s, t, point: PQPoint, p0, u, harnack, where, sites, ops, 
     at = {}
     for c in dict.fromkeys(sites.values()):
         ux, lap, grad_sq = ops(c)
-        site = term_of.site(ux, lap, grad_sq, tol)
+        site = term_of.site(ux, lap, grad_sq)
         at[c] = site, mp.power(ux, p_t) if site is not None and c in cut else None
     ineq_bad = 0
     lhs_terms = []

@@ -29,8 +29,8 @@ from . import descent as dsc
 from .caccioppoli import TestFunction, estimate_sides, estimate_sides_radial
 from .errors import CalibrationError, HypothesisNotMetError, InputError, LiouvilleError
 from .graphs import GraphFunction, WeightedGraph, nash_williams_partial, parse_graph_text
-from .numerics import (DECIMAL, MIN_PRECISION_BITS, content_lines, decimal_value,
-                       default_precision_bits, mpf_str, parse_decimal, parse_index, precision)
+from .numerics import (MIN_PRECISION_BITS, content_lines, default_precision_bits, mpf_str,
+                       parse_decimal, parse_index, precision)
 from .radial import RadialFunction, parse_radial_text
 from .regions import ON_LINE, choose_st, classify_g, classify_k, pq
 
@@ -125,7 +125,6 @@ def _load_values_csv(path: str) -> dict[int, mp.mpf]:
     row whose index is not an integer, or a row with more or fewer than
     two fields, is an input error."""
     values: dict[int, mp.mpf] = {}
-    prec, rnd = mp.mp._prec_rounding
     read: dict[str, mp.mpf] = {}        # each distinct field once: a ball's values repeat
     try:
         rows = list(csv.reader(io.StringIO(_read_text(path), newline="")))
@@ -150,10 +149,8 @@ def _load_values_csv(path: str) -> dict[int, mp.mpf]:
             raise InputError(f"{path}: duplicate index {idx}")
         field = row[1]
         if (value := read.get(field)) is None:
-            m = DECIMAL.fullmatch(field)
             try:
-                value = read[field] = (decimal_value(*m.groups(), prec, rnd) if m
-                                       else parse_decimal(field))
+                value = read[field] = parse_decimal(field)
             except ValueError:
                 raise InputError(f"{path}: bad value in row {row!r}")
         values[idx] = value

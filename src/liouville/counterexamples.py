@@ -274,17 +274,19 @@ class MarginReport:
 
 
 class _TermKernel:
-    """u^p |grad u|^q with p, q and q/2 converted once, at construction.
+    """u^p |grad u|^q with p, q, q/2 and the relative tolerance converted
+    once, at construction.
 
     Calling it on (u, grad^2) gives the nonlinear term, with the q = 0
     convention |grad u|^0 = 1; a value that is not positive, or a zero
-    gradient with q < 0, is undefined and raises.  `grad_power` is the
-    factor |grad u|^q from the gradient norm itself, `site` one site of the
-    energy estimates, and `half_q` the exponent of grad^2 in the term (0
-    when q = 0), which the float64 screens read.
+    gradient with q < 0, is undefined and raises.  `check` is the verdict
+    of the inequality at a site, `grad_power` the factor |grad u|^q from the
+    gradient norm itself, `site` one site of the energy estimates, and
+    `half_q` the exponent of grad^2 in the term (0 when q = 0), which the
+    float64 screens read.
     """
 
-    __slots__ = ("p", "q", "_q", "half_q", "_sign")
+    __slots__ = ("p", "q", "_q", "half_q", "_sign", "tol")
 
     def __init__(self, p, q):
         self.q = Fraction(q)
@@ -292,6 +294,7 @@ class _TermKernel:
         self._q = to_mpf(self.q)
         self.half_q = self._q / 2
         self._sign = (self.q > 0) - (self.q < 0)
+        self.tol = rel_tol()
 
     def __call__(self, u_value: mp.mpf, grad_sq: mp.mpf) -> mp.mpf:
         if not u_value > 0:
@@ -304,19 +307,31 @@ class _TermKernel:
             raise InputError("zero gradient with q < 0: u^p |grad u|^q undefined")
         return mp.power(u_value, self.p) * mp.power(grad_sq, self.half_q)
 
+    def check(self, u_value, lap, grad_sq):
+        """`check_nonpositive` of lap + u^p |grad u|^q at a site, against the
+        tolerance of its dominant term, with the term from grad^2; None where
+        the term is undefined."""
+        try:
+            term = self(u_value, grad_sq)
+        except InputError:
+            return None
+        return check_nonpositive(lap + term, max(abs(lap), term), self.tol)
+
     def grad_power(self, grad: mp.mpf) -> mp.mpf:
         """|grad u|^q from the gradient norm, 1 when q = 0."""
         return mp.power(grad, self._q) if self._sign else mp.mpf(1)
 
-    def site(self, u_value, lap, grad_sq, tol):
+    def site(self, u_value, lap, grad_sq):
         """(|grad u|^q, whether lap + u^p |grad u|^q <= 0 holds) at a site,
-        with |grad u| = sqrt(grad^2); None for a zero gradient with q < 0."""
+        with |grad u| = sqrt(grad^2); None for a zero gradient with q < 0.
+        The estimate's sums need |grad u|^q itself, so its verdict forms the
+        term from it rather than through `check`."""
         grad = mp.sqrt(grad_sq)
         if grad == 0 and self._sign < 0:
             return None
         gq = self.grad_power(grad)
         term = mp.power(u_value, self.p) * gq
-        return gq, check_nonpositive(lap + term, max(abs(lap), term), tol).holds
+        return gq, check_nonpositive(lap + term, max(abs(lap), term), self.tol).holds
 
 
 def term_kernel(p, q) -> _TermKernel:
@@ -462,31 +477,21 @@ def _verify_pass(tree, u, p, q, layers, bits, force) -> MarginReport | None:
 
 
 def _site_checks(ops, sites, term_of, force) -> list | None:
-    """Per site, (margin, holds) of lap + u^p |grad u|^q <= 0 against the
-    relative tolerance of its dominant term, None where the term is
+    """Per site, `term_of.check` of the inequality, None where the term is
     undefined; None for the whole list on a borderline margin (a nonzero
     one within ten tolerances of zero) unless forced."""
-    tol = rel_tol()
-    ten_tol = 10 * tol
     checks = []
     for x in sites:
-        ux, lap, grad_sq = ops(x)
-        try:
-            term = term_of(ux, grad_sq)
-        except InputError:
-            checks.append(None)
-            continue
-        margin = lap + term
-        scale = max(abs(lap), term)
-        if margin != 0 and abs(margin) <= ten_tol * scale and not force:
+        check = term_of.check(*ops(x))
+        if check and check.borderline and not force:
             return None
-        checks.append((margin, margin <= tol * scale))
+        checks.append(check)
     return checks
 
 
 def _margin_report(sites, checks, span, bits) -> MarginReport:
-    """The report of per-site checks (margin, holds), None where the term is
-    undefined, read in site order over the sites span[0]..span[1].
+    """The report of per-site checks, None where the term is undefined,
+    read in site order over the sites span[0]..span[1].
 
     The sites given may be a subset of the span (the ones the screen leaves
     to mpf); the worst site starts at span[0] and the count of checked sites
@@ -500,12 +505,11 @@ def _margin_report(sites, checks, span, bits) -> MarginReport:
         if check is None:
             undefined.append(x)
             continue
-        margin, holds = check
-        if margin > max_margin:
-            max_margin = margin
+        if check.margin > max_margin:
+            max_margin = check.margin
             worst = x
-        if not holds and len(failures) < 20:
-            failures.append((x, margin))
+        if not check.holds and len(failures) < 20:
+            failures.append((x, check.margin))
     return MarginReport(
         verified=not failures and not undefined,
         max_margin=max_margin,
@@ -1380,12 +1384,9 @@ def layer_rows(built: BuiltCounterexample, horizon: int | None = None):
     layers = _checked_layers(built.tree, horizon)
     term_of = term_kernel(built.spec.p, built.spec.q)
     for n, (un, lap, grad_sq) in zip(layers, map(layer_operators(built.tree, built.u), layers)):
-        try:
-            margin = lap + term_of(un, grad_sq)
-        except InputError:
-            margin = mp.nan
+        check = term_of.check(un, lap, grad_sq)
         try:
             w = built.tree.weight(n)
         except InputError:
             w = mp.nan
-        yield (n, w, un, lap, mp.sqrt(grad_sq), margin)
+        yield (n, w, un, lap, mp.sqrt(grad_sq), mp.nan if check is None else check.margin)

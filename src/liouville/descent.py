@@ -29,7 +29,7 @@ from . import screen
 from .counterexamples import BuiltCounterexample, term_kernel
 from .errors import InputError
 from .graphs import GraphFunction, WeightedGraph, checked_p0, site_classes, site_operators
-from .numerics import check_nonpositive, rel_tol, to_mpf
+from .numerics import rel_tol, to_mpf
 from .radial import RadialFunction, RadialTree, TwoSidedRadialTree, layer_operators
 from .regions import PQPoint
 
@@ -227,16 +227,7 @@ def _site_logs(u, lap, g):
     return None
 
 
-# The mpf margins and the re-check, as the loops over every step compute them.
-
-def _solution_check(u, lap, grad, term_of, tol):
-    """Whether u solves the inequality at a site; None where the term is undefined."""
-    try:
-        term = term_of(u, grad ** 2)
-    except InputError:
-        return None
-    return check_nonpositive(lap + term, max(abs(lap), term), tol).holds
-
+# The mpf margins, as the loops over every step compute them.
 
 def _averaging(step, sqrt2, tol):
     rhs = sqrt2 * step.grad
@@ -265,9 +256,9 @@ def _pointwise_power(step, sqrt2, neg_p, one_minus_q, tol):
     return m, m <= tol
 
 
-def _pointwise_margin(u, grad_sq, p1, term_of, tol):
+def _pointwise_margin(u, grad_sq, p1, term_of):
     m = mp.power(u, p1) * term_of.grad_power(mp.sqrt(grad_sq)) - 1
-    return m, m <= tol
+    return m, m <= term_of.tol
 
 
 def walk_diagnostics(walk: DescentWalk, p0=None,
@@ -320,7 +311,8 @@ def walk_diagnostics(walk: DescentWalk, p0=None,
         if point is not None:
             solves = logs and screen.solution_check(p, half_q, lu, logs[1], 2 * lg)[0]
             if solves is None:
-                solves = _solution_check(step.u, step.lap, step.grad, term_of, tol) is True
+                check = term_of.check(step.u, step.lap, step.grad ** 2)
+                solves = check is not None and check.holds
             if solves:
                 solution_sites += 1
         if step.drop is not None:
@@ -370,22 +362,22 @@ def _pointwise_core(sites, class_of, reps, operators, point: PQPoint) -> Pointwi
     (q/2) log2 grad^2, and mpf evaluates a class only where the re-check
     is open or the class could hold the maximum.
     """
-    tol = rel_tol()
     term_of = term_kernel(point.p, point.q)
     p1 = to_mpf(point.p - 1)
     floats = screen.exponent_floats(term_of.p, term_of.half_q, p1)
     if floats is not None:
         p, half_q_f, p1_f = floats
-    margins = _Screened(lambda ug: _pointwise_margin(*ug, p1, term_of, tol))
+    margins = _Screened(lambda ug: _pointwise_margin(*ug, p1, term_of))
     verdicts = []
     for u_val, lap, grad_sq in map(operators, reps):
         logs = _site_logs(u_val, lap, grad_sq) if floats is not None else None
         solves = logs and screen.solution_check(p, half_q_f, *logs)[0]
         if solves is None:
-            solves = _solution_check(u_val, lap, mp.sqrt(grad_sq), term_of, tol)
-            if solves is None:
+            check = term_of.check(u_val, lap, grad_sq)
+            if check is None:
                 verdicts.append(_UNDEFINED)
                 continue
+            solves = check.holds
         if not solves:
             verdicts.append(_NOT_A_SOLUTION)
             continue

@@ -20,8 +20,8 @@ from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_rdiv_int, mpf_sum, 
                           round_nearest)
 
 from .errors import InputError, IsolatedVertexError
-from .numerics import (all_finite, all_positive, check_le, content_lines, memo, parse_decimal,
-                       parse_index, quotient_cmp, to_mpf)
+from .numerics import (all_finite, all_positive, check_le, content_lines, max_quotient_pair, memo,
+                       parse_decimal, parse_index, quotient_cmp, to_mpf)
 
 
 class WeightedGraph:
@@ -271,16 +271,12 @@ def p0_of(g: WeightedGraph) -> mp.mpf:
     """Smallest p0 with mu_xy / mu(x) >= 1/p0 on every directed edge.
 
     Equals the maximum of mu(x)/mu_xy over both orientations of all edges;
-    always at least 1.  The largest exact ratio is found by `quotient_cmp`
-    and divided once: rounding is monotone, so that is the largest of the
-    rounded ratios.
+    always at least 1.  The largest exact ratio is `max_quotient_pair`'s,
+    divided once.
     """
-    measures, top = g._measures, (fone, fone)
-    for (x, y), w in g.edges():
-        w = w._mpf_
-        for m in (measures[x]._mpf_, measures[y]._mpf_):
-            if quotient_cmp(m, w, *top) > 0:
-                top = m, w
+    measures = g._measures
+    top = max_quotient_pair((m._mpf_, w._mpf_) for (x, y), w in g.edges()
+                            for m in (measures[x], measures[y]))
     return mp.make_mpf(mpf_div(*top, mp.mp.prec, round_nearest))
 
 
@@ -335,15 +331,14 @@ def harnack_scan(pairs, p0, what: str) -> HarnackReport:
     the error); reports the extremal adjacent ratio and the first edge
     where it occurs, decided by the tolerant `check_le`.  The ratio is a
     function of the pair (u(x), u(y)), so each distinct pair of values is
-    read once.  The largest exact ratio is found by `quotient_cmp` and
-    divided once (rounding is monotone: that is the largest rounded ratio);
-    the worst edge is the first whose rounded ratio equals it, above 1.  A
-    ratio that rounds to it lies within 2 ulps of it, so only the pairs
-    that close are divided, in edge order, until one does.
+    read once.  The largest exact ratio is `max_quotient_pair`'s, divided
+    once; the worst edge is the first whose rounded ratio equals it, above
+    1.  A ratio that rounds to it lies within 2 ulps of it, so only the
+    pairs that close are divided, in edge order, until one does.
     """
     p0 = checked_p0(p0)
     prec = mp.mp.prec
-    seen, ratios, top = set(), [], (fone, fone)
+    seen, ratios = set(), []
     for edge, a, b in pairs:
         pair = a, b = a._mpf_, b._mpf_
         if pair in seen:
@@ -351,11 +346,8 @@ def harnack_scan(pairs, p0, what: str) -> HarnackReport:
         seen.add(pair)
         if a[0] or b[0] or not (a[1] and b[1]):    # not positive and finite
             raise InputError("harnack_check needs positive values, " + what.format(*edge))
-        ratio = pair if quotient_cmp(a, b, fone, fone) >= 0 else (b, a)
-        ratios.append((edge, ratio))
-        if quotient_cmp(*ratio, *top) > 0:
-            top = ratio
-    worst = mpf_div(*top, prec, round_nearest)
+        ratios.append((edge, pair if quotient_cmp(a, b, fone, fone) >= 0 else (b, a)))
+    worst = mpf_div(*max_quotient_pair(ratio for _, ratio in ratios), prec, round_nearest)
     worst_edge = None
     if worst != fone:
         _, man, exp, bc = worst

@@ -572,6 +572,18 @@ def quotient_cmp(a: tuple, b: tuple, c: tuple, d: tuple) -> int:
     return (x > y) - (x < y)
 
 
+def max_quotient_pair(pairs) -> tuple:
+    """The pair (a, b) of positive finite raw mpfs with the largest exact
+    quotient a/b by `quotient_cmp`, the first of equals; (1, 1) where none
+    exceeds 1.  Rounding is monotone, so a/b divided once is the largest of
+    the rounded quotients: each caller makes that one division."""
+    top = fone, fone
+    for pair in pairs:
+        if quotient_cmp(*pair, *top) > 0:
+            top = pair
+    return top
+
+
 def all_finite(values) -> bool:
     """Every mpf is finite: on raw values, a zero mantissa with a nonzero
     exponent is inf, -inf or nan."""

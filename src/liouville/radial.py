@@ -33,8 +33,8 @@ from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, m
 from .errors import InputError
 from .graphs import GraphFunction, HarnackReport, WeightedGraph, harnack_scan
 from .numerics import (NUMBER, all_finite, all_positive, content_lines, decimal_value,
-                       nearest_sum, parse_decimal, parse_index, quotient_cmp, raw_positive,
-                       to_mpf)
+                       max_quotient_pair, nearest_sum, parse_decimal, parse_index,
+                       raw_positive, to_mpf)
 
 _UNIT_ROOT = (mp.mpf(1), mp.mpf(0))    # a one-sided root's conductances
 
@@ -307,9 +307,8 @@ class _LayerChain:
         return self._p0[1]
 
     def _max_edge_ratio(self) -> mp.mpf:
-        """The largest ratio by `quotient_cmp`, divided once: rounding is
-        monotone, so that is the largest rounded ratio.  The numerators are
-        the sums of mpf's + and int * mpf, by `nearest_sum`."""
+        """The largest exact ratio, `max_quotient_pair`'s, divided once.  The
+        numerators are the sums of mpf's + and int * mpf, by `nearest_sum`."""
         w, z, fan, prec = self._w, -self._lo, self._N - 1, mp.mp.prec
         if self.one_sided:
             ratios = [(mp.mpf(self._N)._mpf_, fone)]    # N equal edges at the root
@@ -324,11 +323,7 @@ class _LayerChain:
             m, e = nearest_sum(wn[1], wn[2], prec, wm[1], wm[2])
             ratios += [(raw_positive(m, e), w_in),
                        (raw_positive(*nearest_sum(fan * m, e, prec)), w_out)]
-        top = ratios[0]
-        for ratio in ratios:
-            if quotient_cmp(*ratio, *top) > 0:
-                top = ratio
-        return mp.make_mpf(mpf_div(*top, prec, round_nearest))
+        return mp.make_mpf(mpf_div(*max_quotient_pair(ratios), prec, round_nearest))
 
     def materialize(self, radius: int) -> tuple[WeightedGraph, tuple[int, ...]]:
         """Explicit ball of the given radius, plus each vertex's signed layer.

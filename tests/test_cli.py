@@ -14,6 +14,7 @@ from mpmath.libmp import from_man_exp, repr_dps
 
 import liouville as lv
 from liouville import cli
+from liouville import counterexamples as cx
 from liouville.cli import build_parser, main
 
 
@@ -211,6 +212,24 @@ def test_each_digest_certificate_stores_a_strictly_decreasing_u(regime):
     values = cert.built.u.values()
     assert len(values) == (2 if regime == "V2" else 1) * (horizon + 1) + 1
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("regime", list(CONSTRUCT_DIGESTS))
+def test_pointwise_bound_counts_the_layers_verify_finds_solving(regime):
+    """On each digest's certificate the layers the pointwise bound counts
+    (neither skipped nor a hypothesis failure) are the layers where the site
+    verdict holds in a forced verify pass over every checked layer."""
+    p, q, extra, horizon, _ = CONSTRUCT_DIGESTS[regime]
+    params = {name.lstrip("-"): F(value) for name, value in zip(extra[::2], extra[1::2])}
+    with lv.precision(128):
+        built = lv.certify(regime, lv.pq(F(p), F(q)), N=3, horizon=horizon, **params).built
+        bound = lv.pointwise_bound_check_built(built, horizon)
+        layers = cx._checked_layers(built.tree, horizon)
+        checks = cx._site_checks(lv.layer_operators(built.tree, built.u), layers,
+                                 cx.term_kernel(F(p), F(q)), force=True)
+    solving = {n for n, check in zip(layers, checks) if check is not None and check.holds}
+    counted = set(layers) - set(bound.skipped) - set(bound.hypothesis_failures)
+    assert bound.checked == len(counted) and counted == solving
 
 
 @pytest.mark.parametrize("regime", list(CONSTRUCT_DIGESTS))

@@ -1150,6 +1150,21 @@ OLD_ESTIMATE_SIDES = retargeted(
     ("vertex_measure(g, x) * weight_term * to_mpf(phi_x) ** s_m",
      "vertex_measure(g, x) * mp.power(u[x], p_t) * gq * to_mpf(phi_x) ** s_m"))
 
+# The pointwise bound's re-check forms the term from grad^2 too, where the
+# loop squared the gradient norm: its sites carry grad^2 beside the norm,
+# which the margin still reads.
+POINTWISE = {**STREAMS}
+OLD_POINTWISE_CORE = retargeted(
+    POINTWISE, old._pointwise_core,
+    ("for site, u_val, lap, grad in sites:", "for site, u_val, lap, grad, grad_sq in sites:"),
+    ("nonlinear_term(u_val, grad ** 2,", "nonlinear_term(u_val, grad_sq,"))
+OLD_POINTWISE_BOUND = retargeted(
+    POINTWISE, old.pointwise_bound_check,
+    ("gradient_norm(g, u, x))", "gradient_norm(g, u, x), gradient_form(g, u, u, x))"))
+OLD_POINTWISE_BOUND_BUILT = retargeted(
+    POINTWISE, old.pointwise_bound_check_built,
+    ("tree.gradient_at(u, n))", "tree.gradient_at(u, n), tree.gradient_sq_at(u, n))"))
+
 
 # Exponent pairs for the nonexistence machinery: p + q != 1 so that the
 # estimate constants exist, with q > 0, q = 0 and q < 0.
@@ -1306,7 +1321,7 @@ def test_pointwise_bounds_and_verify_graph_match_old(request, seed):
                 builds.append(cx.BuiltCounterexample(tree, u, spec))
     for built in builds:
         for horizon in (None, 0, 3, 10 ** 6):
-            same(lv.pointwise_bound_check_built, old.pointwise_bound_check_built,
+            same(lv.pointwise_bound_check_built, OLD_POINTWISE_BOUND_BUILT,
                  built, horizon)
         for horizon in (None, 2):
             same(lambda *a: list(lv.layer_rows(*a)), lambda *a: list(OLD_LAYER_ROWS(*a)),
@@ -1315,7 +1330,7 @@ def test_pointwise_bounds_and_verify_graph_match_old(request, seed):
         g, layers = built.tree.materialize(radius)
         gu = lv.induced_graph_function(built.u, layers)
         point = built.spec.point
-        same(lv.pointwise_bound_check, old.pointwise_bound_check, g, gu, point)
+        same(lv.pointwise_bound_check, OLD_POINTWISE_BOUND, g, gu, point)
         for p, q in ((point.p, point.q), (F(1), F(0)), (F(2), F(-1))):
             same(lv.verify_graph, OLD_VERIFY_GRAPH, g, gu, p, q)
         same(lv.harnack_check, old.harnack_check, g, gu, 2)
@@ -1407,7 +1422,7 @@ def assert_quotient_matches(case, point, cutoff, st_pair):
     g, gu = build_graph_case(case)
     for p, q in ((point.p, point.q), (F(2), F(1)), (F(1), F(0)), (F(2), F(-1))):
         same(lv.verify_graph, OLD_VERIFY_GRAPH, g, gu, p, q)
-    same(lv.pointwise_bound_check, old.pointwise_bound_check, g, gu, point)
+    same(lv.pointwise_bound_check, OLD_POINTWISE_BOUND, g, gu, point)
     reachable = [x for x, d in enumerate(g.distances_from(0)) if d >= 0]
     omega = None if len(reachable) == g.n_vertices else reachable
     tf = caccioppoli.TestFunction.parse(cutoff)
@@ -1899,8 +1914,8 @@ def assert_pointwise_core_matches(walk, point):
         class_of.append(c)
     same(lambda: descent._pointwise_core(range(len(sites)), class_of, reps,
                                          sites.__getitem__, point),
-         lambda: old._pointwise_core([(i, u, lap, mp.sqrt(g2))
-                                      for i, (u, lap, g2) in enumerate(sites)], point))
+         lambda: OLD_POINTWISE_CORE([(i, u, lap, mp.sqrt(g2), g2)
+                                     for i, (u, lap, g2) in enumerate(sites)], point))
 
 
 def check_bounds(monkeypatch):
@@ -1977,11 +1992,11 @@ def test_screened_pointwise_bound_matches_on_planted_trees(monkeypatch, seed):
                     tree, u = planted_tree(rng, point, margin)
                     spec = lv.RegimeSpec(regime="I", p=point.p, q=point.q, N=tree.N, horizon=2)
                     built = cx.BuiltCounterexample(tree, u, spec)
-                    same(lv.pointwise_bound_check_built, old.pointwise_bound_check_built,
+                    same(lv.pointwise_bound_check_built, OLD_POINTWISE_BOUND_BUILT,
                          built, None)
                     g, layers = tree.materialize(min(3, tree.layer_hi - 1))
                     gu = lv.induced_graph_function(u, layers)
-                    same(lv.pointwise_bound_check, old.pointwise_bound_check, g, gu, point)
+                    same(lv.pointwise_bound_check, OLD_POINTWISE_BOUND, g, gu, point)
                     if same(lv.radial_descent_walk, old.radial_descent_walk,
                             tree, u, 0, 50)[0] == "ok":
                         walk = lv.radial_descent_walk(tree, u, 0, 50)
@@ -2001,7 +2016,7 @@ def test_walk_screen_bounds_hold(monkeypatch, request, bits):
             walk = lv.radial_descent_walk(built.tree, built.u, 0, 1000)
             same(lv.walk_diagnostics, old.walk_diagnostics, walk, built.tree.p0(),
                  built.spec.point)
-            same(lv.pointwise_bound_check_built, old.pointwise_bound_check_built, built, 1000)
+            same(lv.pointwise_bound_check_built, OLD_POINTWISE_BOUND_BUILT, built, 1000)
         for scale in ("1e-400", "1", "1e400"):
             tree, u = one_sided_case(rng, 30)
             u = lv.RadialFunction([v * mp.mpf(scale) for v in u.values()])
@@ -2011,18 +2026,20 @@ def test_walk_screen_bounds_hold(monkeypatch, request, bits):
 
 
 def counted_margins(monkeypatch):
-    """Wrap the mpf margins and the re-check of the walk diagnostics and the
-    pointwise bound; the returned dict counts the calls per function."""
+    """Wrap the mpf margins of the walk diagnostics and the pointwise bound,
+    and the site verdict `_TermKernel.check` that re-checks the inequality;
+    the returned dict counts the calls per function."""
     calls = {}
-    for name in ("_averaging", "_sandwich", "_gradient_ratio", "_pointwise_power",
-                 "_solution_check", "_pointwise_margin"):
-        fn = getattr(descent, name)
+    targets = [(descent, name) for name in ("_averaging", "_sandwich", "_gradient_ratio",
+                                            "_pointwise_power", "_pointwise_margin")]
+    for owner, name in targets + [(cx._TermKernel, "check")]:
+        fn = getattr(owner, name)
 
         def counted(*args, _fn=fn, _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
 
-        monkeypatch.setattr(descent, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -2036,7 +2053,7 @@ def test_walk_screen_sends_few_steps_to_mpf(monkeypatch, request, fixture):
     walk = lv.radial_descent_walk(built.tree, built.u, 0, 1000)
     point = built.spec.point
     want_walk = old.walk_diagnostics(walk, built.tree.p0(), point)
-    want_bound = old.pointwise_bound_check_built(built, 1000)
+    want_bound = OLD_POINTWISE_BOUND_BUILT(built, 1000)
     calls = counted_margins(monkeypatch)
     diag = lv.walk_diagnostics(walk, built.tree.p0(), point)
     walk_calls = dict(calls)
@@ -2044,13 +2061,12 @@ def test_walk_screen_sends_few_steps_to_mpf(monkeypatch, request, fixture):
     bound = lv.pointwise_bound_check_built(built, 1000)
     assert exact(diag) == exact(want_walk) and exact(bound) == exact(want_bound)
     every = {"_gradient_ratio", "_pointwise_margin"} if fixture == "regime5_walk" else set()
-    for name in ("_averaging", "_sandwich", "_gradient_ratio", "_pointwise_power",
-                 "_solution_check"):
+    for name in ("_averaging", "_sandwich", "_gradient_ratio", "_pointwise_power", "check"):
         n = walk_calls.get(name, 0)
         assert n >= 990 if name in every else n <= 4, (name, n)
     n = calls.get("_pointwise_margin", 0)
     assert n >= 990 if "_pointwise_margin" in every else n <= 4
-    assert "_solution_check" not in calls
+    assert "check" not in calls
 
 
 # ---------------------------------------------------------------------------

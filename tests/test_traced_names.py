@@ -33,7 +33,11 @@ def test_every_traced_name_resolves():
 SIBLINGS = [("caccioppoli", "estimate_sides", "estimate_sides_radial"),
             ("caccioppoli", "estimate_sides_radial", "estimate_sides"),
             ("counterexamples", "verify_graph", "verify_radial"),
-            ("counterexamples", "verify_radial", "verify_graph")]
+            ("counterexamples", "verify_radial", "verify_graph"),
+            ("descent", "pointwise_bound_check", "pointwise_bound_check_built"),
+            ("descent", "pointwise_bound_check_built", "pointwise_bound_check"),
+            ("descent", "descent_walk", "radial_descent_walk"),
+            ("descent", "radial_descent_walk", "descent_walk")]
 
 
 @pytest.mark.parametrize("module_name, runs, forbidden", SIBLINGS)
@@ -60,5 +64,9 @@ def test_traced_siblings_do_not_call_each_other(monkeypatch, regime1_small, modu
                                                                   spec.point),
         "verify_graph": lambda: lv.verify_graph(g, gu, spec.p, spec.q),
         "verify_radial": lambda: lv.verify_radial(tree, u, spec.p, spec.q),
+        "pointwise_bound_check": lambda: lv.pointwise_bound_check(g, gu, spec.point),
+        "pointwise_bound_check_built": lambda: lv.pointwise_bound_check_built(regime1_small),
+        "descent_walk": lambda: lv.descent_walk(g, gu, 0, 50),
+        "radial_descent_walk": lambda: lv.radial_descent_walk(tree, u, 0, 50),
     }
     calls[runs]()
