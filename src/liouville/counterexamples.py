@@ -366,9 +366,9 @@ def _checked_layers(tree, horizon: int | None) -> range:
     return range(max(inner.start, -h), h + 1)
 
 
-def _aligned(x1: int, e1: int, x2: int, e2: int):
-    """(y1, y2, e) with x1 2^e1 = y1 2^e and x2 2^e2 = y2 2^e, exactly; None
-    where the exponents of two nonzero terms lie more than 2^14 apart."""
+def _exact_sum(x1: int, e1: int, x2: int, e2: int):
+    """(y, e) with y 2^e = x1 2^e1 + x2 2^e2, exactly; None where the
+    exponents of two nonzero terms lie more than 2^14 apart."""
     if not x1:
         e1 = e2
     elif not x2:
@@ -376,14 +376,7 @@ def _aligned(x1: int, e1: int, x2: int, e2: int):
     k = e1 - e2
     if not -16384 <= k <= 16384:
         return None
-    return (x1 << k, x2, e2) if k >= 0 else (x1, x2 << -k, e1)
-
-
-def _exact_sum(x1: int, e1: int, x2: int, e2: int):
-    """(y, e) with y 2^e = x1 2^e1 + x2 2^e2, exactly; None where `_aligned`
-    finds the exponents of two nonzero terms more than 2^14 apart."""
-    d = _aligned(x1, e1, x2, e2)
-    return d and (d[0] + d[1], d[2])
+    return ((x1 << k) + x2, e2) if k >= 0 else (x1 + (x2 << -k), e1)
 
 
 def _screen(tree, u, layers, term_of) -> list:
@@ -396,7 +389,8 @@ def _screen(tree, u, layers, term_of) -> list:
     The differences d_out, d_in and S = a d_out + b d_in,
     P = |a d_out| + |b d_in|, G = a d_out^2 + b d_in^2 and A = a + b (d_in
     = 0 where b = 0) are formed exactly from the integer mantissas of u and
-    `conductances(n)`; log2|lap| = log2(|S|/A) and log2 grad^2
+    `conductances(n)` (None where two nonzero terms of a sum lie over 2^14
+    binary places apart); log2|lap| = log2(|S|/A) and log2 grad^2
     = log2(G/2A) are read from the top 53 bits of each, within 5 units plus
     half a unit of the result, and the stream's grad^2 is within 10 more
     (the differences rounded once each, then 7 roundings).  The one error
@@ -410,52 +404,49 @@ def _screen(tree, u, layers, term_of) -> list:
     floats = screen.exponent_floats(term_of.p, term_of.half_q)
     if floats is None:
         return [None] * len(layers)
-    p, h = floats
     unit_bits = min(mp.mp.prec, 1000)   # 2^-unit_bits >= 2^-prec, and a normal float
     r_unit = 5.2 * math.ldexp(1.0, -unit_bits)
     kappa_bits = unit_bits - 12         # kappa beyond 2^kappa_bits cannot give r <= 2^-8
-    log2, top53 = math.log2, screen.top53
+    log2, top53, cap = math.log2, screen.top53, screen._EXP_CAP
     values, lo_u = u.values(), u.lo
-
-    def diff(k):                        # u_{k+1} - u_k as (D, e), exactly, D a signed int
-        s1, m1, x1, _ = values[k + 1]._mpf_
-        s0, m0, x0, _ = values[k]._mpf_
-        return _exact_sum(-m1 if s1 else m1, x1, m0 if s0 else -m0, x0)
-
-    k0 = max(layers.start - lo_u - 1, 0)    # the differences over the layers' span, once each
-    diffs = [diff(k) for k in range(k0, layers.stop - lo_u)]
-
-    def bounds(n):
-        a, b = tree.conductances(n)
+    first = layers.start - lo_u
+    rows, d_out, nxt = [], None, values[max(first - 1, 0)]._mpf_
+    for i in range(max(first - 1, 0), layers.stop - lo_u):
+        (s, m, x, _), nxt = nxt, values[i + 1]._mpf_
+        s1, m1, x1, _ = nxt
+        v, v1 = -m if s else m, -m1 if s1 else m1
+        k = x1 - x if v and v1 else 0           # u_{i+1} - u_i, exactly, as (D, e)
+        d_in, d_out = d_out, (((v1 << k) - v, x if v else x1) if 0 <= k <= 16384 else
+                              (v1 - (v << -k), x1) if -16384 <= k < 0 else None)
+        if i < first:
+            continue
+        a, b = tree.conductances(i + lo_u)
         _, ma, xa, _ = a._mpf_
         _, mb, xb, _ = b._mpf_
-        i = n - lo_u
-        lu = screen.log2_abs(values[i])
-        d_out, d_in = diffs[i - k0], diffs[i - k0 - 1] if mb else (0, 0)   # -d_in
-        if lu is None or lu[0] or not (d_out and d_in):
-            return None
-        (do, xo), (di, xi) = d_out, d_in
-        t1, t2 = ma * do, mb * di       # a d_out and -b d_in
-        prods = _aligned(t1, xa + xo, -t2, xb + xi)
-        ab = _aligned(ma, xa, mb, xb)
-        squares = _aligned(t1 * do, xa + 2 * xo, t2 * di, xb + 2 * xi)
-        if not (prods and ab and squares):
-            return None
-        y1, y2, e = prods
-        S = -y1 - y2                    # -(a d_out + b d_in)
-        P = abs(y1) + abs(y2)
-        if S <= 0 or P.bit_length() - S.bit_length() > kappa_bits:
-            return None
-        r = r_unit * (P / S)
-        if not r <= 0.00390625:
-            return None
-        fA, eA = top53(ab[0] + ab[1], ab[2])
+        if s or not m or d_out is None or mb and d_in is None:
+            rows.append(None)
+            continue
+        (do, xo), (di, xi) = d_out, d_in if mb else (0, d_out[1])     # -d_in
+        fu, eu = top53(m, x)
+        k, j = xa - xb if ma and mb else 0, xo - xi   # |j| <= 2^14 where u_i != 0
+        if not (-cap < eu < cap and -16384 <= k <= 16384) or ma and do and mb and di \
+                and not (-16384 <= k + j <= 16384 and -16384 <= k + 2 * j <= 16384):
+            rows.append(None)
+            continue
+        a, b = (ma << k, mb) if k >= 0 else (ma, mb << -k)
+        do, di, e = (do << j, di, xi) if j >= 0 else (do, di << -j, xo)
+        t1, t2 = a * do, b * di         # a d_out and -b d_in, over a common exponent
+        S, P = t2 - t1, abs(t1) + abs(t2)
+        if S <= 0 or P.bit_length() - S.bit_length() > kappa_bits \
+                or not (r := r_unit * (P / S)) <= 0.00390625:
+            rows.append(None)
+            continue
+        fA, eA = top53(a + b, 0)
         fS, eS = top53(S, e)
-        fG, eG = top53(squares[0] + squares[1], squares[2])
-        return screen.solution_check(p, h, lu[1], (1, log2(fS / fA) + (eS - eA)),
-                                     log2(fG / fA) + (eG - eA - 1), 1.45 * r)[1]
-
-    return [bounds(n) for n in layers]
+        fG, eG = top53(t1 * do + t2 * di, 2 * e)
+        rows.append((log2(fu) + eu, (1, log2(fS / fA) + (eS - eA)),
+                     log2(fG / fA) + (eG - eA - 1), 1.45 * r))
+    return [check or None for check in screen.solution_check(*floats, rows)]
 
 
 def _verify_pass(tree, u, p, q, layers, bits, force) -> MarginReport | None:
@@ -624,11 +615,6 @@ def _lambda_kernel(regime: str, point: PQPoint, param):
             lambda rows: _window_bounds(rows, floats and at))
 
 
-def _bound(terms, rho):        # the log2_bound of a value, widened by 1.45 rho
-    b = screen.log2_bound(0.0, terms)
-    return b and (b[0] - b[1] - 1.45 * rho, b[0] + b[1] + 1.45 * rho)
-
-
 def _drift_kernel(plus_one: bool, p, q, unit, c_g, c_x, c_q, param):
     """combine and at of u = delta/g (I), or of delta/g + 1 (III, plus_one)."""
 
@@ -671,10 +657,10 @@ def _drift_kernel(plus_one: bool, p, q, unit, c_g, c_x, c_q, param):
         quad = _log2(fs / fw, es - ew - 1)
         rho = rho_d + abs(c_q) * rho_q
         if not plus_one:
-            return _bound(((c_g, math.log2(fgn) + egn), (1.0, drift), (c_q, quad)), rho)
+            return ((c_g, math.log2(fgn) + egn), (1.0, drift), (c_q, quad)), rho
         fx, ex = screen.top53(*_exact_sum(*g[i], 1, 0))                        # gn + 1
-        return _bound(((1.0, drift), (c_x, _log2(fx / fgn, ex - egn)),
-                       (-1.0, math.log2(fgn) + egn), (c_q, quad)), rho + abs(c_x) * 2.1 * unit)
+        return (((1.0, drift), (c_x, _log2(fx / fgn, ex - egn)),
+                 (-1.0, math.log2(fgn) + egn), (c_q, quad)), rho + abs(c_x) * 2.1 * unit)
 
     return combine, at
 
@@ -710,9 +696,9 @@ def _log_kernel(p, q, unit, c_g, c_x, c_q, param):
         fs, es = _fsum(fWn * up[2] * up[2], eWn + 2 * up[3], fWm * dn[2] * dn[2],
                        eWm + 2 * dn[3])
         fx, ex = screen.top53(*_exact_sum(*f[i], 1, 0))                        # fn + 1
-        return _bound(((1.0, _log2(fL / fw, eL - ew)), (c_x, math.log2(fx) + ex),
-                       (c_q, _log2(fs / fw, es - ew - 1))),
-                      rho_d + (1.1 * abs(c_x) + 7.2 * abs(c_q)) * unit)
+        return (((1.0, _log2(fL / fw, eL - ew)), (c_x, math.log2(fx) + ex),
+                 (c_q, _log2(fs / fw, es - ew - 1))),
+                rho_d + (1.1 * abs(c_x) + 7.2 * abs(c_q)) * unit)
 
     return combine, at
 
@@ -750,8 +736,8 @@ def _reciprocal_kernel(p, q, unit, c_g, c_x, c_q, lam):
             return _NEGATIVE
         fs, es = _fsum(up[2] * up[2], 2 * up[3], fr * dn[2] * dn[2], er + 2 * dn[3])
         fx, ex = screen.top53(*_exact_sum(m_n, x_n, 1, 0))                     # inv_n + 1
-        return _bound(((1.0, _log2(fT / (fo * fm), eT - eo - em)), (c_x, math.log2(fx) + ex),
-                       (-0.5, _log2(fs / ft, es - et))), rho_d + (1.1 * abs(c_x) + 3.6) * unit)
+        return (((1.0, _log2(fT / (fo * fm), eT - eo - em)), (c_x, math.log2(fx) + ex),
+                 (-0.5, _log2(fs / ft, es - et))), rho_d + (1.1 * abs(c_x) + 3.6) * unit)
 
     return combine, at
 
@@ -771,7 +757,9 @@ class _Screened(NamedTuple):
 
 def _window_bounds(rows, at) -> _Screened:
     """at(m, A, B, rA, rB, dn, up) for each inner row m of the profile rows,
-    split into `_Screened`: at gives bounds, None or _NEGATIVE.  A and B hold
+    split into `_Screened`: at gives (terms of log2 Lambda(m), rho), None or
+    _NEGATIVE, and one `screen.log2_bound` call bounds the terms, widened by
+    1.45 rho.  A and B hold
     each row's values (A, B) as (mantissa, exponent), exactly, rA and rB
     their `screen.top53`, and dn and up are the differences of the pairs of
     rows below and above m, (D, e, f, E) with D 2^e = B_{k+1} - B_k exactly
@@ -792,8 +780,10 @@ def _window_bounds(rows, at) -> _Screened:
         diffs.append(d and d[0] and (*d, *top53(abs(d[0]), d[1])))
     reads = A, B, [top53(*a) for a in A], [top53(*b) for b in B]
     verdicts = [at(i, *reads, diffs[i - 1], diffs[i]) for i in range(1, len(rows) - 1)]
-    negative = [v is _NEGATIVE for v in verdicts]
-    return _Screened([None if neg else v for v, neg in zip(verdicts, negative)], negative)
+    found = [None if v is _NEGATIVE else v for v in verdicts]
+    bounds = screen.log2_bound(v and (0.0, v[0]) for v in found)
+    return _Screened([b and (b[0] - b[1] - 1.45 * v[1], b[0] + b[1] + 1.45 * v[1])
+                      for b, v in zip(bounds, found)], [v is _NEGATIVE for v in verdicts])
 
 
 def _fsum(fa, ea, fb, eb):
@@ -1313,12 +1303,12 @@ def _band_bounds(vols: list, law: PowerLogLaw, window: range) -> list:
     if floats is None:
         return [undecided] * len(window)
     a, b = -floats[0], -floats[1]
-    log2, log, log2_abs, log2_bound = math.log2, math.log, screen.log2_abs, screen.log2_bound
-    bounds = []
-    for n in window:
-        lv = log2_abs(vols[n])
-        bound = lv and not lv[0] and log2_bound(lv[1], ((a, log2(n)), (b, log2(log(n)))))
-        bounds.append((bound[0] - bound[1], bound[0] + bound[1]) if bound else undecided)
+    log2, log = math.log2, math.log
+    rows = ((lv[1], ((a, log2(n)), (b, log2(log(n))))) if lv and not lv[0] else None
+            for n, lv in zip(window, map(screen.log2_abs, map(vols.__getitem__, window))))
+    bounds = screen.log2_bound(rows)
+    for i, bound in enumerate(bounds):      # in place, each (y, err) freed as it goes
+        bounds[i] = (bound[0] - bound[1], bound[0] + bound[1]) if bound else undecided
     return bounds
 
 

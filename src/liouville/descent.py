@@ -183,39 +183,50 @@ class _Family:
                            worst_margin=max(self.margins) if self.margins else None)
 
 
-class _Screened:
-    """A family's margins behind the float64 screen: `_Family`, fed bounds.
+def _screened(items, bounds, margin_of) -> BoundFamily:
+    """A family's margins behind the float64 screen: `_Family`, fed columns.
 
-    `add(item, bounds)` records one margin of the family: `margin_of(item)`
-    gives the mpf margin and its verdict, and bounds is (lo, hi) with
-    lo <= that margin <= hi, or None where the screen did not decide.
-    `done` evaluates in mpf, in order, the items `screen.extremes` picks
-    for the maximum, and excuses the rest: an excused margin lies strictly
-    below an evaluated one, so the maximum and its first occurrence are
-    unchanged, and so is `holds`.  A margin fails only above tol, and then
-    the larger evaluated one fails too (the sandwich's sign condition only
-    fails unbounded items).  A nan margin (only from non-finite inputs)
-    voids the screen, since the maximum of a list holding a nan depends on
-    where the nan sits: then every item is evaluated.  The report equals
-    `_Family`'s over every margin bit for bit.
+    items are the family's members, in order, and bounds[i] is (lo, hi) with
+    lo <= the mpf margin of items[i] <= hi, or None where the screen did not
+    decide; `margin_of(item)` gives that margin and its verdict.  mpf
+    evaluates, in order, the items `screen.extremes` picks for the maximum,
+    and excuses the rest: an excused margin lies strictly below an
+    evaluated one, so the maximum and its first occurrence are unchanged,
+    and so is `holds`.  A margin fails only above tol, and then the larger
+    evaluated one fails too (the sandwich's sign condition only fails
+    unbounded items).  A nan margin (only from non-finite inputs) voids the
+    screen, since the maximum of a list holding a nan depends on where the
+    nan sits: then every item is evaluated.  The report equals `_Family`'s
+    over every margin bit for bit.
     """
+    picked = screen.extremes(bounds, high=True)
+    checks = [margin_of(items[i]) for i in picked]
+    if any(mp.isnan(m) for m, _ in checks):
+        checks = [margin_of(item) for item in items]
+    family = _Family()
+    for check in checks:
+        family.add(*check)
+    return replace(family.done(), checked=len(items))
 
-    def __init__(self, margin_of):
-        self.margin_of = margin_of
-        self.items = []
 
-    def add(self, item, bounds):
-        self.items.append((item, bounds))
+class _Screened:
+    """A family's members, each with the logs its input stage read (None
+    where it declines one); `done` forms from them, by `terms_of`, the terms
+    of the y the margins are a `screen.margin_bounds` shape of, bounds them
+    in one call and hands the columns to `_screened`."""
+
+    def __init__(self, margin_of, shape, const, terms_of):
+        self.margin_of, self.shape, self.const, self.terms_of = margin_of, shape, const, terms_of
+        self.items, self.logs = [], []
+
+    def add(self, item, logs):
+        self.items.append(item)
+        self.logs.append(logs)
 
     def done(self) -> BoundFamily:
-        picked = screen.extremes([b for _, b in self.items], high=True)
-        checks = [self.margin_of(self.items[i][0]) for i in picked]
-        if any(mp.isnan(m) for m, _ in checks):
-            checks = [self.margin_of(item) for item, _ in self.items]
-        family = _Family()
-        for check in checks:
-            family.add(*check)
-        return replace(family.done(), checked=len(self.items))
+        terms = (logs and self.terms_of(logs) for logs in self.logs)
+        return _screened(self.items, screen.margin_bounds(self.shape, self.const, terms),
+                         self.margin_of)
 
 
 def _site_logs(u, lap, g):
@@ -272,62 +283,65 @@ def walk_diagnostics(walk: DescentWalk, p0=None,
 
     Each normalized margin is a monotone function of one log2 quantity y
     of the step's mpf values (for the sandwich, falling then rising), so a
-    float64 bound on y bounds the margin (`screen.margin_bounds`).  mpf
-    evaluates a family's margin only at the steps `_Screened` cannot
-    excuse, and the re-check only where `screen.solution_check` leaves it
-    open; a step whose u, lap or grad is zero or not finite, or any step
-    below 53 bits, is evaluated in mpf throughout.  The report equals that
-    of the loop evaluating every margin in mpf, bit for bit.
+    float64 bound on y bounds the margin (`screen.margin_bounds`, one call
+    per family; the re-check is one `screen.solution_check` call).  mpf
+    evaluates a family's margin only at the steps `_screened` cannot
+    excuse, and the re-check only where the screen leaves it open; a step
+    whose u, lap or grad is zero or not finite, or any step below 53 bits,
+    is evaluated in mpf throughout, and so is the gradient ratio family of
+    a p0 too large for `screen.log2_abs`.  The report equals that of the
+    loop evaluating every margin in mpf, bit for bit.
     """
     tol = rel_tol()
     sqrt2 = mp.sqrt(2)
-    exponents = []
+    exponents, log_rf = [], None
     if p0 is not None:
         p0 = checked_p0(p0)
         ratio_factor = mp.sqrt((1 + p0 ** 2) / 2)
-        log_rf = screen.log2_abs(ratio_factor)[1]
+        log_rf = screen.log2_abs(ratio_factor)
     if point is not None:
         term_of = term_kernel(point.p, point.q)
         neg_p, one_minus_q = -to_mpf(point.p), 1 - to_mpf(point.q)
         exponents = [term_of.p, term_of.half_q, neg_p, one_minus_q]
     floats = screen.exponent_floats(*exponents)
-    if exponents and floats is not None:
-        p, half_q, neg_p_f, one_minus_q_f = floats
-    bounds = screen.margin_bounds
+    p, half_q, neg_p_f, one_minus_q_f = floats if exponents and floats else (0.0,) * 4
+    reads = []          # (log2 u, log2_abs(lap), log2 grad, log2 drop or None) per step
+    for s in walk.steps:
+        logs = floats is not None and _site_logs(s.u, s.lap, s.grad)
+        drop = logs and s.drop is not None and screen.log2_abs(s.drop)
+        reads.append(logs and (*logs, drop[1] if drop and not drop[0] else None) or None)
+    verdicts = screen.solution_check(p, half_q, [point and r and (r[0], r[1], 2 * r[2], 0.0)
+                                                 for r in reads])
     dec = _Family()
-    sand = _Screened(lambda s: _sandwich(s, tol))
-    avg = _Screened(lambda s: _averaging(s, sqrt2, tol))
-    gratio = _Screened(lambda s: _gradient_ratio(s, ratio_factor, tol))
-    ppower = _Screened(lambda s: _pointwise_power(s, sqrt2, neg_p, one_minus_q, tol))
+    sand = _Screened(lambda s: _sandwich(s, tol), "valley", 0.0, lambda r: r[1][0]
+                     and r[3] is not None and ((1.0, r[1][1]), (-1.0, r[3])) or None)
+    avg = _Screened(lambda s: _averaging(s, sqrt2, tol), "falling", 0.5,
+                    lambda r: ((1.0, r[2]), (-1.0, r[1][1])))
+    gratio = _Screened(lambda s: _gradient_ratio(s, ratio_factor, tol), "falling",
+                       log_rf and log_rf[1], lambda r: log_rf and r[3] is not None
+                       and ((1.0, r[3]), (-1.0, r[2])) or None)
+    ppower = _Screened(lambda s: _pointwise_power(s, sqrt2, neg_p, one_minus_q, tol),
+                       "falling", 0.5, lambda r: ((neg_p_f, r[0]), (one_minus_q_f, r[2])))
     solution_sites = 0
-    for step in walk.steps:
-        logs = _site_logs(step.u, step.lap, step.grad) if floats is not None else None
-        if logs:
-            lu, (lap_negative, ll), lg = logs
-            drop = step.drop is not None and screen.log2_abs(step.drop)
-            ld = drop[1] if drop and not drop[0] else None
-        avg.add(step, logs and bounds("falling", 0.5, ((1.0, lg), (-1.0, ll))))
-        solves = False
-        if point is not None:
-            solves = logs and screen.solution_check(p, half_q, lu, logs[1], 2 * lg)[0]
-            if solves is None:
-                check = term_of.check(step.u, step.lap, step.grad ** 2)
-                solves = check is not None and check.holds
-            if solves:
-                solution_sites += 1
+    for step, logs, solves in zip(walk.steps, reads, verdicts):
+        avg.add(step, logs)
+        if point is None:
+            solves = False
+        elif solves is None:
+            check = term_of.check(step.u, step.lap, step.grad ** 2)
+            solves = check is not None and check.holds
+        if solves:
+            solution_sites += 1
         if step.drop is not None:
             dec.add(-step.drop, step.drop > 0)
-            screened = logs is not None and ld is not None
             if solves:
-                sand.add(step, screened and lap_negative
-                         and bounds("valley", 0.0, ((1.0, ll), (-1.0, ld))) or None)
+                sand.add(step, logs)
             # the gradient ratio bound only needs a nonpositive Laplacian and
             # a strict drop, not the full solution property
             if p0 is not None and step.drop > 0 and step.lap <= 0:
-                gratio.add(step, screened
-                           and bounds("falling", log_rf, ((1.0, ld), (-1.0, lg))) or None)
+                gratio.add(step, logs)
         if point is not None and solves and step.grad > 0:
-            ppower.add(step, logs and bounds("falling", 0.5, ((neg_p_f, lu), (one_minus_q_f, lg))))
+            ppower.add(step, logs)
     return WalkDiagnostics(
         n_sites=len(walk.steps),
         strict_decrease=dec.done(),
@@ -358,20 +372,21 @@ def _pointwise_core(sites, class_of, reps, operators, point: PQPoint) -> Pointwi
     at its representative reps[c], and the report is read off site by site
     in the order of `sites`, whose i-th entry is in class class_of[i].
     The re-check and the margin go through the float64 screen of
-    `walk_diagnostics`: the margin is 2^w - 1 with w = (p-1) log2 u +
-    (q/2) log2 grad^2, and mpf evaluates a class only where the re-check
-    is open or the class could hold the maximum.
+    `walk_diagnostics`, one column call each: the margin is 2^w - 1 with
+    w = (p-1) log2 u + (q/2) log2 grad^2, and mpf evaluates a class only
+    where the re-check is open or the class could hold the maximum.
     """
     term_of = term_kernel(point.p, point.q)
     p1 = to_mpf(point.p - 1)
     floats = screen.exponent_floats(term_of.p, term_of.half_q, p1)
-    if floats is not None:
-        p, half_q_f, p1_f = floats
-    margins = _Screened(lambda ug: _pointwise_margin(*ug, p1, term_of))
+    p, half_q_f, p1_f = floats or (0.0, 0.0, 0.0)
+    ops = list(map(operators, reps))
+    reads = [floats and _site_logs(*site) for site in ops]
+    margins = _Screened(lambda ug: _pointwise_margin(*ug, p1, term_of), "rising", 0.0,
+                        lambda r: ((p1_f, r[0]), (half_q_f, r[2])))
     verdicts = []
-    for u_val, lap, grad_sq in map(operators, reps):
-        logs = _site_logs(u_val, lap, grad_sq) if floats is not None else None
-        solves = logs and screen.solution_check(p, half_q_f, *logs)[0]
+    for (u_val, lap, grad_sq), logs, solves in zip(ops, reads, screen.solution_check(
+            p, half_q_f, [r and (*r, 0.0) for r in reads])):
         if solves is None:
             check = term_of.check(u_val, lap, grad_sq)
             if check is None:
@@ -382,8 +397,7 @@ def _pointwise_core(sites, class_of, reps, operators, point: PQPoint) -> Pointwi
             verdicts.append(_NOT_A_SOLUTION)
             continue
         verdicts.append(None)
-        margins.add((u_val, grad_sq), logs and screen.margin_bounds(
-            "rising", 0.0, ((p1_f, logs[0]), (half_q_f, logs[2]))))
+        margins.add((u_val, grad_sq), logs)
     family = margins.done()
     checked = 0
     skipped = []

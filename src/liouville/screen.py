@@ -41,8 +41,10 @@ def log2_abs(x: mp.mpf):
     sign, man, exp, _ = x._mpf_
     if not man:
         return None
-    f, e = top53(man, exp)
-    return (sign, log2(f) + e) if -_EXP_CAP < e < _EXP_CAP else None
+    bc = man.bit_length()       # `top53`'s cut, inlined: every screen reads its items here
+    e = exp + bc
+    return (sign, log2(ldexp(man >> (bc - 53), -53) if bc > 53 else ldexp(man, -bc)) + e) \
+        if -_EXP_CAP < e < _EXP_CAP else None
 
 
 def exponent_floats(*exponents):
@@ -57,9 +59,10 @@ def exponent_floats(*exponents):
     return floats
 
 
-def log2_bound(const, terms):
-    """(y, err) with y = const + sum of c l over the (c, l) terms, and err a
-    bound on |y - log2 Q|, where Q is the mpf quantity y stands for; None
+def log2_bound(rows):
+    """Per row (const, terms), (y, err) with y = const + sum of c l over the
+    (c, l) terms and err a bound on |y - log2 Q|, Q the mpf quantity y stands
+    for; None for a row None (an item the caller's input stage declines) or
     where err exceeds 2^-10 (or is not finite).
 
     Q = K x_1^C_1 ... x_m^C_m (m <= 4) is formed in mpf at the working
@@ -84,43 +87,55 @@ def log2_bound(const, terms):
     A caller whose input stage carries an error of its own that does not
     scale with S (`verify`'s Laplacian under cancellation) adds it to err.
     """
-    y, size = const, 1.0 + abs(const)
-    for c, l in terms:
-        t = c * l
-        y += t
-        size += abs(c) + abs(t)
-    err = SLACK * size
-    return (y, err) if err <= UNDECIDED else None
+    out = []
+    for row in rows:
+        if row is None:
+            out.append(None)
+            continue
+        y, terms = row
+        size = 1.0 + abs(y)
+        for c, l in terms:
+            t = c * l
+            y += t
+            size += abs(c) + abs(t)
+        err = SLACK * size
+        out.append((y, err) if err <= UNDECIDED else None)
+    return out
 
 
-def solution_check(p, half_q, lu, lap, lg2, widen=0.0):
-    """(verdict, bounds) of the re-check lap + term <= 0, term = u^p (grad^2)^(q/2).
+def solution_check(p, half_q, rows):
+    """Per item, the verdict of the re-check lap + term <= 0, term = u^p (grad^2)^(q/2).
 
-    lap is (lap < 0, ll = log2|lap|) as `log2_abs` reads it, lu = log2 u
-    and lg2 = log2 grad^2.  A positive Laplacian fails (False).  Otherwise
-    the `log2_bound` of ell = log2(term/|lap|), its err widened by `widen`
-    (an error of the caller's ll outside the budget), decides: ell below
-    -2^-30 proves lap + term < 0 with |lap + term|/|lap| > 6e-10, far
-    beyond ten tolerances (True, with bounds on log2|lap + term| =
-    ll + log2(1 - 2^ell)); ell above 2^-20 proves (lap + term)/term > 6e-7,
-    far above tol (False); anything else is None.  bounds is None but
-    for True.
+    A row is (lu, lap, lg2, widen), or None where the caller's input stage
+    declines the item: lap is (lap < 0, ll = log2|lap|) as `log2_abs` reads
+    it, lu = log2 u, lg2 = log2 grad^2 and widen an error of the caller's
+    ll outside the budget.  A positive Laplacian fails (False).  Otherwise
+    the `log2_bound` of ell = log2(term/|lap|), its err widened by widen,
+    decides: ell below -2^-30 proves lap + term < 0 with
+    |lap + term|/|lap| > 6e-10, far beyond ten tolerances (a pass, given
+    as bounds (lo, hi) on log2|lap + term| = ll + log2(1 - 2^ell)); ell
+    above 2^-20 proves (lap + term)/term > 6e-7, far above tol (False);
+    anything else, and a declined item, is None.
     """
-    negative, ll = lap
-    if not negative:
-        return False, None
-    bound = log2_bound(0.0, ((p, lu), (half_q, lg2), (-1.0, ll)))
-    if bound is None:
-        return None, None
-    ell, err = bound[0], bound[1] + widen
-    if not ell + err < EXCUSE:
-        return (False if ell - err > FAILS else None), None
-    # log2(1 - 2^y) falls with y; the roundings of the mpf sum lap + term
-    # and of libm's expm1 and log2 are a few units of each end
-    g_lo = log2(-expm1((ell + err) * LN2))
-    g_hi = log2(-expm1((ell - err) * LN2))
-    return True, (ll + g_lo - widen - SLACK * (1 + abs(ll) + abs(g_lo)),
-                  ll + g_hi + widen + SLACK * (1 + abs(ll) + abs(g_hi)))
+    ells = log2_bound(row and (0.0, ((p, row[0]), (half_q, row[2]), (-1.0, row[1][1])))
+                      for row in rows)
+    verdicts = []
+    for row, bound in zip(rows, ells):
+        if row is None or bound is None or not row[1][0]:
+            verdicts.append(None if row is None or row[1][0] else False)
+            continue
+        (_, ll), widen = row[1], row[3]
+        ell, err = bound[0], bound[1] + widen
+        if not ell + err < EXCUSE:
+            verdicts.append(False if ell - err > FAILS else None)
+            continue
+        # log2(1 - 2^y) falls with y; the roundings of the mpf sum lap + term
+        # and of libm's expm1 and log2 are a few units of each end
+        g_lo = log2(-expm1((ell + err) * LN2))
+        g_hi = log2(-expm1((ell - err) * LN2))
+        verdicts.append((ll + g_lo - widen - SLACK * (1 + abs(ll) + abs(g_lo)),
+                         ll + g_hi + widen + SLACK * (1 + abs(ll) + abs(g_hi))))
+    return verdicts
 
 
 def _falling(y):
@@ -135,10 +150,10 @@ def _valley(x):
     return expm1(x * LN2) if x < 0 else -expm1(-x * LN2)
 
 
-def margin_bounds(shape, const, terms):
-    """Bounds (lo, hi) on a margin given as a function of y, from the
-    `log2_bound(const, terms)` (y, err) of y; None where that is None or
-    the bounds are not finite.
+def margin_bounds(shape, const, rows):
+    """Per item, bounds (lo, hi) on a margin given as a function of y, from
+    the `log2_bound` (y, err) of y, the items' common constant const and
+    their terms rows; None where that is None or the bounds are not finite.
 
     shape "falling": (1 - 2^y)/max(1, 2^y); "valley": `_valley`, the
     sandwich margin at y = log2(|lap|/drop); "rising": 2^y - 1.  The final
@@ -147,23 +162,23 @@ def margin_bounds(shape, const, terms):
     itself; the bounds are widened by 2^-44 relative, and by 2^-1000, to
     cover them.
     """
-    bound = log2_bound(const, terms)
-    if bound is None:
-        return None
-    y, err = bound
-    a, b = y - err, y + err
-    if shape == "falling":
-        lo, hi = _falling(b), _falling(a)
-    elif shape == "rising":
-        if b > 1000:
-            return None             # 2^b beyond the float range
-        lo, hi = expm1(a * LN2), expm1(b * LN2)
-    else:
-        ends = _valley(a), _valley(b)
-        lo, hi = (-0.5 if a <= -1 <= b else min(ends)), max(ends)
-    lo -= abs(lo) * SLACK + _TINY
-    hi += abs(hi) * SLACK + _TINY
-    return (lo, hi) if math.isfinite(lo) and math.isfinite(hi) else None
+    out = []
+    for bound in log2_bound(None if terms is None else (const, terms) for terms in rows):
+        if bound is None:
+            out.append(None)
+            continue
+        a, b = bound[0] - bound[1], bound[0] + bound[1]
+        if shape == "falling":
+            lo, hi = _falling(b), _falling(a)
+        elif shape == "rising":     # 2^b beyond the float range decides nothing
+            lo, hi = (expm1(a * LN2), expm1(b * LN2)) if b <= 1000 else (math.inf, math.inf)
+        else:
+            ends = _valley(a), _valley(b)
+            lo, hi = (-0.5 if a <= -1 <= b else min(ends)), max(ends)
+        lo -= abs(lo) * SLACK + _TINY
+        hi += abs(hi) * SLACK + _TINY
+        out.append((lo, hi) if math.isfinite(lo) and math.isfinite(hi) else None)
+    return out
 
 
 def extremes(bounds, low=False, high=False) -> list[int]:

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, repr_dps
 
+import before_streams
 import liouville as lv
 from liouville import cli
 from liouville import counterexamples as cx
@@ -1531,3 +1532,25 @@ def test_every_command_reports_the_schema_and_its_name(capsys, tmp_path, command
     payload = json.loads(out)
     assert (payload["schema"], payload["command"]) == (1, command)
     assert json_path.read_text() == out
+
+
+def test_descend_takes_a_p0_beyond_the_screens_exponents(capsys, tmp_path):
+    """`descend --p0 1e15000000000000` exits 0 with the report of the loop
+    evaluating every margin in mpf (it raised a TypeError in the screen)."""
+    tree = lv.RadialTree(3, [mp.mpf(2) ** k for k in range(12)])
+    (tmp_path / "tree.txt").write_text(lv.format_radial_text(tree))
+    (tmp_path / "u.csv").write_text("".join(f"{n},{2 ** -n}\n" for n in range(12)))
+    code, payload = run_cli(capsys, "descend", "--graph", str(tmp_path / "tree.txt"), "--u",
+                            str(tmp_path / "u.csv"), "--start", "1", "--steps", "5",
+                            "--p0", "1e15000000000000")
+    assert code == 0
+    with lv.precision(128):
+        u = lv.RadialFunction([mp.ldexp(1, -n) for n in range(12)])
+        walk = lv.radial_descent_walk(tree, u, 1, 5)
+        want = before_streams.walk_diagnostics(walk, mp.mpf("1e15000000000000"))
+    for name in ("strict_decrease", "sandwich", "averaging", "gradient_ratio"):
+        family = getattr(want, name)
+        margin = family.worst_margin
+        assert payload[name] == {"checked": family.checked, "holds": family.holds,
+                                 "worst_margin": None if margin is None else lv.mpf_str(margin)}
+    assert payload["gradient_ratio"]["checked"] == 5

@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from hypothesis import HealthCheck, example, given, seed, settings
+from hypothesis import strategies as st
 
 import liouville as lv
 from liouville import counterexamples as cx
@@ -536,6 +538,46 @@ def test_certify_refuses_a_constant_stored_u():
     assert best.n0 < 2 ** 23 and exc.value.best_margin > 0
     with lv.precision(128):
         values = lv.build(best).u.values()
+    assert all(a > b for a, b in zip(values, values[1:]))
+
+
+@st.composite
+def iii_points(draw):
+    """A rational point strictly inside III's region, -4 < p < 0 and 1 < q < 2."""
+    d, e = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    return lv.pq(-4 + 4 * F(draw(st.integers(1, d - 1)), d), 1 + F(draw(st.integers(1, e - 1)), e))
+
+
+@seed(13)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(point=iii_points(), horizon=st.sampled_from([20, 40, 60, 125]))
+@example(point=lv.pq(F(-12, 11), F(5, 4)), horizon=125)     # 12 refused, n0 2^23..2^34
+@example(point=lv.pq(F(-8, 5), F(4, 3)), horizon=40)        # 1 refused
+@example(point=lv.pq(F(-16, 7), F(7, 5)), horizon=40)       # accepted at n0 = 2^23
+@example(point=lv.pq(-2, F(3, 2)), horizon=60)              # accepted at n0 = 2^27
+def test_iii_certificates_store_a_decreasing_u_and_refusals_are_counted(point, horizon):
+    """Random III points at eps = 1/10, whose searches reach n0 = 2^23..2^27
+    and beyond, where 128 bits can flatten the stored u: every certificate
+    `certify` returns stores a strictly decreasing u, and a search that
+    fails counts, in its CalibrationError, each candidate it refused."""
+    refused = []
+    decreasing = cx._decreasing
+
+    def counted(u):
+        found = decreasing(u)
+        refused.append(not found)
+        return found
+
+    with pytest.MonkeyPatch.context() as patch, lv.precision(128):
+        patch.setattr(cx, "_decreasing", counted)
+        try:
+            cert = lv.certify("III", point, N=3, horizon=horizon, eps=F(1, 10))
+        except CalibrationError as exc:
+            assert str(exc).endswith(f"; {sum(refused)} candidates refused: stored u not "
+                                     f"strictly decreasing")
+            return
+        values = cert.built.u.values()
+    assert refused[-1] is False and decreasing(cert.built.u)
     assert all(a > b for a, b in zip(values, values[1:]))
 
 

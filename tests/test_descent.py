@@ -3,6 +3,7 @@ import random
 import mpmath as mp
 import pytest
 
+import before_streams
 import liouville as lv
 from liouville.errors import InputError
 
@@ -189,3 +190,23 @@ def test_pointwise_bound_rejects_a_negative_horizon(regime5_walk, horizon):
     with pytest.raises(InputError, match="horizon must be at least 0"):
         lv.pointwise_bound_check_built(regime5_walk, horizon=horizon)
     assert lv.pointwise_bound_check_built(regime5_walk, horizon=0).checked == 1
+
+
+def big_p0_walk():
+    """The walk of the large-p0 regression: u_n = 1/(n + 1) on a binary-growth
+    tree, five steps from layer 1."""
+    tree = lv.RadialTree(3, [mp.mpf(2) ** k for k in range(12)])
+    u = lv.RadialFunction([1 / mp.mpf(n + 1) for n in range(13)])
+    return lv.radial_descent_walk(tree, u, 1, 5)
+
+
+def test_walk_diagnostics_take_a_p0_beyond_the_readers_exponents():
+    """A finite p0 whose ratio factor has a binary exponent past the screen's
+    cap: the gradient ratio family declines the screen and is evaluated in
+    mpf, and the report is that of the loop evaluating every margin."""
+    walk = big_p0_walk()
+    p0 = mp.mpf("1e15000000000000")
+    for point in (None, lv.pq(2, 1)):
+        diag = lv.walk_diagnostics(walk, p0=p0, point=point)
+        assert diag == before_streams.walk_diagnostics(walk, p0, point)
+        assert diag.gradient_ratio.checked == 4

@@ -45,10 +45,11 @@ import before_build
 import before_layer_chain as before
 import before_nash_williams
 import before_quotients
+import before_screen
 import before_search
 import before_streams as old
 import liouville as lv
-from liouville import caccioppoli, descent, graphs, numerics, radial
+from liouville import caccioppoli, descent, graphs, numerics, radial, screen
 from liouville import counterexamples as cx
 from liouville.errors import CalibrationError, InputError
 
@@ -1919,21 +1920,22 @@ def assert_pointwise_core_matches(walk, point):
 
 
 def check_bounds(monkeypatch):
-    """Make every `_Screened` check each bound it is given against the mpf
-    margin; a second call (the next example of a Hypothesis test) keeps it."""
-    if getattr(descent._Screened, "checks_bounds", False):
+    """Make every screened family (`descent._screened`) check each bound of its
+    column against the mpf margin; a second call (the next example of a
+    Hypothesis test) keeps it."""
+    screened = descent._screened
+    if getattr(screened, "checks_bounds", False):
         return
 
-    class CheckedBounds(descent._Screened):
-        checks_bounds = True
+    def checked(items, bounds, margin_of):
+        for item, bound in zip(items, bounds):
+            if bound is not None:
+                margin, _ = margin_of(item)
+                assert bound[0] <= margin <= bound[1], (bound, margin)
+        return screened(items, bounds, margin_of)
 
-        def add(self, item, bounds):
-            if bounds is not None:
-                margin, _ = self.margin_of(item)
-                assert bounds[0] <= margin <= bounds[1], (bounds, margin)
-            super().add(item, bounds)
-
-    monkeypatch.setattr(descent, "_Screened", CheckedBounds)
+    checked.checks_bounds = True
+    monkeypatch.setattr(descent, "_screened", checked)
 
 
 def planted_walk(plants, point=POINTS[0], p0=4, bits=128):
@@ -2067,6 +2069,220 @@ def test_walk_screen_sends_few_steps_to_mpf(monkeypatch, request, fixture):
     n = calls.get("_pointwise_margin", 0)
     assert n >= 990 if "_pointwise_margin" in every else n <= 4
     assert "check" not in calls
+
+
+# ---------------------------------------------------------------------------
+# The screen's callers, one column call per pass, against their per-item
+# forms (tests/before_screen.py): the same bounds and verdicts, float for
+# float, with None and _NEGATIVE at the same items
+
+COLUMN_BITS = [53, 128, 256, 1100]
+# a value planted into one stored u, running volume, profile row or walk
+# input: zero, negated, or scaled by 2^e with e past the reader's exponent
+# cap or more than 2^14 binary places from its neighbours'
+WILD = ["zero", "negated", 1 << 41, -(1 << 41), 1 << 40, 20000, -20000]
+
+
+def planted(x, wild):
+    """x with a `WILD` value planted."""
+    if wild == "zero":
+        return mp.mpf(0)
+    return -x if wild == "negated" else mp.ldexp(x, wild)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(screen_cases(), st.sampled_from(COLUMN_BITS),
+       st.none() | st.tuples(st.integers(0, 18), st.sampled_from(WILD)))
+def test_column_margin_screen_is_the_per_layer_screen(case, bits, wild):
+    with mp.workprec(bits):
+        tree, u, p, q, layers = build_case(case)
+        if wild is not None:
+            values = list(u.values())
+            k = wild[0] % len(values)
+            values[k] = planted(values[k], wild[1])
+            u = lv.RadialFunction(values, lo=u.lo)
+        term_of = lv.term_kernel(p, q)
+        assert cx._screen(tree, u, layers, term_of) == \
+            before_screen._screen(tree, u, layers, term_of)
+
+
+@pytest.mark.parametrize("bits", COLUMN_BITS)
+def test_column_margin_screen_on_a_two_sided_build_and_a_one_sided_root(regime1_small, bits):
+    """A V2 build over both arms, and regime I's one-sided build from its
+    root, rebuilt at the precision: the screen decides layers on both arms
+    and at the root, as the per-layer screen does."""
+    with lv.precision(128):
+        v2 = lv.calibrate("V2", lv.pq(2, -1), N=3, horizon=40)
+    with mp.workprec(bits):
+        for spec in (v2, regime1_small.spec):
+            built = lv.build(spec)
+            layers = cx._checked_layers(built.tree, None)
+            term_of = lv.term_kernel(spec.point.p, spec.point.q)
+            bounds = cx._screen(built.tree, built.u, layers, term_of)
+            assert bounds == before_screen._screen(built.tree, built.u, layers, term_of)
+            decided = [n for n, b in zip(layers, bounds) if b is not None]
+            assert layers[0] == (-40 if spec is v2 else 0) and decided
+            assert min(decided) < 0 < max(decided) if spec is v2 else 0 in decided
+
+
+@pytest.mark.parametrize("bits", [53, 128, 1100])
+def test_column_margin_screen_declines_terms_far_apart_as_before(bits):
+    """A sum whose two nonzero terms lie more than 2^14 binary places apart
+    leaves its layer undecided.  Layer 3 has u_2 = 2^-gap beside u_3 = 1, or
+    w_3 = 2^wgap beside w_2 = 1: at gap 10^4 only the squares' sum a d_out^2
+    + b d_in^2 is that far apart, at 17000 u_3 - u_2 itself, and at 5000
+    nothing is.  The root has u_1 = 2^-gap beside u_0 = 1, where the one
+    difference decides."""
+    term_of = lv.term_kernel(2, 1)
+    with mp.workprec(bits):
+        for gap, wgap, layer, decided in ((5000, 0, 3, True), (10000, 0, 3, False),
+                                          (17000, 0, 3, False), (0, 17000, 3, False),
+                                          (5000, 0, 0, True), (17000, 0, 0, False)):
+            weights = [mp.mpf(1)] * 3 + [mp.ldexp(1, wgap), mp.mpf(1), mp.mpf(1)]
+            tree = lv.RadialTree(2, weights)
+            values = [mp.mpf(4), mp.mpf(3), mp.ldexp(1, -gap), mp.mpf(1), mp.mpf("0.9"),
+                      mp.mpf("0.8"), mp.mpf("0.7")]
+            if layer == 0:
+                values[:2] = [mp.mpf(1), mp.ldexp(1, -gap)]
+            u = lv.RadialFunction(values)
+            layers = cx._checked_layers(tree, None)
+            bounds = cx._screen(tree, u, layers, term_of)
+            assert bounds == before_screen._screen(tree, u, layers, term_of)
+            assert (bounds[layers.index(layer)] is not None) == decided, (gap, wgap, layer)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(band_cases(), st.sampled_from(COLUMN_BITS),
+       st.none() | st.tuples(st.integers(0, 40), st.sampled_from(WILD)))
+def test_column_band_bounds_are_the_per_radius_bounds(case, bits, wild):
+    with mp.workprec(bits):
+        tree, law = build_band_case(case)
+        H = len(case["weights"]) - 1
+        vols = list(tree.ball_volumes(H))
+        if wild is not None:
+            k = wild[0] % (H + 1)
+            vols[k] = planted(vols[k], wild[1])
+        window = range(2, H + 1)
+        assert cx._band_bounds(vols, law, window) == \
+            before_screen._band_bounds(vols, law, window)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lambda_window_cases(), st.sampled_from(COLUMN_BITS),
+       st.none() | st.tuples(st.integers(0, 400), st.integers(0, 1), st.sampled_from(WILD)))
+@example({"regime": "III", "point": lv.pq(-1, F(3, 2)), "param": F(1, 10), "n0": 2 ** 27,
+          "H": 125, "bits": 128}, 1100, None)
+def test_column_window_bounds_are_the_per_m_bounds(case, bits, wild):
+    """The Lambda kernels' screens of a tail window, each kernel's `at`
+    returning its terms and rho: the same bounds and the same m proved
+    negative as with `at` bounding each m itself."""
+    regime, point, param, n0, H = (case[k] for k in ("regime", "point", "param", "n0", "H"))
+    lo, hi = (n + n0 for n in cx._tail_window(H))
+    with mp.workprec(bits):
+        profile, _, screened = cx._lambda_kernel(regime, point, param)
+        rows = [profile(m) for m in range(lo - 1, hi + 2)]
+        if wild is not None:
+            k, j, kind = wild[0] % len(rows), wild[1], wild[2]
+            row = list(rows[k])
+            row[j] = planted(mp.make_mpf(row[j]), kind)._mpf_
+            rows[k] = tuple(row)
+        assert screened(rows) == before_screen.lambda_screen(regime, point, param)(rows)
+
+
+def recorded_families(patch):
+    """Record the (items, bounds) columns each screened family of the walk
+    diagnostics and the pointwise bound is given, in order, from the package
+    and from the per-item reference."""
+    got, want = [], []
+    screened = descent._screened
+    patch.setattr(descent, "_screened", lambda items, bounds, margin_of: (
+        got.append((list(items), list(bounds))) or screened(items, bounds, margin_of)))
+
+    class Recorded(before_screen._Screened):
+        def done(self):
+            want.append(([item for item, _ in self.items], [b for _, b in self.items]))
+            return super().done()
+
+    patch.setattr(before_screen, "_Screened", Recorded)
+    return got, want
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(walk_cases(), st.sampled_from(COLUMN_BITS),
+       st.none() | st.tuples(st.integers(0, 7), st.sampled_from(["u", "lap", "grad", "drop"]),
+                             st.sampled_from(WILD)))
+def test_column_walk_screens_are_the_per_step_screens(case, bits, wild):
+    """Every family of the walk diagnostics and the pointwise bound gets the
+    bounds the per-step screen gave it, and the same report."""
+    with mp.workprec(bits):
+        walk = build_walk(case)
+        if wild is not None:
+            k, name, kind = wild[0] % len(walk.steps), wild[1], wild[2]
+            steps = list(walk.steps)
+            if getattr(steps[k], name) is not None:
+                steps[k] = dataclasses.replace(steps[k], **{name: planted(getattr(steps[k], name),
+                                                                         kind)})
+            walk = dataclasses.replace(walk, steps=tuple(steps))
+        point = case["point"]
+        with pytest.MonkeyPatch.context() as patch:
+            got, want = recorded_families(patch)
+            same(lv.walk_diagnostics, before_screen.walk_diagnostics, walk, case["p0"], point)
+            if point is not None:
+                sites = [(s.u, s.lap, s.grad ** 2) for s in walk.steps]
+                same(descent._pointwise_core, before_screen._pointwise_core, range(len(sites)),
+                     range(len(sites)), range(len(sites)), sites.__getitem__, point)
+        assert got == want
+
+
+def counted_kernels(patch):
+    """Count the calls of the screen's budget, verdict and shape kernels."""
+    calls = {}
+    for name in ("log2_bound", "solution_check", "margin_bounds"):
+        fn = getattr(screen, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        patch.setattr(screen, name, counted)
+    return calls
+
+
+def test_each_screen_pass_makes_one_call_per_kernel(regime4_walk):
+    """A 700-layer verify, a 4,081-n band, a tail window's minimum and a
+    pointwise bound over 1,000 layers each call each kernel they use once
+    (a verdict or shape call makes its own budget call); a walk's
+    diagnostics call them a fixed number of times, whatever its length."""
+    with lv.precision(128):
+        built = lv.build(lv.calibrate("I", lv.pq(2, 1), N=3, horizon=700, eps=F(1, 10)))
+        spec = built.spec
+        law = lv.volume_target(spec)
+        wide = lv.build(dataclasses.replace(spec, horizon=4097))
+        long_walk = lv.radial_descent_walk(regime4_walk.tree, regime4_walk.u, 0, 1000)
+        short_walk = lv.radial_descent_walk(regime4_walk.tree, regime4_walk.u, 0, 10)
+        runs = {
+            "verify": lambda: lv.verify_radial(built.tree, built.u, spec.p, spec.q, 700),
+            "band": lambda: lv.volume_band(wide, law, 16, 4096),
+            "window": lambda: cx._window_min("I", spec.point, spec.eps, spec.n0, 700),
+            "bound": lambda: lv.pointwise_bound_check_built(regime4_walk, 1000),
+            "walk": lambda: lv.walk_diagnostics(long_walk, 4, regime4_walk.spec.point),
+            "short walk": lambda: lv.walk_diagnostics(short_walk, 4, regime4_walk.spec.point),
+        }
+        counts = {}
+        for name, run in runs.items():
+            with pytest.MonkeyPatch.context() as patch:
+                calls = counted_kernels(patch)
+                result = run()
+            counts[name] = calls
+            if name == "verify":
+                assert result.n_layers == 701 and result.precision_bits == 128
+    assert counts["verify"] == {"solution_check": 1, "log2_bound": 1}
+    assert counts["band"] == {"log2_bound": 1}
+    assert counts["window"] == {"log2_bound": 1}
+    assert counts["bound"] == {"solution_check": 1, "margin_bounds": 1, "log2_bound": 2}
+    assert counts["walk"] == counts["short walk"] == {
+        "solution_check": 1, "margin_bounds": 4, "log2_bound": 5}
+    assert len(long_walk.steps) == 1001 and len(short_walk.steps) == 11
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ other module writes a budget or a reader of its own (nor a second search
 loop or margin report, nor a second copy of a closed form)."""
 
 import ast
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import mpmath as mp
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import before_screen as before
 from liouville import descent, screen
 
 PACKAGE = Path(screen.__file__).parent
@@ -44,7 +46,7 @@ def test_log2_bound_holds_log2_of_the_mpf_quantity(bits, constant, terms):
             c = mp.mpf(C.numerator) / C.denominator if isinstance(C, F) else mp.mpf(C)
             q *= x if C == 1 else 1 / x if C == -1 else mp.power(x, c)
             pairs.append((float(c), screen.log2_abs(x)[1]))
-        bound = screen.log2_bound(const, pairs)
+        bound, = screen.log2_bound([(const, pairs)])
     if bound is None:
         return
     y, err = bound
@@ -92,21 +94,20 @@ def test_extremes_keep_each_extreme_and_its_first_occurrence(data, vals):
 @settings(max_examples=300, deadline=None)
 @given(st.data(), values, st.lists(st.integers(0, 11), max_size=3))
 def test_screened_family_equals_the_full_evaluation(data, vals, nans):
-    """`descent._Screened` over the picked items, against `_Family` over
-    every item; a nan margin (unbounded, as the screen leaves every
-    non-finite input) makes both evaluate every item."""
+    """`descent._screened` over the columns of items and their bounds, against
+    `_Family` over every item; a nan margin (unbounded, as the screen leaves
+    every non-finite input) makes both evaluate every item."""
     margins = [mp.mpf(v) / 4 for v in vals]
     bounds = sound_bounds(data.draw, vals)
     for i in nans:
         if i < len(margins):
             margins[i], bounds[i] = mp.nan, None
     bounds = [b and (b[0] / 4, b[1] / 4) for b in bounds]
-    screened, family = descent._Screened(lambda i: (margins[i], margins[i] <= 0)), \
-        descent._Family()
-    for i, b in enumerate(bounds):
-        screened.add(i, b)
-        family.add(margins[i], margins[i] <= 0)
-    got, want = screened.done(), family.done()
+    family = descent._Family()
+    for m in margins:
+        family.add(m, m <= 0)
+    got = descent._screened(range(len(margins)), bounds, lambda i: (margins[i], margins[i] <= 0))
+    want = family.done()
     assert (got.checked, got.holds, got.worst_margin._mpf_) == \
         (want.checked, want.holds, want.worst_margin._mpf_)
 
@@ -214,3 +215,105 @@ def test_each_closed_form_is_written_once():
     assert closed_form_copies(ast.parse(source)) == [
         "1 _poly_profiles", "4 profile in _delta0_value", "5 profile in _delta0_value",
         "7 mp.e in build", "9 mp.e in _e_powers"]
+
+
+# ---------------------------------------------------------------------------
+# the column kernels against the per-item kernels they replaced
+# (tests/before_screen.py), float for float
+
+READ_BITS = [53, 128, 256, 1100]
+# an mpf input of a row: f 2^e across the float range and beyond the reader's
+# exponent cap, or zero, negative or not finite
+wild_inputs = st.sampled_from(["0", "-1.5", "-3e-200", "inf", "-inf", "nan"]) | st.tuples(
+    st.floats(0.5, 2.0), st.sampled_from([-(1 << 41), -(1 << 40), (1 << 40) - 60, 1 << 40,
+                                          1 << 41]))
+mpf_inputs = st.tuples(st.tuples(st.floats(0.5, 2.0), st.integers(-1100, 1100)),
+                       st.sampled_from([False] * 5 + [True]), wild_inputs).map(
+    lambda t: t[2] if t[1] else t[0])
+widens = st.sampled_from([0.0, 2.0 ** -60, 1e-12, 0.003, 1.45 * 2.0 ** -8])
+PLANTS = [None, "0", "1e-30", "-1e-30", "6.4e-10", "-6.4e-10", "6.6e-10", "-1e-9", "6e-7",
+          "7e-7", "-1e-3", "1e-3"]
+
+
+def as_mpf(x):
+    return mp.mpf(x) if isinstance(x, str) else mp.ldexp(mp.mpf(x[0]), x[1])
+
+
+def read(x):
+    """log2|x| as `screen.log2_abs` reads it, None where it declines x."""
+    found = screen.log2_abs(as_mpf(x))
+    return found and found[1]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(bits=st.sampled_from(READ_BITS),
+       items=st.lists(st.tuples(mpf_inputs, st.lists(
+           st.tuples(st.sampled_from(EXPONENTS), mpf_inputs), max_size=4)), max_size=8))
+def test_column_budget_is_the_per_item_budget(bits, items):
+    with mp.workprec(bits):
+        rows = []
+        for const, factors in items:
+            logs = [read(const)] + [read(x) for _, x in factors]
+            rows.append(None if None in logs else
+                        (logs[0], tuple((float(C), l) for (C, _), l in zip(factors, logs[1:]))))
+    want = [row and before.log2_bound(*row) for row in rows]
+    assert screen.log2_bound(rows) == want
+    assert screen.log2_bound(iter(rows)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.sampled_from(READ_BITS), x=mpf_inputs, sign=st.sampled_from([1, -1]))
+def test_the_reader_is_the_top53_cut(bits, x, sign):
+    """`log2_abs` inlines `top53`'s cut: the same log2 wherever it reads x."""
+    with mp.workprec(bits):
+        x = sign * as_mpf(x)
+        found = screen.log2_abs(x)
+        s, man, exp, _ = x._mpf_
+        f, e = screen.top53(man, exp) if man else (None, None)
+    if found is None:
+        assert not man or not -screen._EXP_CAP < e < screen._EXP_CAP
+    else:
+        assert found == (s, math.log2(f) + e)
+
+
+site_rows = st.tuples(mpf_inputs, mpf_inputs, mpf_inputs, widens, st.sampled_from(PLANTS),
+                      st.sampled_from([-1] * 5 + [1]))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(bits=st.sampled_from(READ_BITS), pq=st.sampled_from(EXPONENTS + [0]),
+       half_q=st.sampled_from(EXPONENTS + [0]), items=st.lists(site_rows, max_size=8))
+def test_column_verdict_is_the_per_item_verdict(bits, pq, half_q, items):
+    """Rows as `descent._site_logs` reads them, some with lap planted at
+    -term (1 + tau) around the verdict's cuts; the per-item (True, bounds)
+    is the column's bounds, False and None themselves."""
+    p, h = float(pq), float(half_q)
+    rows = []
+    with mp.workprec(bits):
+        for u, lap, g2, widen, tau, sign in items:
+            u, lap, g2 = as_mpf(u), sign * as_mpf(lap), as_mpf(g2)
+            if tau is not None and u > 0 and g2 > 0 and mp.isfinite(u * g2):
+                lap = -mp.power(u, pq) * mp.power(g2, half_q) * (1 + mp.mpf(tau))
+            logs = descent._site_logs(u, lap, g2)
+            rows.append(logs and (*logs, widen))
+    want = []
+    for row in rows:
+        verdict, bounds = before.solution_check(p, h, *row) if row else (None, None)
+        want.append(bounds if verdict else verdict)
+    assert screen.solution_check(p, h, rows) == want
+
+
+term_logs = st.floats(-1100, 1100) | st.sampled_from(
+    [0.0, -1.0, 1.0, 1000.0, 999.9999999, -1e-12, 1e-12, -0.5, 2.0 ** -30])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(shape=st.sampled_from(["falling", "valley", "rising"]),
+       const=st.sampled_from([0.0, 0.5, 1.5 ** 0.5, -3.25]),
+       rows=st.lists(st.none() | st.lists(st.tuples(st.sampled_from([1.0, -1.0, 0.5, -2.0]),
+                                                    term_logs), min_size=1, max_size=2),
+                     max_size=8))
+def test_column_shapes_are_the_per_item_shapes(shape, const, rows):
+    want = [None if terms is None else before.margin_bounds(shape, const, terms)
+            for terms in rows]
+    assert screen.margin_bounds(shape, const, rows) == want
