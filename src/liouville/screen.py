@@ -41,10 +41,8 @@ def log2_abs(x: mp.mpf):
     sign, man, exp, _ = x._mpf_
     if not man:
         return None
-    bc = man.bit_length()       # `top53`'s cut, inlined: every screen reads its items here
-    e = exp + bc
-    return (sign, log2(ldexp(man >> (bc - 53), -53) if bc > 53 else ldexp(man, -bc)) + e) \
-        if -_EXP_CAP < e < _EXP_CAP else None
+    f, e = top53(man, exp)
+    return (sign, log2(f) + e) if -_EXP_CAP < e < _EXP_CAP else None
 
 
 def exponent_floats(*exponents):
@@ -117,6 +115,7 @@ def solution_check(p, half_q, rows):
     above 2^-20 proves (lap + term)/term > 6e-7, far above tol (False);
     anything else, and a declined item, is None.
     """
+    rows = list(rows)               # read twice: by the budget, then by the verdict
     ells = log2_bound(row and (0.0, ((p, row[0]), (half_q, row[2]), (-1.0, row[1][1])))
                       for row in rows)
     verdicts = []
@@ -164,14 +163,14 @@ def margin_bounds(shape, const, rows):
     """
     out = []
     for bound in log2_bound(None if terms is None else (const, terms) for terms in rows):
-        if bound is None:
-            out.append(None)
+        if bound is None or shape == "rising" and bound[0] + bound[1] > 1000:
+            out.append(None)        # "rising": 2^b beyond the float range
             continue
         a, b = bound[0] - bound[1], bound[0] + bound[1]
         if shape == "falling":
             lo, hi = _falling(b), _falling(a)
-        elif shape == "rising":     # 2^b beyond the float range decides nothing
-            lo, hi = (expm1(a * LN2), expm1(b * LN2)) if b <= 1000 else (math.inf, math.inf)
+        elif shape == "rising":
+            lo, hi = expm1(a * LN2), expm1(b * LN2)
         else:
             ends = _valley(a), _valley(b)
             lo, hi = (-0.5 if a <= -1 <= b else min(ends)), max(ends)

@@ -261,21 +261,6 @@ def test_column_budget_is_the_per_item_budget(bits, items):
     assert screen.log2_bound(iter(rows)) == want
 
 
-@settings(max_examples=300, deadline=None)
-@given(bits=st.sampled_from(READ_BITS), x=mpf_inputs, sign=st.sampled_from([1, -1]))
-def test_the_reader_is_the_top53_cut(bits, x, sign):
-    """`log2_abs` inlines `top53`'s cut: the same log2 wherever it reads x."""
-    with mp.workprec(bits):
-        x = sign * as_mpf(x)
-        found = screen.log2_abs(x)
-        s, man, exp, _ = x._mpf_
-        f, e = screen.top53(man, exp) if man else (None, None)
-    if found is None:
-        assert not man or not -screen._EXP_CAP < e < screen._EXP_CAP
-    else:
-        assert found == (s, math.log2(f) + e)
-
-
 site_rows = st.tuples(mpf_inputs, mpf_inputs, mpf_inputs, widens, st.sampled_from(PLANTS),
                       st.sampled_from([-1] * 5 + [1]))
 
@@ -301,6 +286,7 @@ def test_column_verdict_is_the_per_item_verdict(bits, pq, half_q, items):
         verdict, bounds = before.solution_check(p, h, *row) if row else (None, None)
         want.append(bounds if verdict else verdict)
     assert screen.solution_check(p, h, rows) == want
+    assert screen.solution_check(p, h, iter(rows)) == want
 
 
 term_logs = st.floats(-1100, 1100) | st.sampled_from(
