@@ -1306,7 +1306,10 @@ def _band_bounds(vols: list, law: PowerLogLaw, window: range) -> list:
     log2, log = math.log2, math.log
     rows = ((lv[1], ((a, log2(n)), (b, log2(log(n))))) if lv and not lv[0] else None
             for n, lv in zip(window, map(screen.log2_abs, map(vols.__getitem__, window))))
-    return [(b[0] - b[1], b[0] + b[1]) if b else undecided for b in screen.log2_bound(rows)]
+    bounds = screen.log2_bound(rows)
+    for i, bound in enumerate(bounds):      # in place, each (y, err) freed as it goes
+        bounds[i] = (bound[0] - bound[1], bound[0] + bound[1]) if bound else undecided
+    return bounds
 
 
 def volume_band(built: BuiltCounterexample, target: Callable[[int], object],
