@@ -3,7 +3,6 @@ other module writes a budget or a reader of its own (nor a second search
 loop or margin report, nor a second copy of a closed form)."""
 
 import ast
-import math
 from fractions import Fraction as F
 from pathlib import Path
 
