@@ -584,7 +584,7 @@ def _lambda_kernel(regime: str, point: PQPoint, param):
       -p, gn) is read as log2 of its value on exact inputs: at most 13 units
       (a unit is 2^-52) of 53-bit cuts, a unit each, and float sums,
       products and quotients, half a unit each, then libm's log2 on
-      [1/2, 1) and a sum (`_log2`).  That is within 20 units plus half a
+      [1/2, 1) and a sum (`screen._log2`).  That is within 20 units plus half a
       unit of the result, inside `screen.log2_bound`'s allowance per input.
     - combine's roundings before its final products and powers move each
       factor by a relative rho: the drift by c 2^-prec (kappa + 1), kappa the
@@ -640,26 +640,26 @@ def _drift_kernel(plus_one: bool, p, q, unit, c_g, c_x, c_q, param):
         fD, eD = screen.top53(abs(D[0]), D[1])
         (fWm, eWm), (fWn, eWn) = rW[i - 1], rW[i]
         (fgd, egd), (fgn, egn), (fgu, egu) = rg[i - 1], rg[i], rg[i + 1]
-        fP, eP = _fsum(fWn * fgd, eWn + egd, fWm * fgu, eWm + egu)
-        rho_d = 5.2 * unit * (_ratio(fP * fgn, eP + egn, fD, eD) + 1)
-        k_q = max(_ratio(*_fsum(fgd, egd, fgn, egn), dn[2], dn[3]),
-                  _ratio(*_fsum(fgn, egn, fgu, egu), up[2], up[3]))
+        fP, eP = screen._fsum(fWn * fgd, eWn + egd, fWm * fgu, eWm + egu)
+        rho_d = 5.2 * unit * (screen._ratio(fP * fgn, eP + egn, fD, eD) + 1)
+        k_q = max(screen._ratio(*screen._fsum(fgd, egd, fgn, egn), dn[2], dn[3]),
+                  screen._ratio(*screen._fsum(fgn, egn, fgu, egu), up[2], up[3]))
         rho_q = 2.1 * unit * (k_q + 4)
         if not max(rho_d, rho_q) <= 0.00390625:
             return None
         if D[0] < 0:
             return _NEGATIVE
-        fw, ew = _fsum(fWm, eWm, fWn, eWn)
+        fw, ew = screen._fsum(fWm, eWm, fWn, eWn)
         t_up, t_dn = up[2] / (fgn * fgu), dn[2] / (fgd * fgn)
-        fs, es = _fsum(fWn * t_up * t_up, eWn + 2 * (up[3] - egn - egu),
-                       fWm * t_dn * t_dn, eWm + 2 * (dn[3] - egd - egn))
-        drift = _log2(fD / (fw * fgd * fgu), eD - ew - egd - egu)
-        quad = _log2(fs / fw, es - ew - 1)
+        fs, es = screen._fsum(fWn * t_up * t_up, eWn + 2 * (up[3] - egn - egu),
+                              fWm * t_dn * t_dn, eWm + 2 * (dn[3] - egd - egn))
+        drift = screen._log2(fD / (fw * fgd * fgu), eD - ew - egd - egu)
+        quad = screen._log2(fs / fw, es - ew - 1)
         rho = rho_d + abs(c_q) * rho_q
         if not plus_one:
             return ((c_g, math.log2(fgn) + egn), (1.0, drift), (c_q, quad)), rho
         fx, ex = screen.top53(*_exact_sum(*g[i], 1, 0))                        # gn + 1
-        return (((1.0, drift), (c_x, _log2(fx / fgn, ex - egn)),
+        return (((1.0, drift), (c_x, screen._log2(fx / fgn, ex - egn)),
                  (-1.0, math.log2(fgn) + egn), (c_q, quad)), rho + abs(c_x) * 2.1 * unit)
 
     return combine, at
@@ -688,16 +688,16 @@ def _log_kernel(p, q, unit, c_g, c_x, c_q, param):
             return None
         fL, eL = screen.top53(*L)
         (fWm, eWm), (fWn, eWn), (fu, eu), (fd, ed) = rW[i - 1], rW[i], rf[i + 1], rf[i - 1]
-        rho_d = 4.2 * unit * (_ratio(*_fsum(fWn * fu, eWn + eu, fWm * fd, eWm + ed),
-                                       fL, eL) + 1)
+        rho_d = 4.2 * unit * (screen._ratio(*screen._fsum(fWn * fu, eWn + eu, fWm * fd,
+                                                          eWm + ed), fL, eL) + 1)
         if not rho_d <= 0.00390625:
             return None
-        fw, ew = _fsum(fWm, eWm, fWn, eWn)
-        fs, es = _fsum(fWn * up[2] * up[2], eWn + 2 * up[3], fWm * dn[2] * dn[2],
-                       eWm + 2 * dn[3])
+        fw, ew = screen._fsum(fWm, eWm, fWn, eWn)
+        fs, es = screen._fsum(fWn * up[2] * up[2], eWn + 2 * up[3], fWm * dn[2] * dn[2],
+                              eWm + 2 * dn[3])
         fx, ex = screen.top53(*_exact_sum(*f[i], 1, 0))                        # fn + 1
-        return (((1.0, _log2(fL / fw, eL - ew)), (c_x, math.log2(fx) + ex),
-                 (c_q, _log2(fs / fw, es - ew - 1))),
+        return (((1.0, screen._log2(fL / fw, eL - ew)), (c_x, math.log2(fx) + ex),
+                 (c_q, screen._log2(fs / fw, es - ew - 1))),
                 rho_d + (1.1 * abs(c_x) + 7.2 * abs(c_q)) * unit)
 
     return combine, at
@@ -729,15 +729,15 @@ def _reciprocal_kernel(p, q, unit, c_g, c_x, c_q, lam):
             return None
         fT, eT = screen.top53(abs(T[0]), T[1])
         (fm, em), (fu, eu) = rM[i - 1], rV[i + 1]
-        rho_d = 3.2 * unit * (_ratio(*_fsum(fm * fu, em + eu, fr, er), fT, eT) + 1)
+        rho_d = 3.2 * unit * (screen._ratio(*screen._fsum(fm * fu, em + eu, fr, er), fT, eT) + 1)
         if not rho_d <= 0.00390625:
             return None
         if T[0] < 0:
             return _NEGATIVE
-        fs, es = _fsum(up[2] * up[2], 2 * up[3], fr * dn[2] * dn[2], er + 2 * dn[3])
+        fs, es = screen._fsum(up[2] * up[2], 2 * up[3], fr * dn[2] * dn[2], er + 2 * dn[3])
         fx, ex = screen.top53(*_exact_sum(m_n, x_n, 1, 0))                     # inv_n + 1
-        return (((1.0, _log2(fT / (fo * fm), eT - eo - em)), (c_x, math.log2(fx) + ex),
-                 (-0.5, _log2(fs / ft, es - et))), rho_d + (1.1 * abs(c_x) + 3.6) * unit)
+        return (((1.0, screen._log2(fT / (fo * fm), eT - eo - em)), (c_x, math.log2(fx) + ex),
+                 (-0.5, screen._log2(fs / ft, es - et))), rho_d + (1.1 * abs(c_x) + 3.6) * unit)
 
     return combine, at
 
@@ -758,9 +758,9 @@ class _Screened(NamedTuple):
 def _window_bounds(rows, at) -> _Screened:
     """at(m, A, B, rA, rB, dn, up) for each inner row m of the profile rows,
     split into `_Screened`: at gives (terms of log2 Lambda(m), rho), None or
-    _NEGATIVE, and one `screen.log2_bound` call bounds the terms, widened by
-    1.45 rho.  A and B hold
-    each row's values (A, B) as (mantissa, exponent), exactly, rA and rB
+    _NEGATIVE, one `screen.log2_bound` call bounds the terms, with no widen,
+    and each bound (lo, hi) becomes (lo - 1.45 rho, hi + 1.45 rho).  A and B
+    hold each row's values (A, B) as (mantissa, exponent), exactly, rA and rB
     their `screen.top53`, and dn and up are the differences of the pairs of
     rows below and above m, (D, e, f, E) with D 2^e = B_{k+1} - B_k exactly
     and (f, E) the top53 of |D|, or None where that is zero (or its
@@ -781,32 +781,9 @@ def _window_bounds(rows, at) -> _Screened:
     reads = A, B, [top53(*a) for a in A], [top53(*b) for b in B]
     verdicts = [at(i, *reads, diffs[i - 1], diffs[i]) for i in range(1, len(rows) - 1)]
     found = [None if v is _NEGATIVE else v for v in verdicts]
-    bounds = screen.log2_bound(v and (0.0, v[0]) for v in found)
-    return _Screened([b and (b[0] - b[1] - 1.45 * v[1], b[0] + b[1] + 1.45 * v[1])
+    bounds = screen.log2_bound(v and (0.0, v[0], 0.0) for v in found)
+    return _Screened([b and (b[0] - 1.45 * v[1], b[1] + 1.45 * v[1])
                       for b, v in zip(bounds, found)], [v is _NEGATIVE for v in verdicts])
-
-
-def _fsum(fa, ea, fb, eb):
-    """(f, e), f 2^e the float sum of fa 2^ea and fb 2^eb (fa, fb > 0), within
-    half a unit: the term of lower exponent is scaled down, never up."""
-    if ea >= eb:
-        return fa + math.ldexp(fb, eb - ea), ea
-    return math.ldexp(fa, ea - eb) + fb, eb
-
-
-def _ratio(fa, ea, fb, eb) -> float:
-    """The float fa 2^ea / (fb 2^eb), its binary exponent capped at 1000: the
-    bounds' fa/fb exceeds 1/8, so a capped ratio still exceeds 2^996, which
-    no rho <= 2^-8 allows."""
-    return math.ldexp(fa / fb, min(ea - eb, 1000))
-
-
-def _log2(f, e) -> float:
-    """log2(f 2^e), f > 0 a float and e an int: frexp splits f exactly, so
-    libm's log2 reads a number in [1/2, 1), within half a unit, and the sum
-    rounds once, by half a unit of the result."""
-    f, k = math.frexp(f)
-    return math.log2(f) + (e + k)
 
 
 def _lambda_window(regime: str, point: PQPoint, param, lo: int, hi: int) -> list[mp.mpf]:
@@ -1286,7 +1263,7 @@ def volume_target(spec: RegimeSpec) -> PowerLogLaw | ExpLaw:
 
 def _band_bounds(vols: list, law: PowerLogLaw, window: range) -> list:
     """Float64 bounds (lo, hi) on log2 of the mpf ratio vols[n] / law(n),
-    per n of the window; (-inf, inf) where undecided.
+    per n of the window; None where undecided.
 
     The screen's input stage: the ratio is vols[n] n^-A (ln n)^-B, A and B
     the law's exponents, and `screen.log2_bound` takes log2 vols[n], read
@@ -1298,18 +1275,14 @@ def _band_bounds(vols: list, law: PowerLogLaw, window: range) -> list:
     decides nothing stays a candidate and excuses no other n; so does every
     n of a law with an exponent floats cannot carry, or below 53 bits.
     """
-    undecided = (-math.inf, math.inf)
     floats = screen.exponent_floats(law.expo, law.logexp)
     if floats is None:
-        return [undecided] * len(window)
+        return [None] * len(window)
     a, b = -floats[0], -floats[1]
     log2, log = math.log2, math.log
-    rows = ((lv[1], ((a, log2(n)), (b, log2(log(n))))) if lv and not lv[0] else None
-            for n, lv in zip(window, map(screen.log2_abs, map(vols.__getitem__, window))))
-    bounds = screen.log2_bound(rows)
-    for i, bound in enumerate(bounds):      # in place, each (y, err) freed as it goes
-        bounds[i] = (bound[0] - bound[1], bound[0] + bound[1]) if bound else undecided
-    return bounds
+    return screen.log2_bound(
+        (lv[1], ((a, log2(n)), (b, log2(log(n)))), 0.0) if lv and not lv[0] else None
+        for n, lv in zip(window, map(screen.log2_abs, map(vols.__getitem__, window))))
 
 
 def volume_band(built: BuiltCounterexample, target: Callable[[int], object],

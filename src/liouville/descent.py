@@ -20,7 +20,7 @@ gate is closed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import mpmath as mp
 from mpmath.libmp import fzero, mpf_le, mpf_neg, mpf_sqrt
@@ -168,23 +168,8 @@ class WalkDiagnostics:
     solution_sites: int
 
 
-class _Family:
-    def __init__(self):
-        self.margins = []
-        self.ok = True
-
-    def add(self, margin, ok):
-        self.margins.append(margin)
-        if not ok:
-            self.ok = False
-
-    def done(self) -> BoundFamily:
-        return BoundFamily(checked=len(self.margins), holds=self.ok,
-                           worst_margin=max(self.margins) if self.margins else None)
-
-
 def _screened(items, bounds, margin_of) -> BoundFamily:
-    """A family's margins behind the float64 screen: `_Family`, fed columns.
+    """A family's report, its margins behind the float64 screen.
 
     items are the family's members, in order, and bounds[i] is (lo, hi) with
     lo <= the mpf margin of items[i] <= hi, or None where the screen did not
@@ -196,17 +181,16 @@ def _screened(items, bounds, margin_of) -> BoundFamily:
     evaluated one fails too (the sandwich's sign condition only fails
     unbounded items).  A nan margin (only from non-finite inputs) voids the
     screen, since the maximum of a list holding a nan depends on where the
-    nan sits: then every item is evaluated.  The report equals `_Family`'s
-    over every margin bit for bit.
+    nan sits: then every item is evaluated.  The report equals the count,
+    the conjunction of the verdicts and the maximum, in order, over every
+    margin bit for bit.
     """
     picked = screen.extremes(bounds, high=True)
     checks = [margin_of(items[i]) for i in picked]
     if any(mp.isnan(m) for m, _ in checks):
         checks = [margin_of(item) for item in items]
-    family = _Family()
-    for check in checks:
-        family.add(*check)
-    return replace(family.done(), checked=len(items))
+    return BoundFamily(checked=len(items), holds=all(ok for _, ok in checks),
+                       worst_margin=max((m for m, _ in checks), default=None))
 
 
 class _Screened:
@@ -312,7 +296,6 @@ def walk_diagnostics(walk: DescentWalk, p0=None,
         reads.append(logs and (*logs, drop[1] if drop and not drop[0] else None) or None)
     verdicts = screen.solution_check(p, half_q, [point and r and (r[0], r[1], 2 * r[2], 0.0)
                                                  for r in reads])
-    dec = _Family()
     sand = _Screened(lambda s: _sandwich(s, tol), "valley", 0.0, lambda r: r[1][0]
                      and r[3] is not None and ((1.0, r[1][1]), (-1.0, r[3])) or None)
     avg = _Screened(lambda s: _averaging(s, sqrt2, tol), "falling", 0.5,
@@ -333,7 +316,6 @@ def walk_diagnostics(walk: DescentWalk, p0=None,
         if solves:
             solution_sites += 1
         if step.drop is not None:
-            dec.add(-step.drop, step.drop > 0)
             if solves:
                 sand.add(step, logs)
             # the gradient ratio bound only needs a nonpositive Laplacian and
@@ -342,9 +324,11 @@ def walk_diagnostics(walk: DescentWalk, p0=None,
                 gratio.add(step, logs)
         if point is not None and solves and step.grad > 0:
             ppower.add(step, logs)
+    rises = [-s.drop for s in walk.steps if s.drop is not None]
     return WalkDiagnostics(
         n_sites=len(walk.steps),
-        strict_decrease=dec.done(),
+        strict_decrease=BoundFamily(len(rises), all(m < 0 for m in rises),
+                                    max(rises, default=None)),
         sandwich=sand.done(),
         averaging=avg.done(),
         gradient_ratio=gratio.done() if p0 is not None else None,

@@ -5,7 +5,9 @@ the minimum of Lambda over a tail window.
 Each bounds log2 of every item's mpf quantity in float64, and mpf then
 evaluates only the items whose bounds cannot settle a verdict or an
 extreme.  Each caller keeps its input stage, how it reads the log2 of its
-inputs; the reader, the one error budget and the picker are here.
+inputs; the reader with its float-pair arithmetic, the one error budget,
+which hands out each item's bounds (lo, hi) or None, and the picker are
+here.
 """
 
 from __future__ import annotations
@@ -34,6 +36,29 @@ def top53(man: int, exp: int):
     return (ldexp(man >> (bc - 53), -53) if bc > 53 else ldexp(man, -bc)), exp + bc
 
 
+def _fsum(fa, ea, fb, eb):
+    """(f, e), f 2^e the float sum of fa 2^ea and fb 2^eb (fa, fb > 0), within
+    half a unit: the term of lower exponent is scaled down, never up."""
+    if ea >= eb:
+        return fa + math.ldexp(fb, eb - ea), ea
+    return math.ldexp(fa, ea - eb) + fb, eb
+
+
+def _ratio(fa, ea, fb, eb) -> float:
+    """The float fa 2^ea / (fb 2^eb), its binary exponent capped at 1000: the
+    bounds' fa/fb exceeds 1/8, so a capped ratio still exceeds 2^996, which
+    no rho <= 2^-8 allows."""
+    return math.ldexp(fa / fb, min(ea - eb, 1000))
+
+
+def _log2(f, e) -> float:
+    """log2(f 2^e), f > 0 a float and e an int: frexp splits f exactly, so
+    libm's log2 reads a number in [1/2, 1), within half a unit, and the sum
+    rounds once, by half a unit of the result."""
+    f, k = math.frexp(f)
+    return math.log2(f) + (e + k)
+
+
 def log2_abs(x: mp.mpf):
     """(x < 0, log2|x|) from the top 53 bits of x, within 2 units plus half a
     unit of the result; None for zero, a non-finite x or a binary exponent
@@ -58,10 +83,11 @@ def exponent_floats(*exponents):
 
 
 def log2_bound(rows):
-    """Per row (const, terms), (y, err) with y = const + sum of c l over the
-    (c, l) terms and err a bound on |y - log2 Q|, Q the mpf quantity y stands
-    for; None for a row None (an item the caller's input stage declines) or
-    where err exceeds 2^-10 (or is not finite).
+    """Per row (const, terms, widen), bounds (lo, hi) = y -+ (err + widen) on
+    log2 Q, Q the mpf quantity y = const + sum of c l over the (c, l) terms
+    stands for and err the budget's bound on |y - log2 Q|; None for a row
+    None (an item the caller's input stage declines) or where err exceeds
+    2^-10 (or is not finite), whatever widen is.
 
     Q = K x_1^C_1 ... x_m^C_m (m <= 4) is formed in mpf at the working
     precision prec >= 53 from its inputs x_i: a power per factor (none
@@ -82,22 +108,26 @@ def log2_bound(rows):
       bits), so 6 + 1.1 |c l| in log2, and the eight roundings, 1.45/2
       each: under 24 + 1.1 sum |c l| + 6.
     All of it is below 64 S units; err = 2^-44 S is four times that.
-    A caller whose input stage carries an error of its own that does not
-    scale with S (`verify`'s Laplacian under cancellation) adds it to err.
+    widen is an error of the caller's input stage that does not scale
+    with S (`verify`'s Laplacian under cancellation), 0.0 where none.
     """
     out = []
     for row in rows:
         if row is None:
             out.append(None)
             continue
-        y, terms = row
+        y, terms, widen = row
         size = 1.0 + abs(y)
         for c, l in terms:
             t = c * l
             y += t
             size += abs(c) + abs(t)
         err = SLACK * size
-        out.append((y, err) if err <= UNDECIDED else None)
+        if err <= UNDECIDED:
+            err += widen
+            out.append((y - err, y + err))
+        else:
+            out.append(None)
     return out
 
 
@@ -108,15 +138,15 @@ def solution_check(p, half_q, rows):
     declines the item: lap is (lap < 0, ll = log2|lap|) as `log2_abs` reads
     it, lu = log2 u, lg2 = log2 grad^2 and widen an error of the caller's
     ll outside the budget.  A positive Laplacian fails (False).  Otherwise
-    the `log2_bound` of ell = log2(term/|lap|), its err widened by widen,
-    decides: ell below -2^-30 proves lap + term < 0 with
+    the `log2_bound` (lo, hi) of ell = log2(term/|lap|), with widen as its
+    row's, decides: ell below -2^-30 proves lap + term < 0 with
     |lap + term|/|lap| > 6e-10, far beyond ten tolerances (a pass, given
     as bounds (lo, hi) on log2|lap + term| = ll + log2(1 - 2^ell)); ell
     above 2^-20 proves (lap + term)/term > 6e-7, far above tol (False);
     anything else, and a declined item, is None.
     """
     rows = list(rows)               # read twice: by the budget, then by the verdict
-    ells = log2_bound(row and (0.0, ((p, row[0]), (half_q, row[2]), (-1.0, row[1][1])))
+    ells = log2_bound(row and (0.0, ((p, row[0]), (half_q, row[2]), (-1.0, row[1][1])), row[3])
                       for row in rows)
     verdicts = []
     for row, bound in zip(rows, ells):
@@ -124,14 +154,14 @@ def solution_check(p, half_q, rows):
             verdicts.append(None if row is None or row[1][0] else False)
             continue
         (_, ll), widen = row[1], row[3]
-        ell, err = bound[0], bound[1] + widen
-        if not ell + err < EXCUSE:
-            verdicts.append(False if ell - err > FAILS else None)
+        lo, hi = bound
+        if not hi < EXCUSE:
+            verdicts.append(False if lo > FAILS else None)
             continue
         # log2(1 - 2^y) falls with y; the roundings of the mpf sum lap + term
         # and of libm's expm1 and log2 are a few units of each end
-        g_lo = log2(-expm1((ell + err) * LN2))
-        g_hi = log2(-expm1((ell - err) * LN2))
+        g_lo = log2(-expm1(hi * LN2))
+        g_hi = log2(-expm1(lo * LN2))
         verdicts.append((ll + g_lo - widen - SLACK * (1 + abs(ll) + abs(g_lo)),
                          ll + g_hi + widen + SLACK * (1 + abs(ll) + abs(g_hi))))
     return verdicts
@@ -151,7 +181,7 @@ def _valley(x):
 
 def margin_bounds(shape, const, rows):
     """Per item, bounds (lo, hi) on a margin given as a function of y, from
-    the `log2_bound` (y, err) of y, the items' common constant const and
+    the `log2_bound` (a, b) of y, the items' common constant const and
     their terms rows; None where that is None or the bounds are not finite.
 
     shape "falling": (1 - 2^y)/max(1, 2^y); "valley": `_valley`, the
@@ -162,11 +192,11 @@ def margin_bounds(shape, const, rows):
     cover them.
     """
     out = []
-    for bound in log2_bound(None if terms is None else (const, terms) for terms in rows):
-        if bound is None or shape == "rising" and bound[0] + bound[1] > 1000:
+    for bound in log2_bound(None if terms is None else (const, terms, 0.0) for terms in rows):
+        if bound is None or shape == "rising" and bound[1] > 1000:
             out.append(None)        # "rising": 2^b beyond the float range
             continue
-        a, b = bound[0] - bound[1], bound[0] + bound[1]
+        a, b = bound
         if shape == "falling":
             lo, hi = _falling(b), _falling(a)
         elif shape == "rising":

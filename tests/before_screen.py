@@ -8,7 +8,10 @@ kernels' `at`, and the screening loops of `walk_diagnostics` and
 The column kernels of `liouville.screen` and their callers must give the
 same bounds and verdicts, float for float, with None at the same items.
 These copies read the package's reader (`screen.top53`, `screen.log2_abs`),
-its constants, its picker and the helpers no screen change touched.
+its constants, its picker and the helpers no screen change touched.  The
+float-pair helpers `_fsum`, `_ratio` and `_log2` and the family accumulator
+`_Family` are copied here as they read then, so that the reference does not
+change with the package.
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ from math import expm1, log2
 import mpmath as mp
 
 from liouville import screen
-from liouville.counterexamples import (_NEGATIVE, _Screened as _LambdaScreened, _fsum, _log2,
-                                       _ratio, term_kernel)
-from liouville.descent import (WalkDiagnostics, PointwiseBoundReport, _Family, _site_logs,
+from liouville.counterexamples import _NEGATIVE, _Screened as _LambdaScreened, term_kernel
+from liouville.descent import (BoundFamily, WalkDiagnostics, PointwiseBoundReport, _site_logs,
                                _averaging, _sandwich, _gradient_ratio, _pointwise_power,
                                _pointwise_margin, _UNDEFINED, _NOT_A_SOLUTION)
 from liouville.errors import InputError
@@ -31,6 +33,45 @@ from liouville.graphs import checked_p0
 from liouville.numerics import rel_tol, to_mpf
 from liouville.regions import PQPoint
 from liouville.screen import EXCUSE, FAILS, LN2, SLACK, UNDECIDED, _TINY
+
+
+def _fsum(fa, ea, fb, eb):
+    """(f, e), f 2^e the float sum of fa 2^ea and fb 2^eb (fa, fb > 0), within
+    half a unit: the term of lower exponent is scaled down, never up."""
+    if ea >= eb:
+        return fa + math.ldexp(fb, eb - ea), ea
+    return math.ldexp(fa, ea - eb) + fb, eb
+
+
+def _ratio(fa, ea, fb, eb) -> float:
+    """The float fa 2^ea / (fb 2^eb), its binary exponent capped at 1000: the
+    bounds' fa/fb exceeds 1/8, so a capped ratio still exceeds 2^996, which
+    no rho <= 2^-8 allows."""
+    return math.ldexp(fa / fb, min(ea - eb, 1000))
+
+
+def _log2(f, e) -> float:
+    """log2(f 2^e), f > 0 a float and e an int: frexp splits f exactly, so
+    libm's log2 reads a number in [1/2, 1), within half a unit, and the sum
+    rounds once, by half a unit of the result."""
+    f, k = math.frexp(f)
+    return math.log2(f) + (e + k)
+
+
+class _Family:
+    def __init__(self):
+        self.margins = []
+        self.ok = True
+
+    def add(self, margin, ok):
+        self.margins.append(margin)
+        if not ok:
+            self.ok = False
+
+    def done(self) -> BoundFamily:
+        return BoundFamily(checked=len(self.margins), holds=self.ok,
+                           worst_margin=max(self.margins) if self.margins else None)
+
 
 def log2_bound(const, terms):
     """(y, err) with y = const + sum of c l over the (c, l) terms, and err a

@@ -6,6 +6,8 @@ as it was written when every loop called `laplacian_at`/`gradient_at`,
 Harnack scan, `radial_harnack_check`, is the one-sided method with its
 layer range read from the tree, so that it serves both tree classes).
 `test_reference.py` holds the rewritten functions to these, exactly.
+`_Family` is the package's accumulator of a bound family's report as it
+read then, copied here so that the reference does not change with it.
 """
 
 from __future__ import annotations
@@ -17,14 +19,30 @@ import mpmath as mp
 from liouville.caccioppoli import (EstimateReport, TestFunction, _estimate_exponents,
                                    _finish_report)
 from liouville.counterexamples import BuiltCounterexample, MarginReport, _checked_layers
-from liouville.descent import (DescentWalk, DescentStep, PointwiseBoundReport,
-                               WalkDiagnostics, _Family)
+from liouville.descent import (BoundFamily, DescentWalk, DescentStep, PointwiseBoundReport,
+                               WalkDiagnostics)
 from liouville.errors import InputError
 from liouville.graphs import (GraphFunction, HarnackReport, WeightedGraph, _require_total,
                               gradient_norm, laplacian, vertex_measure)
 from liouville.numerics import check_le, check_nonpositive, rel_tol, to_mpf
 from liouville.radial import RadialFunction, RadialTree, TwoSidedRadialTree
 from liouville.regions import PQPoint, st_condition
+
+
+class _Family:
+    def __init__(self):
+        self.margins = []
+        self.ok = True
+
+    def add(self, margin, ok):
+        self.margins.append(margin)
+        if not ok:
+            self.ok = False
+
+    def done(self) -> BoundFamily:
+        return BoundFamily(checked=len(self.margins), holds=self.ok,
+                           worst_margin=max(self.margins) if self.margins else None)
+
 
 def nonlinear_term(u_value, grad_sq, p, q) -> mp.mpf:
     """u^p |grad u|^q with the q = 0 convention |grad u|^0 = 1.

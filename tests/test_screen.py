@@ -30,7 +30,7 @@ factors = st.tuples(st.sampled_from(EXPONENTS), st.floats(1.0, 2.0, exclude_max=
                                            (5, 1.0000000000000002, -1000)])
 def test_log2_bound_holds_log2_of_the_mpf_quantity(bits, constant, terms):
     """Q = K x_1^C_1 ... x_m^C_m formed in mpf, with x = f 2^e across 2^+-1000:
-    log2 Q lies within err of y wherever the bound decides."""
+    log2 Q lies within the bounds (lo, hi) wherever the budget decides."""
     with mp.workprec(bits):
         if constant == "1":
             q, const = mp.mpf(1), 0.0
@@ -45,12 +45,12 @@ def test_log2_bound_holds_log2_of_the_mpf_quantity(bits, constant, terms):
             c = mp.mpf(C.numerator) / C.denominator if isinstance(C, F) else mp.mpf(C)
             q *= x if C == 1 else 1 / x if C == -1 else mp.power(x, c)
             pairs.append((float(c), screen.log2_abs(x)[1]))
-        bound, = screen.log2_bound([(const, pairs)])
+        bound, = screen.log2_bound([(const, pairs, 0.0)])
     if bound is None:
         return
-    y, err = bound
+    lo, hi = bound
     with mp.workprec(bits + 64):
-        assert y - err <= mp.log(q, 2) <= y + err
+        assert lo <= mp.log(q, 2) <= hi
 
 
 values = st.lists(st.integers(-4, 4), min_size=1, max_size=12)
@@ -94,21 +94,18 @@ def test_extremes_keep_each_extreme_and_its_first_occurrence(data, vals):
 @given(st.data(), values, st.lists(st.integers(0, 11), max_size=3))
 def test_screened_family_equals_the_full_evaluation(data, vals, nans):
     """`descent._screened` over the columns of items and their bounds, against
-    `_Family` over every item; a nan margin (unbounded, as the screen leaves
-    every non-finite input) makes both evaluate every item."""
+    the count, the conjunction of the verdicts and the maximum, in order, over
+    every item; a nan margin (unbounded, as the screen leaves every non-finite
+    input) makes `_screened` evaluate every item."""
     margins = [mp.mpf(v) / 4 for v in vals]
     bounds = sound_bounds(data.draw, vals)
     for i in nans:
         if i < len(margins):
             margins[i], bounds[i] = mp.nan, None
     bounds = [b and (b[0] / 4, b[1] / 4) for b in bounds]
-    family = descent._Family()
-    for m in margins:
-        family.add(m, m <= 0)
     got = descent._screened(range(len(margins)), bounds, lambda i: (margins[i], margins[i] <= 0))
-    want = family.done()
     assert (got.checked, got.holds, got.worst_margin._mpf_) == \
-        (want.checked, want.holds, want.worst_margin._mpf_)
+        (len(margins), all(m <= 0 for m in margins), max(margins)._mpf_)
 
 
 def is_float_power_of_two(node):
@@ -117,11 +114,21 @@ def is_float_power_of_two(node):
             and node.left.value == 2.0)
 
 
+def is_hand_interval(node):
+    """`X[0] + X[1]` or `X[0] - X[1]` on one X: a budget pair (y, err) made
+    into an end of an interval by hand."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+            and isinstance(node.left, ast.Subscript) and isinstance(node.right, ast.Subscript)
+            and ast.dump(node.left.value) == ast.dump(node.right.value)
+            and [getattr(n.slice, "value", None) for n in (node.left, node.right)] == [0, 1])
+
+
 def violations(name, tree):
     """Module-level `2.0 ** k` constants (a slack, an undecided cut, a
     widening), functions reading the top 53 bits of a mantissa
-    (`bit_length` with the constant 53) and imports of another module's
-    private names, as "name:line what"."""
+    (`bit_length` with the constant 53), imports of another module's
+    private names and hand-made intervals (`is_hand_interval`), as
+    "name:line what"."""
     found = []
     for stmt in tree.body:
         if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None \
@@ -136,25 +143,30 @@ def violations(name, tree):
         if isinstance(node, ast.ImportFrom) and node.level \
                 and any(a.name.startswith("_") for a in node.names):
             found.append(f"{name}:{node.lineno} private import")
+        if is_hand_interval(node):
+            found.append(f"{name}:{node.lineno} hand-made interval")
     return found
 
 
 def test_no_module_but_screen_writes_a_budget_or_a_reader():
-    """A new screen takes the shared budget and reader of `screen.py`."""
+    """A new screen takes the shared budget and reader of `screen.py`, and
+    the budget's intervals as it hands them out: no module, `screen.py`
+    included, forms one by hand."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name != "screen.py":
-            found += violations(path.name, ast.parse(path.read_text()))
+        found += [v for v in violations(path.name, ast.parse(path.read_text()))
+                  if path.name != "screen.py" or v.endswith("hand-made interval")]
     assert found == []
 
 
 def test_the_guard_sees_the_spellings_it_forbids():
     source = ("SLACK = 2.0 ** -40\nCUT = -(2.0 ** -30)\nCAP = 2 ** 34\n"
               "def top(man, exp):\n    bc = man.bit_length()\n    return man >> (bc - 53)\n"
-              "from .counterexamples import _top53, term_kernel\n")
+              "from .counterexamples import _top53, term_kernel\n"
+              "lo, hi = b[0] - b[1], b[0] + b[1]\nok = v[0] + w[1] > b[1] - b[0]\n")
     assert violations("m.py", ast.parse(source)) == [
         "m.py:1 budget constant", "m.py:2 budget constant", "m.py:4 top-53 reader",
-        "m.py:7 private import"]
+        "m.py:7 private import", "m.py:8 hand-made interval", "m.py:8 hand-made interval"]
 
 
 def single_steps(tree):
@@ -254,8 +266,12 @@ def test_column_budget_is_the_per_item_budget(bits, items):
         for const, factors in items:
             logs = [read(const)] + [read(x) for _, x in factors]
             rows.append(None if None in logs else
-                        (logs[0], tuple((float(C), l) for (C, _), l in zip(factors, logs[1:]))))
-    want = [row and before.log2_bound(*row) for row in rows]
+                        (logs[0], tuple((float(C), l) for (C, _), l in zip(factors, logs[1:])),
+                         0.0))
+    want = []
+    for row in rows:
+        bound = row and before.log2_bound(*row[:2])
+        want.append(bound and (bound[0] - bound[1], bound[0] + bound[1]))
     assert screen.log2_bound(rows) == want
     assert screen.log2_bound(iter(rows)) == want
 
