@@ -34,7 +34,7 @@ from .errors import HypothesisNotMetError, InputError
 from .counterexamples import term_kernel
 from .graphs import (GraphFunction, WeightedGraph, checked_p0, harnack_check, site_classes,
                      site_operators, vertex_measure)
-from .numerics import check_le, memo, to_mpf
+from .numerics import check_le, memo, parse_index, to_mpf
 from .radial import RadialFunction, RadialTree, layer_operators
 from .regions import PQPoint, st_condition
 
@@ -95,12 +95,14 @@ class TestFunction:
 
     @classmethod
     def parse(cls, text: str) -> "TestFunction":
-        """Accepts "h:8" or "phi:3"."""
+        """Accepts "h:8" or "phi:3"; a kind or param the constructor refuses
+        raises its own error."""
         try:
             kind, raw = text.split(":")
-            return cls(kind=kind, param=int(raw))
-        except (ValueError, TypeError):
+            param = parse_index(raw)
+        except ValueError:
             raise InputError(f"cannot parse test function {text!r}; expected kind:param")
+        return cls(kind=kind, param=param)
 
 
 def test_function_value(tf: TestFunction, g: WeightedGraph, x: int, o: int) -> Fraction:

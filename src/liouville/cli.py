@@ -317,7 +317,7 @@ def _cmd_estimate(args) -> int:
         omega = None
         if args.omega != "all":
             try:
-                omega = [int(tok) for tok in args.omega.split(",")]
+                omega = [parse_index(tok) for tok in args.omega.split(",")]
             except ValueError:
                 raise InputError(f"--omega needs 'all' or comma-separated vertex ids, "
                                  f"got {args.omega!r}")

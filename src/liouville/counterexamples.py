@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import mpmath as mp
 from mpmath.libmp import (from_int, fzero, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul,
@@ -571,10 +571,11 @@ def _lambda_kernel(regime: str, point: PQPoint, param):
     exponents of p - 1, -p and -q/2; callers keep the precision read here.
 
     screened(rows), on the profiles rows = [profile(lo - 1), ..., profile(hi + 1)]
-    of a window, gives per m = lo..hi (`_Screened`) float64 bounds (lo, hi) on
-    log2 of combine's value at m, or None where that value is not proved
-    positive, and whether it is proved negative: the float64 screen's input
-    stage (`liouville.screen`), in the manner of `_screen`.
+    of a window, gives one list, per m = lo..hi: float64 bounds (lo, hi) on
+    log2 of combine's value at m where that value is proved positive, False
+    where it is proved negative and None where neither is proved: the
+    float64 screen's input stage (`liouville.screen`), in the manner of
+    `_screen`.
     - Each kernel's one cancelling quantity (I, III: the drift's numerator;
       II: neg_lap's; IV: the drift's, with the mpf r and 1 + r taken as
       exact) is formed exactly from the integer mantissas of the rows and of
@@ -600,7 +601,7 @@ def _lambda_kernel(regime: str, point: PQPoint, param):
     - The cancelling quantity's sign is exact.  Where the drift's numerator
       (I, III, IV) is negative and every rho <= 2^-8, combine's drift keeps
       that sign and quad is positive, so combine's value is negative: the m
-      is proved negative, with no bounds.  II's Lambda is not probed, so
+      is proved negative (False).  II's Lambda is not probed, so
       its kernel proves no m negative.
     An m whose cancelling quantity is zero (II: not positive), whose
     difference of profiles is zero, whose rho exceeds 2^-8 or whose values
@@ -648,7 +649,7 @@ def _drift_kernel(plus_one: bool, p, q, unit, c_g, c_x, c_q, param):
         if not max(rho_d, rho_q) <= 0.00390625:
             return None
         if D[0] < 0:
-            return _NEGATIVE
+            return False
         fw, ew = screen._fsum(fWm, eWm, fWn, eWn)
         t_up, t_dn = up[2] / (fgn * fgu), dn[2] / (fgd * fgn)
         fs, es = screen._fsum(fWn * t_up * t_up, eWn + 2 * (up[3] - egn - egu),
@@ -733,7 +734,7 @@ def _reciprocal_kernel(p, q, unit, c_g, c_x, c_q, lam):
         if not rho_d <= 0.00390625:
             return None
         if T[0] < 0:
-            return _NEGATIVE
+            return False
         fs, es = screen._fsum(up[2] * up[2], 2 * up[3], fr * dn[2] * dn[2], er + 2 * dn[3])
         fx, ex = screen.top53(*_exact_sum(m_n, x_n, 1, 0))                     # inv_n + 1
         return (((1.0, screen._log2(fT / (fo * fm), eT - eo - em)), (c_x, math.log2(fx) + ex),
@@ -742,35 +743,23 @@ def _reciprocal_kernel(p, q, unit, c_g, c_x, c_q, lam):
     return combine, at
 
 
-# `at`'s verdict at an m whose Lambda is proved negative
-_NEGATIVE = "negative"
-
-
-class _Screened(NamedTuple):
-    """The Lambda kernel's screen of a window, per m: float64 bounds (lo, hi)
-    on log2 Lambda(m) where Lambda(m) > 0 is proved, else None; and whether
-    Lambda(m) < 0 is proved."""
-
-    bounds: list
-    negative: list
-
-
-def _window_bounds(rows, at) -> _Screened:
+def _window_bounds(rows, at) -> list:
     """at(m, A, B, rA, rB, dn, up) for each inner row m of the profile rows,
-    split into `_Screened`: at gives (terms of log2 Lambda(m), rho), None or
-    _NEGATIVE, one `screen.log2_bound` call bounds the terms, with no widen,
-    and each bound (lo, hi) becomes (lo - 1.45 rho, hi + 1.45 rho).  A and B
-    hold each row's values (A, B) as (mantissa, exponent), exactly, rA and rB
-    their `screen.top53`, and dn and up are the differences of the pairs of
-    rows below and above m, (D, e, f, E) with D 2^e = B_{k+1} - B_k exactly
-    and (f, E) the top53 of |D|, or None where that is zero (or its
+    as one list: at gives (terms of log2 Lambda(m), rho), False (Lambda(m)
+    proved negative) or None, one `screen.log2_bound` call bounds the
+    terms, with no widen, and each bound (lo, hi) becomes
+    (lo - 1.45 rho, hi + 1.45 rho); a False or None stays as it is.  A and
+    B hold each row's values (A, B) as (mantissa, exponent), exactly, rA and
+    rB their `screen.top53`, and dn and up are the differences of the pairs
+    of rows below and above m, (D, e, f, E) with D 2^e = B_{k+1} - B_k
+    exactly and (f, E) the top53 of |D|, or None where that is zero (or its
     exponents lie far apart); all are read once.
     Undecided at every m where at is None (an exponent floats cannot carry)
     or a value is not positive or has a binary exponent beyond 2^40 in
     size, which keeps sums of a few exponents exact as floats."""
     cap = screen._EXP_CAP
     if not at or not all(not x[0] and x[1] and -cap < x[2] < cap for row in rows for x in row):
-        return _Screened([None] * (len(rows) - 2), [False] * (len(rows) - 2))
+        return [None] * (len(rows) - 2)
     top53 = screen.top53
     A = [(a[1], a[2]) for a, _ in rows]
     B = [(b[1], b[2]) for _, b in rows]
@@ -780,10 +769,9 @@ def _window_bounds(rows, at) -> _Screened:
         diffs.append(d and d[0] and (*d, *top53(abs(d[0]), d[1])))
     reads = A, B, [top53(*a) for a in A], [top53(*b) for b in B]
     verdicts = [at(i, *reads, diffs[i - 1], diffs[i]) for i in range(1, len(rows) - 1)]
-    found = [None if v is _NEGATIVE else v for v in verdicts]
-    bounds = screen.log2_bound(v and (0.0, v[0], 0.0) for v in found)
-    return _Screened([b and (b[0] - 1.45 * v[1], b[1] + 1.45 * v[1])
-                      for b, v in zip(bounds, found)], [v is _NEGATIVE for v in verdicts])
+    bounds = screen.log2_bound(v and (0.0, v[0], 0.0) or None for v in verdicts)
+    return [b and (b[0] - 1.45 * v[1], b[1] + 1.45 * v[1]) if v else v
+            for b, v in zip(bounds, verdicts)]
 
 
 def _lambda_window(regime: str, point: PQPoint, param, lo: int, hi: int) -> list[mp.mpf]:
@@ -979,15 +967,15 @@ def _tail_window(H: int) -> tuple[int, int]:
 def _window_min(regime, point, param, n0, H, table=None) -> mp.mpf:
     """min Lambda(n + n0) over the tail window of horizon H, that of
     `_lambda_window` bit for bit: the kernel's float64 bounds pick the m
-    whose Lambda could be the smallest (`screen.extremes`; an m proved
-    negative counts as undecided), and combine runs only there, on the same
-    rows."""
+    whose Lambda could be the smallest (`screen.extremes`, which keeps an m
+    proved negative, its False, as it keeps an undecided one), and combine
+    runs only there, on the same rows."""
     lo, hi = (n + n0 for n in _tail_window(H))
     _check_lambda_index(regime, lo)
     profile, combine, screened = _lambda_kernel(regime, point, param)
     rows = (profile if table is None else table).run(range(lo - 1, hi + 2))
     return min(combine(*rows[i:i + 3])
-               for i in screen.extremes(screened(rows).bounds, low=True))
+               for i in screen.extremes(screened(rows), low=True))
 
 
 def _interior_tail(spec: RegimeSpec, H: int, min_value) -> TailReport:
@@ -1042,18 +1030,20 @@ def _probe_min(ms, table, combine, screened):
     """min Lambda(m) over the probe points ms when Lambda(m) > 0 at every
     one, else None; that of combine at each m, bit for bit.
 
-    ms are taken in their order, and the first m whose Lambda is proved
-    negative by the kernel's screen, or whose combine is not positive where
-    the screen leaves it undecided, ends the search.  Past them all,
+    ms are taken in their order, and the first m whose Lambda the kernel's
+    screen proves negative (False), or whose combine is not positive where
+    the screen leaves it undecided (None), ends the search.  Past them all,
     combine runs at the m (not yet evaluated) whose bounds could hold the
     minimum (`screen.extremes`).
     """
     rows, bounds, values = [], [], []
     for m in ms:
         row = table.run(range(m - 1, m + 2))
-        (bound,), (negative,) = screened(row)
-        value = None if bound or negative else combine(*row)
-        if negative or value is not None and not value > 0:
+        bound, = screened(row)
+        if bound is False:
+            return None
+        value = None if bound else combine(*row)
+        if value is not None and not value > 0:
             return None
         rows.append(row)
         bounds.append(bound)

@@ -193,26 +193,6 @@ def _screened(items, bounds, margin_of) -> BoundFamily:
                        worst_margin=max((m for m, _ in checks), default=None))
 
 
-class _Screened:
-    """A family's members, each with the logs its input stage read (None
-    where it declines one); `done` forms from them, by `terms_of`, the terms
-    of the y the margins are a `screen.margin_bounds` shape of, bounds them
-    in one call and hands the columns to `_screened`."""
-
-    def __init__(self, margin_of, shape, const, terms_of):
-        self.margin_of, self.shape, self.const, self.terms_of = margin_of, shape, const, terms_of
-        self.items, self.logs = [], []
-
-    def add(self, item, logs):
-        self.items.append(item)
-        self.logs.append(logs)
-
-    def done(self) -> BoundFamily:
-        terms = (logs and self.terms_of(logs) for logs in self.logs)
-        return _screened(self.items, screen.margin_bounds(self.shape, self.const, terms),
-                         self.margin_of)
-
-
 def _site_logs(u, lap, g):
     """(log2 u, `screen.log2_abs(lap)`, log2 g) where u, lap and g are finite
     and nonzero and u and g positive; None otherwise."""
@@ -268,9 +248,12 @@ def walk_diagnostics(walk: DescentWalk, p0=None,
     Each normalized margin is a monotone function of one log2 quantity y
     of the step's mpf values (for the sandwich, falling then rising), so a
     float64 bound on y bounds the margin (`screen.margin_bounds`, one call
-    per family; the re-check is one `screen.solution_check` call).  mpf
-    evaluates a family's margin only at the steps `_screened` cannot
-    excuse, and the re-check only where the screen leaves it open; a step
+    per family, handed with the family's steps to `_screened`).  The
+    re-check is one `screen.solution_check` call, made only with the
+    exponent pair, and mpf re-checks the steps it leaves open (None): the
+    column solves holds each step's verdict, and the families' members are
+    read off it and the step values.  mpf evaluates a family's margin only
+    at the steps `_screened` cannot excuse; a step
     whose u, lap or grad is zero or not finite, or any step below 53 bits,
     is evaluated in mpf throughout, and so is the gradient ratio family of
     a p0 too large for `screen.log2_abs`.  The report equals that of the
@@ -289,51 +272,49 @@ def walk_diagnostics(walk: DescentWalk, p0=None,
         exponents = [term_of.p, term_of.half_q, neg_p, one_minus_q]
     floats = screen.exponent_floats(*exponents)
     p, half_q, neg_p_f, one_minus_q_f = floats if exponents and floats else (0.0,) * 4
+    steps = walk.steps
     reads = []          # (log2 u, log2_abs(lap), log2 grad, log2 drop or None) per step
-    for s in walk.steps:
+    for s in steps:
         logs = floats is not None and _site_logs(s.u, s.lap, s.grad)
         drop = logs and s.drop is not None and screen.log2_abs(s.drop)
         reads.append(logs and (*logs, drop[1] if drop and not drop[0] else None) or None)
-    verdicts = screen.solution_check(p, half_q, [point and r and (r[0], r[1], 2 * r[2], 0.0)
-                                                 for r in reads])
-    sand = _Screened(lambda s: _sandwich(s, tol), "valley", 0.0, lambda r: r[1][0]
-                     and r[3] is not None and ((1.0, r[1][1]), (-1.0, r[3])) or None)
-    avg = _Screened(lambda s: _averaging(s, sqrt2, tol), "falling", 0.5,
-                    lambda r: ((1.0, r[2]), (-1.0, r[1][1])))
-    gratio = _Screened(lambda s: _gradient_ratio(s, ratio_factor, tol), "falling",
-                       log_rf and log_rf[1], lambda r: log_rf and r[3] is not None
-                       and ((1.0, r[3]), (-1.0, r[2])) or None)
-    ppower = _Screened(lambda s: _pointwise_power(s, sqrt2, neg_p, one_minus_q, tol),
-                       "falling", 0.5, lambda r: ((neg_p_f, r[0]), (one_minus_q_f, r[2])))
-    solution_sites = 0
-    for step, logs, solves in zip(walk.steps, reads, verdicts):
-        avg.add(step, logs)
-        if point is None:
-            solves = False
-        elif solves is None:
-            check = term_of.check(step.u, step.lap, step.grad ** 2)
-            solves = check is not None and check.holds
-        if solves:
-            solution_sites += 1
-        if step.drop is not None:
-            if solves:
-                sand.add(step, logs)
-            # the gradient ratio bound only needs a nonpositive Laplacian and
-            # a strict drop, not the full solution property
-            if p0 is not None and step.drop > 0 and step.lap <= 0:
-                gratio.add(step, logs)
-        if point is not None and solves and step.grad > 0:
-            ppower.add(step, logs)
-    rises = [-s.drop for s in walk.steps if s.drop is not None]
+    solves = [False] * len(steps)
+    if point is not None:
+        solves = screen.solution_check(p, half_q, [r and (r[0], r[1], 2 * r[2], 0.0)
+                                                   for r in reads])
+        for i, s in enumerate(steps):
+            if solves[i] is None:
+                check = term_of.check(s.u, s.lap, s.grad ** 2)
+                solves[i] = check is not None and check.holds
+
+    def family(members, margin_of, shape, const, terms_of):
+        terms = (reads[i] and terms_of(reads[i]) for i in members)
+        return _screened([steps[i] for i in members],
+                         screen.margin_bounds(shape, const, terms), margin_of)
+
+    every = range(len(steps))
+    drops = [i for i in every if steps[i].drop is not None]
+    rises = [-steps[i].drop for i in drops]
     return WalkDiagnostics(
-        n_sites=len(walk.steps),
+        n_sites=len(steps),
         strict_decrease=BoundFamily(len(rises), all(m < 0 for m in rises),
                                     max(rises, default=None)),
-        sandwich=sand.done(),
-        averaging=avg.done(),
-        gradient_ratio=gratio.done() if p0 is not None else None,
-        pointwise_power=ppower.done() if point is not None else None,
-        solution_sites=solution_sites,
+        sandwich=family([i for i in drops if solves[i]], lambda s: _sandwich(s, tol),
+                        "valley", 0.0, lambda r: r[1][0] and r[3] is not None
+                        and ((1.0, r[1][1]), (-1.0, r[3])) or None),
+        averaging=family(every, lambda s: _averaging(s, sqrt2, tol), "falling", 0.5,
+                         lambda r: ((1.0, r[2]), (-1.0, r[1][1]))),
+        # the gradient ratio bound only needs a nonpositive Laplacian and a
+        # strict drop, not the full solution property
+        gradient_ratio=None if p0 is None else family(
+            [i for i in drops if steps[i].drop > 0 and steps[i].lap <= 0],
+            lambda s: _gradient_ratio(s, ratio_factor, tol), "falling", log_rf and log_rf[1],
+            lambda r: log_rf and r[3] is not None and ((1.0, r[3]), (-1.0, r[2])) or None),
+        pointwise_power=None if point is None else family(
+            [i for i in every if solves[i] and steps[i].grad > 0],
+            lambda s: _pointwise_power(s, sqrt2, neg_p, one_minus_q, tol), "falling", 0.5,
+            lambda r: ((neg_p_f, r[0]), (one_minus_q_f, r[2]))),
+        solution_sites=sum(1 for ok in solves if ok),
     )
 
 
@@ -346,9 +327,6 @@ class PointwiseBoundReport:
     hypothesis_failures: tuple[int, ...]
 
 
-_UNDEFINED, _NOT_A_SOLUTION = object(), object()
-
-
 def _pointwise_core(sites, class_of, reps, operators, point: PQPoint) -> PointwiseBoundReport:
     """Margin of u^(p-1) |grad u|^q - 1 at every site solving the inequality.
 
@@ -358,7 +336,11 @@ def _pointwise_core(sites, class_of, reps, operators, point: PQPoint) -> Pointwi
     The re-check and the margin go through the float64 screen of
     `walk_diagnostics`, one column call each: the margin is 2^w - 1 with
     w = (p-1) log2 u + (q/2) log2 grad^2, and mpf evaluates a class only
-    where the re-check is open or the class could hold the maximum.
+    where the re-check is open or the class could hold the maximum.  Each
+    class's entry of the column solves is True where it solves the
+    inequality, False where it does not and None where its term is
+    undefined; a site counts as checked, a hypothesis failure or skipped
+    by its class's entry.
     """
     term_of = term_kernel(point.p, point.q)
     p1 = to_mpf(point.p - 1)
@@ -366,37 +348,23 @@ def _pointwise_core(sites, class_of, reps, operators, point: PQPoint) -> Pointwi
     p, half_q_f, p1_f = floats or (0.0, 0.0, 0.0)
     ops = list(map(operators, reps))
     reads = [floats and _site_logs(*site) for site in ops]
-    margins = _Screened(lambda ug: _pointwise_margin(*ug, p1, term_of), "rising", 0.0,
-                        lambda r: ((p1_f, r[0]), (half_q_f, r[2])))
-    verdicts = []
-    for (u_val, lap, grad_sq), logs, solves in zip(ops, reads, screen.solution_check(
-            p, half_q_f, [r and (*r, 0.0) for r in reads])):
-        if solves is None:
-            check = term_of.check(u_val, lap, grad_sq)
-            if check is None:
-                verdicts.append(_UNDEFINED)
-                continue
-            solves = check.holds
-        if not solves:
-            verdicts.append(_NOT_A_SOLUTION)
-            continue
-        verdicts.append(None)
-        margins.add((u_val, grad_sq), logs)
-    family = margins.done()
-    checked = 0
-    skipped = []
-    failures = []
-    for site, c in zip(sites, class_of):
-        verdict = verdicts[c]
-        if verdict is _UNDEFINED:
-            skipped.append(site)
-        elif verdict is _NOT_A_SOLUTION:
-            failures.append(site)
+    solves = screen.solution_check(p, half_q_f, [r and (*r, 0.0) for r in reads])
+    for c, verdict in enumerate(solves):
+        if verdict is None:
+            check = term_of.check(*ops[c])
+            solves[c] = None if check is None else check.holds
         else:
-            checked += 1
+            solves[c] = verdict is not False
+    members = [c for c, ok in enumerate(solves) if ok]
+    family = _screened([(ops[c][0], ops[c][2]) for c in members], screen.margin_bounds(
+        "rising", 0.0, (reads[c] and ((p1_f, reads[c][0]), (half_q_f, reads[c][2]))
+                        for c in members)), lambda ug: _pointwise_margin(*ug, p1, term_of))
+    verdicts = [solves[c] for c in class_of]
     return PointwiseBoundReport(
-        checked=checked, holds=family.holds, max_margin=family.worst_margin,
-        skipped=tuple(skipped), hypothesis_failures=tuple(failures),
+        checked=sum(1 for ok in verdicts if ok), holds=family.holds,
+        max_margin=family.worst_margin,
+        skipped=tuple(site for site, ok in zip(sites, verdicts) if ok is None),
+        hypothesis_failures=tuple(site for site, ok in zip(sites, verdicts) if ok is False),
     )
 
 

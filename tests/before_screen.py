@@ -9,9 +9,11 @@ The column kernels of `liouville.screen` and their callers must give the
 same bounds and verdicts, float for float, with None at the same items.
 These copies read the package's reader (`screen.top53`, `screen.log2_abs`),
 its constants, its picker and the helpers no screen change touched.  The
-float-pair helpers `_fsum`, `_ratio` and `_log2` and the family accumulator
-`_Family` are copied here as they read then, so that the reference does not
-change with the package.
+float-pair helpers `_fsum`, `_ratio` and `_log2`, the family accumulator
+`_Family`, the Lambda screen's record `_Screened` (here `_LambdaScreened`)
+with its `_NEGATIVE` and the pointwise bound's sentinels `_UNDEFINED` and
+`_NOT_A_SOLUTION` are copied here as they read then, so that the reference
+does not change with the package.
 """
 
 from __future__ import annotations
@@ -20,19 +22,36 @@ import math
 from dataclasses import replace
 from functools import partial
 from math import expm1, log2
+from typing import NamedTuple
 
 import mpmath as mp
 
 from liouville import screen
-from liouville.counterexamples import _NEGATIVE, _Screened as _LambdaScreened, term_kernel
+from liouville.counterexamples import term_kernel
 from liouville.descent import (BoundFamily, WalkDiagnostics, PointwiseBoundReport, _site_logs,
                                _averaging, _sandwich, _gradient_ratio, _pointwise_power,
-                               _pointwise_margin, _UNDEFINED, _NOT_A_SOLUTION)
+                               _pointwise_margin)
 from liouville.errors import InputError
 from liouville.graphs import checked_p0
 from liouville.numerics import rel_tol, to_mpf
 from liouville.regions import PQPoint
 from liouville.screen import EXCUSE, FAILS, LN2, SLACK, UNDECIDED, _TINY
+
+
+# `at`'s verdict at an m whose Lambda is proved negative
+_NEGATIVE = "negative"
+
+
+class _LambdaScreened(NamedTuple):
+    """The Lambda kernel's screen of a window, per m: float64 bounds (lo, hi)
+    on log2 Lambda(m) where Lambda(m) > 0 is proved, else None; and whether
+    Lambda(m) < 0 is proved."""
+
+    bounds: list
+    negative: list
+
+
+_UNDEFINED, _NOT_A_SOLUTION = object(), object()
 
 
 def _fsum(fa, ea, fb, eb):

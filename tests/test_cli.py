@@ -324,14 +324,33 @@ def test_estimate_bad_omega_is_usage_error(capsys, tmp_path):
     g = lv.WeightedGraph(3, [(0, 1, 1), (1, 2, 1)])
     (tmp_path / "g.txt").write_text(lv.format_graph_text(g))
     (tmp_path / "u.csv").write_text("0,3\n1,2\n2,1\n")
-    # not an id, an id past the graph, and a negative id that indexing would wrap
-    for omega in ("0,a", "0,1,99", "0,1,-1"):
+    # not an id, an id past the graph, a negative id that indexing would wrap,
+    # and a digit separator, which int reads as the vertex 1
+    for omega in ("0,a", "0,1,99", "0,1,-1", "0,0_1"):
         code = main(["estimate", "--graph", str(tmp_path / "g.txt"),
                      "--u", str(tmp_path / "u.csv"), "--phi", "h:1", "--s", "7",
                      "--t", "1/2", "--p", "2", "--q", "1", "--p0", "2", "--omega", omega])
         err = capsys.readouterr().err
         assert code == 2, omega
         assert err.count("\n") == 1 and err.startswith("error:") and "omega" in err, err
+
+
+@pytest.mark.parametrize("phi, message", [
+    ("h:1_6", "cannot parse test function 'h:1_6'; expected kind:param"),
+    ("h", "cannot parse test function 'h'; expected kind:param"),
+    ("h:0", "test function parameter must be >= 1"),
+    ("phi:-1", "test function parameter must be >= 1"),
+    ("q:3", "unknown test function kind 'q'"),
+])
+def test_estimate_bad_phi_names_its_fault(capsys, tmp_path, phi, message):
+    """A digit separator is refused, as in every other index field (int
+    read h:1_6 as h:16), and a kind or parameter the cutoff refuses reports
+    the cutoff's own message, not the parse error."""
+    args = _estimate_files(tmp_path, "graph")
+    args[args.index("--phi") + 1] = phi
+    code = main([*args, "--s", "7", "--t", "1/2", "--p", "2", "--q", "1", "--p0", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_estimate_rejects_a_two_sided_tree(capsys, tmp_path):

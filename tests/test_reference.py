@@ -771,17 +771,17 @@ def lambda_window_cases(draw):
 
 
 def assert_lambda_bounds_hold(regime, point, param, lo, hi):
-    """Every decided bound encloses log2 of the mpf Lambda `_lambda_window`
-    gives at its m, and every m the screen proves negative has Lambda < 0;
+    """Every m the screen proves negative (False) has Lambda < 0, and every
+    bound encloses log2 of the mpf Lambda `_lambda_window` gives at its m;
     the window and the screen are returned."""
     window = cx._lambda_window(regime, point, param, lo, hi)
     profile, _, screened = cx._lambda_kernel(regime, point, param)
     found = screened([profile(m) for m in range(lo - 1, hi + 2)])
-    assert len(found.bounds) == len(found.negative) == len(window)
-    for m, value, bound, negative in zip(range(lo, hi + 1), window, *found):
-        if negative:
-            assert bound is None and value < 0, m
-        if bound is not None:
+    assert len(found) == len(window)
+    for m, value, bound in zip(range(lo, hi + 1), window, found):
+        if bound is False:
+            assert value < 0, m
+        elif bound is not None:
             assert value > 0, m
             with mp.workprec(mp.mp.prec + 64):
                 assert bound[0] <= mp.log(value, 2) <= bound[1], m
@@ -863,8 +863,8 @@ def test_lambda_screen_signs_hold_across_a_sign_change(regime, bits):
         for param, lo, hi in windows:
             window, found = assert_lambda_bounds_hold(regime, point, param, lo, hi)
             assert (min(window) < 0 < max(window)) == (regime != "II")
-            negative += sum(found.negative)
-            positive += sum(b is not None for b in found.bounds)
+            negative += sum(b is False for b in found)
+            positive += sum(isinstance(b, tuple) for b in found)
     assert (negative > 0) == (regime != "II") and positive > 0
 
 
@@ -2177,7 +2177,8 @@ def test_column_band_bounds_are_the_per_radius_bounds(case, bits, wild):
 def test_column_window_bounds_are_the_per_m_bounds(case, bits, wild):
     """The Lambda kernels' screens of a tail window, each kernel's `at`
     returning its terms and rho: the same bounds and the same m proved
-    negative as with `at` bounding each m itself."""
+    negative as with `at` bounding each m itself, the reference's
+    (bounds, negative) read as one list with False at a negative m."""
     regime, point, param, n0, H = (case[k] for k in ("regime", "point", "param", "n0", "H"))
     lo, hi = (n + n0 for n in cx._tail_window(H))
     with mp.workprec(bits):
@@ -2188,7 +2189,9 @@ def test_column_window_bounds_are_the_per_m_bounds(case, bits, wild):
             row = list(rows[k])
             row[j] = planted(mp.make_mpf(row[j]), kind)._mpf_
             rows[k] = tuple(row)
-        assert screened(rows) == before_screen.lambda_screen(regime, point, param)(rows)
+        want = before_screen.lambda_screen(regime, point, param)(rows)
+        assert screened(rows) == [False if negative else bound
+                                  for bound, negative in zip(*want)]
 
 
 def recorded_families(patch):

@@ -123,17 +123,28 @@ def is_hand_interval(node):
             and [getattr(n.slice, "value", None) for n in (node.left, node.right)] == [0, 1])
 
 
+def is_sentinel(node):
+    """A call `object()`: a marker that only its identity tells apart."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "object"
+            and not node.args and not node.keywords)
+
+
 def violations(name, tree):
     """Module-level `2.0 ** k` constants (a slack, an undecided cut, a
     widening), functions reading the top 53 bits of a mantissa
     (`bit_length` with the constant 53), imports of another module's
-    private names and hand-made intervals (`is_hand_interval`), as
+    private names, hand-made intervals (`is_hand_interval`) and screen
+    records, a value convention beside the screen's (lo, hi), False or None:
+    a `NamedTuple` subclass or a module-level `object()` sentinel, as
     "name:line what"."""
     found = []
     for stmt in tree.body:
         if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None \
                 and any(map(is_float_power_of_two, ast.walk(stmt.value))):
             found.append(f"{name}:{stmt.lineno} budget constant")
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None \
+                and any(map(is_sentinel, ast.walk(stmt.value))):
+            found.append(f"{name}:{stmt.lineno} screen record")
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.Lambda)):
             inner = list(ast.walk(node))
@@ -145,17 +156,22 @@ def violations(name, tree):
             found.append(f"{name}:{node.lineno} private import")
         if is_hand_interval(node):
             found.append(f"{name}:{node.lineno} hand-made interval")
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+                for base in node.bases):
+            found.append(f"{name}:{node.lineno} screen record")
     return found
 
 
 def test_no_module_but_screen_writes_a_budget_or_a_reader():
     """A new screen takes the shared budget and reader of `screen.py`, and
     the budget's intervals as it hands them out: no module, `screen.py`
-    included, forms one by hand."""
+    included, forms one by hand or keeps a screen record of its own."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += [v for v in violations(path.name, ast.parse(path.read_text()))
-                  if path.name != "screen.py" or v.endswith("hand-made interval")]
+                  if path.name != "screen.py"
+                  or v.endswith(("hand-made interval", "screen record"))]
     assert found == []
 
 
@@ -163,10 +179,15 @@ def test_the_guard_sees_the_spellings_it_forbids():
     source = ("SLACK = 2.0 ** -40\nCUT = -(2.0 ** -30)\nCAP = 2 ** 34\n"
               "def top(man, exp):\n    bc = man.bit_length()\n    return man >> (bc - 53)\n"
               "from .counterexamples import _top53, term_kernel\n"
-              "lo, hi = b[0] - b[1], b[0] + b[1]\nok = v[0] + w[1] > b[1] - b[0]\n")
+              "lo, hi = b[0] - b[1], b[0] + b[1]\nok = v[0] + w[1] > b[1] - b[0]\n"
+              "class Pair(NamedTuple):\n    a: list\n"
+              "_A, _B = object(), object()\n"
+              "def f():\n    mark = object()\n    return object.__new__(int)\n"
+              "class Row(typing.NamedTuple):\n    a: list\n")
     assert violations("m.py", ast.parse(source)) == [
-        "m.py:1 budget constant", "m.py:2 budget constant", "m.py:4 top-53 reader",
-        "m.py:7 private import", "m.py:8 hand-made interval", "m.py:8 hand-made interval"]
+        "m.py:1 budget constant", "m.py:2 budget constant", "m.py:12 screen record",
+        "m.py:4 top-53 reader", "m.py:7 private import", "m.py:10 screen record",
+        "m.py:16 screen record", "m.py:8 hand-made interval", "m.py:8 hand-made interval"]
 
 
 def single_steps(tree):
