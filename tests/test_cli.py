@@ -293,6 +293,78 @@ def test_iv_digest_at_a_large_n0(capsys, args, exit_code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 and exit code of `estimate` stdout at 128 bits on the conftest I
+# and III builds (horizon 70), stored as a 40-digit radial file and values
+# CSV, and on the materialized radius-4 ball of the I build; (s, t) is the
+# point's `choose_st` default unless given.  III's t = 3/2 leaves est-1
+# unevaluated, so (s, t) = (7/2, 1/4), outside the admissibility system,
+# evaluates its right-hand side too; the ball's leaves do not solve the
+# inequality.  Each report prints its sums either way.  Recorded on the
+# object-arithmetic estimate, before its raw site pass.
+ESTIMATE_DIGESTS = {
+    ("I", "est1", "h:8", ""):
+        (0, "a4b23e6fe8d462018a183fb2a32b207db12a73ca3b870522541cb9039352fba6"),
+    ("I", "est1", "phi:3", ""):
+        (0, "4db0379ba47bf005c9f65ba9c625fe2ae03d02a4eb45e8908f3b585ffd874643"),
+    ("I", "est2", "h:8", ""):
+        (0, "d4d3149bdee848ace7100601f2d5e32229dea8ed89945771e1c092627b40d707"),
+    ("I", "est2", "phi:3", ""):
+        (0, "6a31ce9e25017178127e2bb373580dd02673f965de74a98a28c6fbfa086054ec"),
+    ("III", "est1", "h:8", ""):
+        (3, "41fbd96b35f70dbfa8820825c8b726d43089de6c884480a70888978dcbaa73e1"),
+    ("III", "est1", "phi:3", ""):
+        (3, "f222d7552ae3c2f56f6ad2c196b5639b5ba5213a7737ab826f5db60fa9a5f78e"),
+    ("III", "est2", "h:8", ""):
+        (0, "ede17fdc003f9bdef84f10d01a78ef34dc3d7d86280d41d28cf9106a619fdd46"),
+    ("III", "est2", "phi:3", ""):
+        (0, "138572f577cf73efaacc547a5bdeb058db9edf4d2e650e7b63ce29c59c1e764f"),
+    ("III", "est1", "h:8", "7/2 1/4"):
+        (3, "a7ecc08d78d2d1ea8a75531c0c2a44a999bfb0943b4121c81cf0b045b154987d"),
+    ("III", "est1", "phi:3", "7/2 1/4"):
+        (3, "a5f038592242d482e41b42986b406828efc2c0cffb9c32578394fd1a8a35630d"),
+    ("ball", "est2", "h:2", ""):
+        (3, "c72f5d8e310a27fa70cc2a0045653e8a8463cbf40250ff62f28dc1d5d3de7317"),
+}
+
+
+@pytest.fixture(scope="module")
+def estimate_files(tmp_path_factory, regime1_small, regime3_small):
+    """(radial file, values CSV) of the conftest I and III builds, and
+    (graph file, values CSV) of the I build's radius-4 ball, under "ball"."""
+    root = tmp_path_factory.mktemp("estimate")
+    files = {}
+    with lv.precision(128):
+        for name, built in (("I", regime1_small), ("III", regime3_small)):
+            paths = root / f"{name}.tree", root / f"{name}.csv"
+            paths[0].write_text(lv.format_radial_text(built.tree, digits=40))
+            paths[1].write_text(_values_csv({n: built.u.value(n)
+                                             for n in range(built.u.lo, built.u.hi + 1)}))
+            files[name] = paths, built.spec.point, built.tree.p0()
+        g, layers = regime1_small.tree.materialize(4)
+        gu = lv.induced_graph_function(regime1_small.u, layers)
+        paths = root / "ball.txt", root / "ball.csv"
+        paths[0].write_text(lv.format_graph_text(g, digits=40))
+        paths[1].write_text("\n".join(f"{x},{mp.nstr(gu[x], 40, strip_zeros=False)}"
+                                      for x in g.vertices()) + "\n")
+        files["ball"] = paths, regime1_small.spec.point, regime1_small.tree.p0()
+    return files
+
+
+@pytest.mark.parametrize("case", list(ESTIMATE_DIGESTS),
+                         ids=lambda case: " ".join(filter(None, case)))
+def test_estimate_report_digest(capsys, estimate_files, case):
+    name, variant, cutoff, st_pair = case
+    (graph, values), point, p0 = estimate_files[name]
+    sel = lv.choose_st(point)
+    s, t = st_pair.split() if st_pair else (sel.s_default, sel.t_default)
+    code = main(["--precision-bits", "128", "estimate", "--graph", str(graph),
+                 "--u", str(values), "--phi", cutoff, "--s", str(s), "--t", str(t),
+                 "--p", str(point.p), "--q", str(point.q), "--p0", mp.nstr(p0, 40),
+                 "--variant", variant])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == ESTIMATE_DIGESTS[case]
+
+
 # ---------------------------------------------------------------------------
 # malformed input ends in exit 2, never a traceback
 
