@@ -29,12 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import mpf_mul, mpf_mul_int, mpf_pow, mpf_sum
 
 from .errors import HypothesisNotMetError, InputError
 from .counterexamples import term_kernel
 from .graphs import (GraphFunction, WeightedGraph, checked_p0, harnack_check, site_classes,
                      site_operators, vertex_measure)
-from .numerics import check_le, memo, parse_index, to_mpf
+from .numerics import check_le, memo, parse_index, raw_positive, to_mpf
 from .radial import RadialFunction, RadialTree, layer_operators
 from .regions import PQPoint, st_condition
 
@@ -57,10 +58,12 @@ def h_value(n: int, d: int) -> Fraction:
 
 
 def phi_value(i: int, d: int) -> Fraction:
-    """Averaged ramp stack (1/i) sum of h_{2^k}, k = i-1 .. 2i-2."""
-    if i < 1:
-        raise InputError("phi_i needs i >= 1")
-    return sum(h_value(2 ** k, d) for k in range(i - 1, 2 * i - 1)) / Fraction(i)
+    """Averaged ramp stack (1/i) sum of h_{2^k}, k = i-1 .. 2i-2, summed in integers
+    over the denominator i 2^(2i-2): 2^(2i-2) h_n(d) = clip(2n - d, 0, n) 2^(2i-2) / n."""
+    if i < 1 or d < 0:
+        raise InputError("phi_i needs i >= 1" if i < 1 else "distance must be nonnegative")
+    return Fraction(sum(min(max(2 ** (k + 1) - d, 0), 2 ** k) << 2 * i - 2 - k
+                        for k in range(i - 1, 2 * i - 1)), i << 2 * i - 2)
 
 
 @dataclass(frozen=True)
@@ -223,10 +226,10 @@ def _estimate(variant, s, t, point: PQPoint, p0, u, harnack, where, sites, ops, 
     class, and `ops(c)` gives a class's (u, lap, grad^2); `measure(x)` and
     `phi(x)` are a site's measure and cutoff value, and `edges` holds the
     (x, y, w) with both ends in the domain.  Each edge with phi(y) != phi(x)
-    adds w |dphi|^(a rho) once per direction, and a middle term from each
-    end where phi is nonzero and the term is defined.  `where` names a site
-    and the domain in the failure messages; `boundary` lists the failures
-    of a domain's boundary hypothesis.
+    adds w |dphi|^(a rho) once per direction, and for est-1 a middle term from
+    each end where phi is nonzero and the term is defined.  `where` names a
+    site and the domain in failure messages, `boundary` a domain's boundary
+    failures.  Values are raw, in the libmp calls of mpf's operators and fsum.
     """
     if variant not in ("est1", "est2"):
         raise InputError(f"unknown estimate variant {variant!r}")
@@ -243,18 +246,19 @@ def _estimate(variant, s, t, point: PQPoint, p0, u, harnack, where, sites, ops, 
     if not harnack(u, p0).holds:
         failures.append("adjacent-ratio bound fails for the given p0")
     term_of = term_kernel(point.p, point.q)
-    p_t = term_of.p - to_mpf(t)
-    s_m = to_mpf(s)
-    phi_pow = memo(lambda phi: to_mpf(phi) ** s_m)
+    prec, rnd = mp.mp._prec_rounding
+    p_t = (term_of.p - to_mpf(t))._mpf_
+    s_m = to_mpf(s)._mpf_
+    phi_pow = memo(lambda phi: mpf_pow(to_mpf(phi)._mpf_, s_m, prec, rnd))
     phis = [phi(x) for x in sites]
     cut = {c for c, phi_x in zip(sites.values(), phis) if phi_x != 0}
     # Each class once, in class order (the order of first use): its site, and
     # u^(p-t) where a sum reads it.
     at = {}
     for c in dict.fromkeys(sites.values()):
-        ux, lap, grad_sq = ops(c)
+        ux, lap, grad_sq = [v._mpf_ for v in ops(c)]
         site = term_of.site(ux, lap, grad_sq)
-        at[c] = site, mp.power(ux, p_t) if site is not None and c in cut else None
+        at[c] = site, mpf_pow(ux, p_t, prec, rnd) if site is not None and c in cut else None
     ineq_bad = 0
     lhs_terms = []
     for (x, c), phi_x in zip(sites.items(), phis):
@@ -264,30 +268,33 @@ def _estimate(variant, s, t, point: PQPoint, p0, u, harnack, where, sites, ops, 
             continue
         if not site[1]:
             ineq_bad += 1
-        if phi_x != 0:
-            lhs_terms.append(measure(x) * u_pt * site[0] * phi_pow(phi_x))
+        if phi_x != 0:      # ((mu u^(p-t)) |grad u|^q) phi^s
+            lhs_terms.append(mpf_mul(mpf_mul(mpf_mul(measure(x), u_pt, prec, rnd), site[0],
+                                             prec, rnd), phi_pow(phi_x), prec, rnd))
     if ineq_bad:
         failures.append(f"the inequality fails at {ineq_bad} {where[1]}")
     failures += boundary
-    a_rho = a * rho
-    edge_pow = memo(lambda dphi: mp.power(abs(to_mpf(dphi)), a_rho))
+    a_rho = (a * rho)._mpf_
+    edge_pow = memo(lambda dphi: mpf_pow(abs(to_mpf(dphi))._mpf_, a_rho, prec, rnd))
     edge_terms = []
-    middle_terms = []
+    middle_terms = [] if variant == "est1" else None
     for x, y, w in edges:
         dphi = phi(y) - phi(x)
         if dphi == 0:
             continue
-        edge_terms.append(2 * w * edge_pow(dphi))
-        for end in (x, y):
+        edge_terms.append(mpf_mul(mpf_mul_int(w._mpf_, 2, prec, rnd), edge_pow(dphi), prec, rnd))
+        for end in (x, y) if middle_terms is not None else ():     # est-1 only
             phi_e = phi(end)
             if phi_e == 0:
                 continue
             site, u_pt = at[sites[end]]
             if site is not None:
-                middle_terms.append(w * phi_pow(phi_e) * u_pt * site[0])
-    return _finish_report(variant, point, s, t, exponents, p0, omega_desc,
-                          mp.fsum(lhs_terms), mp.fsum(middle_terms), mp.fsum(edge_terms),
-                          failures)
+                middle_terms.append(mpf_mul(mpf_mul(mpf_mul(w._mpf_, phi_pow(phi_e), prec, rnd),
+                                                    u_pt, prec, rnd), site[0], prec, rnd))
+    lhs, middle, edge_sum = (terms if terms is None else mp.make_mpf(mpf_sum(terms, prec, rnd))
+                             for terms in (lhs_terms, middle_terms, edge_terms))
+    return _finish_report(variant, point, s, t, exponents, p0, omega_desc, lhs, middle,
+                          edge_sum, failures)
 
 
 def estimate_sides(g: WeightedGraph, u: GraphFunction, o: int, tf: TestFunction,
@@ -315,7 +322,7 @@ def estimate_sides(g: WeightedGraph, u: GraphFunction, o: int, tf: TestFunction,
     phi_of = memo(lambda d: tf.value(d) if d >= 0 else Fraction(0))    # 0 where o cannot reach
     return _estimate(variant, s, t, point, p0, u, lambda u, p0: harnack_check(g, u, p0),
                      ("vertex", "domain vertices"), dict(zip(domain, class_of)),
-                     lambda c: ops(reps[c]), lambda x: vertex_measure(g, x),
+                     lambda c: ops(reps[c]), lambda x: vertex_measure(g, x)._mpf_,
                      lambda x: phi_of(dist[x]),
                      [(x, y, w) for (x, y), w in g.edges() if x in omega_set and y in omega_set],
                      boundary, "all" if omega is None else f"{len(omega_set)} vertices")
@@ -342,9 +349,10 @@ def estimate_sides_radial(tree: RadialTree, u: RadialFunction, tf: TestFunction,
         )
     layers = range(R + 1)
     phi = [tf.value(n) for n in range(R + 2)]       # phi vanishes at R + 1
+    measures = [raw_positive(*m) for m in tree._measures(layers, mp.mp.prec)]
     return _estimate(variant, s, t, point, tree.p0() if p0 is None else p0, u,
                      tree.harnack_check, ("layer", "layers inside the support"),
-                     dict(zip(layers, layers)), layer_operators(tree, u), tree.layer_measure,
+                     dict(zip(layers, layers)), layer_operators(tree, u), measures.__getitem__,
                      phi.__getitem__,
                      [(n, n + 1, tree.N * tree.weight(n)) for n in layers if phi[n + 1] != phi[n]])
 

@@ -39,8 +39,9 @@ from functools import partial
 from typing import Callable
 
 import mpmath as mp
-from mpmath.libmp import (from_int, fzero, mpf_add, mpf_div, mpf_exp, mpf_log, mpf_mul,
-                          mpf_rdiv_int, normalize, round_nearest)
+from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_gt,
+                          mpf_le, mpf_log, mpf_mul, mpf_pow, mpf_rdiv_int, mpf_sqrt, normalize,
+                          round_nearest)
 
 from . import screen
 from .errors import CalibrationError, InputError
@@ -322,16 +323,19 @@ class _TermKernel:
         return mp.power(grad, self._q) if self._sign else mp.mpf(1)
 
     def site(self, u_value, lap, grad_sq):
-        """(|grad u|^q, whether lap + u^p |grad u|^q <= 0 holds) at a site,
-        with |grad u| = sqrt(grad^2); None for a zero gradient with q < 0.
-        The estimate's sums need |grad u|^q itself, so its verdict forms the
-        term from it rather than through `check`."""
-        grad = mp.sqrt(grad_sq)
-        if grad == 0 and self._sign < 0:
+        """(|grad u|^q, whether lap + u^p |grad u|^q <= 0 holds) at a site of u > 0,
+        with |grad u| = sqrt(grad^2), on raw values (the libmp calls of mpf's operators
+        and `check_nonpositive`); None for a zero gradient with q < 0.  The estimate's
+        sums need |grad u|^q itself, so its verdict forms the term from it."""
+        prec, rnd = mp.mp._prec_rounding
+        grad = mpf_sqrt(grad_sq, prec, rnd)
+        if grad == fzero and self._sign < 0:
             return None
-        gq = self.grad_power(grad)
-        term = mp.power(u_value, self.p) * gq
-        return gq, check_nonpositive(lap + term, max(abs(lap), term), self.tol).holds
+        gq = mpf_pow(grad, self._q._mpf_, prec, rnd) if self._sign else fone
+        term = mpf_mul(mpf_pow(u_value, self.p._mpf_, prec, rnd), gq, prec, rnd)
+        # max(|lap|, term) scales the tolerance; term >= 0 is its own abs
+        scale = term if mpf_gt(term, lap_abs := mpf_abs(lap, prec, rnd)) else lap_abs
+        return gq, mpf_le(mpf_add(lap, term, prec, rnd), mpf_mul(self.tol._mpf_, scale, prec, rnd))
 
 
 def term_kernel(p, q) -> _TermKernel:
@@ -1008,13 +1012,15 @@ class Certificate:
 
 
 def certify_spec(spec: RegimeSpec) -> Certificate:
-    """Build, verify and tail a fully pinned spec, once each, on one table
-    of the spec's profile."""
+    """Build, verify and tail a fully pinned spec, once each, on one table of
+    its profile; one that passes is accepted as the search accepts it."""
     recipe = validate_spec(spec)
     table = memo(_profile(spec.regime, spec.point, getattr(spec, recipe.param))) \
         if "n0" in recipe.searched else None
     built = build(spec, table=table)
-    return Certificate(built, verify(built), tail_check(spec, table=table))
+    cert = Certificate(built, verify(built), tail_check(spec, table=table))
+    return _accepted([cert], f"regime {spec.regime}: pinned spec not certified", 1) if cert.ok \
+        else cert
 
 
 def _probe_offsets(H: int) -> list[int]:
@@ -1059,35 +1065,47 @@ def certify(regime: str, point: PQPoint, *, N: int, horizon: int,
     Returns the accepted candidate's build, margin report and tail, so a
     caller never has to recompute them.  Each candidate of `_candidates`
     is built and verified in turn, and its tail checked once the margins
-    pass; one passing both with a stored u not strictly decreasing is
-    refused (a constant u solves the inequality and shows nothing).  Else
-    `CalibrationError` counts the refused and carries the smallest
-    max_margin among the others verified and the spec that had it (both
-    None when there is none).  One memo of `_profile` (I-IV), made here and
-    dropped on return, gives the probes, tail windows, delta_0, `build` and
-    `tail_check` each m's profile, evaluated once.
+    pass; `_accepted` takes the first to pass, or raises.  One memo of
+    `_profile` (I-IV), made here and dropped on return, gives the probes,
+    tail windows, delta_0, `build` and `tail_check` each m's profile,
+    evaluated once.
     """
     recipe = _check_params(regime, point, N, horizon, eps, lam)
     eps = Fraction(eps) if recipe.param == "eps" else None
     table = memo(_profile(regime, point, eps or lam)) if "n0" in recipe.searched else None
-    best_margin = best_spec = None
-    refused = 0
-    for spec, tail in _candidates(regime, point, eps, lam, N, horizon, table):
-        built = build(spec, table=table)
-        report = verify(built)
-        if report.verified:
-            if tail is None:
+
+    def certificates():
+        for spec, tail in _candidates(regime, point, eps, lam, N, horizon, table):
+            built = build(spec, table=table)
+            report = verify(built)
+            if report.verified and tail is None:
                 tail = tail_check(spec, table=table)
-            if tail.ok and _decreasing(built.u):
-                return Certificate(built, report, tail)
-        if report.verified and tail.ok:
-            refused += 1
-        elif best_margin is None or report.max_margin < best_margin:
-            best_margin, best_spec = report.max_margin, spec
+            yield Certificate(built, report, tail)      # tail None: the margins failed
     name, cap = ("n0", _N0_CAP) if "n0" in recipe.searched else ("lambda", _LAMBDA_CAP)
-    raise CalibrationError(f"regime {regime}: no passing {name} up to {cap}; {refused} "
-                           f"candidates refused: stored u not strictly decreasing",
-                           best_margin=best_margin, best_spec=best_spec)
+    return _accepted(certificates(), f"regime {regime}: no passing {name} up to {cap}",
+                     cap.bit_length() - (name == "n0"))     # n0 doubles from 2, lambda from 1
+
+
+def _accepted(certs, failure: str, tried: int) -> Certificate:
+    """The first of certs, in order, to pass with a strictly decreasing stored u
+    (a constant u solves the inequality and shows nothing: it is refused); else
+    `CalibrationError`, which counts the `tried` candidates by outcome and
+    carries the smallest max_margin among those not refused and its spec (both
+    None when there is none)."""
+    best_margin = best_spec = None
+    built_by = [0, 0, 0]        # failed verify, failed the tail, refused
+    for cert in certs:
+        if cert.ok and _decreasing(cert.built.u):
+            return cert
+        outcome = 1 + cert.tail.ok if cert.report.verified else 0
+        built_by[outcome] += 1
+        if outcome < 2 and (best_margin is None or cert.report.max_margin < best_margin):
+            best_margin, best_spec = cert.report.max_margin, cert.spec
+    raise CalibrationError(
+        f"{failure}; {tried - sum(built_by)} of {tried} candidates screened out before build, "
+        f"{sum(built_by)} built: {built_by[0]} failed verify, {built_by[1]} failed the tail; "
+        f"{built_by[2]} candidates refused: stored u not strictly decreasing",
+        best_margin=best_margin, best_spec=best_spec)
 
 
 def _decreasing(u: RadialFunction) -> bool:

@@ -46,6 +46,19 @@ def test_phi_plateau_and_support():
         assert tf.plateau_radius() == 2 ** (i - 1)
 
 
+def test_phi_value_is_the_averaged_ramp_stack():
+    """The integer sum over the denominator i 2^(2i-2) is the Fraction
+    average of the ramps h_{2^k}, k = i-1 .. 2i-2, at every distance inside
+    the 2^(2i)-ball, and an index below 1 or a negative distance raises."""
+    for i in range(1, 7):
+        for d in range(2 ** (2 * i)):
+            assert lv.phi_value(i, d) == sum(lv.h_value(2 ** k, d)
+                                             for k in range(i - 1, 2 * i - 1)) / F(i)
+    for i, d in ((0, 0), (-1, 3), (1, -1), (4, -9)):
+        with pytest.raises(InputError):
+            lv.phi_value(i, d)
+
+
 def test_test_function_on_graph():
     tree = lv.RadialTree(3, [2 ** n for n in range(10)])
     g, layers = tree.materialize(9)
@@ -201,6 +214,56 @@ def test_an_estimate_forms_its_exponents_once(monkeypatch, regime1_small):
     lv.estimate_sides(g, lv.induced_graph_function(built.u, layers), 0, tf, sel.s_default,
                       sel.t_default, point, built.tree.p0(), variant="est2")
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("cutoff", ["h:8", "h:16", "phi:2", "phi:3"])
+def test_est2_forms_no_middle_term_and_phi_adds_no_fraction(monkeypatch, regime1_small,
+                                                            cutoff):
+    """On the benchmark's cutoffs, est-2 hands `_finish_report` no middle sum
+    and multiplies three times per site of the cutoff's support (its
+    left-hand side's term; `site` forms the site's own) and once per shell
+    the cutoff changes across (its edge term), while est-1 also forms its
+    middle terms; `phi_value` adds no Fraction."""
+    counts = {"mul": 0, "fraction adds": 0}
+    middles, in_phi = [], []
+    mul, finish, phi_value = caccioppoli.mpf_mul, caccioppoli._finish_report, lv.phi_value
+
+    def counted_mul(*args):
+        counts["mul"] += 1
+        return mul(*args)
+
+    def counted_add(add):
+        def wrapped(a, b):
+            counts["fraction adds"] += bool(in_phi)
+            return add(a, b)
+        return wrapped
+
+    def watched_phi(i, d):
+        in_phi.append(True)
+        try:
+            return phi_value(i, d)
+        finally:
+            in_phi.pop()
+
+    monkeypatch.setattr(caccioppoli, "mpf_mul", counted_mul)
+    monkeypatch.setattr(caccioppoli, "_finish_report",
+                        lambda *args: middles.append(args[8]) or finish(*args))
+    monkeypatch.setattr(caccioppoli, "phi_value", watched_phi)
+    monkeypatch.setattr(F, "__add__", counted_add(F.__add__))
+    monkeypatch.setattr(F, "__radd__", counted_add(F.__radd__))
+    built, point = regime1_small, lv.pq(2, 1)
+    sel, tf = lv.choose_st(point), lv.TestFunction.parse(cutoff)
+    sites = tf.support_radius() + 1
+    products = 3 * sites + sum(tf.value(n + 1) != tf.value(n) for n in range(sites))
+    for variant in ("est2", "est1"):
+        counts["mul"] = 0
+        rep = lv.estimate_sides_radial(built.tree, built.u, tf, sel.s_default, sel.t_default,
+                                       point, variant=variant)
+        assert rep.hypotheses_ok
+        if variant == "est2":
+            assert counts["mul"] == products and middles == [None]
+    assert counts["mul"] > products and middles[1] == rep.middle_factor > 0
+    assert counts["fraction adds"] == 0
 
 
 def test_estimate_radial_matches_materialized(regime1_small):

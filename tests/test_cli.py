@@ -1039,6 +1039,20 @@ def test_construct_exits_1_rather_than_certify_a_constant(capsys):
     assert "candidates refused: stored u not strictly decreasing" in err
 
 
+def test_construct_refuses_a_pinned_constant(capsys):
+    """The spec the search refuses first, pinned: at n0 = 2^23 and the delta
+    the search computes there, 128 bits store III's u as one number.  It
+    exited 0 with `max_margin` 0.0; the search's own acceptance refuses it."""
+    code = main(["construct", "--regime", "III", "--p", "-1/2", "--q", "5/4", "--N", "3",
+                 "--horizon", "200", "--eps", "1/10", "--n0", "8388608", "--delta",
+                 "0.0000000018447428591983512438861583888655906632"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == ("calibration failed: regime III: pinned spec not certified; 0 of 1 "
+                   "candidates screened out before build, 1 built: 0 failed verify, 0 failed "
+                   "the tail; 1 candidates refused: stored u not strictly decreasing\n")
+
+
 def test_construct_exits_1_when_the_search_is_exhausted(capsys):
     """On (101/100, -1/100) no lambda up to the cap clears V2's screen."""
     code = main(["construct", "--regime", "V2", "--p", "101/100", "--q=-1/100",

@@ -541,6 +541,25 @@ def test_certify_refuses_a_constant_stored_u():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("regime, point, params, counts", [
+    ("III", lv.pq(-3, F(7, 4)), {"eps": F(1, 10)}, "n0 up to 17179869184; 34 of 34 candidates "
+     "screened out before build, 0 built: 0 failed verify, 0 failed the tail; 0"),
+    ("III", lv.pq(F(-1, 2), F(5, 4)), {"eps": F(1, 10)}, "n0 up to 17179869184; 17 of 34 "
+     "candidates screened out before build, 17 built: 5 failed verify, 0 failed the tail; 12"),
+    ("V2", lv.pq(F(101, 100), F(-1, 100)), {}, "lambda up to 64; 7 of 7 candidates screened "
+     "out before build, 0 built: 0 failed verify, 0 failed the tail; 0"),
+])
+def test_a_failed_search_counts_its_candidates_by_outcome(regime, point, params, counts):
+    """The search's error counts every n0 (2 .. 2^34) or lambda (1 .. 64) it
+    tried: screened out before `build`, built and failed verify, failed the
+    tail, or refused.  III at (-3, 7/4) said only "0 candidates refused",
+    though its probe screen had rejected every n0."""
+    with lv.precision(128), pytest.raises(CalibrationError) as exc:
+        lv.certify(regime, point, N=3, horizon=200 if regime == "III" else 20, **params)
+    assert str(exc.value) == (f"regime {regime}: no passing {counts} candidates refused: "
+                              f"stored u not strictly decreasing")
+
+
 @st.composite
 def iii_points(draw):
     """A rational point strictly inside III's region, -4 < p < 0 and 1 < q < 2."""
