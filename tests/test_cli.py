@@ -55,6 +55,36 @@ def test_classify_rejects_bad_rational(capsys):
     assert exc.value.code == 2
 
 
+# sha256 of `classify` stdout (all exit 0) on every G boundary: q = 2; q = 1
+# with p < 0, p = 0 and p > 0; p = 0 for 1 < q < 2; p + q = 1 with q > 0,
+# q = 0 and q < 0; and in each K region.  Recorded while the G and K labels
+# were still decision trees written beside the regions' inequalities.
+CLASSIFY_DIGESTS = {
+    ("0", "2"): "c96cced7f416ae7c07608f4a33a088ba0f8e1c1bbd900ad9c879efc042bfaf81",
+    ("-3", "2"): "c0493b026cbd7d9cc03f2d4424673aacd53afd3af4859e7e77c2d48f8ba693fc",
+    ("0", "3/2"): "bb1d98737910b9897dfba79392913304b3d0c6c0a9383abc7c0b36fa988e443d",
+    ("-1", "3/2"): "c08059cfa5306f3a75746bd523fb5a97a6af3b2d47ad0c1d393e5d0eacd9d386",
+    ("1", "1"): "abbe608da6aa256e30899d57eba7b1597c3a12fc1b3c8e0effe9f99a1d16daf1",
+    ("0", "1"): "ab0e7cbae884f95e2aaf72705bdf71e9bf94c1abb3fafa8a6e2a7869a878d22d",
+    ("-1", "1"): "58b870f395c9abc75b6fd30d4b7793194c2f06aa98075edd00d1ccd3410f8beb",
+    ("1", "0"): "12fd022e0492597b2a2bcc257bb1f55f469f2be415bcd25a272888235d48a41a",
+    ("1/2", "1/2"): "b623486d544a104452a5561b9ecfe478d3938d3fe3c7c7c7f58c37353c9cecf3",
+    ("2", "-1"): "e49bbc34ec835c6a4953114b8274cdcc4a654b64f75fd02c1bd94033d457d255",
+    ("3", "-2"): "c313461af93a1fe16f51f41d0fd72ce8ccb816e0f702d1c50c73e07a92b1c56c",
+    ("-5", "0"): "96af02f85aa70b5a92361c29c0813ae322597801397c5a6ea5f0ecb27707ad07",
+    ("2", "1/2"): "e8aceffbffac400b5ba681f12381d3a40f3918ecb04237fd0771aa16c65c68fb",
+    ("-1", "6/5"): "f86567a736688469e7aad20fb5b6d7981931fee203da8822a997188708c87f47",
+    ("2", "3/2"): "6e4bad7bc6a3a880e8e3ec8f0584aef0665344769fe69a35aaeaffc489b2f620",
+}
+
+
+@pytest.mark.parametrize("p, q", list(CLASSIFY_DIGESTS), ids=" ".join)
+def test_classify_report_digest(capsys, p, q):
+    code = main(["classify", "--p", p, "--q", q])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, CLASSIFY_DIGESTS[p, q])
+
+
 def test_construct_v1_verifies(capsys, tmp_path):
     csv_path = tmp_path / "layers.csv"
     code, payload = run_cli(capsys, "construct", "--regime", "V1", "--p", "1/2",
