@@ -26,8 +26,8 @@ from .numerics import (default_precision_bits, check_le, check_nonpositive,
 from .radial import (RadialFunction, RadialTree, TwoSidedRadialTree,
                      format_radial_text, induced_graph_function, layer_operators,
                      parse_radial_text)
-from .regions import (Exponents, PQPoint, RegionLabel, STSelection, choose_st,
-                      classify, classify_g, classify_k, exponents, in_g_region,
-                      in_k_region, pq, st_condition)
+from .regions import (Exponents, PQPoint, STSelection, choose_st, classify_g,
+                      classify_k, exponents, in_g_region, in_k_region, pq,
+                      st_condition)
 
 __version__ = "0.1.0"

@@ -357,19 +357,6 @@ def margin_at(tree, u: RadialFunction, p, q, n: int) -> mp.mpf:
     return lap + term_kernel(p, q)(un, grad_sq)
 
 
-def _checked_layers(tree, horizon: int | None) -> range:
-    inner = tree.interior_layers()
-    deepest = inner.stop - 1
-    if horizon is None and deepest < 0:
-        raise InputError("the tree has no checkable layer (it needs u at layer 1)")
-    h = deepest if horizon is None else horizon
-    if h < 0:
-        raise InputError(f"horizon must be at least 0, got {h}")
-    if h > deepest:
-        raise InputError(f"horizon {h} exceeds checkable layers (needs u at {h + 1})")
-    return range(max(inner.start, -h), h + 1)
-
-
 def _exact_sum(x1: int, e1: int, x2: int, e2: int):
     """(y, e) with y 2^e = x1 2^e1 + x2 2^e2, exactly; None where the
     exponents of two nonzero terms lie more than 2^14 apart."""
@@ -418,10 +405,7 @@ def _screen(tree, u, layers, term_of) -> list:
     for i in range(max(first - 1, 0), layers.stop - lo_u):
         (s, m, x, _), nxt = nxt, values[i + 1]._mpf_
         s1, m1, x1, _ = nxt
-        v, v1 = -m if s else m, -m1 if s1 else m1
-        k = x1 - x if v and v1 else 0           # u_{i+1} - u_i, exactly, as (D, e)
-        d_in, d_out = d_out, (((v1 << k) - v, x if v else x1) if 0 <= k <= 16384 else
-                              (v1 - (v << -k), x1) if -16384 <= k < 0 else None)
+        d_in, d_out = d_out, _exact_sum(-m1 if s1 else m1, x1, m if s else -m, x)  # u_{i+1} - u_i
         if i < first:
             continue
         a, b = tree.conductances(i + lo_u)
@@ -534,7 +518,7 @@ def verify_radial(tree, u: RadialFunction, p, q, horizon: int | None = None,
             if bump > 0 and rebuild_spec is not None:
                 rebuilt = build(rebuild_spec)
                 tree, u = rebuilt.tree, rebuilt.u
-            layers = _checked_layers(tree, horizon)
+            layers = tree.checked_layers(horizon)
             report = _verify_pass(tree, u, p, q, layers, bits, force)
         if report is not None:
             return report
@@ -921,10 +905,10 @@ RECIPES = _Table({
                  limit=lambda pt, lam: (mp.sqrt(2) * (1 - mp.e ** -to_mpf(lam))
                                         / (1 + mp.e ** -to_mpf(lam))),
                  delta0=lambda p, q, e, n0, table: 2 ** (1 / (2 * p)) / (1 / mp.mpf(n0) + 1)),
-    "V1": Recipe(lambda pt: pt.p + pt.q == 1 and pt.p >= 0 and pt.q > 0, "lam", ("lam",),
+    "V1": Recipe(lambda pt: in_g_region("G5", pt) and pt.q > 0, "lam", ("lam",),
                  value=lambda spec, ms: _e_powers(-to_mpf(spec.lam) / 4, ms),  # /4 is exact
                  conditions=_v1_layer_rhs),
-    "V2": Recipe(lambda pt: pt.p + pt.q == 1 and pt.q < 0, "lam", ("lam",),
+    "V2": Recipe(lambda pt: in_g_region("G5", pt) and pt.q < 0, "lam", ("lam",),
                  value=lambda spec, ms: _e_powers(-(to_mpf(spec.lam) - 1), ms),
                  conditions=_v2_layer_rhs, two_sided=True),    # one shell law on both arms
 })
@@ -951,17 +935,16 @@ class TailReport:
     label: str = "finite-horizon certificate + tail margin"
 
 
-def tail_check(spec: RegimeSpec, horizon: int | None = None, *, table=None) -> TailReport:
+def tail_check(spec: RegimeSpec, *, table=None) -> TailReport:
     """Lambda against twice the threshold on the tail window (I-IV read
     their profiles from `table`, as `build` does), or V's closed forms."""
-    H = spec.horizon if horizon is None else horizon
     recipe = RECIPES[spec.regime]
     param = getattr(spec, recipe.param)
     if "n0" in recipe.searched:
-        min_value = _window_min(spec.regime, spec.point, param, spec.n0, H, table)
+        min_value = _window_min(spec.regime, spec.point, param, spec.n0, spec.horizon, table)
     else:
         min_value = min(lambda_fn(spec.regime, spec.point, param, n) for n in (0, 1))
-    return _interior_tail(spec, H, min_value)
+    return _interior_tail(spec, spec.horizon, min_value)
 
 
 def _tail_window(H: int) -> tuple[int, int]:
@@ -1352,7 +1335,7 @@ def _volume_band(vols: list, target: Callable[[int], object], window: range) -> 
 
 def layer_rows(built: BuiltCounterexample, horizon: int | None = None):
     """Yield (layer, w, u, lap, grad, margin) across the checked layers."""
-    layers = _checked_layers(built.tree, horizon)
+    layers = built.tree.checked_layers(horizon)
     term_of = term_kernel(built.spec.p, built.spec.q)
     for n, (un, lap, grad_sq) in zip(layers, map(layer_operators(built.tree, built.u), layers)):
         check = term_of.check(un, lap, grad_sq)

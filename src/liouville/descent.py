@@ -379,11 +379,7 @@ def pointwise_bound_check(g: WeightedGraph, u: GraphFunction,
 
 def pointwise_bound_check_built(built: BuiltCounterexample,
                                 horizon: int | None = None) -> PointwiseBoundReport:
-    """Layerwise version for radial builds: the interior layers within the horizon."""
-    if horizon is not None and horizon < 0:
-        raise InputError(f"horizon must be at least 0, got {horizon}")
-    inner = built.tree.interior_layers()
-    h = inner.stop - 1 if horizon is None else min(horizon, inner.stop - 1)
-    layers = range(max(inner.start, -h), h + 1)
+    """Layerwise version for radial builds, over the tree's `checked_layers`."""
+    layers = built.tree.checked_layers(horizon)
     return _pointwise_core(layers, range(len(layers)), layers,
                            layer_operators(built.tree, built.u), built.spec.point)

@@ -624,11 +624,11 @@ def check_nonpositive(value, scale, tol=None) -> InequalityCheck:
     return InequalityCheck(margin=value, scale=scale, tol=tol, holds=value <= tol * scale)
 
 
-def check_le(lhs, rhs, tol=None) -> InequalityCheck:
-    """Record `lhs <= rhs` up to tol * max(|lhs|, |rhs|)."""
+def check_le(lhs, rhs) -> InequalityCheck:
+    """Record `lhs <= rhs` up to rel_tol() * max(|lhs|, |rhs|)."""
     lhs = to_mpf(lhs)
     rhs = to_mpf(rhs)
-    return check_nonpositive(lhs - rhs, max(abs(lhs), abs(rhs)), tol)
+    return check_nonpositive(lhs - rhs, max(abs(lhs), abs(rhs)))
 
 
 def mpf_str(x, digits: int = 25) -> str:

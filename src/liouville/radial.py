@@ -197,6 +197,19 @@ class _LayerChain:
         a one-sided root needs only u_1."""
         return self._inner
 
+    def checked_layers(self, horizon: int | None) -> range:
+        """The interior layers with |n| <= horizon (every one when None),
+        which a margin check reads; a horizon past the deepest raises."""
+        deepest = self._inner.stop - 1
+        if horizon is None and deepest < 0:
+            raise InputError("the tree has no checkable layer (it needs u at layer 1)")
+        h = deepest if horizon is None else horizon
+        if h < 0:
+            raise InputError(f"horizon must be at least 0, got {h}")
+        if h > deepest:
+            raise InputError(f"horizon {h} exceeds checkable layers (needs u at {h + 1})")
+        return range(max(self._inner.start, -h), h + 1)
+
     def conductances(self, n: int) -> tuple[mp.mpf, mp.mpf]:
         """(outward, inward) conductances of layer n in `interior_layers()`: (w_n,
         w_{n-1}), ((N-1) w_0, w_{-1}) at a two-sided root, (1, 0) at a one-sided one."""

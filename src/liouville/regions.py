@@ -46,22 +46,10 @@ def pq(p, q) -> PQPoint:
 
 
 def classify_g(point: PQPoint) -> str:
-    """Exactly one of G1..G6 for any rational pair."""
-    p, q = point.p, point.q
-    if q >= 2:
-        return "G2"
-    if q > 1:
-        return "G1" if p >= 0 else "G3"
-    if q == 1:
-        if p < 0:
-            return "G4"
-        return "G5" if p == 0 else "G1"
-    s = p + q
-    if s > 1:
-        return "G1"
-    if s == 1:
-        return "G6" if q == 0 else "G5"
-    return "G6"
+    """The one G label whose defining inequalities hold; a gap or an
+    overlap in the definitions raises."""
+    label, = [label for label in G_LABELS if in_g_region(label, point)]
+    return label
 
 
 def in_g_region(label: str, point: PQPoint) -> bool:
@@ -83,13 +71,12 @@ def in_g_region(label: str, point: PQPoint) -> bool:
 
 
 def classify_k(point: PQPoint) -> str:
-    """One of K1..K4, or the on-line marker when p+q=1."""
-    p, q = point.p, point.q
-    if p + q == 1:
+    """The one K label whose defining inequalities hold, or the on-line
+    marker when p+q=1."""
+    if point.p + point.q == 1:
         return ON_LINE
-    if q <= 1:
-        return "K1" if p < 1 - q else "K2"
-    return "K3" if p > 1 - q else "K4"
+    label, = [label for label in K_LABELS if in_k_region(label, point)]
+    return label
 
 
 def in_k_region(label: str, point: PQPoint) -> bool:
@@ -103,16 +90,6 @@ def in_k_region(label: str, point: PQPoint) -> bool:
     if label == "K4":
         return p < 0 and 1 < q < 1 - p
     raise InputError(f"unknown K label {label!r}")
-
-
-@dataclass(frozen=True)
-class RegionLabel:
-    g_region: str
-    k_region: str
-
-
-def classify(point: PQPoint) -> RegionLabel:
-    return RegionLabel(g_region=classify_g(point), k_region=classify_k(point))
 
 
 def st_condition(point: PQPoint, s: Fraction, t: Fraction) -> bool:

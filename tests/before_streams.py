@@ -18,7 +18,7 @@ import mpmath as mp
 
 from liouville.caccioppoli import (EstimateReport, TestFunction, _estimate_exponents,
                                    _finish_report)
-from liouville.counterexamples import BuiltCounterexample, MarginReport, _checked_layers
+from liouville.counterexamples import BuiltCounterexample, MarginReport
 from liouville.descent import (BoundFamily, DescentWalk, DescentStep, PointwiseBoundReport,
                                WalkDiagnostics)
 from liouville.errors import InputError
@@ -100,7 +100,7 @@ def verify_graph(g: WeightedGraph, u: GraphFunction, p, q) -> MarginReport:
 
 def layer_rows(built: BuiltCounterexample, horizon: int | None = None):
     """Yield (layer, w, u, lap, grad, margin) across the checked layers."""
-    for n in _checked_layers(built.tree, horizon):
+    for n in built.tree.checked_layers(horizon):
         lap = built.tree.laplacian_at(built.u, n)
         grad = mp.sqrt(built.tree.gradient_sq_at(built.u, n))
         try:

@@ -255,7 +255,7 @@ def test_pointwise_bound_counts_the_layers_verify_finds_solving(regime):
     with lv.precision(128):
         built = lv.certify(regime, lv.pq(F(p), F(q)), N=3, horizon=horizon, **params).built
         bound = lv.pointwise_bound_check_built(built, horizon)
-        layers = cx._checked_layers(built.tree, horizon)
+        layers = built.tree.checked_layers(horizon)
         checks = cx._site_checks(lv.layer_operators(built.tree, built.u), layers,
                                  cx.term_kernel(F(p), F(q)), force=True)
     solving = {n for n, check in zip(layers, checks) if check is not None and check.holds}

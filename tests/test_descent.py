@@ -192,6 +192,18 @@ def test_pointwise_bound_rejects_a_negative_horizon(regime5_walk, horizon):
     assert lv.pointwise_bound_check_built(regime5_walk, horizon=0).checked == 1
 
 
+def test_pointwise_bound_rejects_a_horizon_past_the_deepest_layer(regime5_walk):
+    """Horizon 1006 is one past the deepest checkable layer: the bound clamped
+    it to 1005 and reported holding on fewer layers than asked, where verify
+    raises."""
+    message = "horizon 1006 exceeds checkable layers"
+    with pytest.raises(InputError, match=message):
+        lv.verify(regime5_walk, horizon=1006)
+    with pytest.raises(InputError, match=message):
+        lv.pointwise_bound_check_built(regime5_walk, horizon=1006)
+    assert lv.pointwise_bound_check_built(regime5_walk, horizon=1005).checked == 1006
+
+
 def big_p0_walk():
     """The walk of the large-p0 regression: u_n = 1/(n + 1) on a binary-growth
     tree, five steps from layer 1."""

@@ -125,7 +125,7 @@ def test_fused_pass_matches_reference_on_regimes(regime):
     p, q, params = REGIMES[regime]
     cert = lv.certify(regime, lv.pq(p, q), N=3, horizon=40, **params)
     built = cert.built
-    layers = cx._checked_layers(built.tree, None)
+    layers = built.tree.checked_layers(None)
     assert_pass_matches(built.tree, built.u, p, q, layers)
 
 
@@ -272,7 +272,7 @@ def build_case(case):
         tree = lv.RadialTree(case["N"], w[:M + 1])
     else:
         tree = lv.TwoSidedRadialTree(case["N"], w[:M], w[M:2 * M])
-    layers = cx._checked_layers(tree, None)
+    layers = tree.checked_layers(None)
     if case["kind"] == "planted":
         # set u_{j+1} so that lap_j = -u_j^p (1 + tau)
         j = layers[case["plant"][0] % len(layers)]
@@ -1321,7 +1321,12 @@ def test_pointwise_bounds_and_verify_graph_match_old(request, seed):
                 spec = lv.RegimeSpec(regime="I", p=point.p, q=point.q, N=tree.N, horizon=2)
                 builds.append(cx.BuiltCounterexample(tree, u, spec))
     for built in builds:
-        for horizon in (None, 0, 3, 10 ** 6):
+        deepest = built.tree.interior_layers().stop - 1
+        for horizon in (None, 0, 3):
+            if horizon is not None and horizon > deepest:   # the old loop clamped it
+                with pytest.raises(InputError, match="exceeds checkable layers"):
+                    lv.pointwise_bound_check_built(built, horizon)
+                continue
             same(lv.pointwise_bound_check_built, OLD_POINTWISE_BOUND_BUILT,
                  built, horizon)
         for horizon in (None, 2):
@@ -2117,7 +2122,7 @@ def test_column_margin_screen_on_a_two_sided_build_and_a_one_sided_root(regime1_
     with mp.workprec(bits):
         for spec in (v2, regime1_small.spec):
             built = lv.build(spec)
-            layers = cx._checked_layers(built.tree, None)
+            layers = built.tree.checked_layers(None)
             term_of = lv.term_kernel(spec.point.p, spec.point.q)
             bounds = cx._screen(built.tree, built.u, layers, term_of)
             assert bounds == before_screen._screen(built.tree, built.u, layers, term_of)
@@ -2146,7 +2151,7 @@ def test_column_margin_screen_declines_terms_far_apart_as_before(bits):
             if layer == 0:
                 values[:2] = [mp.mpf(1), mp.ldexp(1, -gap)]
             u = lv.RadialFunction(values)
-            layers = cx._checked_layers(tree, None)
+            layers = tree.checked_layers(None)
             bounds = cx._screen(tree, u, layers, term_of)
             assert bounds == before_screen._screen(tree, u, layers, term_of)
             assert (bounds[layers.index(layer)] is not None) == decided, (gap, wgap, layer)

@@ -10,6 +10,10 @@ from liouville.errors import InputError
 from liouville.regions import G_LABELS, K_LABELS, ON_LINE
 
 
+# Labelled by hand from the paper's definitions, not from the package's
+# own inequalities: every G boundary (q = 2; q = 1 with p < 0, p = 0 and
+# p > 0; p = 0 for 1 < q < 2; p + q = 1 with q > 0, q = 0 and q < 0) and a
+# point inside each region.
 @pytest.mark.parametrize("p,q,label", [
     (2, 1, "G1"),
     (1, 0, "G6"),
@@ -21,6 +25,13 @@ from liouville.regions import G_LABELS, K_LABELS, ON_LINE
     (3, -2, "G5"),         # p+q=1, q<0
     (-5, 0, "G6"),
     (0, F(3, 2), "G1"),    # boundary p=0
+    (-3, 2, "G2"),         # q=2, p<0
+    (1, 1, "G1"),          # q=1, p>0
+    (-1, 1, "G4"),         # q=1, p<0
+    (2, -1, "G5"),         # p+q=1, q<0
+    (2, F(1, 2), "G1"),
+    (-1, F(6, 5), "G3"),
+    (2, F(3, 2), "G1"),
 ])
 def test_classify_g_examples(p, q, label):
     assert lv.classify_g(lv.pq(p, q)) == label
@@ -32,6 +43,17 @@ def test_classify_g_examples(p, q, label):
     (-1, F(6, 5), "K4"),
     (-2, 0, "K1"),
     (2, F(1, 2), "K2"),
+    (0, 2, "K3"),          # q=2, p > 1-q
+    (-3, 2, "K4"),         # q=2, 1 < q < 1-p
+    (0, F(3, 2), "K3"),
+    (-1, F(3, 2), "K4"),
+    (1, 1, "K2"),          # q=1, p>0
+    (-1, 1, "K1"),         # q=1, p<0
+    (0, 1, ON_LINE),
+    (1, 0, ON_LINE),
+    (2, -1, ON_LINE),
+    (3, -2, ON_LINE),
+    (-5, 0, "K1"),
 ])
 def test_classify_k_examples(p, q, label):
     assert lv.classify_k(lv.pq(p, q)) == label

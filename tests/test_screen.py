@@ -1,6 +1,6 @@
 """The shared float64 screen: its error budget, its picker, and that no
 other module writes a budget or a reader of its own (nor a second search
-loop or margin report, nor a second copy of a closed form)."""
+loop or margin report, nor a second copy of a closed form or of a rule)."""
 
 import ast
 from fractions import Fraction as F
@@ -247,6 +247,73 @@ def test_each_closed_form_is_written_once():
     assert closed_form_copies(ast.parse(source)) == [
         "1 _poly_profiles", "4 profile in _delta0_value", "5 profile in _delta0_value",
         "7 mp.e in build", "9 mp.e in _e_powers"]
+
+
+def is_p_plus_q(node):
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and {getattr(node.left, "attr", None), getattr(node.right, "attr", None)}
+            == {"p", "q"})
+
+
+def is_line_test(node):
+    """`point.p + point.q == 1`, the one comparison the classifiers make."""
+    return (is_p_plus_q(node.left) and [type(op) for op in node.ops] == [ast.Eq]
+            and getattr(node.comparators[0], "value", None) == 1)
+
+
+def is_shift(node):
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+
+
+def second_statements(tree):
+    """Second statements of a rule owned elsewhere, as "line what": a
+    comparison in `classify_g` or `classify_k` other than the p + q == 1
+    line test (the regions are `in_g_region`/`in_k_region`), a `RECIPES`
+    region lambda forming pt.p + pt.q itself (G5's line is `in_g_region`'s),
+    and in `_screen` a sum or difference with a shifted operand (a rolled
+    difference aligned by hand) or other than one `_exact_sum` call."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in ("classify_g", "classify_k"):
+            found += [f"{n.lineno} comparison in {node.name}" for n in ast.walk(node)
+                      if isinstance(n, ast.Compare) and not is_line_test(n)]
+        if isinstance(node, ast.FunctionDef) and node.name == "_screen":
+            found += [f"{n.lineno} shifted difference in _screen" for n in ast.walk(node)
+                      if isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Add, ast.Sub))
+                      and (is_shift(n.left) or is_shift(n.right))]
+            sums = sum(1 for n in ast.walk(node) if isinstance(n, ast.Call)
+                       and getattr(n.func, "id", None) == "_exact_sum")
+            if sums != 1:
+                found.append(f"{node.lineno} {sums} _exact_sum calls in _screen")
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] \
+                == ["RECIPES"]:
+            regions = [call.args[0] for call in ast.walk(node.value)
+                       if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "Recipe"
+                       and call.args and isinstance(call.args[0], ast.Lambda)]
+            found += [f"{n.lineno} p + q in a RECIPES region" for region in regions
+                      for n in ast.walk(region) if is_p_plus_q(n)]
+    return sorted(found, key=lambda what: int(what.split()[0]))
+
+
+def test_each_rule_is_stated_once():
+    """The G and K labels are read off the regions' own inequalities, the V
+    recipes take G5's line from them, and `_screen`'s rolled differences
+    are `_exact_sum`'s; a decision tree, a line written out again or a
+    difference aligned by hand shows up here."""
+    for module in ("regions.py", "counterexamples.py"):
+        assert second_statements(ast.parse((PACKAGE / module).read_text())) == []
+    source = ("def classify_g(point):\n    if point.q >= 2:\n        return 'G2'\n"
+              "def classify_k(point):\n    if point.p + point.q == 1:\n        return ON_LINE\n"
+              "    return 'K1' if p < 1 - q else 'K2'\n"
+              "RECIPES = _Table({'V2': Recipe(lambda pt: pt.p + pt.q == 1 and pt.q < 0, 'lam')})\n"
+              "def _screen(tree, u, layers, term_of):\n"
+              "    d_out = ((v1 << k) - v, x) if k >= 0 else (v1 - (v << -k), x1)\n"
+              "    return (a << k) + b, _exact_sum(*d_out, 0, 0), _exact_sum(a, 0, b, 0)\n")
+    assert second_statements(ast.parse(source)) == [
+        "2 comparison in classify_g", "7 comparison in classify_k",
+        "8 p + q in a RECIPES region", "9 2 _exact_sum calls in _screen",
+        "10 shifted difference in _screen", "10 shifted difference in _screen",
+        "11 shifted difference in _screen"]
 
 
 # ---------------------------------------------------------------------------
