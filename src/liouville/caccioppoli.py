@@ -84,6 +84,15 @@ class TestFunction:
             return h_value(self.param, d)
         return phi_value(self.param, d)
 
+    def denominator(self) -> int:
+        """The common denominator of the values: n for h_n, i 2^(2i-2) for phi_i."""
+        return self.param if self.kind == "h" else self.param << 2 * self.param - 2
+
+    def scaled(self, d: int) -> int:
+        """value(d) times `denominator()`, an integer."""
+        value = self.value(d)
+        return value.numerator * (self.denominator() // value.denominator)
+
     def support_radius(self) -> int:
         """Largest distance with a nonzero value."""
         if self.kind == "h":
@@ -219,15 +228,16 @@ def _finish_report(variant, point, s, t, exponents, p0, omega_desc, lhs, middle,
 
 
 def _estimate(variant, s, t, point: PQPoint, p0, u, harnack, where, sites, ops, measure,
-              phi, edges, boundary=(), omega_desc="all") -> EstimateReport:
+              phi, den, edges, boundary=(), omega_desc="all") -> EstimateReport:
     """Evaluate one energy estimate over sites and undirected edges.
 
     `sites` maps each site of the domain, in summation order, to its stencil
-    class, and `ops(c)` gives a class's (u, lap, grad^2); `measure(x)` and
-    `phi(x)` are a site's measure and cutoff value, and `edges` holds the
-    (x, y, w) with both ends in the domain.  Each edge with phi(y) != phi(x)
-    adds w |dphi|^(a rho) once per direction, and for est-1 a middle term from
-    each end where phi is nonzero and the term is defined.  `where` names a
+    class, and `ops(c)` gives a class's (u, lap, grad^2); `measure(x)` is a
+    site's measure and `phi(x)` its cutoff value times den, an integer (the
+    memos and tests key on integers; a value becomes a Fraction once), and
+    `edges` holds the (x, y, w) with both ends in the domain.  Each edge with
+    phi(y) != phi(x) adds w |dphi|^(a rho) once per direction, and for est-1
+    a middle term from each end where phi is nonzero and the term is defined.  `where` names a
     site and the domain in failure messages, `boundary` a domain's boundary
     failures.  Values are raw, in the libmp calls of mpf's operators and fsum.
     """
@@ -249,7 +259,7 @@ def _estimate(variant, s, t, point: PQPoint, p0, u, harnack, where, sites, ops, 
     prec, rnd = mp.mp._prec_rounding
     p_t = (term_of.p - to_mpf(t))._mpf_
     s_m = to_mpf(s)._mpf_
-    phi_pow = memo(lambda phi: mpf_pow(to_mpf(phi)._mpf_, s_m, prec, rnd))
+    phi_pow = memo(lambda k: mpf_pow(to_mpf(Fraction(k, den))._mpf_, s_m, prec, rnd))
     phis = [phi(x) for x in sites]
     cut = {c for c, phi_x in zip(sites.values(), phis) if phi_x != 0}
     # Each class once, in class order (the order of first use): its site, and
@@ -275,7 +285,7 @@ def _estimate(variant, s, t, point: PQPoint, p0, u, harnack, where, sites, ops, 
         failures.append(f"the inequality fails at {ineq_bad} {where[1]}")
     failures += boundary
     a_rho = (a * rho)._mpf_
-    edge_pow = memo(lambda dphi: mpf_pow(abs(to_mpf(dphi))._mpf_, a_rho, prec, rnd))
+    edge_pow = memo(lambda k: mpf_pow(abs(to_mpf(Fraction(k, den)))._mpf_, a_rho, prec, rnd))
     edge_terms = []
     middle_terms = [] if variant == "est1" else None
     for x, y, w in edges:
@@ -319,11 +329,11 @@ def estimate_sides(g: WeightedGraph, u: GraphFunction, o: int, tf: TestFunction,
     # The cutoff lives on omega: values outside the domain never enter a sum,
     # and on a finite graph compact support is automatic.
     dist = g.distances_from(o)
-    phi_of = memo(lambda d: tf.value(d) if d >= 0 else Fraction(0))    # 0 where o cannot reach
+    phi_of = memo(lambda d: tf.scaled(d) if d >= 0 else 0)     # 0 where o cannot reach
     return _estimate(variant, s, t, point, p0, u, lambda u, p0: harnack_check(g, u, p0),
                      ("vertex", "domain vertices"), dict(zip(domain, class_of)),
                      lambda c: ops(reps[c]), lambda x: vertex_measure(g, x)._mpf_,
-                     lambda x: phi_of(dist[x]),
+                     lambda x: phi_of(dist[x]), tf.denominator(),
                      [(x, y, w) for (x, y), w in g.edges() if x in omega_set and y in omega_set],
                      boundary, "all" if omega is None else f"{len(omega_set)} vertices")
 
@@ -348,12 +358,12 @@ def estimate_sides_radial(tree: RadialTree, u: RadialFunction, tf: TestFunction,
             f"tree horizon {tree.layer_hi} too small for support radius {R} (needs R+1)"
         )
     layers = range(R + 1)
-    phi = [tf.value(n) for n in range(R + 2)]       # phi vanishes at R + 1
+    phi = [tf.scaled(n) for n in range(R + 2)]      # phi vanishes at R + 1
     measures = [raw_positive(*m) for m in tree._measures(layers, mp.mp.prec)]
     return _estimate(variant, s, t, point, tree.p0() if p0 is None else p0, u,
                      tree.harnack_check, ("layer", "layers inside the support"),
                      dict(zip(layers, layers)), layer_operators(tree, u), measures.__getitem__,
-                     phi.__getitem__,
+                     phi.__getitem__, tf.denominator(),
                      [(n, n + 1, tree.N * tree.weight(n)) for n in layers if phi[n + 1] != phi[n]])
 
 

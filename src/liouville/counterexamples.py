@@ -46,8 +46,8 @@ from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_
 from . import screen
 from .errors import CalibrationError, InputError
 from .graphs import GraphFunction, WeightedGraph, site_classes, site_operators
-from .numerics import (ExpRun, LogRun, check_nonpositive, exp_run, memo, power_run, precision,
-                       quotient_cmp, rel_tol, to_mpf)
+from .numerics import (ExpRun, LogRun, check_nonpositive, exp_run, memo, power_log, power_run,
+                       precision, quotient_cmp, rel_tol, to_mpf)
 from .radial import RadialFunction, RadialTree, TwoSidedRadialTree, layer_operators
 from .regions import PQPoint, exponents, in_g_region, pq
 
@@ -944,7 +944,7 @@ def tail_check(spec: RegimeSpec, *, table=None) -> TailReport:
         min_value = _window_min(spec.regime, spec.point, param, spec.n0, spec.horizon, table)
     else:
         min_value = min(lambda_fn(spec.regime, spec.point, param, n) for n in (0, 1))
-    return _interior_tail(spec, spec.horizon, min_value)
+    return _interior_tail(spec, min_value)
 
 
 def _tail_window(H: int) -> tuple[int, int]:
@@ -965,11 +965,12 @@ def _window_min(regime, point, param, n0, H, table=None) -> mp.mpf:
                for i in screen.extremes(screened(rows), low=True))
 
 
-def _interior_tail(spec: RegimeSpec, H: int, min_value) -> TailReport:
-    """The tail report, given the least value of Lambda that it checks."""
+def _interior_tail(spec: RegimeSpec, min_value) -> TailReport:
+    """The tail report on the spec's horizon, given the least value of Lambda
+    that it checks."""
     threshold = interior_threshold(spec)
     required = 2 * threshold if "n0" in RECIPES[spec.regime].searched else to_mpf(V_COND_MARGIN)
-    return TailReport(ok=min_value >= required, window=_tail_window(H),
+    return TailReport(ok=min_value >= required, window=_tail_window(spec.horizon),
                       min_value=min_value, threshold=threshold, required=required)
 
 
@@ -1159,7 +1160,7 @@ def _candidates(regime, point, eps, lam, N, horizon, table):
                             mp.power(wmin / 2, 1 / e))
             spec = RegimeSpec(**base, eps=eps, lam=lam, n0=n0, delta=delta)
             if delta > 0 and least >= interior_threshold(spec):
-                yield spec, _interior_tail(spec, horizon, wmin)
+                yield spec, _interior_tail(spec, wmin)
         n0 *= 2
 
 
@@ -1191,9 +1192,11 @@ class PowerLogLaw:
 
     The exponents are converted to finite mpfs when the law is built, and
     kept, so that `volume_band` can bound log2 of the law in float64 before
-    it evaluates it anywhere.  A call evaluates exp(expo ln n + logexp ln ln n)
-    at 20 bits above the working precision, with one final rounding to it
-    (its error is bounded in `_band_bounds`).
+    it evaluates it anywhere.  A call gives exp(expo ln n + logexp ln ln n)
+    as three calls round it: t formed at 20 bits above the working precision
+    and exp(t) rounded once to it (its error is bounded in `_band_bounds`).
+    `numerics.power_log` gives those bits from one fixed-point pass where
+    Ziv's test decides them, and from the calls elsewhere.
     """
 
     expo: mp.mpf
@@ -1204,15 +1207,7 @@ class PowerLogLaw:
         object.__setattr__(self, "logexp", _law_parameter(self.logexp, "power-log exponent"))
 
     def __call__(self, n: int) -> mp.mpf:
-        prec = mp.mp.prec
-        wp = prec + 20
-        ln_n = mpf_log(from_int(n), wp, round_nearest)
-        t = mpf_mul(self.expo._mpf_, ln_n, wp, round_nearest)
-        if self.logexp:
-            lnln_n = mpf_log(ln_n, wp, round_nearest)
-            t = mpf_add(t, mpf_mul(self.logexp._mpf_, lnln_n, wp, round_nearest),
-                        wp, round_nearest)
-        return mp.make_mpf(mpf_exp(t, prec, round_nearest))
+        return mp.make_mpf(power_log(self.expo._mpf_, self.logexp._mpf_, n, mp.mp.prec))
 
 
 @dataclass(frozen=True)

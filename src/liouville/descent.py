@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpf_le, mpf_neg, mpf_sqrt
+from mpmath.libmp import (fnan, fone, fzero, mpf_abs, mpf_div, mpf_eq, mpf_gt, mpf_le, mpf_lt,
+                          mpf_mul, mpf_neg, mpf_pow, mpf_sqrt, mpf_sub)
 
 from . import screen
 from .counterexamples import BuiltCounterexample, term_kernel
@@ -187,10 +188,21 @@ def _screened(items, bounds, margin_of) -> BoundFamily:
     """
     picked = screen.extremes(bounds, high=True)
     checks = [margin_of(items[i]) for i in picked]
-    if any(mp.isnan(m) for m, _ in checks):
+    if any(m._mpf_ == fnan for m, _ in checks):
         checks = [margin_of(item) for item in items]
+    worst = _max(m._mpf_ for m, _ in checks)
     return BoundFamily(checked=len(items), holds=all(ok for _, ok in checks),
-                       worst_margin=max((m for m, _ in checks), default=None))
+                       worst_margin=worst and mp.make_mpf(worst))
+
+
+def _max(values):
+    """max(values) of raw mpfs, None for none, in Python's first-of-equals and
+    nan order, by mpf_gt (the libmp call of mpf's >)."""
+    top = None
+    for v in values:
+        if top is None or mpf_gt(v, top):
+            top = v
+    return top
 
 
 def _site_logs(u, lap, g):
@@ -202,38 +214,47 @@ def _site_logs(u, lap, g):
     return None
 
 
-# The mpf margins, as the loops over every step compute them.
+# The mpf margins, as the loops over every step compute them, on raw values:
+# the libmp calls of mpf's operators at the working precision.
 
 def _averaging(step, sqrt2, tol):
-    rhs = sqrt2 * step.grad
-    scale = max(abs(step.lap), rhs)
-    m = (abs(step.lap) - rhs) / scale if scale > 0 else mp.mpf(0)
-    return m, m <= tol
+    prec, rnd = mp.mp._prec_rounding
+    lap, rhs = mpf_abs(step.lap._mpf_, prec, rnd), mpf_mul(sqrt2._mpf_, step.grad._mpf_, prec, rnd)
+    scale = _max((lap, rhs))
+    m = mpf_div(mpf_sub(lap, rhs, prec, rnd), scale, prec, rnd) if mpf_gt(scale, fzero) else fzero
+    return mp.make_mpf(m), mpf_le(m, tol._mpf_)
 
 
 def _sandwich(step, tol):
-    scale = max(abs(step.lap), abs(step.drop))
-    if scale == 0:
-        return mp.mpf(0), False     # lap must be strictly negative
-    m = max(step.lap, -step.drop - step.lap) / scale
-    return m, step.lap < 0 and m <= tol
+    prec, rnd = mp.mp._prec_rounding
+    lap, drop = step.lap._mpf_, step.drop._mpf_
+    scale = _max((mpf_abs(lap, prec, rnd), mpf_abs(drop, prec, rnd)))
+    if mpf_eq(scale, fzero):
+        return mp.make_mpf(fzero), False     # lap must be strictly negative
+    m = mpf_div(_max((lap, mpf_sub(mpf_neg(drop, prec, rnd), lap, prec, rnd))), scale, prec, rnd)
+    return mp.make_mpf(m), mpf_lt(lap, fzero) and mpf_le(m, tol._mpf_)
 
 
 def _gradient_ratio(step, ratio_factor, tol):
-    bound = ratio_factor * step.drop
-    m = (step.grad - bound) / max(step.grad, bound)
-    return m, m <= tol
+    prec, rnd = mp.mp._prec_rounding
+    grad, bound = step.grad._mpf_, mpf_mul(ratio_factor._mpf_, step.drop._mpf_, prec, rnd)
+    m = mpf_div(mpf_sub(grad, bound, prec, rnd), _max((grad, bound)), prec, rnd)
+    return mp.make_mpf(m), mpf_le(m, tol._mpf_)
 
 
 def _pointwise_power(step, sqrt2, neg_p, one_minus_q, tol):
-    rhs = sqrt2 * mp.power(step.u, neg_p) * mp.power(step.grad, one_minus_q)
-    m = (1 - rhs) / max(mp.mpf(1), rhs)
-    return m, m <= tol
+    prec, rnd = mp.mp._prec_rounding
+    rhs = mpf_mul(mpf_mul(sqrt2._mpf_, mpf_pow(step.u._mpf_, neg_p._mpf_, prec, rnd), prec, rnd),
+                  mpf_pow(step.grad._mpf_, one_minus_q._mpf_, prec, rnd), prec, rnd)
+    m = mpf_div(mpf_sub(fone, rhs, prec, rnd), _max((fone, rhs)), prec, rnd)
+    return mp.make_mpf(m), mpf_le(m, tol._mpf_)
 
 
 def _pointwise_margin(u, grad_sq, p1, term_of):
-    m = mp.power(u, p1) * term_of.grad_power(mp.sqrt(grad_sq)) - 1
-    return m, m <= term_of.tol
+    prec, rnd = mp.mp._prec_rounding
+    grad = term_of.grad_power(mp.make_mpf(mpf_sqrt(grad_sq._mpf_, prec, rnd)))._mpf_
+    m = mpf_sub(mpf_mul(mpf_pow(u._mpf_, p1._mpf_, prec, rnd), grad, prec, rnd), fone, prec, rnd)
+    return mp.make_mpf(m), mpf_le(m, term_of.tol._mpf_)
 
 
 def walk_diagnostics(walk: DescentWalk, p0=None,
@@ -294,11 +315,13 @@ def walk_diagnostics(walk: DescentWalk, p0=None,
 
     every = range(len(steps))
     drops = [i for i in every if steps[i].drop is not None]
-    rises = [-steps[i].drop for i in drops]
+    prec, rnd = mp.mp._prec_rounding
+    rises = [mpf_neg(steps[i].drop._mpf_, prec, rnd) for i in drops]
+    top = _max(rises)
     return WalkDiagnostics(
         n_sites=len(steps),
-        strict_decrease=BoundFamily(len(rises), all(m < 0 for m in rises),
-                                    max(rises, default=None)),
+        strict_decrease=BoundFamily(len(rises), all(mpf_lt(m, fzero) for m in rises),
+                                    top and mp.make_mpf(top)),
         sandwich=family([i for i in drops if solves[i]], lambda s: _sandwich(s, tol),
                         "valley", 0.0, lambda r: r[1][0] and r[3] is not None
                         and ((1.0, r[1][1]), (-1.0, r[3])) or None),
@@ -307,11 +330,12 @@ def walk_diagnostics(walk: DescentWalk, p0=None,
         # the gradient ratio bound only needs a nonpositive Laplacian and a
         # strict drop, not the full solution property
         gradient_ratio=None if p0 is None else family(
-            [i for i in drops if steps[i].drop > 0 and steps[i].lap <= 0],
+            [i for i in drops if mpf_gt(steps[i].drop._mpf_, fzero)
+             and mpf_le(steps[i].lap._mpf_, fzero)],
             lambda s: _gradient_ratio(s, ratio_factor, tol), "falling", log_rf and log_rf[1],
             lambda r: log_rf and r[3] is not None and ((1.0, r[3]), (-1.0, r[2])) or None),
         pointwise_power=None if point is None else family(
-            [i for i in every if solves[i] and steps[i].grad > 0],
+            [i for i in every if solves[i] and mpf_gt(steps[i].grad._mpf_, fzero)],
             lambda s: _pointwise_power(s, sqrt2, neg_p, one_minus_q, tol), "falling", 0.5,
             lambda r: ((neg_p_f, r[0]), (one_minus_q_f, r[2]))),
         solution_sites=sum(1 for ok in solves if ok),

@@ -329,24 +329,21 @@ def harnack_scan(pairs, p0, what: str) -> HarnackReport:
 
     Requires a finite p0 >= 1 and u > 0 (`what`, a format string, names the edge in
     the error); reports the extremal adjacent ratio and the first edge
-    where it occurs, decided by the tolerant `check_le`.  The ratio is a
-    function of the pair (u(x), u(y)), so each distinct pair of values is
-    read once.  The largest exact ratio is `max_quotient_pair`'s, divided
-    once; the worst edge is the first whose rounded ratio equals it, above
-    1.  A ratio that rounds to it lies within 2 ulps of it, so only the
-    pairs that close are divided, in edge order, until one does.
+    where it occurs, decided by the tolerant `check_le`.  The largest exact
+    ratio is `max_quotient_pair`'s, divided once; the worst edge is the
+    first whose rounded ratio equals it, above 1.  A ratio that rounds to it
+    lies within 2 ulps of it, so only the pairs that close are divided, in
+    edge order, until one does.  No pair is hashed: `harnack_check` hands a
+    graph's distinct value pairs once each, and a tree's layers seldom repeat.
     """
     p0 = checked_p0(p0)
     prec = mp.mp.prec
-    seen, ratios = set(), []
+    ratios = []
     for edge, a, b in pairs:
-        pair = a, b = a._mpf_, b._mpf_
-        if pair in seen:
-            continue
-        seen.add(pair)
+        a, b = a._mpf_, b._mpf_
         if a[0] or b[0] or not (a[1] and b[1]):    # not positive and finite
             raise InputError("harnack_check needs positive values, " + what.format(*edge))
-        ratios.append((edge, pair if quotient_cmp(a, b, fone, fone) >= 0 else (b, a)))
+        ratios.append((edge, (a, b) if quotient_cmp(a, b, fone, fone) >= 0 else (b, a)))
     worst = mpf_div(*max_quotient_pair(ratio for _, ratio in ratios), prec, round_nearest)
     worst_edge = None
     if worst != fone:
@@ -360,10 +357,16 @@ def harnack_scan(pairs, p0, what: str) -> HarnackReport:
 
 
 def harnack_check(g: WeightedGraph, u: GraphFunction, p0) -> HarnackReport:
-    """Scan all edges for 1/p0 <= u(x)/u(y) <= p0, by `harnack_scan`."""
+    """Scan all edges for 1/p0 <= u(x)/u(y) <= p0, by `harnack_scan`, each
+    distinct pair of values once, at its first edge: a ball repeats each
+    layer pair on many edges."""
     _require_total(g, u)
-    return harnack_scan((((x, y), u[x], u[y]) for (x, y), _ in g.edges()), p0,
-                        "edge ({},{})")
+    first = {}
+    for (x, y), _ in g.edges():
+        pair = u[x]._mpf_, u[y]._mpf_
+        if pair not in first:
+            first[pair] = (x, y), u[x], u[y]
+    return harnack_scan(first.values(), p0, "edge ({},{})")
 
 
 # Edge-list text format: header "graph v=<count>", then "x y mu" lines.

@@ -19,10 +19,10 @@ from itertools import groupby
 from math import factorial, isqrt
 
 import mpmath as mp
-from mpmath.libmp import (MPZ, bitcount, fone, ften, from_int, ftwo, mpf_div, mpf_exp,
+from mpmath.libmp import (MPZ, bitcount, fone, ften, from_int, ftwo, mpf_add, mpf_div, mpf_exp,
                           mpf_log, mpf_mul, mpf_pow_int, normalize, round_down, round_nearest,
                           round_up)
-from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, ln2_fixed, log_taylor_cached
+from mpmath.libmp.libelefun import LOG_TAYLOR_PREC, exp_basecase, ln2_fixed, log_taylor_cached
 
 DEFAULT_PRECISION_BITS = 128
 MIN_PRECISION_BITS = 53         # a float64 significand
@@ -350,6 +350,56 @@ def _ln_fixed(x: tuple, wp: int) -> int:
     if man == 1:
         return exp * ln2_fixed(wp)
     return log_taylor_cached(man << (wp - bc), wp) + (exp + bc) * ln2_fixed(wp)
+
+
+def power_log(a: tuple, b: tuple, n: int, prec: int) -> tuple:
+    """exp(A ln n + B ln ln n) for finite raw a, b (A, B) and an int n >= 2,
+    as three calls round it (ln n and ln ln n, t = A ln n + B ln ln n at prec
+    + 20 bits, exp(t) at prec), bit for bit: from one fixed-point pass where
+    Ziv's test decides, else from the calls.
+
+    At W = prec + 64 bits, with nb n's bit count and S = (ceil|A| + 2
+    ceil|B|) nb: L1 = `_ln_fixed(n, W)` lies within E1 = 16 + W/6 + 2 nb
+    units of 2^W ln n (`LogRun`), L2 (the same of L1 2^-W cut to W bits)
+    within E1/2 + E2 + 2 of 2^W ln ln n (ln n > 2 at n >= 8); T = A L1 + B
+    L2 adds a unit per product, T = k ln2_fixed(W) + r adds |k| <= 1.45 S +
+    1, exp_basecase(r, W) (a Taylor sum and floor(sqrt W) squarings below
+    600 bits) 1.5 sqrt(W) + 10, the cut to W bits 1: under 2^46 (S + 1)
+    units of the last bit.  The calls' value before its last rounding lies
+    within mpf_exp's 2^56 units (`geometric_run`) plus t's five roundings at
+    prec + 20 bits, 3.1 2^-(prec+20) (|A ln n| + |B ln ln n| + |B|) < 2^46 S
+    units.  Where the guard bits lie farther than R = 2^56 + 2^47 (S + 1)
+    from every multiple of half a prec-bit ulp, all three round alike.  The
+    calls run at n <= 7 (mpf_log's near-1 branch at ln n < 2), for W > 600
+    (prec > 600 among them; W stays within LOG_TAYLOR_PREC) and for |A| or
+    |B| past 2^16.
+    """
+    W, nb = prec + _GUARD_BITS, n.bit_length()
+    sa, ma, ea, ba = a
+    sb, mb, eb, bb = b
+    if n > 7 and nb <= W <= _EXP_RUN_MAX_PREC and max(ea + ba, eb + bb) <= 16:
+        radius = _EXP_RADIUS + (((-(-ma >> -ea) if ea < 0 else ma << ea)
+                                 + 2 * (-(-mb >> -eb) if eb < 0 else mb << eb)) * nb + 1 << 47)
+        L1 = _ln_fixed(from_int(n), W)
+        T = (-ma if sa else ma) * L1
+        T = T << ea if ea >= 0 else T >> -ea
+        if mb:
+            s = L1.bit_length() - W
+            L2 = (-mb if sb else mb) * _ln_fixed((0, L1 >> s, s - W, W), W)
+            T += L2 << eb if eb >= 0 else L2 >> -eb
+        k, r = divmod(T, ln2_fixed(W))
+        m = exp_basecase(r, W)
+        cut = m.bit_length() - W
+        m >>= cut
+        if radius < m & (_HALF_ULP - 1) < _HALF_ULP - radius:
+            return normalize(0, m, k - W + cut, W, prec, round_nearest)
+    wp = prec + 20
+    ln_n = mpf_log(from_int(n), wp, round_nearest)
+    t = mpf_mul(a, ln_n, wp, round_nearest)
+    if mb:
+        t = mpf_add(t, mpf_mul(b, mpf_log(ln_n, wp, round_nearest), wp, round_nearest),
+                    wp, round_nearest)
+    return mpf_exp(t, prec, round_nearest)
 
 
 class LogRun:

@@ -73,7 +73,7 @@ def _certify_poly(regime, point, *, eps, lam, N, horizon) -> Certificate:
                               n0=n0, delta=delta)
             if min(probe_vals) >= interior_threshold(spec):
                 built = build(spec)
-                cert = Certificate(built, verify(built), _interior_tail(spec, horizon, wmin))
+                cert = Certificate(built, verify(built), _interior_tail(spec, wmin))
                 if cert.ok:
                     return cert
                 if best_margin is None or cert.report.max_margin < best_margin:

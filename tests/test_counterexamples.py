@@ -473,6 +473,60 @@ def test_power_log_law_is_within_its_error_bound(bits):
                     assert abs(value / ref - 1) <= mp.ldexp(1, 1 - bits) * bound, (expo, n)
 
 
+def three_call_law(A, B, n):
+    """exp(A ln n + B ln ln n) as the law's three libmp calls round it: the
+    logs and t at 20 bits above the working precision, exp(t) at it."""
+    from mpmath.libmp import from_int, mpf_add, mpf_exp, mpf_log, mpf_mul
+    prec = mp.mp.prec
+    wp = prec + 20
+    ln_n = mpf_log(from_int(n), wp, "n")
+    t = mpf_mul(A._mpf_, ln_n, wp, "n")
+    if B:
+        t = mpf_add(t, mpf_mul(B._mpf_, mpf_log(ln_n, wp, "n"), wp, "n"), wp, "n")
+    return mpf_exp(t, prec, "n")
+
+
+LAW_EXPONENT = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=LAW_EXPONENT, B=st.fractions(min_value=F(-50, 3), max_value=F(50, 3),
+                                      max_denominator=30),
+       n=st.integers(2, 2 ** 40), bits=st.sampled_from([53, 128, 256, 601]))
+@example(A=F(0), B=F(0), n=2, bits=128)
+@example(A=F(-59, 3), B=F(47, 5), n=2 ** 40, bits=53)
+@example(A=F(5, 2), B=F(3, 5), n=4096, bits=601)
+def test_power_log_law_is_the_three_calls_bit_for_bit(A, B, n, bits):
+    """The one fixed-point pass behind Ziv's test gives the three calls'
+    bits, for rational exponents of either sign or zero, n up to 2^40 and
+    precisions on both sides of the pass's 600-bit limit."""
+    with mp.workprec(bits):
+        law = lv.PowerLogLaw(A, B)
+        assert law(n)._mpf_ == three_call_law(law.expo, law.logexp, n)
+
+
+@pytest.mark.parametrize("bits", [128, 601])
+def test_power_log_law_takes_the_pass_and_falls_back(monkeypatch, bits):
+    """On the regime I volume law over n = 2..4096 at 128 bits, the pass
+    decides all but a few percent of the values and the three calls (the
+    only mpf_exp) give the rest, n <= 7 among them; at 601 bits every value
+    is the calls'."""
+    calls = []
+    real = numerics.mpf_exp
+    monkeypatch.setattr(numerics, "mpf_exp", lambda *args: calls.append(1) or real(*args))
+    with mp.workprec(bits):
+        law, called = lv.PowerLogLaw(F(5, 2), F(3, 5)), []
+        for n in range(2, 4097):
+            before = len(calls)
+            assert law(n)._mpf_ == three_call_law(law.expo, law.logexp, n), n
+            called += [n] * (len(calls) - before)
+    if bits > 600:
+        assert called == list(range(2, 4097))
+    else:
+        assert called[:6] == list(range(2, 8))
+        assert 0 < len(called) - 6 <= 4095 // 20
+
+
 def test_volume_band_input_checks(regime1_small):
     with pytest.raises(InputError):
         lv.volume_band(regime1_small, lambda n: mp.mpf(1), 1, 10)

@@ -222,3 +222,44 @@ def test_walk_diagnostics_take_a_p0_beyond_the_readers_exponents():
         diag = lv.walk_diagnostics(walk, p0=p0, point=point)
         assert diag == before_streams.walk_diagnostics(walk, p0, point)
         assert diag.gradient_ratio.checked == 4
+
+
+def raw(x):
+    """x with every mpf replaced by its raw tuple (so a nan equals itself)."""
+    if isinstance(x, mp.mpf):
+        return x._mpf_
+    if isinstance(x, tuple):
+        return tuple(map(raw, x))
+    if hasattr(x, "__dataclass_fields__"):
+        return tuple(raw(getattr(x, f)) for f in x.__dataclass_fields__)
+    return x
+
+
+def hand_walk(*rows):
+    """A walk of steps (u, lap, grad, drop) at sites 0, 1, ..."""
+    return lv.DescentWalk(steps=tuple(lv.DescentStep(i, *map(lambda v: v if v is None else
+                                                             mp.mpf(v), row))
+                                      for i, row in enumerate(rows)),
+                          termination="max-steps", revisit_flagged=False)
+
+
+@pytest.mark.parametrize("case", ["zero drop", "zero laplacian", "nan", "inf"])
+def test_raw_margins_match_mpf_on_edge_values(case):
+    """The margins on raw values give mpf's operators' report, bit for bit,
+    where a drop or a Laplacian is exactly zero (the sandwich's zero scale,
+    the strict-decrease and gradient-ratio member tests on 0) and where a
+    value is not finite, whose nan margin voids `_screened`'s screen and
+    whose maximum then depends on where the nan sits."""
+    rows = {
+        "zero drop": [(1, -2, 1, 0), (1, -1, "0.5", "0.25"), (2, -3, 1, 0), ("0.5", -1, 1, None)],
+        "zero laplacian": [(1, 0, 0, 0), (1, 0, 1, "0.5"), (1, -1, 1, "0.5"), (1, -1, 1, None)],
+        "nan": [(1, -2, 1, "0.5"), (1, "nan", 1, "0.5"), (1, -2, "nan", "nan"), (1, -1, 1, None)],
+        "inf": [(1, "-inf", 1, "0.5"), (1, -2, "+inf", "0.5"), (1, -1, 1, "-inf"),
+                (1, -1, 1, None)],
+    }[case]
+    walk = hand_walk(*rows)
+    for p0 in (None, 1, 3):
+        for point in (None, lv.pq(2, 1), lv.pq(-1, "3/2"), lv.pq(2, -1)):
+            got = lv.walk_diagnostics(walk, p0, point)
+            assert raw(got) == raw(before_streams.walk_diagnostics(walk, p0, point)), \
+                (p0, point)

@@ -1,3 +1,4 @@
+import ast
 import re
 from fractions import Fraction as F
 from pathlib import Path
@@ -194,3 +195,33 @@ def test_mpmath_is_the_version_the_pins_were_recorded_with():
     assert lo <= version < hi, (
         f"mpmath {mp.__version__} is outside >={lo},<{hi}: the digest pins and the run "
         "kernels reproduce mpmath 1.3's exact bits")
+
+
+def libelefun_imports(tree):
+    """The lines of tree that import from mpmath's elementary-function module
+    `mpmath.libmp.libelefun`, or import the module itself."""
+    inner = "mpmath.libmp.libelefun"
+    return sorted(node.lineno for node in ast.walk(tree) if
+                  isinstance(node, ast.ImportFrom) and (
+                      (node.module or "").startswith(inner)
+                      or node.module == "mpmath.libmp"
+                      and any(a.name == "libelefun" for a in node.names))
+                  or isinstance(node, ast.Import)
+                  and any(a.name.startswith(inner) for a in node.names))
+
+
+def test_only_numerics_reaches_into_libelefun():
+    """mpmath's fixed-point internals (ln2_fixed, log_taylor_cached,
+    exp_basecase, ...) are one seam: numerics.py imports them, and every
+    other module reaches them through its kernels."""
+    package = Path(lv.__file__).parent
+    found = [path.name for path in sorted(package.glob("*.py"))
+             if libelefun_imports(ast.parse(path.read_text()))]
+    assert found == ["numerics.py"]
+    source = ("from mpmath.libmp.libelefun import ln2_fixed\n"
+              "import mpmath.libmp.libelefun as le\n"
+              "from mpmath.libmp import libelefun, mpf_exp\n"
+              "from mpmath.libmp import mpf_log\n"
+              "try:\n    from mpmath.libmp.libelefun import exp_basecase\n"
+              "except ImportError:\n    pass\n")
+    assert libelefun_imports(ast.parse(source)) == [1, 2, 3, 6]
