@@ -40,14 +40,14 @@ from typing import Callable
 
 import mpmath as mp
 from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_gt,
-                          mpf_le, mpf_log, mpf_mul, mpf_pow, mpf_rdiv_int, mpf_sqrt, normalize,
+                          mpf_le, mpf_mul, mpf_pow, mpf_rdiv_int, mpf_sqrt, normalize,
                           round_nearest)
 
 from . import screen
 from .errors import CalibrationError, InputError
 from .graphs import GraphFunction, WeightedGraph, site_classes, site_operators
-from .numerics import (ExpRun, LogRun, check_nonpositive, exp_run, memo, power_log, power_run,
-                       precision, quotient_cmp, rel_tol, to_mpf)
+from .numerics import (check_nonpositive, exact_sum, exp_run, exp_steps, log_run, memo,
+                       power_log, power_run, precision, quotient_cmp, rel_tol, to_mpf)
 from .radial import RadialFunction, RadialTree, TwoSidedRadialTree, layer_operators
 from .regions import PQPoint, exponents, in_g_region, pq
 
@@ -153,8 +153,8 @@ def validate_spec(spec: RegimeSpec) -> Recipe:
 
 
 class _Profile:
-    """The closed-form profile of a regime: run(ms) gives its rows at a range
-    of consecutive m in one pass; a single m is a run of one."""
+    """The closed-form profile of a regime: run(ms) gives its rows at
+    increasing m in one pass; a single m is a run of one."""
 
     def __init__(self, run):
         self.run = run
@@ -172,9 +172,8 @@ def _profile(regime: str, point: PQPoint, param) -> _Profile:
     mp.ln(m) ** beta`, ...) at the precision read here.  The power-log rows
     are mpf_mul(m^a, (ln m)^b) and mpf_mul(m^c, (ln m)^d) (II: a, c = 1, 0,
     and m^0 f is f), each power on mpf_pow's own branch: `numerics.power_run`,
-    or exp(y c) from an `ExpRun` on c = mpf_log(x, prec + 10).  ln m and
-    those logs come from `LogRun`s, which, like the `ExpRun`s, carry their
-    values from one run of the profile to the next.
+    or exp(y c) from `exp_steps` on c = mpf_log(x, prec + 10).  ln m and
+    those logs come from `log_run`; each run of either starts afresh.
     """
     prec, rnd = mp.mp._prec_rounding
     recipe = RECIPES[regime]
@@ -182,24 +181,23 @@ def _profile(regime: str, point: PQPoint, param) -> _Profile:
         return _Profile(lambda ms: [(m, mpf_rdiv_int(1, m, prec, rnd))
                                     for m in (from_int(k, prec, rnd) for k in ms)])
     ys = [to_mpf(y)._mpf_ for y in recipe.exps(point, to_mpf(param))]
-    exps = [ExpRun(y, prec) if y[2] < -1 else None for y in ys]
-    m_logs = LogRun(prec, *[prec + 10] * bool(exps[0] or exps[2]))   # logs[-1]: m^y's c
-    ln_logs = LogRun(prec + 10)
+    exps = [y[2] < -1 for y in ys]      # m^y or (ln m)^y through exp(y c)
+    precs = prec, *[prec + 10] * (exps[0] or exps[2])                # logs[-1]: m^y's c
 
     def mul(x, z):                  # mpf_mul of positive x and z
         man = x[1] * z[1]
         return normalize(0, man, x[2] + z[2], man.bit_length(), prec, rnd)
 
     def run(ms):
-        if len(ms) > 256:               # the runs carry on: chunks bound the lists alive
+        if len(ms) > 256:               # chunks bound the lists alive
             return [row for i in range(0, len(ms), 256) for row in run(ms[i:i + 256])]
         mfs = [normalize(0, m, 0, m.bit_length(), prec, rnd) for m in ms]     # from_int
-        logs = m_logs.run(mfs)
+        logs = log_run(mfs, *precs)
         lns = logs[0]
         (a, c), (b, d) = power_run(mfs, ys[0::2], prec), power_run(lns, ys[1::2], prec)
-        cs = logs[-1], ln_logs.run(lns)[0] if exps[1] or exps[3] else None
-        a, b, c, d = [exp.run(cs[i % 2]) if exp else pw
-                      for i, (pw, exp) in enumerate(zip((a, b, c, d), exps))]
+        cs = logs[-1], log_run(lns, prec + 10)[0] if exps[1] or exps[3] else None
+        a, b, c, d = [exp_steps(y, cs[i % 2], prec) if exp else pw
+                      for i, (pw, y, exp) in enumerate(zip((a, b, c, d), ys, exps))]
         return list(zip(map(mul, a, b), d if ys[2] == fzero else map(mul, c, d)))
 
     return _Profile(run)
@@ -357,19 +355,6 @@ def margin_at(tree, u: RadialFunction, p, q, n: int) -> mp.mpf:
     return lap + term_kernel(p, q)(un, grad_sq)
 
 
-def _exact_sum(x1: int, e1: int, x2: int, e2: int):
-    """(y, e) with y 2^e = x1 2^e1 + x2 2^e2, exactly; None where the
-    exponents of two nonzero terms lie more than 2^14 apart."""
-    if not x1:
-        e1 = e2
-    elif not x2:
-        e2 = e1
-    k = e1 - e2
-    if not -16384 <= k <= 16384:
-        return None
-    return ((x1 << k) + x2, e2) if k >= 0 else (x1 + (x2 << -k), e1)
-
-
 def _screen(tree, u, layers, term_of) -> list:
     """Float64 bounds (lo, hi) on log2|margin| per layer, or None where undecided.
 
@@ -405,7 +390,7 @@ def _screen(tree, u, layers, term_of) -> list:
     for i in range(max(first - 1, 0), layers.stop - lo_u):
         (s, m, x, _), nxt = nxt, values[i + 1]._mpf_
         s1, m1, x1, _ = nxt
-        d_in, d_out = d_out, _exact_sum(-m1 if s1 else m1, x1, m if s else -m, x)  # u_{i+1} - u_i
+        d_in, d_out = d_out, exact_sum(-m1 if s1 else m1, x1, m if s else -m, x)   # u_{i+1} - u_i
         if i < first:
             continue
         a, b = tree.conductances(i + lo_u)
@@ -622,8 +607,8 @@ def _drift_kernel(plus_one: bool, p, q, unit, c_g, c_x, c_q, param):
         # Wm g_up) / D; quad = (Wn (d_up / (gn g_up))^2 + Wm (d_dn / (g_dn gn))^2) /
         # (2 (Wn + Wm)), and 1/g - 1/g' has kappa_q = (g + g') / |g' - g|
         (mWm, xWm), (mWn, xWn), (mgd, xgd), (mgu, xgu) = W[i - 1], W[i], g[i - 1], g[i + 1]
-        D = dn and up and _exact_sum(mWn * mgd * up[0], xWn + xgd + up[1],
-                                     -mWm * mgu * dn[0], xWm + xgu + dn[1])
+        D = dn and up and exact_sum(mWn * mgd * up[0], xWn + xgd + up[1],
+                                    -mWm * mgu * dn[0], xWm + xgu + dn[1])
         if not D:
             return None
         fD, eD = screen.top53(abs(D[0]), D[1])
@@ -647,7 +632,7 @@ def _drift_kernel(plus_one: bool, p, q, unit, c_g, c_x, c_q, param):
         rho = rho_d + abs(c_q) * rho_q
         if not plus_one:
             return ((c_g, math.log2(fgn) + egn), (1.0, drift), (c_q, quad)), rho
-        fx, ex = screen.top53(*_exact_sum(*g[i], 1, 0))                        # gn + 1
+        fx, ex = screen.top53(*exact_sum(*g[i], 1, 0))                         # gn + 1
         return (((1.0, drift), (c_x, screen._log2(fx / fgn, ex - egn)),
                  (-1.0, math.log2(fgn) + egn), (c_q, quad)), rho + abs(c_x) * 2.1 * unit)
 
@@ -672,7 +657,7 @@ def _log_kernel(p, q, unit, c_g, c_x, c_q, param):
         # d_up = f_up - fn, d_dn = fn - f_dn, and kappa = (Wn f_up + Wm f_dn) / L;
         # quad = (Wn d_up^2 + Wm d_dn^2) / (2 (Wn + Wm))
         (mWm, xWm), (mWn, xWn) = W[i - 1], W[i]
-        L = dn and up and _exact_sum(mWm * dn[0], xWm + dn[1], -mWn * up[0], xWn + up[1])
+        L = dn and up and exact_sum(mWm * dn[0], xWm + dn[1], -mWn * up[0], xWn + up[1])
         if not L or L[0] <= 0:
             return None
         fL, eL = screen.top53(*L)
@@ -684,7 +669,7 @@ def _log_kernel(p, q, unit, c_g, c_x, c_q, param):
         fw, ew = screen._fsum(fWm, eWm, fWn, eWn)
         fs, es = screen._fsum(fWn * up[2] * up[2], eWn + 2 * up[3], fWm * dn[2] * dn[2],
                               eWm + 2 * dn[3])
-        fx, ex = screen.top53(*_exact_sum(*f[i], 1, 0))                        # fn + 1
+        fx, ex = screen.top53(*exact_sum(*f[i], 1, 0))                         # fn + 1
         return (((1.0, screen._log2(fL / fw, eL - ew)), (c_x, math.log2(fx) + ex),
                  (c_q, screen._log2(fs / fw, es - ew - 1))),
                 rho_d + (1.1 * abs(c_x) + 7.2 * abs(c_q)) * unit)
@@ -711,9 +696,9 @@ def _reciprocal_kernel(p, q, unit, c_g, c_x, c_q, lam):
         # kappa = (m_dn inv_up + r) / T; quad = (d_up^2 + r d_dn^2) / (2 (1 + r)), d_up
         # and d_dn the differences of 1/m
         (m_dn, x_dn), (m_n, x_n), (m_up, x_up) = M[i - 1], V[i], V[i + 1]
-        T = dn and up and _exact_sum(m_dn * m_n * m_o, x_dn + x_n + x_o, -m_dn * m_up,
-                                     x_dn + x_up)
-        T = T and _exact_sum(*T, -m_r, x_r)
+        T = dn and up and exact_sum(m_dn * m_n * m_o, x_dn + x_n + x_o, -m_dn * m_up,
+                                    x_dn + x_up)
+        T = T and exact_sum(*T, -m_r, x_r)
         if not T:
             return None
         fT, eT = screen.top53(abs(T[0]), T[1])
@@ -724,7 +709,7 @@ def _reciprocal_kernel(p, q, unit, c_g, c_x, c_q, lam):
         if T[0] < 0:
             return False
         fs, es = screen._fsum(up[2] * up[2], 2 * up[3], fr * dn[2] * dn[2], er + 2 * dn[3])
-        fx, ex = screen.top53(*_exact_sum(m_n, x_n, 1, 0))                     # inv_n + 1
+        fx, ex = screen.top53(*exact_sum(m_n, x_n, 1, 0))                      # inv_n + 1
         return (((1.0, screen._log2(fT / (fo * fm), eT - eo - em)), (c_x, math.log2(fx) + ex),
                  (-0.5, screen._log2(fs / ft, es - et))), rho_d + (1.1 * abs(c_x) + 3.6) * unit)
 
@@ -753,7 +738,7 @@ def _window_bounds(rows, at) -> list:
     B = [(b[1], b[2]) for _, b in rows]
     diffs = []
     for (m1, x1), (m0, x0) in zip(B[1:], B):
-        d = _exact_sum(m1, x1, -m0, x0)
+        d = exact_sum(m1, x1, -m0, x0)
         diffs.append(d and d[0] and (*d, *top53(abs(d[0]), d[1])))
     reads = A, B, [top53(*a) for a in A], [top53(*b) for b in B]
     verdicts = [at(i, *reads, diffs[i - 1], diffs[i]) for i in range(1, len(rows) - 1)]

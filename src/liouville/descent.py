@@ -257,6 +257,16 @@ def _pointwise_margin(u, grad_sq, p1, term_of):
     return mp.make_mpf(m), mpf_le(m, term_of.tol._mpf_)
 
 
+def _solves(term_of, p, half_q, rows, ops) -> list:
+    """Per item, True where it solves the inequality, False where it does
+    not and None where its term is undefined: `screen.solution_check` on
+    rows, and `term_of.check` on ops(i) = (u, lap, grad^2), made only for
+    an item i the screen leaves open."""
+    return [verdict is not False if verdict is not None
+            else None if (check := term_of.check(*ops(i))) is None else check.holds
+            for i, verdict in enumerate(screen.solution_check(p, half_q, rows))]
+
+
 def walk_diagnostics(walk: DescentWalk, p0=None,
                      point: PQPoint | None = None) -> WalkDiagnostics:
     """Per-step bound margins over a recorded walk.
@@ -270,10 +280,10 @@ def walk_diagnostics(walk: DescentWalk, p0=None,
     of the step's mpf values (for the sandwich, falling then rising), so a
     float64 bound on y bounds the margin (`screen.margin_bounds`, one call
     per family, handed with the family's steps to `_screened`).  The
-    re-check is one `screen.solution_check` call, made only with the
-    exponent pair, and mpf re-checks the steps it leaves open (None): the
-    column solves holds each step's verdict, and the families' members are
-    read off it and the step values.  mpf evaluates a family's margin only
+    re-check, made only with the exponent pair, is `_solves`: the column
+    solves holds each step's verdict (None, an undefined term, reads as no
+    solution), and the families' members are read off it and the step
+    values.  mpf evaluates a family's margin only
     at the steps `_screened` cannot excuse; a step
     whose u, lap or grad is zero or not finite, or any step below 53 bits,
     is evaluated in mpf throughout, and so is the gradient ratio family of
@@ -301,12 +311,8 @@ def walk_diagnostics(walk: DescentWalk, p0=None,
         reads.append(logs and (*logs, drop[1] if drop and not drop[0] else None) or None)
     solves = [False] * len(steps)
     if point is not None:
-        solves = screen.solution_check(p, half_q, [r and (r[0], r[1], 2 * r[2], 0.0)
-                                                   for r in reads])
-        for i, s in enumerate(steps):
-            if solves[i] is None:
-                check = term_of.check(s.u, s.lap, s.grad ** 2)
-                solves[i] = check is not None and check.holds
+        solves = _solves(term_of, p, half_q, [r and (r[0], r[1], 2 * r[2], 0.0) for r in reads],
+                         lambda i: (steps[i].u, steps[i].lap, steps[i].grad ** 2))
 
     def family(members, margin_of, shape, const, terms_of):
         terms = (reads[i] and terms_of(reads[i]) for i in members)
@@ -360,11 +366,9 @@ def _pointwise_core(sites, class_of, reps, operators, point: PQPoint) -> Pointwi
     The re-check and the margin go through the float64 screen of
     `walk_diagnostics`, one column call each: the margin is 2^w - 1 with
     w = (p-1) log2 u + (q/2) log2 grad^2, and mpf evaluates a class only
-    where the re-check is open or the class could hold the maximum.  Each
-    class's entry of the column solves is True where it solves the
-    inequality, False where it does not and None where its term is
-    undefined; a site counts as checked, a hypothesis failure or skipped
-    by its class's entry.
+    where the re-check is open or the class could hold the maximum.  A
+    site counts as checked, a hypothesis failure or skipped by its class's
+    entry of the column solves (`_solves`: True, False or None).
     """
     term_of = term_kernel(point.p, point.q)
     p1 = to_mpf(point.p - 1)
@@ -372,13 +376,7 @@ def _pointwise_core(sites, class_of, reps, operators, point: PQPoint) -> Pointwi
     p, half_q_f, p1_f = floats or (0.0, 0.0, 0.0)
     ops = list(map(operators, reps))
     reads = [floats and _site_logs(*site) for site in ops]
-    solves = screen.solution_check(p, half_q_f, [r and (*r, 0.0) for r in reads])
-    for c, verdict in enumerate(solves):
-        if verdict is None:
-            check = term_of.check(*ops[c])
-            solves[c] = None if check is None else check.holds
-        else:
-            solves[c] = verdict is not False
+    solves = _solves(term_of, p, half_q_f, [r and (*r, 0.0) for r in reads], ops.__getitem__)
     members = [c for c, ok in enumerate(solves) if ok]
     family = _screened([(ops[c][0], ops[c][2]) for c in members], screen.margin_bounds(
         "rising", 0.0, (reads[c] and ((p1_f, reads[c][0]), (half_q_f, reads[c][2]))

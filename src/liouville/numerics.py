@@ -15,7 +15,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import groupby
 from math import factorial, isqrt
 
 import mpmath as mp
@@ -236,12 +235,10 @@ class memo(dict):
     __call__ = dict.__getitem__
 
     def run(self, keys: range) -> list:
-        """[self(k) for k in keys], each maximal stretch of keys not yet kept
-        made by one fn.run (a run of consecutive keys)."""
-        gap = [k for k in keys if k not in self]
-        for _, part in groupby(enumerate(gap), lambda t: t[1] - t[0]):
-            ks = [k for _, k in part]
-            self.update(zip(ks, self.fn.run(range(ks[0], ks[-1] + 1))))
+        """[self(k) for k in keys], the keys not yet kept made by one fn.run
+        (an increasing list)."""
+        if gap := [k for k in keys if k not in self]:
+            self.update(zip(gap, self.fn.run(gap)))
         return [self[k] for k in keys]
 
 
@@ -345,7 +342,7 @@ def _series(W: int):
 
 
 def _ln_fixed(x: tuple, wp: int) -> int:
-    """mpf_log's integer for x > 2 at wp <= LOG_TAYLOR_PREC bits (`LogRun`)."""
+    """mpf_log's integer for x > 2 at wp <= LOG_TAYLOR_PREC bits (`log_run`)."""
     _, man, exp, bc = x
     if man == 1:
         return exp * ln2_fixed(wp)
@@ -360,7 +357,7 @@ def power_log(a: tuple, b: tuple, n: int, prec: int) -> tuple:
 
     At W = prec + 64 bits, with nb n's bit count and S = (ceil|A| + 2
     ceil|B|) nb: L1 = `_ln_fixed(n, W)` lies within E1 = 16 + W/6 + 2 nb
-    units of 2^W ln n (`LogRun`), L2 (the same of L1 2^-W cut to W bits)
+    units of 2^W ln n (`log_run`), L2 (the same of L1 2^-W cut to W bits)
     within E1/2 + E2 + 2 of 2^W ln ln n (ln n > 2 at n >= 8); T = A L1 + B
     L2 adds a unit per product, T = k ln2_fixed(W) + r adds |k| <= 1.45 S +
     1, exp_basecase(r, W) (a Taylor sum and floor(sqrt W) squarings below
@@ -402,11 +399,10 @@ def power_log(a: tuple, b: tuple, n: int, prec: int) -> tuple:
     return mpf_exp(t, prec, round_nearest)
 
 
-class LogRun:
-    """mpf_log(x, p) for each p of precs (round to nearest), bit for bit, for
-    runs of monotone raw x: `run(xs)` gives a list per p, and one integer
-    L, 2^W ln x with W = max(precs) + 32, is carried from x to x, across
-    runs too.
+def log_run(xs: list, *precs: int) -> list:
+    """[[mpf_log(x, p) for x in xs] for p in precs] (round to nearest), bit
+    for bit, for increasing raw xs: one integer L, 2^W ln x with W =
+    max(precs) + 32, carried from x to x of the run.
 
     For x > 2 (mag = exp + bc >= 2), mpf_log(x, p) rounds `_ln_fixed(x, wp)`,
     wp = p + 20 <= LOG_TAYLOR_PREC, within E = 16 + wp/6 + 2 mag units of
@@ -420,124 +416,108 @@ class LogRun:
     Horner's sum S of floor(2^W / (2j + 1)) Z2^j, 2j + 3 >= (W + 1)/q (3.6
     units with the tail), and 2 floor(S Z 2^-W): 6 units.  A step of more
     than `_MAX_TERMS` terms seeds instead.  So mpmath's integer and L lie
-    within E 2^(W-wp) + err units of L's last bit of ln x, err the sum so
-    far, and where L's bits below the p-th lie farther than that from every
+    within E 2^(W-wp) + err units of L's last bit of ln x, err the run's
+    sum, and where L's bits below the p-th lie farther than that from every
     rounding boundary (Ziv's test, as in `geometric_run`) both round alike.
     Elsewhere, at x <= 2 (mpf_log's near-1 branch) and if W + 16 >
     LOG_TAYLOR_PREC, a value is the call.
     """
-
-    def __init__(self, *precs: int):
-        self.precs, self.W = precs, max(precs) + _RUN_GUARD_BITS
-        self.last = None, 0, None, 0    # the last x carried as X 2^E, its L, and err
-
-    def run(self, xs: list) -> list:
-        precs, W = self.precs, self.W
-        if W + 16 > LOG_TAYLOR_PREC:
-            return [[mpf_log(x, p, round_nearest) for x in xs] for p in precs]
-        odd, rev = _series(W)[:2]
-        X0, E, L, err = self.last
-        Ls = []
-        for x in xs:
-            _, man, exp, bc = x
-            if exp + bc < 3 and (exp + bc < 2 or x == ftwo):
-                X0 = L = None           # the call
-            elif X0 is None:
-                X0, E, L, err = man, exp, _ln_fixed(x, W + 16) >> 16, err + 3
+    W = max(precs) + _RUN_GUARD_BITS
+    if W + 16 > LOG_TAYLOR_PREC:
+        return [[mpf_log(x, p, round_nearest) for x in xs] for p in precs]
+    odd, rev = _series(W)[:2]
+    X0, E, L, err = None, 0, None, 0    # the last x carried as X0 2^E, its L
+    Ls = []
+    for x in xs:
+        _, man, exp, bc = x
+        if exp + bc < 3 and (exp + bc < 2 or x == ftwo):
+            X0 = L = None           # the call
+        elif X0 is None:
+            X0, E, L, err = man, exp, _ln_fixed(x, W + 16) >> 16, err + 3
+        else:
+            if exp < E:
+                X0, E = X0 << (E - exp), exp
+            X = man << (exp - E)
+            a, b = X - X0, X + X0
+            q = b.bit_length() - abs(a).bit_length() - 1    # |z| < 2^-q
+            j = max(0, (-(-(W + 1) // q) - 2) // 2) if q >= 4 else W
+            if j > _MAX_TERMS:
+                L = _ln_fixed(x, W + 16) >> 16
             else:
-                if exp < E:
-                    X0, E = X0 << (E - exp), exp
-                X = man << (exp - E)
-                a, b = X - X0, X + X0
-                q = b.bit_length() - abs(a).bit_length() - 1    # |z| < 2^-q
-                j = max(0, (-(-(W + 1) // q) - 2) // 2) if q >= 4 else W
-                if j > _MAX_TERMS:
-                    L = _ln_fixed(x, W + 16) >> 16
-                else:
-                    Z = (a << W) // b
-                    Z2 = Z * Z >> W
-                    S = odd[j]
-                    for c in rev[j]:
-                        S = (S * Z2 >> W) + c
-                    L += 2 * (S * Z >> W)
-                X0, err = X, err + 6
-            Ls.append(L)
-        self.last = X0, E, L, err
-        mag, out = max((x[2] + x[3] for x in xs[:1] + xs[-1:]), default=0), []
-        for p in precs:
-            r = ((16 + (p + 20) // 6 + 2 * mag) << (W - p - 20)) + err
-            out.append([normalize(0, L, -W, n, p, round_nearest) if L is not None and
-                        r < L & ((h := 1 << ((n := L.bit_length()) - p - 1)) - 1) < h - r
-                        else mpf_log(x, p, round_nearest) for x, L in zip(xs, Ls)])
-        return out
+                Z = (a << W) // b
+                Z2 = Z * Z >> W
+                S = odd[j]
+                for c in rev[j]:
+                    S = (S * Z2 >> W) + c
+                L += 2 * (S * Z >> W)
+            X0, err = X, err + 6
+        Ls.append(L)
+    mag, out = max((x[2] + x[3] for x in xs[:1] + xs[-1:]), default=0), []
+    for p in precs:
+        r = ((16 + (p + 20) // 6 + 2 * mag) << (W - p - 20)) + err
+        out.append([normalize(0, L, -W, n, p, round_nearest) if L is not None and
+                    r < L & ((h := 1 << ((n := L.bit_length()) - p - 1)) - 1) < h - r
+                    else mpf_log(x, p, round_nearest) for x, L in zip(xs, Ls)])
+    return out
 
 
-class ExpRun:
-    """mpf_exp(y c, prec) (round to nearest), y c exact, bit for bit, for runs
-    of raw c: `run(cs)` gives their list, and an integer m of wp = prec + 32
-    bits carries exp(y c) from c to c, across runs too, with
-    `geometric_run`'s radius (at 32 guard bits) and Ziv test.  A seed is
-    exp(y c) at wp + 20 bits cut to wp: 3 units.  A step multiplies m by
-    exp(d), d = y (c' - c) exactly, |d| < 2^-q, q >= 4, and cuts it to wp
-    bits, 3 more units: Horner's sum of floor(2^W / k!) D^k, k <= W/q, D =
-    floor(d 2^W), W = wp + 4, each level within 2 units and damped by |d|,
-    is with D's cut and the tail within 4.5 units of exp(d) >= 0.93.  A
-    step of more than 3 `_MAX_TERMS` terms seeds instead; above
-    `_EXP_RUN_MAX_PREC` bits every value is the call.
+def exp_steps(y: tuple, cs: list, prec: int) -> list:
+    """[mpf_exp(y c, prec) for c in cs] (round to nearest), y c exact, bit for
+    bit, for raw cs: an integer m of wp = prec + 32 bits carries exp(y c)
+    from c to c of the run, with `geometric_run`'s radius (at 32 guard
+    bits) and Ziv test.  A seed is exp(y c) at wp + 20 bits cut to wp: 3
+    units.  A step multiplies m by exp(d), d = y (c' - c) exactly, |d| <
+    2^-q, q >= 4, and cuts it to wp bits, 3 more units: Horner's sum of
+    floor(2^W / k!) D^k, k <= W/q, D = floor(d 2^W), W = wp + 4, each level
+    within 2 units and damped by |d|, is with D's cut and the tail within
+    4.5 units of exp(d) >= 0.93.  A step of more than 3 `_MAX_TERMS` terms
+    seeds instead; above `_EXP_RUN_MAX_PREC` bits every value is the call.
     """
-
-    def __init__(self, y: tuple, prec: int):
-        self.y, self.prec = y, prec
-        self.last = None, 0, None, 0, 0     # the last c carried as C 2^E, m 2^e, and err
-
-    def run(self, cs: list) -> list:
-        y, prec = self.y, self.prec
-        if prec > _EXP_RUN_MAX_PREC:
-            return [mpf_exp(mpf_mul(y, c), prec, round_nearest) for c in cs]
-        wp = prec + _RUN_GUARD_BITS
-        W, most = wp + 4, 3 * _MAX_TERMS
-        fac, rev = _series(W)[2:]
-        ym = -y[1] if y[0] else y[1]
-        C0, E, m, e, err = self.last
-        ms = []
-        for c in cs:
-            sign, man, exp, _ = c
-            man = -man if sign else man
-            k = most + 1
-            if C0 is not None:
-                if exp < E:
-                    C0, E = C0 << (E - exp), exp
-                C = man << (exp - E)
-                D, s = ym * (C - C0), y[2] + E + W
-                D = D << s if s >= 0 else D >> -s
-                q = W - abs(D).bit_length()     # |d| < 2^-q
-                k = W // q if q >= 4 else W
-            if k > most:
-                C, E = man, exp
-                _, m, e, bc = mpf_exp(mpf_mul(y, c), wp + 20, round_nearest)
-                cut = bc - wp
-                m, e = (m >> cut if cut >= 0 else m << -cut), e + cut
-            else:
-                t = fac[k]
-                for f in rev[k]:
-                    t = (t * D >> W) + f
-                m *= t
-                cut = m.bit_length() - wp
-                m, e = m >> cut, e + cut - W
-            C0, err = C, err + 3
-            ms.append((m, e))
-        self.last = C0, E, m, e, err
-        half = 1 << (_RUN_GUARD_BITS - 1)
-        lo = (_EXP_RADIUS >> (_GUARD_BITS - _RUN_GUARD_BITS)) + err
-        return [normalize(0, m, e, wp, prec, round_nearest) if lo < m & (half - 1) < half - lo
-                else mpf_exp(mpf_mul(y, c), prec, round_nearest) for c, (m, e) in zip(cs, ms)]
+    if prec > _EXP_RUN_MAX_PREC:
+        return [mpf_exp(mpf_mul(y, c), prec, round_nearest) for c in cs]
+    wp = prec + _RUN_GUARD_BITS
+    W, most = wp + 4, 3 * _MAX_TERMS
+    fac, rev = _series(W)[2:]
+    ym = -y[1] if y[0] else y[1]
+    C0, E, m, e, err = None, 0, None, 0, 0  # the last c carried as C0 2^E, m 2^e
+    ms = []
+    for c in cs:
+        sign, man, exp, _ = c
+        man = -man if sign else man
+        k = most + 1
+        if C0 is not None:
+            if exp < E:
+                C0, E = C0 << (E - exp), exp
+            C = man << (exp - E)
+            D, s = ym * (C - C0), y[2] + E + W
+            D = D << s if s >= 0 else D >> -s
+            q = W - abs(D).bit_length()     # |d| < 2^-q
+            k = W // q if q >= 4 else W
+        if k > most:
+            C, E = man, exp
+            _, m, e, bc = mpf_exp(mpf_mul(y, c), wp + 20, round_nearest)
+            cut = bc - wp
+            m, e = (m >> cut if cut >= 0 else m << -cut), e + cut
+        else:
+            t = fac[k]
+            for f in rev[k]:
+                t = (t * D >> W) + f
+            m *= t
+            cut = m.bit_length() - wp
+            m, e = m >> cut, e + cut - W
+        C0, err = C, err + 3
+        ms.append((m, e))
+    half = 1 << (_RUN_GUARD_BITS - 1)
+    lo = (_EXP_RADIUS >> (_GUARD_BITS - _RUN_GUARD_BITS)) + err
+    return [normalize(0, m, e, wp, prec, round_nearest) if lo < m & (half - 1) < half - lo
+            else mpf_exp(mpf_mul(y, c), prec, round_nearest) for c, (m, e) in zip(cs, ms)]
 
 
 def power_run(xs: list, ys: tuple, prec: int) -> list:
     """[[mpf_pow(x, y, prec) for x in xs] for y in ys] (round to nearest) for
     positive raw xs of at most prec bits, bit for bit, on mpf_pow's branches:
     mpf_pow_int for an integer y (1: x), mpf_sqrt's root for y = k/2, and
-    None for any other y (exp(y mpf_log(x, prec + 10)): `ExpRun`).  mpf_sqrt
+    None for any other y (exp(y mpf_log(x, prec + 10)): `exp_steps`).  mpf_sqrt
     is correctly rounded, so one math.isqrt per x, with a sticky bit, at the
     largest precision ys need, gives every precision's bits."""
     rnd = round_nearest
@@ -597,6 +577,19 @@ def nearest_sum(m: int, e: int, prec: int, n: int = 0, f: int = 0) -> tuple[int,
         m = (m + (1 << k - 1) - 1 + (m >> k & 1)) >> k
         e += k
     return m, e
+
+
+def exact_sum(x1: int, e1: int, x2: int, e2: int):
+    """(y, e) with y 2^e = x1 2^e1 + x2 2^e2, exactly; None where the
+    exponents of two nonzero terms lie more than 2^14 apart."""
+    if not x1:
+        e1 = e2
+    elif not x2:
+        e2 = e1
+    k = e1 - e2
+    if not -16384 <= k <= 16384:
+        return None
+    return ((x1 << k) + x2, e2) if k >= 0 else (x1 + (x2 << -k), e1)
 
 
 def raw_positive(m: int, e: int) -> tuple:

@@ -716,7 +716,7 @@ def test_construct_makes_exponentials_from_runs_not_per_layer(monkeypatch, capsy
 def test_construct_makes_profile_logs_and_exps_from_runs_not_per_layer(monkeypatch, capsys,
                                                                       regime, args, horizon):
     """`construct` at the bench horizons and at twice them makes the I-III
-    profile's logs and powers from runs (`numerics.LogRun`, `ExpRun`), not
+    profile's logs and powers from runs (`numerics.log_run`, `exp_steps`), not
     with an mpf_log or mpf_exp per layer: the calls at twice the horizon
     exceed those at the horizon only by the values the runs leave
     undecided (about 1 in 64), and the calls at the horizon are the runs'
@@ -725,10 +725,9 @@ def test_construct_makes_profile_logs_and_exps_from_runs_not_per_layer(monkeypat
     row."""
     from liouville.cli import main
     calls = []
-    for module in (cx, numerics):
-        for name in ("mpf_log", "mpf_exp"):
-            call = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *a, call=call: calls.append(a) or call(*a))
+    for module, name in ((cx, "mpf_exp"), (numerics, "mpf_log"), (numerics, "mpf_exp")):
+        call = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, call=call: calls.append(a) or call(*a))
     counts = []
     for H in (horizon, 2 * horizon):
         calls.clear()

@@ -11,8 +11,8 @@ from mpmath.libmp import from_man_exp, mpf_add, mpf_mul_int, round_nearest
 
 import liouville as lv
 from liouville.numerics import (PRECISION_ENV_VAR, all_finite, all_positive,
-                                default_precision_bits, mpf_str, nearest_sum, quotient_cmp,
-                                raw_positive)
+                                default_precision_bits, memo, mpf_str, nearest_sum,
+                                quotient_cmp, raw_positive)
 
 
 def test_default_precision_at_least_100_bits():
@@ -182,6 +182,27 @@ def test_quotient_cmp_is_the_fraction_comparison(case):
     p, q = exact_value(a) / exact_value(b), exact_value(c) / exact_value(d)
     assert quotient_cmp(a, b, c, d) == (p > q) - (p < q)
     assert quotient_cmp(c, d, a, b) == (q > p) - (q < p)
+
+
+def test_memo_run_makes_every_missing_key_in_one_run():
+    """A table hands its fn all the keys it lacks, in order, as one run,
+    and keeps each value for the next read."""
+    runs = []
+
+    class Squares:
+        def __call__(self, k):
+            return k * k
+
+        def run(self, ks):
+            runs.append(list(ks))
+            return [k * k for k in ks]
+
+    table = memo(Squares())
+    assert table(3) == 9 and table(6) == 36
+    assert table.run(range(10)) == [k * k for k in range(10)]
+    assert runs == [[0, 1, 2, 4, 5, 7, 8, 9]]
+    assert table.run(range(2, 8)) == [k * k for k in range(2, 8)]
+    assert runs == [[0, 1, 2, 4, 5, 7, 8, 9]]
 
 
 def test_mpmath_is_the_version_the_pins_were_recorded_with():

@@ -271,7 +271,7 @@ def second_statements(tree):
     line test (the regions are `in_g_region`/`in_k_region`), a `RECIPES`
     region lambda forming pt.p + pt.q itself (G5's line is `in_g_region`'s),
     and in `_screen` a sum or difference with a shifted operand (a rolled
-    difference aligned by hand) or other than one `_exact_sum` call."""
+    difference aligned by hand) or other than one `exact_sum` call."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name in ("classify_g", "classify_k"):
@@ -282,9 +282,9 @@ def second_statements(tree):
                       if isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Add, ast.Sub))
                       and (is_shift(n.left) or is_shift(n.right))]
             sums = sum(1 for n in ast.walk(node) if isinstance(n, ast.Call)
-                       and getattr(n.func, "id", None) == "_exact_sum")
+                       and getattr(n.func, "id", None) == "exact_sum")
             if sums != 1:
-                found.append(f"{node.lineno} {sums} _exact_sum calls in _screen")
+                found.append(f"{node.lineno} {sums} exact_sum calls in _screen")
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] \
                 == ["RECIPES"]:
             regions = [call.args[0] for call in ast.walk(node.value)
@@ -298,7 +298,7 @@ def second_statements(tree):
 def test_each_rule_is_stated_once():
     """The G and K labels are read off the regions' own inequalities, the V
     recipes take G5's line from them, and `_screen`'s rolled differences
-    are `_exact_sum`'s; a decision tree, a line written out again or a
+    are `exact_sum`'s; a decision tree, a line written out again or a
     difference aligned by hand shows up here."""
     for module in ("regions.py", "counterexamples.py"):
         assert second_statements(ast.parse((PACKAGE / module).read_text())) == []
@@ -308,12 +308,38 @@ def test_each_rule_is_stated_once():
               "RECIPES = _Table({'V2': Recipe(lambda pt: pt.p + pt.q == 1 and pt.q < 0, 'lam')})\n"
               "def _screen(tree, u, layers, term_of):\n"
               "    d_out = ((v1 << k) - v, x) if k >= 0 else (v1 - (v << -k), x1)\n"
-              "    return (a << k) + b, _exact_sum(*d_out, 0, 0), _exact_sum(a, 0, b, 0)\n")
+              "    return (a << k) + b, exact_sum(*d_out, 0, 0), exact_sum(a, 0, b, 0)\n")
     assert second_statements(ast.parse(source)) == [
         "2 comparison in classify_g", "7 comparison in classify_k",
-        "8 p + q in a RECIPES region", "9 2 _exact_sum calls in _screen",
+        "8 p + q in a RECIPES region", "9 2 exact_sum calls in _screen",
         "10 shifted difference in _screen", "10 shifted difference in _screen",
         "11 shifted difference in _screen"]
+
+
+def kept_state(tree):
+    """Lines of functions other than `__init__` that assign to an attribute
+    of `self`: state a kernel keeps from one call to the next."""
+    found = []
+    for f in ast.walk(tree):
+        if not isinstance(f, ast.FunctionDef) or f.name == "__init__":
+            continue
+        for n in ast.walk(f):
+            targets = (n.targets if isinstance(n, ast.Assign) else
+                       [n.target] if isinstance(n, (ast.AugAssign, ast.AnnAssign)) else [])
+            found += [t.lineno for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == "self"]
+    return sorted(found)
+
+
+def test_no_numerics_kernel_keeps_state_between_calls():
+    """Every numerics kernel is a function of one call: a run starts afresh,
+    and only a caller's memo keeps values from one run to the next."""
+    assert kept_state(ast.parse((PACKAGE / "numerics.py").read_text())) == []
+    source = ("class LogRun:\n    def __init__(self, *precs):\n        self.last = None\n"
+              "    def run(self, xs):\n        X0, L = self.last\n"
+              "        self.last = X0, L\n        self.count += 1\n"
+              "        self.a, (self.b, c) = 1, (2, 3)\n        return xs\n")
+    assert kept_state(ast.parse(source)) == [6, 7, 8, 8]
 
 
 # ---------------------------------------------------------------------------
