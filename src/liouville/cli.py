@@ -364,6 +364,7 @@ def _cmd_volume(args) -> int:
         raise InputError(f"regime {args.regime} volume needs --lam")
     spec = _spec(args, max(args.n_hi + 1, 2),
                  mp.mpf(1) if "delta" in recipe.searched else None)
+    window = cx._band_window(args.n_lo, args.n_hi)      # before the tree is built
     built = cx.build(spec)
     target = cx.volume_target(spec)
     if args.exponent_offset and isinstance(target, cx.PowerLogLaw):
@@ -372,7 +373,6 @@ def _cmd_volume(args) -> int:
         base_target = target
         off = mp.mpf(args.exponent_offset)
         target = lambda n: base_target(n) * mp.mpf(n) ** off
-    window = cx._band_window(args.n_lo, args.n_hi)
     vols = built.tree.ball_volumes(args.n_hi)
     band = cx._volume_band(vols, target, window)
     payload = {

@@ -94,7 +94,8 @@ class Recipe:
     pin, `construct` certifies the spec as given and reads the others only
     beside it); a family searching n0 is read at m = n + n0, else m = n.
     power(p, q): e of the threshold delta^e, in its operands' arithmetic
-    (None: it is 1).  least_m: the least m of Lambda (I-III: ln(m-1) > 0).
+    (None: it is 1).  least_m: the least m of Lambda (I-III: ln(m-1) > 0;
+    V1's one-sided tree: its root layer 0).
     exps(point, eps): (a, b, c, d) of the rows (W, g) = (m^a (ln m)^b, m^c
     (ln m)^d), W the weights (else lam e^(lam m); IV's rows: (m, 1/m)).
     value(spec, g or m): v of u = v + base(spec), base exact.  Then Lambda's
@@ -785,6 +786,7 @@ def lambda_fn(regime: str, point: PQPoint, param, n: int) -> mp.mpf:
     For V1, n = 0 selects the root condition and any n >= 1 the
     (n-independent) interior one; for V2 the closed form does not depend on n.
     """
+    _check_lambda_index(regime, n)
     conditions = RECIPES[regime].conditions     # V's, else Lambda from its kernel
     return (conditions(point, param, n) if conditions
             else _lambda_window(regime, point, param, n, n)[0])
@@ -890,7 +892,7 @@ RECIPES = _Table({
                  limit=lambda pt, lam: (mp.sqrt(2) * (1 - mp.e ** -to_mpf(lam))
                                         / (1 + mp.e ** -to_mpf(lam))),
                  delta0=lambda p, q, e, n0, table: 2 ** (1 / (2 * p)) / (1 / mp.mpf(n0) + 1)),
-    "V1": Recipe(lambda pt: in_g_region("G5", pt) and pt.q > 0, "lam", ("lam",),
+    "V1": Recipe(lambda pt: in_g_region("G5", pt) and pt.q > 0, "lam", ("lam",), least_m=0,
                  value=lambda spec, ms: _e_powers(-to_mpf(spec.lam) / 4, ms),  # /4 is exact
                  conditions=_v1_layer_rhs),
     "V2": Recipe(lambda pt: in_g_region("G5", pt) and pt.q < 0, "lam", ("lam",),

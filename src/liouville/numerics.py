@@ -94,9 +94,11 @@ def _pow10(n: int, wp: int):
     (4q + 1) u of 5^k 2^-e, which lies in [m, m + 16q].  P 2^-e lies
     within 2^(b+3-W) 2^(t+1) = 2^(b+12) of it: inside [lo, hi] =
     m -+ (16q + 2^(b+12)).  Where hi has t bits like m, and the top Wr bits
-    of lo and hi, cut in mpmath's direction, agree (Ziv's rounding test, as
-    in `geometric_run`), lo has t bits too and P rounds to those bits.  The
-    test fails where 5^k fits in Wr bits, which mpmath may hold exactly.
+    of lo and hi, cut in mpmath's direction, agree, lo has t bits too and P
+    rounds to those bits.  The test fails where 5^k fits in Wr bits, which
+    mpmath may hold exactly.  This is Ziv's idea for a directed rounding,
+    both ends of an enclosure cut alike, not `_nearest`'s test of guard
+    bits against a radius around round-to-nearest's boundaries.
     """
     k = abs(n)
     wr = wp if n > 0 else wp + 5
@@ -242,85 +244,74 @@ class memo(dict):
         return [self[k] for k in keys]
 
 
-# A geometric run carries prec + _GUARD_BITS bits; its radius counts units
-# of its last bit, 2^-64 of a prec-bit ulp.  Its start and ratio are rounded
-# at prec + _SEED_BITS bits.
+# exp_run and power_log carry prec + _GUARD_BITS bits, and exp_run rounds
+# its start and ratio at prec + _SEED_BITS.
 _GUARD_BITS = 64
 _SEED_BITS = _GUARD_BITS + 20
-_HALF_ULP = 1 << (_GUARD_BITS - 1)
-# mpf_exp below this many bits, and the radius that covers it (see geometric_run).
+# mpf_exp below this many bits, and the radius that covers it (see exp_run).
 _EXP_RUN_MAX_PREC = 600
 _EXP_RADIUS = 1 << 56
 
 
-def geometric_run(x0: tuple, ratio: tuple, count: int, prec: int, radius: int, exact):
-    """Yield, for i < count, the prec-bit round-to-nearest of x0 ratio^i as a
-    raw mpf, or exact(i), the raw value of the call the run stands in for.
+def _nearest(m: int, e: int, bits: int, prec: int, radius: int):
+    """normalize(0, m, e, bits, prec, round_nearest) for an m > 0 of exactly
+    `bits` bits, where Ziv's rounding test decides it; else None.
 
-    The run carries an integer m of exactly wp = prec + 64 bits, x_i =
-    m 2^e: m_0 is x0's mantissa cut to wp bits, and each step multiplies m
-    by ratio's mantissa and cuts the product back to wp bits (toward zero).
-    x0 and ratio must be positive and within 2^-wp of the exact terms
-    relatively (`exp_run` rounds them at prec + 84 bits).  The first cut
-    and every step's cut lose less than 2^(1-wp) each, so x_i is within
-    (3 + 3i) 2^-wp relatively, that is within 3i + 3 < 4 count units of m's
-    last bit, of the exact term.
-
-    `radius` bounds, in the same units, how far the unrounded result of the
-    call exact(i) may lie from the exact term.  A value is taken from the
-    run only when its 64 guard bits lie more than radius + 4 count units
-    from every rounding boundary: from the midpoints between prec-bit
-    neighbours and from the prec-bit values themselves (Ziv's rounding
-    test).  The exact term, the run's value and the call's unrounded result
-    then lie strictly between the same two boundaries and round to the
-    same value, the call's own result.  Round-to-nearest cannot change at a
-    prec-bit value, but excluding them costs only twice the fallbacks: an
-    exact term, such as exp(0) = 1, comes from the call with its special
-    cases, and a term next to a power of 2, where the spacing halves, lies
-    near a prec-bit value and needs no argument.  Every other value, a
-    share of about 4 (radius + 4 count) / 2^64, is exact(i).
-
-    `exp_run`'s radius covers mpf_exp(x, p) for p <= 600.  It works at wp'
-    = p + 14 bits: x reduced by a multiple of ln 2 (within 2 ulps of wp'), a
-    Taylor sum at wp' + r bits, r = floor(sqrt(wp')), and r squarings, which
-    double its relative error while its extra r bits absorb them.  Counting
-    each truncation as one unit gives fewer than 1.5 sqrt(wp') + 10 ulps of
-    wp' (48 at 600 bits); the largest error seen on 2,300 arguments lam n at
-    53 to 512 bits was 10.3.  The radius allows 64 ulps of p + 14 bits: 2^56
-    units.  Above 600 bits mpf_exp takes other paths (integer x goes through
-    a power of a rounded e), and the run is not used there.
+    `radius` is at least the distance, in units of m's last bit, from m 2^e
+    to the exact value plus that from the exact value to the unrounded
+    result of the libmp call a kernel stands in for.  Where m's guard bits
+    lie farther than radius from every rounding boundary (the midpoints
+    between prec-bit neighbours and the prec-bit values), all three lie
+    strictly between the same two boundaries and round to the call's bits.
+    Excluding the prec-bit values, where round-to-nearest cannot change,
+    costs only twice the fallbacks: an exact value such as exp(0) = 1 is
+    the call with its special cases, and a value next to a power of 2,
+    where the spacing halves, needs no argument.  A share of about 4 radius
+    / 2^(bits - prec) is left to the call.
     """
-    wp = prec + _GUARD_BITS
-    lo = radius + 4 * count
-    hi = _HALF_ULP - lo
-    _, man, exp, bc = x0
-    cut = bc - wp
-    m, e = (man >> cut if cut >= 0 else man << -cut), exp + cut
-    _, r_man, r_exp, _ = ratio
-    for i in range(count):
-        if lo < m & (_HALF_ULP - 1) < hi:   # the guard bits, away from every boundary
-            yield normalize(0, m, e, wp, prec, round_nearest)
-        else:
-            yield exact(i)
-        m *= r_man
-        cut = m.bit_length() - wp
-        m >>= cut
-        e += r_exp + cut
+    half = 1 << (bits - prec - 1)
+    if radius < m & (half - 1) < half - radius:
+        return normalize(0, m, e, bits, prec, round_nearest)
+    return None
 
 
 def exp_run(lam: tuple, ns: range, prec: int):
-    """mpf_exp(lam n, prec), with lam n formed exactly, for n in ns, bit for
-    bit, as raw values: one `geometric_run` with ratio exp(lam step), whose
-    undecided values are that call.  Above `_EXP_RUN_MAX_PREC` bits, which
-    its radius does not cover, every value is the call."""
+    """Yield mpf_exp(lam n, prec), lam n formed exactly, for n in ns, bit for
+    bit, as raw values: a geometric run through `_nearest`, else the call.
+
+    The run's m has exactly wp = prec + 64 bits: exp(lam ns[0]) and the
+    ratio exp(lam step) are rounded at prec + 84 bits, m starts as the first
+    cut to wp bits, and each step multiplies m by the ratio's mantissa and
+    cuts it back to wp bits.  The cuts lose under 2^(1-wp) each, so the i-th
+    value is within 3i + 3 < 4 count units of the exact term.  mpf_exp(x,
+    p) for p <= 600 works at wp' = p + 14 bits: x reduced by a multiple of
+    ln 2 (2 ulps of wp'), a Taylor sum at wp' + r bits, r = floor(sqrt(wp')),
+    and r squarings, which double its error while its r extra bits absorb
+    them: under 1.5 sqrt(wp') + 10 ulps of wp' (48 at 600 bits; 10.3 the
+    most seen on 2,300 arguments lam n at 53 to 512 bits).  `_EXP_RADIUS`
+    allows 64 ulps of p + 14 bits, 2^56 units; the radius is that plus 4
+    count.  Above `_EXP_RUN_MAX_PREC` bits mpf_exp takes other paths
+    (integer x goes through a power of a rounded e), and every value is the
+    call.
+    """
     def exp(n, bits=prec):
         return mpf_exp(mpf_mul(lam, from_int(n)), bits, round_nearest)
 
     if not ns or prec > _EXP_RUN_MAX_PREC:
-        return map(exp, ns)
-    wp = prec + _SEED_BITS
-    return geometric_run(exp(ns[0], wp), exp(ns.step, wp), len(ns), prec, _EXP_RADIUS,
-                         lambda i: exp(ns[i]))
+        yield from map(exp, ns)
+        return
+    wp = prec + _GUARD_BITS
+    radius = _EXP_RADIUS + 4 * len(ns)
+    _, m, e, bc = exp(ns[0], prec + _SEED_BITS)
+    cut = bc - wp
+    m, e = (m >> cut if cut >= 0 else m << -cut), e + cut
+    _, r_man, r_exp, _ = exp(ns.step, prec + _SEED_BITS)
+    for n in ns:
+        yield _nearest(m, e, wp, prec, radius) or exp(n)
+        m *= r_man
+        cut = m.bit_length() - wp
+        m >>= cut
+        e += r_exp + cut
 
 
 # A carried log takes at most _MAX_TERMS series terms per step, exp(y c)
@@ -353,7 +344,7 @@ def power_log(a: tuple, b: tuple, n: int, prec: int) -> tuple:
     """exp(A ln n + B ln ln n) for finite raw a, b (A, B) and an int n >= 2,
     as three calls round it (ln n and ln ln n, t = A ln n + B ln ln n at prec
     + 20 bits, exp(t) at prec), bit for bit: from one fixed-point pass where
-    Ziv's test decides, else from the calls.
+    `_nearest` decides, else from the calls.
 
     At W = prec + 64 bits, with nb n's bit count and S = (ceil|A| + 2
     ceil|B|) nb: L1 = `_ln_fixed(n, W)` lies within E1 = 16 + W/6 + 2 nb
@@ -363,11 +354,10 @@ def power_log(a: tuple, b: tuple, n: int, prec: int) -> tuple:
     1, exp_basecase(r, W) (a Taylor sum and floor(sqrt W) squarings below
     600 bits) 1.5 sqrt(W) + 10, the cut to W bits 1: under 2^46 (S + 1)
     units of the last bit.  The calls' value before its last rounding lies
-    within mpf_exp's 2^56 units (`geometric_run`) plus t's five roundings at
+    within mpf_exp's 2^56 units (`exp_run`) plus t's five roundings at
     prec + 20 bits, 3.1 2^-(prec+20) (|A ln n| + |B ln ln n| + |B|) < 2^46 S
-    units.  Where the guard bits lie farther than R = 2^56 + 2^47 (S + 1)
-    from every multiple of half a prec-bit ulp, all three round alike.  The
-    calls run at n <= 7 (mpf_log's near-1 branch at ln n < 2), for W > 600
+    units.  So R = 2^56 + 2^47 (S + 1) is `_nearest`'s radius.  The calls
+    run at n <= 7 (mpf_log's near-1 branch at ln n < 2), for W > 600
     (prec > 600 among them; W stays within LOG_TAYLOR_PREC) and for |A| or
     |B| past 2^16.
     """
@@ -387,9 +377,8 @@ def power_log(a: tuple, b: tuple, n: int, prec: int) -> tuple:
         k, r = divmod(T, ln2_fixed(W))
         m = exp_basecase(r, W)
         cut = m.bit_length() - W
-        m >>= cut
-        if radius < m & (_HALF_ULP - 1) < _HALF_ULP - radius:
-            return normalize(0, m, k - W + cut, W, prec, round_nearest)
+        if found := _nearest(m >> cut, k - W + cut, W, prec, radius):
+            return found
     wp = prec + 20
     ln_n = mpf_log(from_int(n), wp, round_nearest)
     t = mpf_mul(a, ln_n, wp, round_nearest)
@@ -414,13 +403,11 @@ def log_run(xs: list, *precs: int) -> list:
     adds 2 atanh(z), z = (x' - x)/(x' + x) = a/b exactly, |z| < 2^-q, q >=
     4: Z = floor(a 2^W / b), Z2 = floor(Z^2 2^-W) (1 and 1.4 units),
     Horner's sum S of floor(2^W / (2j + 1)) Z2^j, 2j + 3 >= (W + 1)/q (3.6
-    units with the tail), and 2 floor(S Z 2^-W): 6 units.  A step of more
-    than `_MAX_TERMS` terms seeds instead.  So mpmath's integer and L lie
-    within E 2^(W-wp) + err units of L's last bit of ln x, err the run's
-    sum, and where L's bits below the p-th lie farther than that from every
-    rounding boundary (Ziv's test, as in `geometric_run`) both round alike.
-    Elsewhere, at x <= 2 (mpf_log's near-1 branch) and if W + 16 >
-    LOG_TAYLOR_PREC, a value is the call.
+    units with the tail), and 2 floor(S Z 2^-W): 6 units.  The first x and
+    a step of more than `_MAX_TERMS` terms seed.  So `_nearest`'s radius is
+    E 2^(W-wp) + err units of L's last bit, err the run's sum.  Elsewhere,
+    at x <= 2 (mpf_log's near-1 branch) and if W + 16 > LOG_TAYLOR_PREC, a
+    value is the call.
     """
     W = max(precs) + _RUN_GUARD_BITS
     if W + 16 > LOG_TAYLOR_PREC:
@@ -432,17 +419,17 @@ def log_run(xs: list, *precs: int) -> list:
         _, man, exp, bc = x
         if exp + bc < 3 and (exp + bc < 2 or x == ftwo):
             X0 = L = None           # the call
-        elif X0 is None:
-            X0, E, L, err = man, exp, _ln_fixed(x, W + 16) >> 16, err + 3
         else:
-            if exp < E:
-                X0, E = X0 << (E - exp), exp
-            X = man << (exp - E)
-            a, b = X - X0, X + X0
-            q = b.bit_length() - abs(a).bit_length() - 1    # |z| < 2^-q
-            j = max(0, (-(-(W + 1) // q) - 2) // 2) if q >= 4 else W
+            j = _MAX_TERMS + 1      # a seed, unless a step from X0 takes fewer terms
+            if X0 is not None:
+                if exp < E:
+                    X0, E = X0 << (E - exp), exp
+                X = man << (exp - E)
+                a, b = X - X0, X + X0
+                q = b.bit_length() - abs(a).bit_length() - 1    # |z| < 2^-q
+                j = max(0, (-(-(W + 1) // q) - 2) // 2) if q >= 4 else W
             if j > _MAX_TERMS:
-                L = _ln_fixed(x, W + 16) >> 16
+                X0, E, L, err = man, exp, _ln_fixed(x, W + 16) >> 16, err + 3
             else:
                 Z = (a << W) // b
                 Z2 = Z * Z >> W
@@ -450,28 +437,28 @@ def log_run(xs: list, *precs: int) -> list:
                 for c in rev[j]:
                     S = (S * Z2 >> W) + c
                 L += 2 * (S * Z >> W)
-            X0, err = X, err + 6
+                X0, err = X, err + 6
         Ls.append(L)
     mag, out = max((x[2] + x[3] for x in xs[:1] + xs[-1:]), default=0), []
     for p in precs:
         r = ((16 + (p + 20) // 6 + 2 * mag) << (W - p - 20)) + err
-        out.append([normalize(0, L, -W, n, p, round_nearest) if L is not None and
-                    r < L & ((h := 1 << ((n := L.bit_length()) - p - 1)) - 1) < h - r
-                    else mpf_log(x, p, round_nearest) for x, L in zip(xs, Ls)])
+        out.append([L is not None and _nearest(L, -W, L.bit_length(), p, r)
+                    or mpf_log(x, p, round_nearest) for x, L in zip(xs, Ls)])
     return out
 
 
 def exp_steps(y: tuple, cs: list, prec: int) -> list:
     """[mpf_exp(y c, prec) for c in cs] (round to nearest), y c exact, bit for
     bit, for raw cs: an integer m of wp = prec + 32 bits carries exp(y c)
-    from c to c of the run, with `geometric_run`'s radius (at 32 guard
-    bits) and Ziv test.  A seed is exp(y c) at wp + 20 bits cut to wp: 3
-    units.  A step multiplies m by exp(d), d = y (c' - c) exactly, |d| <
+    from c to c of the run.  A seed is exp(y c) at wp + 20 bits cut to wp:
+    3 units.  A step multiplies m by exp(d), d = y (c' - c) exactly, |d| <
     2^-q, q >= 4, and cuts it to wp bits, 3 more units: Horner's sum of
     floor(2^W / k!) D^k, k <= W/q, D = floor(d 2^W), W = wp + 4, each level
     within 2 units and damped by |d|, is with D's cut and the tail within
-    4.5 units of exp(d) >= 0.93.  A step of more than 3 `_MAX_TERMS` terms
-    seeds instead; above `_EXP_RUN_MAX_PREC` bits every value is the call.
+    4.5 units of exp(d) >= 0.93.  The first c and a step of more than 3
+    `_MAX_TERMS` terms seed.  `_nearest`'s radius is mpf_exp's (`exp_run`),
+    2^24 units at 32 guard bits, plus the run's sum; above
+    `_EXP_RUN_MAX_PREC` bits every value is the call.
     """
     if prec > _EXP_RUN_MAX_PREC:
         return [mpf_exp(mpf_mul(y, c), prec, round_nearest) for c in cs]
@@ -507,10 +494,9 @@ def exp_steps(y: tuple, cs: list, prec: int) -> list:
             m, e = m >> cut, e + cut - W
         C0, err = C, err + 3
         ms.append((m, e))
-    half = 1 << (_RUN_GUARD_BITS - 1)
-    lo = (_EXP_RADIUS >> (_GUARD_BITS - _RUN_GUARD_BITS)) + err
-    return [normalize(0, m, e, wp, prec, round_nearest) if lo < m & (half - 1) < half - lo
-            else mpf_exp(mpf_mul(y, c), prec, round_nearest) for c, (m, e) in zip(cs, ms)]
+    radius = (_EXP_RADIUS >> (_GUARD_BITS - _RUN_GUARD_BITS)) + err
+    return [_nearest(m, e, wp, prec, radius) or mpf_exp(mpf_mul(y, c), prec, round_nearest)
+            for c, (m, e) in zip(cs, ms)]
 
 
 def power_run(xs: list, ys: tuple, prec: int) -> list:

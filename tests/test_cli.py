@@ -847,6 +847,20 @@ def test_volume_sums_the_running_volume_once(capsys, tmp_path, monkeypatch):
     assert code == 0 and "nash_williams_partial" in payload
     assert calls == [256]
 
+@pytest.mark.parametrize("window", [["--n-lo", "1", "--n-hi", "1000000000"],
+                                    ["--n-lo", "50", "--n-hi", "20"]], ids=["n_lo", "order"])
+def test_volume_checks_its_window_before_it_builds(capsys, monkeypatch, window):
+    """A bad window exits 2 before any tree is built, as in construct: a
+    window out to 10^9 costs nothing."""
+    def build(spec):
+        raise AssertionError("built before the window was checked")
+
+    monkeypatch.setattr(cx, "build", build)
+    code, payload = run_cli(capsys, "volume", "--regime", "I", "--p", "2", "--q", "1",
+                            "--eps", "1/10", "--N", "3", *window)
+    assert code == 2 and payload is None
+
+
 def test_volume_offset_keeps_a_power_log_law_screened(capsys, monkeypatch):
     """--exponent-offset k on a power-log law is the law n^(a + k) (ln n)^b, so
     the band still goes through the float64 screen; an exponential law keeps

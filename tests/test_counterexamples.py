@@ -202,6 +202,17 @@ def test_lambda_domain_errors():
         lv.lambda_fn("IV", lv.pq(-2, 1), 1, 1)
 
 
+def test_lambda_fn_refuses_a_layer_below_a_one_sided_tree():
+    """V1's tree has no layer below its root 0, as I-IV have no m below
+    their least; V2's tree is two-sided, so its negative n stay valid."""
+    for n in (-1, -7):
+        with pytest.raises(InputError, match="needs n >= 0"):
+            lv.lambda_fn("V1", lv.pq(F(1, 2), F(1, 2)), 2, n)
+        assert lv.lambda_fn("V2", lv.pq(2, -1), 4, n) == lv.lambda_fn("V2", lv.pq(2, -1), 4, 1)
+    assert lv.lambda_fn("V1", lv.pq(F(1, 2), F(1, 2)), 2, 0) != \
+        lv.lambda_fn("V1", lv.pq(F(1, 2), F(1, 2)), 2, 1)
+
+
 def test_v1_conditions_at_lambda8():
     root = lv.lambda_fn("V1", lv.pq(F(1, 2), F(1, 2)), 8, 0)
     interior = lv.lambda_fn("V1", lv.pq(F(1, 2), F(1, 2)), 8, 1)

@@ -7,9 +7,12 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, mpf_add, mpf_mul_int, round_nearest
+from mpmath.libmp import (from_int, from_man_exp, mpf_add, mpf_exp, mpf_log, mpf_mul,
+                          mpf_mul_int, mpf_pow, round_nearest)
+from mpmath.libmp.libelefun import LOG_TAYLOR_PREC
 
 import liouville as lv
+from liouville import numerics
 from liouville.numerics import (PRECISION_ENV_VAR, all_finite, all_positive,
                                 default_precision_bits, memo, mpf_str, nearest_sum,
                                 quotient_cmp, raw_positive)
@@ -246,3 +249,106 @@ def test_only_numerics_reaches_into_libelefun():
               "try:\n    from mpmath.libmp.libelefun import exp_basecase\n"
               "except ImportError:\n    pass\n")
     assert libelefun_imports(ast.parse(source)) == [1, 2, 3, 6]
+
+
+# ---------------------------------------------------------------------------
+# the run kernels against the libmp calls they stand in for, bit for bit
+
+RUN_PRECS = [53, 128, 601]
+
+
+@st.composite
+def increasing_runs(draw):
+    """An increasing run of positive raw values of at most 53 bits: from
+    below 1, 1, 1.5 or 2 (mpf_log's near-1 branch) or above, each next value
+    x (1 + 2^-k), k from 1 (a step past `_MAX_TERMS` terms, so a seed) to
+    52 (one ulp, a step of one term), or the next power of 2 (k = 0)."""
+    with mp.workprec(53):
+        x = mp.mpf(draw(st.sampled_from(["0.3", "1", "1.5", "2", "3", "8", "1e6", "2e9"])))
+        xs = [x._mpf_]
+        for k in draw(st.lists(st.integers(0, 52), max_size=24)):
+            _, _, exp, bc = x._mpf_
+            x = mp.ldexp(1, exp + bc) if k == 0 else x + mp.ldexp(x, -k)
+            xs.append(x._mpf_)
+    return xs
+
+
+# exponents y of a power x^y: integers, halves and general y
+POWERS = [F(1), F(3), F(-2), F(1, 2), F(-1, 2), F(5, 2), F(-7, 2), F(3, 5), F(-17, 10),
+          F(1, 3), F(41, 7)]
+
+
+def raw_exponent(y, prec):
+    with mp.workprec(prec):
+        return lv.to_mpf(y)._mpf_
+
+
+@settings(max_examples=150, deadline=None)
+@given(xs=increasing_runs(), precs=st.lists(st.sampled_from(
+    RUN_PRECS + [LOG_TAYLOR_PREC - 48, LOG_TAYLOR_PREC - 47]), min_size=1, max_size=2,
+    unique=True))
+def test_log_run_is_mpf_log(xs, precs):
+    """Up to LOG_TAYLOR_PREC - 48 bits one run; above it every value is the
+    call."""
+    assert numerics.log_run(xs, *precs) == [[mpf_log(x, p, round_nearest) for x in xs]
+                                            for p in precs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(xs=increasing_runs(), y=st.sampled_from(POWERS), prec=st.sampled_from(RUN_PRECS))
+def test_exp_steps_is_mpf_exp(xs, y, prec):
+    """exp(y c) over the logs c of a run, as a profile forms m^y; the logs'
+    steps take from one term to past 3 `_MAX_TERMS`, so they seed."""
+    y = raw_exponent(y, prec)
+    cs = [mpf_log(x, prec + 10, round_nearest) for x in xs]
+    assert numerics.exp_steps(y, cs, prec) == [mpf_exp(mpf_mul(y, c), prec, round_nearest)
+                                               for c in cs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(xs=increasing_runs(), ys=st.lists(st.sampled_from(POWERS), min_size=1, max_size=4),
+       prec=st.sampled_from(RUN_PRECS))
+def test_power_run_is_mpf_pow(xs, ys, prec):
+    """power_run gives mpf_pow's integer and half-integer branches and None
+    for a general y, whose power is exp_steps over a log_run at prec + 10
+    bits, as mpf_pow's own general branch forms it."""
+    ys = tuple(raw_exponent(y, prec) for y in ys)
+    want = [[mpf_pow(x, y, prec, round_nearest) for x in xs] for y in ys]
+    got = numerics.power_run(xs, ys, prec)
+    logs = numerics.log_run(xs, prec + 10)[0]
+    for y, row, power in zip(ys, got, want):
+        if y[2] < -1:
+            assert row is None
+            row = numerics.exp_steps(y, logs, prec)
+        assert row == power, y
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_kernels_whose_rounding_decides_nothing_are_the_calls(monkeypatch, bits):
+    """With `_nearest` deciding no value, each of the four kernels asks it for
+    every value its fixed-point pass makes and returns the libmp calls'
+    bits: the fallback is the call itself."""
+    asked = []
+    monkeypatch.setattr(numerics, "_nearest", lambda *args: asked.append(args))
+    rnd = round_nearest
+    with mp.workprec(bits):
+        lam, y, a, b = (mp.mpf(v)._mpf_ for v in ("1.5", "-0.6", "2.5", "0.6"))
+        xs = [mp.mpf(m)._mpf_ for m in range(1, 300)] + [mp.mpf(10 ** 6)._mpf_]
+    ns = range(-40, 260)
+    assert list(numerics.exp_run(lam, ns, bits)) == [
+        mpf_exp(mpf_mul(lam, from_int(n)), bits, rnd) for n in ns]
+    assert len(asked) == len(ns)
+    assert numerics.log_run(xs, bits, bits + 10) == [[mpf_log(x, p, rnd) for x in xs]
+                                                     for p in (bits, bits + 10)]
+    assert len(asked) == len(ns) + 2 * (len(xs) - 2)        # x <= 2: the call
+    cs = [mpf_log(x, bits + 10, rnd) for x in xs]
+    assert numerics.exp_steps(y, cs, bits) == [mpf_exp(mpf_mul(y, c), bits, rnd) for c in cs]
+    assert len(asked) == len(ns) + 2 * (len(xs) - 2) + len(cs)
+    asked.clear()
+    wp = bits + 20
+    for n in range(2, 300):
+        ln_n = mpf_log(from_int(n), wp, rnd)
+        t = mpf_add(mpf_mul(a, ln_n, wp, rnd), mpf_mul(b, mpf_log(ln_n, wp, rnd), wp, rnd),
+                    wp, rnd)
+        assert numerics.power_log(a, b, n, bits) == mpf_exp(t, bits, rnd), n
+    assert len(asked) == 300 - 8                            # n <= 7: the calls

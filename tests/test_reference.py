@@ -966,9 +966,9 @@ def test_profile_runs_are_the_mpf_expressions(case):
 @pytest.mark.parametrize("bits", [53, 128, 256, 512, 610])
 def test_mpf_log_lies_within_the_log_run_radius(bits):
     """mpf_log(x, p) rounds `numerics._ln_fixed(x, p + 20)`, which lies within
-    16 + wp/6 + 2 mag units of 2^wp ln x (`LogRun`'s radius): 2,000 arguments
-    per precision, integers m up to 2^36 (powers of 2 among them) and
-    p-bit values ln m in (2, 25)."""
+    16 + wp/6 + 2 mag units of 2^wp ln x (`numerics.log_run`'s radius):
+    2,000 arguments per precision, integers m up to 2^36 (powers of 2 among
+    them) and p-bit values ln m in (2, 25)."""
     rng = random.Random(bits)
     wp = bits + 20
     ms = [rng.randrange(3, 2 ** rng.randint(2, 36)) for _ in range(900)]
@@ -1009,22 +1009,19 @@ def e_powers_expression(rate, ns, scale=None):
     return raw(powers if scale is None else [scale * x for x in powers])
 
 
-def counted_runs(monkeypatch, radius=None):
-    """Count the values each geometric run is asked for and those it hands to
-    the call it stands in for; radius replaces every run's radius if given."""
+def counted_runs(monkeypatch, decide=True):
+    """Count the values the runs hand to `_nearest` and those it leaves to
+    the call they stand in for; with decide False it decides none."""
     counts = {"values": 0, "calls": 0}
-    run = numerics.geometric_run
+    nearest = numerics._nearest
 
-    def counted(x0, ratio, count, prec, r, exact):
-        counts["values"] += count
+    def counted(*args):
+        found = nearest(*args) if decide else None
+        counts["values"] += 1
+        counts["calls"] += found is None
+        return found
 
-        def call(i):
-            counts["calls"] += 1
-            return exact(i)
-
-        return run(x0, ratio, count, prec, r if radius is None else radius, call)
-
-    monkeypatch.setattr(numerics, "geometric_run", counted)
+    monkeypatch.setattr(numerics, "_nearest", counted)
     return counts
 
 
@@ -1076,9 +1073,9 @@ def test_exp_law_makes_its_calls_above_the_precision_its_radius_covers(monkeypat
 
 @pytest.mark.parametrize("bits", [53, 128, 256])
 def test_runs_that_decide_nothing_are_the_calls(monkeypatch, bits):
-    """With a radius that leaves no value decided, every value is the call the
-    run stands in for, and the bits are the same: the fallback is that call."""
-    counts = counted_runs(monkeypatch, radius=1 << 63)
+    """With `_nearest` deciding no value, every value is the call the run
+    stands in for, and the bits are the same: the fallback is that call."""
+    counts = counted_runs(monkeypatch, decide=False)
     with mp.workprec(bits):
         for rate in (F(1), F(8), F(-3)):
             r = lv.to_mpf(rate)

@@ -342,6 +342,78 @@ def test_no_numerics_kernel_keeps_state_between_calls():
     assert kept_state(ast.parse(source)) == [6, 7, 8, 8]
 
 
+def guard_bit_tests(tree):
+    """Names of the functions that compare a masked value, m & (half - 1), with
+    a radius: Ziv's rounding test for round-to-nearest, written out."""
+    return sorted({f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                   for n in ast.walk(f) if isinstance(n, ast.Compare)
+                   for side in (n.left, *n.comparators)
+                   if isinstance(side, ast.BinOp) and isinstance(side.op, ast.BitAnd)})
+
+
+def test_only_nearest_tests_guard_bits():
+    """Every fixed-point kernel of numerics.py rounds through `_nearest`, the
+    one statement of Ziv's test; `_pow10`'s directed test compares cut ends
+    instead, and `nearest_sum`'s sticky-bit rule reads a lowest set bit."""
+    assert guard_bit_tests(ast.parse((PACKAGE / "numerics.py").read_text())) == ["_nearest"]
+    source = ("def geometric_run(m, lo, hi):\n    if lo < m & (_HALF_ULP - 1) < hi:\n"
+              "        yield m\n"
+              "def log_run(L, r, n, p):\n"
+              "    return r < L & ((h := 1 << (n - p - 1)) - 1) < h - r\n"
+              "def exp_steps(m, lo, half):\n    return m & (half - 1) > lo\n"
+              "def nearest_sum(m, e):\n    return e + (m & -m).bit_length() > 100\n")
+    assert guard_bit_tests(ast.parse(source)) == ["exp_steps", "geometric_run", "log_run"]
+
+
+def loads(tree, attributes=True):
+    """The names tree reads: loaded names, and attribute names if asked."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+             and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if attributes and isinstance(n, ast.Attribute)})
+
+
+def unused_names(modules):
+    """"module:line name" for each name a module (but the package's
+    `__init__`, which imports to re-export) imports and never reads, and for
+    each private module-level name no module of the package reads, by name
+    or as an attribute (`screen._fsum`)."""
+    read_anywhere = set().union(*map(loads, modules.values()))
+    found = []
+    for module, tree in sorted(modules.items()):
+        read = loads(tree, attributes=False)
+        for node in ast.walk(tree) if module != "__init__" else ():
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                found += [f"{module}:{node.lineno} {bound}" for alias in node.names
+                          if (bound := (alias.asname or alias.name).split(".")[0]) not in read]
+        for node in tree.body:
+            names = ([node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else
+                     [t.id for target in node.targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name)] if isinstance(node, ast.Assign) else
+                     [node.target.id] if isinstance(node, ast.AnnAssign) else [])
+            found += [f"{module}:{node.lineno} {name}" for name in names
+                      if name.startswith("_") and not name.startswith("__")
+                      and name not in read_anywhere]
+    return found
+
+
+def test_no_module_keeps_an_unused_name():
+    """No import a module never reads and no private name nothing reads: the
+    leftovers of a fold or a move."""
+    modules = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert unused_names(modules) == []
+    source = {"numerics": "from __future__ import annotations\n"
+                          "from mpmath.libmp import mpf_exp, mpf_log\nimport os.path\n"
+                          "_HALF_ULP = 1 << 63\n_GUARD_BITS: int = 64\n"
+                          "def _nearest(m):\n    return mpf_exp(m, _GUARD_BITS)\n"
+                          "def _unread(x):\n    return _nearest(x)\n",
+              "screen": "def _fsum(xs):\n    return sum(xs)\n",
+              "counterexamples": "from . import screen\nscreen._fsum([])\n",
+              "__init__": "from .numerics import _nearest\n"}
+    assert unused_names({k: ast.parse(v) for k, v in source.items()}) == [
+        "numerics:2 mpf_log", "numerics:3 os", "numerics:4 _HALF_ULP", "numerics:8 _unread"]
+
+
 # ---------------------------------------------------------------------------
 # the column kernels against the per-item kernels they replaced
 # (tests/before_screen.py), float for float
