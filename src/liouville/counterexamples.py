@@ -58,6 +58,7 @@ V_COND_MARGIN = Fraction(21, 20)
 _N0_CAP = 2 ** 34
 _LAMBDA_CAP = 64
 _MAX_PRECISION_BUMPS = 2
+_MAX_FAILURES = 20          # failing layers a margin report lists
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,8 @@ class Recipe:
     V1's one-sided tree: its root layer 0).
     exps(point, eps): (a, b, c, d) of the rows (W, g) = (m^a (ln m)^b, m^c
     (ln m)^d), W the weights (else lam e^(lam m); IV's rows: (m, 1/m)).
-    value(spec, g or m): v of u = v + base(spec), base exact.  Then Lambda's
+    value(spec, xs): the deviations v (mpfs) of u = v + base(spec), base
+    exact, at the raw g of the rows (II: f) or the int m.  Then Lambda's
     kernel (combine, at), V's layer conditions, Lambda's limit and delta_0.
     """
 
@@ -231,7 +233,8 @@ def build(spec: RegimeSpec, *, table=None) -> BuiltCounterexample:
 
     Layer n (both arms where two-sided) reads the recipe at m = n + n0: W and
     g from `table`, a memo of `_profile` that a certify call shares (a fresh
-    profile when None), or the weights lam e^(lam m); then u = value + base.
+    profile when None), or the weights lam e^(lam m).  u is stored as its
+    recipe's deviations v, on the raw rows, and its exact base.
     """
     recipe = validate_spec(spec)
     M = spec.horizon + 1
@@ -241,16 +244,14 @@ def build(spec: RegimeSpec, *, table=None) -> BuiltCounterexample:
         if table is None:               # (an empty memo is falsy: test for None)
             table = _profile(spec.regime, spec.point, spec.eps)
         rows = table.run(ms)
-        weights, xs = [mp.make_mpf(w) for w, _ in rows], (mp.make_mpf(g) for _, g in rows)
+        weights, xs = [mp.make_mpf(w) for w, _ in rows], (g for _, g in rows)
     else:
         lam = to_mpf(spec.lam)
         weights, xs = _e_powers(lam, ms, lam), ms
-    values = recipe.value(spec, xs)
-    if base := recipe.base(spec):       # (lazily: no list alive beside the next)
-        values = (v + base for v in values)
     tree = (TwoSidedRadialTree(spec.N, weights[M:-1], weights[M - 1::-1]) if recipe.two_sided
             else RadialTree(spec.N, weights))
-    return BuiltCounterexample(tree, RadialFunction(values, lo=ms.start - n0), spec)
+    return BuiltCounterexample(tree, RadialFunction(recipe.value(spec, xs), lo=ms.start - n0,
+                                                    base=recipe.base(spec)), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +357,25 @@ def margin_at(tree, u: RadialFunction, p, q, n: int) -> mp.mpf:
     return lap + term_kernel(p, q)(un, grad_sq)
 
 
-def _screen(tree, u, layers, term_of) -> list:
-    """Float64 bounds (lo, hi) on log2|margin| per layer, or None where undecided.
+def _screen(tree, u, layers, term_of) -> tuple[list, list]:
+    """Float64 bounds per layer, (passes, fails): passes[i] bounds (lo, hi) on
+    log2|margin| of a layer proved to pass, fails[i] on log2 margin of one
+    proved to fail; None in each where that is not proved.
 
-    A layer gets bounds only when they prove, about the values the mpf
+    A layer gets pass bounds only when they prove, about the values the mpf
     stream computes at the working precision, that u_n > 0, lap < 0 and
     that `screen.solution_check` passes lap + term: it is then negative and
-    neither fails nor is borderline.  This is the check's input stage.
+    neither fails nor is borderline.  It gets fail bounds where u_n > 0 and
+    lap > 0, or the check proves lap + term > 0 far above tol: a failure,
+    not borderline, bounded by `screen.failure_bounds` (a second budget call,
+    made only when some layer is proved to fail).  This is the check's input
+    stage.
     The differences d_out, d_in and S = a d_out + b d_in,
     P = |a d_out| + |b d_in|, G = a d_out^2 + b d_in^2 and A = a + b (d_in
-    = 0 where b = 0) are formed exactly from the integer mantissas of u and
-    `conductances(n)` (None where two nonzero terms of a sum lie over 2^14
-    binary places apart); log2|lap| = log2(|S|/A) and log2 grad^2
+    = 0 where b = 0) are formed exactly from the integer mantissas of u's
+    deviations, which the stream differences, and `conductances(n)` (None
+    where two nonzero terms of a sum lie over 2^14 binary places apart, or
+    the two differences over 2^15); log2|lap| = log2(|S|/A) and log2 grad^2
     = log2(G/2A) are read from the top 53 bits of each, within 5 units plus
     half a unit of the result, and the stream's grad^2 is within 10 more
     (the differences rounded once each, then 7 roundings).  The one error
@@ -376,24 +384,27 @@ def _screen(tree, u, layers, term_of) -> list:
     |lap_mpf - lap| <= 5.1 2^-prec kappa |lap|, kappa = P/|S|.  With
     r = 5.2 2^-prec kappa_float <= 2^-8 (else None; 2^-1000 stands in for
     2^-prec beyond 1000 bits), log2|lap_mpf| is within 1.45 r of log2|lap|,
-    and the check is widened by that.  u covers the tree (`_verify_pass`).
+    and has its sign, and the check is widened by that.  u covers the tree
+    (`_verify_pass`).
     """
     floats = screen.exponent_floats(term_of.p, term_of.half_q)
     if floats is None:
-        return [None] * len(layers)
+        return [None] * len(layers), [None] * len(layers)
     unit_bits = min(mp.mp.prec, 1000)   # 2^-unit_bits >= 2^-prec, and a normal float
     r_unit = 5.2 * math.ldexp(1.0, -unit_bits)
     kappa_bits = unit_bits - 12         # kappa beyond 2^kappa_bits cannot give r <= 2^-8
     log2, top53, cap = math.log2, screen.top53, screen._EXP_CAP
-    values, lo_u = u.values(), u.lo
+    values, devs, lo_u = u.values(), u.deviations(), u.lo
     first = layers.start - lo_u
-    rows, d_out, nxt = [], None, values[max(first - 1, 0)]._mpf_
+    rows, d_out, nxt = [], None, devs[max(first - 1, 0)]._mpf_
     for i in range(max(first - 1, 0), layers.stop - lo_u):
-        (s, m, x, _), nxt = nxt, values[i + 1]._mpf_
+        (s, m, x, _), nxt = nxt, devs[i + 1]._mpf_
         s1, m1, x1, _ = nxt
-        d_in, d_out = d_out, exact_sum(-m1 if s1 else m1, x1, m if s else -m, x)   # u_{i+1} - u_i
+        d_in, d_out = d_out, exact_sum(-m1 if s1 else m1, x1, m if s else -m, x)   # v_{i+1} - v_i
         if i < first:
             continue
+        if devs is not values:
+            s, m, x, _ = values[i]._mpf_
         a, b = tree.conductances(i + lo_u)
         _, ma, xa, _ = a._mpf_
         _, mb, xb, _ = b._mpf_
@@ -402,25 +413,32 @@ def _screen(tree, u, layers, term_of) -> list:
             continue
         (do, xo), (di, xi) = d_out, d_in if mb else (0, d_out[1])     # -d_in
         fu, eu = top53(m, x)
-        k, j = xa - xb if ma and mb else 0, xo - xi   # |j| <= 2^14 where u_i != 0
-        if not (-cap < eu < cap and -16384 <= k <= 16384) or ma and do and mb and di \
-                and not (-16384 <= k + j <= 16384 and -16384 <= k + 2 * j <= 16384):
+        k, j = xa - xb if ma and mb else 0, xo - xi   # |j| <= 2^15 where v_i != 0
+        if not (-cap < eu < cap and -16384 <= k <= 16384) or (
+                not (-16384 <= k + j <= 16384 and -16384 <= k + 2 * j <= 16384)
+                if ma and do and mb and di else not -32768 <= j <= 32768):
             rows.append(None)
             continue
         a, b = (ma << k, mb) if k >= 0 else (ma, mb << -k)
         do, di, e = (do << j, di, xi) if j >= 0 else (do, di << -j, xo)
         t1, t2 = a * do, b * di         # a d_out and -b d_in, over a common exponent
-        S, P = t2 - t1, abs(t1) + abs(t2)
-        if S <= 0 or P.bit_length() - S.bit_length() > kappa_bits \
+        S, P = t2 - t1, abs(t1) + abs(t2)     # S = -(a d_out + b d_in): lap < 0 where S > 0
+        negative, S = S > 0, abs(S)
+        if not S or P.bit_length() - S.bit_length() > kappa_bits \
                 or not (r := r_unit * (P / S)) <= 0.00390625:
             rows.append(None)
             continue
         fA, eA = top53(a + b, 0)
         fS, eS = top53(S, e)
         fG, eG = top53(t1 * do + t2 * di, 2 * e)
-        rows.append((log2(fu) + eu, (1, log2(fS / fA) + (eS - eA)),
+        rows.append((log2(fu) + eu, (negative, log2(fS / fA) + (eS - eA)),
                      log2(fG / fA) + (eG - eA - 1), 1.45 * r))
-    return [check or None for check in screen.solution_check(*floats, rows)]
+    verdicts = screen.solution_check(*floats, rows)
+    fails = [None] * len(rows)
+    if False in verdicts:           # bounds are tuples, undecided None
+        fails = screen.failure_bounds(*floats, [row if verdict is False else None
+                                                for row, verdict in zip(rows, verdicts)])
+    return [verdict or None for verdict in verdicts], fails
 
 
 def _verify_pass(tree, u, p, q, layers, bits, force) -> MarginReport | None:
@@ -428,14 +446,23 @@ def _verify_pass(tree, u, p, q, layers, bits, force) -> MarginReport | None:
 
     `_screen` excuses, in float64, the layers whose margin is provably
     negative, not borderline and below some other layer's margin, so that
-    none of them can fail, ask for precision or hold the maximum.  Every
-    other layer, undecided or a candidate for the maximum (the smallest
-    |margin|), goes in layer order through `_site_checks`, so the report
-    equals that of a loop over the reference functions bit for bit.
+    none of them can fail, ask for precision or hold the maximum, and the
+    layers proved to fail (not borderline either) past the first
+    `_MAX_FAILURES` of them whose margin is provably below another's.
+    Every other layer, undecided, one of those failures or a candidate for
+    the maximum, goes in layer order through `_site_checks`: a failing layer
+    before the last of the failures kept is among them or undecided, so
+    the report equals that of a loop over the reference functions bit for
+    bit.
     """
     term_of = term_kernel(p, q)
     ops = layer_operators(tree, u)      # checks the cover that `_screen` reads
-    sites = [layers[i] for i in screen.extremes(_screen(tree, u, layers, term_of), low=True)]
+    passes, fails = _screen(tree, u, layers, term_of)
+    failed = [i for i, bound in enumerate(fails) if bound]
+    kept = set(screen.extremes(passes, low=True)).difference(failed)
+    kept.update(failed[:_MAX_FAILURES],
+                (failed[i] for i in screen.extremes([fails[i] for i in failed], high=True)))
+    sites = [layers[i] for i in sorted(kept)]
     checks = _site_checks(ops, sites, term_of, force)
     return None if checks is None else _margin_report(sites, checks,
                                                       (layers.start, layers.stop - 1), bits)
@@ -473,7 +500,7 @@ def _margin_report(sites, checks, span, bits) -> MarginReport:
         if check.margin > max_margin:
             max_margin = check.margin
             worst = x
-        if not check.holds and len(failures) < 20:
+        if not check.holds and len(failures) < _MAX_FAILURES:
             failures.append((x, check.margin))
     return MarginReport(
         verified=not failures and not undefined,
@@ -871,8 +898,10 @@ def _g_exponents(family: str, point: PQPoint, eps) -> tuple:
 
 
 def _delta_over(spec: RegimeSpec, xs):
-    delta = to_mpf(spec.delta)
-    return (delta / x for x in xs)
+    """delta / x for the raw x (I, III: g) or int x (IV: m), each the bits of mpf's /."""
+    prec, rnd = mp.mp._prec_rounding
+    delta, make = to_mpf(spec.delta)._mpf_, mp.make_mpf
+    return (make(mpf_div(delta, from_int(x) if type(x) is int else x, prec, rnd)) for x in xs)
 
 
 RECIPES = _Table({
@@ -880,7 +909,8 @@ RECIPES = _Table({
                 exps=partial(_g_exponents, "I"), limit=partial(_g_limit, "I"), value=_delta_over,
                 kernel=partial(_drift_kernel, False), delta0=partial(_g_root, False)),
     "II": Recipe(partial(in_g_region, "G2"), "eps", ("n0",), least_m=3,
-                 exps=lambda pt, eps: (1, 1 + eps, 0, -eps / 2), value=lambda spec, fs: fs,
+                 exps=lambda pt, eps: (1, 1 + eps, 0, -eps / 2),
+                 value=lambda spec, fs: map(mp.make_mpf, fs),
                  base=lambda spec: 1, kernel=_log_kernel, limit=lambda pt, eps: mp.inf),
     "III": Recipe(partial(in_g_region, "G3"), "eps", ("n0", "delta"), lambda p, q: q - 1, 3,
                   exps=partial(_g_exponents, "III"), value=_delta_over, base=lambda spec: 1,
@@ -1080,9 +1110,10 @@ def _accepted(certs, failure: str, tried: int) -> Certificate:
 
 
 def _decreasing(u: RadialFunction) -> bool:
-    """u_n > u_(n+1) at every stored layer (both arms), exactly, on signed
-    mantissas aligned per pair (mpf's compare subtracts: six times slower)."""
-    xs = [(-m if s else m, e) for s, m, e, _ in (v._mpf_ for v in u.values())]
+    """u_n > u_(n+1) at every stored layer (both arms), exactly: the deviations
+    compared, on signed mantissas aligned per pair (mpf's compare subtracts:
+    six times slower)."""
+    xs = [(-m if s else m, e) for s, m, e, _ in (v._mpf_ for v in u.deviations())]
     return all((x0 << e0 - e1 > x1) if e0 >= e1 else (x0 > x1 << e1 - e0)
                for (x0, e0), (x1, e1) in zip(xs, xs[1:]))
 

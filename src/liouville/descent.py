@@ -137,16 +137,16 @@ def radial_descent_walk(tree: RadialTree | TwoSidedRadialTree, u: RadialFunction
         raise InputError(f"start layer {start_layer} has no stored neighborhood")
 
     ops = layer_operators(tree, u)
-    values, u_lo = u.values(), u.lo
+    values, u_lo, pr = u.values(), u.lo, mp.mp._prec_rounding
 
     def move(n, ux):
         # the values themselves decide, exactly: the parent (layer 1 at a root)
         # wins a tie, and is all a layer with no inward difference has; the drop
-        # is -(u_next - u_n) from the stream, the same bits as ux - u_next
+        # is ux - u_next (the stream differences u's deviations, not its values)
         parent, child = (n - 1, n + 1) if n > 0 else (n + 1, n - 1)
         nxt = parent if ops.d_in is None or mpf_le(values[parent - u_lo]._mpf_,
                                                    values[child - u_lo]._mpf_) else child
-        return nxt, mp.make_mpf(mpf_neg(ops.d_out if nxt > n else ops.d_in))
+        return nxt, mp.make_mpf(mpf_sub(ux._mpf_, values[nxt - u_lo]._mpf_, *pr))
 
     return _walk(ops, move, start_layer, max_steps, "layer", inner.__contains__)
 

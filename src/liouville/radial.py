@@ -40,16 +40,28 @@ _UNIT_ROOT = (mp.mpf(1), mp.mpf(0))    # a one-sided root's conductances
 
 
 class RadialFunction:
-    """Layerwise values u_n, constant on each layer by construction."""
+    """Layerwise values u_n, constant on each layer by construction.
 
-    __slots__ = ("_values", "_lo")
+    u is stored as an exact base plus deviations v_n (base 0 unless given).
+    `values()` are u_n = v_n + base, each rounded once at the precision of
+    construction (formed on the first read, so a build no reader asks for
+    keeps one tuple); `deviations()` are the v_n as given (u's own tuple when
+    the base is 0).  Every difference of u is read from the deviations: the
+    base is common to all of them, and where u -> base the sums have rounded
+    away the low bits of v that the differences are made of.
+    """
 
-    def __init__(self, values: Sequence, lo: int = 0):
-        self._values = tuple(to_mpf(v) for v in values)
-        if not self._values:
+    __slots__ = ("_values", "_devs", "_base", "_lo", "_pr")
+
+    def __init__(self, values: Sequence, lo: int = 0, base=0):
+        self._devs = tuple(to_mpf(v) for v in values)
+        if not self._devs:
             raise InputError("radial function needs at least one layer")
-        if not all_finite(self._values):
+        self._base = base = to_mpf(base)
+        if not all_finite((base, *self._devs)):
             raise InputError("radial function values must be finite")
+        self._values = None if base else self._devs
+        self._pr = tuple(mp.mp._prec_rounding)
         self._lo = lo
 
     @classmethod
@@ -62,18 +74,29 @@ class RadialFunction:
 
     @property
     def hi(self) -> int:
-        return self._lo + len(self._values) - 1
+        return self._lo + len(self._devs) - 1
+
+    @property
+    def base(self) -> mp.mpf:
+        return self._base
 
     def value(self, n: int) -> mp.mpf:
         if not (self._lo <= n <= self.hi):
             raise InputError(f"layer {n} outside stored range [{self._lo}, {self.hi}]")
-        return self._values[n - self._lo]
+        return self.values()[n - self._lo]
 
     def values(self) -> tuple[mp.mpf, ...]:
+        if self._values is None:
+            (prec, rnd), b, make = self._pr, self._base._mpf_, mp.make_mpf
+            self._values = tuple(make(mpf_add(v._mpf_, b, prec, rnd)) for v in self._devs)
         return self._values
 
+    def deviations(self) -> tuple[mp.mpf, ...]:
+        """v_n = u_n - base, exactly as stored, from layer lo on."""
+        return self._devs
+
     def is_positive(self) -> bool:
-        return all_positive(self._values)
+        return all_positive(self.values())
 
 
 def layer_operators(tree, u: RadialFunction) -> Callable[[int], tuple]:
@@ -84,16 +107,17 @@ def layer_operators(tree, u: RadialFunction) -> Callable[[int], tuple]:
     mpf's own operator makes in `laplacian_at` and `gradient_sq_at`, on
     raw values at the precision and rounding read at call time, so the
     values are theirs bit for bit; all read `conductances(n)`, so layers
-    outside `interior_layers()` raise as they do.  Per-layer loops read
-    `map(ops, layers)`; a walk calls `ops(n)` and reads the last layer's
-    differences from `d_out` and `d_in`.
+    outside `interior_layers()` raise as they do.  The differences are
+    those of u's deviations v (`RadialFunction.deviations`).  Per-layer
+    loops read `map(ops, layers)`; a walk calls `ops(n)` and reads the last
+    layer's differences from `d_out` and `d_in`.
 
     The stream rolls: when ops(n) follows ops(n - 1) at the same precision
     under round-to-nearest, n is not 1 and b is not 0, the inward products
     at n are the outward ones at n - 1.  The inward conductance at n is the
     outward one w_{n-1} at n - 1 (only a root's outward conductance differs
     from its shell weight: (N - 1) w_0, or 1), and
-    d_in(n) = fl(u_{n-1} - u_n) = -fl(u_n - u_{n-1}) = -d_out(n - 1), since
+    d_in(n) = fl(v_{n-1} - v_n) = -fl(v_n - v_{n-1}) = -d_out(n - 1), since
     rounding to nearest is odd.  So b d_in = -(a d_out) at n - 1 and
     b d_in^2 = a d_out^2 there, the same bits.  Any other call order forms
     both differences afresh.
@@ -104,15 +128,15 @@ def layer_operators(tree, u: RadialFunction) -> Callable[[int], tuple]:
 
 class _LayerStream:
     """`layer_operators`' stream; `d_out` and `d_in` are the raw differences
-    u_{n+1} - u_n and u_{n-1} - u_n at the last layer n (d_in None where the
-    inward conductance is 0)."""
+    v_{n+1} - v_n and v_{n-1} - v_n of the deviations at the last layer n
+    (d_in None where the inward conductance is 0)."""
 
-    __slots__ = ("_conductances", "_values", "_ulo", "_pr", "_last", "_prec", "_ad", "_ad2",
-                 "d_out", "d_in")
+    __slots__ = ("_conductances", "_values", "_devs", "_ulo", "_pr", "_last", "_prec", "_ad",
+                 "_ad2", "d_out", "d_in")
 
     def __init__(self, tree, u: RadialFunction):
         self._conductances = tree.conductances
-        self._values, self._ulo = u.values(), u.lo
+        self._values, self._devs, self._ulo = u.values(), u.deviations(), u.lo
         self._pr = mp.mp._prec_rounding         # mpmath updates this list in place
         self._last = self._prec = self._ad = self._ad2 = self.d_out = self.d_in = None
 
@@ -120,17 +144,17 @@ class _LayerStream:
         a, b = self._conductances(n)
         a, b = a._mpf_, b._mpf_
         prec, rnd = self._pr
-        values = self._values
+        devs = self._devs
         i = n - self._ulo
-        un = values[i]
-        d_out = mpf_sub(values[i + 1]._mpf_, un._mpf_, prec, rnd)
-        if b == fzero:                  # no inward edge: u_{n-1} is not read
+        vn = devs[i]._mpf_
+        d_out = mpf_sub(devs[i + 1]._mpf_, vn, prec, rnd)
+        if b == fzero:                  # no inward edge: v_{n-1} is not read
             d_in, bd, bd2 = None, fzero, fzero
         elif n - 1 == self._last and n != 1 and prec == self._prec and rnd == round_nearest:
             d_in = mpf_neg(self.d_out)
             bd, bd2 = mpf_neg(self._ad), self._ad2
         else:
-            d_in = mpf_sub(values[i - 1]._mpf_, un._mpf_, prec, rnd)
+            d_in = mpf_sub(devs[i - 1]._mpf_, vn, prec, rnd)
             bd = mpf_mul(b, d_in, prec, rnd)
             bd2 = mpf_mul(b, mpf_pow_int(d_in, 2, prec, rnd), prec, rnd)
         ad = mpf_mul(a, d_out, prec, rnd)
@@ -138,7 +162,7 @@ class _LayerStream:
         ab = mpf_add(a, b, prec, rnd)
         self._last, self._prec, self._ad, self._ad2 = n, prec, ad, ad2
         self.d_out, self.d_in = d_out, d_in
-        return (un, mp.make_mpf(mpf_div(mpf_add(ad, bd, prec, rnd), ab, prec, rnd)),
+        return (self._values[i], mp.make_mpf(mpf_div(mpf_add(ad, bd, prec, rnd), ab, prec, rnd)),
                 mp.make_mpf(mpf_div(mpf_add(ad2, bd2, prec, rnd), mpf_mul_int(ab, 2, prec, rnd),
                                  prec, rnd)))
 
@@ -223,12 +247,13 @@ class _LayerChain:
         return (self._N - 1) * self._w[i], self._w[i - 1]
 
     def _site(self, u: RadialFunction, n: int) -> tuple:
-        """(a, b, u_{n+1} - u_n, u_{n-1} - u_n) at layer n, (a, b) its
-        conductances; where b = 0 the inward difference is 0, u_{n-1} unread."""
+        """(a, b, v_{n+1} - v_n, v_{n-1} - v_n) at layer n, v the deviations of
+        u and (a, b) its conductances; where b = 0 the inward difference is 0,
+        v_{n-1} unread.  The cover and n's conductances keep the reads inside v."""
         self.check_covers(u)
         a, b = self.conductances(n)
-        un = u.value(n)
-        return a, b, u.value(n + 1) - un, u.value(n - 1) - un if b else b
+        v, i = u.deviations(), n - u.lo
+        return a, b, v[i + 1] - v[i], v[i - 1] - v[i] if b else b
 
     def laplacian_at(self, u: RadialFunction, n: int) -> mp.mpf:
         """lap at layer n by the formulas of the module docstring (the reference)."""

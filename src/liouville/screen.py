@@ -131,6 +131,12 @@ def log2_bound(rows):
     return out
 
 
+def _ell_bounds(p, half_q, rows):
+    """The `log2_bound` of ell = log2(term/|lap|) per row of `solution_check`."""
+    return log2_bound(row and (0.0, ((p, row[0]), (half_q, row[2]), (-1.0, row[1][1])), row[3])
+                      for row in rows)
+
+
 def solution_check(p, half_q, rows):
     """Per item, the verdict of the re-check lap + term <= 0, term = u^p (grad^2)^(q/2).
 
@@ -146,8 +152,7 @@ def solution_check(p, half_q, rows):
     anything else, and a declined item, is None.
     """
     rows = list(rows)               # read twice: by the budget, then by the verdict
-    ells = log2_bound(row and (0.0, ((p, row[0]), (half_q, row[2]), (-1.0, row[1][1])), row[3])
-                      for row in rows)
+    ells = _ell_bounds(p, half_q, rows)
     verdicts = []
     for row, bound in zip(rows, ells):
         if row is None or bound is None or not row[1][0]:
@@ -165,6 +170,37 @@ def solution_check(p, half_q, rows):
         verdicts.append((ll + g_lo - widen - SLACK * (1 + abs(ll) + abs(g_lo)),
                          ll + g_hi + widen + SLACK * (1 + abs(ll) + abs(g_hi))))
     return verdicts
+
+
+def failure_bounds(p, half_q, rows):
+    """Per row of an item `solution_check` proved to fail, bounds (lo, hi) on
+    log2 of its margin lap + term > 0; None for a row None or where the budget
+    declines it.
+
+    A row is `solution_check`'s.  With ell = log2(term/|lap|) and its
+    `log2_bound` (a, b), widen included, the margin is |lap| (1 + 2^ell) for
+    lap > 0 and |lap| (2^ell - 1) for lap < 0, where ell > 2^-20; log2 of
+    each is ll + f(ell), f increasing, so it lies in [ll - widen + f(a),
+    ll + widen + f(b)].  The mpf sum's rounding and libm's log2, log1p and
+    expm1 move f by a few units, covered as in `solution_check`.
+    """
+    rows = list(rows)               # read twice: by the budget, then here
+    out = []
+    for row, bound in zip(rows, _ell_bounds(p, half_q, rows)):
+        if bound is None:
+            out.append(None)
+            continue
+        (negative, ll), widen = row[1], row[3]
+        ends = []
+        for y in bound:             # y + log2(1 -+ 2^-y) = log2(2^y -+ 1), for y > 0
+            if negative:
+                f = y + log2(-expm1(-y * LN2))
+            else:
+                f = y + math.log1p(2.0 ** -y) / LN2 if y > 0 else math.log1p(2.0 ** y) / LN2
+            ends.append(f)
+        out.append((ll - widen + ends[0] - SLACK * (1 + abs(ll) + abs(ends[0])),
+                    ll + widen + ends[1] + SLACK * (1 + abs(ll) + abs(ends[1]))))
+    return out
 
 
 def _falling(y):

@@ -214,15 +214,18 @@ def test_missing_file_is_usage_error(capsys):
 
 # sha256 of `construct` stdout at the benchmark's certify horizons (N = 3,
 # 128 bits), recorded before the search began handing back its build, margin
-# report and tail.  A faster path must leave every byte as it was; III's
-# report carries the known 128-bit precision-bump fault and stays as it is.
+# report and tail.  A faster path must leave every byte as it was.  III's was
+# re-pinned when u came to be stored as deviations: its search accepts
+# n0 = 2^26, with max_margin -3.262145855e-41 at layer 1 (6.2e-18 from a
+# 512-bit rebuild), where it rejected 2^26 on rounding and certified 2^27
+# with -1.099089338e-37 at layer 125.
 CONSTRUCT_DIGESTS = {
     "I": ("2", "1", ["--eps", "1/10"], 150,
           "82724c76455793c2a9951d6ed13a81414c6404e7fc2fbf47bcc5d9712fffedaa"),
     "II": ("0", "3", ["--eps", "1/2"], 270,
            "f8108bf8a246dbb88a65a3221eb84d2e2d5cc43d62978e7ebd66f5e12d4b8ba8"),
     "III": ("-1", "3/2", ["--eps", "1/10"], 125,
-            "1ce614a3910838e9fe35ca20a1d34e7a58c69f70824e74235df510c3ad4206b5"),
+            "ba6919c9cfbd391ca17a155e3bb62ca74cce8aded41553fdcea2ffa1b3c8bd3c"),
     "IV": ("-2", "1", ["--lam", "1"], 600,
            "4ff546f267870a9b059fa92e6a404fa2321d55ec21d296672d22b34947558248"),
     "V1": ("1/2", "1/2", [], 460,
@@ -330,7 +333,11 @@ def test_iv_digest_at_a_large_n0(capsys, args, exit_code, digest):
 # unevaluated, so (s, t) = (7/2, 1/4), outside the admissibility system,
 # evaluates its right-hand side too; the ball's leaves do not solve the
 # inequality.  Each report prints its sums either way.  Recorded on the
-# object-arithmetic estimate, before its raw site pass.
+# object-arithmetic estimate, before its raw site pass.  III's were re-pinned
+# when its build moved from n0 = 2^27 to 2^26: 40 digits of u ~ 1 resolve
+# 1e-39, not the 2^26 build's layer-1 |lap| of 6.5e-41, so on the file the
+# inequality fails at layers inside the support and est-2 exits 3 where it
+# exited 0 (the file path's open fault).
 ESTIMATE_DIGESTS = {
     ("I", "est1", "h:8", ""):
         (0, "a4b23e6fe8d462018a183fb2a32b207db12a73ca3b870522541cb9039352fba6"),
@@ -341,17 +348,17 @@ ESTIMATE_DIGESTS = {
     ("I", "est2", "phi:3", ""):
         (0, "6a31ce9e25017178127e2bb373580dd02673f965de74a98a28c6fbfa086054ec"),
     ("III", "est1", "h:8", ""):
-        (3, "41fbd96b35f70dbfa8820825c8b726d43089de6c884480a70888978dcbaa73e1"),
+        (3, "03c68600d3af15699711315aa5949cce217b461b946ca6a826f64804354c5eb3"),
     ("III", "est1", "phi:3", ""):
-        (3, "f222d7552ae3c2f56f6ad2c196b5639b5ba5213a7737ab826f5db60fa9a5f78e"),
+        (3, "b4bc7508d703f208943c7ba1a2120cbb7221106f6579b0cc992596bb524a793e"),
     ("III", "est2", "h:8", ""):
-        (0, "ede17fdc003f9bdef84f10d01a78ef34dc3d7d86280d41d28cf9106a619fdd46"),
+        (3, "3b0879e2dce885fe64cb93374dd42f69df4f9227f90e326263be623063d8cf39"),
     ("III", "est2", "phi:3", ""):
-        (0, "138572f577cf73efaacc547a5bdeb058db9edf4d2e650e7b63ce29c59c1e764f"),
+        (3, "06e55e81abe1d0a8f4e4d2c019203894a0bf60313f074d59823d1fe7902c722b"),
     ("III", "est1", "h:8", "7/2 1/4"):
-        (3, "a7ecc08d78d2d1ea8a75531c0c2a44a999bfb0943b4121c81cf0b045b154987d"),
+        (3, "1a2d1f3457a8c6ead546bfca94bf614d22c4cababb0bde79b90c69c4062039c7"),
     ("III", "est1", "phi:3", "7/2 1/4"):
-        (3, "a5f038592242d482e41b42986b406828efc2c0cffb9c32578394fd1a8a35630d"),
+        (3, "c1c95850b79a53afe26d7a5b261985889964ae3c4cb33a241ffe5f199d01ae97"),
     ("ball", "est2", "h:2", ""):
         (3, "c72f5d8e310a27fa70cc2a0045653e8a8463cbf40250ff62f28dc1d5d3de7317"),
 }
@@ -931,10 +938,15 @@ def test_volume_report_digest(capsys, args, digest):
 # horizon 200 (N = 3, the parameters of CONSTRUCT_DIGESTS), stored as a
 # 40-digit radial file and a 40-digit values CSV, and on the same files with
 # layer 67 lowered below both neighbours.  Recorded before the margin pass
-# gained its float64 screen; III's certified report carries the known
-# 128-bit precision-bump fault and stays as it is.
+# gained its float64 screen.  III's files are those of the spec its search
+# calibrated while u was stored rounded, pinned (RECHECK_PINS): at the
+# n0 = 2^26 it calibrates now, 40 digits of u ~ 1 resolve 1e-39, not layer 1's
+# |lap| of 6.5e-41, the file path's open fault; its certified report carries
+# the 128-bit fault of a file of u rounded, and stays as it is.
 RECHECK_HORIZON = 200
 RECHECK_LOWERED = 67
+RECHECK_PINS = {"III": {"n0": 2 ** 27,
+                        "delta": "0.0000019027400149700373489508300901465848123811"}}
 VERIFY_DIGESTS = {
     "I": ("4e56e9716f975e032cf2e6fd514cc8c27559eeb9e74d073a01c319165bb09710",
          "9d12d9e05a97645f9d6b30e729349478e65567f57a15806c84d88e34102dbe94"),
@@ -961,8 +973,13 @@ def stored_certificate_files(regime, tmp_path):
     """(tree path, values path, lowered values path) of a stored certificate."""
     p, q, extra, _, _ = CONSTRUCT_DIGESTS[regime]
     params = {k.lstrip("-"): F(v) for k, v in zip(extra[::2], extra[1::2])}
-    built = lv.certify(regime, lv.pq(F(p), F(q)), N=3, horizon=RECHECK_HORIZON,
-                       **params).built
+    if regime in RECHECK_PINS:
+        pin = RECHECK_PINS[regime]
+        built = lv.certify_spec(cx.RegimeSpec(regime, F(p), F(q), 3, RECHECK_HORIZON, n0=pin["n0"],
+                                              delta=mp.mpf(pin["delta"]), **params)).built
+    else:
+        built = lv.certify(regime, lv.pq(F(p), F(q)), N=3, horizon=RECHECK_HORIZON,
+                           **params).built
     values = {n: built.u.value(n) for n in range(built.u.lo, built.u.hi + 1)}
     k = RECHECK_LOWERED
     lowered = dict(values)
@@ -1072,29 +1089,34 @@ def test_construct_rejects_an_eps_too_small_for_the_precision(capsys, pinned):
                    "(128 bits): (ln m)^(-eps/2) is flat\n")
 
 
-def test_construct_exits_1_rather_than_certify_a_constant(capsys):
-    """III at (-1/2, 5/4) stores a constant u from n0 = 2^23 on at the
-    default 128 bits; `construct` certified it with every margin 0."""
+def test_construct_certifies_the_iii_spec_it_refused_as_constant(capsys):
+    """III at (-1/2, 5/4) stored u = 1 + delta/g rounded, one number from
+    n0 = 2^23 on at the default 128 bits: `construct` certified it with every
+    margin 0, then exited 1 after refusing 12 candidates.  Stored as the
+    deviations delta/g, which fall at every layer, the first n0 it screens,
+    2^18, certifies."""
     code = main(["construct", "--regime", "III", "--p", "-1/2", "--q", "5/4", "--N", "3",
                  "--horizon", "200", "--eps", "1/10"])
     out, err = capsys.readouterr()
-    assert code == 1 and out == ""
-    assert err.startswith("calibration failed: regime III: ") and err.count("\n") == 1
-    assert "candidates refused: stored u not strictly decreasing" in err
+    rep = json.loads(out)
+    assert (code, err) == (0, "")
+    assert rep["spec"]["n0"] == 2 ** 18 and rep["verified"] and rep["tail"]["ok"]
+    assert (rep["max_margin"], rep["worst_layer"]) == ("-8.390999540178947215902021e-48", 200)
 
 
-def test_construct_refuses_a_pinned_constant(capsys):
-    """The spec the search refuses first, pinned: at n0 = 2^23 and the delta
-    the search computes there, 128 bits store III's u as one number.  It
-    exited 0 with `max_margin` 0.0; the search's own acceptance refuses it."""
+def test_construct_certifies_the_pinned_spec_it_refused_as_constant(capsys):
+    """The spec the search refused first, pinned: at n0 = 2^23 and the delta
+    the search computed there, 128 bits stored III's u = 1 + delta/g rounded
+    as one number.  It exited 0 with `max_margin` 0.0, then 1, refused.  Its
+    deviations fall at every layer, and it certifies with every margin < 0."""
     code = main(["construct", "--regime", "III", "--p", "-1/2", "--q", "5/4", "--N", "3",
                  "--horizon", "200", "--eps", "1/10", "--n0", "8388608", "--delta",
                  "0.0000000018447428591983512438861583888655906632"])
     out, err = capsys.readouterr()
-    assert (code, out) == (1, "")
-    assert err == ("calibration failed: regime III: pinned spec not certified; 0 of 1 "
-                   "candidates screened out before build, 1 built: 0 failed verify, 0 failed "
-                   "the tail; 1 candidates refused: stored u not strictly decreasing\n")
+    rep = json.loads(out)
+    assert (code, err) == (0, "")
+    assert rep["verified"] and rep["tail"]["ok"]
+    assert (rep["max_margin"], rep["worst_layer"]) == ("-7.998565666974716713053081e-52", 200)
 
 
 def test_construct_exits_1_when_the_search_is_exhausted(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -590,27 +591,33 @@ def test_search_exhausted_reports_its_best_candidate(monkeypatch):
 
 
 def test_certify_refuses_a_constant_stored_u():
-    """At 128 bits III at (-1/2, 5/4) with eps 1/10 stores u = 1 + delta/g,
-    and from n0 = 2^23 on delta/g falls by less than an ulp of 1 over the
-    horizon: every stored u is one number and every margin exactly 0.  The
-    search accepted n0 = 2^23; it now refuses n0 = 2^23 through 2^34 and
-    fails, its best spec an earlier candidate whose margins failed."""
-    with lv.precision(128), pytest.raises(CalibrationError) as exc:
-        lv.certify("III", lv.pq(F(-1, 2), F(5, 4)), N=3, horizon=200, eps=F(1, 10))
-    assert str(exc.value).endswith(
-        "; 12 candidates refused: stored u not strictly decreasing")
-    best = exc.value.best_spec
-    assert best.n0 < 2 ** 23 and exc.value.best_margin > 0
+    """At 128 bits III at (-1/2, 5/4) with eps 1/10 stored u = 1 + delta/g
+    rounded, and from n0 = 2^23 on delta/g fell by less than an ulp of 1 over
+    the horizon: every stored u was one number and every margin exactly 0,
+    and the search refused n0 = 2^23 through 2^34 and failed.  u is now
+    stored as its deviations delta/g, which fall at every layer, and the
+    first n0 the search screens, 2^18, is accepted.  A stored u that is one
+    number, deviations and all, is still refused, and counted."""
     with lv.precision(128):
-        values = lv.build(best).u.values()
-    assert all(a > b for a, b in zip(values, values[1:]))
+        cert = lv.certify("III", lv.pq(F(-1, 2), F(5, 4)), N=3, horizon=200, eps=F(1, 10))
+        u = cert.built.u
+        devs = u.deviations()
+        flat = lv.RadialFunction([devs[0]] * len(devs), base=u.base)
+    assert cert.spec.n0 == 2 ** 18 and cert.ok
+    assert all(a > b for a, b in zip(devs, devs[1:]))
+    constant = cx.Certificate(cx.BuiltCounterexample(cert.built.tree, flat, cert.spec),
+                              cert.report, cert.tail)
+    with pytest.raises(CalibrationError) as exc:
+        cx._accepted([constant], "regime III: no passing n0", 1)
+    assert str(exc.value).endswith("; 1 candidates refused: stored u not strictly decreasing")
+    assert exc.value.best_spec is None
 
 
 @pytest.mark.parametrize("regime, point, params, counts", [
     ("III", lv.pq(-3, F(7, 4)), {"eps": F(1, 10)}, "n0 up to 17179869184; 34 of 34 candidates "
      "screened out before build, 0 built: 0 failed verify, 0 failed the tail; 0"),
-    ("III", lv.pq(F(-1, 2), F(5, 4)), {"eps": F(1, 10)}, "n0 up to 17179869184; 17 of 34 "
-     "candidates screened out before build, 17 built: 5 failed verify, 0 failed the tail; 12"),
+    ("III", lv.pq(-1, F(9, 7)), {"eps": F(1, 10)}, "n0 up to 17179869184; 18 of 34 "
+     "candidates screened out before build, 16 built: 0 failed verify, 16 failed the tail; 0"),
     ("V2", lv.pq(F(101, 100), F(-1, 100)), {}, "lambda up to 64; 7 of 7 candidates screened "
      "out before build, 0 built: 0 failed verify, 0 failed the tail; 0"),
 ])
@@ -635,15 +642,18 @@ def iii_points(draw):
 @seed(13)
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(point=iii_points(), horizon=st.sampled_from([20, 40, 60, 125]))
-@example(point=lv.pq(F(-12, 11), F(5, 4)), horizon=125)     # 12 refused, n0 2^23..2^34
-@example(point=lv.pq(F(-8, 5), F(4, 3)), horizon=40)        # 1 refused
-@example(point=lv.pq(F(-16, 7), F(7, 5)), horizon=40)       # accepted at n0 = 2^23
-@example(point=lv.pq(-2, F(3, 2)), horizon=60)              # accepted at n0 = 2^27
+@example(point=lv.pq(-1, F(9, 7)), horizon=125)             # fails: 16 failed the tail
+@example(point=lv.pq(F(-12, 11), F(5, 4)), horizon=125)     # accepted at n0 = 2^18
+@example(point=lv.pq(F(-8, 5), F(4, 3)), horizon=40)        # accepted at n0 = 2^20
+@example(point=lv.pq(F(-16, 7), F(7, 5)), horizon=40)       # accepted at n0 = 2^22
+@example(point=lv.pq(-2, F(3, 2)), horizon=60)              # accepted at n0 = 2^26
 def test_iii_certificates_store_a_decreasing_u_and_refusals_are_counted(point, horizon):
-    """Random III points at eps = 1/10, whose searches reach n0 = 2^23..2^27
-    and beyond, where 128 bits can flatten the stored u: every certificate
-    `certify` returns stores a strictly decreasing u, and a search that
-    fails counts, in its CalibrationError, each candidate it refused."""
+    """Random III points at eps = 1/10, whose searches reach n0 = 2^18..2^26
+    and beyond, where 128 bits round u = 1 + v flat: every certificate
+    `certify` returns stores strictly decreasing deviations v, and a search
+    that fails counts, in its CalibrationError, each candidate it refused.
+    (While u was stored rounded, (-12/11, 5/4) refused 12 candidates, n0 =
+    2^23..2^34, and (-8/5, 4/3) one.)"""
     refused = []
     decreasing = cx._decreasing
 
@@ -660,7 +670,7 @@ def test_iii_certificates_store_a_decreasing_u_and_refusals_are_counted(point, h
             assert str(exc).endswith(f"; {sum(refused)} candidates refused: stored u not "
                                      f"strictly decreasing")
             return
-        values = cert.built.u.values()
+        values = cert.built.u.deviations()
     assert refused[-1] is False and decreasing(cert.built.u)
     assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -786,10 +796,41 @@ BENCH_CONSTRUCTS = {
     "V1": (["--p", "1/2", "--q", "1/2"], 460),
     "V2": (["--p", "2", "--q", "-1"], 280),
 }
-PROBE_COMBINES = {"I": 1, "II": 0, "III": 2, "IV": 1, "V1": 0, "V2": 0}
+# III's probes combined at 2 and its table ran 47 times while its search
+# built, verified and tail-checked n0 = 2^26, rejected it on the rounding of
+# a stored 1 + v, and did it all again for 2^27; with u stored as deviations
+# it accepts the first n0 it screens
+PROBE_COMBINES = {"I": 1, "II": 0, "III": 1, "IV": 1, "V1": 0, "V2": 0}
 # `numerics.memo.run` calls per bench construct: a read of a stretch of m
 # split into more runs shows up here
-PROFILE_RUNS = {"I": 24, "II": 2, "III": 47, "IV": 11, "V1": 0, "V2": 0}
+PROFILE_RUNS = {"I": 24, "II": 2, "III": 36, "IV": 11, "V1": 0, "V2": 0}
+
+
+# sha256 of the values each bench construct's certificate stores (N = 3,
+# 128 bits), as "sign mantissa exponent" per layer (hex mantissa) joined by
+# ";", recorded on the same specs built when u was stored as its values
+# alone: stored as deviations from a base, u keeps every bit of them.
+BENCH_VALUE_DIGESTS = {
+    "I": "1c3afc5e39ff54e36380f2884d01a87e2bae218242231de1c0b10a8261f1d090",
+    "II": "3e4b4882226b290a9dd624314a0250aed0ff66b76f95af9f2a2e5fd072370988",
+    "III": "cf464b1861b0727d9730c376f6fb97be6115993e2be691156f7d65ca60d66d46",
+    "IV": "0a8e683f8ff3be46662cdd83d0956a5d3a13cd8397d46aac1febe73f0393027a",
+    "V1": "d4f5550a590e84b07e1693e84eb4be6b7055ba10a5b122b47b8933d990fae55b",
+    "V2": "e05d83a7685a618c665fc607dc6c78dfc0abf47b2bccd710ba8f8081f98c8f1d",
+}
+
+
+@pytest.mark.parametrize("regime", list(BENCH_CONSTRUCTS))
+def test_bench_builds_store_the_bits_of_their_values(regime):
+    args, horizon = BENCH_CONSTRUCTS[regime]
+    opts = dict(zip(args[::2], args[1::2]))
+    params = {k[2:]: F(v) for k, v in opts.items() if k in ("--eps", "--lam")}
+    with lv.precision(128):
+        u = lv.certify(regime, lv.pq(F(opts["--p"]), F(opts["--q"])), N=3, horizon=horizon,
+                       **params).built.u
+    text = ";".join(f"{s} {int(m):x} {e}" for s, m, e, _ in (v._mpf_ for v in u.values()))
+    assert hashlib.sha256(text.encode()).hexdigest() == BENCH_VALUE_DIGESTS[regime]
+    assert (u.deviations() is u.values()) == (u.base == 0) == (regime not in ("II", "III", "IV"))
 
 
 @pytest.mark.parametrize("regime", list(BENCH_CONSTRUCTS))

@@ -42,6 +42,7 @@ from hypothesis import strategies as st
 
 import before_band
 import before_build
+import before_deviations
 import before_layer_chain as before
 import before_nash_williams
 import before_quotients
@@ -295,19 +296,26 @@ def build_case(case):
 
 
 def assert_screen_sound(tree, u, p, q, layers):
-    """Every layer the screen bounds is a negative, passing, non-borderline margin
-    whose log2|margin| lies inside the bounds."""
-    bounds = cx._screen(tree, u, layers, lv.term_kernel(p, q))
-    assert len(bounds) == len(layers)
+    """Every layer the screen bounds as a pass is a negative, passing,
+    non-borderline margin whose log2|margin| lies inside the bounds; every
+    layer it bounds as a failure a positive, failing, non-borderline margin
+    whose log2 margin lies inside them."""
+    bounds, fails = cx._screen(tree, u, layers, lv.term_kernel(p, q))
+    assert len(bounds) == len(fails) == len(layers)
     ops = lv.layer_operators(tree, u)
-    for n, bound in zip(layers, bounds):
-        if bound is None:
+    for n, bound, fail in zip(layers, bounds, fails):
+        assert bound is None or fail is None
+        if bound is None and fail is None:
             continue
         un, lap, grad_sq = ops(n)
         term = lv.nonlinear_term(un, grad_sq, p, q)
         check = lv.check_nonpositive(lap + term, max(abs(lap), term))
-        assert un > 0 and lap < 0 and grad_sq > 0
-        assert check.margin < 0 and check.holds and not check.borderline
+        assert un > 0 and grad_sq > 0 and not check.borderline
+        if fail:
+            assert check.margin > 0 and not check.holds
+            assert fail[0] <= mp.log(check.margin, 2) <= fail[1]
+            continue
+        assert lap < 0 and check.margin < 0 and check.holds
         assert bound[0] <= mp.log(-check.margin, 2) <= bound[1]
     return bounds
 
@@ -2105,7 +2113,7 @@ def test_column_margin_screen_is_the_per_layer_screen(case, bits, wild):
             values[k] = planted(values[k], wild[1])
             u = lv.RadialFunction(values, lo=u.lo)
         term_of = lv.term_kernel(p, q)
-        assert cx._screen(tree, u, layers, term_of) == \
+        assert cx._screen(tree, u, layers, term_of)[0] == \
             before_screen._screen(tree, u, layers, term_of)
 
 
@@ -2121,7 +2129,7 @@ def test_column_margin_screen_on_a_two_sided_build_and_a_one_sided_root(regime1_
             built = lv.build(spec)
             layers = built.tree.checked_layers(None)
             term_of = lv.term_kernel(spec.point.p, spec.point.q)
-            bounds = cx._screen(built.tree, built.u, layers, term_of)
+            bounds = cx._screen(built.tree, built.u, layers, term_of)[0]
             assert bounds == before_screen._screen(built.tree, built.u, layers, term_of)
             decided = [n for n, b in zip(layers, bounds) if b is not None]
             assert layers[0] == (-40 if spec is v2 else 0) and decided
@@ -2149,7 +2157,7 @@ def test_column_margin_screen_declines_terms_far_apart_as_before(bits):
                 values[:2] = [mp.mpf(1), mp.ldexp(1, -gap)]
             u = lv.RadialFunction(values)
             layers = tree.checked_layers(None)
-            bounds = cx._screen(tree, u, layers, term_of)
+            bounds = cx._screen(tree, u, layers, term_of)[0]
             assert bounds == before_screen._screen(tree, u, layers, term_of)
             assert (bounds[layers.index(layer)] is not None) == decided, (gap, wgap, layer)
 
@@ -2824,3 +2832,130 @@ def test_band_and_running_volumes_make_no_per_n_mpf_call(monkeypatch):
     assert exact(vols) == exact(before.RadialTree(3, built.tree._w).ball_volumes(4096))
     for band, target in zip(bands, (law, lambda n: law(n) * mp.mpf(n) ** 2)):
         assert band == before_band.volume_band(built, target, 16, 4096)
+
+
+# ---------------------------------------------------------------------------
+# u stored as deviations from an exact base: with base 0, the readers give
+# what they gave when they differenced u itself (tests/before_deviations.py),
+# exactly; with a base, they stay nearer the exact operators than u rounded
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream_cases(), st.booleans())
+def test_base_0_operators_are_those_of_the_values(case, explicit):
+    """The stream, in any call order and at any precision, and the reference
+    operators give the values' own operators bit for bit, and raise where
+    they raise, whether base 0 is the default or given."""
+    tree, u, calls = case
+    if explicit:
+        u = lv.RadialFunction(u.values(), lo=u.lo, base=0)
+    assert u.deviations() is u.values() and u.base == 0
+    ops, old_ops = lv.layer_operators(tree, u), before_deviations.layer_operators(tree, u)
+    for n, bits in calls:
+        with mp.workprec(bits):
+            got = outcome(ops, n)
+            assert got == outcome(old_ops, n)
+            if got[0] == "ok":
+                assert (ops.d_out, ops.d_in) == (old_ops.d_out, old_ops.d_in)
+            for name in ("laplacian_at", "gradient_sq_at"):
+                assert outcome(getattr(tree, name), u, n) == \
+                    outcome(getattr(before_deviations, name), tree, u, n)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(screen_cases())
+def test_base_0_screen_rows_and_reports_are_those_of_the_values(case):
+    """With base 0 the margin screen's rows, `verify_radial`'s report and the
+    search's decrease test are those of the readers that differenced u."""
+    with mp.workprec(case["bits"]):
+        tree, u, p, q, layers = build_case(case)
+        term_of = lv.term_kernel(p, q)
+        assert cx._screen(tree, u, layers, term_of)[0] == \
+            before_deviations._screen(tree, u, layers, term_of)
+        assert cx._decreasing(u) == before_deviations._decreasing(u)
+        got = outcome(cx.verify_radial, tree, u, p, q)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cx, "layer_operators", before_deviations.layer_operators)
+            patch.setattr(cx, "_screen", lambda tree, u, layers, term_of: (
+                before_deviations._screen(tree, u, layers, term_of), [None] * len(layers)))
+            assert got == outcome(cx.verify_radial, tree, u, p, q)
+
+
+@st.composite
+def based_cases(draw):
+    """A one- or two-sided tree and u = base + v at 53 or 128 bits, each v a
+    full-width mantissa 2^16..2^(2 prec) times below the base."""
+    bits = draw(st.sampled_from([53, 128]))
+    N = draw(st.integers(2, 4))
+    M = draw(st.integers(2, 8))
+    one_sided = draw(st.booleans())
+    weights = [mp.mpf(draw(st.floats(0.1, 5.0))) for _ in range(2 * M + 1)]
+    base = mp.mpf(draw(st.sampled_from([1, 2.5, -3, 0.75])))
+    gap = draw(st.integers(16, 2 * bits))
+    mantissas = st.integers(2 ** (bits - 1), 2 ** bits - 1)
+    devs = [mp.ldexp(draw(st.sampled_from([1, -1])) * draw(mantissas), -bits - gap
+                     - draw(st.integers(0, 3))) for _ in range(M + 1 if one_sided else 2 * M + 1)]
+    return bits, N, M, one_sided, weights, base, devs
+
+
+@settings(max_examples=150, deadline=None)
+@given(based_cases())
+def test_deviation_operators_are_within_their_rounding_of_u_exact(case):
+    """At each layer lap and grad^2 of u = base + v, stored as its deviations,
+    lie within their formulas' own rounding of the operators at 4x the
+    precision on u exact: 6 roundings of (|a d_out| + |b d_in|) / (a + b) for
+    lap, 8 of grad^2.  The operators of the stored values, u rounded, carry
+    the base's rounding too, |base| 2^-prec in every difference, and read
+    lap = grad^2 = 0 where u rounds to the base."""
+    bits, N, M, one_sided, weights, base, devs = case
+    lo = 0 if one_sided else -M
+    with mp.workprec(bits):
+        tree = (lv.RadialTree(N, weights[:M + 1]) if one_sided
+                else lv.TwoSidedRadialTree(N, weights[:M], weights[M:2 * M]))
+        u = lv.RadialFunction(devs, lo=lo, base=base)
+        layers = tree.checked_layers(None)
+        ours = list(map(lv.layer_operators(tree, u), layers))
+    with mp.workprec(4 * bits):
+        exact_u = lv.RadialFunction([base + v for v in devs], lo=lo)
+        unit = mp.ldexp(1, -bits)
+        for n, (_, lap, g2) in zip(layers, ours):
+            a, b, d_out, d_in = tree._site(exact_u, n)
+            ref_lap, ref_g2 = tree.laplacian_at(exact_u, n), tree.gradient_sq_at(exact_u, n)
+            assert abs(lap - ref_lap) <= 6 * unit * (abs(a * d_out) + abs(b * d_in)) / (a + b)
+            assert abs(g2 - ref_g2) <= 8 * unit * ref_g2
+
+
+def test_margin_screen_declines_differences_far_apart_beside_a_zero_deviation():
+    """u_1 is its base where v_1 = v_2 = 0, so the screen reads layer 1; its
+    differences, 0 and -v_0, have exponents 10^6 apart.  The layer is left
+    undecided, as a sum of terms far apart is, with no shift across the gap,
+    and the margin pass still reports every layer."""
+    tree = lv.RadialTree(2, [1] * 4)
+    u = lv.RadialFunction([mp.ldexp(1, 10 ** 6), 0, 0, mp.mpf(-1), mp.mpf(-2)], base=1)
+    layers = tree.checked_layers(None)
+    term_of = lv.term_kernel(2, 1)
+    passes, fails = cx._screen(tree, u, layers, term_of)
+    assert passes[1] is None and fails[1] is None
+    assert lv.verify_radial(tree, u, 2, 1).n_layers == len(layers)
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_verify_checks_twenty_failures_and_the_maximum_in_mpf(monkeypatch, bits):
+    """On 200 layers of random values, about half of them failing, the
+    report is that of the forced loop over every layer, bit for bit, while
+    mpf checks only the first 20 proved failures (the report's list), the
+    candidates for the maximum and the layers the screen leaves open."""
+    rng = random.Random(bits)
+    checked = []
+    site_checks = cx._site_checks
+    monkeypatch.setattr(cx, "_site_checks", lambda ops, sites, *rest: checked.extend(sites)
+                        or site_checks(ops, sites, *rest))
+    with mp.workprec(bits):
+        tree = lv.RadialTree(3, [mp.mpf(rng.uniform(0.5, 2.0)) for _ in range(201)])
+        u = lv.RadialFunction([mp.mpf(rng.uniform(1.0, 2.0)) for _ in range(201)])
+        layers = tree.checked_layers(None)
+        every = site_checks(lv.layer_operators(tree, u), layers, lv.term_kernel(2, 1), True)
+        full = cx._margin_report(layers, every, (layers.start, layers.stop - 1), bits)
+        assert exact(lv.verify_radial(tree, u, 2, 1)) == exact(full)
+    assert sum(not check.holds for check in every) > 60 and len(full.failures) == 20
+    assert len(checked) < 30
